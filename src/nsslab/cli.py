@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from . import langevin, lqr, lyapcert, nssmc, objectives, sde
 from .lyapcert import check_dissipation, default_state_samples, \
-    default_theta_samples, supermartingale_diagnostic
+    default_theta_samples
 from .nssmc import NssExperiment, exceedance_fraction, fit_decay_envelope, \
     gain_curve_to_csv, run_experiment, scnss_threshold_scan
 

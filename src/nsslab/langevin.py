@@ -128,15 +128,19 @@ class UnderdampedConfig:
         return lam1, lam2, lam3
 
 
+def _scheduled_terms(config: UnderdampedConfig, z: np.ndarray):
+    """(c(z), eta(z), grad J(z)) from one batched oracle evaluation."""
+    obj = config.objective
+    values, grads, hessians = obj.evaluate(z, hessian=True)
+    c = 0.5 * np.linalg.norm(hessians, 2, axis=(1, 2)) + 0.5
+    eta = 0.5 * (config.phi.phi2_prime(values - obj.optimum_value) - c)
+    return c, eta, grads
+
+
 def scheduled_coefficients(config: UnderdampedConfig,
                            z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-state damping c(z) and learning rate eta(z) of scheduled mode."""
-    obj = config.objective
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    hnorm = np.array([np.linalg.norm(obj.hessian_at(zi), 2) for zi in z])
-    c = 0.5 * hnorm + 0.5
-    h = np.asarray(obj.value(z), dtype=float) - obj.optimum_value
-    eta = 0.5 * (config.phi.phi2_prime(h) - c)
+    c, eta, _ = _scheduled_terms(config, z)
     return c, eta
 
 
@@ -154,8 +158,8 @@ def build_underdamped(config: UnderdampedConfig) -> DiffusionModel:
     else:
         def drift(x):
             z, v = x[..., :n], x[..., n:]
-            c, eta = scheduled_coefficients(config, z)
-            dv = -eta[:, None] * np.asarray(obj.gradient(z)) - c[:, None] * v
+            c, eta, g = _scheduled_terms(config, z)
+            dv = -eta[:, None] * g - c[:, None] * v
             return np.concatenate([v, dv], axis=-1)
 
     if config.G is None:

@@ -68,7 +68,7 @@ class LqrProblem:
             # stabilizability probe; the Riccati solution exists iff (A,F)
             # is stabilizable for positive definite Q, R
             solve_continuous_are(A, F, Q, R)
-        except Exception as exc:
+        except np.linalg.LinAlgError as exc:
             raise ValueError(f"(A, F) not stabilizable: {exc}") from exc
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "F", F)
@@ -254,19 +254,41 @@ def unvec_gain(theta: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.asarray(theta, dtype=float).reshape(m, n)
 
 
+def _closed_loop(problem: LqrProblem, Ks: np.ndarray) -> np.ndarray:
+    """Stack of closed-loop matrices A - F K for a (B, m, n) gain stack."""
+    return problem.A[None] - np.einsum("nm,bmk->bnk", problem.F, Ks)
+
+
+def hurwitz_mask(A_cl: np.ndarray) -> np.ndarray:
+    """Which matrices of a (B, n, n) stack have spectral abscissa below
+    -HURWITZ_MARGIN.
+
+    A 1x1 matrix is its own eigenvalue (LAPACK returns the element
+    exactly), so n = 1 compares the entries directly; non-finite input
+    raises LinAlgError on both paths, as ``eigvals`` does.
+    """
+    if A_cl.shape[1] != 1:
+        abscissa = np.max(np.real(np.linalg.eigvals(A_cl)), axis=1)
+        return abscissa < -HURWITZ_MARGIN
+    if not np.isfinite(A_cl).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return A_cl[:, 0, 0] < -HURWITZ_MARGIN
+
+
 def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
     """Cost and gradient over a batch of vectorized gains.
 
     Returns (hurwitz mask, costs, vectorized gradients); entries for
     non-stabilizing gains are NaN.  All solves are stacked so the batch is
-    a single numpy pipeline.
+    a single numpy pipeline, and every row goes through the same
+    per-matrix kernels whatever the batch holds.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     B = thetas.shape[0]
     n, m = problem.n, problem.m
     Ks = thetas.reshape(B, m, n)
-    A_cl = problem.A[None] - np.einsum("nm,bmk->bnk", problem.F, Ks)
-    ok = np.max(np.real(np.linalg.eigvals(A_cl)), axis=1) < -HURWITZ_MARGIN
+    A_cl = _closed_loop(problem, Ks)
+    ok = hurwitz_mask(A_cl)
 
     costs = np.full(B, np.nan)
     grads = np.full((B, m * n), np.nan)
@@ -324,11 +346,15 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
         _, _, grads = batched_gain_stats(problem, theta.reshape(-1, m * n))
         return grads.reshape(lead + (m * n,))
 
+    def value_and_gradient(thetas):
+        _, costs, grads = batched_gain_stats(problem, thetas)
+        return costs, grads
+
     def domain_test(theta):
         theta = np.asarray(theta, dtype=float)
         lead = theta.shape[:-1]
-        ok, _, _ = batched_gain_stats_mask(problem, theta.reshape(-1, m * n))
-        return ok.reshape(lead)
+        return hurwitz_mask(_closed_loop(problem, theta.reshape(-1, m, n))
+                            ).reshape(lead)
 
     env = PLEnvelope(mu=mu5_class_function(profile), kind="K",
                      construction="analytic b1, b2 from the Riccati solution")
@@ -336,17 +362,8 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
                      optimum_value=profile.J2star,
                      minimizer=vec_gain(profile.Kstar),
                      hessian=None, domain_test=domain_test,
-                     global_lipschitz=None, envelope=env, label="lqr")
-
-
-def batched_gain_stats_mask(problem: LqrProblem, thetas: np.ndarray):
-    """Hurwitz mask only, skipping the Lyapunov solves."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    B = thetas.shape[0]
-    Ks = thetas.reshape(B, problem.m, problem.n)
-    A_cl = problem.A[None] - np.einsum("nm,bmk->bnk", problem.F, Ks)
-    ok = np.max(np.real(np.linalg.eigvals(A_cl)), axis=1) < -HURWITZ_MARGIN
-    return ok, None, None
+                     global_lipschitz=None, envelope=env, label="lqr",
+                     value_and_gradient=value_and_gradient)
 
 
 def gain_noise_schedule(sigma1, n: int, horizon: float,

@@ -6,7 +6,9 @@ loss, nonseparability decision by linear programming, smoothness
 constants, and an empirical direction-uniform K-PL envelope.
 
 Conventions: objective values are vectorized over leading axes; gradients
-accept a (B, n) batch and return (B, n); Hessians take one point.
+accept a (B, n) batch and return (B, n); analytic Hessians take one point.
+:meth:`Objective.evaluate` is the batch-first oracle that returns all
+three for a batch, with the only finite-difference Hessian fallback.
 """
 
 from __future__ import annotations
@@ -40,8 +42,22 @@ class PLEnvelope:
 class Objective:
     """Value/gradient/Hessian oracle with known or estimated optimum.
 
-    ``hessian=None`` falls back to central differences of the gradient.
-    ``global_lipschitz`` is the gradient Lipschitz constant when known.
+    ``value`` is vectorized over leading axes, ``gradient`` maps a (B, n)
+    batch to (B, n) and ``hessian`` takes one point.  ``value_and_gradient``
+    optionally computes both for a (B, n) batch in one joint call and
+    returns ((B,), (B, n)).  ``global_lipschitz`` is the gradient
+    Lipschitz constant when known.
+
+    :meth:`evaluate` is the batch-first oracle: for a (B, n) batch it
+    returns values (B,), gradients (B, n) and, on request, Hessians
+    (B, n, n).  With ``hessian=None`` the Hessians are central differences
+    of the gradient with step h = 1e-5 (1 + |z|): the rows
+    [z; z + h e_i; z - h e_i] of the whole batch go through one gradient
+    call (one joint call when ``value_and_gradient`` is set), and the
+    result is symmetrized.  This is the only finite-difference fallback;
+    :meth:`hessian_at` is its one-point view.  When the oracles compute
+    each row independently of the rest of the batch, as the LQR one does,
+    the results equal the per-point formulas bit for bit.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -54,6 +70,38 @@ class Objective:
     global_lipschitz: float | None = None
     envelope: PLEnvelope | None = None
     label: str = ""
+    value_and_gradient: Callable[[np.ndarray],
+                                 tuple[np.ndarray, np.ndarray]] | None = None
+
+    def evaluate(self, z, hessian: bool = False):
+        """(values, gradients, Hessians or None) for a (B, dim) batch."""
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        B, n = z.shape
+        fd = hessian and self.hessian is None
+        rows = z
+        if fd:
+            steps = np.array([1e-5 * (1.0 + float(np.linalg.norm(zi)))
+                              for zi in z])
+            shift = steps[:, None, None] * np.eye(n)  # (B, i, n)
+            rows = np.concatenate([z, (z[:, None] + shift).reshape(-1, n),
+                                   (z[:, None] - shift).reshape(-1, n)])
+        if self.value_and_gradient is not None:
+            values, grads = self.value_and_gradient(rows)
+            values = np.asarray(values, dtype=float)[:B]
+        else:
+            values = np.asarray(self.value(z), dtype=float)
+            grads = self.gradient(rows)
+        grads = np.asarray(grads, dtype=float)
+        if not hessian:
+            return values, grads, None
+        if not fd:
+            return values, grads, np.array(
+                [np.asarray(self.hessian(zi), dtype=float) for zi in z])
+        plus = grads[B:B + B * n].reshape(B, n, n)
+        minus = grads[B + B * n:].reshape(B, n, n)
+        # H[b][:, i] is the difference quotient along e_i
+        H = np.swapaxes((plus - minus) / (2.0 * steps)[:, None, None], 1, 2)
+        return values, grads[:B], 0.5 * (H + np.swapaxes(H, 1, 2))
 
     def value_at(self, z) -> float:
         return float(np.asarray(self.value(np.asarray(z, dtype=float))))
@@ -65,13 +113,7 @@ class Objective:
         z = np.asarray(z, dtype=float)
         if self.hessian is not None:
             return np.asarray(self.hessian(z), dtype=float)
-        h = 1e-5 * (1.0 + float(np.linalg.norm(z)))
-        eye = np.eye(self.dim)
-        cols = [(self.gradient_at(z + h * eye[i])
-                 - self.gradient_at(z - h * eye[i])) / (2.0 * h)
-                for i in range(self.dim)]
-        H = np.column_stack(cols)
-        return 0.5 * (H + H.T)
+        return self.evaluate(z[None], hessian=True)[2][0]
 
     def suboptimality(self, z) -> float:
         return self.value_at(z) - self.optimum_value

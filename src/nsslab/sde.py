@@ -221,9 +221,10 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
     step = 0
     while step < nsteps:
         c = min(chunk, nsteps - step)
+        # every path draws, exited or not, so streams stay aligned with
+        # per-path runs
         for k in range(B):
-            if active[k] or True:  # keep streams aligned with per-path runs
-                buf[k, :c] = gens[k].standard_normal((c, m))
+            buf[k, :c] = gens[k].standard_normal((c, m))
         for j in range(c):
             t = step * dt
             sig = sig_const if sig_const is not None else \

@@ -156,6 +156,61 @@ class TestScheduledMode:
         assert np.linalg.norm(path.states[-1]) <= 1e-6
 
 
+def scalar_lqr_scheduled():
+    one = np.array([[1.0]])
+    problem = lqr.LqrProblem(A=one, F=one, Q=one, R=one)
+    profile = lqr.solve_riccati(problem, K0=2.0 * one)
+    obj = lqr.lqr_objective(problem, profile)
+    ladder = ladder_from_profile(profile, problem, 20.0, k_g=1.0)
+    cfg = UnderdampedConfig(objective=obj, mode="scheduled",
+                            phi=phi_functions(ladder), K_G=1.0)
+    return cfg, build_underdamped(cfg)
+
+
+class TestScheduledLqr:
+    def test_drift_makes_one_oracle_call_and_domain_test_none(
+            self, monkeypatch):
+        cfg, model = scalar_lqr_scheduled()
+        calls = []
+        orig = lqr.batched_gain_stats
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(lqr, "batched_gain_stats", counted)
+        k = cfg.objective.minimizer[0]
+        x = np.array([[k + 0.3, 0.0]])
+        model.drift(x)
+        assert calls == [(3, 1)]  # z and its two FD neighbours, one call
+        assert model.domain_test(x).tolist() == [True]
+        assert len(calls) == 1
+        model.drift(np.array([[k + 0.3, 0.1], [k - 0.2, -0.4]]))
+        assert calls[1:] == [(6, 1)]
+
+    def test_drift_equals_per_point_formula(self):
+        # the formula the fused drift replaced: c from the per-point FD
+        # Hessian, eta from value(z), the gradient from gradient(z)
+        cfg, model = scalar_lqr_scheduled()
+        obj = cfg.objective
+        k = obj.minimizer[0]
+        x = np.array([[k + 0.3, 0.0], [k + 2.0, -0.7], [k - 0.5, 1.5]])
+        z, v = x[:, :1], x[:, 1:]
+        hnorm = []
+        for zi in z:
+            h = 1e-5 * (1.0 + float(np.linalg.norm(zi)))
+            H = ((obj.gradient_at(zi + h) - obj.gradient_at(zi - h))
+                 / (2.0 * h))[:, None]
+            hnorm.append(np.linalg.norm(0.5 * (H + H.T), 2))
+        c = 0.5 * np.array(hnorm) + 0.5
+        eta = 0.5 * (cfg.phi.phi2_prime(obj.value(z) - obj.optimum_value) - c)
+        want = np.concatenate(
+            [v, -eta[:, None] * obj.gradient(z) - c[:, None] * v], axis=1)
+        assert np.array_equal(model.drift(x), want)
+        got_c, got_eta = scheduled_coefficients(cfg, z)
+        assert np.array_equal(got_c, c) and np.array_equal(got_eta, eta)
+
+
 class TestSizeFunctions:
     def test_objective_size_function_values(self):
         V = objective_size_function(quad())

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from nsslab.lqr import (LqrProblem, StabilityError, batched_gain_stats,
-                        eta_schedule_lqr, gain_noise_schedule, gain_point,
+from nsslab.lqr import (HURWITZ_MARGIN, LqrProblem, StabilityError,
+                        batched_gain_stats, eta_schedule_lqr,
+                        gain_noise_schedule, gain_point, hurwitz_mask,
                         lqr_cost, lqr_gradient, lqr_objective,
                         mu5, mu5_class_function, random_stabilizing_gains,
                         smoothness_profile_L3, solve_lyapunov, solve_riccati,
@@ -192,6 +193,64 @@ class TestBatchedStats:
         K = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(unvec_gain(vec_gain(K), 2, 3), K)
         assert np.array_equal(vec_gain(K), np.arange(6.0))
+
+
+def eigvals_mask(A_cl):
+    """The spectral test hurwitz_mask must reproduce on every path."""
+    return np.max(np.real(np.linalg.eigvals(A_cl)), axis=1) < -HURWITZ_MARGIN
+
+
+class TestHurwitzMask:
+    def test_scalar_path_matches_eigvals_on_edge_values(self):
+        tiny = np.finfo(float).smallest_subnormal
+        edge = [0.0, -0.0, 1e300, -1e300, 1.0, -1.0,
+                tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
+                -HURWITZ_MARGIN, HURWITZ_MARGIN,
+                np.nextafter(-HURWITZ_MARGIN, -np.inf),
+                np.nextafter(-HURWITZ_MARGIN, np.inf)]
+        A_cl = np.array(edge).reshape(-1, 1, 1)
+        got = hurwitz_mask(A_cl)
+        assert np.array_equal(got, eigvals_mask(A_cl))
+        assert got.tolist()[-4:] == [False, False, True, False]
+
+    def test_scalar_path_matches_eigvals_on_random_scales(self):
+        rng = np.random.default_rng(7)
+        vals = rng.standard_normal(20_000) * 10.0 ** rng.integers(-320, 300,
+                                                                  20_000)
+        A_cl = vals.reshape(-1, 1, 1)
+        assert np.array_equal(hurwitz_mask(A_cl), eigvals_mask(A_cl))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_like_eigvals(self, bad):
+        for n in (1, 2):
+            A_cl = np.full((3, n, n), -1.0)
+            A_cl[1, 0, 0] = bad
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.eigvals(A_cl)
+            with pytest.raises(np.linalg.LinAlgError):
+                hurwitz_mask(A_cl)
+
+    def test_matrix_path_is_the_spectral_test(self):
+        # a stable-looking diagonal can hide an unstable pair
+        A_cl = np.array([[[-1.0, 0.0], [0.0, -2.0]],
+                         [[-1.0, 5.0], [5.0, -1.0]],
+                         [[0.0, 1.0], [-1.0, 0.0]],
+                         [[-1.0, 1.0], [-1.0, -1.0]]])
+        assert hurwitz_mask(A_cl).tolist() == [True, False, False, True]
+        assert np.array_equal(hurwitz_mask(A_cl), eigvals_mask(A_cl))
+
+    def test_domain_test_agrees_with_batched_stats(self):
+        for n, m, seed in [(1, 1, 31), (2, 1, 32), (3, 2, 33)]:
+            problem = random_problem(n, m, seed)
+            profile = solve_riccati(problem, K0=_stabilizing_start(problem))
+            obj = lqr_objective(problem, profile)
+            rng = np.random.default_rng(seed)
+            thetas = (vec_gain(profile.Kstar)
+                      + 2.0 * rng.standard_normal((200, m * n)))
+            ok, costs, _ = batched_gain_stats(problem, thetas)
+            assert 0 < ok.sum() < ok.size
+            assert np.array_equal(obj.domain_test(thetas), ok)
+            assert np.array_equal(np.isfinite(costs), ok)
 
 
 class TestObjectiveWrapper:

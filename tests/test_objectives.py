@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_are
 
-from nsslab import objectives
+from nsslab import lqr, objectives
 from nsslab.objectives import (LogisticModel, check_nonseparable,
                                estimate_kpl_envelope, fit_theta_star,
                                gradient_bound_check, limiting_ray_slope,
@@ -192,3 +193,98 @@ class TestCsv:
         data = np.loadtxt(f, delimiter=",", skiprows=1)
         assert data.shape[1] == 2
         assert np.all(np.diff(data[:, 0]) > 0)
+
+
+def per_point_oracle(obj, z):
+    """The per-point formulas that Objective.evaluate batches: value_at,
+    gradient_at and column-by-column central differences of gradient_at."""
+    h = 1e-5 * (1.0 + float(np.linalg.norm(z)))
+    eye = np.eye(obj.dim)
+    cols = [(obj.gradient_at(z + h * eye[i])
+             - obj.gradient_at(z - h * eye[i])) / (2.0 * h)
+            for i in range(obj.dim)]
+    H = np.column_stack(cols)
+    return obj.value_at(z), obj.gradient_at(z), 0.5 * (H + H.T)
+
+
+class TestBatchedOracle:
+    def assert_matches_per_point(self, obj, Z):
+        values, grads, hess = obj.evaluate(Z, hessian=True)
+        assert values.shape == (len(Z),) and grads.shape == Z.shape
+        assert hess.shape == (len(Z), obj.dim, obj.dim)
+        for z, v, g, H in zip(Z, values, grads, hess):
+            v_ref, g_ref, H_ref = per_point_oracle(obj, z)
+            assert np.array_equal(v, v_ref, equal_nan=True)
+            assert np.array_equal(g, g_ref, equal_nan=True)
+            assert np.array_equal(H, H_ref, equal_nan=True)
+            assert np.array_equal(obj.hessian_at(z), H_ref, equal_nan=True)
+        v_only, g_only, none = obj.evaluate(Z)
+        assert none is None
+        assert np.array_equal(v_only, values, equal_nan=True)
+        assert np.array_equal(g_only, grads, equal_nan=True)
+
+    def test_quadratic_without_hessian_is_bitwise_per_point(self):
+        # row-wise oracles (einsum rather than a BLAS matmul, whose rounding
+        # can depend on the batch size), so only the batched difference
+        # scheme itself could move bits
+        A = np.array([[3.0, 0.4, 0.1], [0.4, 2.0, -0.3], [0.1, -0.3, 1.0]])
+        zstar = np.array([1.0, -2.0, 0.5])
+
+        def value(z):
+            d = np.asarray(z, dtype=float) - zstar
+            return 0.5 * np.einsum("...i,ij,...j->...", d, A, d)
+
+        def gradient(z):
+            d = np.asarray(z, dtype=float) - zstar
+            return np.einsum("bi,ji->bj", d, A)
+
+        obj = objectives.Objective(value=value, gradient=gradient, dim=3,
+                                   optimum_value=0.0, hessian=None)
+        Z = np.random.default_rng(3).standard_normal((7, 3)) * 4.0
+        self.assert_matches_per_point(obj, Z)
+
+    def test_scalar_lqr_is_bitwise_per_point(self):
+        one = np.array([[1.0]])
+        problem = lqr.LqrProblem(A=one, F=one, Q=one, R=one)
+        profile = lqr.solve_riccati(problem, K0=2.0 * one)
+        obj = lqr.lqr_objective(problem, profile)
+        Z = np.r_[np.linspace(1.05, 6.0, 9), obj.minimizer + 0.3, 0.5][:, None]
+        self.assert_matches_per_point(obj, Z)  # the last gain is unstable
+        assert np.isnan(obj.evaluate(Z, hessian=True)[2][-1]).all()
+
+    def test_two_state_single_input_lqr_is_bitwise_per_point(self):
+        rng = np.random.default_rng(1)
+        problem = lqr.LqrProblem(A=rng.standard_normal((2, 2)),
+                                 F=rng.standard_normal((2, 1)),
+                                 Q=np.eye(2), R=np.eye(1))
+        P = solve_continuous_are(problem.A, problem.F, problem.Q, problem.R)
+        profile = lqr.solve_riccati(problem, K0=problem.F.T @ P)
+        gains = lqr.random_stabilizing_gains(problem, profile, 6, 1,
+                                             spread=0.5)
+        obj = lqr.lqr_objective(problem, profile)
+        self.assert_matches_per_point(obj, gains.reshape(6, 2))
+
+    def test_analytic_hessian_is_stacked_per_point(self):
+        obj = logistic_objective(demo_model())
+        Z = np.random.default_rng(4).standard_normal((5, 2))
+        values, grads, hess = obj.evaluate(Z, hessian=True)
+        assert np.array_equal(values, obj.value(Z))
+        assert np.array_equal(grads, obj.gradient(Z))
+        for z, H in zip(Z, hess):
+            assert np.array_equal(H, obj.hessian_at(z))
+
+    def test_joint_oracle_makes_one_call_per_evaluation(self):
+        quad = quadratic_objective(np.diag([1.0, 2.0]), np.zeros(2))
+        batches = []
+
+        def joint(rows):
+            batches.append(rows.shape)
+            return quad.value(rows), quad.gradient(rows)
+
+        obj = objectives.Objective(value=None, gradient=None, dim=2,
+                                   optimum_value=0.0,
+                                   value_and_gradient=joint)
+        Z = np.ones((4, 2))
+        obj.evaluate(Z, hessian=True)
+        obj.evaluate(Z)
+        assert batches == [(4 * (1 + 2 * 2), 2), (4, 2)]
