@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compfun import (K, K_ON_0_D, KINF, PD, DomainViolation,
+from .compfun import (K, K_ON_0_D, KINF, PD, BracketError, DomainViolation,
                       ScalarClassFunction, invert, invert_auto)
 from .sde import DiffusionModel, TrajectoryEnsemble, TrajectoryPath
 
@@ -238,7 +238,7 @@ def set_D_threshold(alpha: ScalarClassFunction, gamma: ScalarClassFunction,
     sup_alpha = float(alpha.eval(bracket))
     try:
         d1 = invert_auto(gamma, sup_alpha / c)
-    except Exception:
+    except BracketError:
         d1 = np.inf  # gamma saturates below sup_alpha/c: no cap active
     if small_covariance and sup_intensity >= d1:
         raise AdmissibilityError(

@@ -106,7 +106,9 @@ def exceedance_fraction(ensemble: TrajectoryEnsemble, V: SizeFunction,
 
     The per-path supremum convention matches a for-all-time guarantee on
     the grid.  Paths that left the domain at or before the window count as
-    exceeding.
+    exceeding.  ``bound`` is called once on arrays (V0 as a column, the
+    window times as a row); a bound that only takes scalars, and so raises
+    TypeError or ValueError there, is evaluated point by point.
     """
     t_lo, t_hi = window if window is not None else (0.0, ensemble.times[-1])
     idx = np.flatnonzero((ensemble.times >= t_lo) & (ensemble.times <= t_hi))
@@ -116,7 +118,7 @@ def exceedance_fraction(ensemble: TrajectoryEnsemble, V: SizeFunction,
         bmat = np.asarray(bound(v0[:, None], ensemble.times[None, idx]),
                           dtype=float)
         bmat = np.broadcast_to(bmat, (ensemble.n_paths, idx.size))
-    except Exception:
+    except (TypeError, ValueError):  # a scalar-only bound, e.g. math.exp
         bmat = np.array([[bound(float(a), float(ensemble.times[i]))
                           for i in idx] for a in v0])
     alive = idx[None, :] < ensemble.valid_counts[:, None]

@@ -23,6 +23,7 @@ from scipy.optimize import linprog
 from scipy.special import expit
 
 from .compfun import K, KINF, ScalarClassFunction, from_table
+from .sde import _diagonal, _times_transpose
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,10 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray,
         d = np.asarray(z, dtype=float) - zstar
         return 0.5 * np.einsum("...i,ij,...j->...", d, A, d) + offset
 
+    diag = _diagonal(A)
+
     def gradient(z):
-        return (np.asarray(z, dtype=float) - zstar) @ A.T
+        return _times_transpose(np.asarray(z, dtype=float) - zstar, A, diag)
 
     mu = ScalarClassFunction(lambda h: np.sqrt(c_pl * np.asarray(h, dtype=float)),
                              KINF, description=f"sqrt({c_pl:g} h)")

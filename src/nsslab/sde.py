@@ -10,6 +10,15 @@ Randomness is counter-based: each path owns a Philox generator keyed by a
 64-bit seed derived from (master_seed, path index), so a path's increments
 are a pure function of its seed and step index, independent of batch size,
 chunking, or parallelism.
+
+Noise is laid out step-major.  The integrator draws a chunk of steps per
+path into a path tile of at most ``_TILE_ELEMS`` doubles (1 MiB) and
+copies each tile, transposed, into one (steps, B, m) slab of at most
+``_SLAB_ELEMS`` doubles (32 MiB), so every step reads a contiguous (B, m)
+block.  A 1x1 or diagonal Sigma multiplies elementwise: ``x * s + 0.0``
+equals the matmul ``x @ S.T`` bit for bit on finite x, because each
+entry of the product is one rounded multiply, and the ``+ 0.0`` is the
+matmul's +0.0 accumulator, which turns a -0.0 product into +0.0.
 """
 
 from __future__ import annotations
@@ -17,12 +26,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 BLOWUP_LIMIT = 1e12
+_SLAB_ELEMS = 1 << 22  # step-major noise slab, doubles
+_TILE_ELEMS = 1 << 17  # per-chunk path tile, doubles
 
 
 @dataclass(frozen=True)
@@ -144,8 +154,8 @@ class TrajectoryEnsemble:
     """N paths stored densely: states has shape (N, R, n) on a shared grid.
 
     Entries at or past a path's exit hold the last valid state; use
-    ``valid_counts`` (number of valid recorded entries per path) or the
-    ``paths`` property to mask them.
+    ``valid_counts`` (number of valid recorded entries per path) to mask
+    them.
     """
 
     times: np.ndarray
@@ -163,23 +173,33 @@ class TrajectoryEnsemble:
     def n_paths(self) -> int:
         return self.states.shape[0]
 
-    @cached_property
-    def paths(self) -> list[TrajectoryPath]:
-        out = []
-        for k in range(self.n_paths):
-            c = int(self.valid_counts[k])
-            out.append(TrajectoryPath(
-                times=self.times[:c], states=self.states[k, :c],
-                seed=int(self.seeds[k]), exited_domain=bool(self.exited[k]),
-                blowup=bool(self.blowup[k]),
-                exit_step=int(self.exit_steps[k]) if self.exited[k] else None))
-        return out
-
 
 def derive_path_seed(master_seed: int, index: int) -> int:
     """Deterministic 64-bit per-path seed from (master_seed, path index)."""
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _diagonal(S: np.ndarray) -> np.ndarray | None:
+    """diag(S) when S has no nonzero entry off its diagonal, else None."""
+    d = np.diagonal(S)
+    return d.copy() if np.count_nonzero(S) == np.count_nonzero(d) else None
+
+
+def _times_transpose(x: np.ndarray, S: np.ndarray,
+                     diag: np.ndarray | None) -> np.ndarray:
+    """x @ S.T, with ``diag = _diagonal(S)``.
+
+    For diagonal S each entry of the matmul is one rounded multiply, so
+    ``x * diag + 0.0`` equals it bit for bit on finite x (on any x when S
+    is 1x1); the + 0.0 is the matmul's +0.0 accumulator, so a -0.0
+    product gives +0.0 there too.
+    """
+    if diag is None:
+        return x @ S.T
+    w = x * diag
+    w += 0.0
+    return w
 
 
 def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
@@ -204,32 +224,43 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
     z = np.array(x0s, dtype=float)
     states[0] = z
     active = np.ones(B, dtype=bool)
+    all_active = True
     exited = np.zeros(B, dtype=bool)
     blowup = np.zeros(B, dtype=bool)
     exit_steps = np.full(B, -1, dtype=np.int64)
     valid_counts = np.ones(B, dtype=np.int64)
 
     sqdt = math.sqrt(dt)
-    sig_const = None
     if schedule.is_constant:
-        sig_const = np.asarray(schedule.sigma(0.0), dtype=float) * sqdt
+        sig = np.asarray(schedule.sigma(0.0), dtype=float) * sqdt
+        diag = _diagonal(sig)
 
     identity_g = model.diffusion is None
-    chunk = max(64, min(nsteps, (1 << 24) // max(B * m, 1)))
-    buf = np.empty((B, chunk, m))
+    # Noise is step-major: slab[j] is the contiguous (B, m) block of step j.
+    # Each path's chunk is drawn into a path tile (at most _TILE_ELEMS, so
+    # one path's chunk always fits) and copied transposed into the slab (at
+    # most _SLAB_ELEMS); the tile keeps that copy in cache.
+    chunk = max(64, min(nsteps, _SLAB_ELEMS // max(B * m, 1),
+                        _TILE_ELEMS // max(m, 1)))
+    P = min(B, max(1, _TILE_ELEMS // max(chunk * m, 1)))
+    slab = np.empty((chunk, B, m))
+    tile = np.empty((P, chunk, m))
 
     step = 0
     while step < nsteps:
         c = min(chunk, nsteps - step)
         # every path draws, exited or not, so streams stay aligned with
         # per-path runs
-        for k in range(B):
-            buf[k, :c] = gens[k].standard_normal((c, m))
+        for k0 in range(0, B, P):
+            k1 = min(B, k0 + P)
+            for k in range(k0, k1):
+                gens[k].standard_normal(out=tile[k - k0, :c])
+            slab[:c, k0:k1] = tile[:k1 - k0, :c].transpose(1, 0, 2)
         for j in range(c):
-            t = step * dt
-            sig = sig_const if sig_const is not None else \
-                np.asarray(schedule.sigma(t), dtype=float) * sqdt
-            w = buf[:, j, :] @ sig.T
+            if not schedule.is_constant:
+                sig = np.asarray(schedule.sigma(step * dt), dtype=float) * sqdt
+                diag = _diagonal(sig)
+            w = _times_transpose(slab[j], sig, diag)
             if identity_g:
                 noise = w
             else:
@@ -238,29 +269,34 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
             z_new = z + model.drift(z) * dt + noise
             step += 1
 
-            # validity of the proposed states for currently active paths
-            mags = np.max(np.abs(z_new), axis=1)
-            blown = ~(mags <= BLOWUP_LIMIT)  # catches NaN/inf as well
-            bad = blown.copy()
-            if model.domain_test is not None:
-                bad |= ~np.asarray(model.domain_test(z_new), dtype=bool)
-            newly_dead = active & bad
-            if newly_dead.any():
-                exited |= newly_dead
-                blowup |= active & blown
-                exit_steps[newly_dead] = step
-                active &= ~bad
-
-            if active.all():
+            if (all_active and model.domain_test is None
+                    and (np.abs(z_new) <= BLOWUP_LIMIT).all()):
                 z = z_new
             else:
-                z = np.where(active[:, None], z_new, z)
+                # validity of the proposed states for currently active paths
+                mags = np.max(np.abs(z_new), axis=1)
+                blown = ~(mags <= BLOWUP_LIMIT)  # catches NaN/inf as well
+                bad = blown.copy()
+                if model.domain_test is not None:
+                    bad |= ~np.asarray(model.domain_test(z_new), dtype=bool)
+                newly_dead = active & bad
+                if newly_dead.any():
+                    exited |= newly_dead
+                    blowup |= active & blown
+                    exit_steps[newly_dead] = step
+                    active &= ~bad
+                all_active = bool(active.all())
+                if all_active:
+                    z = z_new
+                else:
+                    z = np.where(active[:, None], z_new, z)
 
             ri = rec_lookup.get(step)
             if ri is not None:
                 states[ri] = z
                 valid_counts[active] = ri + 1
 
+    del slab, tile  # before the transposed copy of the states
     times = np.array(rec_steps, dtype=float) * dt
     return (times, np.ascontiguousarray(states.transpose(1, 0, 2)),
             valid_counts, exited, blowup, exit_steps)

@@ -159,6 +159,23 @@ class TestSetDThreshold:
             set_D_threshold(self.alpha(), gamma_d, c=2.0, sup_intensity=0.9,
                             bracket=0.99, small_covariance=True)
 
+    def test_saturating_gamma_has_no_cap(self):
+        gamma = ScalarClassFunction(lambda s: 1.0 - np.exp(-np.asarray(s, float)),
+                                    K, description="1 - exp(-s)")
+        out = set_D_threshold(self.alpha(), gamma, c=2.0, sup_intensity=0.3)
+        assert out.d1 == np.inf
+        assert abs(out.level - 2.0 * (1.0 - np.exp(-0.3))) <= 1e-8
+
+    def test_gamma_error_propagates(self):
+        def fails_past_one(s):
+            if np.any(np.asarray(s) > 1.0):
+                raise RuntimeError("gamma evaluation failed")
+            return 0.5 * np.asarray(s, float)
+
+        gamma = ScalarClassFunction(fails_past_one, KINF, description="s/2")
+        with pytest.raises(RuntimeError):
+            set_D_threshold(self.alpha(), gamma, c=2.0, sup_intensity=0.3)
+
     def test_c_must_exceed_one(self):
         with pytest.raises(ValueError):
             set_D_threshold(self.alpha(), self.gamma(), c=1.0,

@@ -1,5 +1,7 @@
 """Unit tests for the Monte Carlo verification layer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,34 @@ class TestExceedance:
             np.ones(1), 1e-2, 5.0, 100, 0, store_every=5)
         frac = exceedance_fraction(ens, V, lambda v0, t: v0 * 0.0)
         assert frac == 1.0
+
+    @pytest.mark.parametrize("scalar, vector", [
+        (lambda v0, t: v0 * math.exp(-t) + 0.02,
+         lambda v0, t: v0 * np.exp(-t) + 0.02),
+        (lambda v0, t: v0 + 0.01 if t < 1.0 else 0.1,
+         lambda v0, t: np.where(t < 1.0, v0 + 0.01, 0.1))])
+    def test_scalar_only_bound_matches_vectorised_twin(self, scalar, vector):
+        model, V = scalar_setup()
+        ens = simulate_ensemble(
+            model, CovarianceSchedule.constant(np.array([[0.3]]), 2.0),
+            np.ones(1), 1e-2, 2.0, 60, 0, store_every=5)
+        frac = exceedance_fraction(ens, V, scalar)
+        assert frac == exceedance_fraction(ens, V, vector)
+        assert 0.0 < frac < 1.0
+
+    def test_bound_error_propagates(self):
+        model, V = scalar_setup()
+        ens = simulate_ensemble(
+            model, CovarianceSchedule.constant(np.array([[0.1]]), 1.0),
+            np.ones(1), 1e-2, 1.0, 10, 0, store_every=5)
+
+        def broken_on_arrays(v0, t):
+            if np.ndim(v0):
+                raise ZeroDivisionError("float division by zero")
+            return v0 + 1.0
+
+        with pytest.raises(ZeroDivisionError):
+            exceedance_fraction(ens, V, broken_on_arrays)
 
     def test_calibrated_envelope_small_fraction(self):
         model, V = scalar_setup()

@@ -51,6 +51,37 @@ class TestQuadratic:
             assert abs(v - obj.value_at(z)) <= 1e-12
             assert np.allclose(g, obj.gradient_at(z))
 
+    @pytest.mark.parametrize("zstar", [0.0, 1.5])
+    def test_scalar_gradient_equals_matmul_on_edge_values(self, zstar):
+        A = np.array([[0.4]])
+        obj = quadratic_objective(A, A[0] * zstar)
+        edge = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf,
+                         -np.inf, np.nan, 1.5, -2.5])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for z in (edge[:, None], edge[:, None][::2], edge[:1, None],
+                      edge[3:4], np.repeat(edge[:, None], 2, 1)[:, :1]):
+                got = obj.gradient(z)
+                ref = (z - obj.minimizer) @ A.T
+                assert np.array_equal(got, ref, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_diagonal_gradient_equals_matmul(self, n):
+        rng = np.random.default_rng(n)
+        A = np.diag(rng.uniform(0.1, 3.0, n))
+        b = rng.standard_normal(n)
+        b[::2] = 0.0  # z* = 0 there, so a -0.0 input gives a -0.0 difference
+        obj = quadratic_objective(A, b)
+        z = rng.standard_normal((301, 2 * n))
+        mask = rng.random(z.shape) < 0.3
+        z[mask] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
+                             size=mask.sum())
+        for zs in (z[:, :n].copy(), z[:, ::2], z[:1, ::2], z[0, :n].copy()):
+            got = obj.gradient(zs)
+            ref = (zs - obj.minimizer) @ A.T
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
 
 class TestLogisticBasics:
     def test_loss_symmetry_at_zero(self):

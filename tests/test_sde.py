@@ -1,8 +1,11 @@
 """Unit tests for the diffusion simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
+from nsslab import sde
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
                         derive_path_seed, ensemble_from_csv, ensemble_to_csv,
                         simulate_ensemble, simulate_path, sup_noise_intensity)
@@ -75,7 +78,7 @@ class TestDeterminism:
         # per-path seed derivation
         solo = simulate_path(m, s, np.ones(1), 1e-2, 1.0,
                              derive_path_seed(3, 2))
-        assert np.allclose(solo.states[:, 0], ens.states[2, :, 0])
+        assert np.array_equal(solo.states[:, 0], ens.states[2, :, 0])
 
 
 class TestAccuracy:
@@ -151,3 +154,253 @@ class TestStorageAndCsv:
             simulate_path(m, s, np.ones(1), -1e-2, 1.0, 0)
         with pytest.raises(ValueError):
             simulate_path(m, s, np.ones(1), 1e-2, 0.0, 0)
+
+
+def reference_simulate_batch(model, schedule, x0s, dt, T, seeds, store_every):
+    """The integrator as it was before step-major noise and the diagonal
+    products (path-major noise buffer, a BLAS matmul for every Sigma),
+    kept verbatim as the bit-for-bit reference."""
+    n, m = model.state_dim, model.noise_dim
+    B = x0s.shape[0]
+    nsteps = int(round(T / dt))
+    if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
+        nsteps = int(math.ceil(T / dt - 1e-12))
+
+    rec_steps = list(range(0, nsteps + 1, store_every))
+    if rec_steps[-1] != nsteps:
+        rec_steps.append(nsteps)
+    rec_lookup = {s: i for i, s in enumerate(rec_steps)}
+    R = len(rec_steps)
+
+    states = np.empty((R, B, n))
+    gens = [np.random.Generator(np.random.Philox(key=int(s) & (2**64 - 1)))
+            for s in seeds]
+
+    z = np.array(x0s, dtype=float)
+    states[0] = z
+    active = np.ones(B, dtype=bool)
+    exited = np.zeros(B, dtype=bool)
+    blowup = np.zeros(B, dtype=bool)
+    exit_steps = np.full(B, -1, dtype=np.int64)
+    valid_counts = np.ones(B, dtype=np.int64)
+
+    sqdt = math.sqrt(dt)
+    sig_const = None
+    if schedule.is_constant:
+        sig_const = np.asarray(schedule.sigma(0.0), dtype=float) * sqdt
+
+    identity_g = model.diffusion is None
+    chunk = max(64, min(nsteps, (1 << 24) // max(B * m, 1)))
+    buf = np.empty((B, chunk, m))
+
+    step = 0
+    while step < nsteps:
+        c = min(chunk, nsteps - step)
+        # every path draws, exited or not, so streams stay aligned with
+        # per-path runs
+        for k in range(B):
+            buf[k, :c] = gens[k].standard_normal((c, m))
+        for j in range(c):
+            t = step * dt
+            sig = sig_const if sig_const is not None else \
+                np.asarray(schedule.sigma(t), dtype=float) * sqdt
+            w = buf[:, j, :] @ sig.T
+            if identity_g:
+                noise = w
+            else:
+                g = np.asarray(model.diffusion(z))
+                noise = np.einsum("bnm,bm->bn", g, w)
+            z_new = z + model.drift(z) * dt + noise
+            step += 1
+
+            # validity of the proposed states for currently active paths
+            mags = np.max(np.abs(z_new), axis=1)
+            blown = ~(mags <= BLOWUP_LIMIT)  # catches NaN/inf as well
+            bad = blown.copy()
+            if model.domain_test is not None:
+                bad |= ~np.asarray(model.domain_test(z_new), dtype=bool)
+            newly_dead = active & bad
+            if newly_dead.any():
+                exited |= newly_dead
+                blowup |= active & blown
+                exit_steps[newly_dead] = step
+                active &= ~bad
+
+            if active.all():
+                z = z_new
+            else:
+                z = np.where(active[:, None], z_new, z)
+
+            ri = rec_lookup.get(step)
+            if ri is not None:
+                states[ri] = z
+                valid_counts[active] = ri + 1
+
+    times = np.array(rec_steps, dtype=float) * dt
+    return (times, np.ascontiguousarray(states.transpose(1, 0, 2)),
+            valid_counts, exited, blowup, exit_steps)
+
+
+def _linear(n):
+    return DiffusionModel(state_dim=n, noise_dim=n, drift=lambda z: -z,
+                          equilibrium=np.zeros(n), label="linear")
+
+
+def _case_scalar():
+    return _linear(1), CovarianceSchedule.constant([[0.5]], 1.0), [0.3]
+
+
+def _case_diagonal():
+    return (_linear(2), CovarianceSchedule.constant(np.diag([0.3, -0.7]), 1.0),
+            [0.3, -0.2])
+
+
+def _case_full():
+    S = np.array([[0.5, 0.2], [-0.1, 0.4]])
+    return _linear(2), CovarianceSchedule.constant(S, 1.0), [0.3, -0.2]
+
+
+def _case_zero():
+    return _linear(2), CovarianceSchedule.constant(np.zeros((2, 2)), 1.0), \
+        [0.3, -0.2]
+
+
+def _case_time_varying():
+    # diagonal for t < 0.1, full afterwards
+    def sigma(t):
+        return np.array([[0.4 + 0.1 * math.sin(t), 0.2 * (t >= 0.1)],
+                         [0.0, 0.3]])
+    return (_linear(2), CovarianceSchedule(sigma, 1.0, is_constant=False),
+            [0.3, -0.2])
+
+
+def _case_diffusion_field():
+    model = DiffusionModel(
+        state_dim=2, noise_dim=2, drift=lambda z: -z,
+        diffusion=lambda z: np.stack(
+            [np.stack([1.0 + 0.5 * np.tanh(z[:, 1]), 0.3 * z[:, 0]], -1),
+             np.stack([np.zeros(len(z)), 1.0 + 0.0 * z[:, 0]], -1)], 1),
+        equilibrium=np.zeros(2), label="field")
+    return model, CovarianceSchedule.constant(np.diag([0.4, 0.6]), 1.0), \
+        [0.3, -0.2]
+
+
+def _case_domain_exit():
+    model = DiffusionModel(state_dim=1, noise_dim=1,
+                           drift=lambda z: np.ones_like(z),
+                           domain_test=lambda z: z[..., 0] < 0.12,
+                           label="escaper")
+    return model, CovarianceSchedule.constant([[0.5]], 1.0), [0.0]
+
+
+def _case_blowup():
+    model = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: z**3,
+                           equilibrium=np.zeros(1), label="cubic")
+    return model, CovarianceSchedule.constant([[0.5]], 1.0), None
+
+
+def _case_noise_blowup():
+    # large noise: paths cross the blow-up limit one at a time, and the
+    # frozen survivors' next proposals are mostly back inside it
+    return _linear(1), CovarianceSchedule.constant([[1.5e12]], 1.0), [0.0]
+
+
+REFERENCE_CASES = {"scalar": _case_scalar, "diagonal": _case_diagonal,
+                   "full": _case_full, "zero": _case_zero,
+                   "time-varying": _case_time_varying,
+                   "diffusion-field": _case_diffusion_field,
+                   "domain-exit": _case_domain_exit, "blowup": _case_blowup,
+                   "noise-blowup": _case_noise_blowup}
+
+
+class TestReferenceIntegrator:
+    """The step-major integrator equals the frozen reference bit for bit."""
+
+    DT, T, STORE = 1e-3, 0.2, 7  # 200 steps
+
+    def _run(self, case, B, small_chunks, monkeypatch):
+        if small_chunks:
+            # 64-step chunks (the floor): 64 + 64 + 64 + 8 steps, and
+            # path tiles of 17 (m = 1) or 8 (m = 2) paths with a partial
+            # last tile at B = 300
+            monkeypatch.setattr(sde, "_SLAB_ELEMS", 1)
+            monkeypatch.setattr(sde, "_TILE_ELEMS", 1100)
+        model, schedule, x0 = REFERENCE_CASES[case]()
+        if x0 is None:  # spread starts: blow-ups at different steps
+            x0s = np.linspace(3.0, 0.1, B)[:, None]
+        else:
+            x0s = np.tile(np.asarray(x0, dtype=float), (B, 1))
+        seeds = np.array([derive_path_seed(11, k) for k in range(B)],
+                         dtype=np.uint64)
+        args = (model, schedule, x0s, self.DT, self.T, seeds, self.STORE)
+        return sde._simulate_batch(*args), reference_simulate_batch(*args)
+
+    @pytest.mark.parametrize("small_chunks", [False, True])
+    @pytest.mark.parametrize("B", [1, 3, 300])
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_reference(self, case, B, small_chunks, monkeypatch):
+        got, ref = self._run(case, B, small_chunks, monkeypatch)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["domain-exit", "blowup", "noise-blowup"])
+    def test_exits_fall_inside_chunks(self, case, monkeypatch):
+        (_, _, valid, exited, blowup, steps), _ = self._run(
+            case, 300, True, monkeypatch)
+        assert exited.sum() >= 10
+        assert blowup.any() == (case != "domain-exit")
+        assert np.any(steps[exited] % 64 != 0)
+        assert np.unique(steps[exited] // 64).size >= 2
+        assert np.any(valid < valid.max())
+
+
+EDGE = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf,
+                 np.nan, 1.5, -2.5])
+
+
+def assert_bitwise(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+class TestDiagonalProduct:
+    """The elementwise product for diagonal Sigma is the matmul it replaces."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.4, -0.4])
+    def test_scalar_sigma_edge_values(self, s):
+        S = np.array([[s]])
+        d = sde._diagonal(S)
+        with np.errstate(invalid="ignore", over="ignore"):
+            x = EDGE[:, None]
+            assert_bitwise(sde._times_transpose(x, S, d), x @ S.T)
+            for v in EDGE:  # one path: numpy's dot rather than gemv
+                x = np.array([[v]])
+                assert_bitwise(sde._times_transpose(x, S, d), x @ S.T)
+            x = np.repeat(EDGE[:, None], 3, axis=1)[:, ::3]  # strided
+            assert_bitwise(sde._times_transpose(x, S, d), x @ S.T)
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_diagonal_sigma_finite_values(self, m):
+        rng = np.random.default_rng(m)
+        d_in = rng.standard_normal(m)
+        d_in[0], d_in[-1] = 0.0, -0.4
+        S = np.diag(d_in)
+        d = sde._diagonal(S)
+        assert np.array_equal(d, d_in)
+        finite = EDGE[np.isfinite(EDGE)]
+        x = rng.standard_normal((301, 2 * m))
+        mask = rng.random(x.shape) < 0.3
+        x[mask] = rng.choice(finite, size=mask.sum())
+        x[:len(finite), :m] = finite[:, None]
+        with np.errstate(over="ignore"):
+            for xs in (x[:, :m].copy(), x[:, ::2], x[:1, ::2],
+                       x[:1, :m].copy()):
+                assert_bitwise(sde._times_transpose(xs, S, d), xs @ S.T)
+
+    def test_off_diagonal_entry_keeps_matmul(self):
+        S = np.eye(3)
+        S[2, 0] = 1e-300
+        assert sde._diagonal(S) is None
+        assert sde._diagonal(np.zeros((2, 2))) is not None
