@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from . import langevin, lqr, lyapcert, nssmc, objectives, sde
 from .lyapcert import check_dissipation, default_state_samples, \
     default_theta_samples
 from .nssmc import NssExperiment, exceedance_fraction, fit_decay_envelope, \
-    gain_curve_to_csv, run_experiment, scnss_threshold_scan
+    run_experiment, scnss_threshold_scan
 
 
 class ConfigError(ValueError):
@@ -44,15 +45,20 @@ def _load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 
-def _mc(cfg, key, cast, default):
-    return cast(cfg.get("mc", key, fallback=default))
+def _get(cfg, section: str, key: str, cast, default: str):
+    """``cast`` of the raw config value; a value it rejects is a ConfigError
+    naming the section, the key and the raw text."""
+    raw = cfg.get(section, key, fallback=default)
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def _sigmas(cfg, default="0.1,0.2,0.4"):
-    raw = cfg.get("noise", "sigmas", fallback=default)
+def _floats(raw: str) -> list[float]:
     out = [float(s) for s in raw.replace(" ", "").split(",") if s]
     if not out:
-        raise ConfigError("empty noise sigma grid")
+        raise ValueError("empty list")
     return out
 
 
@@ -65,19 +71,39 @@ def _write_summary(out: Path, lines: list[tuple[str, bool, str]]) -> bool:
     return ok
 
 
-def _csv_table(path: Path, header: list[str], rows) -> None:
-    import csv
+def _fmt(v):
+    # 17 significant digits read back to the same double
+    return format(v, ".17g") if isinstance(v, float) else v
+
+
+def _csv_table(path: Path, header: list[str], rows, trailer: str = "") -> None:
+    """The one artifact writer: a CSV table, then ``trailer`` verbatim."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([format(v, ".17g") if isinstance(v, float)
-                             else v for v in row])
+            writer.writerow([_fmt(v) for v in row])
+        fh.write(trailer)
+
+
+def _write_gain_curve(path: Path, curve) -> None:
+    _csv_table(path, ["intensity", "tail_quantile", "blowup_fraction"],
+               zip(curve.intensities, curve.tail_quantiles,
+                   curve.blowup_fractions))
+
+
+def _write_certificate(path: Path, cert) -> None:
+    """Violation witnesses plus a trailing summary comment line."""
+    _csv_table(path, ["state", "theta_intensity", "lhs", "rhs"],
+               ([" ".join(_fmt(float(v)) for v in xi),
+                 float(np.linalg.norm(Theta @ Theta.T, 2)), float(lhs),
+                 float(rhs)] for xi, Theta, lhs, rhs in cert.violations),
+               trailer=f"# kind={cert.kind} "
+                       f"violations={len(cert.violations)}\n")
 
 
 def _quadratic_from_config(cfg):
-    diag = cfg.get("problem", "diag", fallback="1,1")
-    A = np.diag([float(s) for s in diag.replace(" ", "").split(",")])
+    A = np.diag(_get(cfg, "problem", "diag", _floats, "1,1"))
     return objectives.quadratic_objective(A, np.zeros(A.shape[0]))
 
 
@@ -92,11 +118,7 @@ def _logistic_from_config(cfg):
 
 
 def _lqr_from_config(cfg):
-    get = lambda k, d: float(cfg.get("problem", k, fallback=d))
-    A = np.array([[get("a", 1.0)]])
-    F = np.array([[get("f", 1.0)]])
-    Q = np.array([[get("q", 1.0)]])
-    R = np.array([[get("r", 1.0)]])
+    A, F, Q, R = ([[_get(cfg, "problem", k, float, "1.0")]] for k in "afqr")
     return lqr.LqrProblem(A=A, F=F, Q=Q, R=R)
 
 
@@ -105,11 +127,11 @@ def _lqr_from_config(cfg):
 def _exp_ou_sanity(cfg, out, seed):
     obj = objectives.quadratic_objective(np.array([[1.0]]), np.zeros(1))
     model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
-    sigma = float(cfg.get("noise", "sigma", fallback="0.5"))
-    dt = _mc(cfg, "dt", float, "1e-3")
-    T = _mc(cfg, "T", float, "50")
-    N = _mc(cfg, "N", int, "10000")
-    store = _mc(cfg, "store_every", int, "25")
+    sigma = _get(cfg, "noise", "sigma", float, "0.5")
+    dt = _get(cfg, "mc", "dt", float, "1e-3")
+    T = _get(cfg, "mc", "T", float, "50")
+    N = _get(cfg, "mc", "N", int, "10000")
+    store = _get(cfg, "mc", "store_every", int, "25")
     schedule = sde.CovarianceSchedule.constant(np.array([[sigma]]), T)
     ens = sde.simulate_ensemble(model, schedule, np.zeros(1), dt, T, N, seed,
                                 store_every=store)
@@ -128,12 +150,12 @@ def _exp_ou_sanity(cfg, out, seed):
 def _gain_sweep_core(cfg, out, seed, obj):
     model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
     V = langevin.objective_size_function(obj)
-    dt = _mc(cfg, "dt", float, "1e-3")
-    T = _mc(cfg, "T", float, "50")
-    N = _mc(cfg, "N", int, "2000")
-    store = _mc(cfg, "store_every", int, "25")
-    eps = _mc(cfg, "epsilon", float, "0.05")
-    sigmas = _sigmas(cfg)
+    dt = _get(cfg, "mc", "dt", float, "1e-3")
+    T = _get(cfg, "mc", "T", float, "50")
+    N = _get(cfg, "mc", "N", int, "2000")
+    store = _get(cfg, "mc", "store_every", int, "25")
+    eps = _get(cfg, "mc", "epsilon", float, "0.05")
+    sigmas = _get(cfg, "noise", "sigmas", _floats, "0.1,0.2,0.4")
     n = obj.dim
     schedules = [sde.CovarianceSchedule.constant(s * np.eye(n), T)
                  for s in sigmas]
@@ -141,7 +163,7 @@ def _gain_sweep_core(cfg, out, seed, obj):
                         x0=np.asarray(obj.minimizer) + 1.0, N=N, dt=dt, T=T,
                         master_seed=seed, epsilon=eps, store_every=store)
     curve, ensembles = run_experiment(exp)
-    gain_curve_to_csv(curve, str(out / "gain_curve.csv"))
+    _write_gain_curve(out / "gain_curve.csv", curve)
     mono = bool(np.all(np.diff(curve.tail_quantiles) >= -1e-12))
     return curve, ensembles, exp, [
         ("gain-curve-monotone", mono,
@@ -197,18 +219,19 @@ def _exp_gain_sweep(cfg, out, seed):
 def _exp_quadratic_underdamped(cfg, out, seed):
     obj = _quadratic_from_config(cfg)
     ucfg = langevin.UnderdampedConfig(objective=obj, mode="constant_coeff",
-                                      eta=float(cfg.get("dynamics", "eta",
-                                                        fallback="1.0")),
-                                      c=float(cfg.get("dynamics", "c",
-                                                      fallback="1.0")))
+                                      eta=_get(cfg, "dynamics", "eta", float,
+                                               "1.0"),
+                                      c=_get(cfg, "dynamics", "c", float,
+                                             "1.0"))
     model = langevin.build_underdamped(ucfg)
-    dt = _mc(cfg, "dt", float, "1e-3")
-    T = _mc(cfg, "T", float, "100")
+    dt = _get(cfg, "mc", "dt", float, "1e-3")
+    T = _get(cfg, "mc", "T", float, "100")
     n = obj.dim
     x0 = np.concatenate([np.asarray(obj.minimizer) + 1.0, np.zeros(n)])
     schedule = sde.CovarianceSchedule.constant(np.zeros((n, n)), T)
     path = sde.simulate_path(model, schedule, x0, dt, T, seed,
-                             store_every=_mc(cfg, "store_every", int, "100"))
+                             store_every=_get(cfg, "mc", "store_every", int,
+                                              "100"))
     final = path.states[-1]
     target = np.concatenate([obj.minimizer, np.zeros(n)])
     dist = float(np.linalg.norm(final - target))
@@ -237,14 +260,15 @@ def _exp_logistic_overdamped(cfg, out, seed):
                   f"|grad| at theta* = {gstar:.3e}"))
     model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
     V = langevin.objective_size_function(obj)
-    dt = _mc(cfg, "dt", float, "1e-2")
-    T = _mc(cfg, "T", float, "50")
-    N = _mc(cfg, "N", int, "200")
-    sigma = float(cfg.get("noise", "sigma", fallback="0.05"))
+    dt = _get(cfg, "mc", "dt", float, "1e-2")
+    T = _get(cfg, "mc", "T", float, "50")
+    N = _get(cfg, "mc", "N", int, "200")
+    sigma = _get(cfg, "noise", "sigma", float, "0.05")
     schedule = sde.CovarianceSchedule.constant(sigma * np.eye(obj.dim), T)
     ens = sde.simulate_ensemble(model, schedule, obj.minimizer, dt, T, N,
-                                seed, store_every=_mc(cfg, "store_every",
-                                                      int, "10"))
+                                seed, store_every=_get(cfg, "mc",
+                                                       "store_every", int,
+                                                       "10"))
     pooled = nssmc.tail_window_values(ens, V, T / 2.0, T)
     q = float(np.quantile(pooled, 0.95))
     _csv_table(out / "tail.csv", ["tail_quantile_95"], [[q]])
@@ -260,18 +284,19 @@ def _exp_logistic_underdamped(cfg, out, seed):
                                       eta=1.0, c=1.0)
     model = langevin.build_underdamped(ucfg)
     n = obj.dim
-    dt = _mc(cfg, "dt", float, "1e-2")
-    T = _mc(cfg, "T", float, "200")
+    dt = _get(cfg, "mc", "dt", float, "1e-2")
+    T = _get(cfg, "mc", "T", float, "200")
     x0 = np.concatenate([obj.minimizer + 0.5, np.zeros(n)])
     schedule = sde.CovarianceSchedule.constant(np.zeros((n, n)), T)
     path = sde.simulate_path(model, schedule, x0, dt, T, seed,
-                             store_every=_mc(cfg, "store_every", int, "100"))
+                             store_every=_get(cfg, "mc", "store_every", int,
+                                              "100"))
     target = np.concatenate([obj.minimizer, np.zeros(n)])
     dist = float(np.linalg.norm(path.states[-1] - target))
     _csv_table(out / "trajectory.csv",
                ["t"] + [f"state_{i}" for i in range(2 * n)],
                [[t] + s.tolist() for t, s in zip(path.times, path.states)])
-    tol = float(cfg.get("dynamics", "tol", fallback="1e-4"))
+    tol = _get(cfg, "dynamics", "tol", float, "1e-4")
     return [("momentum-flow-converges", dist <= tol,
              f"final distance {dist:.3e} (tol {tol:g})")]
 
@@ -293,18 +318,18 @@ def _exp_lqr_po_overdamped(cfg, out, seed):
     model = langevin.build_overdamped(langevin.OverdampedConfig(
         objective=obj, K_G=1.0))
     V = langevin.objective_size_function(obj)
-    dt = _mc(cfg, "dt", float, "1e-3")
-    T = _mc(cfg, "T", float, "10")
-    N = _mc(cfg, "N", int, "100")
-    sigmas = _sigmas(cfg, default="0.05,0.16,0.5,1.6,5.0")
+    dt = _get(cfg, "mc", "dt", float, "1e-3")
+    T = _get(cfg, "mc", "T", float, "10")
+    N = _get(cfg, "mc", "N", int, "100")
+    sigmas = _get(cfg, "noise", "sigmas", _floats, "0.05,0.16,0.5,1.6,5.0")
     schedules = [lqr.gain_noise_schedule(np.array([[s]]), problem.n, T)
                  for s in sigmas]
     exp = NssExperiment(dynamics=model, V=V, schedule_family=schedules,
                         x0=lqr.vec_gain(profile.Kstar), N=N, dt=dt, T=T,
                         master_seed=seed,
-                        store_every=_mc(cfg, "store_every", int, "20"))
+                        store_every=_get(cfg, "mc", "store_every", int, "20"))
     bracket = scnss_threshold_scan(exp)
-    gain_curve_to_csv(bracket.curve, str(out / "gain_curve.csv"))
+    _write_gain_curve(out / "gain_curve.csv", bracket.curve)
     lines.append(("blowup-onset", True, bracket.describe()))
     lines.append(("bottom-grid-stable",
                   bool(bracket.curve.blowup_fractions[0] <= 0.01),
@@ -318,25 +343,26 @@ def _exp_lqr_po_underdamped(cfg, out, seed):
     profile = lqr.solve_riccati(problem, K0=np.full((problem.m, problem.n),
                                                     2.0))
     obj = lqr.lqr_objective(problem, profile)
-    h_max = float(cfg.get("dynamics", "h_max", fallback="20"))
+    h_max = _get(cfg, "dynamics", "h_max", float, "20")
     ladder = langevin.ladder_from_profile(profile, problem, h_max, k_g=1.0)
     phi = langevin.phi_functions(ladder)
     ucfg = langevin.UnderdampedConfig(objective=obj, mode="scheduled",
                                       phi=phi, K_G=1.0)
     model = langevin.build_underdamped(ucfg)
     mn = problem.m * problem.n
-    dt = _mc(cfg, "dt", float, "1e-4")
-    T = _mc(cfg, "T", float, "5")
+    dt = _get(cfg, "mc", "dt", float, "1e-4")
+    T = _get(cfg, "mc", "T", float, "5")
     x0 = np.concatenate([lqr.vec_gain(profile.Kstar) + 0.3, np.zeros(mn)])
     schedule = sde.CovarianceSchedule.constant(np.zeros((mn, mn)), T)
     path = sde.simulate_path(model, schedule, x0, dt, T, seed,
-                             store_every=_mc(cfg, "store_every", int, "100"))
+                             store_every=_get(cfg, "mc", "store_every", int,
+                                              "100"))
     target = np.concatenate([lqr.vec_gain(profile.Kstar), np.zeros(mn)])
     dist = float(np.linalg.norm(path.states[-1] - target))
     _csv_table(out / "trajectory.csv",
                ["t"] + [f"state_{i}" for i in range(2 * mn)],
                [[t] + s.tolist() for t, s in zip(path.times, path.states)])
-    tol = float(cfg.get("dynamics", "tol", fallback="1e-3"))
+    tol = _get(cfg, "dynamics", "tol", float, "1e-3")
     return [("scheduled-momentum-converges", dist <= tol,
              f"final gain distance {dist:.3e} (tol {tol:g})")]
 
@@ -351,7 +377,7 @@ def _exp_certify_dissipation(cfg, out, seed):
     thetas = default_theta_samples(obj.dim)
     cert = check_dissipation(V, model, langevin.overdamped_certificate(ocfg),
                              states, thetas)
-    lyapcert.certificate_to_csv(cert, str(out / "overdamped_quadratic.csv"))
+    _write_certificate(out / "overdamped_quadratic.csv", cert)
     lines.append(("overdamped-quadratic", not cert.violations,
                   lyapcert.certificate_summary(cert)))
 
@@ -362,7 +388,7 @@ def _exp_certify_dissipation(cfg, out, seed):
     thetas2 = default_theta_samples(obj.dim)
     cert2 = check_dissipation(v2, umodel, langevin.v2_certificate(ucfg),
                               states2, thetas2)
-    lyapcert.certificate_to_csv(cert2, str(out / "underdamped_v2.csv"))
+    _write_certificate(out / "underdamped_v2.csv", cert2)
     lines.append(("underdamped-mixed", not cert2.violations,
                   lyapcert.certificate_summary(cert2)))
 
@@ -373,7 +399,7 @@ def _exp_certify_dissipation(cfg, out, seed):
     v3 = langevin.v3_size_function(scfg)
     cert3 = check_dissipation(v3, smodel, langevin.v3_certificate(scfg),
                               states2, thetas2)
-    lyapcert.certificate_to_csv(cert3, str(out / "underdamped_v3.csv"))
+    _write_certificate(out / "underdamped_v3.csv", cert3)
     lines.append(("underdamped-scheduled", not cert3.violations,
                   lyapcert.certificate_summary(cert3)))
     return lines
@@ -382,10 +408,11 @@ def _exp_certify_dissipation(cfg, out, seed):
 def _exp_pl_envelope(cfg, out, seed):
     data = _logistic_from_config(cfg)
     obj = objectives.logistic_objective(data)
-    n_dirs = int(cfg.get("dynamics", "n_dirs", fallback="256"))
+    n_dirs = _get(cfg, "dynamics", "n_dirs", int, "256")
     env = objectives.estimate_kpl_envelope(obj, obj.minimizer, n_dirs,
                                            seed=seed)
-    objectives.envelope_to_csv(env, str(out / "envelope.csv"))
+    _csv_table(out / "envelope.csv", ["h", "mu"],
+               ((h, float(env.mu(h))) for h in np.geomspace(1e-6, 10.0, 200)))
     rng = np.random.Generator(np.random.Philox(key=seed + 1))
     held_out = obj.minimizer + np.concatenate([
         scale * rng.standard_normal((334, obj.dim))
@@ -448,13 +475,13 @@ def run(config_path: str, out_dir: str | None = None,
         print(f"error: unknown experiment {name!r}; available:\n"
               f"{list_experiments()}", file=sys.stderr)
         return 2
-    seed = seed_override if seed_override is not None \
-        else _mc(cfg, "master_seed", int, "0")
     out = Path(out_dir) if out_dir is not None \
         else Path(cfg.get("experiment", "output", fallback="out")) / name
-    out.mkdir(parents=True, exist_ok=True)
     fn, _ = REGISTRY[name]
     try:
+        seed = seed_override if seed_override is not None \
+            else _get(cfg, "mc", "master_seed", int, "0")
+        out.mkdir(parents=True, exist_ok=True)
         lines = fn(cfg, out, seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -304,14 +304,11 @@ class PhiLadder:
     phi1_vals: np.ndarray = field(repr=False)
     phi2_vals: np.ndarray = field(repr=False)
     phi2p_vals: np.ndarray = field(repr=False)
-    avg_fn: Callable = field(repr=False, default=None)
+    avg_fn: Callable = field(repr=False)
     h_max: float = 0.0
 
     def phi2(self, h) -> np.ndarray:
-        h = np.minimum(np.asarray(h, dtype=float), self.h_max)
-        if self.avg_fn is not None:
-            return self.avg_fn(h)
-        return np.interp(h, self.h_fine, self.phi2_vals)
+        return self.avg_fn(np.minimum(np.asarray(h, dtype=float), self.h_max))
 
     def phi2_prime(self, h) -> np.ndarray:
         h = np.minimum(np.asarray(h, dtype=float), self.h_max)
@@ -369,25 +366,6 @@ def phi_functions(ladder: SmoothnessLadder, delta: float | None = None,
     return PhiLadder(phi1=phi1_fn, delta=delta, h_fine=h_fine,
                      phi1_vals=phi1_vals, phi2_vals=phi2_vals,
                      phi2p_vals=phi2p_vals, avg_fn=avg, h_max=h_max)
-
-
-def v2_lyapunov(config: UnderdampedConfig, z, v) -> float:
-    """Mixed candidate J - J* + lambda1 <v, grad J> + lambda2/2 <v, v>."""
-    lam1, lam2, _ = config.lambdas
-    obj = config.objective
-    z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(obj.value_at(z) - obj.optimum_value
-                 + lam1 * v @ obj.gradient_at(z) + 0.5 * lam2 * v @ v)
-
-
-def v3_lyapunov(config: UnderdampedConfig, phi: PhiLadder, z, v) -> float:
-    """Smoothed-potential candidate phi2(J - J*) + <grad J, v> + <v, v>."""
-    obj = config.objective
-    z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float)
-    h = obj.value_at(z) - obj.optimum_value
-    return float(phi.phi2(h) + obj.gradient_at(z) @ v + v @ v)
 
 
 def objective_size_function(obj: Objective) -> SizeFunction:

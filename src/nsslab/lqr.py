@@ -1,9 +1,10 @@
 """Continuous-time LQR policy optimization over the stabilizing gain set.
 
 The objective is J2(K) = trace(P_K) with P_K the closed-loop Lyapunov
-solution; its gradient is 2(RK - F^T P_K) Y_K.  The module ships dense
-Kronecker Lyapunov solves, the Kleinman-Newton iteration to the Riccati
-solution, the analytic K-PL modulus mu5(h) = h/(b1 h + b2), the sublevel
+solution; its gradient is 2(RK - F^T P_K) Y_K.  The module ships one
+batched Kronecker Lyapunov solver, used both by the per-step gain
+statistics and by the Kleinman-Newton iteration to the Riccati solution,
+the analytic K-PL modulus mu5(h) = h/(b1 h + b2), the sublevel
 smoothness profile L3(h), and learning-rate schedules whose growth class
 decides NSS versus scNSS of the policy-gradient diffusion.
 
@@ -15,7 +16,6 @@ Frobenius inner product matches the vectorized Euclidean one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_continuous_are
@@ -32,14 +32,6 @@ class StabilityError(ValueError):
 
 class ConditioningError(RuntimeError):
     """Lyapunov solve failed its residual contract."""
-
-
-def spectral_abscissa(M: np.ndarray) -> float:
-    return float(np.max(np.real(np.linalg.eigvals(M))))
-
-
-def is_hurwitz(M: np.ndarray, margin: float = HURWITZ_MARGIN) -> bool:
-    return spectral_abscissa(M) < -margin
 
 
 @dataclass(frozen=True)
@@ -84,66 +76,31 @@ class LqrProblem:
         return self.F.shape[1]
 
 
-def solve_lyapunov(A_cl: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Unique symmetric P with A_cl^T P + P A_cl + M = 0.
+def solve_lyapunov(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """P_b with A_b^T P_b + P_b A_b + M_b = 0 for (B, n, n) stacks A, M.
 
-    Dense Kronecker solve, adequate for desk scale (n <= 30).
+    Row-major vec turns the equation into the two-term operator
+    kron(A^T, I) + kron(I, A^T); the stacked dense solve is adequate for
+    desk scale (n <= 30).  The caller checks that every A_b is Hurwitz,
+    which makes each solution unique and symmetric.
     """
-    A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    n = A_cl.shape[0]
+    nb, n = A.shape[:2]
     if n > 30:
         raise ValueError("dense Lyapunov solve capped at n = 30")
-    if not np.allclose(M, M.T, atol=1e-10):
-        raise ValueError("M must be symmetric")
-    if not is_hurwitz(A_cl):
-        raise StabilityError(
-            f"A_cl not Hurwitz: spectral abscissa {spectral_abscissa(A_cl):g}")
-    eye = np.eye(n)
-    op = np.kron(eye, A_cl.T) + np.kron(A_cl.T, eye)
+    eye = np.broadcast_to(np.eye(n), (nb, n, n))
+    AT = np.swapaxes(A, 1, 2)
+
+    def bkron(X, Z):
+        # kron(X_b, Z_b)[ki, lj] = X_b[k,l] Z_b[i,j]
+        return np.einsum("bkl,bij->bkilj", X, Z).reshape(nb, n * n, n * n)
+
     try:
-        vec = np.linalg.solve(op, -M.reshape(-1, order="F"))
+        P = np.linalg.solve(bkron(AT, eye) + bkron(eye, AT),
+                            -M.reshape(nb, n * n)[..., None])
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"singular Lyapunov operator: {exc}") from exc
-    P = vec.reshape(n, n, order="F")
-    P = 0.5 * (P + P.T)
-    res = np.linalg.norm(A_cl.T @ P + P @ A_cl + M, "fro")
-    if res > 1e-10 * (np.linalg.norm(M, "fro") + np.linalg.norm(P, "fro")):
-        raise ConditioningError(f"Lyapunov residual {res:g} above contract")
-    return P
-
-
-@dataclass(frozen=True)
-class GainPoint:
-    """A stabilizing gain with its cost, Lyapunov solutions, and gradient."""
-
-    K: np.ndarray
-    P: np.ndarray
-    Y: np.ndarray
-    cost: float
-    grad: np.ndarray
-
-
-def gain_point(problem: LqrProblem, K: np.ndarray) -> GainPoint:
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape != (problem.m, problem.n):
-        raise ValueError(f"K must be {problem.m}x{problem.n}")
-    A_cl = problem.A - problem.F @ K
-    if not is_hurwitz(A_cl):
-        raise StabilityError(
-            f"gain not stabilizing: spectral abscissa {spectral_abscissa(A_cl):g}")
-    P = solve_lyapunov(A_cl, problem.Q + K.T @ problem.R @ K)
-    Y = solve_lyapunov(A_cl.T, np.eye(problem.n))
-    grad = 2.0 * (problem.R @ K - problem.F.T @ P) @ Y
-    return GainPoint(K=K, P=P, Y=Y, cost=float(np.trace(P)), grad=grad)
-
-
-def lqr_cost(problem: LqrProblem, K) -> float:
-    return gain_point(problem, K).cost
-
-
-def lqr_gradient(problem: LqrProblem, K) -> np.ndarray:
-    return gain_point(problem, K).grad
+    P = P[..., 0].reshape(nb, n, n)
+    return 0.5 * (P + np.swapaxes(P, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -160,6 +117,29 @@ class LqrPlProfile:
     a2: float
 
 
+def _checked_solves(problem: LqrProblem, K: np.ndarray):
+    """P_K and Y_K of one gain, a batch of one through solve_lyapunov.
+
+    Raises StabilityError for a gain outside the stabilizing set, and
+    ConditioningError for a solve that misses the residual contract
+    |A^T P + P A + M|_F <= 1e-10 (|M|_F + |P|_F).
+    """
+    Ks = K[None]
+    A_cl = _closed_loop(problem, Ks)
+    if not hurwitz_mask(A_cl)[0]:
+        raise StabilityError("gain not stabilizing: closed loop not Hurwitz")
+    out = []
+    for A, M in _lyapunov_pairs(problem, Ks, A_cl):
+        X = solve_lyapunov(A, M)[0]
+        A, M = A[0], M[0]
+        res = np.linalg.norm(A.T @ X + X @ A + M, "fro")
+        if res > 1e-10 * (np.linalg.norm(M, "fro") + np.linalg.norm(X, "fro")):
+            raise ConditioningError(
+                f"Lyapunov residual {res:g} above contract")
+        out.append(X)
+    return out
+
+
 def solve_riccati(problem: LqrProblem,
                   K0: np.ndarray | None = None) -> LqrPlProfile:
     """Kleinman-Newton policy iteration K_{i+1} = R^-1 F^T P_{K_i}.
@@ -168,24 +148,25 @@ def solve_riccati(problem: LqrProblem,
     when A is already Hurwitz and is required otherwise.
     """
     if K0 is None:
-        if not is_hurwitz(problem.A):
+        if not hurwitz_mask(problem.A[None])[0]:
             raise ValueError("A unstable: supply a stabilizing initial gain")
         K = np.zeros((problem.m, problem.n))
     else:
         K = np.atleast_2d(np.asarray(K0, dtype=float))
+        if K.shape != (problem.m, problem.n):
+            raise ValueError(f"K0 must be {problem.m}x{problem.n}")
     Rinv = np.linalg.inv(problem.R)
-    point = gain_point(problem, K)
+    P, Ystar = _checked_solves(problem, K)
     for _ in range(200):
-        K_next = Rinv @ problem.F.T @ point.P
+        K_next = Rinv @ problem.F.T @ P
         delta = np.linalg.norm(K_next - K, "fro")
         K = K_next
-        point = gain_point(problem, K)  # raises StabilityError if it leaves G
+        P, Ystar = _checked_solves(problem, K)
         if delta <= 1e-12:
             break
     else:
         raise ConditioningError("Kleinman-Newton did not converge in 200 steps")
 
-    Ystar = point.Y
     wy = np.linalg.eigvalsh(Ystar)
     ymin, ymax = float(wy.min()), float(wy.max())
     rmin = float(np.linalg.eigvalsh(problem.R).min())
@@ -195,8 +176,8 @@ def solve_riccati(problem: LqrProblem,
           * np.sqrt(ymin) * np.sqrt(ymin + ymax) / (np.sqrt(2.0) * normF))
     a1 = 2.0 * normF / rmin
     a2 = np.sqrt(2.0 * np.linalg.norm(problem.A, 2) / rmin)
-    return LqrPlProfile(Kstar=K, Pstar=point.P, Ystar=Ystar,
-                        J2star=point.cost, b1=b1, b2=b2, a1=a1, a2=a2)
+    return LqrPlProfile(Kstar=K, Pstar=P, Ystar=Ystar,
+                        J2star=float(np.trace(P)), b1=b1, b2=b2, a1=a1, a2=a2)
 
 
 def mu5(profile: LqrPlProfile, h) -> float | np.ndarray:
@@ -275,6 +256,15 @@ def hurwitz_mask(A_cl: np.ndarray) -> np.ndarray:
     return A_cl[:, 0, 0] < -HURWITZ_MARGIN
 
 
+def _lyapunov_pairs(problem: LqrProblem, Ks: np.ndarray, A_cl: np.ndarray):
+    """The (A, M) stacks whose Lyapunov solutions are P_K and Y_K:
+    (A_cl, Q + K^T R K) and (A_cl^T, I)."""
+    M_P = problem.Q[None] + np.einsum("bmi,mk,bkj->bij", Ks, problem.R, Ks)
+    return ((A_cl, M_P),
+            (np.swapaxes(A_cl, 1, 2),
+             np.broadcast_to(np.eye(problem.n), A_cl.shape)))
+
+
 def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
     """Cost and gradient over a batch of vectorized gains.
 
@@ -295,35 +285,15 @@ def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
     if not ok.any():
         return ok, costs, grads
 
-    Ac = A_cl[ok]
     Kb = Ks[ok]
-    nb = Ac.shape[0]
-    eye = np.broadcast_to(np.eye(n), (nb, n, n))
-    AcT = np.swapaxes(Ac, 1, 2)
-
-    def bkron(X, Z):
-        # kron(X_b, Z_b)[ki, lj] = X_b[k,l] Z_b[i,j]
-        return np.einsum("bkl,bij->bkilj", X, Z).reshape(nb, n * n, n * n)
-
-    # row-major vec of B^T P + P B + M = 0 gives the same two-term
-    # operator kron(B^T, I) + kron(I, B^T) as the column-major form
-    op_P = bkron(AcT, eye) + bkron(eye, AcT)
-    M_P = problem.Q[None] + np.einsum("bmi,mk,bkj->bij", Kb, problem.R, Kb)
-    P = np.linalg.solve(op_P, -M_P.reshape(nb, n * n)[..., None])[..., 0]
-    P = P.reshape(nb, n, n)
-    P = 0.5 * (P + np.swapaxes(P, 1, 2))
-
-    op_Y = bkron(Ac, eye) + bkron(eye, Ac)
-    Y = np.linalg.solve(op_Y, np.tile(-np.eye(n).reshape(-1), (nb, 1))[..., None])
-    Y = Y[..., 0].reshape(nb, n, n)
-    Y = 0.5 * (Y + np.swapaxes(Y, 1, 2))
-
+    P, Y = (solve_lyapunov(A, M)
+            for A, M in _lyapunov_pairs(problem, Kb, A_cl[ok]))
     G = 2.0 * np.einsum("bmi,bij->bmj",
                         np.einsum("mk,bki->bmi", problem.R, Kb)
                         - np.einsum("nm,bni->bmi", problem.F, P),
                         Y)
     costs[ok] = np.trace(P, axis1=1, axis2=2)
-    grads[ok] = G.reshape(nb, m * n)
+    grads[ok] = G.reshape(-1, m * n)
     return ok, costs, grads
 
 
@@ -397,6 +367,6 @@ def random_stabilizing_gains(problem: LqrProblem, profile: LqrPlProfile,
         if tries > 1000 * count:
             raise RuntimeError("rejection sampling stalled; lower spread")
         K = profile.Kstar + spread * rng.standard_normal(profile.Kstar.shape)
-        if is_hurwitz(problem.A - problem.F @ K):
+        if hurwitz_mask(_closed_loop(problem, K[None]))[0]:
             out.append(K)
     return np.array(out)

@@ -18,7 +18,6 @@ found on the samples", nothing stronger.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -326,19 +325,6 @@ def supermartingale_diagnostic(ensemble: TrajectoryEnsemble, V: SizeFunction,
     return SupermartingaleReport(times=ensemble.times[:-1],
                                  outside_counts=counts, mean_outside=means,
                                  flags=flags, low_power=low_power)
-
-
-def certificate_to_csv(cert: DissipationCertificate, path: str) -> None:
-    """Violation witnesses as CSV plus a trailing summary comment line."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "theta_intensity", "lhs", "rhs"])
-        for xi, Theta, lhs, rhs in cert.violations:
-            s = float(np.linalg.norm(Theta @ Theta.T, 2))
-            writer.writerow([" ".join(format(v, ".17g") for v in xi),
-                             format(s, ".17g"), format(lhs, ".17g"),
-                             format(rhs, ".17g")])
-        fh.write(f"# kind={cert.kind} violations={len(cert.violations)}\n")
 
 
 def certificate_summary(cert: DissipationCertificate) -> str:

@@ -12,7 +12,6 @@ counter-based per-path generators and reductions are deterministic.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -226,13 +225,3 @@ def inss_accumulation_check(ensemble: TrajectoryEnsemble, V: SizeFunction,
     frac = exceedance_fraction(ensemble, V, bound)
     return AccumulationReport(violation_fraction=frac, epsilon=epsilon,
                               integral_gain_final=float(integral[-1]))
-
-
-def gain_curve_to_csv(curve: GainCurve, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["intensity", "tail_quantile", "blowup_fraction"])
-        for s, q, b in zip(curve.intensities, curve.tail_quantiles,
-                           curve.blowup_fractions):
-            writer.writerow([format(s, ".17g"), format(q, ".17g"),
-                             format(b, ".17g")])

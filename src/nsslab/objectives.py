@@ -439,13 +439,3 @@ def load_logistic_csv(path: str) -> LogisticModel:
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError(f"{path}: need at least one feature and a label column")
     return LogisticModel(X=data[:, :-1].T, y=data[:, -1])
-
-
-def envelope_to_csv(envelope: PLEnvelope, path: str,
-                    h_grid: np.ndarray | None = None) -> None:
-    h_grid = np.geomspace(1e-6, 10.0, 200) if h_grid is None else h_grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "mu"])
-        for h in h_grid:
-            writer.writerow([format(h, ".17g"), format(float(envelope.mu(h)), ".17g")])

@@ -23,7 +23,6 @@ matmul's +0.0 accumulator, which turns a -0.0 product into +0.0.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -353,25 +352,3 @@ def _validate_sim_args(model, x0s, dt, T, store_every):
         ok = np.asarray(model.domain_test(x0s), dtype=bool)
         if not ok.all():
             raise ValueError("initial state outside the model domain")
-
-
-def ensemble_to_csv(ensemble: TrajectoryEnsemble, path: str) -> None:
-    """Write (path_id, t, state_0..state_{n-1}) rows, 17 significant digits."""
-    n = ensemble.states.shape[2]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "t"] + [f"state_{i}" for i in range(n)])
-        for k in range(ensemble.n_paths):
-            c = int(ensemble.valid_counts[k])
-            for i in range(c):
-                writer.writerow([k, format(ensemble.times[i], ".17g")]
-                                + [format(v, ".17g") for v in ensemble.states[k, i]])
-
-
-def ensemble_from_csv(path: str):
-    """Read back rows written by :func:`ensemble_to_csv` as a plain array."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return header, np.array(rows)

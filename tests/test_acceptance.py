@@ -61,6 +61,10 @@ def _random_problem(n, m, seed):
                           Q=np.eye(n), R=np.eye(m))
 
 
+def _spectral_abscissa(M):
+    return float(np.max(np.real(np.linalg.eigvals(M))))
+
+
 def _stabilizing_start(problem):
     P = solve_continuous_are(problem.A, problem.F, problem.Q, problem.R)
     return np.linalg.solve(problem.R, problem.F.T @ P)
@@ -192,35 +196,41 @@ def test_lqr_closed_forms_and_gradient():
     gain_err = abs(profile.Kstar[0, 0] - ref)
     assert cost_err <= 1e-8 and gain_err <= 1e-8
 
+    # 100 random instances, solved as one stack per dimension
     rng = np.random.default_rng(4)
-    worst_res = 0.0
+    stacks = {}
     for _ in range(100):
         n = int(rng.integers(1, 11))
         A = rng.standard_normal((n, n))
-        A_cl = A - (lqr.spectral_abscissa(A) + 1.0) * np.eye(n)
+        A_cl = A - (_spectral_abscissa(A) + 1.0) * np.eye(n)
         M = rng.standard_normal((n, n))
         M = M @ M.T + np.eye(n)
-        P = lqr.solve_lyapunov(A_cl, M)
-        res = np.linalg.norm(A_cl.T @ P + P @ A_cl + M, "fro")
-        scale = np.linalg.norm(M, "fro") + np.linalg.norm(P, "fro")
-        worst_res = max(worst_res, res / scale)
+        stacks.setdefault(n, []).append((A_cl, M))
+    worst_res = 0.0
+    for pairs in stacks.values():
+        As, Ms = (np.array(x) for x in zip(*pairs))
+        for A_cl, M, P in zip(As, Ms, lqr.solve_lyapunov(As, Ms)):
+            res = np.linalg.norm(A_cl.T @ P + P @ A_cl + M, "fro")
+            scale = np.linalg.norm(M, "fro") + np.linalg.norm(P, "fro")
+            worst_res = max(worst_res, res / scale)
     assert worst_res <= 1e-10
 
+    # batched gradients against central differences of batched costs
     worst_fd = 0.0
     checked = 0
     for n, m, seed in [(2, 1, 30), (3, 2, 31)]:
         prob = _random_problem(n, m, seed)
         prof = lqr.solve_riccati(prob, K0=_stabilizing_start(prob))
-        for K in lqr.random_stabilizing_gains(prob, prof, 10, seed,
-                                              spread=0.3):
-            G = lqr.lqr_gradient(prob, K)
-            fd = np.zeros_like(G)
-            for i in range(m):
-                for j in range(n):
-                    E = np.zeros_like(G)
-                    E[i, j] = 1e-6
-                    fd[i, j] = (lqr.lqr_cost(prob, K + E)
-                                - lqr.lqr_cost(prob, K - E)) / 2e-6
+        gains = lqr.random_stabilizing_gains(prob, prof, 10, seed, spread=0.3)
+        ok, _, grads = lqr.batched_gain_stats(prob, gains.reshape(10, -1))
+        assert ok.all()
+        E = 1e-6 * np.eye(m * n)
+        for K, G in zip(gains, grads):
+            theta = lqr.vec_gain(K)
+            ok, costs, _ = lqr.batched_gain_stats(
+                prob, np.concatenate([theta + E, theta - E]))
+            assert ok.all()
+            fd = (costs[:m * n] - costs[m * n:]) / 2e-6
             denom = max(1.0, np.linalg.norm(G))
             worst_fd = max(worst_fd, np.linalg.norm(G - fd) / denom)
             checked += 1
@@ -238,10 +248,12 @@ def test_lqr_gradient_dominance_modulus_never_violated():
         profile = lqr.solve_riccati(problem, K0=_stabilizing_start(problem))
         gains = lqr.random_stabilizing_gains(problem, profile, 100, seed,
                                              spread=0.5)
-        for K in gains:
-            pt = lqr.gain_point(problem, K)
-            h = pt.cost - profile.J2star
-            if np.linalg.norm(pt.grad, "fro") < lqr.mu5(profile, h) - 1e-9:
+        ok, costs, grads = lqr.batched_gain_stats(problem,
+                                                  gains.reshape(100, -1))
+        assert ok.all()
+        for c, g in zip(costs, grads):
+            # the Frobenius norm of a gain is the norm of its vec
+            if np.linalg.norm(g) < lqr.mu5(profile, c - profile.J2star) - 1e-9:
                 violations += 1
             checked += 1
     assert checked == 300 and violations == 0

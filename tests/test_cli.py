@@ -1,16 +1,29 @@
 """Unit tests for the configuration-driven experiment runner."""
 
+import csv
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nsslab.cli import REGISTRY, list_experiments, main, run, validate
+from nsslab.cli import (REGISTRY, _csv_table, _write_certificate,
+                        _write_gain_curve, list_experiments, main, run,
+                        validate)
+from nsslab.langevin import (OverdampedConfig, build_overdamped,
+                             objective_size_function)
+from nsslab.nssmc import NssExperiment, run_experiment
+from nsslab.objectives import quadratic_objective
+from nsslab.sde import CovarianceSchedule
 
 EXPECTED = {"ou-sanity", "quadratic-overdamped", "quadratic-underdamped",
             "logistic-overdamped", "logistic-underdamped",
             "lqr-po-overdamped", "lqr-po-underdamped", "gain-sweep",
             "certify-dissipation", "pl-envelope"}
+
+
+DEMO_CSV = Path(__file__).resolve().parent.parent / "configs" \
+    / "logistic_demo.csv"
 
 
 def write_config(tmp_path, name, extra=""):
@@ -139,6 +152,108 @@ master_seed = 3
         extra = "[problem]\ndataset = nope.csv\n"
         cfg = write_config(tmp_path, "pl-envelope", extra)
         assert run(cfg, out_dir=str(tmp_path / "x")) == 2
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestCsvTable:
+    def test_doubles_round_trip_exactly(self, tmp_path):
+        # 17 significant digits read back to the same double, sign of
+        # zero and subnormals included
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.1]
+        rng = np.random.default_rng(0)
+        scaled = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300,
+                                                                 200)
+        vals = np.array(special + scaled.tolist())
+        f, g = tmp_path / "py.csv", tmp_path / "np.csv"
+        _csv_table(f, ["i", "x"], [[i, v] for i, v in
+                                   enumerate(vals.tolist())])
+        _csv_table(g, ["i", "x"], zip(range(vals.size), vals))
+        assert f.read_bytes() == g.read_bytes()  # numpy scalars alike
+        rows = read_rows(f)
+        assert rows[0] == ["i", "x"]
+        assert [int(r[0]) for r in rows[1:]] == list(range(vals.size))
+        back = np.array([float(r[1]) for r in rows[1:]])
+        assert np.array_equal(back, vals)
+        assert np.array_equal(np.signbit(back), np.signbit(vals))
+
+    def test_gain_curve_rows(self, tmp_path):
+        obj = quadratic_objective(np.array([[1.0]]), np.zeros(1))
+        model = build_overdamped(OverdampedConfig(objective=obj))
+        T = 5.0
+        exp = NssExperiment(
+            dynamics=model, V=objective_size_function(obj),
+            schedule_family=[CovarianceSchedule.constant(np.array([[s]]), T)
+                             for s in (0.1, 0.2)],
+            x0=np.ones(1), N=200, dt=1e-2, T=T, master_seed=0, store_every=5)
+        curve, _ = run_experiment(exp)
+        f = tmp_path / "curve.csv"
+        _write_gain_curve(f, curve)
+        rows = read_rows(f)
+        assert rows[0] == ["intensity", "tail_quantile", "blowup_fraction"]
+        data = np.array(rows[1:], dtype=float)
+        assert data.shape == (2, 3)
+        assert np.array_equal(data, np.column_stack(
+            [curve.intensities, curve.tail_quantiles,
+             curve.blowup_fractions]))
+
+    def test_certificate_rows_and_trailer(self, tmp_path):
+        cert = SimpleNamespace(kind="NSS", violations=[
+            (np.array([0.1, -0.0]), 0.5 * np.eye(2), 1.5, 0.25)])
+        f = tmp_path / "cert.csv"
+        _write_certificate(f, cert)
+        # csv rows end in CRLF; the summary comment ends in a bare LF
+        assert f.read_bytes() == (b"state,theta_intensity,lhs,rhs\r\n"
+                                  b"0.10000000000000001 -0,0.25,1.5,0.25\r\n"
+                                  b"# kind=NSS violations=1\n")
+        _write_certificate(f, SimpleNamespace(kind="scNSS", violations=[]))
+        assert f.read_bytes() == (b"state,theta_intensity,lhs,rhs\r\n"
+                                  b"# kind=scNSS violations=0\n")
+
+    def test_envelope_rows(self, tmp_path):
+        extra = f"""
+[problem]
+dataset = {DEMO_CSV}
+
+[dynamics]
+n_dirs = 32
+"""
+        cfg = write_config(tmp_path, "pl-envelope", extra)
+        out = tmp_path / "env"
+        assert run(cfg, out_dir=str(out)) in (0, 1)
+        rows = read_rows(out / "envelope.csv")
+        assert rows[0] == ["h", "mu"]
+        data = np.array(rows[1:], dtype=float)
+        assert np.array_equal(data[:, 0], np.geomspace(1e-6, 10.0, 200))
+        assert np.all(np.diff(data[:, 0]) > 0)
+        assert np.all(np.diff(data[:, 1]) >= 0)
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("experiment,section,key,value", [
+        ("ou-sanity", "mc", "N", "abc"),
+        ("ou-sanity", "noise", "sigma", "x"),
+        ("ou-sanity", "mc", "master_seed", "seven"),
+        ("quadratic-overdamped", "noise", "sigmas", "0.1, zz"),
+        ("quadratic-overdamped", "noise", "sigmas", ","),
+        ("quadratic-underdamped", "problem", "diag", "1,two"),
+        ("lqr-po-overdamped", "problem", "a", "one"),
+    ])
+    def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys,
+                                             experiment, section, key,
+                                             value):
+        cfg = write_config(tmp_path, experiment,
+                           f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: [{section}] {key} = {value!r}")
+        assert captured.out == ""
 
 
 class TestMain:

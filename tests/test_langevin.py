@@ -12,8 +12,8 @@ from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
                              m1_profile, objective_size_function,
                              overdamped_certificate, phi_functions,
                              scheduled_coefficients, v2_certificate,
-                             v2_lyapunov, v2_size_function, v3_certificate,
-                             v3_lyapunov, v3_size_function)
+                             v2_size_function, v3_certificate,
+                             v3_size_function)
 from nsslab.lyapcert import (check_dissipation, default_state_samples,
                              default_theta_samples, generator_apply)
 from nsslab.objectives import quadratic_objective
@@ -22,6 +22,21 @@ from nsslab.sde import CovarianceSchedule, simulate_path
 
 def quad(n=2, lam=1.0):
     return quadratic_objective(lam * np.eye(n), np.zeros(n))
+
+
+def v2_scalar(config, z, v):
+    """Mixed candidate J - J* + lambda1 <v, grad J> + lambda2/2 <v, v>."""
+    lam1, lam2, _ = config.lambdas
+    obj = config.objective
+    return float(obj.value_at(z) - obj.optimum_value
+                 + lam1 * v @ obj.gradient_at(z) + 0.5 * lam2 * v @ v)
+
+
+def v3_scalar(config, phi, z, v):
+    """Smoothed-potential candidate phi2(J - J*) + <grad J, v> + <v, v>."""
+    obj = config.objective
+    h = obj.value_at(z) - obj.optimum_value
+    return float(phi.phi2(h) + obj.gradient_at(z) @ v + v @ v)
 
 
 class TestBuilders:
@@ -227,7 +242,7 @@ class TestSizeFunctions:
         z = np.array([0.7, -0.4])
         v = np.array([0.2, 0.1])
         assert abs(V.value_at(np.concatenate([z, v]))
-                   - v2_lyapunov(cfg, z, v)) <= 1e-12
+                   - v2_scalar(cfg, z, v)) <= 1e-12
 
     def test_v3_matches_scalar_form(self):
         obj = quad()
@@ -238,7 +253,7 @@ class TestSizeFunctions:
         z = np.array([0.7, -0.4])
         v = np.array([0.2, 0.1])
         assert abs(V.value_at(np.concatenate([z, v]))
-                   - v3_lyapunov(cfg, phi, z, v)) <= 1e-12
+                   - v3_scalar(cfg, phi, z, v)) <= 1e-12
 
     def test_v2_derivatives_match_fd(self):
         cfg = UnderdampedConfig(objective=quad(), eta=1.0, c=1.0)

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_are
 
-from nsslab.lqr import (HURWITZ_MARGIN, LqrProblem, StabilityError,
-                        batched_gain_stats, eta_schedule_lqr,
-                        gain_noise_schedule, gain_point, hurwitz_mask,
-                        lqr_cost, lqr_gradient, lqr_objective,
+from nsslab import lqr
+from nsslab.lqr import (HURWITZ_MARGIN, ConditioningError, LqrProblem,
+                        StabilityError, batched_gain_stats, eta_schedule_lqr,
+                        gain_noise_schedule, hurwitz_mask, lqr_objective,
                         mu5, mu5_class_function, random_stabilizing_gains,
                         smoothness_profile_L3, solve_lyapunov, solve_riccati,
-                        spectral_abscissa, unvec_gain, vec_gain)
+                        unvec_gain, vec_gain)
 
 
 def scalar_problem():
@@ -24,6 +25,41 @@ def random_problem(n, m, seed):
     Q = np.eye(n)
     R = np.eye(m)
     return LqrProblem(A=A, F=F, Q=Q, R=R)
+
+
+def spectral_abscissa(M):
+    return float(np.max(np.real(np.linalg.eigvals(M))))
+
+
+def reference_gain_point(problem, K):
+    """The dense per-gain solve as it was before the batched Lyapunov
+    kernel served every caller: column-major Kronecker operators, one gain
+    at a time.  Returns (cost, gradient)."""
+    def dense_lyapunov(A_cl, M):
+        n = A_cl.shape[0]
+        eye = np.eye(n)
+        op = np.kron(eye, A_cl.T) + np.kron(A_cl.T, eye)
+        P = np.linalg.solve(op, -M.reshape(-1, order="F")).reshape(
+            n, n, order="F")
+        return 0.5 * (P + P.T)
+
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    A_cl = problem.A - problem.F @ K
+    assert spectral_abscissa(A_cl) < -HURWITZ_MARGIN
+    P = dense_lyapunov(A_cl, problem.Q + K.T @ problem.R @ K)
+    Y = dense_lyapunov(A_cl.T, np.eye(problem.n))
+    grad = 2.0 * (problem.R @ K - problem.F.T @ P) @ Y
+    return float(np.trace(P)), grad
+
+
+def gain_stats(problem, gains):
+    """Costs and (m, n) gradients of a stack of stabilizing gains, read
+    off one batched_gain_stats call."""
+    gains = np.asarray(gains, dtype=float).reshape(-1, problem.m, problem.n)
+    ok, costs, grads = batched_gain_stats(
+        problem, gains.reshape(len(gains), -1))
+    assert ok.all()
+    return costs, grads.reshape(gains.shape)
 
 
 class TestProblemValidation:
@@ -46,42 +82,73 @@ class TestProblemValidation:
 
 class TestLyapunovSolve:
     def test_scalar_closed_form(self):
-        # a p + p a + m = 0 with a = -2, m = 1: p = 1/4
-        P = solve_lyapunov(np.array([[-2.0]]), np.array([[1.0]]))
-        assert abs(P[0, 0] - 0.25) <= 1e-12
+        # a p + p a + m = 0: p = m / (-2a); a = -2, m = 1 gives p = 1/4
+        a = np.array([-2.0, -0.5, -4.0, -1e-3])
+        m = np.array([1.0, 3.0, 0.5, 2.0])
+        P = solve_lyapunov(a.reshape(-1, 1, 1), m.reshape(-1, 1, 1))
+        assert P.shape == (4, 1, 1)
+        assert abs(P[0, 0, 0] - 0.25) <= 1e-12
+        assert np.all(np.abs(P[:, 0, 0] - m / (-2.0 * a))
+                      <= 1e-12 * np.abs(m / a))
 
     def test_residual_contract_on_random_instances(self):
+        # the same 100 instances as one stack per dimension
         rng = np.random.default_rng(0)
+        stacks = {}
         for _ in range(100):
             n = rng.integers(2, 11)
             A = rng.standard_normal((n, n))
             A_cl = A - (spectral_abscissa(A) + 1.0) * np.eye(n)
             Msym = rng.standard_normal((n, n))
             Msym = Msym @ Msym.T + np.eye(n)
-            P = solve_lyapunov(A_cl, Msym)
-            res = np.linalg.norm(A_cl.T @ P + P @ A_cl + Msym, "fro")
-            assert res <= 1e-10 * (np.linalg.norm(Msym, "fro")
-                                   + np.linalg.norm(P, "fro"))
+            stacks.setdefault(n, []).append((A_cl, Msym))
+        assert sum(map(len, stacks.values())) == 100
+        for pairs in stacks.values():
+            As, Ms = (np.array(x) for x in zip(*pairs))
+            for A_cl, Msym, P in zip(As, Ms, solve_lyapunov(As, Ms)):
+                res = np.linalg.norm(A_cl.T @ P + P @ A_cl + Msym, "fro")
+                assert res <= 1e-10 * (np.linalg.norm(Msym, "fro")
+                                       + np.linalg.norm(P, "fro"))
 
-    def test_non_hurwitz_rejected(self):
-        with pytest.raises(StabilityError):
-            solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
+    def test_stack_members_solve_as_if_alone(self):
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((6, 3, 3)) - 4.0 * np.eye(3)
+        M = rng.standard_normal((6, 3, 3))
+        M = M @ np.swapaxes(M, 1, 2) + np.eye(3)
+        P = solve_lyapunov(A, M)
+        for b in range(6):
+            assert np.array_equal(P[b], solve_lyapunov(A[b:b + 1],
+                                                       M[b:b + 1])[0])
+        assert np.array_equal(P, np.swapaxes(P, 1, 2))
+
+    def test_singular_operator_is_a_conditioning_error(self):
+        # a = 0 makes the operator 2a singular
+        with pytest.raises(ConditioningError):
+            solve_lyapunov(np.array([[[-1.0]], [[0.0]]]),
+                           np.ones((2, 1, 1)))
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError):
+            solve_lyapunov(np.zeros((1, 31, 31)), np.zeros((1, 31, 31)))
 
 
 class TestGainPoint:
+    """Cost and gradient at single gains, read off batched_gain_stats."""
+
     def test_scalar_cost_closed_form(self):
         # J(k) = (1 + k^2) / (2k - 2) for the scalar unit problem
         problem = scalar_problem()
-        for k in (1.5, 2.0, 4.0):
-            assert abs(lqr_cost(problem, [[k]])
-                       - (1 + k**2) / (2 * k - 2)) <= 1e-12
+        ks = np.array([1.5, 2.0, 4.0])
+        costs, _ = gain_stats(problem, ks)
+        assert np.all(np.abs(costs - (1 + ks**2) / (2 * ks - 2)) <= 1e-12)
 
     def test_scalar_gradient_closed_form(self):
         # dJ/dk = (2k^2 - 4k - 2) / (2k - 2)^2
         problem = scalar_problem()
-        for k in (1.5, 2.0, 4.0):
-            want = (2 * k**2 - 4 * k - 2) / (2 * k - 2) ** 2
-            assert abs(lqr_gradient(problem, [[k]])[0, 0] - want) <= 1e-10
+        ks = np.array([1.5, 2.0, 4.0])
+        _, grads = gain_stats(problem, ks)
+        want = (2 * ks**2 - 4 * ks - 2) / (2 * ks - 2) ** 2
+        assert np.all(np.abs(grads[:, 0, 0] - want) <= 1e-10)
 
     def test_gradient_matches_fd_on_random_instances(self):
         for n, m, seed in [(2, 1, 1), (3, 2, 2), (4, 2, 3)]:
@@ -89,33 +156,34 @@ class TestGainPoint:
             profile = solve_riccati(problem, K0=_stabilizing_start(problem))
             gains = random_stabilizing_gains(problem, profile, 5, seed,
                                              spread=0.3)
-            for K in gains:
-                G = lqr_gradient(problem, K)
+            _, grads = gain_stats(problem, gains)
+            for K, G in zip(gains, grads):
                 fd = _fd_gradient(problem, K, 1e-6)
                 denom = max(1.0, np.linalg.norm(G))
                 assert np.linalg.norm(G - fd) / denom <= 1e-5
 
     def test_nonstabilizing_gain_raises(self):
+        # K0 = 0.5 leaves a - f k = 0.5; K0 = 1 sits on the boundary
+        for k in (0.5, 1.0):
+            with pytest.raises(StabilityError):
+                solve_riccati(scalar_problem(), K0=np.array([[k]]))
+        problem = random_problem(3, 2, 5)
+        assert spectral_abscissa(problem.A) > 0
         with pytest.raises(StabilityError):
-            gain_point(scalar_problem(), [[0.5]])
+            solve_riccati(problem, K0=np.zeros((2, 3)))
 
 
 def _stabilizing_start(problem):
-    from scipy.linalg import solve_continuous_are
     P = solve_continuous_are(problem.A, problem.F, problem.Q, problem.R)
     return np.linalg.solve(problem.R, problem.F.T @ P)
 
 
 def _fd_gradient(problem, K, h):
+    """Central differences of the cost, every K +- h E_ij in one batch."""
     K = np.atleast_2d(K)
-    G = np.zeros_like(K)
-    for i in range(K.shape[0]):
-        for j in range(K.shape[1]):
-            E = np.zeros_like(K)
-            E[i, j] = h
-            G[i, j] = (lqr_cost(problem, K + E)
-                       - lqr_cost(problem, K - E)) / (2 * h)
-    return G
+    E = h * np.eye(K.size).reshape(K.size, *K.shape)
+    costs, _ = gain_stats(problem, np.concatenate([K + E, K - E]))
+    return ((costs[:K.size] - costs[K.size:]) / (2 * h)).reshape(K.shape)
 
 
 class TestRiccati:
@@ -129,11 +197,42 @@ class TestRiccati:
     def test_gradient_zero_at_optimum(self):
         problem = random_problem(3, 2, 5)
         profile = solve_riccati(problem, K0=_stabilizing_start(problem))
-        assert np.linalg.norm(lqr_gradient(problem, profile.Kstar)) <= 1e-8
+        _, grads = gain_stats(problem, profile.Kstar)
+        assert np.linalg.norm(grads) <= 1e-8
 
     def test_unstable_a_needs_start(self):
         with pytest.raises(ValueError):
             solve_riccati(scalar_problem())
+
+    def test_matches_scipy_riccati_solution(self):
+        for n, m, seed in [(2, 1, 1), (3, 2, 2), (4, 2, 3)]:
+            problem = random_problem(n, m, seed)
+            profile = solve_riccati(problem, K0=_stabilizing_start(problem))
+            P = solve_continuous_are(problem.A, problem.F, problem.Q,
+                                     problem.R)
+            assert np.linalg.norm(profile.Pstar - P) <= 1e-8 * max(
+                1.0, np.linalg.norm(P))
+
+    @pytest.mark.parametrize("corrupt", ["P", "Y"])
+    def test_residual_miss_is_a_conditioning_error(self, monkeypatch,
+                                                   corrupt):
+        # every solve of the iteration is checked: corrupt only the P_K
+        # solves or only the Y_K solves (A^T with M = I)
+        kernel = lqr.solve_lyapunov
+
+        def off_by_a_little(A, M):
+            P = kernel(A, M)
+            is_y = np.array_equal(M, np.broadcast_to(np.eye(A.shape[1]),
+                                                     M.shape))
+            return P + 1e-6 if is_y == (corrupt == "Y") else P
+
+        solve_riccati(scalar_problem(), K0=np.array([[2.0]]))
+        monkeypatch.setattr(lqr, "solve_lyapunov", off_by_a_little)
+        with pytest.raises(ConditioningError):
+            solve_riccati(scalar_problem(), K0=np.array([[2.0]]))
+        # the per-step statistics never had the check
+        ok, costs, _ = batched_gain_stats(scalar_problem(), [[2.0]])
+        assert ok[0] and np.isfinite(costs[0])
 
 
 class TestPlProfile:
@@ -143,10 +242,10 @@ class TestPlProfile:
             profile = solve_riccati(problem, K0=_stabilizing_start(problem))
             gains = random_stabilizing_gains(problem, profile, 30, seed,
                                              spread=0.5)
-            for K in gains:
-                pt = gain_point(problem, K)
-                h = pt.cost - profile.J2star
-                assert np.linalg.norm(pt.grad, "fro") >= mu5(profile, h) - 1e-9
+            costs, grads = gain_stats(problem, gains)
+            for c, G in zip(costs, grads):
+                h = c - profile.J2star
+                assert np.linalg.norm(G, "fro") >= mu5(profile, h) - 1e-9
 
     def test_mu5_class_function_wraps_formula(self):
         profile = solve_riccati(scalar_problem(), K0=np.array([[2.0]]))
@@ -177,9 +276,9 @@ class TestBatchedStats:
         ok, costs, grads = batched_gain_stats(problem, thetas)
         assert ok.all()
         for K, c, g in zip(gains, costs, grads):
-            pt = gain_point(problem, K)
-            assert abs(c - pt.cost) <= 1e-9 * max(1.0, abs(pt.cost))
-            assert np.linalg.norm(g - vec_gain(pt.grad)) <= 1e-9
+            cost, grad = reference_gain_point(problem, K)
+            assert abs(c - cost) <= 1e-9 * max(1.0, abs(cost))
+            assert np.linalg.norm(g - vec_gain(grad)) <= 1e-9
 
     def test_nonstabilizing_entries_nan(self):
         problem = scalar_problem()

@@ -10,7 +10,7 @@ from nsslab.langevin import (OverdampedConfig, build_overdamped,
 from nsslab.lqr import (LqrProblem, gain_noise_schedule, lqr_objective,
                         solve_riccati, vec_gain)
 from nsslab.nssmc import (DecayFit, NssExperiment, exceedance_fraction,
-                          fit_decay_envelope, gain_curve_to_csv,
+                          fit_decay_envelope,
                           inss_accumulation_check, run_experiment,
                           scnss_threshold_scan, tail_window_values)
 from nsslab.objectives import quadratic_objective
@@ -74,15 +74,6 @@ class TestGainCurve:
         pooled = tail_window_values(ens, V, 5.0, 10.0)
         idx = (ens.times >= 5.0) & (ens.times <= 10.0)
         assert pooled.size == 100 * idx.sum()
-
-    def test_csv_export(self, tmp_path):
-        exp = make_experiment([0.1, 0.2], T=5.0)
-        curve, _ = run_experiment(exp)
-        f = tmp_path / "curve.csv"
-        gain_curve_to_csv(curve, str(f))
-        data = np.loadtxt(f, delimiter=",", skiprows=1)
-        assert data.shape == (2, 3)
-        assert np.allclose(data[:, 0], curve.intensities)
 
 
 class TestDecayFit:

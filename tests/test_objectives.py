@@ -216,15 +216,6 @@ class TestCsv:
         assert np.array_equal(back.X, model.X)
         assert np.array_equal(back.y, model.y)
 
-    def test_envelope_export(self, tmp_path):
-        obj = quadratic_objective(np.eye(2), np.zeros(2))
-        env = estimate_kpl_envelope(obj, np.zeros(2), n_dirs=8, seed=0)
-        f = tmp_path / "env.csv"
-        objectives.envelope_to_csv(env, str(f))
-        data = np.loadtxt(f, delimiter=",", skiprows=1)
-        assert data.shape[1] == 2
-        assert np.all(np.diff(data[:, 0]) > 0)
-
 
 def per_point_oracle(obj, z):
     """The per-point formulas that Objective.evaluate batches: value_at,

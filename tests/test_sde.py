@@ -7,8 +7,7 @@ import pytest
 
 from nsslab import sde
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
-                        derive_path_seed, ensemble_from_csv, ensemble_to_csv,
-                        simulate_ensemble, simulate_path, sup_noise_intensity)
+                        derive_path_seed, simulate_ensemble, simulate_path, sup_noise_intensity)
 
 
 def linear_model(rate=1.0, n=1):
@@ -132,20 +131,6 @@ class TestStorageAndCsv:
         p = simulate_path(m, s, np.ones(1), 1e-2, 1.0, 0, store_every=7)
         assert p.times[0] == 0.0
         assert abs(p.times[-1] - 1.0) <= 1e-12
-
-    def test_csv_roundtrip(self, tmp_path):
-        m = linear_model(n=2)
-        s = CovarianceSchedule.constant(0.2 * np.eye(2), horizon=1.0)
-        ens = simulate_ensemble(m, s, np.ones(2), 1e-2, 1.0, 3, 5)
-        f = tmp_path / "ens.csv"
-        ensemble_to_csv(ens, str(f))
-        header, rows = ensemble_from_csv(str(f))
-        assert header == ["path_id", "t", "state_0", "state_1"]
-        assert rows.shape == (3 * ens.times.size, 4)
-        # exact 17-digit round trip for path 1
-        sel = rows[rows[:, 0] == 1]
-        assert np.array_equal(sel[:, 1], ens.times)
-        assert np.array_equal(sel[:, 2:], ens.states[1])
 
     def test_invalid_args(self):
         m = linear_model()
