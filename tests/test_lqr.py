@@ -121,6 +121,36 @@ class TestLyapunovSolve:
                                                        M[b:b + 1])[0])
         assert np.array_equal(P, np.swapaxes(P, 1, 2))
 
+    def test_non_hurwitz_rejected(self, monkeypatch):
+        # The kernel leaves the Hurwitz test to its callers.  K = 0 on the
+        # scalar unit problem is the instance a = 1, m = 1: solve_riccati
+        # raises StabilityError, batched_gain_stats masks the row, and no
+        # non-Hurwitz matrix ever reaches the kernel.
+        seen = []
+
+        def recording(A, M):
+            seen.append(np.array(A))
+            return solve_lyapunov(A, M)
+
+        monkeypatch.setattr(lqr, "solve_lyapunov", recording)
+        big = random_problem(3, 2, 5)
+        assert spectral_abscissa(big.A) > 0
+        cases = [(scalar_problem(), np.zeros((1, 1)), np.array([[2.0]])),
+                 (big, np.zeros((2, 3)), _stabilizing_start(big))]
+        for problem, unstable, stable in cases:
+            with pytest.raises(StabilityError):
+                solve_riccati(problem, K0=unstable)
+            assert seen == []
+            ok, costs, grads = batched_gain_stats(
+                problem, np.stack([unstable.ravel(), stable.ravel()]))
+            assert ok.tolist() == [False, True]
+            assert np.isnan(costs[0]) and np.isnan(grads[0]).all()
+            assert np.isfinite(costs[1]) and np.isfinite(grads[1]).all()
+            assert len(seen) == 2
+            assert all(A.shape[0] == 1 and hurwitz_mask(A).all()
+                       for A in seen)
+            seen.clear()
+
     def test_singular_operator_is_a_conditioning_error(self):
         # a = 0 makes the operator 2a singular
         with pytest.raises(ConditioningError):
