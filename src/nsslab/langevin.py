@@ -372,35 +372,54 @@ def objective_size_function(obj: Objective) -> SizeFunction:
     """V = J - J* with the objective's own derivatives."""
     return SizeFunction(
         value=lambda z: np.asarray(obj.value(z), dtype=float) - obj.optimum_value,
-        gradient=lambda z: obj.gradient_at(z),
-        hessian=lambda z: obj.hessian_at(z),
+        gradient=lambda z: obj.evaluate(z)[1],
+        hessian=lambda z: obj.evaluate(z, hessian=True)[2],
         label=f"suboptimality[{obj.label}]")
 
 
 def half_norm_squared(center=None) -> SizeFunction:
     """V(x) = 1/2 |x - center|^2."""
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        d = x if center is None else x - np.asarray(center, dtype=float)
-        return 0.5 * np.sum(d * d, axis=-1)
-
     def gradient(x):
         x = np.asarray(x, dtype=float)
         return x if center is None else x - np.asarray(center, dtype=float)
 
-    return SizeFunction(value=value, gradient=gradient,
-                        hessian=lambda x: np.eye(np.asarray(x).shape[-1]),
+    def value(x):
+        d = gradient(x)
+        return 0.5 * np.sum(d * d, axis=-1)
+
+    def hessian(x):
+        return np.repeat(np.eye(x.shape[1])[None], len(x), axis=0)
+
+    return SizeFunction(value=value, gradient=gradient, hessian=hessian,
                         label="half-norm-squared")
 
 
 def _third_derivative_contraction(obj: Objective, z: np.ndarray,
                                   v: np.ndarray) -> np.ndarray:
-    """d/dz of (hess J(z) v) by central differences along v."""
-    vn = np.linalg.norm(v)
-    if vn == 0.0:
-        return np.zeros((z.size, z.size))
-    eps = 1e-5 * (1.0 + np.linalg.norm(z)) / vn
-    return (obj.hessian_at(z + eps * v) - obj.hessian_at(z - eps * v)) / (2.0 * eps)
+    """d/dz of (hess J(z) v) per row of (B, n) batches, by central
+    differences along v; (B, n, n), zero where v = 0."""
+    vn = np.linalg.norm(v, axis=1)
+    eps = 1e-5 * (1.0 + np.linalg.norm(z, axis=1)) / np.where(vn > 0, vn, 1.0)
+    step = eps[:, None] * v
+    H = obj.evaluate(np.concatenate([z + step, z - step]), hessian=True)[2]
+    D = (H[:len(z)] - H[len(z):]) / (2.0 * eps)[:, None, None]
+    return np.where((vn > 0)[:, None, None], D, 0.0)
+
+
+def _mixed_terms(obj: Objective, x):
+    """(J(z) - J*, <v, grad J(z)>, <v, v>) of (z, v) states with any
+    leading shape."""
+    x = np.asarray(x, dtype=float)
+    z, v = x[..., :obj.dim], x[..., obj.dim:]
+    h = np.asarray(obj.value(z), dtype=float) - obj.optimum_value
+    grads = np.asarray(obj.gradient(np.atleast_2d(z)))
+    cross = np.sum(np.atleast_2d(v) * grads, axis=-1)
+    return h, cross.reshape(np.shape(h)), np.sum(v * v, axis=-1)
+
+
+def _mixed_blocks(zz, zv, vv):
+    """The (B, 2n, 2n) Hessians [[zz, zv], [zv, vv]] of the (z, v) blocks."""
+    return np.block([[zz, zv], [zv, np.broadcast_to(vv, zz.shape)]])
 
 
 def v2_size_function(config: UnderdampedConfig) -> SizeFunction:
@@ -409,28 +428,20 @@ def v2_size_function(config: UnderdampedConfig) -> SizeFunction:
     n = obj.dim
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        z, v = x[..., :n], x[..., n:]
-        h = np.asarray(obj.value(z), dtype=float) - obj.optimum_value
-        grads = np.asarray(obj.gradient(np.atleast_2d(z)))
-        cross = np.sum(np.atleast_2d(v) * grads, axis=-1)
-        kin = 0.5 * np.sum(v * v, axis=-1)
-        out = h + lam1 * cross.reshape(np.shape(h)) + lam2 * kin
-        return out
+        h, cross, vv = _mixed_terms(obj, x)
+        return h + lam1 * cross + lam2 * (0.5 * vv)
 
     def gradient(x):
-        z, v = x[:n], x[n:]
-        g = obj.gradient_at(z)
-        H = obj.hessian_at(z)
-        return np.concatenate([g + lam1 * H @ v, lam1 * g + lam2 * v])
+        z, v = x[:, :n], x[:, n:]
+        _, g, H = obj.evaluate(z, hessian=True)
+        Hv = np.einsum("bij,bj->bi", H, v)
+        return np.concatenate([g + lam1 * Hv, lam1 * g + lam2 * v], axis=1)
 
     def hessian(x):
-        z, v = x[:n], x[n:]
-        H = obj.hessian_at(z)
+        z, v = x[:, :n], x[:, n:]
+        H = obj.evaluate(z, hessian=True)[2]
         zz = H + lam1 * _third_derivative_contraction(obj, z, v)
-        top = np.hstack([zz, lam1 * H])
-        bot = np.hstack([lam1 * H, lam2 * np.eye(n)])
-        return np.vstack([top, bot])
+        return _mixed_blocks(zz, lam1 * H, lam2 * np.eye(n))
 
     return SizeFunction(value=value, gradient=gradient, hessian=hessian,
                         label=f"V2[{obj.label}]")
@@ -448,34 +459,25 @@ def v3_size_function(config: UnderdampedConfig,
     p2pp = np.gradient(phi.phi2p_vals, phi.h_fine)
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        z, v = x[..., :n], x[..., n:]
-        h = np.asarray(obj.value(z), dtype=float) - obj.optimum_value
-        grads = np.asarray(obj.gradient(np.atleast_2d(z)))
-        cross = np.sum(np.atleast_2d(v) * grads, axis=-1)
-        kin = np.sum(v * v, axis=-1)
-        return phi.phi2(h) + cross.reshape(np.shape(h)) + kin
+        h, cross, vv = _mixed_terms(obj, x)
+        return phi.phi2(h) + cross + vv
 
     def gradient(x):
-        z, v = x[:n], x[n:]
-        g = obj.gradient_at(z)
-        H = obj.hessian_at(z)
-        h = obj.value_at(z) - obj.optimum_value
-        return np.concatenate([float(phi.phi2_prime(h)) * g + H @ v,
-                               g + 2.0 * v])
+        z, v = x[:, :n], x[:, n:]
+        values, g, H = obj.evaluate(z, hessian=True)
+        p2p = phi.phi2_prime(values - obj.optimum_value)
+        Hv = np.einsum("bij,bj->bi", H, v)
+        return np.concatenate([p2p[:, None] * g + Hv, g + 2.0 * v], axis=1)
 
     def hessian(x):
-        z, v = x[:n], x[n:]
-        g = obj.gradient_at(z)
-        H = obj.hessian_at(z)
-        h = obj.value_at(z) - obj.optimum_value
-        p2p = float(phi.phi2_prime(h))
-        p2dd = float(np.interp(h, phi.h_fine, p2pp))
-        zz = p2dd * np.outer(g, g) + p2p * H \
+        z, v = x[:, :n], x[:, n:]
+        values, g, H = obj.evaluate(z, hessian=True)
+        h = values - obj.optimum_value
+        p2p = phi.phi2_prime(h)[:, None, None]
+        p2dd = np.interp(h, phi.h_fine, p2pp)[:, None, None]
+        zz = p2dd * g[:, :, None] * g[:, None, :] + p2p * H \
             + _third_derivative_contraction(obj, z, v)
-        top = np.hstack([zz, H])
-        bot = np.hstack([H, 2.0 * np.eye(n)])
-        return np.vstack([top, bot])
+        return _mixed_blocks(zz, H, 2.0 * np.eye(n))
 
     return SizeFunction(value=value, gradient=gradient, hessian=hessian,
                         label=f"V3[{obj.label}]")

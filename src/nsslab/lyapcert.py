@@ -25,11 +25,12 @@ import numpy as np
 
 from .compfun import (K, K_ON_0_D, KINF, PD, BracketError, DomainViolation,
                       ScalarClassFunction, invert, invert_auto)
+from .objectives import _batch_derivatives
 from .sde import DiffusionModel, TrajectoryEnsemble, TrajectoryPath
 
 
 class NumericalError(RuntimeError):
-    """Non-finite value met during a finite-difference probe."""
+    """Non-finite result of a finite-difference probe."""
 
 
 class AdmissibilityError(ValueError):
@@ -40,9 +41,12 @@ class AdmissibilityError(ValueError):
 class SizeFunction:
     """Positive definite coercive scalar of the state with derivatives.
 
-    ``value`` must be vectorized over leading axes; ``gradient`` and
-    ``hessian`` take one state and default to central differences with
-    step 1e-5 * (1 + |xi|).
+    Batch-first like :class:`objectives.Objective`: ``value``,
+    ``gradient`` and ``hessian`` map a (B, n) batch to (B,), (B, n) and
+    (B, n, n), and ``value`` is also vectorized over other leading axes.
+    A missing derivative is filled in by :meth:`evaluate` with central
+    differences of the next-lower oracle; a non-finite difference raises
+    :class:`NumericalError`.  The ``*_at`` methods are one-point views.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -50,50 +54,24 @@ class SizeFunction:
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
 
+    def evaluate(self, x, hessian: bool = False):
+        """(values, gradients, Hessians or None) for a (B, n) batch."""
+        out = _batch_derivatives(x, hessian, self.value, self.gradient,
+                                 self.hessian)
+        for own, d in zip((self.gradient, self.hessian), out[1:]):
+            if own is None and d is not None and not np.isfinite(d).all():
+                raise NumericalError(f"non-finite probe of {self.label!r}")
+        return out
+
     def value_at(self, xi) -> float:
         return float(np.asarray(self.value(np.asarray(xi, dtype=float))))
 
-    def _fd_step(self, xi: np.ndarray) -> float:
-        return 1e-5 * (1.0 + float(np.linalg.norm(xi)))
-
     def gradient_at(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if self.gradient is not None:
-            return np.asarray(self.gradient(xi), dtype=float)
-        h = self._fd_step(xi)
-        n = xi.size
-        probes = np.repeat(xi[None], 2 * n, axis=0)
-        probes[:n] += h * np.eye(n)
-        probes[n:] -= h * np.eye(n)
-        vals = np.asarray(self.value(probes), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError(f"non-finite probe near {xi!r}")
-        return (vals[:n] - vals[n:]) / (2.0 * h)
+        return self.evaluate(np.asarray(xi, dtype=float)[None])[1][0]
 
     def hessian_at(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if self.hessian is not None:
-            return np.asarray(self.hessian(xi), dtype=float)
-        h = self._fd_step(xi)
-        n = xi.size
-        eye = np.eye(n)
-        H = np.empty((n, n))
-        v0 = self.value_at(xi)
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    vp = self.value_at(xi + h * eye[i])
-                    vm = self.value_at(xi - h * eye[i])
-                    H[i, i] = (vp - 2.0 * v0 + vm) / h**2
-                else:
-                    vpp = self.value_at(xi + h * (eye[i] + eye[j]))
-                    vpm = self.value_at(xi + h * (eye[i] - eye[j]))
-                    vmp = self.value_at(xi - h * (eye[i] - eye[j]))
-                    vmm = self.value_at(xi - h * (eye[i] + eye[j]))
-                    H[i, j] = H[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * h**2)
-        if not np.all(np.isfinite(H)):
-            raise NumericalError(f"non-finite Hessian probe near {xi!r}")
-        return H
+        return self.evaluate(np.asarray(xi, dtype=float)[None],
+                             hessian=True)[2][0]
 
     def without_derivatives(self) -> "SizeFunction":
         """Finite-difference-only copy, for derivative cross-checks."""
@@ -137,22 +115,23 @@ class DissipationCertificate:
             raise ValueError("scNSS certificate needs a finite covariance cap d")
 
 
-def generator_apply(V: SizeFunction, model: DiffusionModel, xi,
-                    Theta: np.ndarray) -> float:
-    """Generator of the model's diffusion with noise transform Theta at xi."""
-    xi = np.asarray(xi, dtype=float)
+def generator_apply(V: SizeFunction, model: DiffusionModel, states,
+                    Theta: np.ndarray) -> np.ndarray:
+    """Generator of the model's diffusion with noise transform Theta on an
+    (S, n) batch of states (one state may be passed as a vector); (S,)."""
+    x = np.asarray(states, dtype=float).reshape(-1, model.state_dim)
     Theta = np.atleast_2d(np.asarray(Theta, dtype=float))
     if Theta.shape != (model.noise_dim, model.noise_dim):
         raise ValueError(f"Theta must be {model.noise_dim}x{model.noise_dim}")
-    grad = V.gradient_at(xi)
-    drift_term = float(grad @ model.drift_at(xi))
-    if not np.any(Theta):
+    noisy = bool(np.any(Theta))
+    _, grads, H = V.evaluate(x, hessian=noisy)
+    drift_term = np.einsum("si,si->s", grads, np.asarray(model.drift(x)))
+    if not noisy:
         return drift_term
-    g = model.diffusion_at(xi)
-    H = V.hessian_at(xi)
-    gt = g @ Theta
-    noise_term = 0.5 * float(np.trace(gt.T @ H @ gt))
-    return drift_term + noise_term
+    g = (np.broadcast_to(np.eye(model.state_dim), H.shape)
+         if model.diffusion is None else np.asarray(model.diffusion(x)))
+    gt = g @ Theta  # (S, n, m)
+    return drift_term + 0.5 * np.einsum("sim,sij,sjm->s", gt, H, gt)
 
 
 def default_state_samples(equilibrium, count: int = 1000,
@@ -194,6 +173,7 @@ def check_dissipation(V: SizeFunction, model: DiffusionModel,
     of the certificate with the witness list filled, sorted by excess.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
+    decay = -np.asarray(cert.alpha(V.value(states)), dtype=float)
     violations = []
     for Theta in thetas:
         Theta = np.atleast_2d(np.asarray(Theta, dtype=float))
@@ -201,12 +181,11 @@ def check_dissipation(V: SizeFunction, model: DiffusionModel,
         if cert.kind == "scNSS" and s >= cert.d:
             raise DomainViolation(
                 f"Theta intensity {s:g} >= scNSS cap d={cert.d:g}")
-        gam = float(cert.gamma(s))
-        for xi in states:
-            lhs = generator_apply(V, model, xi, Theta)
-            rhs = -float(cert.alpha(V.value_at(xi))) + gam
-            if lhs > rhs + tol * (1.0 + abs(rhs)):
-                violations.append((xi.copy(), Theta.copy(), lhs, rhs))
+        lhs = generator_apply(V, model, states, Theta)
+        rhs = decay + float(cert.gamma(s))
+        bad = lhs > rhs + tol * (1.0 + np.abs(rhs))
+        violations += zip(states[bad], [Theta.copy()] * int(bad.sum()),
+                          lhs[bad].tolist(), rhs[bad].tolist())
     violations.sort(key=lambda w: (w[3] - w[2], tuple(w[0])))
     return replace(cert, violations=violations)
 

@@ -5,17 +5,18 @@ classic PL modulus, and logistic regression with a numerically stable
 loss, nonseparability decision by linear programming, smoothness
 constants, and an empirical direction-uniform K-PL envelope.
 
-Conventions: objective values are vectorized over leading axes; gradients
-accept a (B, n) batch and return (B, n); analytic Hessians take one point.
-:meth:`Objective.evaluate` is the batch-first oracle that returns all
-three for a batch, with the only finite-difference Hessian fallback.
+Conventions: every oracle is batch-first.  Values map a (B, n) batch to
+(B,) (and are vectorized over any leading axes), gradients to (B, n) and
+Hessians to (B, n, n).  :func:`_batch_derivatives` is the one routine
+behind :meth:`Objective.evaluate` and :meth:`lyapcert.SizeFunction.evaluate`;
+it fills in any missing derivative by central differences.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -39,26 +40,76 @@ class PLEnvelope:
             raise ValueError(f"unknown envelope kind {self.kind!r}")
 
 
+def _stencil(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probe rows [z; z + h e_i; z - h e_i] of a (B, n) batch, and the
+    per-row steps h = 1e-5 (1 + |z|)."""
+    n = z.shape[1]
+    # one norm per row: an axis=1 norm can round differently
+    steps = np.array([1e-5 * (1.0 + float(np.linalg.norm(zi))) for zi in z])
+    shift = steps[:, None, None] * np.eye(n)  # (B, i, n)
+    return np.concatenate([z, (z[:, None] + shift).reshape(-1, n),
+                           (z[:, None] - shift).reshape(-1, n)]), steps
+
+
+def _central(f: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Central differences of f on the rows of :func:`_stencil`, as
+    (B, i, ...) with axis 1 the direction e_i."""
+    B = steps.size
+    n = (len(f) - B) // (2 * B)
+    plus = f[B:B + B * n].reshape(B, n, *f.shape[1:])
+    minus = f[B + B * n:].reshape(B, n, *f.shape[1:])
+    return (plus - minus) / (2.0 * steps).reshape(B, *[1] * f.ndim)
+
+
+def _batch_derivatives(z, hessian: bool, value, gradient=None, hess=None,
+                       value_and_gradient=None):
+    """(values (B,), gradients (B, n), Hessians (B, n, n) or None) of a
+    (B, n) batch from whichever oracles exist.
+
+    A missing gradient is the central difference of the values and a
+    missing Hessian the symmetrized central difference of the gradients,
+    both with the per-row step of :func:`_stencil`; the probe rows of the
+    whole batch go through one call of the next-lower oracle (one joint
+    call when ``value_and_gradient`` is given).  With both derivatives
+    missing the stencil nests, still in one value call.  When the oracles
+    compute each row independently of the rest of the batch, as the LQR
+    one does, the results equal the per-point formulas bit for bit.
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    B = len(z)
+    fd = hessian and hess is None
+    rows, steps = _stencil(z) if fd else (z, None)
+    if value_and_gradient is not None:
+        values, grads = value_and_gradient(rows)
+        values = np.asarray(values, dtype=float)[:B]
+    elif gradient is not None:
+        values = np.asarray(value(z), dtype=float)
+        grads = gradient(rows)
+    else:
+        probes, h = _stencil(rows)
+        vals = np.asarray(value(probes), dtype=float)
+        values, grads = vals[:B], _central(vals, h)
+    grads = np.asarray(grads, dtype=float)
+    if not hessian:
+        return values, grads, None
+    if not fd:
+        return values, grads, np.asarray(hess(z), dtype=float)
+    # H[b][:, i] is the difference quotient along e_i
+    H = np.swapaxes(_central(grads, steps), 1, 2)
+    return values, grads[:B], 0.5 * (H + np.swapaxes(H, 1, 2))
+
+
 @dataclass(frozen=True)
 class Objective:
     """Value/gradient/Hessian oracle with known or estimated optimum.
 
-    ``value`` is vectorized over leading axes, ``gradient`` maps a (B, n)
-    batch to (B, n) and ``hessian`` takes one point.  ``value_and_gradient``
-    optionally computes both for a (B, n) batch in one joint call and
-    returns ((B,), (B, n)).  ``global_lipschitz`` is the gradient
-    Lipschitz constant when known.
-
-    :meth:`evaluate` is the batch-first oracle: for a (B, n) batch it
-    returns values (B,), gradients (B, n) and, on request, Hessians
-    (B, n, n).  With ``hessian=None`` the Hessians are central differences
-    of the gradient with step h = 1e-5 (1 + |z|): the rows
-    [z; z + h e_i; z - h e_i] of the whole batch go through one gradient
-    call (one joint call when ``value_and_gradient`` is set), and the
-    result is symmetrized.  This is the only finite-difference fallback;
-    :meth:`hessian_at` is its one-point view.  When the oracles compute
-    each row independently of the rest of the batch, as the LQR one does,
-    the results equal the per-point formulas bit for bit.
+    ``value``, ``gradient`` and ``hessian`` map a (B, n) batch to (B,),
+    (B, n) and (B, n, n); ``value`` is also vectorized over other leading
+    axes.  ``value_and_gradient`` optionally computes both in one joint
+    call.  ``global_lipschitz`` is the gradient Lipschitz constant when
+    known.  :meth:`evaluate` returns all three for a batch; with
+    ``hessian=None`` its Hessians are the central differences of
+    :func:`_batch_derivatives`.  The ``*_at`` methods are one-point views.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -76,33 +127,8 @@ class Objective:
 
     def evaluate(self, z, hessian: bool = False):
         """(values, gradients, Hessians or None) for a (B, dim) batch."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        B, n = z.shape
-        fd = hessian and self.hessian is None
-        rows = z
-        if fd:
-            steps = np.array([1e-5 * (1.0 + float(np.linalg.norm(zi)))
-                              for zi in z])
-            shift = steps[:, None, None] * np.eye(n)  # (B, i, n)
-            rows = np.concatenate([z, (z[:, None] + shift).reshape(-1, n),
-                                   (z[:, None] - shift).reshape(-1, n)])
-        if self.value_and_gradient is not None:
-            values, grads = self.value_and_gradient(rows)
-            values = np.asarray(values, dtype=float)[:B]
-        else:
-            values = np.asarray(self.value(z), dtype=float)
-            grads = self.gradient(rows)
-        grads = np.asarray(grads, dtype=float)
-        if not hessian:
-            return values, grads, None
-        if not fd:
-            return values, grads, np.array(
-                [np.asarray(self.hessian(zi), dtype=float) for zi in z])
-        plus = grads[B:B + B * n].reshape(B, n, n)
-        minus = grads[B + B * n:].reshape(B, n, n)
-        # H[b][:, i] is the difference quotient along e_i
-        H = np.swapaxes((plus - minus) / (2.0 * steps)[:, None, None], 1, 2)
-        return values, grads[:B], 0.5 * (H + np.swapaxes(H, 1, 2))
+        return _batch_derivatives(z, hessian, self.value, self.gradient,
+                                  self.hessian, self.value_and_gradient)
 
     def value_at(self, z) -> float:
         return float(np.asarray(self.value(np.asarray(z, dtype=float))))
@@ -111,13 +137,10 @@ class Objective:
         return np.asarray(self.gradient(np.asarray(z, dtype=float)[None]))[0]
 
     def hessian_at(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+        z = np.asarray(z, dtype=float)[None]
         if self.hessian is not None:
-            return np.asarray(self.hessian(z), dtype=float)
-        return self.evaluate(z[None], hessian=True)[2][0]
-
-    def suboptimality(self, z) -> float:
-        return self.value_at(z) - self.optimum_value
+            return np.asarray(self.hessian(z), dtype=float)[0]
+        return self.evaluate(z, hessian=True)[2][0]
 
     def in_domain(self, z) -> bool:
         if self.domain_test is None:
@@ -157,7 +180,7 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray,
                      construction=f"analytic, c = 2 lambda_min = {c_pl:g}")
     return Objective(value=value, gradient=gradient, dim=A.shape[0],
                      optimum_value=offset, minimizer=zstar,
-                     hessian=lambda z: A.copy(),
+                     hessian=lambda z: np.repeat(A[None], len(z), axis=0),
                      global_lipschitz=float(w.max()), envelope=env,
                      label="quadratic")
 
@@ -209,10 +232,15 @@ def logistic_gradient(model: LogisticModel, theta) -> np.ndarray:
 
 
 def logistic_hessian(model: LogisticModel, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    p = expit(theta @ model.X)
+    """Hessians (..., n, n) at theta (..., n).
+
+    Stacked matmuls keep every row's logits and product independent of
+    the batch, so a batch equals its rows bit for bit.
+    """
+    theta = np.asarray(theta, dtype=float)
+    p = expit(np.matmul(theta[..., None, :], model.X)[..., 0, :])
     lam = p * (1.0 - p)
-    return (model.X * lam) @ model.X.T / model.n_samples
+    return np.matmul(model.X * lam[..., None, :], model.X.T) / model.n_samples
 
 
 def logistic_lipschitz_constant(model: LogisticModel) -> float:

@@ -24,7 +24,7 @@ matmul's +0.0 accumulator, which turns a -0.0 product into +0.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,19 +68,6 @@ class DiffusionModel:
                 if g_eq.shape != (1, self.state_dim, self.noise_dim):
                     raise ValueError(f"diffusion output shape {g_eq.shape} != "
                                      f"(1, {self.state_dim}, {self.noise_dim})")
-
-    def drift_at(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.drift(np.asarray(x, dtype=float)[None]))[0]
-
-    def diffusion_at(self, x: np.ndarray) -> np.ndarray:
-        if self.diffusion is None:
-            return np.eye(self.state_dim)
-        return np.asarray(self.diffusion(np.asarray(x, dtype=float)[None]))[0]
-
-    def in_domain(self, x: np.ndarray) -> bool:
-        if self.domain_test is None:
-            return True
-        return bool(np.asarray(self.domain_test(np.asarray(x, dtype=float)[None]))[0])
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ def test_generator_exact_on_quadratic_and_matches_finite_differences():
     for _ in range(1000):
         z = 3.0 * rng.standard_normal(n)
         s = rng.uniform(0.0, 2.0)
-        got = generator_apply(V, model, z, s * np.eye(n))
+        got = generator_apply(V, model, z, s * np.eye(n))[0]
         want = -float(z @ z) + 0.5 * n * s**2
         worst = max(worst, abs(got - want) / (1.0 + abs(want)))
     assert worst <= 1e-10
@@ -127,8 +127,8 @@ def test_generator_exact_on_quadratic_and_matches_finite_differences():
             x = rng.standard_normal(dim)
             s = rng.uniform(0.1, 1.0)
             Theta = s * np.eye(model.noise_dim)
-            a = generator_apply(V, model, x, Theta)
-            b = generator_apply(fd, model, x, Theta)
+            a = generator_apply(V, model, x, Theta)[0]
+            b = generator_apply(fd, model, x, Theta)[0]
             worst_fd = max(worst_fd, abs(a - b) / (1.0 + abs(a)))
     assert worst_fd <= 1e-4
     _report("generator-exactness",

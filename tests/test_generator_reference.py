@@ -1,0 +1,408 @@
+"""The batched generator, size-function derivatives and dissipation check
+against the per-point code they replaced.
+
+The reference below is the earlier one-state implementation, kept
+verbatim: the ``SizeFunction`` with one-point derivative callables and its
+finite differences, ``generator_apply`` and the inner loop of
+``check_dissipation``, and the per-point derivative formulas of the four
+shipped size functions.  Only the deleted ``DiffusionModel.drift_at`` and
+``diffusion_at`` views became the module functions of the same names.
+"""
+
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+import pytest
+
+from nsslab import lyapcert
+from nsslab.compfun import K, KINF, ScalarClassFunction
+from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
+                             build_overdamped, build_smoothness_ladder,
+                             build_underdamped, half_norm_squared,
+                             objective_size_function, phi_functions,
+                             v2_size_function, v3_size_function)
+from nsslab.lyapcert import (DissipationCertificate, NumericalError,
+                             SizeFunction, check_dissipation,
+                             default_state_samples, default_theta_samples,
+                             generator_apply)
+from nsslab.objectives import (load_logistic_csv, logistic_objective,
+                               quadratic_objective)
+from nsslab.sde import DiffusionModel
+
+
+DATASET = Path(__file__).resolve().parent.parent / "configs" / "logistic_demo.csv"
+
+
+# ---------------------------------------------------------------- reference
+
+@dataclass(frozen=True)
+class ReferenceSizeFunction:
+    """Positive definite coercive scalar of the state with derivatives.
+
+    ``value`` must be vectorized over leading axes; ``gradient`` and
+    ``hessian`` take one state and default to central differences with
+    step 1e-5 * (1 + |xi|).
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None
+    label: str = ""
+
+    def value_at(self, xi) -> float:
+        return float(np.asarray(self.value(np.asarray(xi, dtype=float))))
+
+    def _fd_step(self, xi: np.ndarray) -> float:
+        return 1e-5 * (1.0 + float(np.linalg.norm(xi)))
+
+    def gradient_at(self, xi) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        if self.gradient is not None:
+            return np.asarray(self.gradient(xi), dtype=float)
+        h = self._fd_step(xi)
+        n = xi.size
+        probes = np.repeat(xi[None], 2 * n, axis=0)
+        probes[:n] += h * np.eye(n)
+        probes[n:] -= h * np.eye(n)
+        vals = np.asarray(self.value(probes), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError(f"non-finite probe near {xi!r}")
+        return (vals[:n] - vals[n:]) / (2.0 * h)
+
+    def hessian_at(self, xi) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        if self.hessian is not None:
+            return np.asarray(self.hessian(xi), dtype=float)
+        h = self._fd_step(xi)
+        n = xi.size
+        eye = np.eye(n)
+        H = np.empty((n, n))
+        v0 = self.value_at(xi)
+        for i in range(n):
+            for j in range(i, n):
+                if i == j:
+                    vp = self.value_at(xi + h * eye[i])
+                    vm = self.value_at(xi - h * eye[i])
+                    H[i, i] = (vp - 2.0 * v0 + vm) / h**2
+                else:
+                    vpp = self.value_at(xi + h * (eye[i] + eye[j]))
+                    vpm = self.value_at(xi + h * (eye[i] - eye[j]))
+                    vmp = self.value_at(xi - h * (eye[i] - eye[j]))
+                    vmm = self.value_at(xi - h * (eye[i] + eye[j]))
+                    H[i, j] = H[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * h**2)
+        if not np.all(np.isfinite(H)):
+            raise NumericalError(f"non-finite Hessian probe near {xi!r}")
+        return H
+
+
+def drift_at(model, x):
+    return np.asarray(model.drift(np.asarray(x, dtype=float)[None]))[0]
+
+
+def diffusion_at(model, x):
+    if model.diffusion is None:
+        return np.eye(model.state_dim)
+    return np.asarray(model.diffusion(np.asarray(x, dtype=float)[None]))[0]
+
+
+def reference_generator_apply(V, model, xi, Theta) -> float:
+    """Generator of the model's diffusion with noise transform Theta at xi."""
+    xi = np.asarray(xi, dtype=float)
+    Theta = np.atleast_2d(np.asarray(Theta, dtype=float))
+    if Theta.shape != (model.noise_dim, model.noise_dim):
+        raise ValueError(f"Theta must be {model.noise_dim}x{model.noise_dim}")
+    grad = V.gradient_at(xi)
+    drift_term = float(grad @ drift_at(model, xi))
+    if not np.any(Theta):
+        return drift_term
+    g = diffusion_at(model, xi)
+    H = V.hessian_at(xi)
+    gt = g @ Theta
+    noise_term = 0.5 * float(np.trace(gt.T @ H @ gt))
+    return drift_term + noise_term
+
+
+def reference_violations(V, model, cert, states, thetas, tol=1e-8):
+    """The witness loop of check_dissipation, sorted the same way."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    violations = []
+    for Theta in thetas:
+        Theta = np.atleast_2d(np.asarray(Theta, dtype=float))
+        s = float(np.linalg.norm(Theta @ Theta.T, 2))
+        gam = float(cert.gamma(s))
+        for xi in states:
+            lhs = reference_generator_apply(V, model, xi, Theta)
+            rhs = -float(cert.alpha(V.value_at(xi))) + gam
+            if lhs > rhs + tol * (1.0 + abs(rhs)):
+                violations.append((xi.copy(), Theta.copy(), lhs, rhs))
+    violations.sort(key=lambda w: (w[3] - w[2], tuple(w[0])))
+    return violations
+
+
+def reference_third_derivative_contraction(obj, z, v):
+    """d/dz of (hess J(z) v) by central differences along v."""
+    vn = np.linalg.norm(v)
+    if vn == 0.0:
+        return np.zeros((z.size, z.size))
+    eps = 1e-5 * (1.0 + np.linalg.norm(z)) / vn
+    return (obj.hessian_at(z + eps * v) - obj.hessian_at(z - eps * v)) / (2.0 * eps)
+
+
+def reference_objective_size_function(obj, V):
+    return ReferenceSizeFunction(
+        value=V.value,
+        gradient=lambda z: obj.gradient_at(z),
+        hessian=lambda z: obj.hessian_at(z))
+
+
+def reference_half_norm_squared(V, center):
+    return ReferenceSizeFunction(
+        value=V.value, gradient=lambda x: np.asarray(x, dtype=float) - center,
+        hessian=lambda x: np.eye(np.asarray(x).shape[-1]))
+
+
+def reference_v2_size_function(config, V):
+    obj = config.objective
+    lam1, lam2, _ = config.lambdas
+    n = obj.dim
+
+    def gradient(x):
+        z, v = x[:n], x[n:]
+        g = obj.gradient_at(z)
+        H = obj.hessian_at(z)
+        return np.concatenate([g + lam1 * H @ v, lam1 * g + lam2 * v])
+
+    def hessian(x):
+        z, v = x[:n], x[n:]
+        H = obj.hessian_at(z)
+        zz = H + lam1 * reference_third_derivative_contraction(obj, z, v)
+        top = np.hstack([zz, lam1 * H])
+        bot = np.hstack([lam1 * H, lam2 * np.eye(n)])
+        return np.vstack([top, bot])
+
+    return ReferenceSizeFunction(value=V.value, gradient=gradient,
+                                 hessian=hessian)
+
+
+def reference_v3_size_function(config, V):
+    obj = config.objective
+    phi = config.phi
+    n = obj.dim
+    p2pp = np.gradient(phi.phi2p_vals, phi.h_fine)
+
+    def gradient(x):
+        z, v = x[:n], x[n:]
+        g = obj.gradient_at(z)
+        H = obj.hessian_at(z)
+        h = obj.value_at(z) - obj.optimum_value
+        return np.concatenate([float(phi.phi2_prime(h)) * g + H @ v,
+                               g + 2.0 * v])
+
+    def hessian(x):
+        z, v = x[:n], x[n:]
+        g = obj.gradient_at(z)
+        H = obj.hessian_at(z)
+        h = obj.value_at(z) - obj.optimum_value
+        p2p = float(phi.phi2_prime(h))
+        p2dd = float(np.interp(h, phi.h_fine, p2pp))
+        zz = p2dd * np.outer(g, g) + p2p * H \
+            + reference_third_derivative_contraction(obj, z, v)
+        top = np.hstack([zz, H])
+        bot = np.hstack([H, 2.0 * np.eye(n)])
+        return np.vstack([top, bot])
+
+    return ReferenceSizeFunction(value=V.value, gradient=gradient,
+                                 hessian=hessian)
+
+
+# -------------------------------------------------------------------- cases
+
+def quadratic():
+    A = np.array([[2.0, 0.3], [0.3, 1.0]])
+    return quadratic_objective(A, np.array([0.5, -1.0]))
+
+
+def logistic():
+    # a Hessian that varies with z, so the third-derivative term is nonzero
+    return logistic_objective(load_logistic_csv(str(DATASET)))
+
+
+def shipped_cases(obj):
+    """(name, batched V, reference V, model) for the four size functions."""
+    ocfg = OverdampedConfig(objective=obj)
+    ucfg = UnderdampedConfig(objective=obj, eta=1.0, c=1.0)
+    ladder = build_smoothness_ladder(obj, h_max=100.0)
+    scfg = UnderdampedConfig(objective=obj, mode="scheduled",
+                             phi=phi_functions(ladder))
+    sub = objective_size_function(obj)
+    half = half_norm_squared(center=obj.minimizer)
+    v2 = v2_size_function(ucfg)
+    v3 = v3_size_function(scfg)
+    return [
+        ("suboptimality", sub, reference_objective_size_function(obj, sub),
+         build_overdamped(ocfg)),
+        ("half-norm", half, reference_half_norm_squared(half, obj.minimizer),
+         build_overdamped(ocfg)),
+        ("V2", v2, reference_v2_size_function(ucfg, v2),
+         build_underdamped(ucfg)),
+        ("V3", v3, reference_v3_size_function(scfg, v3),
+         build_underdamped(scfg)),
+    ]
+
+
+# -------------------------------------------------------------------- tests
+
+@pytest.fixture(scope="module", params=[quadratic, logistic],
+                ids=["quadratic", "logistic"])
+def cases(request):
+    return shipped_cases(request.param())
+
+
+@pytest.mark.parametrize("B", [1, 7, 999])
+def test_batched_generator_matches_per_point_reference(cases, B):
+    rng = np.random.default_rng(B)
+    for name, V, ref, model in cases:
+        states = default_state_samples(model.equilibrium, count=999,
+                                       seed=B)[:B]
+        for Theta in (0.8 * np.eye(model.noise_dim),
+                      rng.standard_normal((model.noise_dim,) * 2)):
+            got = generator_apply(V, model, states, Theta)
+            want = np.array([reference_generator_apply(ref, model, xi, Theta)
+                             for xi in states])
+            assert got.shape == (B,)
+            rel = np.abs(got - want) / np.abs(want)
+            assert rel.max() <= 1e-12, name
+
+
+def test_batched_derivatives_match_per_point_reference(cases):
+    for name, V, ref, model in cases:
+        states = default_state_samples(model.equilibrium, count=99, seed=4)
+        _, grads, hess = V.evaluate(states, hessian=True)
+        for xi, g, H in zip(states, grads, hess):
+            g_ref, H_ref = ref.gradient_at(xi), ref.hessian_at(xi)
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.abs(g_ref).max()
+            assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.abs(H_ref).max()
+
+
+def test_zero_theta_skips_the_noise_term(cases):
+    _, V, ref, model = cases[2]
+    states = default_state_samples(model.equilibrium, count=30, seed=5)
+    Theta = np.zeros((model.noise_dim,) * 2)
+    got = generator_apply(V, model, states, Theta)
+    want = [reference_generator_apply(ref, model, xi, Theta) for xi in states]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_fd_gradient_is_the_reference_fd_gradient(cases):
+    # the value-only stencil is the reference one, row for row
+    for name, V, _, _ in cases:
+        dim = 4 if name in ("V2", "V3") else 2
+        states = default_state_samples(np.zeros(dim), count=30, seed=6)
+        fd = V.without_derivatives()
+        ref = ReferenceSizeFunction(value=V.value)
+        grads = fd.evaluate(states)[1]
+        for xi, g in zip(states, grads):
+            assert np.array_equal(g, ref.gradient_at(xi)), name
+
+
+def test_fd_hessian_near_reference_and_analytic(cases):
+    # nested central differences of the values, one value call per batch;
+    # unit-scale states, as past the ladder's h_max phi2 is flat
+    for name, V, _, _ in cases:
+        dim = 4 if name in ("V2", "V3") else 2
+        states = np.random.default_rng(7).standard_normal((30, dim))
+        H = V.without_derivatives().evaluate(states, hessian=True)[2]
+        H_an = V.evaluate(states, hessian=True)[2]
+        ref = ReferenceSizeFunction(value=V.value)
+        H_ref = np.array([ref.hessian_at(xi) for xi in states])
+        assert np.allclose(H, np.swapaxes(H, 1, 2), rtol=0.0, atol=0.0)
+        assert np.max(np.abs(H - H_an)) <= 1e-3, name
+        assert np.max(np.abs(H - H_ref)) <= 1e-3, name
+
+
+def half_square_reference():
+    return ReferenceSizeFunction(
+        value=lambda z: 0.5 * np.sum(np.square(z), axis=-1),
+        gradient=lambda z: np.asarray(z, dtype=float),
+        hessian=lambda z: np.eye(np.asarray(z).size))
+
+
+def linear_model(n=1):
+    return DiffusionModel(state_dim=n, noise_dim=n, drift=lambda z: -z,
+                          equilibrium=np.zeros(n), label="linear")
+
+
+def too_strong_certificate():
+    alpha = ScalarClassFunction(lambda r: 4.0 * np.asarray(r, float),
+                                KINF, description="4r")
+    gamma = ScalarClassFunction(lambda s: 0.5 * np.asarray(s, float), K,
+                                description="s/2")
+    return DissipationCertificate(alpha, gamma, "NSS")
+
+
+def test_witnesses_match_reference_loop():
+    V = half_norm_squared()
+    model = linear_model()
+    cert = too_strong_certificate()
+    states = default_state_samples(np.zeros(1), count=300)
+    thetas = default_theta_samples(1)
+    got = check_dissipation(V, model, cert, states, thetas).violations
+    want = reference_violations(half_square_reference(), model, cert, states,
+                                thetas)
+    assert len(got) == len(want) > 0
+    for (xi, Th, lhs, rhs), (xi_r, Th_r, lhs_r, rhs_r) in zip(got, want):
+        assert np.array_equal(xi, xi_r) and np.array_equal(Th, Th_r)
+        assert abs(lhs - lhs_r) <= 1e-12 * (1.0 + abs(lhs_r))
+        assert abs(rhs - rhs_r) <= 1e-12 * (1.0 + abs(rhs_r))
+        assert isinstance(lhs, float) and isinstance(rhs, float)
+
+
+# ------------------------------------------------------------- call counts
+
+def test_value_only_hessian_is_one_value_call():
+    calls = []
+
+    def value(x):
+        calls.append(np.shape(x))
+        return 0.5 * np.sum(np.square(x), axis=-1)
+
+    V = SizeFunction(value=value)
+    B, n = 5, 3
+    x = np.random.default_rng(8).standard_normal((B, n))
+    values, grads, hess = V.evaluate(x, hessian=True)
+    assert len(calls) == 1
+    assert calls[0] == (B * (1 + 2 * n) ** 2, n)
+    assert values.shape == (B,) and grads.shape == (B, n)
+    assert hess.shape == (B, n, n)
+    assert np.allclose(values, value(x))
+    assert np.allclose(grads, x, atol=1e-8)
+    assert np.allclose(hess, np.eye(n), atol=1e-4)
+
+
+def test_non_finite_probe_raises():
+    # V is NaN for x_0 < 0, so the probes at x - h e_0 are NaN
+    V = SizeFunction(value=lambda x: np.where(
+        x[..., 0] >= 0.0, np.sum(np.square(x), axis=-1), np.nan))
+    with pytest.raises(NumericalError):
+        V.evaluate(np.zeros((1, 2)))
+    with pytest.raises(NumericalError):
+        V.hessian_at(np.zeros(2))
+
+
+def test_one_generator_call_per_theta(monkeypatch):
+    batches = []
+    inner = lyapcert.generator_apply
+
+    def recording(V, model, states, Theta):
+        batches.append(np.shape(states))
+        return inner(V, model, states, Theta)
+
+    monkeypatch.setattr(lyapcert, "generator_apply", recording)
+    states = default_state_samples(np.zeros(1), count=300)
+    thetas = default_theta_samples(1)
+    out = check_dissipation(half_norm_squared(), linear_model(),
+                            too_strong_certificate(), states, thetas)
+    assert out.violations
+    assert batches == [states.shape] * len(thetas)

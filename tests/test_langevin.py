@@ -43,23 +43,23 @@ class TestBuilders:
     def test_overdamped_drift_is_negative_gradient(self):
         model = build_overdamped(OverdampedConfig(objective=quad()))
         z = np.array([1.0, -2.0])
-        assert np.allclose(model.drift_at(z), -z)
+        assert np.allclose(model.drift(z[None])[0], -z)
 
     def test_overdamped_eta_schedule_applied(self):
         cfg = OverdampedConfig(objective=quad(),
                                eta=lambda h: 1.0 + np.asarray(h))
         model = build_overdamped(cfg)
         z = np.array([1.0, 0.0])  # h = 0.5, eta = 1.5
-        assert np.allclose(model.drift_at(z), -1.5 * z)
+        assert np.allclose(model.drift(z[None])[0], -1.5 * z)
 
     def test_underdamped_block_structure(self):
         cfg = UnderdampedConfig(objective=quad(), eta=2.0, c=3.0)
         model = build_underdamped(cfg)
         x = np.array([1.0, 0.0, 0.5, -0.5])
-        drift = model.drift_at(x)
+        drift = model.drift(x[None])[0]
         assert np.allclose(drift[:2], x[2:])
         assert np.allclose(drift[2:], -2.0 * x[:2] - 3.0 * x[2:])
-        g = model.diffusion_at(x)
+        g = model.diffusion(x[None])[0]
         assert np.allclose(g[:2], 0.0)
         assert np.allclose(g[2:], np.eye(2))
 

@@ -17,7 +17,8 @@ from nsslab.sde import CovarianceSchedule, DiffusionModel, simulate_ensemble
 def half_square():
     return SizeFunction(value=lambda z: 0.5 * np.sum(np.square(z), axis=-1),
                         gradient=lambda z: np.asarray(z, dtype=float),
-                        hessian=lambda z: np.eye(np.asarray(z).size),
+                        hessian=lambda z: np.repeat(
+                            np.eye(z.shape[1])[None], len(z), axis=0),
                         label="|z|^2/2")
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from nsslab import sde
+from nsslab.langevin import half_norm_squared
+from nsslab.lyapcert import generator_apply
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
                         derive_path_seed, simulate_ensemble, simulate_path, sup_noise_intensity)
 
@@ -24,9 +26,19 @@ class TestDiffusionModel:
                            equilibrium=np.zeros(1), label="shifted")
 
     def test_identity_diffusion_default(self):
+        # with V = |x|^2/2 the noise term 1/2 tr(Theta^T g^T g Theta) is
+        # sigma^2 n / 2 = sigma^2 exactly when g is the 2x2 identity
         m = linear_model(n=2)
-        out = m.diffusion_at(np.array([1.0, 2.0]))
-        assert np.allclose(out, np.eye(2))
+        V = half_norm_squared()
+        x = np.array([[1.0, 2.0], [-0.5, 0.0], [0.0, 0.0]])
+        Theta = np.array([[0.3, 0.0], [0.0, 0.3]])
+        out = generator_apply(V, m, x, Theta)
+        assert np.allclose(out, -np.sum(x * x, axis=1) + 0.09, rtol=0,
+                           atol=1e-15)
+        skew = np.array([[0.3, 0.4], [-0.1, 0.2]])
+        out = generator_apply(V, m, x, skew)
+        assert np.allclose(out, -np.sum(x * x, axis=1)
+                           + 0.5 * np.sum(skew * skew), rtol=0, atol=1e-15)
 
 
 class TestCovarianceSchedule:
