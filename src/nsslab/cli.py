@@ -330,7 +330,8 @@ def _exp_lqr_po_overdamped(cfg, out, seed):
                         store_every=_get(cfg, "mc", "store_every", int, "20"))
     bracket = scnss_threshold_scan(exp)
     _write_gain_curve(out / "gain_curve.csv", bracket.curve)
-    lines.append(("blowup-onset", True, bracket.describe()))
+    lines.append(("blowup-onset", bracket.upper_onset_detected,
+                  bracket.describe()))
     lines.append(("bottom-grid-stable",
                   bool(bracket.curve.blowup_fractions[0] <= 0.01),
                   f"blow-up fractions "

@@ -132,7 +132,9 @@ def _scheduled_terms(config: UnderdampedConfig, z: np.ndarray):
     """(c(z), eta(z), grad J(z)) from one batched oracle evaluation."""
     obj = config.objective
     values, grads, hessians = obj.evaluate(z, hessian=True)
-    c = 0.5 * np.linalg.norm(hessians, 2, axis=(1, 2)) + 0.5
+    # the spectral norm of each Hessian: what norm(H, 2, axis=(1, 2))
+    # computes, without its axis handling
+    c = 0.5 * np.linalg.svd(hessians, compute_uv=False).max(axis=1) + 0.5
     eta = 0.5 * (config.phi.phi2_prime(values - obj.optimum_value) - c)
     return c, eta, grads
 
@@ -462,10 +464,14 @@ def v3_size_function(config: UnderdampedConfig,
         h, cross, vv = _mixed_terms(obj, x)
         return phi.phi2(h) + cross + vv
 
+    def phi2_slope(h):
+        # value clamps h at h_max, so phi2 is flat past it
+        return np.where(h > phi.h_max, 0.0, phi.phi2_prime(h))
+
     def gradient(x):
         z, v = x[:, :n], x[:, n:]
         values, g, H = obj.evaluate(z, hessian=True)
-        p2p = phi.phi2_prime(values - obj.optimum_value)
+        p2p = phi2_slope(values - obj.optimum_value)
         Hv = np.einsum("bij,bj->bi", H, v)
         return np.concatenate([p2p[:, None] * g + Hv, g + 2.0 * v], axis=1)
 
@@ -473,8 +479,9 @@ def v3_size_function(config: UnderdampedConfig,
         z, v = x[:, :n], x[:, n:]
         values, g, H = obj.evaluate(z, hessian=True)
         h = values - obj.optimum_value
-        p2p = phi.phi2_prime(h)[:, None, None]
-        p2dd = np.interp(h, phi.h_fine, p2pp)[:, None, None]
+        p2p = phi2_slope(h)[:, None, None]
+        p2dd = np.where(h > phi.h_max, 0.0,
+                        np.interp(h, phi.h_fine, p2pp))[:, None, None]
         zz = p2dd * g[:, :, None] * g[:, None, :] + p2p * H \
             + _third_derivative_contraction(obj, z, v)
         return _mixed_blocks(zz, H, 2.0 * np.eye(n))

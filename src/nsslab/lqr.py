@@ -3,10 +3,13 @@
 The objective is J2(K) = trace(P_K) with P_K the closed-loop Lyapunov
 solution; its gradient is 2(RK - F^T P_K) Y_K.  The module ships one
 batched Kronecker Lyapunov solver, used both by the per-step gain
-statistics and by the Kleinman-Newton iteration to the Riccati solution,
-the analytic K-PL modulus mu5(h) = h/(b1 h + b2), the sublevel
-smoothness profile L3(h), and learning-rate schedules whose growth class
-decides NSS versus scNSS of the policy-gradient diffusion.
+statistics and by the Kleinman-Newton iteration to the Riccati solution.
+A gain batch builds its operator L = kron(A_cl^T, I) + kron(I, A_cl^T)
+once; the Y_K system's operator is L^T, so P_K and Y_K come from one
+stacked solve of [L; L^T].  The module also ships the analytic K-PL
+modulus mu5(h) = h/(b1 h + b2), the sublevel smoothness profile L3(h),
+and learning-rate schedules whose growth class decides NSS versus scNSS
+of the policy-gradient diffusion.
 
 Gain matrices are vectorized row-major into mn-dimensional states so the
 generic diffusion simulator can drive policy-gradient flow directly; the
@@ -76,31 +79,41 @@ class LqrProblem:
         return self.F.shape[1]
 
 
-def solve_lyapunov(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+def solve_lyapunov(A: np.ndarray, M: np.ndarray,
+                   N: np.ndarray | None = None):
     """P_b with A_b^T P_b + P_b A_b + M_b = 0 for (B, n, n) stacks A, M.
 
     Row-major vec turns the equation into the two-term operator
-    kron(A^T, I) + kron(I, A^T); the stacked dense solve is adequate for
-    desk scale (n <= 30).  The caller checks that every A_b is Hurwitz,
-    which makes each solution unique and symmetric.
+    L_b = kron(A_b^T, I) + kron(I, A_b^T); the stacked dense solve is
+    adequate for desk scale (n <= 30).  Given a second stack N (or one
+    n x n matrix for every b), the dual solutions Y_b of
+    A_b Y_b + Y_b A_b^T + N_b = 0 come from the same solve: their operator
+    kron(A_b, I) + kron(I, A_b) is L_b^T entry for entry (the two terms
+    trade places, and addition commutes), so [L; L^T] is solved once
+    against [-M; -N] and the pair (P, Y) is returned.  The caller checks
+    that every A_b is Hurwitz, which makes each solution unique and
+    symmetric.
     """
     nb, n = A.shape[:2]
     if n > 30:
         raise ValueError("dense Lyapunov solve capped at n = 30")
-    eye = np.broadcast_to(np.eye(n), (nb, n, n))
     AT = np.swapaxes(A, 1, 2)
-
-    def bkron(X, Z):
-        # kron(X_b, Z_b)[ki, lj] = X_b[k,l] Z_b[i,j]
-        return np.einsum("bkl,bij->bkilj", X, Z).reshape(nb, n * n, n * n)
-
+    eye = np.eye(n)
+    # L_b[ki, lj] = A_b[l, k] delta_ij + delta_kl A_b[j, i]
+    L = (np.einsum("bkl,ij->bkilj", AT, eye)
+         + np.einsum("kl,bij->bkilj", eye, AT)).reshape(nb, n * n, n * n)
+    rhs = M
+    if N is not None:
+        L = np.concatenate([L, np.swapaxes(L, 1, 2)])
+        rhs = np.empty((2 * nb, n, n))
+        rhs[:nb], rhs[nb:] = M, N
     try:
-        P = np.linalg.solve(bkron(AT, eye) + bkron(eye, AT),
-                            -M.reshape(nb, n * n)[..., None])
+        X = np.linalg.solve(L, -rhs.reshape(-1, n * n, 1))
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"singular Lyapunov operator: {exc}") from exc
-    P = P[..., 0].reshape(nb, n, n)
-    return 0.5 * (P + np.swapaxes(P, 1, 2))
+    X = X.reshape(-1, n, n)
+    X = 0.5 * (X + np.swapaxes(X, 1, 2))
+    return X if N is None else (X[:nb], X[nb:])
 
 
 @dataclass(frozen=True)
@@ -122,22 +135,21 @@ def _checked_solves(problem: LqrProblem, K: np.ndarray):
 
     Raises StabilityError for a gain outside the stabilizing set, and
     ConditioningError for a solve that misses the residual contract
-    |A^T P + P A + M|_F <= 1e-10 (|M|_F + |P|_F).
+    |A^T X + X A + M|_F <= 1e-10 (|M|_F + |X|_F), checked for P_K
+    (A = A_cl, M = Q + K^T R K) and for Y_K (A = A_cl^T, M = I).
     """
     Ks = K[None]
     A_cl = _closed_loop(problem, Ks)
     if not hurwitz_mask(A_cl)[0]:
         raise StabilityError("gain not stabilizing: closed loop not Hurwitz")
-    out = []
-    for A, M in _lyapunov_pairs(problem, Ks, A_cl):
-        X = solve_lyapunov(A, M)[0]
-        A, M = A[0], M[0]
+    M_P, eye = _cost_weight(problem, Ks), np.eye(problem.n)
+    P, Y = (X[0] for X in solve_lyapunov(A_cl, M_P, eye))
+    for A, M, X in ((A_cl[0], M_P[0], P), (A_cl[0].T, eye, Y)):
         res = np.linalg.norm(A.T @ X + X @ A + M, "fro")
         if res > 1e-10 * (np.linalg.norm(M, "fro") + np.linalg.norm(X, "fro")):
             raise ConditioningError(
                 f"Lyapunov residual {res:g} above contract")
-        out.append(X)
-    return out
+    return P, Y
 
 
 def solve_riccati(problem: LqrProblem,
@@ -256,22 +268,18 @@ def hurwitz_mask(A_cl: np.ndarray) -> np.ndarray:
     return A_cl[:, 0, 0] < -HURWITZ_MARGIN
 
 
-def _lyapunov_pairs(problem: LqrProblem, Ks: np.ndarray, A_cl: np.ndarray):
-    """The (A, M) stacks whose Lyapunov solutions are P_K and Y_K:
-    (A_cl, Q + K^T R K) and (A_cl^T, I)."""
-    M_P = problem.Q[None] + np.einsum("bmi,mk,bkj->bij", Ks, problem.R, Ks)
-    return ((A_cl, M_P),
-            (np.swapaxes(A_cl, 1, 2),
-             np.broadcast_to(np.eye(problem.n), A_cl.shape)))
+def _cost_weight(problem: LqrProblem, Ks: np.ndarray) -> np.ndarray:
+    """Q + K^T R K for a (B, m, n) gain stack: the M of the P_K solve."""
+    return problem.Q[None] + np.einsum("bmi,mk,bkj->bij", Ks, problem.R, Ks)
 
 
 def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
     """Cost and gradient over a batch of vectorized gains.
 
     Returns (hurwitz mask, costs, vectorized gradients); entries for
-    non-stabilizing gains are NaN.  All solves are stacked so the batch is
-    a single numpy pipeline, and every row goes through the same
-    per-matrix kernels whatever the batch holds.
+    non-stabilizing gains are NaN.  P_K and Y_K of the stabilizing rows
+    come from one stacked solve_lyapunov call, and every row goes through
+    the same per-matrix kernels whatever the batch holds.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     B = thetas.shape[0]
@@ -279,21 +287,25 @@ def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
     Ks = thetas.reshape(B, m, n)
     A_cl = _closed_loop(problem, Ks)
     ok = hurwitz_mask(A_cl)
+    all_ok = ok.all()
+    if not all_ok:
+        if not ok.any():
+            return ok, np.full(B, np.nan), np.full((B, m * n), np.nan)
+        Ks, A_cl = Ks[ok], A_cl[ok]
 
-    costs = np.full(B, np.nan)
-    grads = np.full((B, m * n), np.nan)
-    if not ok.any():
-        return ok, costs, grads
-
-    Kb = Ks[ok]
-    P, Y = (solve_lyapunov(A, M)
-            for A, M in _lyapunov_pairs(problem, Kb, A_cl[ok]))
+    P, Y = solve_lyapunov(A_cl, _cost_weight(problem, Ks), np.eye(n))
     G = 2.0 * np.einsum("bmi,bij->bmj",
-                        np.einsum("mk,bki->bmi", problem.R, Kb)
+                        np.einsum("mk,bki->bmi", problem.R, Ks)
                         - np.einsum("nm,bni->bmi", problem.F, P),
                         Y)
-    costs[ok] = np.trace(P, axis1=1, axis2=2)
-    grads[ok] = G.reshape(-1, m * n)
+    stable_costs = np.trace(P, axis1=1, axis2=2)
+    stable_grads = G.reshape(-1, m * n)
+    if all_ok:
+        return ok, stable_costs, stable_grads
+    costs = np.full(B, np.nan)
+    grads = np.full((B, m * n), np.nan)
+    costs[ok] = stable_costs
+    grads[ok] = stable_grads
     return ok, costs, grads
 
 

@@ -124,6 +124,29 @@ store_every = 10
         b = (out2 / "moments.csv").read_bytes()
         assert a != b
 
+    def test_missing_blowup_onset_fails(self, tmp_path, capsys):
+        # small intensities never reach the 50% blow-up fraction
+        extra = """
+[noise]
+sigmas = 0.01, 0.02
+
+[mc]
+N = 100
+dt = 1e-2
+T = 1
+master_seed = 3
+store_every = 10
+"""
+        cfg = write_config(tmp_path, "lqr-po-overdamped", extra)
+        out = tmp_path / "onset"
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert "FAIL blowup-onset: " in stdout
+        assert "no upper onset detected" in stdout
+        assert "PASS bottom-grid-stable" in stdout
+        summary = (out / "summary.txt").read_text()
+        assert summary.strip().endswith("FAIL overall")
+
     def test_unknown_experiment_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "bogus")
         assert run(cfg) == 2

@@ -6,7 +6,9 @@ verbatim: the ``SizeFunction`` with one-point derivative callables and its
 finite differences, ``generator_apply`` and the inner loop of
 ``check_dissipation``, and the per-point derivative formulas of the four
 shipped size functions.  Only the deleted ``DiffusionModel.drift_at`` and
-``diffusion_at`` views became the module functions of the same names.
+``diffusion_at`` views became the module functions of the same names, and
+V3's phi2 slope and curvature are 0 past the ladder's h_max, where its
+value is flat (the earlier formula kept the slope at the clamped h).
 """
 
 from dataclasses import dataclass
@@ -197,16 +199,16 @@ def reference_v3_size_function(config, V):
         g = obj.gradient_at(z)
         H = obj.hessian_at(z)
         h = obj.value_at(z) - obj.optimum_value
-        return np.concatenate([float(phi.phi2_prime(h)) * g + H @ v,
-                               g + 2.0 * v])
+        p2p = 0.0 if h > phi.h_max else float(phi.phi2_prime(h))
+        return np.concatenate([p2p * g + H @ v, g + 2.0 * v])
 
     def hessian(x):
         z, v = x[:n], x[n:]
         g = obj.gradient_at(z)
         H = obj.hessian_at(z)
         h = obj.value_at(z) - obj.optimum_value
-        p2p = float(phi.phi2_prime(h))
-        p2dd = float(np.interp(h, phi.h_fine, p2pp))
+        p2p = 0.0 if h > phi.h_max else float(phi.phi2_prime(h))
+        p2dd = 0.0 if h > phi.h_max else float(np.interp(h, phi.h_fine, p2pp))
         zz = p2dd * np.outer(g, g) + p2p * H \
             + reference_third_derivative_contraction(obj, z, v)
         top = np.hstack([zz, H])

@@ -1,6 +1,8 @@
 """Unit tests for the Langevin dynamics builders, smoothness ladders, and
 Lyapunov candidate triples."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,6 @@ class TestBuilders:
         assert np.allclose(g[2:], np.eye(2))
 
     def test_constant_mode_needs_lipschitz(self):
-        from dataclasses import replace
         obj = replace(quad(), global_lipschitz=None)
         with pytest.raises(ValueError):
             UnderdampedConfig(objective=obj)
@@ -157,6 +158,21 @@ class TestScheduledMode:
         c, eta = scheduled_coefficients(cfg, z)
         assert np.allclose(c, 1.0)  # |hess|/2 + 1/2 = 1 for A = I
         assert np.all(eta >= 1.0 - 1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_damping_is_the_spectral_norm_form(self, n):
+        # c(z) = |H(z)|_2 / 2 + 1/2 bit for bit as norm(H, 2, axis=(1, 2))
+        # gives it, on symmetric Hessian stacks that vary row to row
+        rng = np.random.default_rng(n)
+        S = rng.standard_normal((50, n, n)) \
+            * 10.0 ** rng.integers(-3, 4, size=(50, 1, 1))
+        H = S + np.swapaxes(S, 1, 2)
+        phi = phi_functions(build_smoothness_ladder(quad(n), h_max=100.0))
+        obj = replace(quad(n), hessian=lambda z: H)
+        cfg = UnderdampedConfig(objective=obj, mode="scheduled", phi=phi)
+        c, _ = scheduled_coefficients(cfg, rng.standard_normal((50, n)))
+        want = 0.5 * np.linalg.norm(H, 2, axis=(1, 2)) + 0.5
+        assert np.array_equal(c, want)
 
     def test_scheduled_needs_phi(self):
         with pytest.raises(ValueError):
@@ -263,6 +279,20 @@ class TestSizeFunctions:
         assert np.max(np.abs(V.gradient_at(x) - fd.gradient_at(x))) <= 1e-4
         assert np.max(np.abs(V.hessian_at(x) - fd.hessian_at(x))) <= 1e-3
 
+    def test_v3_derivatives_match_fd_past_h_max(self):
+        # phi2 is flat past h_max (h = 1250 and 1334.5 here), so the
+        # derivatives must drop its slope and curvature there too
+        obj = quad()
+        phi = phi_functions(build_smoothness_ladder(obj, h_max=1000.0))
+        V = v3_size_function(UnderdampedConfig(objective=obj,
+                                               mode="scheduled", phi=phi))
+        fd = V.without_derivatives()
+        for x in ([0.7, -0.4, 0.2, 0.1], [20.0, 30.0, 0.5, -0.5],
+                  [40.0, 30.0, 0.5, -0.5], [-35.0, 38.0, -1.0, 2.0]):
+            x = np.array(x)
+            assert np.max(np.abs(V.gradient_at(x) - fd.gradient_at(x))) <= 1e-4
+            assert np.max(np.abs(V.hessian_at(x) - fd.hessian_at(x))) <= 1e-3
+
 
 class TestCertificates:
     def test_overdamped_quadratic_nss_clean(self):
@@ -280,7 +310,6 @@ class TestCertificates:
                                  R=np.eye(1))
         profile = lqr.solve_riccati(problem, K0=np.array([[2.0]]))
         obj = lqr.lqr_objective(problem, profile)
-        from dataclasses import replace
         obj = replace(obj, global_lipschitz=float(
             lqr.smoothness_profile_L3(profile, problem, 10.0)))
         cfg = OverdampedConfig(objective=obj, K_G=1.0)

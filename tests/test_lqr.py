@@ -121,16 +121,29 @@ class TestLyapunovSolve:
                                                        M[b:b + 1])[0])
         assert np.array_equal(P, np.swapaxes(P, 1, 2))
 
+    def test_dual_stack_solves_the_transposed_system(self):
+        # the second stack is solved on L^T, which is the operator of A^T
+        # entry for entry: both halves equal the one-stack solves bit for bit
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 4):
+            A = rng.standard_normal((5, n, n)) - 4.0 * np.eye(n)
+            M, N = rng.standard_normal((2, 5, n, n))
+            P, Y = solve_lyapunov(A, M, N)
+            assert np.array_equal(P, solve_lyapunov(A, M))
+            assert np.array_equal(Y, solve_lyapunov(np.swapaxes(A, 1, 2), N))
+
     def test_non_hurwitz_rejected(self, monkeypatch):
         # The kernel leaves the Hurwitz test to its callers.  K = 0 on the
         # scalar unit problem is the instance a = 1, m = 1: solve_riccati
         # raises StabilityError, batched_gain_stats masks the row, and no
-        # non-Hurwitz matrix ever reaches the kernel.
+        # non-Hurwitz matrix ever reaches the kernel.  The batch makes one
+        # stacked call that solves for P_K and Y_K together.
         seen = []
 
-        def recording(A, M):
+        def recording(A, M, N=None):
+            assert N is not None
             seen.append(np.array(A))
-            return solve_lyapunov(A, M)
+            return solve_lyapunov(A, M, N)
 
         monkeypatch.setattr(lqr, "solve_lyapunov", recording)
         big = random_problem(3, 2, 5)
@@ -146,9 +159,8 @@ class TestLyapunovSolve:
             assert ok.tolist() == [False, True]
             assert np.isnan(costs[0]) and np.isnan(grads[0]).all()
             assert np.isfinite(costs[1]) and np.isfinite(grads[1]).all()
-            assert len(seen) == 2
-            assert all(A.shape[0] == 1 and hurwitz_mask(A).all()
-                       for A in seen)
+            assert len(seen) == 1
+            assert seen[0].shape[0] == 1 and hurwitz_mask(seen[0]).all()
             seen.clear()
 
     def test_singular_operator_is_a_conditioning_error(self):
@@ -247,14 +259,12 @@ class TestRiccati:
     def test_residual_miss_is_a_conditioning_error(self, monkeypatch,
                                                    corrupt):
         # every solve of the iteration is checked: corrupt only the P_K
-        # solves or only the Y_K solves (A^T with M = I)
+        # half or only the Y_K half of the one stacked solve
         kernel = lqr.solve_lyapunov
 
-        def off_by_a_little(A, M):
-            P = kernel(A, M)
-            is_y = np.array_equal(M, np.broadcast_to(np.eye(A.shape[1]),
-                                                     M.shape))
-            return P + 1e-6 if is_y == (corrupt == "Y") else P
+        def off_by_a_little(A, M, N):
+            P, Y = kernel(A, M, N)
+            return (P + 1e-6, Y) if corrupt == "P" else (P, Y + 1e-6)
 
         solve_riccati(scalar_problem(), K0=np.array([[2.0]]))
         monkeypatch.setattr(lqr, "solve_lyapunov", off_by_a_little)
