@@ -21,8 +21,8 @@ from scipy.linalg import expm
 from . import langevin, lqr, lyapcert, nssmc, objectives, sde
 from .lyapcert import check_dissipation, default_state_samples, \
     default_theta_samples
-from .nssmc import NssExperiment, exceedance_fraction, fit_decay_envelope, \
-    run_experiment, scnss_threshold_scan
+from .nssmc import NssExperiment, fit_decay_envelope, run_experiment, \
+    scnss_threshold_scan
 
 
 class ConfigError(ValueError):
@@ -133,21 +133,25 @@ def _exp_ou_sanity(cfg, out, seed):
     N = _get(cfg, "mc", "N", int, "10000")
     store = _get(cfg, "mc", "store_every", int, "25")
     schedule = sde.CovarianceSchedule.constant(np.array([[sigma]]), T)
-    ens = sde.simulate_ensemble(model, schedule, np.zeros(1), dt, T, N, seed,
-                                store_every=store)
-    window = (max(0.0, T - 25.0), T)
-    idx = (ens.times >= window[0]) & (ens.times <= window[1])
-    second_moment = float(np.mean(ens.states[:, idx, 0] ** 2))
+    times = sde.record_times(dt, T, store)
+    square = lambda z: z[:, 0] ** 2
+    moments = nssmc.PathMeans(square, times.size)
+    tail = nssmc.WindowValues(square, times, N, max(0.0, T - 25.0), T)
+    sde.simulate_ensemble(model, schedule, np.zeros(1), dt, T, N, seed,
+                          store_every=store, reducers=[moments, tail])
+    second_moment = float(np.mean(tail.values))
     target = sigma**2 / 2.0
     rel = abs(second_moment - target) / target
     _csv_table(out / "moments.csv", ["t", "mean_square"],
-               zip(ens.times.tolist(),
-                   np.mean(ens.states[:, :, 0] ** 2, axis=0).tolist()))
+               zip(times.tolist(), moments.means.tolist()))
     return [("stationary-second-moment", rel <= 0.05,
              f"{second_moment:.6g} vs {target:.6g} (rel err {rel:.3f})")]
 
 
-def _gain_sweep_core(cfg, out, seed, obj):
+def _gain_sweep_core(cfg, out, seed, obj, exceedance=False):
+    """Gain curve of the overdamped sweep; with ``exceedance``, the quiet
+    decay envelope is fitted first and each ensemble also reduces its
+    exceedance of envelope + EXCEEDANCE_MARGIN sigma^2."""
     model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
     V = langevin.objective_size_function(obj)
     dt = _get(cfg, "mc", "dt", float, "1e-3")
@@ -162,17 +166,28 @@ def _gain_sweep_core(cfg, out, seed, obj):
     exp = NssExperiment(dynamics=model, V=V, schedule_family=schedules,
                         x0=np.asarray(obj.minimizer) + 1.0, N=N, dt=dt, T=T,
                         master_seed=seed, epsilon=eps, store_every=store)
-    curve, ensembles = run_experiment(exp)
+    bounds = None
+    if exceedance:
+        # the quiet ensemble has its own seed, so fitting it first moves no
+        # bits of the noisy ones
+        quiet = sde.simulate_ensemble(
+            model, sde.CovarianceSchedule.constant(np.zeros((1, 1)), T),
+            exp.x0, dt, min(T, 20.0), min(N, 200), seed + 1000,
+            store_every=store)
+        beta = fit_decay_envelope(quiet, V)
+        bounds = [lambda v0, t, g=EXCEEDANCE_MARGIN * s**2: beta(v0, t) + g
+                  for s in np.sqrt(exp.intensities())]
+    curve = run_experiment(exp, bounds)
     _write_gain_curve(out / "gain_curve.csv", curve)
     mono = bool(np.all(np.diff(curve.tail_quantiles) >= -1e-12))
-    return curve, ensembles, exp, [
+    return curve, exp, [
         ("gain-curve-monotone", mono,
          f"tail quantiles {np.array2string(curve.tail_quantiles, precision=4)}")]
 
 
 def _exp_quadratic_overdamped(cfg, out, seed):
     obj = _quadratic_from_config(cfg)
-    _, _, _, lines = _gain_sweep_core(cfg, out, seed, obj)
+    _, _, lines = _gain_sweep_core(cfg, out, seed, obj)
     return lines
 
 
@@ -187,7 +202,8 @@ def _exp_gain_sweep(cfg, out, seed):
     obj = _quadratic_from_config(cfg)
     if obj.dim != 1 or obj.hessian_at(obj.minimizer)[0, 0] != 1.0:
         raise ConfigError("gain-sweep expects the scalar unit quadratic")
-    curve, ensembles, exp, lines = _gain_sweep_core(cfg, out, seed, obj)
+    curve, exp, lines = _gain_sweep_core(cfg, out, seed, obj,
+                                         exceedance=True)
     sigmas = np.sqrt(curve.intensities)
     # stationary law: V = z^2/2 with z ~ Normal(0, sigma^2/2)
     chi2_q = 3.841458820694124  # 0.95 quantile of chi-square(1)
@@ -195,18 +211,7 @@ def _exp_gain_sweep(cfg, out, seed):
     rel = np.abs(curve.tail_quantiles - targets) / targets
     lines.append(("tail-quantile-chi-square", bool(np.all(rel <= 0.15)),
                   f"rel errs {np.array2string(rel, precision=3)}"))
-    V = langevin.objective_size_function(obj)
-    model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
-    quiet = sde.simulate_ensemble(
-        model, sde.CovarianceSchedule.constant(np.zeros((1, 1)), exp.T),
-        exp.x0, exp.dt, min(exp.T, 20.0), min(exp.N, 200), seed + 1000,
-        store_every=exp.store_every)
-    beta = fit_decay_envelope(quiet, V)
-    fracs = []
-    for ens, s in zip(ensembles, sigmas):
-        gain = EXCEEDANCE_MARGIN * s**2
-        fracs.append(exceedance_fraction(
-            ens, V, lambda v0, t, g=gain: beta(v0, t) + g))
+    fracs = curve.exceedance_fractions.tolist()
     worst = max(fracs)
     lines.append(("exceedance-below-epsilon", worst <= exp.epsilon,
                   f"worst path-sup violation fraction {worst:.4f} "

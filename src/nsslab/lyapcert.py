@@ -251,9 +251,24 @@ def entry_exit_times(path: TrajectoryPath, V: SizeFunction,
     return intervals
 
 
+_VALUE_BLOCK = 1 << 10  # states per V call in self_values
+
+
 def self_values(V: SizeFunction, states: np.ndarray) -> np.ndarray:
-    """V over an array of states with any leading shape."""
-    return np.asarray(V.value(np.asarray(states, dtype=float)), dtype=float)
+    """V over an array of states with any leading shape.
+
+    A (paths, records, ..., n) array goes to V in blocks of whole paths,
+    at most ``_VALUE_BLOCK`` states (or one path) per call, so V's
+    temporaries stay bounded however long the paths are.  Blocks never
+    split a path, so a matmul inside V sees the same (records, n)
+    operands as on the whole array and the values are the same bits.
+    """
+    x = np.asarray(states, dtype=float)
+    if x.ndim < 3 or x[..., 0].size <= _VALUE_BLOCK:
+        return np.asarray(V.value(x), dtype=float)
+    per = max(1, _VALUE_BLOCK // x[0, ..., 0].size)
+    return np.concatenate([np.asarray(V.value(x[k:k + per]), dtype=float)
+                           for k in range(0, len(x), per)])
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,22 @@ exceedance of decay-plus-gain bounds with per-path suprema, brackets the
 practical blow-up onset of small-covariance-stable dynamics, and tests
 integral-gain accumulation bounds.
 
+Every statistic is a reduction over paths, so a sweep keeps no states.
+It declares reducers (:class:`WindowValues`, :class:`PathMeans`,
+:class:`Exceedance`), which :func:`sde.simulate_ensemble` feeds with
+``(record index, t, z, active)`` at every recorded step, and drops each
+ensemble once it is reduced: memory grows with N times the tail window,
+not with the recorded horizon.  The reducers repeat the dense reductions
+bit for bit.  Their per-record f(z) equals f of the dense (N, R, n)
+array whenever f is row-independent (f of a batch equals f of each row,
+as for the quadratic and LQR size functions, not the logistic loss's
+BLAS matmul); path means are summed path by path, as
+``np.mean(..., axis=0)`` of an (N, R) array is; window values are kept in
+the memory order of the dense window array, so a sum over them adds in
+the same order (quantiles do not depend on the order).
+:func:`exceedance_fraction`, :func:`fit_decay_envelope` and
+:func:`tail_window_values` take recorded ensembles.
+
 All statistics are pure functions of (experiment, master seed): paths use
 counter-based per-path generators and reductions are deterministic.
 """
@@ -20,7 +36,7 @@ import numpy as np
 from .compfun import ScalarClassFunction
 from .lyapcert import SizeFunction, self_values
 from .sde import (CovarianceSchedule, DiffusionModel, TrajectoryEnsemble,
-                  simulate_ensemble, sup_noise_intensity)
+                  record_times, simulate_ensemble, sup_noise_intensity)
 
 
 @dataclass(frozen=True)
@@ -43,10 +59,13 @@ class NssExperiment:
             raise ValueError("probabilistic claims need N >= 100")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        intensities = [sup_noise_intensity(s, 0.0, self.T) for s in
-                       self.schedule_family]
-        if any(b < a for a, b in zip(intensities, intensities[1:])):
+        if np.any(np.diff(self.intensities()) < 0):
             raise ValueError("schedule family must have ascending intensities")
+
+    def intensities(self) -> np.ndarray:
+        """sup |Sigma Sigma^T| of each schedule over [0, T]."""
+        return np.array([sup_noise_intensity(s, 0.0, self.T)
+                         for s in self.schedule_family])
 
 
 @dataclass(frozen=True)
@@ -58,18 +77,106 @@ class GainCurve:
     path has left the domain before the window.  ``blowup_fractions``
     counts diverged paths: magnitude overflow or exit from the model
     domain (for gain dynamics, crossing the stability boundary), which
-    both end a path.
+    both end a path.  ``exceedance_fractions`` holds
+    :class:`Exceedance` fractions when the sweep was given bounds, else
+    None.
     """
 
     intensities: np.ndarray
     tail_quantiles: np.ndarray
     blowup_fractions: np.ndarray
     epsilon: float
+    exceedance_fractions: np.ndarray | None = None
+
+
+class WindowValues:
+    """Reducer: ``f(z)`` of every path at the records with
+    t_lo <= t <= t_hi, kept time-major in the (W, N) array ``values``.
+
+    That is the memory order of the dense route's window array
+    ``states[:, window, 0]`` (its advanced indexing returns an
+    F-ordered (N, W) array), so a sum over ``values`` adds in its order.
+    """
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray],
+                 times: np.ndarray, n_paths: int, t_lo: float, t_hi: float):
+        self.f = f
+        self.index = np.flatnonzero((times >= t_lo) & (times <= t_hi))
+        self.values = np.empty((self.index.size, n_paths))
+
+    def __call__(self, i, t, z, active):
+        w = i - self.index[0] if self.index.size else -1
+        if 0 <= w < self.index.size:  # the window's records are contiguous
+            self.values[w] = self.f(z)
+
+    def valid_values(self, valid_counts: np.ndarray) -> np.ndarray:
+        """The values of valid (record, path) pairs, record by record."""
+        if self.index.size == 0 or (valid_counts > self.index[-1]).all():
+            return self.values.reshape(-1)
+        return self.values[self.index[:, None] < valid_counts[None, :]]
+
+
+class PathMeans:
+    """Reducer: the mean over paths of ``f(z)`` at every record, summed
+    path by path as ``np.mean(dense, axis=0)`` of the (N, R) array is."""
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray],
+                 n_records: int):
+        self.f = f
+        self.means = np.empty(n_records)
+
+    def __call__(self, i, t, z, active):
+        x = self.f(z)
+        self.means[i] = np.cumsum(x)[-1] / x.size  # sequential, not pairwise
+
+
+class Exceedance:
+    """Reducer: the fraction of paths whose V ever exceeds bound(V0, t) at
+    a record in the window (default: the whole horizon).
+
+    The per-path supremum convention matches a for-all-time guarantee on
+    the grid.  Paths that left the domain at or before a window record
+    count as exceeding.  ``bound`` is called on arrays (V0 as a column,
+    t as a 1x1 row); a bound that only takes scalars, and so raises
+    TypeError or ValueError there, is evaluated point by point.
+    """
+
+    def __init__(self, V: SizeFunction, bound: Callable[[float, float], float],
+                 times: np.ndarray, n_paths: int,
+                 window: tuple[float, float] | None = None):
+        t_lo, t_hi = window if window is not None else (0.0, times[-1])
+        self.V, self.bound = V, bound
+        self.in_window = (times >= t_lo) & (times <= t_hi)
+        self.exceeded = np.zeros(n_paths, dtype=bool)
+        self._scalar_bound = False
+
+    def __call__(self, i, t, z, active):
+        if i and not self.in_window[i]:
+            return
+        v = self_values(self.V, z)
+        if i == 0:
+            self.v0 = v
+        if self.in_window[i]:
+            self.exceeded |= ~active | (v > self._bound_column(t))
+
+    def _bound_column(self, t) -> np.ndarray:
+        if not self._scalar_bound:
+            try:
+                b = np.asarray(self.bound(self.v0[:, None], np.array([[t]])),
+                               dtype=float)
+                return np.broadcast_to(b, (self.v0.size, 1))[:, 0]
+            except (TypeError, ValueError):  # a scalar-only bound
+                self._scalar_bound = True
+        return np.array([self.bound(float(a), float(t)) for a in self.v0])
+
+    def fraction(self) -> float:
+        return float(self.exceeded.mean())
 
 
 def tail_window_values(ensemble: TrajectoryEnsemble, V: SizeFunction,
                        t_lo: float, t_hi: float) -> np.ndarray:
-    """Pooled V values over valid (path, time) pairs in [t_lo, t_hi]."""
+    """Pooled V values over valid (path, time) pairs in [t_lo, t_hi] of a
+    recorded ensemble, path by path."""
     idx = np.flatnonzero((ensemble.times >= t_lo) & (ensemble.times <= t_hi))
     if idx.size == 0:
         return np.array([])
@@ -78,53 +185,68 @@ def tail_window_values(ensemble: TrajectoryEnsemble, V: SizeFunction,
     return vals[alive]
 
 
-def run_experiment(exp: NssExperiment
-                   ) -> tuple[GainCurve, list[TrajectoryEnsemble]]:
-    intensities, quants, blowups, ensembles = [], [], [], []
-    for j, schedule in enumerate(exp.schedule_family):
-        ens = simulate_ensemble(exp.dynamics, schedule, exp.x0, exp.dt, exp.T,
-                                exp.N, exp.master_seed + j,
-                                store_every=exp.store_every)
-        ensembles.append(ens)
-        intensities.append(sup_noise_intensity(schedule, 0.0, exp.T))
-        pooled = tail_window_values(ens, exp.V, exp.T / 2.0, exp.T)
-        quants.append(float(np.quantile(pooled, 1.0 - exp.epsilon))
-                      if pooled.size else np.nan)
-        blowups.append(float(np.mean(ens.exited)))
-    curve = GainCurve(intensities=np.array(intensities),
-                      tail_quantiles=np.array(quants),
-                      blowup_fractions=np.array(blowups),
-                      epsilon=exp.epsilon)
-    return curve, ensembles
+def _reduce_ensemble(exp: NssExperiment, j: int, bound):
+    """(tail quantile, blow-up fraction, exceedance fraction or None) of
+    the sweep's j-th ensemble; its reducers are freed on return."""
+    times = record_times(exp.dt, exp.T, exp.store_every)
+    tail = WindowValues(lambda z: self_values(exp.V, z), times, exp.N,
+                        exp.T / 2.0, exp.T)
+    exceed = None if bound is None else Exceedance(exp.V, bound, times,
+                                                   exp.N)
+    ens = simulate_ensemble(exp.dynamics, exp.schedule_family[j], exp.x0,
+                            exp.dt, exp.T, exp.N, exp.master_seed + j,
+                            store_every=exp.store_every,
+                            reducers=[tail] if exceed is None
+                            else [tail, exceed])
+    pooled = tail.valid_values(ens.valid_counts)
+    # the quantile does not depend on the order of the pooled values, and
+    # they are a private buffer, so partition them in place
+    quant = (float(np.quantile(pooled, 1.0 - exp.epsilon,
+                               overwrite_input=True))
+             if pooled.size else np.nan)
+    return (quant, float(np.mean(ens.exited)),
+            None if exceed is None else exceed.fraction())
+
+
+def run_experiment(exp: NssExperiment, bounds: Sequence[Callable] | None = None
+                   ) -> GainCurve:
+    """The gain curve of the sweep, one ensemble at a time.
+
+    Each ensemble keeps only V on the tail window [T/2, T] and its exit
+    flags.  With ``bounds`` (one bound(V0, t) per schedule) it also keeps
+    each path's running exceedance flag, and the curve carries the
+    exceedance fractions.
+    """
+    if bounds is not None and len(bounds) != len(exp.schedule_family):
+        raise ValueError("need one bound per schedule")
+    stats = [_reduce_ensemble(exp, j, None if bounds is None else bounds[j])
+             for j in range(len(exp.schedule_family))]
+    quants, blowups, fracs = zip(*stats)
+    return GainCurve(intensities=exp.intensities(),
+                     tail_quantiles=np.array(quants),
+                     blowup_fractions=np.array(blowups),
+                     epsilon=exp.epsilon,
+                     exceedance_fractions=None if bounds is None
+                     else np.array(fracs))
+
+
+def replay(ensemble: TrajectoryEnsemble, reducers) -> None:
+    """Feed a recorded ensemble's states to reducers, record by record, as
+    the integrator would have."""
+    for i, t in enumerate(ensemble.times):
+        z = np.ascontiguousarray(ensemble.states[:, i])
+        active = i < ensemble.valid_counts
+        for reduce in reducers:
+            reduce(i, t, z, active)
 
 
 def exceedance_fraction(ensemble: TrajectoryEnsemble, V: SizeFunction,
                         bound: Callable[[float, float], float],
                         window: tuple[float, float] | None = None) -> float:
-    """Fraction of paths whose V ever exceeds bound(V0, t) in the window.
-
-    The per-path supremum convention matches a for-all-time guarantee on
-    the grid.  Paths that left the domain at or before the window count as
-    exceeding.  ``bound`` is called once on arrays (V0 as a column, the
-    window times as a row); a bound that only takes scalars, and so raises
-    TypeError or ValueError there, is evaluated point by point.
-    """
-    t_lo, t_hi = window if window is not None else (0.0, ensemble.times[-1])
-    idx = np.flatnonzero((ensemble.times >= t_lo) & (ensemble.times <= t_hi))
-    vals = self_values(V, ensemble.states)  # (N, R)
-    v0 = vals[:, 0]
-    try:
-        bmat = np.asarray(bound(v0[:, None], ensemble.times[None, idx]),
-                          dtype=float)
-        bmat = np.broadcast_to(bmat, (ensemble.n_paths, idx.size))
-    except (TypeError, ValueError):  # a scalar-only bound, e.g. math.exp
-        bmat = np.array([[bound(float(a), float(ensemble.times[i]))
-                          for i in idx] for a in v0])
-    alive = idx[None, :] < ensemble.valid_counts[:, None]
-    over = (vals[:, idx] > bmat) & alive
-    dead_in_window = ensemble.exited & ~alive.all(axis=1)
-    exceed = over.any(axis=1) | dead_in_window
-    return float(exceed.mean())
+    """:class:`Exceedance` fraction of a recorded ensemble."""
+    red = Exceedance(V, bound, ensemble.times, ensemble.n_paths, window)
+    replay(ensemble, [red])
+    return red.fraction()
 
 
 @dataclass(frozen=True)
@@ -184,7 +306,7 @@ def scnss_threshold_scan(exp: NssExperiment) -> OnsetBracket:
     """Locate the empirical divergence onset over the intensity grid."""
     if len(exp.schedule_family) < 2:
         raise ValueError("onset bracketing needs at least two intensities")
-    curve, _ = run_experiment(exp)
+    curve = run_experiment(exp)
     stable = (curve.blowup_fractions <= 0.01) & np.isfinite(curve.tail_quantiles)
     divergent = curve.blowup_fractions >= 0.5
     lower = curve.intensities[stable].max() if stable.any() else None

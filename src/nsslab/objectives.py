@@ -142,11 +142,6 @@ class Objective:
             return np.asarray(self.hessian(z), dtype=float)[0]
         return self.evaluate(z, hessian=True)[2][0]
 
-    def in_domain(self, z) -> bool:
-        if self.domain_test is None:
-            return True
-        return bool(np.asarray(self.domain_test(np.asarray(z, dtype=float)[None]))[0])
-
 
 def quadratic_objective(A: np.ndarray, b: np.ndarray,
                         offset: float = 0.0) -> Objective:
@@ -333,21 +328,9 @@ def check_nonseparable(model: LogisticModel,
     return SeparabilityReport(False, None, margin)
 
 
-def ray_slope(model: LogisticModel, theta0, r: float, dir) -> float:
-    """Directional derivative of the loss along theta0 + r * dir.
-
-    Strictly increasing in r; its r -> infinity limit is
-    :func:`limiting_ray_slope`.
-    """
-    dir = np.asarray(dir, dtype=float).reshape(-1)
-    if abs(np.linalg.norm(dir) - 1.0) > 1e-9:
-        raise ValueError("dir must be a unit vector")
-    theta = np.asarray(theta0, dtype=float).reshape(-1) + float(r) * dir
-    return float(logistic_gradient(model, theta) @ dir)
-
-
 def limiting_ray_slope(model: LogisticModel, dir) -> float:
-    """Limit of ray_slope as r grows: misclassified-margin indicator sum."""
+    """Limit, as r grows, of the loss's directional derivative along
+    theta0 + r * dir: the misclassified-margin indicator sum."""
     dir = np.asarray(dir, dtype=float).reshape(-1)
     s = model.X.T @ dir  # (N,)
     p_inf = np.where(s > 0, 1.0, np.where(s < 0, 0.0, 0.5))

@@ -11,6 +11,18 @@ Randomness is counter-based: each path owns a Philox generator keyed by a
 are a pure function of its seed and step index, independent of batch size,
 chunking, or parallelism.
 
+The integrator keeps no states of its own.  At every recorded step
+(every ``store_every``-th step and the last, see :func:`record_times`) it
+hands ``(record index, t, z, active)`` to the reducers its caller
+declares: callables that read the (B, n) states ``z`` and the (B,)
+``active`` mask (False once a path has left the domain or blown up; its
+row of ``z`` then holds its last valid state) and must not modify or keep
+them.  :class:`StateRecorder` is the reducer that keeps every state;
+without reducers the ensemble functions use it, so single paths and
+small ensembles still come back as dense arrays, while Monte Carlo
+statistics over large ensembles run in memory that does not grow with
+the horizon.
+
 Noise is laid out step-major.  The integrator draws a chunk of steps per
 path into a path tile of at most ``_TILE_ELEMS`` doubles (1 MiB) and
 copies each tile, transposed, into one (steps, B, m) slab of at most
@@ -137,9 +149,11 @@ class TrajectoryPath:
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """N paths stored densely: states has shape (N, R, n) on a shared grid.
+    """N paths on a shared grid of R recorded times.
 
-    Entries at or past a path's exit hold the last valid state; use
+    ``states`` has shape (N, R, n) when the states were recorded, and
+    (N, 0, n) when the caller reduced them on the fly instead.  Entries
+    at or past a path's exit hold the last valid state; use
     ``valid_counts`` (number of valid recorded entries per path) to mask
     them.
     """
@@ -166,6 +180,29 @@ def derive_path_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+class StateRecorder:
+    """Reducer that keeps every recorded state: ``states[k, i]`` is path k
+    at record i, the dense (B, R, n) layout of :class:`TrajectoryEnsemble`."""
+
+    def __init__(self, n_paths: int, n_records: int, state_dim: int):
+        self.states = np.empty((n_paths, n_records, state_dim))
+
+    def __call__(self, i, t, z, active):
+        self.states[:, i] = z
+
+
+def record_times(dt: float, T: float, store_every: int = 1) -> np.ndarray:
+    """The recorded grid: every ``store_every``-th step and the last one."""
+    return _record_steps(int(round(T / dt)), store_every) * dt
+
+
+def _record_steps(nsteps: int, store_every: int) -> np.ndarray:
+    steps = list(range(0, nsteps + 1, store_every))
+    if steps[-1] != nsteps:
+        steps.append(nsteps)
+    return np.array(steps)
+
+
 def _diagonal(S: np.ndarray) -> np.ndarray | None:
     """diag(S) when S has no nonzero entry off its diagonal, else None."""
     d = np.diagonal(S)
@@ -190,31 +227,34 @@ def _times_transpose(x: np.ndarray, S: np.ndarray,
 
 def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
                     x0s: np.ndarray, dt: float, T: float,
-                    seeds: Sequence[int], store_every: int):
+                    seeds: Sequence[int], store_every: int, reducers=None):
+    """Integrate a batch, feeding ``reducers`` at every recorded step.
+
+    Returns (times, states, valid_counts, exited, blowup, exit_steps);
+    ``states`` is the dense (B, R, n) record when ``reducers`` is None and
+    an empty (B, 0, n) array otherwise.
+    """
     n, m = model.state_dim, model.noise_dim
     B = x0s.shape[0]
     nsteps = int(round(T / dt))
-    if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
-        nsteps = int(math.ceil(T / dt - 1e-12))
-
-    rec_steps = list(range(0, nsteps + 1, store_every))
-    if rec_steps[-1] != nsteps:
-        rec_steps.append(nsteps)
-    rec_lookup = {s: i for i, s in enumerate(rec_steps)}
-    R = len(rec_steps)
-
-    states = np.empty((R, B, n))
+    rec_steps = _record_steps(nsteps, store_every)
+    times = rec_steps * dt
+    rec_lookup = {int(s): i for i, s in enumerate(rec_steps)}
+    recorder = None
+    if reducers is None:
+        recorder = StateRecorder(B, rec_steps.size, n)
+        reducers = [recorder]
     gens = [np.random.Generator(np.random.Philox(key=int(s) & (2**64 - 1)))
             for s in seeds]
 
     z = np.array(x0s, dtype=float)
-    states[0] = z
     active = np.ones(B, dtype=bool)
     all_active = True
     exited = np.zeros(B, dtype=bool)
     blowup = np.zeros(B, dtype=bool)
     exit_steps = np.full(B, -1, dtype=np.int64)
-    valid_counts = np.ones(B, dtype=np.int64)
+    for reduce in reducers:
+        reduce(0, times[0], z, active)
 
     sqdt = math.sqrt(dt)
     if schedule.is_constant:
@@ -279,13 +319,14 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
 
             ri = rec_lookup.get(step)
             if ri is not None:
-                states[ri] = z
-                valid_counts[active] = ri + 1
+                for reduce in reducers:
+                    reduce(ri, times[ri], z, active)
 
-    del slab, tile  # before the transposed copy of the states
-    times = np.array(rec_steps, dtype=float) * dt
-    return (times, np.ascontiguousarray(states.transpose(1, 0, 2)),
-            valid_counts, exited, blowup, exit_steps)
+    # a path is valid at the records before its exit step
+    valid_counts = np.where(exited, np.searchsorted(rec_steps, exit_steps),
+                            rec_steps.size)
+    states = np.empty((B, 0, n)) if recorder is None else recorder.states
+    return times, states, valid_counts, exited, blowup, exit_steps
 
 
 def simulate_path(model: DiffusionModel, schedule: CovarianceSchedule,
@@ -304,12 +345,16 @@ def simulate_path(model: DiffusionModel, schedule: CovarianceSchedule,
 
 def simulate_ensemble(model: DiffusionModel, schedule: CovarianceSchedule,
                       x0, dt: float, T: float, N: int, master_seed: int,
-                      store_every: int = 1) -> TrajectoryEnsemble:
+                      store_every: int = 1,
+                      reducers=None) -> TrajectoryEnsemble:
     """Integrate N paths with per-path seeds derived from the master seed.
 
     A failed path (domain exit or blow-up) is retained with its exit flag.
     Output is bit-identical for any parallelism degree: all paths step in
     one vectorized batch and each path draws from its own generator.
+    Without ``reducers`` every recorded state is kept; with them (see the
+    module docstring) the states go only to the reducers, and the
+    ensemble's ``states`` is an empty (N, 0, n) array.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -323,7 +368,7 @@ def simulate_ensemble(model: DiffusionModel, schedule: CovarianceSchedule,
     seeds = np.array([derive_path_seed(master_seed, k) for k in range(N)],
                      dtype=np.uint64)
     times, states, valid, exited, blowup, exit_steps = _simulate_batch(
-        model, schedule, x0s, dt, T, seeds, store_every)
+        model, schedule, x0s, dt, T, seeds, store_every, reducers)
     return TrajectoryEnsemble(times=times, states=states, seeds=seeds,
                               valid_counts=valid, exited=exited, blowup=blowup,
                               exit_steps=exit_steps, master_seed=int(master_seed),
@@ -333,6 +378,9 @@ def simulate_ensemble(model: DiffusionModel, schedule: CovarianceSchedule,
 def _validate_sim_args(model, x0s, dt, T, store_every):
     if dt <= 0 or dt > T:
         raise ValueError("require 0 < dt <= T")
+    if abs(round(T / dt) * dt - T) > 1e-9 * (1.0 + T):
+        raise ValueError(f"T = {T:g} is not a whole number of dt = {dt:g} "
+                         "steps")
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
     if model.domain_test is not None:

@@ -212,7 +212,7 @@ class TestCsvTable:
             schedule_family=[CovarianceSchedule.constant(np.array([[s]]), T)
                              for s in (0.1, 0.2)],
             x0=np.ones(1), N=200, dt=1e-2, T=T, master_seed=0, store_every=5)
-        curve, _ = run_experiment(exp)
+        curve = run_experiment(exp)
         f = tmp_path / "curve.csv"
         _write_gain_curve(f, curve)
         rows = read_rows(f)

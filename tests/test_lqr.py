@@ -408,7 +408,7 @@ class TestObjectiveWrapper:
         profile = solve_riccati(problem, K0=np.array([[2.0]]))
         obj = lqr_objective(problem, profile)
         assert abs(obj.value_at(obj.minimizer) - obj.optimum_value) <= 1e-10
-        assert not obj.in_domain(np.array([0.5]))
+        assert not obj.domain_test(np.array([[0.5]]))[0]
 
 
 class TestNoiseSchedule:

@@ -1,8 +1,11 @@
 """Unit tests for generator evaluation and dissipation certificates."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nsslab import lyapcert
 from nsslab.compfun import (K, K_ON_0_D, KINF, DomainViolation,
                             ScalarClassFunction)
 from nsslab.lyapcert import (AdmissibilityError, DissipationCertificate,
@@ -11,7 +14,11 @@ from nsslab.lyapcert import (AdmissibilityError, DissipationCertificate,
                              entry_exit_times, generator_apply,
                              self_values, set_D_threshold,
                              supermartingale_diagnostic)
+from nsslab.langevin import objective_size_function
+from nsslab.objectives import load_logistic_csv, logistic_objective
 from nsslab.sde import CovarianceSchedule, DiffusionModel, simulate_ensemble
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def half_square():
@@ -229,3 +236,21 @@ class TestSamplers:
         V = half_square()
         states = np.ones((3, 4, 2))
         assert self_values(V, states).shape == (3, 4)
+
+    @pytest.mark.parametrize("shape", [(200, 25, 2), (7, 3, 2), (1000, 2),
+                                       (5, 2), (2,)])
+    def test_self_values_blocks_match_whole_call(self, shape, monkeypatch):
+        # blocks of whole paths, never of time: the logistic loss's matmul
+        # sees each path's (R, n) block as on the whole array; a 2-D
+        # batch, whose one-row blocks would change the matmul, is one call
+        data = load_logistic_csv(str(CONFIG_DIR / "logistic_demo.csv"))
+        obj = logistic_objective(data)
+        V = objective_size_function(obj)
+        x = obj.minimizer + 0.3 * np.random.default_rng(1).standard_normal(
+            shape)
+        whole = np.asarray(V.value(x), dtype=float)
+        for block in (1, 7, 64, 1 << 10):
+            monkeypatch.setattr(lyapcert, "_VALUE_BLOCK", block)
+            got = self_values(V, x)
+            assert got.shape == whole.shape
+            assert np.array_equal(got, whole)

@@ -55,15 +55,15 @@ class TestExperimentValidation:
 class TestGainCurve:
     def test_monotone_quantiles_and_determinism(self):
         exp = make_experiment([0.1, 0.2, 0.4], N=400, T=20.0)
-        curve1, _ = run_experiment(exp)
-        curve2, _ = run_experiment(exp)
+        curve1 = run_experiment(exp)
+        curve2 = run_experiment(exp)
         assert np.array_equal(curve1.tail_quantiles, curve2.tail_quantiles)
         assert np.all(np.diff(curve1.tail_quantiles) > 0)
         assert np.all(curve1.blowup_fractions == 0.0)
 
     def test_intensity_grid_is_spectral_norm(self):
         exp = make_experiment([0.1, 0.2], T=5.0)
-        curve, _ = run_experiment(exp)
+        curve = run_experiment(exp)
         assert np.allclose(curve.intensities, [0.01, 0.04])
 
     def test_tail_window_pooling(self):

@@ -152,6 +152,27 @@ class TestStorageAndCsv:
         with pytest.raises(ValueError):
             simulate_path(m, s, np.ones(1), 1e-2, 0.0, 0)
 
+    @pytest.mark.parametrize("dt, T", [(0.3, 1.0), (1e-3, 50.0005),
+                                       (0.07, 0.5)])
+    def test_partial_last_step_rejected(self, dt, T):
+        # the integrator used to run on to ceil(T/dt) steps, past T
+        m = linear_model()
+        s = CovarianceSchedule.constant(np.zeros((1, 1)), horizon=T)
+        with pytest.raises(ValueError, match="whole number of dt"):
+            simulate_path(m, s, np.ones(1), dt, T, 0)
+        with pytest.raises(ValueError, match="whole number of dt"):
+            simulate_ensemble(m, s, np.ones(1), dt, T, 3, 0)
+
+    @pytest.mark.parametrize("dt, T", [(0.1, 0.3), (1e-3, 50.0),
+                                       (1e-2, 8.0), (0.1, 0.1)])
+    def test_whole_step_grids_accepted(self, dt, T):
+        # 0.3 / 0.1 and 8 / 0.01 are not integers in floating point
+        m = linear_model()
+        s = CovarianceSchedule.constant(np.zeros((1, 1)), horizon=T)
+        p = simulate_path(m, s, np.ones(1), dt, T, 0, store_every=1000)
+        assert p.times[-1] == round(T / dt) * dt
+        assert abs(p.times[-1] - T) <= 1e-9 * (1.0 + T)
+
 
 def reference_simulate_batch(model, schedule, x0s, dt, T, seeds, store_every):
     """The integrator as it was before step-major noise and the diagonal
