@@ -92,6 +92,12 @@ def _write_gain_curve(path: Path, curve) -> None:
                    curve.blowup_fractions))
 
 
+def _write_trajectory(path: Path, traj) -> None:
+    header = ["t"] + [f"state_{i}" for i in range(traj.states.shape[1])]
+    _csv_table(path, header,
+               ([t] + s.tolist() for t, s in zip(traj.times, traj.states)))
+
+
 def _write_certificate(path: Path, cert) -> None:
     """Violation witnesses plus a trailing summary comment line."""
     _csv_table(path, ["state", "theta_intensity", "lhs", "rhs"],
@@ -246,9 +252,7 @@ def _exp_quadratic_underdamped(cfg, out, seed):
                   [-ucfg.eta * A, -ucfg.c * np.eye(n)]])
     oracle = target + expm(M * T) @ (x0 - target)
     oracle_err = float(np.linalg.norm(final - oracle))
-    _csv_table(out / "trajectory.csv",
-               ["t"] + [f"state_{i}" for i in range(2 * n)],
-               [[t] + s.tolist() for t, s in zip(path.times, path.states)])
+    _write_trajectory(out / "trajectory.csv", path)
     return [("converges-to-rest", dist <= 1e-6, f"final distance {dist:.3e}"),
             ("matches-linear-oracle", oracle_err <= 1e-5,
              f"deviation {oracle_err:.3e}")]
@@ -298,9 +302,7 @@ def _exp_logistic_underdamped(cfg, out, seed):
                                               "100"))
     target = np.concatenate([obj.minimizer, np.zeros(n)])
     dist = float(np.linalg.norm(path.states[-1] - target))
-    _csv_table(out / "trajectory.csv",
-               ["t"] + [f"state_{i}" for i in range(2 * n)],
-               [[t] + s.tolist() for t, s in zip(path.times, path.states)])
+    _write_trajectory(out / "trajectory.csv", path)
     tol = _get(cfg, "dynamics", "tol", float, "1e-4")
     return [("momentum-flow-converges", dist <= tol,
              f"final distance {dist:.3e} (tol {tol:g})")]
@@ -365,9 +367,7 @@ def _exp_lqr_po_underdamped(cfg, out, seed):
                                               "100"))
     target = np.concatenate([lqr.vec_gain(profile.Kstar), np.zeros(mn)])
     dist = float(np.linalg.norm(path.states[-1] - target))
-    _csv_table(out / "trajectory.csv",
-               ["t"] + [f"state_{i}" for i in range(2 * mn)],
-               [[t] + s.tolist() for t, s in zip(path.times, path.states)])
+    _write_trajectory(out / "trajectory.csv", path)
     tol = _get(cfg, "dynamics", "tol", float, "1e-3")
     return [("scheduled-momentum-converges", dist <= tol,
              f"final gain distance {dist:.3e} (tol {tol:g})")]

@@ -1,5 +1,5 @@
-"""Comparison-function algebra: scalar class functions, classification
-evidence, inversion, composition, and the weak triangle inequality.
+"""Comparison functions: scalar class functions, classification evidence,
+table-backed functions and inversion.
 
 Class membership (positive definite, K, K-infinity, K on [0, d)) is treated
 as a declared property plus numerical evidence on grids.  The library never
@@ -20,9 +20,6 @@ KINF = "Kinf"
 K_ON_0_D = "K_on_0_d"
 
 _CLASSES = (PD, K, KINF, K_ON_0_D)
-
-# ordering used by compose(); higher rank = stronger class
-_CLASS_RANK = {KINF: 3, K: 2, K_ON_0_D: 2, PD: 1}
 
 
 class DomainViolation(ValueError):
@@ -72,44 +69,6 @@ class ScalarClassFunction:
         if np.ndim(r) == 0:
             return float(out)
         return np.asarray(out, dtype=float)
-
-
-@dataclass
-class KLFunction:
-    """A two-argument function, class K in r for fixed t and decaying in t.
-
-    Only grid evidence is available numerically; ``evidence`` falsifies the
-    declared behaviour on supplied grids.
-    """
-
-    eval: Callable[[float, float], float]
-    description: str = ""
-
-    def __call__(self, r, t):
-        return float(self.eval(float(r), float(t)))
-
-    def evidence(self, r_grid: Sequence[float], t_grid: Sequence[float],
-                 decay_T: float = 1e3, decay_tol: float = 1e-6):
-        """Check K-in-r monotonicity and decay-in-t on grids.
-
-        Returns a dict with any violations found.  Decay is checked by
-        requiring eval(r, decay_T) <= decay_tol for each r in r_grid.
-        """
-        mono, nondecr, decay = [], [], []
-        for t in t_grid:
-            vals = [self.eval(r, t) for r in r_grid]
-            for a, b, va, vb in zip(r_grid, r_grid[1:], vals, vals[1:]):
-                if not vb > va:
-                    mono.append((a, b, t))
-        for r in r_grid:
-            vals = [self.eval(r, t) for t in t_grid]
-            for ta, tb, va, vb in zip(t_grid, t_grid[1:], vals, vals[1:]):
-                if vb > va + 1e-12:
-                    nondecr.append((r, ta, tb))
-            if self.eval(r, decay_T) > decay_tol:
-                decay.append(r)
-        return {"monotonicity": mono, "nonincreasing": nondecr, "decay": decay,
-                "consistent": not (mono or nondecr or decay)}
 
 
 @dataclass
@@ -216,45 +175,6 @@ def invert_auto(f: ScalarClassFunction, y: float) -> float:
     return invert(f, y, _auto_bracket(f, y))
 
 
-def weak_triangle_split(alpha: ScalarClassFunction, rho: ScalarClassFunction,
-                        a: float, b: float) -> tuple[float, float]:
-    """Evaluate both sides of alpha(a+b) <= alpha((Id+rho)(a)) + alpha((Id+rho^-1)(b)).
-
-    ``rho`` must be invertible on a bracket covering ``b`` (grown
-    automatically).  Returns (lhs, rhs); the inequality holds for class-K
-    alpha and class-Kinf rho.
-    """
-    a, b = float(a), float(b)
-    lhs = float(alpha.eval(a + b))
-    rho_inv_b = invert_auto(rho, b)
-    rhs = float(alpha.eval(a + float(rho.eval(a)))) + float(alpha.eval(b + rho_inv_b))
-    return lhs, rhs
-
-
-def compose(f: ScalarClassFunction, g: ScalarClassFunction) -> ScalarClassFunction:
-    """Pointwise composition f(g(r)); the result carries the weaker class.
-
-    Evaluation raises :class:`DomainViolation` if g(r) reaches the domain
-    cap of f.
-    """
-    weaker = f if _CLASS_RANK[f.declared_class] <= _CLASS_RANK[g.declared_class] else g
-
-    def h(r):
-        gr = np.asarray(g.eval(r), dtype=float)
-        if np.any(gr >= f.d):
-            raise DomainViolation("inner value exceeds outer domain cap")
-        return f.eval(gr)
-
-    return ScalarClassFunction(
-        eval=h, declared_class=weaker.declared_class, d=g.d,
-        description=f"({f.description or 'f'}) o ({g.description or 'g'})")
-
-
-def identity() -> ScalarClassFunction:
-    return ScalarClassFunction(lambda r: np.asarray(r, dtype=float) + 0.0, KINF,
-                               description="Id")
-
-
 def from_table(h_vals: np.ndarray, f_vals: np.ndarray, declared_class: str = K,
                description: str = "") -> ScalarClassFunction:
     """Piecewise-linear class function from a table, clamped flat past the end."""
@@ -263,19 +183,3 @@ def from_table(h_vals: np.ndarray, f_vals: np.ndarray, declared_class: str = K,
     return ScalarClassFunction(
         eval=lambda r: np.interp(np.asarray(r, dtype=float), h_vals, f_vals),
         declared_class=declared_class, description=description)
-
-
-def catalog() -> list[ScalarClassFunction]:
-    """Named K/Kinf/PD functions with classes known by construction."""
-    sq = ScalarClassFunction(lambda r: np.square(r), KINF, description="r^2")
-    sqrt = ScalarClassFunction(lambda r: np.sqrt(r), KINF, description="sqrt(r)")
-    lin2 = ScalarClassFunction(lambda r: 2.0 * np.asarray(r, dtype=float), KINF,
-                               description="2r")
-    log1p = ScalarClassFunction(np.log1p, KINF, description="log(1+r)")
-    sat = ScalarClassFunction(lambda r: np.asarray(r, dtype=float) / (1.0 + r), K,
-                              description="r/(1+r)")
-    atan = ScalarClassFunction(np.arctan, K, description="atan(r)")
-    bump = ScalarClassFunction(
-        lambda r: np.square(r) / (1.0 + np.square(r)), PD,
-        description="r^2/(1+r^2)")
-    return [identity(), sq, sqrt, lin2, log1p, sat, atan, bump]

@@ -139,13 +139,6 @@ def _scheduled_terms(config: UnderdampedConfig, z: np.ndarray):
     return c, eta, grads
 
 
-def scheduled_coefficients(config: UnderdampedConfig,
-                           z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state damping c(z) and learning rate eta(z) of scheduled mode."""
-    c, eta, _ = _scheduled_terms(config, z)
-    return c, eta
-
-
 def build_underdamped(config: UnderdampedConfig) -> DiffusionModel:
     obj = config.objective
     n = obj.dim
@@ -196,8 +189,9 @@ class SmoothnessLadder:
 
     Lbar2(h) bounds the Hessian norm over the suboptimality-h sublevel
     set, tabulated by radial sampling (an under-estimate, so downstream
-    inequalities are re-verified by certificate falsification).  Lbar
-    folds in the diffusion-field bound: Lbar(h) = Lbar2(h) * K_G^2 / 2.
+    inequalities are re-verified by certificate falsification).  ``k_g``
+    is the diffusion-field bound K_G the table was built for; the
+    generator's second-order term is at most Lbar2(h) * K_G^2 / 2.
     """
 
     h_table: np.ndarray
@@ -207,12 +201,6 @@ class SmoothnessLadder:
     def Lbar2(self, h) -> np.ndarray:
         return np.interp(np.asarray(h, dtype=float), self.h_table,
                          self.lbar2_table)
-
-    def Lbar(self, h) -> np.ndarray:
-        return 0.5 * self.Lbar2(h) * self.k_g**2
-
-    def Ltilde(self, h) -> np.ndarray:
-        return self.Lbar(h) - self.Lbar(0.0)
 
     @property
     def h_max(self) -> float:
@@ -274,18 +262,6 @@ def ladder_from_profile(profile, problem, h_max: float, k_g: float,
     h_table = np.linspace(0.0, h_max, grid_points)
     lbar2 = np.asarray(smoothness_profile_L3(profile, problem, h_table))
     return SmoothnessLadder(h_table=h_table, lbar2_table=lbar2, k_g=k_g)
-
-
-def m1_profile(ladder: SmoothnessLadder, eta: Callable, mu: Callable,
-               h_grid: np.ndarray) -> np.ndarray:
-    """Grid values of m1(h) = inf over r >= h of eta(r) mu(r)^2 / Ltilde(r)."""
-    h_grid = np.asarray(h_grid, dtype=float)
-    lt = np.asarray(ladder.Ltilde(h_grid), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(eta(h_grid), dtype=float) \
-            * np.asarray(mu(h_grid), dtype=float) ** 2 / lt
-    vals = np.where(lt > 0, vals, np.inf)
-    return np.minimum.accumulate(vals[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -584,38 +560,3 @@ def v3_certificate(config: UnderdampedConfig,
                                 description=f"{coef:g} s")
     kind = "NSS" if mu.declared_class == KINF else "iNSS"
     return DissipationCertificate(alpha=alpha, gamma=gamma, kind=kind)
-
-
-def generator_bound_overdamped(config: OverdampedConfig, z, sigma_mat,
-                               ladder: SmoothnessLadder | None = None
-                               ) -> tuple[float, float]:
-    """Exact generator of J versus its dissipation bound at (z, Sigma).
-
-    Constant learning rate: bound -mu(h)^2 + L K_G^2 |Sigma Sigma^T| / 2.
-    Scheduled learning rate: bound -eta(h) mu(h)^2
-    + (Lbar(0) + Ltilde(h)) |Sigma Sigma^T|, which needs a ladder.
-    """
-    obj = config.objective
-    if obj.envelope is None:
-        raise ValueError("objective has no PL envelope")
-    z = np.asarray(z, dtype=float)
-    sigma_mat = np.atleast_2d(np.asarray(sigma_mat, dtype=float))
-    h = obj.value_at(z) - obj.optimum_value
-    g = obj.gradient_at(z)
-    H = obj.hessian_at(z)
-    Gz = np.eye(obj.dim) if config.G is None \
-        else np.asarray(config.G(z[None]))[0]
-    eta_h = 1.0 if config.eta is None else float(config.eta(np.asarray([h]))[0])
-    gs = Gz @ sigma_mat
-    lhs = -eta_h * float(g @ g) + 0.5 * float(np.trace(gs.T @ H @ gs))
-    s = float(np.linalg.norm(sigma_mat @ sigma_mat.T, 2))
-    mu_h = float(obj.envelope.mu(h))
-    if config.eta is None:
-        if obj.global_lipschitz is None:
-            raise ValueError("constant-rate bound needs the Lipschitz constant")
-        rhs = -mu_h**2 + 0.5 * obj.global_lipschitz * config.k_g**2 * s
-    else:
-        if ladder is None:
-            raise ValueError("scheduled-rate bound needs a smoothness ladder")
-        rhs = -eta_h * mu_h**2 + float(ladder.Lbar(0.0) + ladder.Ltilde(h)) * s
-    return lhs, rhs

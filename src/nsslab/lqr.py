@@ -192,13 +192,6 @@ def solve_riccati(problem: LqrProblem,
                         J2star=float(np.trace(P)), b1=b1, b2=b2, a1=a1, a2=a2)
 
 
-def mu5(profile: LqrPlProfile, h) -> float | np.ndarray:
-    """K-PL modulus h / (b1 h + b2), bounded by 1/b1."""
-    h = np.asarray(h, dtype=float)
-    out = h / (profile.b1 * h + profile.b2)
-    return float(out) if out.ndim == 0 else out
-
-
 def mu5_class_function(profile: LqrPlProfile):
     from .compfun import K as K_CLASS
     from .compfun import ScalarClassFunction
@@ -241,10 +234,6 @@ def eta_schedule_lqr(profile: LqrPlProfile, mode: str, h) -> float | np.ndarray:
 
 def vec_gain(K: np.ndarray) -> np.ndarray:
     return np.asarray(K, dtype=float).reshape(-1)
-
-
-def unvec_gain(theta: np.ndarray, m: int, n: int) -> np.ndarray:
-    return np.asarray(theta, dtype=float).reshape(m, n)
 
 
 def _closed_loop(problem: LqrProblem, Ks: np.ndarray) -> np.ndarray:

@@ -137,18 +137,18 @@ class Exceedance:
     The per-path supremum convention matches a for-all-time guarantee on
     the grid.  Paths that left the domain at or before a window record
     count as exceeding.  ``bound`` is called on arrays (V0 as a column,
-    t as a 1x1 row); a bound that only takes scalars, and so raises
-    TypeError or ValueError there, is evaluated point by point.
+    t as a 1x1 row) and must broadcast over them; a scalar-only bound,
+    such as one built on ``math.exp``, raises.
     """
 
-    def __init__(self, V: SizeFunction, bound: Callable[[float, float], float],
+    def __init__(self, V: SizeFunction,
+                 bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  times: np.ndarray, n_paths: int,
                  window: tuple[float, float] | None = None):
         t_lo, t_hi = window if window is not None else (0.0, times[-1])
         self.V, self.bound = V, bound
         self.in_window = (times >= t_lo) & (times <= t_hi)
         self.exceeded = np.zeros(n_paths, dtype=bool)
-        self._scalar_bound = False
 
     def __call__(self, i, t, z, active):
         if i and not self.in_window[i]:
@@ -157,17 +157,10 @@ class Exceedance:
         if i == 0:
             self.v0 = v
         if self.in_window[i]:
-            self.exceeded |= ~active | (v > self._bound_column(t))
-
-    def _bound_column(self, t) -> np.ndarray:
-        if not self._scalar_bound:
-            try:
-                b = np.asarray(self.bound(self.v0[:, None], np.array([[t]])),
-                               dtype=float)
-                return np.broadcast_to(b, (self.v0.size, 1))[:, 0]
-            except (TypeError, ValueError):  # a scalar-only bound
-                self._scalar_bound = True
-        return np.array([self.bound(float(a), float(t)) for a in self.v0])
+            b = np.asarray(self.bound(self.v0[:, None], np.array([[t]])),
+                           dtype=float)
+            b = np.broadcast_to(b, (v.size, 1))[:, 0]
+            self.exceeded |= ~active | (v > b)
 
     def fraction(self) -> float:
         return float(self.exceeded.mean())
@@ -241,7 +234,7 @@ def replay(ensemble: TrajectoryEnsemble, reducers) -> None:
 
 
 def exceedance_fraction(ensemble: TrajectoryEnsemble, V: SizeFunction,
-                        bound: Callable[[float, float], float],
+                        bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         window: tuple[float, float] | None = None) -> float:
     """:class:`Exceedance` fraction of a recorded ensemble."""
     red = Exceedance(V, bound, ensemble.times, ensemble.n_paths, window)
@@ -328,7 +321,8 @@ class AccumulationReport:
 def inss_accumulation_check(ensemble: TrajectoryEnsemble, V: SizeFunction,
                             gamma: ScalarClassFunction,
                             schedule: CovarianceSchedule,
-                            beta_hat: Callable[[float, float], float],
+                            beta_hat: Callable[[np.ndarray, np.ndarray],
+                                               np.ndarray],
                             epsilon: float = 0.05) -> AccumulationReport:
     """Check V(t) <= beta_hat(V0, t) + integral of gamma(intensity) ds.
 

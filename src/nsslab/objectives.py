@@ -328,15 +328,6 @@ def check_nonseparable(model: LogisticModel,
     return SeparabilityReport(False, None, margin)
 
 
-def limiting_ray_slope(model: LogisticModel, dir) -> float:
-    """Limit, as r grows, of the loss's directional derivative along
-    theta0 + r * dir: the misclassified-margin indicator sum."""
-    dir = np.asarray(dir, dtype=float).reshape(-1)
-    s = model.X.T @ dir  # (N,)
-    p_inf = np.where(s > 0, 1.0, np.where(s < 0, 0.0, 0.5))
-    return float((p_inf - model.y) @ s / model.n_samples)
-
-
 def default_r_grid() -> np.ndarray:
     # geometric grid resolving both the linear regime and the saturation tail
     return np.r_[0.0, np.geomspace(1e-4, 1e2, 200)]

@@ -359,9 +359,8 @@ def simulate_ensemble(model: DiffusionModel, schedule: CovarianceSchedule,
     if N < 1:
         raise ValueError("N must be >= 1")
     x0 = np.asarray(x0, dtype=float)
-    x0s = np.broadcast_to(x0.reshape(-1) if x0.ndim == 1 else x0,
-                          (N, model.state_dim)).copy() if x0.ndim == 1 \
-        else np.array(x0, dtype=float)
+    x0s = np.array(np.broadcast_to(x0, (N, model.state_dim))
+                   if x0.ndim == 1 else x0, dtype=float)
     if x0s.shape != (N, model.state_dim):
         raise ValueError("x0 must be (n,) or (N, n)")
     _validate_sim_args(model, x0s, dt, T, store_every)

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from nsslab.compfun import (BracketError, DomainViolation, K, K_ON_0_D, KINF,
-                            KLFunction, ScalarClassFunction, catalog,
-                            classify_evidence, compose, from_table, identity,
-                            invert, invert_auto, weak_triangle_split)
+from nsslab.compfun import (PD, BracketError, DomainViolation, K, K_ON_0_D,
+                            KINF, ScalarClassFunction, classify_evidence,
+                            from_table, invert, invert_auto)
 
 
 def sqrt_fn():
@@ -17,6 +16,21 @@ def sqrt_fn():
 def saturating_fn():
     return ScalarClassFunction(eval=lambda s: s / (1.0 + s),
                                declared_class=K, description="s/(1+s)")
+
+
+def catalog():
+    """Named PD/K/Kinf functions whose classes are known by construction."""
+    return [ScalarClassFunction(lambda r: np.asarray(r, dtype=float) + 0.0,
+                                KINF, description="Id"),
+            ScalarClassFunction(np.square, KINF, description="r^2"),
+            sqrt_fn(),
+            ScalarClassFunction(lambda r: 2.0 * np.asarray(r, dtype=float),
+                                KINF, description="2r"),
+            ScalarClassFunction(np.log1p, KINF, description="log(1+r)"),
+            saturating_fn(),
+            ScalarClassFunction(np.arctan, K, description="atan(r)"),
+            ScalarClassFunction(lambda r: np.square(r) / (1.0 + np.square(r)),
+                                PD, description="r^2/(1+r^2)")]
 
 
 class TestScalarClassFunction:
@@ -82,30 +96,6 @@ class TestInvert:
             assert abs(float(f(invert_auto(f, y))) - y) <= 1e-8 * max(1.0, y)
 
 
-class TestAlgebra:
-    def test_compose_preserves_kinf(self):
-        g = compose(sqrt_fn(), sqrt_fn())
-        assert g.declared_class == KINF
-        assert abs(float(g(16.0)) - 2.0) <= 1e-12
-
-    def test_compose_downgrades_to_weakest(self):
-        g = compose(saturating_fn(), sqrt_fn())
-        assert g.declared_class == K
-
-    def test_identity(self):
-        f = identity()
-        assert float(f(3.5)) == 3.5
-        assert f.declared_class == KINF
-
-    def test_weak_triangle_split(self):
-        alpha = sqrt_fn()
-        rho = identity()
-        for a in (0.3, 1.7):
-            for b in (0.2, 5.0):
-                lhs, rhs = weak_triangle_split(alpha, rho, a, b)
-                assert lhs <= rhs + 1e-12
-
-
 class TestFromTable:
     def test_interpolates_linearly(self):
         f = from_table(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 3.0]))
@@ -116,19 +106,3 @@ class TestFromTable:
         f = from_table(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         assert float(f(10.0)) == 1.0
 
-
-class TestKLFunction:
-    def test_evidence_collects_both_axes(self):
-        beta = KLFunction(eval=lambda s, t: s * np.exp(-t),
-                          description="s*exp(-t)")
-        report = beta.evidence(np.linspace(0.0, 5.0, 30),
-                               np.linspace(0.0, 10.0, 30))
-        assert report["consistent"]
-
-    def test_nondecaying_flagged(self):
-        beta = KLFunction(eval=lambda s, t: s * (1.0 + 0.0 * t),
-                          description="no decay")
-        report = beta.evidence(np.linspace(0.0, 5.0, 10),
-                               np.linspace(0.0, 10.0, 10))
-        assert not report["consistent"]
-        assert report["decay"]

@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every public top-level function and class is used by the package or is
+on an allow-list that says why it stays."""
 
 import ast
 from pathlib import Path
@@ -6,6 +8,23 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nsslab"
+
+# public API that no other code in the package reads, each with the claim
+# of the paper it implements or "shared test reference"; claim letters
+# follow the README's claims table
+UNREFERENCED_ALLOWED = {
+    "classify_evidence": "claims (a)-(c): falsifies the declared class of a "
+                         "PL modulus, which decides scNSS, NSS or iNSS",
+    "inss_accumulation_check": "claim (c): PD-PL gives integral NSS",
+    "eta_schedule_lqr": "claim (d): the learning-rate half of step-size "
+                        "tuning",
+    "set_D_threshold": "claim (e): the level of the recurrence set",
+    "supermartingale_diagnostic": "claim (e): V decreases outside the level",
+    "entry_exit_times": "claim (e): entry into and exit from the level",
+    "half_norm_squared": "shared test reference",
+    "random_stabilizing_gains": "shared test reference",
+    "gradient_bound_check": "shared test reference",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -22,6 +41,31 @@ def unused_imports(source: str) -> list[str]:
     return sorted(bound - read)
 
 
+def unreferenced_definitions(sources: list[str]) -> list[str]:
+    """Public top-level functions and classes whose name no code reads
+    outside their own definition, as a bare name or as an attribute."""
+    trees = [ast.parse(s) for s in sources]
+    defs = [node for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+    def names_read(tree, skip):
+        out, stack = set(), [tree]
+        while stack:
+            node = stack.pop()
+            if node is skip:
+                continue
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+        return out
+
+    return sorted(d.name for d in defs
+                  if not any(d.name in names_read(t, d) for t in trees))
+
+
 def test_scan_sees_unused_and_used_names():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport numpy as np\n"
@@ -30,7 +74,23 @@ def test_scan_sees_unused_and_used_names():
     assert unused_imports(source) == ["Sequence", "os"]
 
 
+def test_definition_scan_sees_reads_across_modules_only():
+    a = ("class Used:\n    pass\n"
+         "def recursive(n):\n    return recursive(n - 1)\n"
+         "def _private():\n    pass\n")
+    b = "import a\ndef caller():\n    return a.Used()\n"
+    assert unreferenced_definitions([a, b]) == ["caller", "recursive"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_public_api_is_used_or_allowed():
+    found = unreferenced_definitions(
+        [p.read_text() for p in sorted(PACKAGE.glob("*.py"))])
+    assert sorted(set(found) - set(UNREFERENCED_ALLOWED)) == []
+    # an entry whose function is gone or now used has no reason to stay
+    assert sorted(set(UNREFERENCED_ALLOWED) - set(found)) == []

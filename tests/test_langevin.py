@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from nsslab import lqr
-from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
+from nsslab.langevin import (OverdampedConfig, SmoothnessLadder,
+                             UnderdampedConfig, _scheduled_terms,
                              build_overdamped, build_smoothness_ladder,
-                             build_underdamped, generator_bound_overdamped,
-                             half_norm_squared, ladder_from_profile,
-                             m1_profile, objective_size_function,
+                             build_underdamped, half_norm_squared,
+                             ladder_from_profile, objective_size_function,
                              overdamped_certificate, phi_functions,
-                             scheduled_coefficients, v2_certificate,
-                             v2_size_function, v3_certificate,
+                             v2_certificate, v2_size_function, v3_certificate,
                              v3_size_function)
 from nsslab.lyapcert import (check_dissipation, default_state_samples,
                              default_theta_samples, generator_apply)
@@ -24,6 +23,51 @@ from nsslab.sde import CovarianceSchedule, simulate_path
 
 def quad(n=2, lam=1.0):
     return quadratic_objective(lam * np.eye(n), np.zeros(n))
+
+
+def lbar(ladder: SmoothnessLadder, h):
+    """Lbar(h) = Lbar2(h) K_G^2 / 2: the ladder with the diffusion-field
+    bound folded in."""
+    return 0.5 * ladder.Lbar2(h) * ladder.k_g**2
+
+
+def ltilde(ladder: SmoothnessLadder, h):
+    return lbar(ladder, h) - lbar(ladder, 0.0)
+
+
+def generator_bound_overdamped(config: OverdampedConfig, z, sigma_mat,
+                               ladder: SmoothnessLadder | None = None
+                               ) -> tuple[float, float]:
+    """Exact generator of J versus its dissipation bound at (z, Sigma).
+
+    Constant learning rate: bound -mu(h)^2 + L K_G^2 |Sigma Sigma^T| / 2.
+    Scheduled learning rate: bound -eta(h) mu(h)^2
+    + (Lbar(0) + Ltilde(h)) |Sigma Sigma^T|, which needs a ladder.
+    """
+    obj = config.objective
+    if obj.envelope is None:
+        raise ValueError("objective has no PL envelope")
+    z = np.asarray(z, dtype=float)
+    sigma_mat = np.atleast_2d(np.asarray(sigma_mat, dtype=float))
+    h = obj.value_at(z) - obj.optimum_value
+    g = obj.gradient_at(z)
+    H = obj.hessian_at(z)
+    Gz = np.eye(obj.dim) if config.G is None \
+        else np.asarray(config.G(z[None]))[0]
+    eta_h = 1.0 if config.eta is None else float(config.eta(np.asarray([h]))[0])
+    gs = Gz @ sigma_mat
+    lhs = -eta_h * float(g @ g) + 0.5 * float(np.trace(gs.T @ H @ gs))
+    s = float(np.linalg.norm(sigma_mat @ sigma_mat.T, 2))
+    mu_h = float(obj.envelope.mu(h))
+    if config.eta is None:
+        if obj.global_lipschitz is None:
+            raise ValueError("constant-rate bound needs the Lipschitz constant")
+        rhs = -mu_h**2 + 0.5 * obj.global_lipschitz * config.k_g**2 * s
+    else:
+        if ladder is None:
+            raise ValueError("scheduled-rate bound needs a smoothness ladder")
+        rhs = -eta_h * mu_h**2 + float(lbar(ladder, 0.0) + ltilde(ladder, h)) * s
+    return lhs, rhs
 
 
 def v2_scalar(config, z, v):
@@ -88,7 +132,7 @@ class TestSmoothnessLadder:
 
     def test_lbar_scaling(self):
         ladder = build_smoothness_ladder(quad(), h_max=10.0, k_g=2.0)
-        assert abs(float(ladder.Lbar(1.0)) - 0.5 * 1.0 * 4.0) <= 1e-8
+        assert abs(float(lbar(ladder, 1.0)) - 0.5 * 1.0 * 4.0) <= 1e-8
 
     def test_analytic_lqr_ladder_matches_profile(self):
         problem = lqr.LqrProblem(A=np.eye(1), F=np.eye(1), Q=np.eye(1),
@@ -99,15 +143,6 @@ class TestSmoothnessLadder:
         assert np.allclose(ladder.Lbar2(hs),
                            lqr.smoothness_profile_L3(profile, problem, hs),
                            rtol=1e-12)
-
-    def test_m1_profile_is_nonincreasing_suffix_inf(self):
-        ladder = build_smoothness_ladder(quad(), h_max=10.0)
-        h_grid = np.linspace(0.0, 10.0, 50)
-        vals = m1_profile(ladder, lambda h: 1.0 + 0.0 * np.asarray(h),
-                          lambda h: np.sqrt(2.0 * np.asarray(h)), h_grid)
-        finite = vals[np.isfinite(vals)]
-        # a suffix infimum can only decrease when read backwards
-        assert np.all(np.diff(finite) >= -1e-12) or finite.size <= 1
 
 
 class TestPhiLadder:
@@ -155,7 +190,7 @@ class TestScheduledMode:
     def test_coefficients(self):
         cfg = self.make_config()
         z = np.array([[1.0, 0.0]])
-        c, eta = scheduled_coefficients(cfg, z)
+        c, eta = _scheduled_terms(cfg, z)[:2]
         assert np.allclose(c, 1.0)  # |hess|/2 + 1/2 = 1 for A = I
         assert np.all(eta >= 1.0 - 1e-9)
 
@@ -170,7 +205,7 @@ class TestScheduledMode:
         phi = phi_functions(build_smoothness_ladder(quad(n), h_max=100.0))
         obj = replace(quad(n), hessian=lambda z: H)
         cfg = UnderdampedConfig(objective=obj, mode="scheduled", phi=phi)
-        c, _ = scheduled_coefficients(cfg, rng.standard_normal((50, n)))
+        c, _ = _scheduled_terms(cfg, rng.standard_normal((50, n)))[:2]
         want = 0.5 * np.linalg.norm(H, 2, axis=(1, 2)) + 0.5
         assert np.array_equal(c, want)
 
@@ -238,7 +273,7 @@ class TestScheduledLqr:
         want = np.concatenate(
             [v, -eta[:, None] * obj.gradient(z) - c[:, None] * v], axis=1)
         assert np.array_equal(model.drift(x), want)
-        got_c, got_eta = scheduled_coefficients(cfg, z)
+        got_c, got_eta = _scheduled_terms(cfg, z)[:2]
         assert np.array_equal(got_c, c) and np.array_equal(got_eta, eta)
 
 
@@ -348,6 +383,19 @@ class TestCertificates:
             z = rng.standard_normal(2) * 3.0
             sig = rng.uniform(0.0, 2.0) * np.eye(2)
             lhs, rhs = generator_bound_overdamped(cfg, z, sig)
+            assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
+
+    def test_scheduled_rate_generator_bound_holds(self):
+        obj = quad()
+        cfg = OverdampedConfig(objective=obj, eta=lambda h: 1.0 + h)
+        ladder = build_smoothness_ladder(obj, h_max=100.0)
+        with pytest.raises(ValueError):
+            generator_bound_overdamped(cfg, np.ones(2), np.eye(2))
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            z = rng.standard_normal(2) * 3.0
+            sig = rng.uniform(0.0, 2.0) * np.eye(2)
+            lhs, rhs = generator_bound_overdamped(cfg, z, sig, ladder)
             assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
 
     def test_generator_matches_certificate_lhs(self):

