@@ -17,6 +17,8 @@ from nsslab.objectives import quadratic_objective
 from nsslab.compfun import K, ScalarClassFunction
 from nsslab.sde import CovarianceSchedule, simulate_ensemble
 
+from test_nssmc_reference import reference_exceedance_fraction
+
 
 def scalar_setup():
     obj = quadratic_objective(np.array([[1.0]]), np.zeros(1))
@@ -117,6 +119,22 @@ class TestExceedance:
             np.ones(1), 1e-2, 5.0, 100, 0, store_every=5)
         frac = exceedance_fraction(ens, V, lambda v0, t: v0 * 0.0)
         assert frac == 1.0
+
+    @pytest.mark.parametrize("scalar, vector", [
+        (lambda v0, t: v0 * math.exp(-t) + 0.02,
+         lambda v0, t: v0 * np.exp(-t) + 0.02),
+        (lambda v0, t: v0 + 0.01 if t < 1.0 else 0.1,
+         lambda v0, t: np.where(t < 1.0, v0 + 0.01, 0.1))])
+    def test_scalar_only_bound_matches_vectorised_twin(self, scalar, vector):
+        # the dense reference evaluates a scalar-only bound point by point;
+        # the reducer is given its vectorised twin
+        model, V = scalar_setup()
+        ens = simulate_ensemble(
+            model, CovarianceSchedule.constant(np.array([[0.3]]), 2.0),
+            np.ones(1), 1e-2, 2.0, 60, 0, store_every=5)
+        frac = exceedance_fraction(ens, V, vector)
+        assert frac == reference_exceedance_fraction(ens, V, scalar)
+        assert 0.0 < frac < 1.0
 
     def test_scalar_only_bound_raises(self):
         # bounds are called on arrays; one built on math.exp cannot take them
