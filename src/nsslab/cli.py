@@ -3,8 +3,10 @@
 Subcommands: ``run <config>``, ``list``, ``validate <config>``.  Configs
 are INI files with [experiment], [problem], [dynamics], [noise], and [mc]
 sections; every run is a pure function of (config, master seed) and
-re-running writes byte-identical CSV artifacts.  The ``--threads`` knob
-is accepted for symmetry with batch schedulers and never affects output.
+re-running writes byte-identical CSV artifacts.  ``--threads K`` sets
+the number of worker processes that large Monte Carlo ensembles run on;
+the output never depends on it (see :mod:`nsslab.sde` for the shard
+rule).
 """
 
 from __future__ import annotations
@@ -129,8 +131,10 @@ def _lqr_from_config(cfg):
 
 
 # --------------------------------------------------------------- experiments
+# Each experiment is fn(cfg, out, seed, workers) -> summary lines, with
+# ``workers`` from --threads; only Monte Carlo ensembles read it.
 
-def _exp_ou_sanity(cfg, out, seed):
+def _exp_ou_sanity(cfg, out, seed, workers):
     obj = objectives.quadratic_objective(np.array([[1.0]]), np.zeros(1))
     model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
     sigma = _get(cfg, "noise", "sigma", float, "0.5")
@@ -144,7 +148,8 @@ def _exp_ou_sanity(cfg, out, seed):
     moments = nssmc.PathMeans(square, times.size)
     tail = nssmc.WindowValues(square, times, N, max(0.0, T - 25.0), T)
     sde.simulate_ensemble(model, schedule, np.zeros(1), dt, T, N, seed,
-                          store_every=store, reducers=[moments, tail])
+                          store_every=store, reducers=[moments, tail],
+                          workers=workers)
     second_moment = float(np.mean(tail.values))
     target = sigma**2 / 2.0
     rel = abs(second_moment - target) / target
@@ -154,10 +159,11 @@ def _exp_ou_sanity(cfg, out, seed):
              f"{second_moment:.6g} vs {target:.6g} (rel err {rel:.3f})")]
 
 
-def _gain_sweep_core(cfg, out, seed, obj, exceedance=False):
-    """Gain curve of the overdamped sweep; with ``exceedance``, the quiet
-    decay envelope is fitted first and each ensemble also reduces its
-    exceedance of envelope + EXCEEDANCE_MARGIN sigma^2."""
+def _gain_sweep_core(cfg, out, seed, workers, obj, exceedance=False):
+    """Gain curve of the overdamped sweep on up to ``workers`` processes;
+    with ``exceedance``, the quiet decay envelope is fitted first and each
+    ensemble also reduces its exceedance of envelope + EXCEEDANCE_MARGIN
+    sigma^2."""
     model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
     V = langevin.objective_size_function(obj)
     dt = _get(cfg, "mc", "dt", float, "1e-3")
@@ -183,7 +189,7 @@ def _gain_sweep_core(cfg, out, seed, obj, exceedance=False):
         beta = fit_decay_envelope(quiet, V)
         bounds = [lambda v0, t, g=EXCEEDANCE_MARGIN * s**2: beta(v0, t) + g
                   for s in np.sqrt(exp.intensities())]
-    curve = run_experiment(exp, bounds)
+    curve = run_experiment(exp, bounds, workers=workers)
     _write_gain_curve(out / "gain_curve.csv", curve)
     mono = bool(np.all(np.diff(curve.tail_quantiles) >= -1e-12))
     return curve, exp, [
@@ -191,9 +197,9 @@ def _gain_sweep_core(cfg, out, seed, obj, exceedance=False):
          f"tail quantiles {np.array2string(curve.tail_quantiles, precision=4)}")]
 
 
-def _exp_quadratic_overdamped(cfg, out, seed):
+def _exp_quadratic_overdamped(cfg, out, seed, workers):
     obj = _quadratic_from_config(cfg)
-    _, _, lines = _gain_sweep_core(cfg, out, seed, obj)
+    _, _, lines = _gain_sweep_core(cfg, out, seed, workers, obj)
     return lines
 
 
@@ -204,11 +210,11 @@ def _exp_quadratic_overdamped(cfg, out, seed):
 EXCEEDANCE_MARGIN = 10.0
 
 
-def _exp_gain_sweep(cfg, out, seed):
+def _exp_gain_sweep(cfg, out, seed, workers):
     obj = _quadratic_from_config(cfg)
     if obj.dim != 1 or obj.hessian_at(obj.minimizer)[0, 0] != 1.0:
         raise ConfigError("gain-sweep expects the scalar unit quadratic")
-    curve, exp, lines = _gain_sweep_core(cfg, out, seed, obj,
+    curve, exp, lines = _gain_sweep_core(cfg, out, seed, workers, obj,
                                          exceedance=True)
     sigmas = np.sqrt(curve.intensities)
     # stationary law: V = z^2/2 with z ~ Normal(0, sigma^2/2)
@@ -227,7 +233,7 @@ def _exp_gain_sweep(cfg, out, seed):
     return lines
 
 
-def _exp_quadratic_underdamped(cfg, out, seed):
+def _exp_quadratic_underdamped(cfg, out, seed, workers):
     obj = _quadratic_from_config(cfg)
     ucfg = langevin.UnderdampedConfig(objective=obj, mode="constant_coeff",
                                       eta=_get(cfg, "dynamics", "eta", float,
@@ -258,7 +264,7 @@ def _exp_quadratic_underdamped(cfg, out, seed):
              f"deviation {oracle_err:.3e}")]
 
 
-def _exp_logistic_overdamped(cfg, out, seed):
+def _exp_logistic_overdamped(cfg, out, seed, workers):
     data = _logistic_from_config(cfg)
     sep = objectives.check_nonseparable(data)
     lines = [("dataset-nonseparable", not sep.separable,
@@ -286,7 +292,7 @@ def _exp_logistic_overdamped(cfg, out, seed):
     return lines
 
 
-def _exp_logistic_underdamped(cfg, out, seed):
+def _exp_logistic_underdamped(cfg, out, seed, workers):
     data = _logistic_from_config(cfg)
     obj = objectives.logistic_objective(data)
     ucfg = langevin.UnderdampedConfig(objective=obj, mode="constant_coeff",
@@ -308,7 +314,7 @@ def _exp_logistic_underdamped(cfg, out, seed):
              f"final distance {dist:.3e} (tol {tol:g})")]
 
 
-def _exp_lqr_po_overdamped(cfg, out, seed):
+def _exp_lqr_po_overdamped(cfg, out, seed, workers):
     problem = _lqr_from_config(cfg)
     profile = lqr.solve_riccati(problem, K0=np.full((problem.m, problem.n),
                                                     2.0))
@@ -335,7 +341,7 @@ def _exp_lqr_po_overdamped(cfg, out, seed):
                         x0=lqr.vec_gain(profile.Kstar), N=N, dt=dt, T=T,
                         master_seed=seed,
                         store_every=_get(cfg, "mc", "store_every", int, "20"))
-    bracket = scnss_threshold_scan(exp)
+    bracket = scnss_threshold_scan(exp, workers=workers)
     _write_gain_curve(out / "gain_curve.csv", bracket.curve)
     lines.append(("blowup-onset", bracket.upper_onset_detected,
                   bracket.describe()))
@@ -346,13 +352,13 @@ def _exp_lqr_po_overdamped(cfg, out, seed):
     return lines
 
 
-def _exp_lqr_po_underdamped(cfg, out, seed):
+def _exp_lqr_po_underdamped(cfg, out, seed, workers):
     problem = _lqr_from_config(cfg)
     profile = lqr.solve_riccati(problem, K0=np.full((problem.m, problem.n),
                                                     2.0))
     obj = lqr.lqr_objective(problem, profile)
     h_max = _get(cfg, "dynamics", "h_max", float, "20")
-    ladder = langevin.ladder_from_profile(profile, problem, h_max, k_g=1.0)
+    ladder = langevin.ladder_from_profile(profile, problem, h_max)
     phi = langevin.phi_functions(ladder)
     ucfg = langevin.UnderdampedConfig(objective=obj, mode="scheduled",
                                       phi=phi, K_G=1.0)
@@ -373,7 +379,7 @@ def _exp_lqr_po_underdamped(cfg, out, seed):
              f"final gain distance {dist:.3e} (tol {tol:g})")]
 
 
-def _exp_certify_dissipation(cfg, out, seed):
+def _exp_certify_dissipation(cfg, out, seed, workers):
     lines = []
     obj = _quadratic_from_config(cfg)
     ocfg = langevin.OverdampedConfig(objective=obj)
@@ -411,7 +417,7 @@ def _exp_certify_dissipation(cfg, out, seed):
     return lines
 
 
-def _exp_pl_envelope(cfg, out, seed):
+def _exp_pl_envelope(cfg, out, seed, workers):
     data = _logistic_from_config(cfg)
     obj = objectives.logistic_objective(data)
     n_dirs = _get(cfg, "dynamics", "n_dirs", int, "256")
@@ -471,6 +477,9 @@ def list_experiments() -> str:
 
 def run(config_path: str, out_dir: str | None = None,
         seed_override: int | None = None, threads: int = 1) -> int:
+    if threads < 1:
+        print(f"error: --threads must be >= 1, got {threads}", file=sys.stderr)
+        return 2
     try:
         cfg = _load_config(config_path)
     except ConfigError as exc:
@@ -488,7 +497,7 @@ def run(config_path: str, out_dir: str | None = None,
         seed = seed_override if seed_override is not None \
             else _get(cfg, "mc", "master_seed", int, "0")
         out.mkdir(parents=True, exist_ok=True)
-        lines = fn(cfg, out, seed)
+        lines = fn(cfg, out, seed, threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -522,7 +531,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker hint; never affects results")
+                       help="worker processes for large Monte Carlo "
+                            "ensembles (default 1); output never depends "
+                            "on it")
     p_run.add_argument("--seed-override", type=int, default=None)
     sub.add_parser("list", help="list registered experiments")
     p_val = sub.add_parser("validate", help="check a config without running")

@@ -189,14 +189,13 @@ class SmoothnessLadder:
 
     Lbar2(h) bounds the Hessian norm over the suboptimality-h sublevel
     set, tabulated by radial sampling (an under-estimate, so downstream
-    inequalities are re-verified by certificate falsification).  ``k_g``
-    is the diffusion-field bound K_G the table was built for; the
-    generator's second-order term is at most Lbar2(h) * K_G^2 / 2.
+    inequalities are re-verified by certificate falsification).  With a
+    diffusion-field bound K_G, the generator's second-order term is at
+    most Lbar2(h) * K_G^2 / 2.
     """
 
     h_table: np.ndarray
     lbar2_table: np.ndarray
-    k_g: float
 
     def Lbar2(self, h) -> np.ndarray:
         return np.interp(np.asarray(h, dtype=float), self.h_table,
@@ -208,7 +207,7 @@ class SmoothnessLadder:
 
 
 def build_smoothness_ladder(objective: Objective, h_max: float,
-                            k_g: float | None = None, n_dirs: int = 40,
+                            n_dirs: int = 40,
                             pts_per_dir: int = 25, seed: int = 0,
                             grid_points: int = 200) -> SmoothnessLadder:
     """Tabulate the sublevel Hessian-norm bound by radial sampling.
@@ -246,12 +245,10 @@ def build_smoothness_ladder(objective: Objective, h_max: float,
     h_table = np.linspace(0.0, h_max, grid_points)
     lbar2 = np.interp(h_table, subopts, hnorms)
     lbar2 = np.maximum.accumulate(lbar2)
-    if k_g is None:
-        k_g = float(np.sqrt(objective.dim))
-    return SmoothnessLadder(h_table=h_table, lbar2_table=lbar2, k_g=k_g)
+    return SmoothnessLadder(h_table=h_table, lbar2_table=lbar2)
 
 
-def ladder_from_profile(profile, problem, h_max: float, k_g: float,
+def ladder_from_profile(profile, problem, h_max: float,
                         grid_points: int = 200) -> SmoothnessLadder:
     """Ladder backed by the analytic LQR smoothness profile.
 
@@ -261,7 +258,7 @@ def ladder_from_profile(profile, problem, h_max: float, k_g: float,
     from .lqr import smoothness_profile_L3
     h_table = np.linspace(0.0, h_max, grid_points)
     lbar2 = np.asarray(smoothness_profile_L3(profile, problem, h_table))
-    return SmoothnessLadder(h_table=h_table, lbar2_table=lbar2, k_g=k_g)
+    return SmoothnessLadder(h_table=h_table, lbar2_table=lbar2)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ BLAS matmul); path means are summed path by path, as
 ``np.mean(..., axis=0)`` of an (N, R) array is; window values are kept in
 the memory order of the dense window array, so a sum over them adds in
 the same order (quantiles do not depend on the order).
+:class:`WindowValues` and :class:`Exceedance` keep one column or entry
+per path, so they can shard: ``shard(lo, hi)`` is a copy for paths
+[lo, hi) that writes into a view of the original's buffer, and
+``buffers()`` lists the arrays such a copy fills.  Sharded ensembles
+(see :mod:`sde`) merge them in path order at no cost.
 :func:`exceedance_fraction`, :func:`fit_decay_envelope` and
 :func:`tail_window_values` take recorded ensembles.
 
@@ -28,6 +33,7 @@ counter-based per-path generators and reductions are deterministic.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -109,6 +115,14 @@ class WindowValues:
         if 0 <= w < self.index.size:  # the window's records are contiguous
             self.values[w] = self.f(z)
 
+    def shard(self, lo: int, hi: int) -> "WindowValues":
+        part = copy.copy(self)
+        part.values = self.values[:, lo:hi]
+        return part
+
+    def buffers(self) -> list[np.ndarray]:
+        return [self.values]
+
     def valid_values(self, valid_counts: np.ndarray) -> np.ndarray:
         """The values of valid (record, path) pairs, record by record."""
         if self.index.size == 0 or (valid_counts > self.index[-1]).all():
@@ -162,6 +176,14 @@ class Exceedance:
             b = np.broadcast_to(b, (v.size, 1))[:, 0]
             self.exceeded |= ~active | (v > b)
 
+    def shard(self, lo: int, hi: int) -> "Exceedance":
+        part = copy.copy(self)
+        part.exceeded = self.exceeded[lo:hi]
+        return part
+
+    def buffers(self) -> list[np.ndarray]:
+        return [self.exceeded]
+
     def fraction(self) -> float:
         return float(self.exceeded.mean())
 
@@ -178,9 +200,10 @@ def tail_window_values(ensemble: TrajectoryEnsemble, V: SizeFunction,
     return vals[alive]
 
 
-def _reduce_ensemble(exp: NssExperiment, j: int, bound):
+def _reduce_ensemble(exp: NssExperiment, j: int, bound, workers: int):
     """(tail quantile, blow-up fraction, exceedance fraction or None) of
-    the sweep's j-th ensemble; its reducers are freed on return."""
+    the sweep's j-th ensemble, run on up to ``workers`` processes; its
+    reducers are freed on return."""
     times = record_times(exp.dt, exp.T, exp.store_every)
     tail = WindowValues(lambda z: self_values(exp.V, z), times, exp.N,
                         exp.T / 2.0, exp.T)
@@ -190,7 +213,7 @@ def _reduce_ensemble(exp: NssExperiment, j: int, bound):
                             exp.dt, exp.T, exp.N, exp.master_seed + j,
                             store_every=exp.store_every,
                             reducers=[tail] if exceed is None
-                            else [tail, exceed])
+                            else [tail, exceed], workers=workers)
     pooled = tail.valid_values(ens.valid_counts)
     # the quantile does not depend on the order of the pooled values, and
     # they are a private buffer, so partition them in place
@@ -201,9 +224,11 @@ def _reduce_ensemble(exp: NssExperiment, j: int, bound):
             None if exceed is None else exceed.fraction())
 
 
-def run_experiment(exp: NssExperiment, bounds: Sequence[Callable] | None = None
-                   ) -> GainCurve:
-    """The gain curve of the sweep, one ensemble at a time.
+def run_experiment(exp: NssExperiment,
+                   bounds: Sequence[Callable] | None = None,
+                   workers: int = 1) -> GainCurve:
+    """The gain curve of the sweep, one ensemble at a time, each on up to
+    ``workers`` processes (the curve does not depend on ``workers``).
 
     Each ensemble keeps only V on the tail window [T/2, T] and its exit
     flags.  With ``bounds`` (one bound(V0, t) per schedule) it also keeps
@@ -212,7 +237,8 @@ def run_experiment(exp: NssExperiment, bounds: Sequence[Callable] | None = None
     """
     if bounds is not None and len(bounds) != len(exp.schedule_family):
         raise ValueError("need one bound per schedule")
-    stats = [_reduce_ensemble(exp, j, None if bounds is None else bounds[j])
+    stats = [_reduce_ensemble(exp, j, None if bounds is None else bounds[j],
+                              workers)
              for j in range(len(exp.schedule_family))]
     quants, blowups, fracs = zip(*stats)
     return GainCurve(intensities=exp.intensities(),
@@ -295,11 +321,13 @@ class OnsetBracket:
         return f"practical onset bracket: [{lo}, {self.upper:g}]"
 
 
-def scnss_threshold_scan(exp: NssExperiment) -> OnsetBracket:
-    """Locate the empirical divergence onset over the intensity grid."""
+def scnss_threshold_scan(exp: NssExperiment, workers: int = 1
+                         ) -> OnsetBracket:
+    """Locate the empirical divergence onset over the intensity grid; the
+    sweep runs on up to ``workers`` processes."""
     if len(exp.schedule_family) < 2:
         raise ValueError("onset bracketing needs at least two intensities")
-    curve = run_experiment(exp)
+    curve = run_experiment(exp, workers=workers)
     stable = (curve.blowup_fractions <= 0.01) & np.isfinite(curve.tail_quantiles)
     divergent = curve.blowup_fractions >= 0.5
     lower = curve.intensities[stable].max() if stable.any() else None

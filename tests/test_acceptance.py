@@ -332,8 +332,7 @@ def test_gradient_growth_ladder_bounds_hold():
                                               gains.reshape(len(gains), -1))
     hs = costs[ok] - profile.J2star
     gnorms = np.linalg.norm(grads[ok], axis=1)
-    ladder = ladder_from_profile(profile, problem, 1.05 * float(hs.max()),
-                                 k_g=1.0)
+    ladder = ladder_from_profile(profile, problem, 1.05 * float(hs.max()))
     phi = phi_functions(ladder)
     counts["lqr"] = _phi_ladder_violations(phi, ladder, hs, gnorms)
 
@@ -362,7 +361,7 @@ def test_gain_curve_tail_quantiles_and_exceedance():
     beta = fit_decay_envelope(quiet, V)
     bounds = [lambda v0, t, g=cli.EXCEEDANCE_MARGIN * s**2: beta(v0, t) + g
               for s in sigmas]
-    curve = run_experiment(exp, bounds)
+    curve = run_experiment(exp, bounds, workers=2)
     # stationary law: V = z^2/2 with z ~ Normal(0, sigma^2/2)
     targets = (sigmas**2 / 4.0) * CHI2_1_Q95
     rel = np.abs(curve.tail_quantiles - targets) / targets
@@ -515,28 +514,48 @@ master_seed = 5
 }
 
 
+# 8,192 paths: two shards of 4,096, run on up to --threads processes
+SHARDED_GAIN_SWEEP = """
+[problem]
+diag = 1
+[noise]
+sigmas = 0.1, 0.2
+[mc]
+N = 8192
+dt = 1e-2
+T = 1
+master_seed = 5
+epsilon = 0.05
+store_every = 10
+"""
+
+
 def test_thread_count_never_affects_artifacts(tmp_path):
     compared = 0
-    for name, body in TINY_CONFIGS.items():
-        cfg = tmp_path / f"{name}.ini"
+    cases = [(name, name, body, ("1", "8"))
+             for name, body in TINY_CONFIGS.items()]
+    cases.append(("gain-sweep-sharded", "gain-sweep", SHARDED_GAIN_SWEEP,
+                  ("1", "2", "8")))
+    for case, name, body, threads in cases:
+        cfg = tmp_path / f"{case}.ini"
         cfg.write_text(f"[experiment]\nname = {name}\noutput = out\n"
                        + body.format(csv=DEMO_CSV))
-        out1 = tmp_path / name / "t1"
-        out8 = tmp_path / name / "t8"
-        code1 = cli.main(["run", str(cfg), "--out", str(out1),
-                          "--threads", "1"])
-        code8 = cli.main(["run", str(cfg), "--out", str(out8),
-                          "--threads", "8"])
-        assert code1 in (0, 1) and code1 == code8, name
-        csvs = sorted(p.name for p in out1.glob("*.csv"))
-        assert csvs, name
+        outs = [tmp_path / case / f"t{k}" for k in threads]
+        codes = [cli.main(["run", str(cfg), "--out", str(out),
+                           "--threads", k])
+                 for out, k in zip(outs, threads)]
+        assert codes[0] in (0, 1) and len(set(codes)) == 1, case
+        csvs = sorted(p.name for p in outs[0].glob("*.csv"))
+        assert csvs, case
         for f in csvs:
-            assert (out1 / f).read_bytes() == (out8 / f).read_bytes(), \
-                f"{name}/{f} differs between thread counts"
+            for out in outs[1:]:
+                assert (outs[0] / f).read_bytes() == (out / f).read_bytes(), \
+                    f"{case}/{f} differs between thread counts"
             compared += 1
     _report("determinism",
             f"{compared} CSV artifacts byte-identical at 1 and 8 threads "
-            f"across all {len(TINY_CONFIGS)} experiments")
+            f"across all {len(TINY_CONFIGS)} experiments, and at 1, 2 and "
+            f"8 threads for a two-shard gain sweep")
 
 
 def test_underdamped_flow_matches_matrix_exponential():

@@ -104,6 +104,16 @@ class TestRun:
         for f in sorted(p.name for p in out1.iterdir()):
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2_with_one_line(self, tmp_path, capsys,
+                                                      threads):
+        cfg = write_config(tmp_path, "quadratic-underdamped", FAST_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--threads" in err, err
+        assert not out.exists()
+
     def test_seed_override_changes_noise_draws(self, tmp_path):
         extra = """
 [noise]

@@ -25,14 +25,14 @@ def quad(n=2, lam=1.0):
     return quadratic_objective(lam * np.eye(n), np.zeros(n))
 
 
-def lbar(ladder: SmoothnessLadder, h):
+def lbar(ladder: SmoothnessLadder, h, k_g: float):
     """Lbar(h) = Lbar2(h) K_G^2 / 2: the ladder with the diffusion-field
-    bound folded in."""
-    return 0.5 * ladder.Lbar2(h) * ladder.k_g**2
+    bound K_G folded in."""
+    return 0.5 * ladder.Lbar2(h) * k_g**2
 
 
-def ltilde(ladder: SmoothnessLadder, h):
-    return lbar(ladder, h) - lbar(ladder, 0.0)
+def ltilde(ladder: SmoothnessLadder, h, k_g: float):
+    return lbar(ladder, h, k_g) - lbar(ladder, 0.0, k_g)
 
 
 def generator_bound_overdamped(config: OverdampedConfig, z, sigma_mat,
@@ -66,7 +66,8 @@ def generator_bound_overdamped(config: OverdampedConfig, z, sigma_mat,
     else:
         if ladder is None:
             raise ValueError("scheduled-rate bound needs a smoothness ladder")
-        rhs = -eta_h * mu_h**2 + float(lbar(ladder, 0.0) + ltilde(ladder, h)) * s
+        rhs = -eta_h * mu_h**2 + float(lbar(ladder, 0.0, config.k_g)
+                                       + ltilde(ladder, h, config.k_g)) * s
     return lhs, rhs
 
 
@@ -131,14 +132,14 @@ class TestSmoothnessLadder:
         assert np.allclose(ladder.Lbar2(hs), 3.0, atol=1e-8)
 
     def test_lbar_scaling(self):
-        ladder = build_smoothness_ladder(quad(), h_max=10.0, k_g=2.0)
-        assert abs(float(lbar(ladder, 1.0)) - 0.5 * 1.0 * 4.0) <= 1e-8
+        ladder = build_smoothness_ladder(quad(), h_max=10.0)
+        assert abs(float(lbar(ladder, 1.0, 2.0)) - 0.5 * 1.0 * 4.0) <= 1e-8
 
     def test_analytic_lqr_ladder_matches_profile(self):
         problem = lqr.LqrProblem(A=np.eye(1), F=np.eye(1), Q=np.eye(1),
                                  R=np.eye(1))
         profile = lqr.solve_riccati(problem, K0=np.array([[2.0]]))
-        ladder = ladder_from_profile(profile, problem, 10.0, k_g=1.0)
+        ladder = ladder_from_profile(profile, problem, 10.0)
         hs = ladder.h_table
         assert np.allclose(ladder.Lbar2(hs),
                            lqr.smoothness_profile_L3(profile, problem, hs),
@@ -227,7 +228,7 @@ def scalar_lqr_scheduled():
     problem = lqr.LqrProblem(A=one, F=one, Q=one, R=one)
     profile = lqr.solve_riccati(problem, K0=2.0 * one)
     obj = lqr.lqr_objective(problem, profile)
-    ladder = ladder_from_profile(profile, problem, 20.0, k_g=1.0)
+    ladder = ladder_from_profile(profile, problem, 20.0)
     cfg = UnderdampedConfig(objective=obj, mode="scheduled",
                             phi=phi_functions(ladder), K_G=1.0)
     return cfg, build_underdamped(cfg)

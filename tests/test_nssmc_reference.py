@@ -32,8 +32,10 @@ from nsslab.nssmc import (DecayFit, Exceedance, GainCurve, NssExperiment,
 from nsslab.objectives import quadratic_objective
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
                         TrajectoryEnsemble, _diagonal, _times_transpose,
-                        derive_path_seed, record_times, simulate_ensemble,
+                        record_times, simulate_ensemble,
                         sup_noise_intensity)
+
+from test_sde import reference_path_seed
 
 _SLAB_ELEMS = 1 << 22
 _TILE_ELEMS = 1 << 17
@@ -163,7 +165,7 @@ def reference_simulate_ensemble(model: DiffusionModel, schedule: CovarianceSched
     if x0s.shape != (N, model.state_dim):
         raise ValueError("x0 must be (n,) or (N, n)")
     reference_validate_sim_args(model, x0s, dt, T, store_every)
-    seeds = np.array([derive_path_seed(master_seed, k) for k in range(N)],
+    seeds = np.array([reference_path_seed(master_seed, k) for k in range(N)],
                      dtype=np.uint64)
     times, states, valid, exited, blowup, exit_steps = reference_simulate_batch(
         model, schedule, x0s, dt, T, seeds, store_every)
@@ -466,7 +468,7 @@ def test_ou_moments_match_dense_route(N, T, store, tiles, tmp_path):
     assert np.array_equal(tail.values, dense.T)
 
     # the shipped experiment writes the same bytes as the dense route
-    lines = cli._exp_ou_sanity(ou_config(N, T, dt, store), tmp_path, seed)
+    lines = cli._exp_ou_sanity(ou_config(N, T, dt, store), tmp_path, seed, 1)
     cli._csv_table(tmp_path / "want.csv", ["t", "mean_square"],
                    zip(ref_ens.times.tolist(), want_means.tolist()))
     assert (tmp_path / "moments.csv").read_bytes() \

@@ -1,6 +1,8 @@
 """Unit tests for the diffusion simulator."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -8,8 +10,15 @@ import pytest
 from nsslab import sde
 from nsslab.langevin import half_norm_squared
 from nsslab.lyapcert import generator_apply
+from nsslab.nssmc import Exceedance, WindowValues
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
-                        derive_path_seed, simulate_ensemble, simulate_path, sup_noise_intensity)
+                        derive_path_seeds, simulate_ensemble, simulate_path, sup_noise_intensity)
+
+
+def reference_path_seed(master_seed, k):
+    """Path k's seed, straight from numpy's SeedSequence."""
+    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(k),))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def linear_model(rate=1.0, n=1):
@@ -78,8 +87,24 @@ class TestDeterminism:
         assert not np.array_equal(a.states, b.states)
 
     def test_path_seeds_distinct(self):
-        seeds = {derive_path_seed(0, k) for k in range(100)}
+        seeds = set(derive_path_seeds(0, 0, 100).tolist())
         assert len(seeds) == 100
+
+    @pytest.mark.parametrize("master", [0, 17, 2**32 - 1, 2**40 + 3])
+    def test_path_seeds_match_seed_sequence(self, master):
+        want = np.array([reference_path_seed(master, k)
+                         for k in range(10**5)], dtype=np.uint64)
+        got = derive_path_seeds(master, 0, 10**5)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+        # a range off zero, up to the largest one-word spawn key
+        top = [reference_path_seed(master, k) for k in range(2**32 - 3, 2**32)]
+        assert derive_path_seeds(master, 2**32 - 3, 2**32).tolist() == top
+
+    def test_path_seed_range_checked(self):
+        with pytest.raises(ValueError):
+            derive_path_seeds(-1, 0, 4)
+        with pytest.raises(ValueError):
+            derive_path_seeds(0, 2**32 - 1, 2**32 + 1)
 
     def test_single_path_matches_ensemble_member(self):
         m = linear_model()
@@ -88,7 +113,7 @@ class TestDeterminism:
         # any ensemble member is reproducible in isolation through the
         # per-path seed derivation
         solo = simulate_path(m, s, np.ones(1), 1e-2, 1.0,
-                             derive_path_seed(3, 2))
+                             int(derive_path_seeds(3, 2, 3)[0]))
         assert np.array_equal(solo.states[:, 0], ens.states[2, :, 0])
 
 
@@ -348,7 +373,7 @@ class TestReferenceIntegrator:
             x0s = np.linspace(3.0, 0.1, B)[:, None]
         else:
             x0s = np.tile(np.asarray(x0, dtype=float), (B, 1))
-        seeds = np.array([derive_path_seed(11, k) for k in range(B)],
+        seeds = np.array([reference_path_seed(11, k) for k in range(B)],
                          dtype=np.uint64)
         args = (model, schedule, x0s, self.DT, self.T, seeds, self.STORE)
         return sde._simulate_batch(*args), reference_simulate_batch(*args)
@@ -422,3 +447,95 @@ class TestDiagonalProduct:
         S[2, 0] = 1e-300
         assert sde._diagonal(S) is None
         assert sde._diagonal(np.zeros((2, 2))) is not None
+
+
+class TestShards:
+    """Sharded ensembles: N = 2 * 4096 + 3 paths run as two shards,
+    [0, 4097) and [4097, 8195)."""
+
+    N = 2 * 4096 + 3
+    DT, T, STORE = 1e-2, 1.0, 5
+
+    def test_shard_layout_depends_on_n_alone(self):
+        assert sde._shard_bounds(8191) == [(0, 8191)]
+        assert sde._shard_bounds(self.N) == [(0, 4097), (4097, 8195)]
+        assert sde._shard_bounds(10_000) == [(0, 5000), (5000, 10_000)]
+        for N in (1, 4095, 8192, 12_289, 100_003):
+            bounds = sde._shard_bounds(N)
+            assert bounds[0][0] == 0 and bounds[-1][1] == N
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            sizes = [hi - lo for lo, hi in bounds]
+            assert len(bounds) == 1 or min(sizes) >= 4096
+
+    def test_process_count_capped_by_cpus_and_shards(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert sde._process_count(10**6, 2, cpus) == min(2, cpus)
+        assert sde._process_count(10**6, 64, 3) == 3
+        assert sde._process_count(10**6, 2, 64) == 2
+        assert sde._process_count(1, 64, 64) == 1
+
+    def _reducers(self, times):
+        V = half_norm_squared()
+        tail = WindowValues(V.value, times, self.N, self.T / 2, self.T)
+        exceed = Exceedance(V, lambda v0, t: v0 * np.exp(-t) + 0.3, times,
+                            self.N)
+        return tail, exceed
+
+    def test_shards_match_one_batch(self):
+        # a box domain: paths exit in both shards
+        model = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: -z,
+                               domain_test=lambda z: np.abs(z[:, 0]) < 1.2,
+                               label="boxed")
+        schedule = CovarianceSchedule.constant(np.array([[1.0]]), self.T)
+        x0s = np.linspace(-1.0, 1.0, self.N)[::-1, None].copy()
+        times = sde.record_times(self.DT, self.T, self.STORE)
+        seeds = np.array([reference_path_seed(7, k) for k in range(self.N)],
+                         dtype=np.uint64)
+        tail, exceed = self._reducers(times)
+        _, _, valid, exited, blowup, exit_steps = sde._simulate_batch(
+            model, schedule, x0s, self.DT, self.T, seeds, self.STORE,
+            [tail, exceed])
+        assert exited[:4097].any() and exited[4097:].any()
+        assert not exited.all()
+        want_values = tail.valid_values(valid)
+        for workers in (1, 2, 3):
+            got_tail, got_exceed = self._reducers(times)
+            ens = simulate_ensemble(model, schedule, x0s, self.DT, self.T,
+                                    self.N, 7, store_every=self.STORE,
+                                    reducers=[got_tail, got_exceed],
+                                    workers=workers)
+            assert ens.states.shape == (self.N, 0, 1)
+            assert np.array_equal(ens.times, times)
+            for got, want in ((ens.seeds, seeds), (ens.valid_counts, valid),
+                              (ens.exited, exited), (ens.blowup, blowup),
+                              (ens.exit_steps, exit_steps),
+                              (got_tail.valid_values(ens.valid_counts),
+                               want_values)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got_exceed.fraction() == exceed.fraction()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_raises_in_parent(self):
+        def drift(z):
+            if (z[:, 0] > 100.0).any():
+                raise FloatingPointError("drift rejects a shard-1 state")
+            return -z
+
+        model = DiffusionModel(state_dim=1, noise_dim=1, drift=drift)
+        schedule = CovarianceSchedule.constant(np.zeros((1, 1)), self.T)
+        x0s = np.zeros((self.N, 1))
+        x0s[4097:] = 1000.0
+        times = sde.record_times(self.DT, self.T, self.STORE)
+        for workers in (1, 2):
+            with pytest.raises(FloatingPointError, match="shard-1 state"):
+                simulate_ensemble(model, schedule, x0s, self.DT, self.T,
+                                  self.N, 0, store_every=self.STORE,
+                                  reducers=list(self._reducers(times)),
+                                  workers=workers)
+            assert multiprocessing.active_children() == []
+
+    def test_workers_below_one_rejected(self):
+        s = CovarianceSchedule.constant(np.array([[0.5]]), horizon=1.0)
+        with pytest.raises(ValueError, match="workers"):
+            simulate_ensemble(linear_model(), s, np.ones(1), 1e-2, 1.0, 4, 0,
+                              workers=0)
