@@ -1,12 +1,12 @@
 """Configuration-driven experiment runner.
 
 Subcommands: ``run <config>``, ``list``, ``validate <config>``.  Configs
-are INI files with [experiment], [problem], [dynamics], [noise], and [mc]
-sections; every run is a pure function of (config, master seed) and
-re-running writes byte-identical CSV artifacts.  ``--threads K`` sets
-the number of worker processes that large Monte Carlo ensembles run on;
-the output never depends on it (see :mod:`nsslab.sde` for the shard
-rule).
+are INI files read through one schema: KEYS gives each key's section,
+cast and range, and each registered experiment the keys it reads, so
+``validate`` rejects every config that ``run`` would.  Every run is a
+pure function of (config, master seed) and re-running writes
+byte-identical CSV artifacts.  ``--threads K`` sets the worker processes
+of large Monte Carlo ensembles; the output never depends on it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
@@ -32,36 +34,106 @@ class ConfigError(ValueError):
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
-    p = Path(path)
-    if not p.is_file():
+    if not Path(path).is_file():
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser()
     try:
-        cfg.read(p)
+        cfg.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if not cfg.has_section("experiment") or not cfg.get("experiment", "name",
-                                                        fallback=None):
-        raise ConfigError(f"{path}: missing [experiment] name")
-    cfg._base_dir = str(p.parent)  # for dataset paths relative to the config
     return cfg
 
 
-def _get(cfg, section: str, key: str, cast, default: str):
-    """``cast`` of the raw config value; a value it rejects is a ConfigError
-    naming the section, the key and the raw text."""
-    raw = cfg.get(section, key, fallback=default)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+# ------------------------------------------------------------------- schema
+
+def _number(raw: str) -> float:
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
 
 
-def _floats(raw: str) -> list[float]:
-    out = [float(s) for s in raw.replace(" ", "").split(",") if s]
+def _numbers(raw: str) -> list[float]:
+    out = [_number(s) for s in raw.replace(" ", "").split(",") if s]
     if not out:
         raise ValueError("empty list")
     return out
+
+
+POSITIVE = ("must be positive", lambda x: min(np.atleast_1d(x)) > 0)
+AT_LEAST_1 = ("must be >= 1", lambda x: x >= 1)
+ASCENDING = ("must be non-negative and ascending",
+             lambda s: s[0] >= 0 and all(np.diff(s) >= 0))
+
+# key -> (section, cast, range): a range, checked when the library would
+# reject the value later, is (text, test) or None
+KEYS = {
+    "name": ("experiment", str, None),
+    "output": ("experiment", str, None),
+    "diag": ("problem", _numbers, POSITIVE),
+    "dataset": ("problem", str, None),
+    "a": ("problem", _number, None),
+    "f": ("problem", _number, None),
+    "q": ("problem", _number, POSITIVE),
+    "r": ("problem", _number, POSITIVE),
+    "eta": ("dynamics", _number, POSITIVE),
+    "c": ("dynamics", _number, POSITIVE),
+    "h_max": ("dynamics", _number, POSITIVE),
+    "tol": ("dynamics", _number, None),
+    "n_dirs": ("dynamics", int, AT_LEAST_1),
+    "sigma": ("noise", _number, None),
+    "sigmas": ("noise", _numbers, ASCENDING),
+    "N": ("mc", int, AT_LEAST_1),
+    "dt": ("mc", _number, None),  # with T and store_every: see _parse
+    "T": ("mc", _number, None),
+    "store_every": ("mc", int, None),
+    "epsilon": ("mc", _number, ("must lie in (0, 1)", lambda x: 0 < x < 1)),
+    "master_seed": ("mc", int, ("must be >= 0", lambda x: x >= 0)),
+}
+COMMON = {"name": None, "output": "out", "master_seed": "0"}
+
+
+def _parse(path: str):
+    """The experiment function a config names and its typed values; an
+    unread, missing or bad key is a ConfigError naming section and key."""
+    cfg = _load_config(path)
+    name = cfg.get("experiment", "name", raw=True, fallback=None)
+    if name not in REGISTRY:
+        raise ConfigError(f"{path}: [experiment] name = {name!r} is unknown")
+    fn, _, keys, rules = REGISTRY[name]
+    keys = {**COMMON, **keys}
+    # configparser stores option names through optionxform (lower case)
+    stored = {cfg.optionxform(k): KEYS[k][0] for k in keys}
+    for section in cfg.sections():
+        unread = [k for k in cfg[section] if stored.get(k) != section]
+        if unread or section not in stored.values():
+            raise ConfigError(" ".join([f"[{section}]", *unread])
+                              + f": not read by {name}")
+    v = SimpleNamespace()
+    for key, default in keys.items():
+        section, cast, rule = KEYS[key]
+        raw = cfg.get(section, key, raw=True, fallback=default)
+        if raw is None:
+            raise ConfigError(f"[{section}] {key}: required by {name}")
+        try:
+            setattr(v, key, cast(raw))
+            if rule is not None and not rule[1](getattr(v, key)):
+                raise ValueError(rule[0])
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    if "dataset" in keys:
+        v.dataset = Path(path).parent / v.dataset
+        if not v.dataset.is_file():
+            raise ConfigError(f"[problem] dataset: no such file {v.dataset}")
+    try:
+        if "dt" in keys:
+            sde.check_time_grid(v.dt, v.T, v.store_every)
+    except ValueError as exc:
+        raise ConfigError(f"[mc] {exc}") from exc
+    for section, key, text, test in rules:
+        if not test(v):
+            raise ConfigError(f"[{section}] {key} = {getattr(v, key)}: {text}")
+    return fn, v
 
 
 def _write_summary(out: Path, lines: list[tuple[str, bool, str]]) -> bool:
@@ -94,12 +166,6 @@ def _write_gain_curve(path: Path, curve) -> None:
                    curve.blowup_fractions))
 
 
-def _write_trajectory(path: Path, traj) -> None:
-    header = ["t"] + [f"state_{i}" for i in range(traj.states.shape[1])]
-    _csv_table(path, header,
-               ([t] + s.tolist() for t, s in zip(traj.times, traj.states)))
-
-
 def _write_certificate(path: Path, cert) -> None:
     """Violation witnesses plus a trailing summary comment line."""
     _csv_table(path, ["state", "theta_intensity", "lhs", "rhs"],
@@ -110,48 +176,56 @@ def _write_certificate(path: Path, cert) -> None:
                        f"violations={len(cert.violations)}\n")
 
 
-def _quadratic_from_config(cfg):
-    A = np.diag(_get(cfg, "problem", "diag", _floats, "1,1"))
+def _quadratic(v):
+    A = np.diag(v.diag)
     return objectives.quadratic_objective(A, np.zeros(A.shape[0]))
 
 
-def _logistic_from_config(cfg):
-    rel = cfg.get("problem", "dataset", fallback=None)
-    if rel is None:
-        raise ConfigError("logistic experiments need problem.dataset")
-    path = Path(getattr(cfg, "_base_dir", ".")) / rel
-    if not path.is_file():
-        raise ConfigError(f"dataset not found: {path}")
-    return objectives.load_logistic_csv(str(path))
-
-
-def _lqr_from_config(cfg):
-    A, F, Q, R = ([[_get(cfg, "problem", k, float, "1.0")]] for k in "afqr")
-    return lqr.LqrProblem(A=A, F=F, Q=Q, R=R)
+def _noiseless_path(model, x0, v, seed, out):
+    """Final state of the noiseless path from ``x0``, recorded to a CSV."""
+    n = model.noise_dim
+    schedule = sde.CovarianceSchedule.constant(np.zeros((n, n)), v.T)
+    path = sde.simulate_path(model, schedule, x0, v.dt, v.T, seed,
+                             store_every=v.store_every)
+    _csv_table(out / "trajectory.csv",
+               ["t"] + [f"state_{i}" for i in range(model.state_dim)],
+               ([t] + s.tolist() for t, s in zip(path.times, path.states)))
+    return path.states[-1]
 
 
 # --------------------------------------------------------------- experiments
-# Each experiment is fn(cfg, out, seed, workers) -> summary lines, with
-# ``workers`` from --threads; only Monte Carlo ensembles read it.
+# fn(v, out, seed, workers) -> summary lines, with ``workers`` from
+# --threads; @_experiment registers it with the keys it reads, their
+# default text (None: required) and rules (section, key, text, test(v))
+# that tie a value to the experiment or to other keys.
 
-def _exp_ou_sanity(cfg, out, seed, workers):
+REGISTRY = {}  # name -> (fn, description, keys, rules)
+
+
+def _experiment(name, description, keys, *rules):
+    def register(fn):
+        REGISTRY[name] = (fn, description, keys, rules)
+        return fn
+    return register
+
+
+@_experiment("ou-sanity", "scalar linear diffusion against the "
+             "stationary-variance closed form",
+             {"sigma": "0.5", "N": "10000", "dt": "1e-3", "T": "50",
+              "store_every": "25"})
+def _exp_ou_sanity(v, out, seed, workers):
     obj = objectives.quadratic_objective(np.array([[1.0]]), np.zeros(1))
     model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
-    sigma = _get(cfg, "noise", "sigma", float, "0.5")
-    dt = _get(cfg, "mc", "dt", float, "1e-3")
-    T = _get(cfg, "mc", "T", float, "50")
-    N = _get(cfg, "mc", "N", int, "10000")
-    store = _get(cfg, "mc", "store_every", int, "25")
-    schedule = sde.CovarianceSchedule.constant(np.array([[sigma]]), T)
-    times = sde.record_times(dt, T, store)
+    schedule = sde.CovarianceSchedule.constant(np.array([[v.sigma]]), v.T)
+    times = sde.record_times(v.dt, v.T, v.store_every)
     square = lambda z: z[:, 0] ** 2
     moments = nssmc.PathMeans(square, times.size)
-    tail = nssmc.WindowValues(square, times, N, max(0.0, T - 25.0), T)
-    sde.simulate_ensemble(model, schedule, np.zeros(1), dt, T, N, seed,
-                          store_every=store, reducers=[moments, tail],
+    tail = nssmc.WindowValues(square, times, v.N, max(0.0, v.T - 25.0), v.T)
+    sde.simulate_ensemble(model, schedule, np.zeros(1), v.dt, v.T, v.N, seed,
+                          store_every=v.store_every, reducers=[moments, tail],
                           workers=workers)
     second_moment = float(np.mean(tail.values))
-    target = sigma**2 / 2.0
+    target = v.sigma**2 / 2.0
     rel = abs(second_moment - target) / target
     _csv_table(out / "moments.csv", ["t", "mean_square"],
                zip(times.tolist(), moments.means.tolist()))
@@ -159,50 +233,11 @@ def _exp_ou_sanity(cfg, out, seed, workers):
              f"{second_moment:.6g} vs {target:.6g} (rel err {rel:.3f})")]
 
 
-def _gain_sweep_core(cfg, out, seed, workers, obj, exceedance=False):
-    """Gain curve of the overdamped sweep on up to ``workers`` processes;
-    with ``exceedance``, the quiet decay envelope is fitted first and each
-    ensemble also reduces its exceedance of envelope + EXCEEDANCE_MARGIN
-    sigma^2."""
-    model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
-    V = langevin.objective_size_function(obj)
-    dt = _get(cfg, "mc", "dt", float, "1e-3")
-    T = _get(cfg, "mc", "T", float, "50")
-    N = _get(cfg, "mc", "N", int, "2000")
-    store = _get(cfg, "mc", "store_every", int, "25")
-    eps = _get(cfg, "mc", "epsilon", float, "0.05")
-    sigmas = _get(cfg, "noise", "sigmas", _floats, "0.1,0.2,0.4")
-    n = obj.dim
-    schedules = [sde.CovarianceSchedule.constant(s * np.eye(n), T)
-                 for s in sigmas]
-    exp = NssExperiment(dynamics=model, V=V, schedule_family=schedules,
-                        x0=np.asarray(obj.minimizer) + 1.0, N=N, dt=dt, T=T,
-                        master_seed=seed, epsilon=eps, store_every=store)
-    bounds = None
-    if exceedance:
-        # the quiet ensemble has its own seed, so fitting it first moves no
-        # bits of the noisy ones
-        quiet = sde.simulate_ensemble(
-            model, sde.CovarianceSchedule.constant(np.zeros((1, 1)), T),
-            exp.x0, dt, min(T, 20.0), min(N, 200), seed + 1000,
-            store_every=store)
-        beta = fit_decay_envelope(quiet, V)
-        bounds = [lambda v0, t, g=EXCEEDANCE_MARGIN * s**2: beta(v0, t) + g
-                  for s in np.sqrt(exp.intensities())]
-    curve = run_experiment(exp, bounds, workers=workers)
-    _write_gain_curve(out / "gain_curve.csv", curve)
-    mono = bool(np.all(np.diff(curve.tail_quantiles) >= -1e-12))
-    return curve, exp, [
-        ("gain-curve-monotone", mono,
-         f"tail quantiles {np.array2string(curve.tail_quantiles, precision=4)}")]
-
-
-def _exp_quadratic_overdamped(cfg, out, seed, workers):
-    obj = _quadratic_from_config(cfg)
-    _, _, lines = _gain_sweep_core(cfg, out, seed, workers, obj)
-    return lines
-
-
+SWEEP_N = ("mc", "N", f"probabilistic claims need N >= {nssmc.MIN_PATHS}",
+           lambda v: v.N >= nssmc.MIN_PATHS)
+SWEEP = {"N": "2000", "dt": "1e-3", "T": "50", "store_every": "25",
+         "epsilon": "0.05", "sigmas": "0.1,0.2,0.4"}
+LQR = {"a": "1.0", "f": "1.0", "q": "1.0", "r": "1.0"}
 # per-path supremum margin (in units of sigma^2) added to the fitted decay
 # envelope; calibrated on the scalar linear-diffusion oracle so that the
 # worst-case violation fraction over the default sigma grid stays below
@@ -210,12 +245,51 @@ def _exp_quadratic_overdamped(cfg, out, seed, workers):
 EXCEEDANCE_MARGIN = 10.0
 
 
-def _exp_gain_sweep(cfg, out, seed, workers):
-    obj = _quadratic_from_config(cfg)
-    if obj.dim != 1 or obj.hessian_at(obj.minimizer)[0, 0] != 1.0:
-        raise ConfigError("gain-sweep expects the scalar unit quadratic")
-    curve, exp, lines = _gain_sweep_core(cfg, out, seed, workers, obj,
-                                         exceedance=True)
+def _gain_sweep(v, out, seed, workers, exceedance=False):
+    """(curve, summary lines) of the overdamped sweep; with ``exceedance``
+    the quiet decay envelope is fitted first and each ensemble also
+    reduces its exceedance of envelope + EXCEEDANCE_MARGIN sigma^2."""
+    obj = _quadratic(v)
+    model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
+    V = langevin.objective_size_function(obj)
+    schedules = [sde.CovarianceSchedule.constant(s * np.eye(obj.dim), v.T)
+                 for s in v.sigmas]
+    exp = NssExperiment(dynamics=model, V=V, schedule_family=schedules,
+                        x0=np.asarray(obj.minimizer) + 1.0, N=v.N, dt=v.dt,
+                        T=v.T, master_seed=seed, epsilon=v.epsilon,
+                        store_every=v.store_every)
+    bounds = None
+    if exceedance:
+        # the quiet ensemble has its own seed, so fitting it first moves no
+        # bits of the noisy ones
+        quiet = sde.simulate_ensemble(
+            model, sde.CovarianceSchedule.constant(np.zeros((1, 1)), v.T),
+            exp.x0, v.dt, min(v.T, 20.0), min(v.N, 200), seed + 1000,
+            store_every=v.store_every)
+        beta = fit_decay_envelope(quiet, V)
+        bounds = [lambda v0, t, g=EXCEEDANCE_MARGIN * s**2: beta(v0, t) + g
+                  for s in np.sqrt(exp.intensities())]
+    curve = run_experiment(exp, bounds, workers=workers)
+    _write_gain_curve(out / "gain_curve.csv", curve)
+    mono = bool(np.all(np.diff(curve.tail_quantiles) >= -1e-12))
+    return curve, [("gain-curve-monotone", mono, "tail quantiles "
+                    f"{np.array2string(curve.tail_quantiles, precision=4)}")]
+
+
+@_experiment("quadratic-overdamped", "gradient diffusion on a quadratic "
+             "over a noise sweep; monotone gain curve",
+             {"diag": "1,1", **SWEEP}, SWEEP_N)
+def _exp_quadratic_overdamped(v, out, seed, workers):
+    return _gain_sweep(v, out, seed, workers)[1]
+
+
+@_experiment("gain-sweep", "quantile gain curve and exceedance fractions "
+             "for the scalar quadratic",
+             {"diag": None, **SWEEP}, SWEEP_N,
+             ("problem", "diag", "gain-sweep expects the scalar unit "
+              "quadratic, diag = 1", lambda v: v.diag == [1.0]))
+def _exp_gain_sweep(v, out, seed, workers):
+    curve, lines = _gain_sweep(v, out, seed, workers, exceedance=True)
     sigmas = np.sqrt(curve.intensities)
     # stationary law: V = z^2/2 with z ~ Normal(0, sigma^2/2)
     chi2_q = 3.841458820694124  # 0.95 quantile of chi-square(1)
@@ -225,47 +299,44 @@ def _exp_gain_sweep(cfg, out, seed, workers):
                   f"rel errs {np.array2string(rel, precision=3)}"))
     fracs = curve.exceedance_fractions.tolist()
     worst = max(fracs)
-    lines.append(("exceedance-below-epsilon", worst <= exp.epsilon,
+    lines.append(("exceedance-below-epsilon", worst <= v.epsilon,
                   f"worst path-sup violation fraction {worst:.4f} "
-                  f"(epsilon {exp.epsilon})"))
+                  f"(epsilon {v.epsilon})"))
     _csv_table(out / "exceedance.csv", ["sigma", "violation_fraction"],
                zip(sigmas.tolist(), fracs))
     return lines
 
 
-def _exp_quadratic_underdamped(cfg, out, seed, workers):
-    obj = _quadratic_from_config(cfg)
-    ucfg = langevin.UnderdampedConfig(objective=obj, mode="constant_coeff",
-                                      eta=_get(cfg, "dynamics", "eta", float,
-                                               "1.0"),
-                                      c=_get(cfg, "dynamics", "c", float,
-                                             "1.0"))
-    model = langevin.build_underdamped(ucfg)
-    dt = _get(cfg, "mc", "dt", float, "1e-3")
-    T = _get(cfg, "mc", "T", float, "100")
+@_experiment("quadratic-underdamped", "noiseless momentum flow on a "
+             "quadratic against the matrix-exponential oracle",
+             {"diag": "1,1", "eta": "1.0", "c": "1.0", "dt": "1e-3",
+              "T": "100", "store_every": "100"})
+def _exp_quadratic_underdamped(v, out, seed, workers):
+    obj = _quadratic(v)
+    model = langevin.build_underdamped(langevin.UnderdampedConfig(
+        objective=obj, mode="constant_coeff", eta=v.eta, c=v.c))
     n = obj.dim
     x0 = np.concatenate([np.asarray(obj.minimizer) + 1.0, np.zeros(n)])
-    schedule = sde.CovarianceSchedule.constant(np.zeros((n, n)), T)
-    path = sde.simulate_path(model, schedule, x0, dt, T, seed,
-                             store_every=_get(cfg, "mc", "store_every", int,
-                                              "100"))
-    final = path.states[-1]
-    target = np.concatenate([obj.minimizer, np.zeros(n)])
+    final = _noiseless_path(model, x0, v, seed, out)
+    target = model.equilibrium
     dist = float(np.linalg.norm(final - target))
     # linear two-block flow oracle
     A = obj.hessian_at(obj.minimizer)
     M = np.block([[np.zeros((n, n)), np.eye(n)],
-                  [-ucfg.eta * A, -ucfg.c * np.eye(n)]])
-    oracle = target + expm(M * T) @ (x0 - target)
+                  [-v.eta * A, -v.c * np.eye(n)]])
+    oracle = target + expm(M * v.T) @ (x0 - target)
     oracle_err = float(np.linalg.norm(final - oracle))
-    _write_trajectory(out / "trajectory.csv", path)
     return [("converges-to-rest", dist <= 1e-6, f"final distance {dist:.3e}"),
             ("matches-linear-oracle", oracle_err <= 1e-5,
              f"deviation {oracle_err:.3e}")]
 
 
-def _exp_logistic_overdamped(cfg, out, seed, workers):
-    data = _logistic_from_config(cfg)
+@_experiment("logistic-overdamped", "gradient diffusion on nonseparable "
+             "logistic regression; tail statistics",
+             {"dataset": None, "sigma": "0.05", "N": "200", "dt": "1e-2",
+              "T": "50", "store_every": "10"})
+def _exp_logistic_overdamped(v, out, seed, workers):
+    data = objectives.load_logistic_csv(str(v.dataset))
     sep = objectives.check_nonseparable(data)
     lines = [("dataset-nonseparable", not sep.separable,
               f"margin {sep.margin:.3e}")]
@@ -275,53 +346,44 @@ def _exp_logistic_overdamped(cfg, out, seed, workers):
                   f"|grad| at theta* = {gstar:.3e}"))
     model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
     V = langevin.objective_size_function(obj)
-    dt = _get(cfg, "mc", "dt", float, "1e-2")
-    T = _get(cfg, "mc", "T", float, "50")
-    N = _get(cfg, "mc", "N", int, "200")
-    sigma = _get(cfg, "noise", "sigma", float, "0.05")
-    schedule = sde.CovarianceSchedule.constant(sigma * np.eye(obj.dim), T)
-    ens = sde.simulate_ensemble(model, schedule, obj.minimizer, dt, T, N,
-                                seed, store_every=_get(cfg, "mc",
-                                                       "store_every", int,
-                                                       "10"))
-    pooled = nssmc.tail_window_values(ens, V, T / 2.0, T)
+    schedule = sde.CovarianceSchedule.constant(v.sigma * np.eye(obj.dim), v.T)
+    ens = sde.simulate_ensemble(model, schedule, obj.minimizer, v.dt, v.T,
+                                v.N, seed, store_every=v.store_every)
+    pooled = nssmc.tail_window_values(ens, V, v.T / 2.0, v.T)
     q = float(np.quantile(pooled, 0.95))
     _csv_table(out / "tail.csv", ["tail_quantile_95"], [[q]])
-    lines.append(("noisy-tail-bounded", q < 10.0 * sigma**2 + 1e-3,
+    lines.append(("noisy-tail-bounded", q < 10.0 * v.sigma**2 + 1e-3,
                   f"0.95 tail quantile of suboptimality {q:.3e}"))
     return lines
 
 
-def _exp_logistic_underdamped(cfg, out, seed, workers):
-    data = _logistic_from_config(cfg)
-    obj = objectives.logistic_objective(data)
-    ucfg = langevin.UnderdampedConfig(objective=obj, mode="constant_coeff",
-                                      eta=1.0, c=1.0)
-    model = langevin.build_underdamped(ucfg)
-    n = obj.dim
-    dt = _get(cfg, "mc", "dt", float, "1e-2")
-    T = _get(cfg, "mc", "T", float, "200")
-    x0 = np.concatenate([obj.minimizer + 0.5, np.zeros(n)])
-    schedule = sde.CovarianceSchedule.constant(np.zeros((n, n)), T)
-    path = sde.simulate_path(model, schedule, x0, dt, T, seed,
-                             store_every=_get(cfg, "mc", "store_every", int,
-                                              "100"))
-    target = np.concatenate([obj.minimizer, np.zeros(n)])
-    dist = float(np.linalg.norm(path.states[-1] - target))
-    _write_trajectory(out / "trajectory.csv", path)
-    tol = _get(cfg, "dynamics", "tol", float, "1e-4")
-    return [("momentum-flow-converges", dist <= tol,
-             f"final distance {dist:.3e} (tol {tol:g})")]
+@_experiment("logistic-underdamped", "noiseless momentum flow to the "
+             "logistic optimum",
+             {"dataset": None, "tol": "1e-4", "dt": "1e-2", "T": "200",
+              "store_every": "100"})
+def _exp_logistic_underdamped(v, out, seed, workers):
+    obj = objectives.logistic_objective(
+        objectives.load_logistic_csv(str(v.dataset)))
+    model = langevin.build_underdamped(langevin.UnderdampedConfig(
+        objective=obj, mode="constant_coeff", eta=1.0, c=1.0))
+    x0 = np.concatenate([obj.minimizer + 0.5, np.zeros(obj.dim)])
+    final = _noiseless_path(model, x0, v, seed, out)
+    dist = float(np.linalg.norm(final - model.equilibrium))
+    return [("momentum-flow-converges", dist <= v.tol,
+             f"final distance {dist:.3e} (tol {v.tol:g})")]
 
 
-def _exp_lqr_po_overdamped(cfg, out, seed, workers):
-    problem = _lqr_from_config(cfg)
-    profile = lqr.solve_riccati(problem, K0=np.full((problem.m, problem.n),
-                                                    2.0))
+@_experiment("lqr-po-overdamped", "policy-gradient diffusion for the "
+             "scalar regulator; blow-up onset bracket",
+             {**LQR, "sigmas": "0.05,0.16,0.5,1.6,5.0", "N": "100",
+              "dt": "1e-3", "T": "10", "store_every": "20"}, SWEEP_N,
+             ("noise", "sigmas", "onset bracketing needs two or more",
+              lambda v: len(v.sigmas) >= 2))
+def _exp_lqr_po_overdamped(v, out, seed, workers):
+    problem = lqr.LqrProblem(A=[[v.a]], F=[[v.f]], Q=[[v.q]], R=[[v.r]])
+    profile = lqr.solve_riccati(problem, K0=[[2.0]])
     lines = []
-    if (problem.n, problem.m) == (1, 1) and np.allclose(
-            [problem.A[0, 0], problem.F[0, 0], problem.Q[0, 0],
-             problem.R[0, 0]], 1.0):
+    if np.allclose([v.a, v.f, v.q, v.r], 1.0):
         ref = 1.0 + np.sqrt(2.0)
         err = abs(profile.J2star - ref)
         lines.append(("scalar-optimal-cost", err <= 1e-8,
@@ -331,16 +393,11 @@ def _exp_lqr_po_overdamped(cfg, out, seed, workers):
     model = langevin.build_overdamped(langevin.OverdampedConfig(
         objective=obj, K_G=1.0))
     V = langevin.objective_size_function(obj)
-    dt = _get(cfg, "mc", "dt", float, "1e-3")
-    T = _get(cfg, "mc", "T", float, "10")
-    N = _get(cfg, "mc", "N", int, "100")
-    sigmas = _get(cfg, "noise", "sigmas", _floats, "0.05,0.16,0.5,1.6,5.0")
-    schedules = [lqr.gain_noise_schedule(np.array([[s]]), problem.n, T)
-                 for s in sigmas]
+    schedules = [lqr.gain_noise_schedule(np.array([[s]]), problem.n, v.T)
+                 for s in v.sigmas]
     exp = NssExperiment(dynamics=model, V=V, schedule_family=schedules,
-                        x0=lqr.vec_gain(profile.Kstar), N=N, dt=dt, T=T,
-                        master_seed=seed,
-                        store_every=_get(cfg, "mc", "store_every", int, "20"))
+                        x0=lqr.vec_gain(profile.Kstar), N=v.N, dt=v.dt,
+                        T=v.T, master_seed=seed, store_every=v.store_every)
     bracket = scnss_threshold_scan(exp, workers=workers)
     _write_gain_curve(out / "gain_curve.csv", bracket.curve)
     lines.append(("blowup-onset", bracket.upper_onset_detected,
@@ -352,76 +409,66 @@ def _exp_lqr_po_overdamped(cfg, out, seed, workers):
     return lines
 
 
-def _exp_lqr_po_underdamped(cfg, out, seed, workers):
-    problem = _lqr_from_config(cfg)
-    profile = lqr.solve_riccati(problem, K0=np.full((problem.m, problem.n),
-                                                    2.0))
+# dt, T and tol have no default: the code's (1e-4, 5, 1e-3) disagreed
+# with the shipped config's (1e-3, 30, 1e-2)
+@_experiment("lqr-po-underdamped", "scheduled-coefficient momentum flow on "
+             "the regulator cost",
+             {**LQR, "h_max": "20", "tol": None, "dt": None, "T": None,
+              "store_every": "100"})
+def _exp_lqr_po_underdamped(v, out, seed, workers):
+    problem = lqr.LqrProblem(A=[[v.a]], F=[[v.f]], Q=[[v.q]], R=[[v.r]])
+    profile = lqr.solve_riccati(problem, K0=[[2.0]])
     obj = lqr.lqr_objective(problem, profile)
-    h_max = _get(cfg, "dynamics", "h_max", float, "20")
-    ladder = langevin.ladder_from_profile(profile, problem, h_max)
-    phi = langevin.phi_functions(ladder)
-    ucfg = langevin.UnderdampedConfig(objective=obj, mode="scheduled",
-                                      phi=phi, K_G=1.0)
-    model = langevin.build_underdamped(ucfg)
-    mn = problem.m * problem.n
-    dt = _get(cfg, "mc", "dt", float, "1e-4")
-    T = _get(cfg, "mc", "T", float, "5")
-    x0 = np.concatenate([lqr.vec_gain(profile.Kstar) + 0.3, np.zeros(mn)])
-    schedule = sde.CovarianceSchedule.constant(np.zeros((mn, mn)), T)
-    path = sde.simulate_path(model, schedule, x0, dt, T, seed,
-                             store_every=_get(cfg, "mc", "store_every", int,
-                                              "100"))
-    target = np.concatenate([lqr.vec_gain(profile.Kstar), np.zeros(mn)])
-    dist = float(np.linalg.norm(path.states[-1] - target))
-    _write_trajectory(out / "trajectory.csv", path)
-    tol = _get(cfg, "dynamics", "tol", float, "1e-3")
-    return [("scheduled-momentum-converges", dist <= tol,
-             f"final gain distance {dist:.3e} (tol {tol:g})")]
+    ladder = langevin.ladder_from_profile(profile, problem, v.h_max)
+    model = langevin.build_underdamped(langevin.UnderdampedConfig(
+        objective=obj, mode="scheduled", phi=langevin.phi_functions(ladder),
+        K_G=1.0))
+    x0 = np.append(lqr.vec_gain(profile.Kstar) + 0.3, 0.0)  # scalar gain
+    final = _noiseless_path(model, x0, v, seed, out)
+    dist = float(np.linalg.norm(final - model.equilibrium))
+    return [("scheduled-momentum-converges", dist <= v.tol,
+             f"final gain distance {dist:.3e} (tol {v.tol:g})")]
 
 
-def _exp_certify_dissipation(cfg, out, seed, workers):
-    lines = []
-    obj = _quadratic_from_config(cfg)
+@_experiment("certify-dissipation", "dissipation-certificate falsification "
+             "for the shipped Lyapunov triples", {"diag": "1,1"})
+def _exp_certify_dissipation(v, out, seed, workers):
+    obj = _quadratic(v)
     ocfg = langevin.OverdampedConfig(objective=obj)
-    model = langevin.build_overdamped(ocfg)
-    V = langevin.objective_size_function(obj)
-    states = default_state_samples(obj.minimizer, seed=seed)
-    thetas = default_theta_samples(obj.dim)
-    cert = check_dissipation(V, model, langevin.overdamped_certificate(ocfg),
-                             states, thetas)
-    _write_certificate(out / "overdamped_quadratic.csv", cert)
-    lines.append(("overdamped-quadratic", not cert.violations,
-                  lyapcert.certificate_summary(cert)))
-
     ucfg = langevin.UnderdampedConfig(objective=obj, mode="constant_coeff")
     umodel = langevin.build_underdamped(ucfg)
-    v2 = langevin.v2_size_function(ucfg)
-    states2 = default_state_samples(umodel.equilibrium, seed=seed + 1)
-    thetas2 = default_theta_samples(obj.dim)
-    cert2 = check_dissipation(v2, umodel, langevin.v2_certificate(ucfg),
-                              states2, thetas2)
-    _write_certificate(out / "underdamped_v2.csv", cert2)
-    lines.append(("underdamped-mixed", not cert2.violations,
-                  lyapcert.certificate_summary(cert2)))
-
     ladder = langevin.build_smoothness_ladder(obj, h_max=1000.0, seed=seed)
-    phi = langevin.phi_functions(ladder)
-    scfg = langevin.UnderdampedConfig(objective=obj, mode="scheduled", phi=phi)
-    smodel = langevin.build_underdamped(scfg)
-    v3 = langevin.v3_size_function(scfg)
-    cert3 = check_dissipation(v3, smodel, langevin.v3_certificate(scfg),
-                              states2, thetas2)
-    _write_certificate(out / "underdamped_v3.csv", cert3)
-    lines.append(("underdamped-scheduled", not cert3.violations,
-                  lyapcert.certificate_summary(cert3)))
+    scfg = langevin.UnderdampedConfig(objective=obj, mode="scheduled",
+                                      phi=langevin.phi_functions(ladder))
+    states2 = default_state_samples(umodel.equilibrium, seed=seed + 1)
+    lines = []
+    for stem, check, V, model, triple, states in [
+            ("overdamped_quadratic", "overdamped-quadratic",
+             langevin.objective_size_function(obj),
+             langevin.build_overdamped(ocfg),
+             langevin.overdamped_certificate(ocfg),
+             default_state_samples(obj.minimizer, seed=seed)),
+            ("underdamped_v2", "underdamped-mixed",
+             langevin.v2_size_function(ucfg), umodel,
+             langevin.v2_certificate(ucfg), states2),
+            ("underdamped_v3", "underdamped-scheduled",
+             langevin.v3_size_function(scfg),
+             langevin.build_underdamped(scfg),
+             langevin.v3_certificate(scfg), states2)]:
+        cert = check_dissipation(V, model, triple, states,
+                                 default_theta_samples(obj.dim))
+        _write_certificate(out / f"{stem}.csv", cert)
+        lines.append((check, not cert.violations,
+                      lyapcert.certificate_summary(cert)))
     return lines
 
 
-def _exp_pl_envelope(cfg, out, seed, workers):
-    data = _logistic_from_config(cfg)
-    obj = objectives.logistic_objective(data)
-    n_dirs = _get(cfg, "dynamics", "n_dirs", int, "256")
-    env = objectives.estimate_kpl_envelope(obj, obj.minimizer, n_dirs,
+@_experiment("pl-envelope", "empirical direction-uniform PL envelope with "
+             "held-out verification", {"dataset": None, "n_dirs": "256"})
+def _exp_pl_envelope(v, out, seed, workers):
+    obj = objectives.logistic_objective(
+        objectives.load_logistic_csv(str(v.dataset)))
+    env = objectives.estimate_kpl_envelope(obj, obj.minimizer, v.n_dirs,
                                            seed=seed)
     _csv_table(out / "envelope.csv", ["h", "mu"],
                ((h, float(env.mu(h))) for h in np.geomspace(1e-6, 10.0, 200)))
@@ -435,72 +482,28 @@ def _exp_pl_envelope(cfg, out, seed, workers):
              f"{report.checked} held-out points")]
 
 
-REGISTRY = {
-    "ou-sanity": (_exp_ou_sanity,
-                  "scalar linear diffusion against the stationary-variance "
-                  "closed form"),
-    "quadratic-overdamped": (_exp_quadratic_overdamped,
-                             "gradient diffusion on a quadratic over a noise "
-                             "sweep; monotone gain curve"),
-    "quadratic-underdamped": (_exp_quadratic_underdamped,
-                              "noiseless momentum flow on a quadratic against "
-                              "the matrix-exponential oracle"),
-    "logistic-overdamped": (_exp_logistic_overdamped,
-                            "gradient diffusion on nonseparable logistic "
-                            "regression; tail statistics"),
-    "logistic-underdamped": (_exp_logistic_underdamped,
-                             "noiseless momentum flow to the logistic "
-                             "optimum"),
-    "lqr-po-overdamped": (_exp_lqr_po_overdamped,
-                          "policy-gradient diffusion for the scalar "
-                          "regulator; blow-up onset bracket"),
-    "lqr-po-underdamped": (_exp_lqr_po_underdamped,
-                           "scheduled-coefficient momentum flow on the "
-                           "regulator cost"),
-    "gain-sweep": (_exp_gain_sweep,
-                   "quantile gain curve and exceedance fractions for the "
-                   "scalar quadratic"),
-    "certify-dissipation": (_exp_certify_dissipation,
-                            "dissipation-certificate falsification for the "
-                            "shipped Lyapunov triples"),
-    "pl-envelope": (_exp_pl_envelope,
-                    "empirical direction-uniform PL envelope with held-out "
-                    "verification"),
-}
-
-
 def list_experiments() -> str:
     width = max(len(k) for k in REGISTRY)
     return "\n".join(f"{name:<{width}}  {desc}"
-                     for name, (_, desc) in sorted(REGISTRY.items()))
+                     for name, (_, desc, _, _) in sorted(REGISTRY.items()))
 
 
 def run(config_path: str, out_dir: str | None = None,
         seed_override: int | None = None, threads: int = 1) -> int:
-    if threads < 1:
-        print(f"error: --threads must be >= 1, got {threads}", file=sys.stderr)
-        return 2
     try:
-        cfg = _load_config(config_path)
+        if threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {threads}")
+        if seed_override is not None and seed_override < 0:
+            raise ConfigError(f"--seed-override must be >= 0, got "
+                              f"{seed_override}")
+        fn, v = _parse(config_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    name = cfg.get("experiment", "name")
-    if name not in REGISTRY:
-        print(f"error: unknown experiment {name!r}; available:\n"
-              f"{list_experiments()}", file=sys.stderr)
-        return 2
-    out = Path(out_dir) if out_dir is not None \
-        else Path(cfg.get("experiment", "output", fallback="out")) / name
-    fn, _ = REGISTRY[name]
-    try:
-        seed = seed_override if seed_override is not None \
-            else _get(cfg, "mc", "master_seed", int, "0")
-        out.mkdir(parents=True, exist_ok=True)
-        lines = fn(cfg, out, seed, threads)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out = Path(out_dir) if out_dir is not None else Path(v.output) / v.name
+    out.mkdir(parents=True, exist_ok=True)
+    lines = fn(v, out, v.master_seed if seed_override is None
+               else seed_override, threads)
     ok = _write_summary(out, lines)
     for entry, passed, detail in lines:
         print(f"{'PASS' if passed else 'FAIL'} {entry}: {detail}")
@@ -510,15 +513,11 @@ def run(config_path: str, out_dir: str | None = None,
 
 def validate(config_path: str) -> int:
     try:
-        cfg = _load_config(config_path)
+        _, v = _parse(config_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    name = cfg.get("experiment", "name")
-    if name not in REGISTRY:
-        print(f"error: unknown experiment {name!r}", file=sys.stderr)
-        return 2
-    print(f"ok: {config_path} ({name})")
+    print(f"ok: {config_path} ({v.name})")
     return 0
 
 
@@ -531,9 +530,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker processes for large Monte Carlo "
-                            "ensembles (default 1); output never depends "
-                            "on it")
+                       help="worker processes for large Monte Carlo ensembles "
+                            "(default 1); output never depends on it")
     p_run.add_argument("--seed-override", type=int, default=None)
     sub.add_parser("list", help="list registered experiments")
     p_val = sub.add_parser("validate", help="check a config without running")

@@ -1,8 +1,8 @@
 """Langevin diffusion constructions over objective oracles.
 
-Builds the overdamped dynamics dz = -eta(J - J*) grad J dt + G Sigma dB
+Builds the overdamped dynamics dz = -eta(J - J*) grad J dt + Sigma dB
 and the underdamped dynamics dz = v dt, dv = -eta grad J dt - c v dt
-+ G Sigma dB (noise on the velocity block only), in two flavors each:
++ Sigma dB (noise on the velocity block only), in two flavors each:
 constant coefficients (needs a global gradient Lipschitz constant) and
 state-scheduled coefficients built from a sampled smoothness ladder.
 
@@ -30,19 +30,15 @@ from .sde import DiffusionModel
 class OverdampedConfig:
     """Overdamped dynamics configuration.
 
-    ``G=None`` means the identity diffusion field with K_G = sqrt(n);
-    ``eta=None`` means the constant learning rate 1, otherwise a callable
-    of suboptimality, vectorized over a batch.
+    The diffusion field is the identity; ``K_G`` bounds it in the
+    certificates and defaults to sqrt(n).  ``eta=None`` means the constant
+    learning rate 1, otherwise a callable of suboptimality, vectorized
+    over a batch.
     """
 
     objective: Objective
-    G: Callable[[np.ndarray], np.ndarray] | None = None
     K_G: float | None = None
     eta: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.G is not None and self.K_G is None:
-            raise ValueError("K_G must accompany a custom diffusion field G")
 
     @property
     def k_g(self) -> float:
@@ -62,12 +58,8 @@ def build_overdamped(config: OverdampedConfig) -> DiffusionModel:
         h = np.asarray(obj.value(z), dtype=float) - obj.optimum_value
         return -np.asarray(eta(h), dtype=float)[..., None] * g
 
-    diffusion = None
-    if config.G is not None:
-        diffusion = lambda z: np.asarray(config.G(z), dtype=float)
-
     return DiffusionModel(state_dim=obj.dim, noise_dim=obj.dim, drift=drift,
-                          diffusion=diffusion, domain_test=obj.domain_test,
+                          domain_test=obj.domain_test,
                           equilibrium=obj.minimizer,
                           label=f"overdamped[{obj.label}]")
 
@@ -87,7 +79,6 @@ class UnderdampedConfig:
     mode: str = "constant_coeff"
     eta: float = 1.0
     c: float = 1.0
-    G: Callable[[np.ndarray], np.ndarray] | None = None
     K_G: float | None = None
     phi: "PhiLadder | None" = None
 
@@ -104,8 +95,6 @@ class UnderdampedConfig:
             if self.phi is None:
                 raise ValueError("scheduled mode needs a PhiLadder "
                                  "(see phi_functions)")
-        if self.G is not None and self.K_G is None:
-            raise ValueError("K_G must accompany a custom diffusion field G")
 
     @property
     def k_g(self) -> float:
@@ -157,18 +146,10 @@ def build_underdamped(config: UnderdampedConfig) -> DiffusionModel:
             dv = -eta[:, None] * g - c[:, None] * v
             return np.concatenate([v, dv], axis=-1)
 
-    if config.G is None:
-        block = np.vstack([np.zeros((n, n)), np.eye(n)])
+    block = np.vstack([np.zeros((n, n)), np.eye(n)])
 
-        def diffusion(x):
-            return np.broadcast_to(block, (x.shape[0], 2 * n, n))
-    else:
-        def diffusion(x):
-            z, v = x[..., :n], x[..., n:]
-            gv = np.asarray(config.G(np.concatenate([z, v], axis=-1)))
-            out = np.zeros((x.shape[0], 2 * n, n))
-            out[:, n:, :] = gv
-            return out
+    def diffusion(x):
+        return np.broadcast_to(block, (x.shape[0], 2 * n, n))
 
     domain = None
     if obj.domain_test is not None:
@@ -207,22 +188,20 @@ class SmoothnessLadder:
 
 
 def build_smoothness_ladder(objective: Objective, h_max: float,
-                            n_dirs: int = 40,
-                            pts_per_dir: int = 25, seed: int = 0,
-                            grid_points: int = 200) -> SmoothnessLadder:
+                            seed: int = 0) -> SmoothnessLadder:
     """Tabulate the sublevel Hessian-norm bound by radial sampling.
 
-    Along each random unit direction from the minimizer, states are placed
-    up to the radius where suboptimality reaches h_max (grown by doubling,
-    capped), and their (suboptimality, Hessian norm) pairs feed a running
-    maximum over the h grid.
+    Along each of 40 random unit directions from the minimizer, 25 states
+    are placed up to the radius where suboptimality reaches h_max (grown
+    by doubling, capped), and their (suboptimality, Hessian norm) pairs
+    feed a running maximum over a 200-point h grid.
     """
     if objective.minimizer is None:
         raise ValueError("ladder tabulation needs the objective minimizer")
     zstar = np.asarray(objective.minimizer, dtype=float)
     rng = np.random.Generator(np.random.Philox(key=seed))
     subopts, hnorms = [0.0], [np.linalg.norm(objective.hessian_at(zstar), 2)]
-    for _ in range(n_dirs):
+    for _ in range(40):
         d = rng.standard_normal(zstar.size)
         d /= np.linalg.norm(d)
         r_hi = 1.0
@@ -232,7 +211,7 @@ def build_smoothness_ladder(objective: Objective, h_max: float,
             r_hi *= 2.0
             if r_hi > 1e12:
                 break
-        for frac in np.linspace(1.0 / pts_per_dir, 1.0, pts_per_dir):
+        for frac in np.linspace(1.0 / 25, 1.0, 25):
             z = zstar + frac * r_hi * d
             h = objective.value_at(z) - objective.optimum_value
             if h > h_max:
@@ -242,21 +221,20 @@ def build_smoothness_ladder(objective: Objective, h_max: float,
     order = np.argsort(subopts)
     subopts = np.asarray(subopts)[order]
     hnorms = np.maximum.accumulate(np.asarray(hnorms)[order])
-    h_table = np.linspace(0.0, h_max, grid_points)
+    h_table = np.linspace(0.0, h_max, 200)
     lbar2 = np.interp(h_table, subopts, hnorms)
     lbar2 = np.maximum.accumulate(lbar2)
     return SmoothnessLadder(h_table=h_table, lbar2_table=lbar2)
 
 
-def ladder_from_profile(profile, problem, h_max: float,
-                        grid_points: int = 200) -> SmoothnessLadder:
+def ladder_from_profile(profile, problem, h_max: float) -> SmoothnessLadder:
     """Ladder backed by the analytic LQR smoothness profile.
 
     The gradient Lipschitz constant over a sublevel set bounds the Hessian
     norm there, so the closed form replaces sampling.
     """
     from .lqr import smoothness_profile_L3
-    h_table = np.linspace(0.0, h_max, grid_points)
+    h_table = np.linspace(0.0, h_max, 200)
     lbar2 = np.asarray(smoothness_profile_L3(profile, problem, h_table))
     return SmoothnessLadder(h_table=h_table, lbar2_table=lbar2)
 
@@ -298,8 +276,8 @@ class PhiLadder:
                          self.h_fine[:cut])
 
 
-def phi_functions(ladder: SmoothnessLadder, delta: float | None = None,
-                  grid_points: int = 2000) -> PhiLadder:
+def phi_functions(ladder: SmoothnessLadder,
+                  delta: float | None = None) -> PhiLadder:
     """Build the phi ladder from a smoothness ladder.
 
     delta defaults to 1e-2 * (1 + h_max): small enough that phi2 tracks
@@ -310,7 +288,7 @@ def phi_functions(ladder: SmoothnessLadder, delta: float | None = None,
         delta = 1e-2 * (1.0 + h_max)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    h_fine = np.linspace(0.0, h_max + delta, grid_points)
+    h_fine = np.linspace(0.0, h_max + delta, 2000)
     if h_fine[-1] > ladder.h_table[-1] + delta + 1e-12:
         raise ValueError("ladder grid does not cover h_max + delta")
     lbar2 = np.asarray(ladder.Lbar2(h_fine), dtype=float)

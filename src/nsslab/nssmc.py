@@ -45,6 +45,9 @@ from .sde import (CovarianceSchedule, DiffusionModel, TrajectoryEnsemble,
                   record_times, simulate_ensemble, sup_noise_intensity)
 
 
+MIN_PATHS = 100  # the fewest paths a sweep's probabilistic claims use
+
+
 @dataclass(frozen=True)
 class NssExperiment:
     """A covariance sweep over one dynamics/size-function pair."""
@@ -61,8 +64,8 @@ class NssExperiment:
     store_every: int = 1
 
     def __post_init__(self):
-        if self.N < 100:
-            raise ValueError("probabilistic claims need N >= 100")
+        if self.N < MIN_PATHS:
+            raise ValueError(f"probabilistic claims need N >= {MIN_PATHS}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if np.any(np.diff(self.intensities()) < 0):
@@ -281,11 +284,11 @@ class DecayFit:
 
 
 def fit_decay_envelope(noiseless: TrajectoryEnsemble, V: SizeFunction,
-                       headroom: float = 1.1, floor: float = 1e-12) -> DecayFit:
+                       headroom: float = 1.1) -> DecayFit:
     """Log-linear decay rate of the mean of V on a noiseless ensemble."""
     vals = self_values(V, noiseless.states)
     mean = vals.mean(axis=0)
-    keep = mean > floor * max(mean[0], 1.0)
+    keep = mean > 1e-12 * max(mean[0], 1.0)
     if keep.sum() < 2:
         raise ValueError("mean of V too flat or too short to fit a decay rate")
     t = noiseless.times[keep]

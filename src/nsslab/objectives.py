@@ -143,9 +143,8 @@ class Objective:
         return self.evaluate(z, hessian=True)[2][0]
 
 
-def quadratic_objective(A: np.ndarray, b: np.ndarray,
-                        offset: float = 0.0) -> Objective:
-    """J(z) = 1/2 (z - z*)^T A (z - z*) + offset with z* = A^-1 b.
+def quadratic_objective(A: np.ndarray, b: np.ndarray) -> Objective:
+    """J(z) = 1/2 (z - z*)^T A (z - z*) with z* = A^-1 b.
 
     Carries the classic PL envelope mu(h) = sqrt(2 lambda_min(A) h) and
     gradient Lipschitz constant lambda_max(A).
@@ -162,7 +161,7 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray,
 
     def value(z):
         d = np.asarray(z, dtype=float) - zstar
-        return 0.5 * np.einsum("...i,ij,...j->...", d, A, d) + offset
+        return 0.5 * np.einsum("...i,ij,...j->...", d, A, d)
 
     diag = _diagonal(A)
 
@@ -174,7 +173,7 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray,
     env = PLEnvelope(mu=mu, kind="classic_PL",
                      construction=f"analytic, c = 2 lambda_min = {c_pl:g}")
     return Objective(value=value, gradient=gradient, dim=A.shape[0],
-                     optimum_value=offset, minimizer=zstar,
+                     optimum_value=0.0, minimizer=zstar,
                      hessian=lambda z: np.repeat(A[None], len(z), axis=0),
                      global_lipschitz=float(w.max()), envelope=env,
                      label="quadratic")

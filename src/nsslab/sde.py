@@ -135,21 +135,19 @@ class CovarianceSchedule:
         return float(np.linalg.norm(s @ s.T, 2))
 
 
-def sup_noise_intensity(schedule: CovarianceSchedule, t_lo: float, t_hi: float,
-                        grid_points: int = 1000) -> float:
-    """Max spectral norm of Sigma(t) Sigma(t)^T over a uniform grid.
+def sup_noise_intensity(schedule: CovarianceSchedule, t_lo: float,
+                        t_hi: float) -> float:
+    """Max spectral norm of Sigma(t) Sigma(t)^T over 1000 uniform times.
 
     A lower bound of the true essential supremum; exact for constant and
     adequate for piecewise-continuous schedules.
     """
     if t_lo > t_hi:
         raise ValueError("t_lo must be <= t_hi")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
     if schedule.is_constant:
         return schedule.instantaneous_intensity(t_lo)
     return max(schedule.instantaneous_intensity(t)
-               for t in np.linspace(t_lo, t_hi, grid_points))
+               for t in np.linspace(t_lo, t_hi, 1000))
 
 
 @dataclass(frozen=True)
@@ -260,8 +258,21 @@ class StateRecorder:
         self.states[:, i] = z
 
 
+def check_time_grid(dt: float, T: float, store_every: int = 1) -> None:
+    """The integrator's time grid rule: 0 < dt <= T, T a whole number of
+    dt steps and store_every >= 1; ValueError naming the value otherwise."""
+    if not 0 < dt <= T:
+        raise ValueError(f"dt = {dt:g} must lie in (0, T] with T = {T:g}")
+    if abs(round(T / dt) * dt - T) > 1e-9 * (1.0 + T):
+        raise ValueError(f"T = {T:g} is not a whole number of dt = {dt:g} "
+                         "steps")
+    if store_every < 1:
+        raise ValueError(f"store_every = {store_every} must be >= 1")
+
+
 def record_times(dt: float, T: float, store_every: int = 1) -> np.ndarray:
     """The recorded grid: every ``store_every``-th step and the last one."""
+    check_time_grid(dt, T, store_every)
     return _record_steps(int(round(T / dt)), store_every) * dt
 
 
@@ -564,13 +575,7 @@ def _byte_pieces(arrays):
 
 
 def _validate_sim_args(model, x0s, dt, T, store_every):
-    if dt <= 0 or dt > T:
-        raise ValueError("require 0 < dt <= T")
-    if abs(round(T / dt) * dt - T) > 1e-9 * (1.0 + T):
-        raise ValueError(f"T = {T:g} is not a whole number of dt = {dt:g} "
-                         "steps")
-    if store_every < 1:
-        raise ValueError("store_every must be >= 1")
+    check_time_grid(dt, T, store_every)
     if model.domain_test is not None:
         ok = np.asarray(model.domain_test(x0s), dtype=bool)
         if not ok.all():

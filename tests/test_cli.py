@@ -1,5 +1,6 @@
 """Unit tests for the configuration-driven experiment runner."""
 
+import configparser
 import csv
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nsslab.cli import (REGISTRY, _csv_table, _write_certificate,
+from nsslab.cli import (REGISTRY, _csv_table, _parse, _write_certificate,
                         _write_gain_curve, list_experiments, main, run,
                         validate)
 from nsslab.langevin import (OverdampedConfig, build_overdamped,
@@ -22,8 +23,8 @@ EXPECTED = {"ou-sanity", "quadratic-overdamped", "quadratic-underdamped",
             "certify-dissipation", "pl-envelope"}
 
 
-DEMO_CSV = Path(__file__).resolve().parent.parent / "configs" \
-    / "logistic_demo.csv"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DEMO_CSV = CONFIGS / "logistic_demo.csv"
 
 
 def write_config(tmp_path, name, extra=""):
@@ -112,6 +113,16 @@ class TestRun:
         assert main(["run", cfg, "--out", str(out), "--threads", threads]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--threads" in err, err
+        assert not out.exists()
+
+    def test_seed_override_below_zero_exits_2_with_one_line(self, tmp_path,
+                                                             capsys):
+        cfg = write_config(tmp_path, "quadratic-underdamped", FAST_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--seed-override",
+                     "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed-override" in err, err
         assert not out.exists()
 
     def test_seed_override_changes_noise_draws(self, tmp_path):
@@ -287,6 +298,96 @@ class TestConfigValues:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: [{section}] {key} = {value!r}")
         assert captured.out == ""
+
+
+def lower_cased_copy(src: Path, dst: Path) -> Path:
+    """A shipped config read and written back by configparser, which
+    lower-cases every key, with the dataset path made absolute."""
+    cfg = configparser.ConfigParser()
+    cfg.read(src)
+    if cfg.has_option("problem", "dataset"):
+        cfg.set("problem", "dataset",
+                str((src.parent / cfg.get("problem", "dataset")).resolve()))
+    with open(dst, "w") as fh:
+        cfg.write(fh)
+    return dst
+
+
+class TestSchema:
+    """``validate`` and ``run`` read every config through one schema."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")),
+                             ids=lambda p: p.stem)
+    def test_shipped_and_lower_cased_configs_validate(self, tmp_path, path,
+                                                      capsys):
+        assert validate(str(path)) == 0
+        copy = lower_cased_copy(path, tmp_path / path.name)
+        assert validate(str(copy)) == 0
+        assert "ok: " in capsys.readouterr().out
+
+    def test_lower_cased_keys_are_read_not_defaulted(self, tmp_path):
+        # N and T of gain_sweep differ from the code defaults (2000, 50)
+        copy = lower_cased_copy(CONFIGS / "gain_sweep.ini",
+                                tmp_path / "gain_sweep.ini")
+        copy.write_text(copy.read_text().replace("t = 50", "t = 8"))
+        assert "\nn = 10000\n" in copy.read_text()
+        fn, v = _parse(str(copy))
+        assert fn is REGISTRY["gain-sweep"][0]
+        assert (v.N, v.T, v.dt, v.diag) == (10000, 8.0, 1e-3, [1.0])
+
+    # experiment, config body, section and key the one error line names
+    # (None: the section has no key to name)
+    BAD = [
+        ("quadratic-overdamped", "[mc]\nN = 10\n", "mc", "N"),
+        ("ou-sanity", "[mc]\nmaster_seed = -1\n", "mc", "master_seed"),
+        ("quadratic-overdamped", "[noise]\nsigmas = 0.4, 0.2, 0.1\n",
+         "noise", "sigmas"),
+        ("quadratic-overdamped", "[noise]\nsigmas = -0.1, 0.2\n", "noise",
+         "sigmas"),
+        ("quadratic-underdamped", "[problem]\ndiag = 1, -1\n", "problem",
+         "diag"),
+        ("ou-sanity", "[mc]\nT = 50.0005\n", "mc", "T"),
+        ("ou-sanity", "[mc]\ndt = -1\n", "mc", "dt"),
+        ("ou-sanity", "[mc]\ndt = 60\n", "mc", "dt"),
+        ("ou-sanity", "[mc]\nstore_every = 0\n", "mc", "store_every"),
+        ("ou-sanity", "[mc]\nT = inf\n", "mc", "T"),
+        ("gain-sweep", "[problem]\ndiag = 1\n[nosie]\nsigmas = 0.1\n",
+         "nosie", "sigmas"),
+        ("gain-sweep", "[problem]\ndiag = 1\n[mc]\nstore_evry = 5\n",
+         "mc", "store_evry"),
+        ("gain-sweep", "[problem]\ndiag = 1, 1\n", "problem", "diag"),
+        ("gain-sweep", "[mc]\nN = 100\n", "problem", "diag"),
+        ("quadratic-overdamped", "[mc]\nepsilon = 1.5\n", "mc", "epsilon"),
+        ("lqr-po-overdamped", "[noise]\nsigmas = 0.5\n", "noise", "sigmas"),
+        ("lqr-po-overdamped", "[problem]\nr = 0\n", "problem", "r"),
+        ("ou-sanity", "[plots]\n", "plots", None),
+        ("ou-sanity", "[dynamics]\nn_dirs = 8\n", "dynamics", "n_dirs"),
+        ("lqr-po-underdamped", "[dynamics]\ntol = 1e-2\n[mc]\nT = 30\n",
+         "mc", "dt"),
+        ("lqr-po-underdamped", "[dynamics]\ntol = 1e-2\n[mc]\ndt = 1e-3\n",
+         "mc", "T"),
+        ("lqr-po-underdamped", "[mc]\ndt = 1e-3\nT = 30\n", "dynamics",
+         "tol"),
+        ("pl-envelope", "[dynamics]\nn_dirs = 8\n", "problem", "dataset"),
+        ("pl-envelope", "[problem]\ndataset = nope.csv\n", "problem",
+         "dataset"),
+    ]
+
+    @pytest.mark.parametrize("experiment,body,section,key", BAD)
+    def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys,
+                                                  experiment, body, section,
+                                                  key):
+        cfg = write_config(tmp_path, experiment, body)
+        out = tmp_path / "o"
+        for argv in (["validate", cfg], ["run", cfg, "--out", str(out)]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert f"[{section}]" in lines[0], lines
+            assert key is None or key in lines[0], lines
+            assert captured.out == ""
+            assert not out.exists()
 
 
 class TestMain:

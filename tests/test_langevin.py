@@ -52,11 +52,9 @@ def generator_bound_overdamped(config: OverdampedConfig, z, sigma_mat,
     h = obj.value_at(z) - obj.optimum_value
     g = obj.gradient_at(z)
     H = obj.hessian_at(z)
-    Gz = np.eye(obj.dim) if config.G is None \
-        else np.asarray(config.G(z[None]))[0]
     eta_h = 1.0 if config.eta is None else float(config.eta(np.asarray([h]))[0])
-    gs = Gz @ sigma_mat
-    lhs = -eta_h * float(g @ g) + 0.5 * float(np.trace(gs.T @ H @ gs))
+    lhs = (-eta_h * float(g @ g)
+           + 0.5 * float(np.trace(sigma_mat.T @ H @ sigma_mat)))
     s = float(np.linalg.norm(sigma_mat @ sigma_mat.T, 2))
     mu_h = float(obj.envelope.mu(h))
     if config.eta is None:

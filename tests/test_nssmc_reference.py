@@ -11,9 +11,9 @@ bound), ``fit_decay_envelope`` and the ou-sanity moments.  The reducers
 must give the same statistics bit for bit.
 """
 
-import configparser
 import math
 import tracemalloc
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -435,11 +435,7 @@ def test_tail_window_values_match_dense_route():
 
 
 def ou_config(N, T, dt, store):
-    cfg = configparser.ConfigParser()
-    cfg.read_dict({"noise": {"sigma": "0.5"},
-                   "mc": {"N": str(N), "T": str(T), "dt": str(dt),
-                          "store_every": str(store)}})
-    return cfg
+    return SimpleNamespace(sigma=0.5, N=N, T=T, dt=dt, store_every=store)
 
 
 @pytest.mark.parametrize("N, T, store", [(1000, 30.0, 5), (301, 8.0, 7)])

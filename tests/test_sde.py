@@ -188,6 +188,17 @@ class TestStorageAndCsv:
         with pytest.raises(ValueError, match="whole number of dt"):
             simulate_ensemble(m, s, np.ones(1), dt, T, 3, 0)
 
+    @pytest.mark.parametrize("dt, T, store, match", [
+        (-1, 50, 25, "dt = -1"),
+        (60, 50, 25, "dt = 60"),
+        (1e-3, 50.0005, 25, "whole number of dt"),
+        (1e-3, 50, 0, "store_every = 0")])
+    def test_record_times_checks_the_grid(self, dt, T, store, match):
+        # record_times(-1, 50, 25) used to fail inside range() with an
+        # IndexError
+        with pytest.raises(ValueError, match=match):
+            sde.record_times(dt, T, store)
+
     @pytest.mark.parametrize("dt, T", [(0.1, 0.3), (1e-3, 50.0),
                                        (1e-2, 8.0), (0.1, 0.1)])
     def test_whole_step_grids_accepted(self, dt, T):
