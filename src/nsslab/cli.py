@@ -131,8 +131,12 @@ def _parse(path: str):
     except ValueError as exc:
         raise ConfigError(f"[mc] {exc}") from exc
     for section, key, text, test in rules:
-        if not test(v):
-            raise ConfigError(f"[{section}] {key} = {getattr(v, key)}: {text}")
+        try:
+            if test(v):
+                continue
+        except ValueError as exc:
+            text = f"{text}: {exc}"
+        raise ConfigError(f"[{section}] {key} = {getattr(v, key)}: {text}")
     return fn, v
 
 
@@ -197,7 +201,8 @@ def _noiseless_path(model, x0, v, seed, out):
 # fn(v, out, seed, workers) -> summary lines, with ``workers`` from
 # --threads; @_experiment registers it with the keys it reads, their
 # default text (None: required) and rules (section, key, text, test(v))
-# that tie a value to the experiment or to other keys.
+# that tie a value to the experiment or to other keys; a test fails by
+# returning False or raising ValueError.
 
 REGISTRY = {}  # name -> (fn, description, keys, rules)
 
@@ -238,6 +243,11 @@ SWEEP_N = ("mc", "N", f"probabilistic claims need N >= {nssmc.MIN_PATHS}",
 SWEEP = {"N": "2000", "dt": "1e-3", "T": "50", "store_every": "25",
          "epsilon": "0.05", "sigmas": "0.1,0.2,0.4"}
 LQR = {"a": "1.0", "f": "1.0", "q": "1.0", "r": "1.0"}
+LQR_K0 = np.array([[2.0]])  # Kleinman-Newton start of both LQR experiments
+LQR_K0_RULE = ("problem", "a", "the Kleinman-Newton start K0 = 2 must make "
+               "a - f K0 Hurwitz",
+               lambda v: lqr.hurwitz_mask(v.a - v.f * LQR_K0[None])[0])
+QUIET_T = 20.0  # horizon cap of gain-sweep's quiet envelope ensemble
 # per-path supremum margin (in units of sigma^2) added to the fitted decay
 # envelope; calibrated on the scalar linear-diffusion oracle so that the
 # worst-case violation fraction over the default sigma grid stays below
@@ -264,7 +274,7 @@ def _gain_sweep(v, out, seed, workers, exceedance=False):
         # bits of the noisy ones
         quiet = sde.simulate_ensemble(
             model, sde.CovarianceSchedule.constant(np.zeros((1, 1)), v.T),
-            exp.x0, v.dt, min(v.T, 20.0), min(v.N, 200), seed + 1000,
+            exp.x0, v.dt, min(v.T, QUIET_T), min(v.N, 200), seed + 1000,
             store_every=v.store_every)
         beta = fit_decay_envelope(quiet, V)
         bounds = [lambda v0, t, g=EXCEEDANCE_MARGIN * s**2: beta(v0, t) + g
@@ -287,7 +297,10 @@ def _exp_quadratic_overdamped(v, out, seed, workers):
              "for the scalar quadratic",
              {"diag": None, **SWEEP}, SWEEP_N,
              ("problem", "diag", "gain-sweep expects the scalar unit "
-              "quadratic, diag = 1", lambda v: v.diag == [1.0]))
+              "quadratic, diag = 1", lambda v: v.diag == [1.0]),
+             ("mc", "T", f"the quiet envelope runs to min(T, {QUIET_T:g})",
+              lambda v: sde.check_time_grid(v.dt, min(v.T, QUIET_T),
+                                            v.store_every) is None))
 def _exp_gain_sweep(v, out, seed, workers):
     curve, lines = _gain_sweep(v, out, seed, workers, exceedance=True)
     sigmas = np.sqrt(curve.intensities)
@@ -378,10 +391,10 @@ def _exp_logistic_underdamped(v, out, seed, workers):
              {**LQR, "sigmas": "0.05,0.16,0.5,1.6,5.0", "N": "100",
               "dt": "1e-3", "T": "10", "store_every": "20"}, SWEEP_N,
              ("noise", "sigmas", "onset bracketing needs two or more",
-              lambda v: len(v.sigmas) >= 2))
+              lambda v: len(v.sigmas) >= 2), LQR_K0_RULE)
 def _exp_lqr_po_overdamped(v, out, seed, workers):
     problem = lqr.LqrProblem(A=[[v.a]], F=[[v.f]], Q=[[v.q]], R=[[v.r]])
-    profile = lqr.solve_riccati(problem, K0=[[2.0]])
+    profile = lqr.solve_riccati(problem, K0=LQR_K0)
     lines = []
     if np.allclose([v.a, v.f, v.q, v.r], 1.0):
         ref = 1.0 + np.sqrt(2.0)
@@ -414,10 +427,10 @@ def _exp_lqr_po_overdamped(v, out, seed, workers):
 @_experiment("lqr-po-underdamped", "scheduled-coefficient momentum flow on "
              "the regulator cost",
              {**LQR, "h_max": "20", "tol": None, "dt": None, "T": None,
-              "store_every": "100"})
+              "store_every": "100"}, LQR_K0_RULE)
 def _exp_lqr_po_underdamped(v, out, seed, workers):
     problem = lqr.LqrProblem(A=[[v.a]], F=[[v.f]], Q=[[v.q]], R=[[v.r]])
-    profile = lqr.solve_riccati(problem, K0=[[2.0]])
+    profile = lqr.solve_riccati(problem, K0=LQR_K0)
     obj = lqr.lqr_objective(problem, profile)
     ladder = langevin.ladder_from_profile(profile, problem, v.h_max)
     model = langevin.build_underdamped(langevin.UnderdampedConfig(

@@ -122,8 +122,12 @@ def _scheduled_terms(config: UnderdampedConfig, z: np.ndarray):
     obj = config.objective
     values, grads, hessians = obj.evaluate(z, hessian=True)
     # the spectral norm of each Hessian: what norm(H, 2, axis=(1, 2))
-    # computes, without its axis handling
-    c = 0.5 * np.linalg.svd(hessians, compute_uv=False).max(axis=1) + 0.5
+    # computes, without its axis handling; a 1x1 Hessian's is |h|
+    if hessians.shape[1] == 1:
+        norms = np.abs(hessians[:, 0, 0])
+    else:
+        norms = np.linalg.svd(hessians, compute_uv=False).max(axis=1)
+    c = 0.5 * norms + 0.5
     eta = 0.5 * (config.phi.phi2_prime(values - obj.optimum_value) - c)
     return c, eta, grads
 

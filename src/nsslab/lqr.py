@@ -6,10 +6,13 @@ batched Kronecker Lyapunov solver, used both by the per-step gain
 statistics and by the Kleinman-Newton iteration to the Riccati solution.
 A gain batch builds its operator L = kron(A_cl^T, I) + kron(I, A_cl^T)
 once; the Y_K system's operator is L^T, so P_K and Y_K come from one
-stacked solve of [L; L^T].  The module also ships the analytic K-PL
-modulus mu5(h) = h/(b1 h + b2), the sublevel smoothness profile L3(h),
-and learning-rate schedules whose growth class decides NSS versus scNSS
-of the policy-gradient diffusion.
+stacked solve of [L; L^T].  A scalar problem (n = m = 1) takes the same
+arithmetic elementwise on the (B,) gain column: L = a_cl + a_cl and the
+stacked solve is the division -M / L, which LAPACK's 1x1 solve equals
+bit for bit, so its statistics match the matrix path exactly.  The
+module also ships the analytic K-PL modulus mu5(h) = h/(b1 h + b2), the
+sublevel smoothness profile L3(h), and learning-rate schedules whose
+growth class decides NSS versus scNSS of the policy-gradient diffusion.
 
 Gain matrices are vectorized row-major into mn-dimensional states so the
 generic diffusion simulator can drive policy-gradient flow directly; the
@@ -18,7 +21,7 @@ Frobenius inner product matches the vectorized Euclidean one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_continuous_are
@@ -39,12 +42,15 @@ class ConditioningError(RuntimeError):
 
 @dataclass(frozen=True)
 class LqrProblem:
-    """System (A, F) with quadratic state/input weights (Q, R)."""
+    """System (A, F) with quadratic state/input weights (Q, R); a scalar
+    problem (n = m = 1) also keeps ``scalars`` = (a, f, q, r) as floats."""
 
     A: np.ndarray
     F: np.ndarray
     Q: np.ndarray
     R: np.ndarray
+    scalars: tuple[float, float, float, float] | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -69,6 +75,9 @@ class LqrProblem:
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
+        object.__setattr__(self, "scalars", (
+            float(A[0, 0]), float(F[0, 0]), float(Q[0, 0]), float(R[0, 0]))
+            if n == m == 1 else None)
 
     @property
     def n(self) -> int:
@@ -262,37 +271,73 @@ def _cost_weight(problem: LqrProblem, Ks: np.ndarray) -> np.ndarray:
     return problem.Q[None] + np.einsum("bmi,mk,bkj->bij", Ks, problem.R, Ks)
 
 
-def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
-    """Cost and gradient over a batch of vectorized gains.
+def _stable(problem: LqrProblem, thetas: np.ndarray):
+    """(gains, closed loops, Hurwitz mask) of a (B, mn) gain batch.
 
-    Returns (hurwitz mask, costs, vectorized gradients); entries for
-    non-stabilizing gains are NaN.  P_K and Y_K of the stabilizing rows
-    come from one stacked solve_lyapunov call, and every row goes through
-    the same per-matrix kernels whatever the batch holds.
+    A scalar problem keeps (B,) columns k and a - f k, which is what the
+    1x1 einsum of _closed_loop computes; any other problem keeps (B, m, n)
+    gain and (B, n, n) closed-loop stacks.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     B = thetas.shape[0]
-    n, m = problem.n, problem.m
-    Ks = thetas.reshape(B, m, n)
-    A_cl = _closed_loop(problem, Ks)
-    ok = hurwitz_mask(A_cl)
-    all_ok = ok.all()
-    if not all_ok:
-        if not ok.any():
-            return ok, np.full(B, np.nan), np.full((B, m * n), np.nan)
-        Ks, A_cl = Ks[ok], A_cl[ok]
+    if problem.scalars is None:
+        Ks = thetas.reshape(B, problem.m, problem.n)
+        A_cl = _closed_loop(problem, Ks)
+        return Ks, A_cl, hurwitz_mask(A_cl)
+    a, f = problem.scalars[:2]
+    k = thetas.reshape(B)
+    a_cl = a - f * k
+    return k, a_cl, hurwitz_mask(a_cl.reshape(B, 1, 1))
 
-    P, Y = solve_lyapunov(A_cl, _cost_weight(problem, Ks), np.eye(n))
+
+def _scalar_stats(problem: LqrProblem, k: np.ndarray, a_cl: np.ndarray):
+    """Costs and gradients of stabilizing scalar gains: the operations of
+    the matrix path below on 1x1 blocks, in its order.  The operator is
+    L = a_cl + a_cl, P and Y solve L X = -(q + (k r) k) and L X = -1, and
+    each keeps the 0.5 (X + X^T) symmetrization."""
+    _, f, q, r = problem.scalars
+    L = a_cl + a_cl
+    P = -(q + (k * r) * k) / L
+    P = 0.5 * (P + P)
+    Y = -1.0 / L
+    Y = 0.5 * (Y + Y)
+    return P, (2.0 * ((r * k - f * P) * Y))[:, None]
+
+
+def _matrix_stats(problem: LqrProblem, Ks: np.ndarray, A_cl: np.ndarray):
+    """Costs and vectorized gradients of a stabilizing (B, m, n) gain stack
+    from one stacked solve_lyapunov call."""
+    P, Y = solve_lyapunov(A_cl, _cost_weight(problem, Ks), np.eye(problem.n))
     G = 2.0 * np.einsum("bmi,bij->bmj",
                         np.einsum("mk,bki->bmi", problem.R, Ks)
                         - np.einsum("nm,bni->bmi", problem.F, P),
                         Y)
-    stable_costs = np.trace(P, axis1=1, axis2=2)
-    stable_grads = G.reshape(-1, m * n)
+    return np.trace(P, axis1=1, axis2=2), G.reshape(-1, problem.m * problem.n)
+
+
+def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
+    """Cost and gradient over a batch of vectorized gains.
+
+    Returns (hurwitz mask, costs, vectorized gradients); entries for
+    non-stabilizing gains are NaN.  The stabilizing rows of a scalar
+    problem go through elementwise arithmetic, those of any other problem
+    through one stacked solve_lyapunov call; every row goes through the
+    same per-row kernels whatever the batch holds.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    B, mn = thetas.shape[0], problem.m * problem.n
+    Ks, A_cl, ok = _stable(problem, thetas)
+    all_ok = ok.all()
+    if not all_ok:
+        if not ok.any():
+            return ok, np.full(B, np.nan), np.full((B, mn), np.nan)
+        Ks, A_cl = Ks[ok], A_cl[ok]
+
+    stats = _matrix_stats if problem.scalars is None else _scalar_stats
+    stable_costs, stable_grads = stats(problem, Ks, A_cl)
     if all_ok:
         return ok, stable_costs, stable_grads
     costs = np.full(B, np.nan)
-    grads = np.full((B, m * n), np.nan)
+    grads = np.full((B, mn), np.nan)
     costs[ok] = stable_costs
     grads[ok] = stable_grads
     return ok, costs, grads
@@ -324,8 +369,7 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
     def domain_test(theta):
         theta = np.asarray(theta, dtype=float)
         lead = theta.shape[:-1]
-        return hurwitz_mask(_closed_loop(problem, theta.reshape(-1, m, n))
-                            ).reshape(lead)
+        return _stable(problem, theta.reshape(-1, m * n))[2].reshape(lead)
 
     env = PLEnvelope(mu=mu5_class_function(profile), kind="K",
                      construction="analytic b1, b2 from the Riccati solution")

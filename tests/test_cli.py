@@ -371,6 +371,13 @@ class TestSchema:
         ("pl-envelope", "[dynamics]\nn_dirs = 8\n", "problem", "dataset"),
         ("pl-envelope", "[problem]\ndataset = nope.csv\n", "problem",
          "dataset"),
+        # K0 = 2 leaves a - f K0 = 1 unstable
+        ("lqr-po-overdamped", "[problem]\na = 3.0\n", "problem", "a"),
+        ("lqr-po-underdamped", "[problem]\na = 3.0\n[dynamics]\ntol = 1e-2"
+         "\n[mc]\ndt = 1e-3\nT = 30\n", "problem", "a"),
+        # T = 30 is on the dt grid, the quiet horizon min(T, 20) is not
+        ("gain-sweep", "[problem]\ndiag = 1\n[mc]\ndt = 0.003\nT = 30\n",
+         "mc", "T"),
     ]
 
     @pytest.mark.parametrize("experiment,body,section,key", BAD)

@@ -208,6 +208,22 @@ class TestScheduledMode:
         want = 0.5 * np.linalg.norm(H, 2, axis=(1, 2)) + 0.5
         assert np.array_equal(c, want)
 
+    def test_scalar_damping_is_the_svd_form(self):
+        # A 1x1 Hessian's spectral norm is |h|, which LAPACK's svd returns
+        # bit for bit for |h| in [1e-100, 1e100].  Beyond about 1e+-150 the
+        # svd is one ulp off and |h| is the exact value.
+        rng = np.random.default_rng(7)
+        h = rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-100, 100,
+                                                                5000)
+        H = h[:, None, None]
+        svd = np.linalg.svd(H, compute_uv=False).max(axis=1)
+        assert np.array_equal(np.abs(h), svd)
+        phi = phi_functions(build_smoothness_ladder(quad(1), h_max=100.0))
+        obj = replace(quad(1), hessian=lambda z: H)
+        cfg = UnderdampedConfig(objective=obj, mode="scheduled", phi=phi)
+        c, _ = _scheduled_terms(cfg, rng.standard_normal((5000, 1)))[:2]
+        assert np.array_equal(c, 0.5 * svd + 0.5)
+
     def test_scheduled_needs_phi(self):
         with pytest.raises(ValueError):
             UnderdampedConfig(objective=quad(), mode="scheduled")

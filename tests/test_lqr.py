@@ -143,8 +143,9 @@ class TestLyapunovSolve:
         # The kernel leaves the Hurwitz test to its callers.  K = 0 on the
         # scalar unit problem is the instance a = 1, m = 1: solve_riccati
         # raises StabilityError, batched_gain_stats masks the row, and no
-        # non-Hurwitz matrix ever reaches the kernel.  The batch makes one
-        # stacked call that solves for P_K and Y_K together.
+        # non-Hurwitz matrix ever reaches the kernel.  The 3x2 batch makes
+        # one stacked call that solves for P_K and Y_K together; the scalar
+        # batch divides elementwise and makes none.
         seen = []
 
         def recording(A, M, N=None):
@@ -155,9 +156,9 @@ class TestLyapunovSolve:
         monkeypatch.setattr(lqr, "solve_lyapunov", recording)
         big = random_problem(3, 2, 5)
         assert spectral_abscissa(big.A) > 0
-        cases = [(scalar_problem(), np.zeros((1, 1)), np.array([[2.0]])),
-                 (big, np.zeros((2, 3)), _stabilizing_start(big))]
-        for problem, unstable, stable in cases:
+        cases = [(scalar_problem(), np.zeros((1, 1)), np.array([[2.0]]), 0),
+                 (big, np.zeros((2, 3)), _stabilizing_start(big), 1)]
+        for problem, unstable, stable, calls in cases:
             with pytest.raises(StabilityError):
                 solve_riccati(problem, K0=unstable)
             assert seen == []
@@ -166,8 +167,9 @@ class TestLyapunovSolve:
             assert ok.tolist() == [False, True]
             assert np.isnan(costs[0]) and np.isnan(grads[0]).all()
             assert np.isfinite(costs[1]) and np.isfinite(grads[1]).all()
-            assert len(seen) == 1
-            assert seen[0].shape[0] == 1 and hurwitz_mask(seen[0]).all()
+            assert len(seen) == calls
+            assert all(A.shape[0] == 1 and hurwitz_mask(A).all()
+                       for A in seen)
             seen.clear()
 
     def test_singular_operator_is_a_conditioning_error(self):

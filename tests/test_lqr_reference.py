@@ -157,6 +157,37 @@ def test_random_scalar_gains_match_reference():
         assert_same_bits(scalar_problem(), chunk)
 
 
+# (a, f, q, r): open-loop stable and unstable, negative input gain
+SCALAR_PROBLEMS = [(3.0, 2.0, 0.5, 4.0), (-0.5, 2.0, 3.0, 0.25),
+                   (2.0, -1.5, 1.0, 2.0), (-1.0, -0.3, 7.0, 0.1),
+                   (0.25, 1e-3, 1e3, 1e-3)]
+
+
+@pytest.mark.parametrize("a, f, q, r", SCALAR_PROBLEMS)
+@pytest.mark.parametrize("B", [1, 3, 100])
+def test_scalar_problems_match_reference(a, f, q, r, B):
+    # gains a/f +- sign(f) (1 + s) put a - f k at -+|f| (1 + s), on either
+    # side of the Hurwitz margin: all stabilize, or none do
+    problem = LqrProblem(A=[[a]], F=[[f]], Q=[[q]], R=[[r]])
+    rng = np.random.default_rng(B)
+    spread = 10.0 ** rng.uniform(-8.0, 8.0, size=(B, 1))
+    signs = rng.choice([-1.0, 1.0], size=(B, 1))
+    ok = assert_same_bits(problem, signs * spread)
+    if B == 100:
+        assert 0 < ok.sum() < B
+    shift = np.sign(f) * (1.0 + spread)
+    assert assert_same_bits(problem, a / f + shift).all()
+    assert not assert_same_bits(problem, a / f - shift).any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scalar_gain_raises(bad):
+    thetas = np.array([[2.0], [bad], [3.0]])
+    for stats in (batched_gain_stats, reference_batched_gain_stats):
+        with pytest.raises(np.linalg.LinAlgError):
+            stats(scalar_problem(), thetas)
+
+
 @pytest.mark.parametrize("n, m, seed", [(2, 1, 1), (3, 2, 2), (4, 2, 3)])
 def test_matrix_batches_match_reference(n, m, seed):
     problem = random_problem(n, m, seed)
