@@ -20,7 +20,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import langevin, lqr, lyapcert, nssmc, objectives, sde
 from .lyapcert import check_dissipation, default_state_samples, \
@@ -325,6 +324,8 @@ def _exp_gain_sweep(v, out, seed, workers):
              {"diag": "1,1", "eta": "1.0", "c": "1.0", "dt": "1e-3",
               "T": "100", "store_every": "100"})
 def _exp_quadratic_underdamped(v, out, seed, workers):
+    from scipy.linalg import expm
+
     obj = _quadratic(v)
     model = langevin.build_underdamped(langevin.UnderdampedConfig(
         objective=obj, mode="constant_coeff", eta=v.eta, c=v.c))

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .compfun import K, KINF, ScalarClassFunction
 from .lyapcert import DissipationCertificate, SizeFunction
-from .objectives import Objective
+from .objectives import Objective, _cumulative_trapezoid
 from .sde import DiffusionModel
 
 
@@ -297,7 +296,7 @@ def phi_functions(ladder: SmoothnessLadder,
         raise ValueError("ladder grid does not cover h_max + delta")
     lbar2 = np.asarray(ladder.Lbar2(h_fine), dtype=float)
     phi1_vals = 2.0 * lbar2 * h_fine + 2.5 * h_fine
-    big_phi = cumulative_trapezoid(phi1_vals, h_fine, initial=0.0)
+    big_phi = _cumulative_trapezoid(phi1_vals, h_fine)
     step = h_fine[1] - h_fine[0]
 
     def antiderivative(h):

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
 
 from .objectives import Objective
 from .sde import CovarianceSchedule
@@ -53,6 +52,8 @@ class LqrProblem:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        from scipy.linalg import solve_continuous_are
+
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         F = np.atleast_2d(np.asarray(self.F, dtype=float))
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))

@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import linprog
-from scipy.special import expit
 
 from .compfun import K, KINF, ScalarClassFunction, from_table
 from .sde import _diagonal, _times_transpose
@@ -220,6 +217,8 @@ def logistic_loss(model: LogisticModel, theta) -> float | np.ndarray:
 
 
 def logistic_gradient(model: LogisticModel, theta) -> np.ndarray:
+    from scipy.special import expit
+
     theta = np.asarray(theta, dtype=float)
     p = expit(theta @ model.X)
     return (p - model.y) @ model.X.T / model.n_samples
@@ -231,6 +230,8 @@ def logistic_hessian(model: LogisticModel, theta) -> np.ndarray:
     Stacked matmuls keep every row's logits and product independent of
     the batch, so a batch equals its rows bit for bit.
     """
+    from scipy.special import expit
+
     theta = np.asarray(theta, dtype=float)
     p = expit(np.matmul(theta[..., None, :], model.X)[..., 0, :])
     lam = p * (1.0 - p)
@@ -301,6 +302,8 @@ def check_nonseparable(model: LogisticModel,
     then probing the boundary cone for nonzero weakly separating
     directions when t = 0.
     """
+    from scipy.optimize import linprog
+
     n, N = model.n_features, model.n_samples
     signs = 2.0 * model.y - 1.0
     M = (signs * model.X).T  # (N, n), rows sign_i * x_i^T
@@ -325,6 +328,14 @@ def check_nonseparable(model: LogisticModel,
             if cone.success and -cone.fun > margin_tol:
                 return SeparabilityReport(True, cone.x, 0.0)
     return SeparabilityReport(False, None, margin)
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0.0: the
+    arithmetic of ``scipy.integrate.cumulative_trapezoid(y, x,
+    initial=0)``, bit for bit, without importing scipy."""
+    return np.concatenate(([0.0],
+                           np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def default_r_grid() -> np.ndarray:
@@ -369,7 +380,7 @@ def estimate_kpl_envelope(obj: Objective, theta_star, n_dirs: int,
         pts = theta_star[None] + r_grid[:, None] * d[None]
         zeta = np.asarray(obj.gradient(pts)) @ d
         zeta[0] = 0.0
-        psi = cumulative_trapezoid(zeta, r_grid, initial=0.0)
+        psi = _cumulative_trapezoid(zeta, r_grid)
         profiles.append((psi, zeta))
         h_max = min(h_max, psi[-1])
 

@@ -42,6 +42,17 @@ block.  A 1x1 or diagonal Sigma multiplies elementwise: ``x * s + 0.0``
 equals the matmul ``x @ S.T`` bit for bit on finite x, because each
 entry of the product is one rounded multiply, and the ``+ 0.0`` is the
 matmul's +0.0 accumulator, which turns a -0.0 product into +0.0.
+
+A constant Sigma whose entries are all zero (after the sqrt(dt) scaling)
+adds no noise: the integrator builds no generator, draws nothing and
+never evaluates the diffusion, and each step is ``z + drift(z) dt``
+followed by the ``+ 0.0`` that the zero increment added.  That is the
+noisy step bit for bit for the identity diffusion and for any diffusion
+whose entries are finite and non-negative, such as the underdamped
+[0; I] block.  Bits could differ only where a diffusion returns inf or
+NaN (its zero increment was NaN, so the path blew up) or where a
+negative diffusion entry meets a state component of exactly -0.0; no
+shipped model reaches either.
 """
 
 from __future__ import annotations
@@ -324,8 +335,6 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
     if reducers is None:
         recorder = StateRecorder(B, rec_steps.size, n)
         reducers = [recorder]
-    gens = [np.random.Generator(np.random.Philox(key=int(s) & (2**64 - 1)))
-            for s in seeds]
 
     z = np.array(x0s, dtype=float)
     active = np.ones(B, dtype=bool)
@@ -340,6 +349,8 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
     if schedule.is_constant:
         sig = np.asarray(schedule.sigma(0.0), dtype=float) * sqdt
         diag = _diagonal(sig)
+    # a constant zero Sigma adds +0.0 and draws nothing (module docstring)
+    quiet = schedule.is_constant and not sig.any()
 
     identity_g = model.diffusion is None
     # Noise is step-major: slab[j] is the contiguous (B, m) block of step j.
@@ -349,15 +360,19 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
     chunk = max(64, min(nsteps, _SLAB_ELEMS // max(B * m, 1),
                         _TILE_ELEMS // max(m, 1)))
     P = min(B, max(1, _TILE_ELEMS // max(chunk * m, 1)))
-    slab = np.empty((chunk, B, m))
-    tile = np.empty((P, chunk, m))
+    gens = []
+    if not quiet:
+        gens = [np.random.Generator(np.random.Philox(key=int(s) & (2**64 - 1)))
+                for s in seeds]
+        slab = np.empty((chunk, B, m))
+        tile = np.empty((P, chunk, m))
 
     step = 0
     while step < nsteps:
         c = min(chunk, nsteps - step)
         # every path draws, exited or not, so streams stay aligned with
         # per-path runs
-        for k0 in range(0, B, P):
+        for k0 in range(0, len(gens), P):
             k1 = min(B, k0 + P)
             for k in range(k0, k1):
                 gens[k].standard_normal(out=tile[k - k0, :c])
@@ -366,12 +381,15 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
             if not schedule.is_constant:
                 sig = np.asarray(schedule.sigma(step * dt), dtype=float) * sqdt
                 diag = _diagonal(sig)
-            w = _times_transpose(slab[j], sig, diag)
-            if identity_g:
-                noise = w
+            if quiet:
+                noise = 0.0
             else:
-                g = np.asarray(model.diffusion(z))
-                noise = np.einsum("bnm,bm->bn", g, w)
+                w = _times_transpose(slab[j], sig, diag)
+                if identity_g:
+                    noise = w
+                else:
+                    g = np.asarray(model.diffusion(z))
+                    noise = np.einsum("bnm,bm->bn", g, w)
             z_new = z + model.drift(z) * dt + noise
             step += 1
 

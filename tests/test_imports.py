@@ -1,13 +1,18 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every public top-level function and class is used by the package or is
-on an allow-list that says why it stays."""
+on an allow-list that says why it stays, and scipy is imported only by
+the runs that call it."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nsslab"
+CONFIGS = PACKAGE.parent.parent / "configs"
 
 # public API that no other code in the package reads, each with the claim
 # of the paper it implements or "shared test reference"; claim letters
@@ -94,3 +99,41 @@ def test_public_api_is_used_or_allowed():
     assert sorted(set(found) - set(UNREFERENCED_ALLOWED)) == []
     # an entry whose function is gone or now used has no reason to stay
     assert sorted(set(UNREFERENCED_ALLOWED) - set(found)) == []
+
+
+def scipy_modules_after(statements: str) -> list[str]:
+    """The ``scipy`` and ``scipy.*`` modules loaded after ``statements``
+    run in a fresh interpreter that imports nsslab from this source tree."""
+    probe = (f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+             f"{statements}\nimport json\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.split('.')[0] == 'scipy')))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_probe_sees_scipy():
+    assert "scipy.special" in scipy_modules_after("import scipy.special")
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_modules_after("import nsslab.cli") == []
+
+
+def test_validate_loads_no_scipy():
+    configs = sorted(str(p) for p in CONFIGS.glob("*.ini"))
+    assert len(configs) == 10
+    assert scipy_modules_after(
+        "from nsslab.cli import main\n"
+        f"for path in {configs!r}:\n"
+        "    assert main(['validate', path]) == 0, path") == []
+
+
+def test_scipy_free_run_loads_no_scipy(tmp_path):
+    config = CONFIGS / "certify_dissipation.ini"
+    assert scipy_modules_after(
+        "from nsslab.cli import main\n"
+        f"assert main(['run', {str(config)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}]) == 0") == []

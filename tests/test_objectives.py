@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_continuous_are
 
 from nsslab import lqr, objectives
@@ -192,6 +193,33 @@ class TestEnvelope:
         obj = logistic_objective(demo_model())
         with pytest.raises(ValueError):
             estimate_kpl_envelope(obj, obj.minimizer + 1.0, n_dirs=8)
+
+
+def _trapezoid_inputs():
+    rng = np.random.default_rng(5)
+    # the h_fine grids of langevin.phi_functions (h_max + delta, 2000
+    # points) and the r grid of estimate_kpl_envelope
+    grids = [np.linspace(0.0, top, 2000) for top in (1.01, 3.7, 52.3)]
+    grids.append(objectives.default_r_grid())
+    grids += [np.cumsum(rng.exponential(scale, size))
+              for scale, size in ((1.0, 50), (1e-3, 777), (10.0, 3))]
+    cases = [(rng.standard_normal(x.size) * 10.0 ** rng.integers(-5, 5), x)
+             for x in grids]
+    h = grids[0]
+    cases.append((2.0 * np.sqrt(h) * h + 2.5 * h, h))
+    cases += [(np.array([1.5]), np.array([0.3])),
+              (np.array([1.5, -2.0]), np.array([0.3, 0.7])),
+              (np.array([-0.0, -0.0, 1.0]), np.array([0.0, 1.0, 2.0]))]
+    return cases
+
+
+@pytest.mark.parametrize("y, x", _trapezoid_inputs())
+def test_cumulative_trapezoid_matches_scipy_bit_for_bit(y, x):
+    got = objectives._cumulative_trapezoid(y, x)
+    want = cumulative_trapezoid(y, x, initial=0.0)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestCsv:

@@ -1,5 +1,6 @@
 """Unit tests for the diffusion simulator."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -359,12 +360,39 @@ def _case_noise_blowup():
     return _linear(1), CovarianceSchedule.constant([[1.5e12]], 1.0), [0.0]
 
 
+def _case_zero_underdamped():
+    # the underdamped shape: noise enters the velocity through a [0; 1] block
+    model = DiffusionModel(
+        state_dim=2, noise_dim=1,
+        drift=lambda z: np.stack([z[:, 1], -z[:, 0] - z[:, 1]], -1),
+        diffusion=lambda z: np.broadcast_to([[0.0], [1.0]], (len(z), 2, 1)),
+        equilibrium=np.zeros(2), label="momentum")
+    return model, CovarianceSchedule.constant(np.zeros((1, 1)), 1.0), \
+        [0.3, -0.2]
+
+
+def _case_zero_domain_exit():
+    model = DiffusionModel(state_dim=1, noise_dim=1,
+                           drift=lambda z: np.ones_like(z),
+                           domain_test=lambda z: z[..., 0] < 3.05,
+                           label="escaper")
+    return model, CovarianceSchedule.constant([[0.0]], 1.0), None
+
+
+def _case_zero_blowup():
+    model, _, _ = _case_blowup()
+    return model, CovarianceSchedule.constant([[0.0]], 1.0), None
+
+
 REFERENCE_CASES = {"scalar": _case_scalar, "diagonal": _case_diagonal,
                    "full": _case_full, "zero": _case_zero,
                    "time-varying": _case_time_varying,
                    "diffusion-field": _case_diffusion_field,
                    "domain-exit": _case_domain_exit, "blowup": _case_blowup,
-                   "noise-blowup": _case_noise_blowup}
+                   "noise-blowup": _case_noise_blowup,
+                   "zero-underdamped": _case_zero_underdamped,
+                   "zero-domain-exit": _case_zero_domain_exit,
+                   "zero-blowup": _case_zero_blowup}
 
 
 class TestReferenceIntegrator:
@@ -380,7 +408,7 @@ class TestReferenceIntegrator:
             monkeypatch.setattr(sde, "_SLAB_ELEMS", 1)
             monkeypatch.setattr(sde, "_TILE_ELEMS", 1100)
         model, schedule, x0 = REFERENCE_CASES[case]()
-        if x0 is None:  # spread starts: blow-ups at different steps
+        if x0 is None:  # spread starts: exits at different steps
             x0s = np.linspace(3.0, 0.1, B)[:, None]
         else:
             x0s = np.tile(np.asarray(x0, dtype=float), (B, 1))
@@ -397,16 +425,40 @@ class TestReferenceIntegrator:
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+            if a.dtype == float:
+                assert np.array_equal(np.signbit(a), np.signbit(b))
 
-    @pytest.mark.parametrize("case", ["domain-exit", "blowup", "noise-blowup"])
+    @pytest.mark.parametrize("case", ["domain-exit", "blowup", "noise-blowup",
+                                      "zero-domain-exit", "zero-blowup"])
     def test_exits_fall_inside_chunks(self, case, monkeypatch):
         (_, _, valid, exited, blowup, steps), _ = self._run(
             case, 300, True, monkeypatch)
         assert exited.sum() >= 10
-        assert blowup.any() == (case != "domain-exit")
+        assert blowup.any() == (not case.endswith("domain-exit"))
         assert np.any(steps[exited] % 64 != 0)
         assert np.unique(steps[exited] // 64).size >= 2
         assert np.any(valid < valid.max())
+
+    def test_zero_sigma_draws_no_noise(self, monkeypatch):
+        model, schedule, _ = REFERENCE_CASES["zero-underdamped"]()
+        # from (-0.0, -0.0) the first step's z + drift(z) dt is -0.0, and
+        # only the + 0.0 of the zero increment makes it +0.0; the sign
+        # shows only in the record of that step
+        x0s = np.array([[0.3, -0.2], [-0.0, -0.0]])
+        seeds = derive_path_seeds(11, 0, 2)
+        args = (x0s, self.DT, self.T, seeds, 1)
+        ref = reference_simulate_batch(model, schedule, *args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a zero-Sigma run drew noise")
+
+        monkeypatch.setattr(np.random, "Philox", refuse)
+        quiet = dataclasses.replace(model, diffusion=refuse, equilibrium=None)
+        got = sde._simulate_batch(quiet, schedule, *args)
+        assert_bitwise(got[1], ref[1])
+        assert not np.signbit(got[1][1, 1:]).any()
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
 
 
 EDGE = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf,
