@@ -6,7 +6,8 @@ cast and range, and each registered experiment the keys it reads, so
 ``validate`` rejects every config that ``run`` would.  Every run is a
 pure function of (config, master seed) and re-running writes
 byte-identical CSV artifacts.  ``--threads K`` sets the worker processes
-of large Monte Carlo ensembles; the output never depends on it.
+of large Monte Carlo ensembles, or of a sweep whose small one-batch
+ensembles then run side by side; the output never depends on it.
 """
 
 from __future__ import annotations
@@ -544,8 +545,10 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker processes for large Monte Carlo ensembles "
-                            "(default 1); output never depends on it")
+                       help="worker processes for large Monte Carlo ensembles, "
+                            "or for a sweep's small ensembles, which then run "
+                            "side by side (default 1); output never depends "
+                            "on it")
     p_run.add_argument("--seed-override", type=int, default=None)
     sub.add_parser("list", help="list registered experiments")
     p_val = sub.add_parser("validate", help="check a config without running")

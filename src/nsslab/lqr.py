@@ -42,7 +42,16 @@ class ConditioningError(RuntimeError):
 @dataclass(frozen=True)
 class LqrProblem:
     """System (A, F) with quadratic state/input weights (Q, R); a scalar
-    problem (n = m = 1) also keeps ``scalars`` = (a, f, q, r) as floats."""
+    problem (n = m = 1) also keeps ``scalars`` = (a, f, q, r) as floats.
+
+    (A, F) must be stabilizable.  A scalar problem is iff a < 0 or f != 0,
+    tested in closed form.  A matrix problem is probed with scipy's
+    ``solve_continuous_are``, whose solution exists iff (A, F) is
+    stabilizable for positive definite Q and R; the probe can fail on
+    ill-conditioned pairs that are stabilizable, such as the scalar
+    a = 1e6, f = 1e-6 with q = 1 and r = 100, which the closed form
+    accepts.
+    """
 
     A: np.ndarray
     F: np.ndarray
@@ -52,8 +61,6 @@ class LqrProblem:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from scipy.linalg import solve_continuous_are
-
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         F = np.atleast_2d(np.asarray(self.F, dtype=float))
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
@@ -61,17 +68,22 @@ class LqrProblem:
         n, m = F.shape
         if A.shape != (n, n) or Q.shape != (n, n) or R.shape != (m, m):
             raise ValueError("inconsistent matrix dimensions")
+        if not all(np.isfinite(M).all() for M in (A, F, Q, R)):
+            raise ValueError("A, F, Q and R must be finite")
         for name, M in (("Q", Q), ("R", R)):
             if not np.allclose(M, M.T, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
             if np.linalg.eigvalsh(M).min() <= 0:
                 raise ValueError(f"{name} must be positive definite")
-        try:
-            # stabilizability probe; the Riccati solution exists iff (A,F)
-            # is stabilizable for positive definite Q, R
-            solve_continuous_are(A, F, Q, R)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"(A, F) not stabilizable: {exc}") from exc
+        if n == m == 1:
+            if not (A[0, 0] < 0 or F[0, 0] != 0):
+                raise ValueError("(A, F) not stabilizable: a >= 0 and f = 0")
+        else:
+            from scipy.linalg import solve_continuous_are
+            try:
+                solve_continuous_are(A, F, Q, R)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"(A, F) not stabilizable: {exc}") from exc
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "Q", Q)

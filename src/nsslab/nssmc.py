@@ -10,12 +10,12 @@ Every statistic is a reduction over paths, so a sweep keeps no states.
 It declares reducers (:class:`WindowValues`, :class:`PathMeans`,
 :class:`Exceedance`), which :func:`sde.simulate_ensemble` feeds with
 ``(record index, t, z, active)`` at every recorded step, and drops each
-ensemble once it is reduced: memory grows with N times the tail window,
-not with the recorded horizon.  The reducers repeat the dense reductions
-bit for bit.  Their per-record f(z) equals f of the dense (N, R, n)
-array whenever f is row-independent (f of a batch equals f of each row,
-as for the quadratic and LQR size functions, not the logistic loss's
-BLAS matmul); path means are summed path by path, as
+ensemble once its round is reduced: memory grows with N times the tail
+window, not with the recorded horizon.  The reducers repeat the dense
+reductions bit for bit.  Their per-record f(z) equals f of the dense
+(N, R, n) array whenever f is row-independent (f of a batch equals f of
+each row, as for the quadratic and LQR size functions, not the logistic
+loss's BLAS matmul); path means are summed path by path, as
 ``np.mean(..., axis=0)`` of an (N, R) array is; window values are kept in
 the memory order of the dense window array, so a sum over them adds in
 the same order (quantiles do not depend on the order).
@@ -26,6 +26,16 @@ per path, so they can shard: ``shard(lo, hi)`` is a copy for paths
 (see :mod:`sde`) merge them in path order at no cost.
 :func:`exceedance_fraction`, :func:`fit_decay_envelope` and
 :func:`tail_window_values` take recorded ensembles.
+
+A sweep on K = min(workers, usable CPUs, ensembles) processes runs each
+ensemble sharded over them when it has at least K shards.  Smaller
+ensembles would leave processes idle, so the sweep runs them side by
+side instead: in rounds of K whole ensembles, one per process, whose
+forked workers send back their exit flags, valid counts and reducer
+buffers, received in place.  A round's reducers live until it is
+reduced, so at most K ensembles' buffers are alive at once.  Each
+ensemble keeps its seed, shards and reducers, so the curve is
+bit-identical for any ``workers``.
 
 All statistics are pure functions of (experiment, master seed): paths use
 counter-based per-path generators and reductions are deterministic.
@@ -39,6 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import sde
 from .compfun import ScalarClassFunction
 from .lyapcert import SizeFunction, self_values
 from .sde import (CovarianceSchedule, DiffusionModel, TrajectoryEnsemble,
@@ -203,46 +214,94 @@ def tail_window_values(ensemble: TrajectoryEnsemble, V: SizeFunction,
     return vals[alive]
 
 
-def _reduce_ensemble(exp: NssExperiment, j: int, bound, workers: int):
-    """(tail quantile, blow-up fraction, exceedance fraction or None) of
-    the sweep's j-th ensemble, run on up to ``workers`` processes; its
-    reducers are freed on return."""
-    times = record_times(exp.dt, exp.T, exp.store_every)
-    tail = WindowValues(lambda z: self_values(exp.V, z), times, exp.N,
-                        exp.T / 2.0, exp.T)
-    exceed = None if bound is None else Exceedance(exp.V, bound, times,
-                                                   exp.N)
-    ens = simulate_ensemble(exp.dynamics, exp.schedule_family[j], exp.x0,
-                            exp.dt, exp.T, exp.N, exp.master_seed + j,
-                            store_every=exp.store_every,
-                            reducers=[tail] if exceed is None
-                            else [tail, exceed], workers=workers)
-    pooled = tail.valid_values(ens.valid_counts)
-    # the quantile does not depend on the order of the pooled values, and
-    # they are a private buffer, so partition them in place
-    quant = (float(np.quantile(pooled, 1.0 - exp.epsilon,
-                               overwrite_input=True))
-             if pooled.size else np.nan)
-    return (quant, float(np.mean(ens.exited)),
-            None if exceed is None else exceed.fraction())
+class _SweepEnsemble:
+    """The j-th ensemble of a sweep: its reducers and the per-path outputs
+    that its statistics read, all allocated before it runs, so that a
+    forked worker can fill them and send back ``buffers()``."""
+
+    def __init__(self, exp: NssExperiment, j: int, bound):
+        self.exp, self.j = exp, j
+        times = record_times(exp.dt, exp.T, exp.store_every)
+        self.tail = WindowValues(lambda z: self_values(exp.V, z), times,
+                                 exp.N, exp.T / 2.0, exp.T)
+        self.exceed = None if bound is None else Exceedance(exp.V, bound,
+                                                            times, exp.N)
+        self.reducers = [self.tail] + ([] if bound is None
+                                       else [self.exceed])
+        self.valid_counts = np.empty(exp.N, dtype=np.int64)
+        self.exited = np.empty(exp.N, dtype=bool)
+
+    def run(self, workers: int) -> None:
+        exp = self.exp
+        ens = simulate_ensemble(exp.dynamics, exp.schedule_family[self.j],
+                                exp.x0, exp.dt, exp.T, exp.N,
+                                exp.master_seed + self.j,
+                                store_every=exp.store_every,
+                                reducers=self.reducers, workers=workers)
+        self.valid_counts[:] = ens.valid_counts
+        self.exited[:] = ens.exited
+
+    def buffers(self) -> list[np.ndarray]:
+        return [self.valid_counts, self.exited] + [
+            b for r in self.reducers for b in r.buffers()]
+
+    def stats(self):
+        """(tail quantile, blow-up fraction, exceedance fraction or None)."""
+        pooled = self.tail.valid_values(self.valid_counts)
+        # the quantile does not depend on the order of the pooled values,
+        # and they are a private buffer, so partition them in place
+        quant = (float(np.quantile(pooled, 1.0 - self.exp.epsilon,
+                                   overwrite_input=True))
+                 if pooled.size else np.nan)
+        return (quant, float(np.mean(self.exited)),
+                None if self.exceed is None else self.exceed.fraction())
+
+
+def _round_size(N: int, n_ensembles: int, workers: int) -> int:
+    """How many ensembles of a sweep run side by side, one per process.
+
+    With K = min(workers, usable CPUs, ensembles) processes, an ensemble
+    of fewer than K shards leaves some idle, so K whole ensembles run at
+    once; otherwise one ensemble at a time runs sharded over them (1).
+    """
+    K = sde._process_count(workers, n_ensembles, sde._usable_cpus())
+    return K if len(sde._shard_bounds(N)) < K else 1
+
+
+def _reduce_round(exp: NssExperiment, js: range, bounds, workers: int):
+    """The statistics of ensembles ``js``, run side by side on forked
+    processes (one ensemble each on ``workers`` processes when ``js`` has
+    one); their reducers are freed on return."""
+    round_ = [_SweepEnsemble(exp, j, None if bounds is None else bounds[j])
+              for j in js]
+    sde._run_forked(lambda e: e.run(workers if len(js) == 1 else 1),
+                    _SweepEnsemble.buffers, round_)
+    return [e.stats() for e in round_]
 
 
 def run_experiment(exp: NssExperiment,
                    bounds: Sequence[Callable] | None = None,
                    workers: int = 1) -> GainCurve:
-    """The gain curve of the sweep, one ensemble at a time, each on up to
-    ``workers`` processes (the curve does not depend on ``workers``).
+    """The gain curve of the sweep on up to ``workers`` processes (the
+    curve does not depend on ``workers``).
 
-    Each ensemble keeps only V on the tail window [T/2, T] and its exit
-    flags.  With ``bounds`` (one bound(V0, t) per schedule) it also keeps
-    each path's running exceedance flag, and the curve carries the
-    exceedance fractions.
+    Ensembles of as many shards as there are processes run one at a
+    time, sharded over them; smaller ones run in rounds of whole
+    ensembles side by side (see :func:`_round_size`).  Each ensemble
+    keeps only V on the tail window [T/2, T] and its exit flags, and is
+    dropped once its round is reduced.  With ``bounds`` (one bound(V0, t)
+    per schedule) it also keeps each path's running exceedance flag, and
+    the curve carries the exceedance fractions.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if bounds is not None and len(bounds) != len(exp.schedule_family):
         raise ValueError("need one bound per schedule")
-    stats = [_reduce_ensemble(exp, j, None if bounds is None else bounds[j],
-                              workers)
-             for j in range(len(exp.schedule_family))]
+    J = len(exp.schedule_family)
+    K = _round_size(exp.N, J, workers)
+    stats = [s for lo in range(0, J, K)
+             for s in _reduce_round(exp, range(lo, min(lo + K, J)), bounds,
+                                    workers)]
     quants, blowups, fracs = zip(*stats)
     return GainCurve(intensities=exp.intensities(),
                      tail_quantiles=np.array(quants),

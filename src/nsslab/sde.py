@@ -490,9 +490,15 @@ def _shard_bounds(N: int) -> list[tuple[int, int]]:
     return [(N * i // S, N * (i + 1) // S) for i in range(S)]
 
 
-def _process_count(workers: int, n_shards: int, cpus: int) -> int:
-    """How many processes, the parent included, run the shards."""
-    return min(workers, cpus, n_shards)
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _process_count(workers: int, n_parts: int, cpus: int) -> int:
+    """How many processes, the parent included, run ``n_parts`` parts
+    (shards, or whole ensembles of a sweep)."""
+    return min(workers, cpus, n_parts)
 
 
 def _simulate_shards(model, schedule, x0s, dt, T, master_seed, store_every,
@@ -520,7 +526,7 @@ def _simulate_shards(model, schedule, x0s, dt, T, master_seed, store_every,
                 [a[lo:hi] for a in outputs]
                 + [b for r in reducers for b in r.shard(lo, hi).buffers()]]
 
-    K = _process_count(workers, len(shards), len(os.sched_getaffinity(0)))
+    K = _process_count(workers, len(shards), _usable_cpus())
     S = len(shards)
     _run_forked(run, views,
                 [shards[S * k // K:S * (k + 1) // K] for k in range(K)])
@@ -552,14 +558,14 @@ def _run_forked(run, views, parts):
             except EOFError:
                 proc.join()
                 raise RuntimeError(
-                    f"shard worker exited with code {proc.exitcode} "
+                    f"forked worker exited with code {proc.exitcode} "
                     "before reporting") from None
             if failure is not None:
                 exc, tb = failure
-                raise exc from RuntimeError(f"in a shard worker:\n{tb}")
+                raise exc from RuntimeError(f"in a forked worker:\n{tb}")
             for piece in _byte_pieces(views(part)):
                 if recv.recv_bytes_into(piece) != piece.nbytes:
-                    raise RuntimeError("shard worker sent a short buffer")
+                    raise RuntimeError("forked worker sent a short buffer")
             proc.join()
     finally:
         for proc, recv in procs:

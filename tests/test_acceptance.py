@@ -530,12 +530,28 @@ store_every = 10
 """
 
 
+# 100 paths per ensemble, one shard each: at 2 or more threads whole
+# ensembles run side by side, and the top sigma makes paths exit
+LQR_SWEEP_THREADS = """
+[noise]
+sigmas = 0.05, 0.5, 5.0
+[mc]
+N = 100
+dt = 1e-3
+T = 2
+master_seed = 5
+store_every = 20
+"""
+
+
 def test_thread_count_never_affects_artifacts(tmp_path):
     compared = 0
     cases = [(name, name, body, ("1", "8"))
              for name, body in TINY_CONFIGS.items()]
     cases.append(("gain-sweep-sharded", "gain-sweep", SHARDED_GAIN_SWEEP,
                   ("1", "2", "8")))
+    cases.append(("lqr-po-overdamped-threads", "lqr-po-overdamped",
+                  LQR_SWEEP_THREADS, ("1", "2", "8")))
     for case, name, body, threads in cases:
         cfg = tmp_path / f"{case}.ini"
         cfg.write_text(f"[experiment]\nname = {name}\noutput = out\n"
@@ -555,7 +571,8 @@ def test_thread_count_never_affects_artifacts(tmp_path):
     _report("determinism",
             f"{compared} CSV artifacts byte-identical at 1 and 8 threads "
             f"across all {len(TINY_CONFIGS)} experiments, and at 1, 2 and "
-            f"8 threads for a two-shard gain sweep")
+            f"8 threads for a two-shard gain sweep and a sweep of one-shard "
+            f"LQR ensembles")
 
 
 def test_underdamped_flow_matches_matrix_exponential():

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from test_acceptance import TINY_CONFIGS
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nsslab"
 CONFIGS = PACKAGE.parent.parent / "configs"
 
@@ -137,3 +139,15 @@ def test_scipy_free_run_loads_no_scipy(tmp_path):
         "from nsslab.cli import main\n"
         f"assert main(['run', {str(config)!r}, '--out', "
         f"{str(tmp_path / 'out')!r}]) == 0") == []
+
+
+@pytest.mark.parametrize("name", ["lqr-po-overdamped", "lqr-po-underdamped"])
+def test_scalar_lqr_run_loads_no_scipy(name, tmp_path):
+    # a scalar problem's stabilizability has a closed form
+    config = tmp_path / f"{name}.ini"
+    config.write_text(f"[experiment]\nname = {name}\noutput = out\n"
+                      + TINY_CONFIGS[name])
+    assert scipy_modules_after(
+        "from nsslab.cli import main\n"
+        f"assert main(['run', {str(config)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}]) in (0, 1)") == []

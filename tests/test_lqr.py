@@ -86,6 +86,44 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             LqrProblem(A=A, F=F, Q=np.eye(2), R=np.eye(1))
 
+    def test_scalar_rule_agrees_with_riccati_probe(self):
+        # a well-conditioned grid: scipy's probe is the matrix rule, and
+        # the closed form a < 0 or f != 0 must accept exactly what it does
+        grid = [(a, f, q, r)
+                for a in (-10.0, -2.0, -1e-3, 0.0, -0.0, 1e-3, 1.0, 3.0, 10.0)
+                for f in (0.0, -0.0, 1e-3, -1e-3, 1.0, -2.0, 10.0)
+                for q in (1e-2, 1.0, 1e2) for r in (1e-2, 1.0, 1e2)]
+        assert len(grid) == 567
+        for a, f, q, r in grid:
+            A, F, Q, R = (np.array([[x]]) for x in (a, f, q, r))
+            try:
+                solve_continuous_are(A, F, Q, R)
+                want = True
+            except np.linalg.LinAlgError:
+                want = False
+            try:
+                LqrProblem(A=A, F=F, Q=Q, R=R)
+                got = True
+            except ValueError as exc:
+                assert "not stabilizable" in str(exc)
+                got = False
+            assert got == want, (a, f, q, r)
+
+    def test_scalar_rule_accepts_what_the_probe_misses(self):
+        # stabilizable (f != 0), but the Riccati probe fails to solve it
+        A, F, Q, R = (np.array([[x]]) for x in (1e6, 1e-6, 1.0, 1e2))
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_continuous_are(A, F, Q, R)
+        assert LqrProblem(A=A, F=F, Q=Q, R=R).scalars == (1e6, 1e-6, 1.0, 1e2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_finite_entries_rejected(self, bad, n):
+        F = np.ones((n, 1))
+        F[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LqrProblem(A=np.eye(n), F=F, Q=np.eye(n), R=np.eye(1))
+
 
 class TestLyapunovSolve:
     def test_scalar_closed_form(self):

@@ -1,12 +1,14 @@
 """Unit tests for the Monte Carlo verification layer."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from nsslab import nssmc, sde
 from nsslab.langevin import (OverdampedConfig, build_overdamped,
-                             objective_size_function)
+                             half_norm_squared, objective_size_function)
 from nsslab.lqr import (LqrProblem, gain_noise_schedule, lqr_objective,
                         solve_riccati, vec_gain)
 from nsslab.nssmc import (DecayFit, NssExperiment, exceedance_fraction,
@@ -15,9 +17,10 @@ from nsslab.nssmc import (DecayFit, NssExperiment, exceedance_fraction,
                           scnss_threshold_scan, tail_window_values)
 from nsslab.objectives import quadratic_objective
 from nsslab.compfun import K, ScalarClassFunction
-from nsslab.sde import CovarianceSchedule, simulate_ensemble
+from nsslab.sde import CovarianceSchedule, DiffusionModel, simulate_ensemble
 
-from test_nssmc_reference import reference_exceedance_fraction
+from test_nssmc_reference import (lqr_case, quadratic_case,
+                                  reference_exceedance_fraction)
 
 
 def scalar_setup():
@@ -204,6 +207,96 @@ class TestThresholdScan:
     def test_needs_two_intensities(self):
         with pytest.raises(ValueError):
             scnss_threshold_scan(make_experiment([0.1]))
+
+
+def forked_rounds(monkeypatch, cpus=8):
+    """Make the sweep see ``cpus`` usable CPUs, and return the list to
+    which every later ``sde._run_forked`` call appends its process count
+    (a one-shard ensemble makes no such call itself)."""
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: cpus)
+    calls, run_forked = [], sde._run_forked
+
+    def spy(run, views, parts):
+        calls.append(len(parts))
+        return run_forked(run, views, parts)
+
+    monkeypatch.setattr(sde, "_run_forked", spy)
+    return calls
+
+
+class TestSweepRounds:
+    def test_round_size_rule(self, monkeypatch):
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+        assert nssmc._round_size(10_000, 3, 2) == 1  # S = 2 >= K = 2
+        assert nssmc._round_size(100, 5, 2) == 2
+        assert nssmc._round_size(2_000, 3, 8) == 2  # K capped by the CPUs
+        assert nssmc._round_size(100, 5, 1) == 1
+        assert nssmc._round_size(100, 1, 2) == 1  # K capped by ensembles
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+        assert nssmc._round_size(100, 5, 8) == 1
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: 8)
+        assert nssmc._round_size(8_192, 4, 3) == 3  # S = 2 < K = 3
+        assert nssmc._round_size(12_288, 4, 3) == 1  # S = 3 >= K = 3
+
+    @pytest.mark.parametrize("case", ["lqr", "quadratic"])
+    def test_curve_does_not_depend_on_workers(self, case, monkeypatch):
+        # one-shard families; the LQR sweep's top intensities make paths
+        # exit, and both carry exceedance bounds
+        if case == "lqr":
+            exp, bounds = lqr_case()
+            rounds = {1: [1] * 5, 2: [2, 2, 1], 3: [3, 2], 8: [5]}
+        else:
+            exp, bounds = quadratic_case([1.0], sigmas=(0.1, 0.2, 0.4, 0.8))
+            rounds = {1: [1] * 4, 2: [2, 2], 3: [3, 1], 8: [4]}
+        want = run_experiment(exp, bounds)
+        if case == "lqr":
+            assert want.blowup_fractions[0] == 0.0
+            assert want.blowup_fractions[-1] > 0.9
+        calls = forked_rounds(monkeypatch)
+        for workers in (1, 2, 3, 8):
+            calls.clear()
+            got = run_experiment(exp, bounds, workers=workers)
+            assert calls == rounds[workers]
+            for name in ("intensities", "tail_quantiles", "blowup_fractions",
+                         "exceedance_fractions"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype, name
+                assert np.array_equal(a, b, equal_nan=True), (name, workers)
+            assert multiprocessing.active_children() == []
+
+    def test_failure_in_a_later_ensemble_raises_in_parent(self, monkeypatch):
+        def drift(z):
+            if (np.abs(z) > 50.0).any():
+                raise FloatingPointError("drift saw a state beyond 50")
+            return -z
+
+        T = 1.0
+        exp = NssExperiment(
+            dynamics=DiffusionModel(state_dim=1, noise_dim=1, drift=drift),
+            V=half_norm_squared(),
+            schedule_family=[CovarianceSchedule.constant([[s]], T)
+                             for s in (0.0, 0.0, 0.0, 1e3)],
+            x0=np.zeros(1), N=100, dt=1e-2, T=T, master_seed=3,
+            store_every=5)
+        calls = forked_rounds(monkeypatch)
+        # the raising fourth ensemble runs in the parent at 1 and 3
+        # workers (rounds [3, 1]), in a forked worker at 2 and 8
+        for workers, rounds in ((1, [1] * 4), (2, [2, 2]), (3, [3, 1]),
+                                (8, [4])):
+            calls.clear()
+            with pytest.raises(FloatingPointError,
+                               match="beyond 50") as info:
+                run_experiment(exp, workers=workers)
+            assert calls == rounds
+            forked = isinstance(info.value.__cause__, RuntimeError)
+            assert forked == (workers in (2, 8))
+            assert multiprocessing.active_children() == []
+
+    def test_workers_below_one_rejected(self):
+        exp = make_experiment([0.1, 0.2], T=1.0)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                run_experiment(exp, workers=workers)
 
 
 class TestAccumulation:
