@@ -5,9 +5,9 @@ are INI files read through one schema: KEYS gives each key's section,
 cast and range, and each registered experiment the keys it reads, so
 ``validate`` rejects every config that ``run`` would.  Every run is a
 pure function of (config, master seed) and re-running writes
-byte-identical CSV artifacts.  ``--threads K`` sets the worker processes
-of large Monte Carlo ensembles, or of a sweep whose small one-batch
-ensembles then run side by side; the output never depends on it.
+byte-identical CSV artifacts.  ``--threads K`` caps the processes that a
+sweep's Monte Carlo path shards run on, placed by one rule
+(``nssmc._rounds``); it never changes a bit of the output.
 """
 
 from __future__ import annotations
@@ -227,8 +227,7 @@ def _exp_ou_sanity(v, out, seed, workers):
     moments = nssmc.PathMeans(square, times.size)
     tail = nssmc.WindowValues(square, times, v.N, max(0.0, v.T - 25.0), v.T)
     sde.simulate_ensemble(model, schedule, np.zeros(1), v.dt, v.T, v.N, seed,
-                          store_every=v.store_every, reducers=[moments, tail],
-                          workers=workers)
+                          store_every=v.store_every, reducers=[moments, tail])
     second_moment = float(np.mean(tail.values))
     target = v.sigma**2 / 2.0
     rel = abs(second_moment - target) / target
@@ -272,11 +271,15 @@ def _gain_sweep(v, out, seed, workers, exceedance=False):
     if exceedance:
         # the quiet ensemble has its own seed, so fitting it first moves no
         # bits of the noisy ones
-        quiet = sde.simulate_ensemble(
+        T_quiet = min(v.T, QUIET_T)
+        times = sde.record_times(v.dt, T_quiet, v.store_every)
+        mean_v = nssmc.PathMeans(lambda z: lyapcert.self_values(V, z),
+                                 times.size)
+        sde.simulate_ensemble(
             model, sde.CovarianceSchedule.constant(np.zeros((1, 1)), v.T),
-            exp.x0, v.dt, min(v.T, QUIET_T), min(v.N, 200), seed + 1000,
-            store_every=v.store_every)
-        beta = fit_decay_envelope(quiet, V)
+            exp.x0, v.dt, T_quiet, min(v.N, 200), seed + 1000,
+            store_every=v.store_every, reducers=[mean_v])
+        beta = fit_decay_envelope(times, mean_v)
         bounds = [lambda v0, t, g=EXCEEDANCE_MARGIN * s**2: beta(v0, t) + g
                   for s in np.sqrt(exp.intensities())]
     curve = run_experiment(exp, bounds, workers=workers)
@@ -545,10 +548,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker processes for large Monte Carlo ensembles, "
-                            "or for a sweep's small ensembles, which then run "
-                            "side by side (default 1); output never depends "
-                            "on it")
+                       help="processes a sweep's Monte Carlo shards run on "
+                            "(default 1); output never depends on it")
     p_run.add_argument("--seed-override", type=int, default=None)
     sub.add_parser("list", help="list registered experiments")
     p_val = sub.add_parser("validate", help="check a config without running")

@@ -22,20 +22,22 @@ the same order (quantiles do not depend on the order).
 :class:`WindowValues` and :class:`Exceedance` keep one column or entry
 per path, so they can shard: ``shard(lo, hi)`` is a copy for paths
 [lo, hi) that writes into a view of the original's buffer, and
-``buffers()`` lists the arrays such a copy fills.  Sharded ensembles
-(see :mod:`sde`) merge them in path order at no cost.
-:func:`exceedance_fraction`, :func:`fit_decay_envelope` and
-:func:`tail_window_values` take recorded ensembles.
+``buffers()`` lists the arrays such a copy fills.
+:func:`exceedance_fraction` and :func:`tail_window_values` take recorded
+ensembles; :func:`fit_decay_envelope` reads a :class:`PathMeans` of V.
 
-A sweep on K = min(workers, usable CPUs, ensembles) processes runs each
-ensemble sharded over them when it has at least K shards.  Smaller
-ensembles would leave processes idle, so the sweep runs them side by
-side instead: in rounds of K whole ensembles, one per process, whose
-forked workers send back their exit flags, valid counts and reducer
-buffers, received in place.  A round's reducers live until it is
-reduced, so at most K ensembles' buffers are alive at once.  Each
-ensemble keeps its seed, shards and reducers, so the curve is
-bit-identical for any ``workers``.
+A sweep places its work by one rule (:func:`_rounds`).  Each ensemble
+has S = max(1, N // 4096) shards, contiguous path ranges
+[N*i//S, N*(i+1)//S) that depend on N alone.  On K = min(workers, usable
+CPUs, ensembles * S) processes, a round is max(1, K // S) consecutive
+ensembles, whose shards, in (ensemble, shard) order, split into
+min(K, shards in the round) contiguous runs.  The parent runs the first
+run and forked workers the others; each worker sends back its shards'
+exit flags, valid counts and reducer buffers, received in place.  A
+round is dropped once it is reduced, before the next one is built.
+Each shard runs through :func:`sde.simulate_ensemble` with its own path
+range of the ensemble's seed, so the curve is bit-identical for any
+``workers``, even for a drift that is not row-independent.
 
 All statistics are pure functions of (experiment, master seed): paths use
 counter-based per-path generators and reductions are deterministic.
@@ -44,12 +46,14 @@ counter-based per-path generators and reductions are deterministic.
 from __future__ import annotations
 
 import copy
+import multiprocessing
+import os
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import sde
 from .compfun import ScalarClassFunction
 from .lyapcert import SizeFunction, self_values
 from .sde import (CovarianceSchedule, DiffusionModel, TrajectoryEnsemble,
@@ -57,6 +61,7 @@ from .sde import (CovarianceSchedule, DiffusionModel, TrajectoryEnsemble,
 
 
 MIN_PATHS = 100  # the fewest paths a sweep's probabilistic claims use
+_SHARD_PATHS = 4096  # an ensemble has max(1, N // _SHARD_PATHS) shards
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,7 @@ def tail_window_values(ensemble: TrajectoryEnsemble, V: SizeFunction,
 class _SweepEnsemble:
     """The j-th ensemble of a sweep: its reducers and the per-path outputs
     that its statistics read, all allocated before it runs, so that a
-    forked worker can fill them and send back ``buffers()``."""
+    forked worker can fill a shard of them and send back its buffers."""
 
     def __init__(self, exp: NssExperiment, j: int, bound):
         self.exp, self.j = exp, j
@@ -231,19 +236,24 @@ class _SweepEnsemble:
         self.valid_counts = np.empty(exp.N, dtype=np.int64)
         self.exited = np.empty(exp.N, dtype=bool)
 
-    def run(self, workers: int) -> None:
+    def run(self, lo: int, hi: int) -> None:
+        """Integrate paths [lo, hi) into their part of the buffers."""
         exp = self.exp
+        x0s = np.broadcast_to(exp.x0, (exp.N, exp.dynamics.state_dim))
         ens = simulate_ensemble(exp.dynamics, exp.schedule_family[self.j],
-                                exp.x0, exp.dt, exp.T, exp.N,
+                                x0s[lo:hi], exp.dt, exp.T, hi - lo,
                                 exp.master_seed + self.j,
                                 store_every=exp.store_every,
-                                reducers=self.reducers, workers=workers)
-        self.valid_counts[:] = ens.valid_counts
-        self.exited[:] = ens.exited
+                                reducers=[r.shard(lo, hi)
+                                          for r in self.reducers],
+                                first_path=lo)
+        self.valid_counts[lo:hi] = ens.valid_counts
+        self.exited[lo:hi] = ens.exited
 
-    def buffers(self) -> list[np.ndarray]:
-        return [self.valid_counts, self.exited] + [
-            b for r in self.reducers for b in r.buffers()]
+    def buffers(self, lo: int, hi: int) -> list[np.ndarray]:
+        """Every array that ``run(lo, hi)`` fills, in a fixed order."""
+        return [self.valid_counts[lo:hi], self.exited[lo:hi]] + [
+            b for r in self.reducers for b in r.shard(lo, hi).buffers()]
 
     def stats(self):
         """(tail quantile, blow-up fraction, exceedance fraction or None)."""
@@ -257,51 +267,65 @@ class _SweepEnsemble:
                 None if self.exceed is None else self.exceed.fraction())
 
 
-def _round_size(N: int, n_ensembles: int, workers: int) -> int:
-    """How many ensembles of a sweep run side by side, one per process.
+def _shard_bounds(N: int) -> list[tuple[int, int]]:
+    """The path ranges [lo, hi) of an N-path ensemble's shards."""
+    S = max(1, N // _SHARD_PATHS)
+    return [(N * i // S, N * (i + 1) // S) for i in range(S)]
 
-    With K = min(workers, usable CPUs, ensembles) processes, an ensemble
-    of fewer than K shards leaves some idle, so K whole ensembles run at
-    once; otherwise one ensemble at a time runs sharded over them (1).
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _rounds(n_ensembles: int, shards: list[tuple[int, int]], workers: int):
+    """Where a sweep's shards run: per round, its ensemble indices and its
+    runs, each a list of (ensemble index, lo, hi) that one process
+    integrates; the parent takes the first run, forked workers the others.
+
+    With S shards per ensemble and K = min(workers, usable CPUs, ensembles
+    * S) processes, a round is max(1, K // S) consecutive ensembles, and
+    its shards, in (ensemble, shard) order, split into min(K, shards in
+    the round) contiguous runs.
     """
-    K = sde._process_count(workers, n_ensembles, sde._usable_cpus())
-    return K if len(sde._shard_bounds(N)) < K else 1
-
-
-def _reduce_round(exp: NssExperiment, js: range, bounds, workers: int):
-    """The statistics of ensembles ``js``, run side by side on forked
-    processes (one ensemble each on ``workers`` processes when ``js`` has
-    one); their reducers are freed on return."""
-    round_ = [_SweepEnsemble(exp, j, None if bounds is None else bounds[j])
-              for j in js]
-    sde._run_forked(lambda e: e.run(workers if len(js) == 1 else 1),
-                    _SweepEnsemble.buffers, round_)
-    return [e.stats() for e in round_]
+    S = len(shards)
+    K = min(workers, _usable_cpus(), n_ensembles * S)
+    size = max(1, K // S)
+    for first in range(0, n_ensembles, size):
+        js = range(first, min(first + size, n_ensembles))
+        tasks = [(j, lo, hi) for j in js for lo, hi in shards]
+        P = min(K, len(tasks))
+        yield js, [tasks[len(tasks) * k // P:len(tasks) * (k + 1) // P]
+                   for k in range(P)]
 
 
 def run_experiment(exp: NssExperiment,
                    bounds: Sequence[Callable] | None = None,
                    workers: int = 1) -> GainCurve:
-    """The gain curve of the sweep on up to ``workers`` processes (the
-    curve does not depend on ``workers``).
+    """The gain curve of the sweep on up to ``workers`` processes, placed
+    by :func:`_rounds` (the curve does not depend on ``workers``).
 
-    Ensembles of as many shards as there are processes run one at a
-    time, sharded over them; smaller ones run in rounds of whole
-    ensembles side by side (see :func:`_round_size`).  Each ensemble
-    keeps only V on the tail window [T/2, T] and its exit flags, and is
-    dropped once its round is reduced.  With ``bounds`` (one bound(V0, t)
-    per schedule) it also keeps each path's running exceedance flag, and
-    the curve carries the exceedance fractions.
+    Each ensemble keeps only V on the tail window [T/2, T] and its exit
+    flags, and is dropped once its round is reduced, before the next
+    round is built.  With ``bounds`` (one bound(V0, t) per schedule) it
+    also keeps each path's running exceedance flag, and the curve carries
+    the exceedance fractions.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if bounds is not None and len(bounds) != len(exp.schedule_family):
         raise ValueError("need one bound per schedule")
-    J = len(exp.schedule_family)
-    K = _round_size(exp.N, J, workers)
-    stats = [s for lo in range(0, J, K)
-             for s in _reduce_round(exp, range(lo, min(lo + K, J)), bounds,
-                                    workers)]
+    stats = []
+    for js, runs in _rounds(len(exp.schedule_family), _shard_bounds(exp.N),
+                            workers):
+        round_ = {j: _SweepEnsemble(exp, j, None if bounds is None
+                                    else bounds[j]) for j in js}
+        _run_forked(lambda run: [round_[j].run(lo, hi) for j, lo, hi in run],
+                    lambda run: [b for j, lo, hi in run
+                                 for b in round_[j].buffers(lo, hi)],
+                    runs)
+        stats += [e.stats() for e in round_.values()]
+        del round_  # free this round's buffers before the next is built
     quants, blowups, fracs = zip(*stats)
     return GainCurve(intensities=exp.intensities(),
                      tail_quantiles=np.array(quants),
@@ -309,6 +333,71 @@ def run_experiment(exp: NssExperiment,
                      epsilon=exp.epsilon,
                      exceedance_fractions=None if bounds is None
                      else np.array(fracs))
+
+
+def _run_forked(run, views, parts):
+    """``run(parts[0])`` in this process and each later part in a forked
+    worker, whose ``views(part)`` are then received in place.
+
+    A worker's exception is raised here with its type and message, and
+    its traceback as the cause.  Every worker is reaped before this returns
+    or raises; one still running then is terminated first.
+    """
+    ctx = multiprocessing.get_context("fork")
+    procs = []
+    try:
+        for part in parts[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_shard_worker,
+                               args=(send, run, views, part), daemon=True)
+            proc.start()
+            send.close()
+            procs.append((proc, recv))
+        run(parts[0])
+        for (proc, recv), part in zip(procs, parts[1:]):
+            try:
+                failure = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"forked worker exited with code {proc.exitcode} "
+                    "before reporting") from None
+            if failure is not None:
+                exc, tb = failure
+                raise exc from RuntimeError(f"in a forked worker:\n{tb}")
+            for piece in _byte_pieces(views(part)):
+                if recv.recv_bytes_into(piece) != piece.nbytes:
+                    raise RuntimeError("forked worker sent a short buffer")
+            proc.join()
+    finally:
+        for proc, recv in procs:
+            recv.close()
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
+
+
+def _shard_worker(send, run, views, part):
+    """A forked worker: ``run(part)``, then send None and every view, or
+    the exception and its traceback."""
+    with send:
+        try:
+            run(part)
+        except BaseException as exc:
+            send.send((exc, traceback.format_exc()))
+            raise
+        send.send(None)
+        for piece in _byte_pieces(views(part)):
+            send.send_bytes(piece)
+
+
+def _byte_pieces(arrays):
+    """Contiguous byte views that together cover ``arrays``, in order."""
+    for a in arrays:
+        if a.flags.c_contiguous:
+            yield a.reshape(-1).view(np.uint8)
+        else:
+            yield from _byte_pieces(list(a))
 
 
 def replay(ensemble: TrajectoryEnsemble, reducers) -> None:
@@ -342,15 +431,15 @@ class DecayFit:
         return self.headroom * np.asarray(v0) * np.exp(-self.rate * np.asarray(t))
 
 
-def fit_decay_envelope(noiseless: TrajectoryEnsemble, V: SizeFunction,
+def fit_decay_envelope(times: np.ndarray, mean_v: PathMeans,
                        headroom: float = 1.1) -> DecayFit:
-    """Log-linear decay rate of the mean of V on a noiseless ensemble."""
-    vals = self_values(V, noiseless.states)
-    mean = vals.mean(axis=0)
+    """Log-linear decay rate of the mean of V on a noiseless ensemble,
+    read from its :class:`PathMeans` of V at the record ``times``."""
+    mean = mean_v.means
     keep = mean > 1e-12 * max(mean[0], 1.0)
     if keep.sum() < 2:
         raise ValueError("mean of V too flat or too short to fit a decay rate")
-    t = noiseless.times[keep]
+    t = times[keep]
     y = np.log(mean[keep])
     rate = -np.polyfit(t, y, 1)[0]
     if rate <= 0:

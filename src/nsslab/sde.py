@@ -11,16 +11,12 @@ Randomness is counter-based: each path owns a Philox generator keyed by a
 are a pure function of its seed and step index, independent of batch size,
 chunking, or parallelism.
 
-An ensemble whose reducers can all shard (they have a ``shard`` method)
-runs in S = max(1, N // 4096) shards, contiguous path ranges
-[N*i//S, N*(i+1)//S), each one batch.  The shards are a function of N
-alone, never of the worker count, so the output is bit-identical however
-many processes run them, even for a model whose drift is not
-row-independent.  Up to ``workers`` processes (capped by the CPUs this
-process may use and by S) run contiguous runs of shards: the parent runs
-the first, forked workers the others, and each worker sends its shards'
-per-path outputs and reducer buffers back through a pipe, received in
-place into the parent's arrays.  Any other ensemble is one batch.
+An ensemble's paths can run in any contiguous ranges: a call for
+``first_path = lo`` and N = hi - lo paths integrates paths [lo, hi) of
+the master seed's ensemble, bit for bit as one batch of all paths would
+when the drift is row-independent.  This module runs every call in one
+batch in this process; :mod:`nssmc` splits a sweep's ensembles into
+such ranges and places them on processes.
 
 The integrator keeps no states of its own.  At every recorded step
 (every ``store_every``-th step and the last, see :func:`record_times`) it
@@ -58,9 +54,6 @@ shipped model reaches either.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import traceback
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,7 +62,6 @@ import numpy as np
 BLOWUP_LIMIT = 1e12
 _SLAB_ELEMS = 1 << 22  # step-major noise slab, doubles
 _TILE_ELEMS = 1 << 17  # per-chunk path tile, doubles
-_SHARD_PATHS = 4096  # an ensemble has max(1, N // _SHARD_PATHS) shards
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -444,158 +436,30 @@ def simulate_path(model: DiffusionModel, schedule: CovarianceSchedule,
 def simulate_ensemble(model: DiffusionModel, schedule: CovarianceSchedule,
                       x0, dt: float, T: float, N: int, master_seed: int,
                       store_every: int = 1, reducers=None,
-                      workers: int = 1) -> TrajectoryEnsemble:
-    """Integrate N paths with per-path seeds derived from the master seed.
+                      first_path: int = 0) -> TrajectoryEnsemble:
+    """Integrate paths first_path, ..., first_path + N - 1 of the master
+    seed's ensemble in one batch, each with its derived path seed.
 
     A failed path (domain exit or blow-up) is retained with its exit flag.
     Without ``reducers`` every recorded state is kept; with them (see the
     module docstring) the states go only to the reducers, and the
-    ensemble's ``states`` is an empty (N, 0, n) array.  When every reducer
-    can shard, the paths run in the shards of the module docstring on up
-    to ``workers`` processes; otherwise they run in one batch.  Either
-    way each path draws from its own generator and the shards depend on N
-    alone, so the output is bit-identical for any ``workers``.
+    ensemble's ``states`` is an empty (N, 0, n) array.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     x0s = np.array(np.broadcast_to(x0, (N, model.state_dim))
                    if x0.ndim == 1 else x0, dtype=float)
     if x0s.shape != (N, model.state_dim):
         raise ValueError("x0 must be (n,) or (N, n)")
     _validate_sim_args(model, x0s, dt, T, store_every)
-    shards = _shard_bounds(N)
-    if len(shards) == 1 or reducers is None or not all(
-            hasattr(r, "shard") for r in reducers):
-        seeds = derive_path_seeds(master_seed, 0, N)
-        times, states, valid, exited, blowup, exit_steps = _simulate_batch(
-            model, schedule, x0s, dt, T, seeds, store_every, reducers)
-    else:
-        times = record_times(dt, T, store_every)
-        states = np.empty((N, 0, model.state_dim))
-        seeds, valid, exited, blowup, exit_steps = _simulate_shards(
-            model, schedule, x0s, dt, T, master_seed, store_every, reducers,
-            shards, workers)
+    seeds = derive_path_seeds(master_seed, first_path, first_path + N)
+    times, states, valid, exited, blowup, exit_steps = _simulate_batch(
+        model, schedule, x0s, dt, T, seeds, store_every, reducers)
     return TrajectoryEnsemble(times=times, states=states, seeds=seeds,
                               valid_counts=valid, exited=exited, blowup=blowup,
                               exit_steps=exit_steps, master_seed=int(master_seed),
                               dt=dt, model_label=model.label)
-
-
-def _shard_bounds(N: int) -> list[tuple[int, int]]:
-    """The path ranges [lo, hi) of an N-path ensemble's shards."""
-    S = max(1, N // _SHARD_PATHS)
-    return [(N * i // S, N * (i + 1) // S) for i in range(S)]
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
-def _process_count(workers: int, n_parts: int, cpus: int) -> int:
-    """How many processes, the parent included, run ``n_parts`` parts
-    (shards, or whole ensembles of a sweep)."""
-    return min(workers, cpus, n_parts)
-
-
-def _simulate_shards(model, schedule, x0s, dt, T, master_seed, store_every,
-                     reducers, shards, workers):
-    """(seeds, valid_counts, exited, blowup, exit_steps) of an ensemble run
-    shard by shard; each shard's reducers, ``r.shard(lo, hi)``, fill the
-    [lo, hi) part of the callers' reducers' buffers."""
-    N = x0s.shape[0]
-    outputs = (np.empty(N, dtype=np.uint64), np.empty(N, dtype=np.int64),
-               np.empty(N, dtype=bool), np.empty(N, dtype=bool),
-               np.empty(N, dtype=np.int64))
-    seeds, valid, exited, blowup, exit_steps = outputs
-
-    def run(part):
-        for lo, hi in part:
-            seeds[lo:hi] = derive_path_seeds(master_seed, lo, hi)
-            (_, _, valid[lo:hi], exited[lo:hi], blowup[lo:hi],
-             exit_steps[lo:hi]) = _simulate_batch(
-                model, schedule, x0s[lo:hi], dt, T, seeds[lo:hi],
-                store_every, [r.shard(lo, hi) for r in reducers])
-
-    def views(part):
-        """Every array that ``run(part)`` fills, in a fixed order."""
-        return [v for lo, hi in part for v in
-                [a[lo:hi] for a in outputs]
-                + [b for r in reducers for b in r.shard(lo, hi).buffers()]]
-
-    K = _process_count(workers, len(shards), _usable_cpus())
-    S = len(shards)
-    _run_forked(run, views,
-                [shards[S * k // K:S * (k + 1) // K] for k in range(K)])
-    return outputs
-
-
-def _run_forked(run, views, parts):
-    """``run(parts[0])`` in this process and each later part in a forked
-    worker, whose ``views(part)`` are then received in place.
-
-    A worker's exception is raised here with its type and message, and
-    its traceback as the cause.  Every worker is reaped before this returns
-    or raises; one still running then is terminated first.
-    """
-    ctx = multiprocessing.get_context("fork")
-    procs = []
-    try:
-        for part in parts[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_shard_worker,
-                               args=(send, run, views, part), daemon=True)
-            proc.start()
-            send.close()
-            procs.append((proc, recv))
-        run(parts[0])
-        for (proc, recv), part in zip(procs, parts[1:]):
-            try:
-                failure = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"forked worker exited with code {proc.exitcode} "
-                    "before reporting") from None
-            if failure is not None:
-                exc, tb = failure
-                raise exc from RuntimeError(f"in a forked worker:\n{tb}")
-            for piece in _byte_pieces(views(part)):
-                if recv.recv_bytes_into(piece) != piece.nbytes:
-                    raise RuntimeError("forked worker sent a short buffer")
-            proc.join()
-    finally:
-        for proc, recv in procs:
-            recv.close()
-            if proc.exitcode is None:
-                proc.terminate()
-            proc.join()
-
-
-def _shard_worker(send, run, views, part):
-    """A forked worker: ``run(part)``, then send None and every view, or
-    the exception and its traceback."""
-    with send:
-        try:
-            run(part)
-        except BaseException as exc:
-            send.send((exc, traceback.format_exc()))
-            raise
-        send.send(None)
-        for piece in _byte_pieces(views(part)):
-            send.send_bytes(piece)
-
-
-def _byte_pieces(arrays):
-    """Contiguous byte views that together cover ``arrays``, in order."""
-    for a in arrays:
-        if a.flags.c_contiguous:
-            yield a.reshape(-1).view(np.uint8)
-        else:
-            yield from _byte_pieces(list(a))
 
 
 def _validate_sim_args(model, x0s, dt, T, store_every):

@@ -21,15 +21,17 @@ from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
                              v2_certificate, v2_size_function, v3_certificate,
                              v3_size_function)
 from nsslab.lyapcert import (check_dissipation, default_state_samples,
-                             default_theta_samples, generator_apply)
-from nsslab.nssmc import (NssExperiment, fit_decay_envelope, run_experiment,
-                          scnss_threshold_scan)
+                             default_theta_samples, generator_apply,
+                             self_values)
+from nsslab.nssmc import (NssExperiment, PathMeans, fit_decay_envelope,
+                          run_experiment, scnss_threshold_scan)
 from nsslab.objectives import (check_nonseparable, estimate_kpl_envelope,
                                gradient_bound_check, load_logistic_csv,
                                logistic_hessian, logistic_lipschitz_constant,
                                logistic_objective, quadratic_objective,
                                verify_pl, LogisticModel)
-from nsslab.sde import CovarianceSchedule, simulate_ensemble, simulate_path
+from nsslab.sde import (CovarianceSchedule, record_times, simulate_ensemble,
+                        simulate_path)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEMO_CSV = CONFIG_DIR / "logistic_demo.csv"
@@ -355,10 +357,13 @@ def test_gain_curve_tail_quantiles_and_exceedance():
                         store_every=25)
     # the quiet envelope first, so each noisy ensemble reduces its
     # exceedance while it runs
-    quiet = simulate_ensemble(
+    times = record_times(dt, 20.0, 25)
+    mean_v = PathMeans(lambda z: self_values(V, z), times.size)
+    simulate_ensemble(
         model, CovarianceSchedule.constant(np.zeros((1, 1)), T),
-        exp.x0, dt, 20.0, 200, seed + 1000, store_every=25)
-    beta = fit_decay_envelope(quiet, V)
+        exp.x0, dt, 20.0, 200, seed + 1000, store_every=25,
+        reducers=[mean_v])
+    beta = fit_decay_envelope(times, mean_v)
     bounds = [lambda v0, t, g=cli.EXCEEDANCE_MARGIN * s**2: beta(v0, t) + g
               for s in sigmas]
     curve = run_experiment(exp, bounds, workers=2)

@@ -103,13 +103,15 @@ def test_public_api_is_used_or_allowed():
     assert sorted(set(UNREFERENCED_ALLOWED) - set(found)) == []
 
 
-def scipy_modules_after(statements: str) -> list[str]:
-    """The ``scipy`` and ``scipy.*`` modules loaded after ``statements``
-    run in a fresh interpreter that imports nsslab from this source tree."""
+def modules_after(statements: str, package: str = "scipy"
+                        ) -> list[str]:
+    """The ``package`` (default ``scipy``) and ``package.*`` modules loaded
+    after ``statements`` run in a fresh interpreter that imports nsslab
+    from this source tree."""
     probe = (f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n"
              f"{statements}\nimport json\n"
              "print(json.dumps(sorted(m for m in sys.modules\n"
-             "                        if m.split('.')[0] == 'scipy')))\n")
+             f"                        if m.split('.')[0] == {package!r})))\n")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -117,17 +119,24 @@ def scipy_modules_after(statements: str) -> list[str]:
 
 
 def test_probe_sees_scipy():
-    assert "scipy.special" in scipy_modules_after("import scipy.special")
+    assert "scipy.special" in modules_after("import scipy.special")
+    assert "multiprocessing" in modules_after("import nsslab.nssmc",
+                                                    "multiprocessing")
+
+
+def test_integrator_loads_no_multiprocessing():
+    # only the sweep in nssmc forks; sde integrates in one process
+    assert modules_after("import nsslab.sde", "multiprocessing") == []
 
 
 def test_cli_import_loads_no_scipy():
-    assert scipy_modules_after("import nsslab.cli") == []
+    assert modules_after("import nsslab.cli") == []
 
 
 def test_validate_loads_no_scipy():
     configs = sorted(str(p) for p in CONFIGS.glob("*.ini"))
     assert len(configs) == 10
-    assert scipy_modules_after(
+    assert modules_after(
         "from nsslab.cli import main\n"
         f"for path in {configs!r}:\n"
         "    assert main(['validate', path]) == 0, path") == []
@@ -135,7 +144,7 @@ def test_validate_loads_no_scipy():
 
 def test_scipy_free_run_loads_no_scipy(tmp_path):
     config = CONFIGS / "certify_dissipation.ini"
-    assert scipy_modules_after(
+    assert modules_after(
         "from nsslab.cli import main\n"
         f"assert main(['run', {str(config)!r}, '--out', "
         f"{str(tmp_path / 'out')!r}]) == 0") == []
@@ -147,7 +156,7 @@ def test_scalar_lqr_run_loads_no_scipy(name, tmp_path):
     config = tmp_path / f"{name}.ini"
     config.write_text(f"[experiment]\nname = {name}\noutput = out\n"
                       + TINY_CONFIGS[name])
-    assert scipy_modules_after(
+    assert modules_after(
         "from nsslab.cli import main\n"
         f"assert main(['run', {str(config)!r}, '--out', "
         f"{str(tmp_path / 'out')!r}]) in (0, 1)") == []

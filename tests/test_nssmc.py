@@ -2,25 +2,30 @@
 
 import math
 import multiprocessing
+import os
+import weakref
 
 import numpy as np
 import pytest
 
-from nsslab import nssmc, sde
+from nsslab import nssmc
 from nsslab.langevin import (OverdampedConfig, build_overdamped,
                              half_norm_squared, objective_size_function)
 from nsslab.lqr import (LqrProblem, gain_noise_schedule, lqr_objective,
                         solve_riccati, vec_gain)
-from nsslab.nssmc import (DecayFit, NssExperiment, exceedance_fraction,
-                          fit_decay_envelope,
+from nsslab.lyapcert import self_values
+from nsslab.nssmc import (DecayFit, NssExperiment, PathMeans,
+                          exceedance_fraction, fit_decay_envelope,
                           inss_accumulation_check, run_experiment,
                           scnss_threshold_scan, tail_window_values)
 from nsslab.objectives import quadratic_objective
 from nsslab.compfun import K, ScalarClassFunction
-from nsslab.sde import CovarianceSchedule, DiffusionModel, simulate_ensemble
+from nsslab.sde import (CovarianceSchedule, DiffusionModel, record_times,
+                        simulate_ensemble)
 
 from test_nssmc_reference import (lqr_case, quadratic_case,
-                                  reference_exceedance_fraction)
+                                  reference_exceedance_fraction,
+                                  reference_run_experiment)
 
 
 def scalar_setup():
@@ -37,6 +42,16 @@ def make_experiment(sigmas, N=200, T=10.0, dt=1e-2, seed=0, x0=1.0):
     return NssExperiment(dynamics=model, V=V, schedule_family=schedules,
                          x0=np.full(1, x0), N=N, dt=dt, T=T, master_seed=seed,
                          store_every=5)
+
+
+def quiet_mean_v(model, V, x0, dt, T, N, seed, store_every=1):
+    """(record times, PathMeans of V) of a noiseless ensemble."""
+    times = record_times(dt, T, store_every)
+    mean_v = PathMeans(lambda z: self_values(V, z), times.size)
+    simulate_ensemble(model, CovarianceSchedule.constant(np.zeros((1, 1)), T),
+                      x0, dt, T, N, seed, store_every=store_every,
+                      reducers=[mean_v])
+    return times, mean_v
 
 
 class TestExperimentValidation:
@@ -85,20 +100,16 @@ class TestDecayFit:
     def test_rate_recovered_on_noiseless_quadratic(self):
         # V = z^2/2 decays at rate 2 under dz = -z dt
         model, V = scalar_setup()
-        quiet = simulate_ensemble(
-            model, CovarianceSchedule.constant(np.zeros((1, 1)), 10.0),
-            np.ones(1), 1e-3, 10.0, 50, 0, store_every=10)
-        fit = fit_decay_envelope(quiet, V)
+        fit = fit_decay_envelope(*quiet_mean_v(model, V, np.ones(1), 1e-3,
+                                               10.0, 50, 0, store_every=10))
         assert abs(fit.rate - 2.0) <= 0.01
         assert fit.headroom == 1.1
 
     def test_flat_signal_rejected(self):
         model, V = scalar_setup()
-        quiet = simulate_ensemble(
-            model, CovarianceSchedule.constant(np.zeros((1, 1)), 1.0),
-            np.zeros(1), 1e-2, 1.0, 50, 0)
+        quiet = quiet_mean_v(model, V, np.zeros(1), 1e-2, 1.0, 50, 0)
         with pytest.raises(ValueError):
-            fit_decay_envelope(quiet, V)
+            fit_decay_envelope(*quiet)
 
     def test_callable_vectorizes(self):
         fit = DecayFit(rate=1.0, headroom=1.0)
@@ -166,10 +177,8 @@ class TestExceedance:
     def test_calibrated_envelope_small_fraction(self):
         model, V = scalar_setup()
         sigma, T = 0.2, 30.0
-        quiet = simulate_ensemble(
-            model, CovarianceSchedule.constant(np.zeros((1, 1)), T),
-            np.ones(1), 1e-3, 15.0, 100, 1, store_every=10)
-        beta = fit_decay_envelope(quiet, V)
+        beta = fit_decay_envelope(*quiet_mean_v(model, V, np.ones(1), 1e-3,
+                                                15.0, 100, 1, store_every=10))
         ens = simulate_ensemble(
             model, CovarianceSchedule.constant(np.array([[sigma]]), T),
             np.ones(1), 1e-3, T, 500, 0, store_every=10)
@@ -211,47 +220,154 @@ class TestThresholdScan:
 
 def forked_rounds(monkeypatch, cpus=8):
     """Make the sweep see ``cpus`` usable CPUs, and return the list to
-    which every later ``sde._run_forked`` call appends its process count
-    (a one-shard ensemble makes no such call itself)."""
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: cpus)
-    calls, run_forked = [], sde._run_forked
+    which every later ``nssmc._run_forked`` call (one per round) appends
+    its process count."""
+    monkeypatch.setattr(nssmc, "_usable_cpus", lambda: cpus)
+    calls, run_forked = [], nssmc._run_forked
 
     def spy(run, views, parts):
         calls.append(len(parts))
         return run_forked(run, views, parts)
 
-    monkeypatch.setattr(sde, "_run_forked", spy)
+    monkeypatch.setattr(nssmc, "_run_forked", spy)
     return calls
+
+
+def placement(N, n_ensembles, workers):
+    """The shard count of each run of each round, after checking that the
+    rounds take every (ensemble, shard) once, in order."""
+    shards = nssmc._shard_bounds(N)
+    rounds = list(nssmc._rounds(n_ensembles, shards, workers))
+    assert [t for _, runs in rounds for run in runs for t in run] == [
+        (j, lo, hi) for j in range(n_ensembles) for lo, hi in shards]
+    for js, runs in rounds:
+        assert [j for run in runs for j, _, _ in run] == [
+            j for j in js for _ in shards]
+    return [[len(run) for run in runs] for _, runs in rounds]
+
+
+def boxed_case(N=2 * 4096 + 3, T=1.0):
+    # two shards per ensemble, [0, 4097) and [4097, 8195); the box makes
+    # paths exit in both
+    model = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: -z,
+                           domain_test=lambda z: np.abs(z[:, 0]) < 1.2,
+                           label="boxed")
+    exp = NssExperiment(
+        dynamics=model, V=half_norm_squared(),
+        schedule_family=[CovarianceSchedule.constant([[s]], T)
+                         for s in (0.5, 1.0)],
+        x0=np.linspace(-1.0, 1.0, N)[::-1, None].copy(), N=N, dt=1e-2, T=T,
+        master_seed=7, store_every=5)
+    return exp, [lambda v0, t: v0 * np.exp(-t) + 0.3] * 2
+
+
+class TestShards:
+    """Path shards: N = 2 * 4096 + 3 paths run as [0, 4097) and
+    [4097, 8195)."""
+
+    N = 2 * 4096 + 3
+
+    def test_shard_layout_depends_on_n_alone(self):
+        assert nssmc._shard_bounds(8191) == [(0, 8191)]
+        assert nssmc._shard_bounds(self.N) == [(0, 4097), (4097, 8195)]
+        assert nssmc._shard_bounds(10_000) == [(0, 5000), (5000, 10_000)]
+        for N in (1, 4095, 8192, 12_289, 100_003):
+            bounds = nssmc._shard_bounds(N)
+            assert bounds[0][0] == 0 and bounds[-1][1] == N
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            sizes = [hi - lo for lo, hi in bounds]
+            assert len(bounds) == 1 or min(sizes) >= 4096
+
+    def test_process_count_capped_by_cpus_and_shards(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        assert nssmc._usable_cpus() == cpus
+        assert placement(10_000, 1, 10**6) == [[1] * min(2, cpus)]
+        monkeypatch.setattr(nssmc, "_usable_cpus", lambda: 3)
+        assert [len(r) for r in placement(64 * 4096, 1, 10**6)] == [3]
+        monkeypatch.setattr(nssmc, "_usable_cpus", lambda: 64)
+        assert placement(10_000, 1, 10**6) == [[1, 1]]
+        assert placement(64 * 4096, 1, 1) == [[64]]
+
+    def test_worker_failure_raises_in_parent(self, monkeypatch):
+        def drift(z):
+            if (z[:, 0] > 100.0).any():
+                raise FloatingPointError("drift rejects a shard-1 state")
+            return -z
+
+        x0 = np.zeros((self.N, 1))
+        x0[4097:] = 1000.0
+        exp = NssExperiment(
+            dynamics=DiffusionModel(state_dim=1, noise_dim=1, drift=drift),
+            V=half_norm_squared(),
+            schedule_family=[CovarianceSchedule.constant([[0.0]], 1.0)],
+            x0=x0, N=self.N, dt=1e-2, T=1.0, master_seed=0, store_every=5)
+        calls = forked_rounds(monkeypatch)
+        for workers in (1, 2):
+            calls.clear()
+            with pytest.raises(FloatingPointError,
+                               match="shard-1 state") as info:
+                run_experiment(exp, workers=workers)
+            assert calls == [workers]
+            forked = isinstance(info.value.__cause__, RuntimeError)
+            assert forked == (workers == 2)
+            assert multiprocessing.active_children() == []
 
 
 class TestSweepRounds:
     def test_round_size_rule(self, monkeypatch):
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
-        assert nssmc._round_size(10_000, 3, 2) == 1  # S = 2 >= K = 2
-        assert nssmc._round_size(100, 5, 2) == 2
-        assert nssmc._round_size(2_000, 3, 8) == 2  # K capped by the CPUs
-        assert nssmc._round_size(100, 5, 1) == 1
-        assert nssmc._round_size(100, 1, 2) == 1  # K capped by ensembles
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
-        assert nssmc._round_size(100, 5, 8) == 1
-        monkeypatch.setattr(sde, "_usable_cpus", lambda: 8)
-        assert nssmc._round_size(8_192, 4, 3) == 3  # S = 2 < K = 3
-        assert nssmc._round_size(12_288, 4, 3) == 1  # S = 3 >= K = 3
+        # (N, ensembles, workers, CPUs) -> the shard count of each run of
+        # each round, with S shards per ensemble on K processes
+        table = {
+            # S >= K: one ensemble per round, its shards split K ways
+            (10_000, 3, 2, 2): [[1, 1]] * 3,  # gain_sweep
+            (12_288, 2, 2, 8): [[1, 2]] * 2,
+            (12_288, 4, 3, 8): [[1, 1, 1]] * 4,
+            # S = 1: K whole ensembles per round
+            (100, 5, 2, 2): [[1, 1], [1, 1], [1]],  # lqr_po_overdamped
+            (2_000, 3, 8, 2): [[1, 1], [1]],  # quadratic_overdamped
+            (100, 5, 3, 8): [[1, 1, 1], [1, 1]],
+            (100, 5, 1, 8): [[1]] * 5,
+            (100, 5, 8, 1): [[1]] * 5,  # K capped by the CPUs
+            (100, 1, 2, 2): [[1]],  # K capped by ensembles * S
+            # 1 < S < K: K // S ensembles per round, a shard per process
+            (8_192, 4, 3, 8): [[1, 1]] * 4,
+            (8_192, 4, 5, 8): [[1, 1, 1, 1]] * 2,
+            (8_192, 3, 8, 8): [[1] * 6],  # K capped by ensembles * S
+            (12_288, 3, 7, 8): [[1] * 6, [1] * 3],
+        }
+        for (N, J, workers, cpus), want in table.items():
+            monkeypatch.setattr(nssmc, "_usable_cpus", lambda: cpus)
+            assert placement(N, J, workers) == want, (N, J, workers, cpus)
 
-    @pytest.mark.parametrize("case", ["lqr", "quadratic"])
+    @pytest.mark.parametrize("case", ["lqr", "quadratic", "boxed"])
     def test_curve_does_not_depend_on_workers(self, case, monkeypatch):
-        # one-shard families; the LQR sweep's top intensities make paths
-        # exit, and both carry exceedance bounds
+        # the LQR sweep's top intensities make paths exit; the boxed sweep
+        # has two shards per ensemble, with exits in both; all three carry
+        # exceedance bounds
         if case == "lqr":
             exp, bounds = lqr_case()
             rounds = {1: [1] * 5, 2: [2, 2, 1], 3: [3, 2], 8: [5]}
-        else:
+        elif case == "quadratic":
             exp, bounds = quadratic_case([1.0], sigmas=(0.1, 0.2, 0.4, 0.8))
             rounds = {1: [1] * 4, 2: [2, 2], 3: [3, 1], 8: [4]}
+        else:
+            exp, bounds = boxed_case()
+            rounds = {1: [1, 1], 2: [2, 2], 3: [2, 2], 8: [4]}
         want = run_experiment(exp, bounds)
         if case == "lqr":
             assert want.blowup_fractions[0] == 0.0
             assert want.blowup_fractions[-1] > 0.9
+        if case == "boxed":
+            # the shards, run in turn, match one batch of the dense route
+            ref, ensembles = reference_run_experiment(exp)
+            for ens in ensembles:
+                assert ens.exited[:4097].any() and ens.exited[4097:].any()
+                assert not ens.exited.all()
+            for name in ("tail_quantiles", "blowup_fractions"):
+                assert np.array_equal(getattr(want, name), getattr(ref, name))
+            assert want.exceedance_fractions.tolist() == [
+                reference_exceedance_fraction(e, exp.V, b)
+                for e, b in zip(ensembles, bounds)]
         calls = forked_rounds(monkeypatch)
         for workers in (1, 2, 3, 8):
             calls.clear()
@@ -292,6 +408,27 @@ class TestSweepRounds:
             assert forked == (workers in (2, 8))
             assert multiprocessing.active_children() == []
 
+    def test_round_freed_before_next_is_built(self, monkeypatch):
+        exp, bounds = quadratic_case([1.0], sigmas=(0.1, 0.2, 0.4, 0.8))
+        refs, alive = [], []
+
+        class Tracked(nssmc._SweepEnsemble):
+            def __init__(self, *args):
+                alive.append([r().j for r in refs if r() is not None])
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(nssmc, "_SweepEnsemble", Tracked)
+        forked_rounds(monkeypatch)
+        for workers in (1, 2, 3):
+            refs.clear()
+            alive.clear()
+            run_experiment(exp, bounds, workers=workers)
+            # only this round's earlier ensembles are alive
+            assert alive == [list(range(j - j % workers, j))
+                             for j in range(4)]
+            assert all(r() is None for r in refs)
+
     def test_workers_below_one_rejected(self):
         exp = make_experiment([0.1, 0.2], T=1.0)
         for workers in (0, -1):
@@ -308,11 +445,10 @@ class TestAccumulation:
             horizon=T, is_constant=False)
         ens = simulate_ensemble(model, ramp, np.ones(1), 1e-3, T, 200, 0,
                                 store_every=10)
-        quiet = simulate_ensemble(
-            model, CovarianceSchedule.constant(np.zeros((1, 1)), T),
-            np.ones(1), 1e-3, 15.0, 100, 1, store_every=10)
+        quiet = quiet_mean_v(model, V, np.ones(1), 1e-3, 15.0, 100, 1,
+                             store_every=10)
         # extra headroom absorbs transient fluctuations around the decay
-        beta = fit_decay_envelope(quiet, V, headroom=1.5)
+        beta = fit_decay_envelope(*quiet, headroom=1.5)
         gamma = ScalarClassFunction(
             lambda s: 10.0 * np.asarray(s, dtype=float), K,
             description="10 s")

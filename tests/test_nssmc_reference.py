@@ -480,10 +480,6 @@ def test_decay_fit_means_match_dense_route(tiles):
     args = (model, quiet, np.ones(1), 1e-3, 5.0, 201, 1017)
     ref_ens = reference_simulate_ensemble(*args, store_every=25)
     ens = simulate_ensemble(*args, store_every=25)
-    want = reference_fit_decay_envelope(ref_ens, V)
-    got = fit_decay_envelope(ens, V)
-    assert isinstance(got, DecayFit)
-    assert (got.rate, got.headroom) == (want.rate, want.headroom)
 
     # the mean of V per record, replayed or live, as the fit reads it
     ref_mean = reference_self_values(V, ref_ens.states).mean(axis=0)
@@ -493,6 +489,11 @@ def test_decay_fit_means_match_dense_route(tiles):
     simulate_ensemble(*args, store_every=25, reducers=[live])
     assert np.array_equal(replayed.means, ref_mean)
     assert np.array_equal(live.means, ref_mean)
+
+    want = reference_fit_decay_envelope(ref_ens, V)
+    got = fit_decay_envelope(ens.times, live)
+    assert isinstance(got, DecayFit)
+    assert (got.rate, got.headroom) == (want.rate, want.headroom)
 
 
 def test_run_experiment_memory_below_one_dense_ensemble():

@@ -2,8 +2,6 @@
 
 import dataclasses
 import math
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -513,29 +511,11 @@ class TestDiagonalProduct:
 
 
 class TestShards:
-    """Sharded ensembles: N = 2 * 4096 + 3 paths run as two shards,
-    [0, 4097) and [4097, 8195)."""
+    """An ensemble run in path ranges: N = 2 * 4096 + 3 paths as [0, 4097)
+    and [4097, 8195), the shards of a sweep's ensemble."""
 
     N = 2 * 4096 + 3
     DT, T, STORE = 1e-2, 1.0, 5
-
-    def test_shard_layout_depends_on_n_alone(self):
-        assert sde._shard_bounds(8191) == [(0, 8191)]
-        assert sde._shard_bounds(self.N) == [(0, 4097), (4097, 8195)]
-        assert sde._shard_bounds(10_000) == [(0, 5000), (5000, 10_000)]
-        for N in (1, 4095, 8192, 12_289, 100_003):
-            bounds = sde._shard_bounds(N)
-            assert bounds[0][0] == 0 and bounds[-1][1] == N
-            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-            sizes = [hi - lo for lo, hi in bounds]
-            assert len(bounds) == 1 or min(sizes) >= 4096
-
-    def test_process_count_capped_by_cpus_and_shards(self):
-        cpus = len(os.sched_getaffinity(0))
-        assert sde._process_count(10**6, 2, cpus) == min(2, cpus)
-        assert sde._process_count(10**6, 64, 3) == 3
-        assert sde._process_count(10**6, 2, 64) == 2
-        assert sde._process_count(1, 64, 64) == 1
 
     def _reducers(self, times):
         V = half_norm_squared()
@@ -560,45 +540,24 @@ class TestShards:
             [tail, exceed])
         assert exited[:4097].any() and exited[4097:].any()
         assert not exited.all()
-        want_values = tail.valid_values(valid)
-        for workers in (1, 2, 3):
-            got_tail, got_exceed = self._reducers(times)
-            ens = simulate_ensemble(model, schedule, x0s, self.DT, self.T,
-                                    self.N, 7, store_every=self.STORE,
-                                    reducers=[got_tail, got_exceed],
-                                    workers=workers)
-            assert ens.states.shape == (self.N, 0, 1)
+        got_tail, got_exceed = self._reducers(times)
+        parts = []
+        for lo, hi in ((0, 4097), (4097, self.N)):
+            ens = simulate_ensemble(model, schedule, x0s[lo:hi], self.DT,
+                                    self.T, hi - lo, 7,
+                                    store_every=self.STORE,
+                                    reducers=[got_tail.shard(lo, hi),
+                                              got_exceed.shard(lo, hi)],
+                                    first_path=lo)
+            assert ens.states.shape == (hi - lo, 0, 1)
             assert np.array_equal(ens.times, times)
-            for got, want in ((ens.seeds, seeds), (ens.valid_counts, valid),
-                              (ens.exited, exited), (ens.blowup, blowup),
-                              (ens.exit_steps, exit_steps),
-                              (got_tail.valid_values(ens.valid_counts),
-                               want_values)):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert got_exceed.fraction() == exceed.fraction()
-        assert multiprocessing.active_children() == []
+            parts.append(ens)
+        for name, want in (("seeds", seeds), ("valid_counts", valid),
+                           ("exited", exited), ("blowup", blowup),
+                           ("exit_steps", exit_steps)):
+            got = np.concatenate([getattr(e, name) for e in parts])
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(got_tail.valid_values(valid),
+                              tail.valid_values(valid))
+        assert got_exceed.fraction() == exceed.fraction()
 
-    def test_worker_failure_raises_in_parent(self):
-        def drift(z):
-            if (z[:, 0] > 100.0).any():
-                raise FloatingPointError("drift rejects a shard-1 state")
-            return -z
-
-        model = DiffusionModel(state_dim=1, noise_dim=1, drift=drift)
-        schedule = CovarianceSchedule.constant(np.zeros((1, 1)), self.T)
-        x0s = np.zeros((self.N, 1))
-        x0s[4097:] = 1000.0
-        times = sde.record_times(self.DT, self.T, self.STORE)
-        for workers in (1, 2):
-            with pytest.raises(FloatingPointError, match="shard-1 state"):
-                simulate_ensemble(model, schedule, x0s, self.DT, self.T,
-                                  self.N, 0, store_every=self.STORE,
-                                  reducers=list(self._reducers(times)),
-                                  workers=workers)
-            assert multiprocessing.active_children() == []
-
-    def test_workers_below_one_rejected(self):
-        s = CovarianceSchedule.constant(np.array([[0.5]]), horizon=1.0)
-        with pytest.raises(ValueError, match="workers"):
-            simulate_ensemble(linear_model(), s, np.ones(1), 1e-2, 1.0, 4, 0,
-                              workers=0)
