@@ -301,6 +301,9 @@ def _exp_quadratic_overdamped(v, out, seed, workers):
              {"diag": None, **SWEEP}, SWEEP_N,
              ("problem", "diag", "gain-sweep expects the scalar unit "
               "quadratic, diag = 1", lambda v: v.diag == [1.0]),
+             ("noise", "sigmas", "the chi-square oracle scales with "
+              "sigma^2, so every sigma must be positive",
+              lambda v: min(v.sigmas) > 0),
              ("mc", "T", f"the quiet envelope runs to min(T, {QUIET_T:g})",
               lambda v: sde.check_time_grid(v.dt, min(v.T, QUIET_T),
                                             v.store_every) is None))

@@ -9,10 +9,14 @@ once; the Y_K system's operator is L^T, so P_K and Y_K come from one
 stacked solve of [L; L^T].  A scalar problem (n = m = 1) takes the same
 arithmetic elementwise on the (B,) gain column: L = a_cl + a_cl and the
 stacked solve is the division -M / L, which LAPACK's 1x1 solve equals
-bit for bit, so its statistics match the matrix path exactly.  The
-module also ships the analytic K-PL modulus mu5(h) = h/(b1 h + b2), the
-sublevel smoothness profile L3(h), and learning-rate schedules whose
-growth class decides NSS versus scNSS of the policy-gradient diffusion.
+bit for bit, so its statistics match the matrix path exactly.  Its
+oracles build no 1x1 matrices: the Hurwitz test of a 1x1 closed loop,
+whose eigenvalue is its entry, is the comparison a - f k <
+-HURWITZ_MARGIN on the column, with the LinAlgError that ``eigvals``
+raises on a non-finite entry.  The module also ships the analytic K-PL
+modulus mu5(h) = h/(b1 h + b2), the sublevel smoothness profile L3(h),
+and learning-rate schedules whose growth class decides NSS versus scNSS
+of the policy-gradient diffusion.
 
 Gain matrices are vectorized row-major into mn-dimensional states so the
 generic diffusion simulator can drive policy-gradient flow directly; the
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objectives import Objective
-from .sde import CovarianceSchedule
+from .sde import CovarianceSchedule, _every
 
 HURWITZ_MARGIN = 1e-10
 
@@ -268,38 +272,27 @@ def hurwitz_mask(A_cl: np.ndarray) -> np.ndarray:
     -HURWITZ_MARGIN.
 
     A 1x1 matrix is its own eigenvalue (LAPACK returns the element
-    exactly), so n = 1 compares the entries directly; non-finite input
-    raises LinAlgError on both paths, as ``eigvals`` does.
+    exactly), so n = 1 is :func:`_scalar_hurwitz` of the entries;
+    non-finite input raises LinAlgError on both paths, as ``eigvals``
+    does.
     """
     if A_cl.shape[1] != 1:
         abscissa = np.max(np.real(np.linalg.eigvals(A_cl)), axis=1)
         return abscissa < -HURWITZ_MARGIN
-    if not np.isfinite(A_cl).all():
+    return _scalar_hurwitz(A_cl[:, 0, 0])
+
+
+def _scalar_hurwitz(a_cl: np.ndarray) -> np.ndarray:
+    """a_cl < -HURWITZ_MARGIN for closed-loop scalars of any shape;
+    LinAlgError, as ``eigvals`` raises, if any is inf or NaN."""
+    if not _every(np.isfinite(a_cl)):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    return A_cl[:, 0, 0] < -HURWITZ_MARGIN
+    return a_cl < -HURWITZ_MARGIN
 
 
 def _cost_weight(problem: LqrProblem, Ks: np.ndarray) -> np.ndarray:
     """Q + K^T R K for a (B, m, n) gain stack: the M of the P_K solve."""
     return problem.Q[None] + np.einsum("bmi,mk,bkj->bij", Ks, problem.R, Ks)
-
-
-def _stable(problem: LqrProblem, thetas: np.ndarray):
-    """(gains, closed loops, Hurwitz mask) of a (B, mn) gain batch.
-
-    A scalar problem keeps (B,) columns k and a - f k, which is what the
-    1x1 einsum of _closed_loop computes; any other problem keeps (B, m, n)
-    gain and (B, n, n) closed-loop stacks.
-    """
-    B = thetas.shape[0]
-    if problem.scalars is None:
-        Ks = thetas.reshape(B, problem.m, problem.n)
-        A_cl = _closed_loop(problem, Ks)
-        return Ks, A_cl, hurwitz_mask(A_cl)
-    a, f = problem.scalars[:2]
-    k = thetas.reshape(B)
-    a_cl = a - f * k
-    return k, a_cl, hurwitz_mask(a_cl.reshape(B, 1, 1))
 
 
 def _scalar_stats(problem: LqrProblem, k: np.ndarray, a_cl: np.ndarray):
@@ -309,11 +302,12 @@ def _scalar_stats(problem: LqrProblem, k: np.ndarray, a_cl: np.ndarray):
     each keeps the 0.5 (X + X^T) symmetrization."""
     _, f, q, r = problem.scalars
     L = a_cl + a_cl
-    P = -(q + (k * r) * k) / L
+    kr = k * r  # also r k: a product rounds the same in either order
+    P = -(q + kr * k) / L
     P = 0.5 * (P + P)
     Y = -1.0 / L
     Y = 0.5 * (Y + Y)
-    return P, (2.0 * ((r * k - f * P) * Y))[:, None]
+    return P, (2.0 * ((kr - f * P) * Y))[:, None]
 
 
 def _matrix_stats(problem: LqrProblem, Ks: np.ndarray, A_cl: np.ndarray):
@@ -331,28 +325,32 @@ def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
     """Cost and gradient over a batch of vectorized gains.
 
     Returns (hurwitz mask, costs, vectorized gradients); entries for
-    non-stabilizing gains are NaN.  The stabilizing rows of a scalar
-    problem go through elementwise arithmetic, those of any other problem
-    through one stacked solve_lyapunov call; every row goes through the
-    same per-row kernels whatever the batch holds.
+    non-stabilizing gains are NaN.  A scalar problem reads its gains as
+    one (B,) column and tests each closed loop a - f k directly; its
+    stabilizing rows go through elementwise arithmetic.  Those of any
+    other problem go through one stacked solve_lyapunov call.  Every row
+    goes through the same per-row kernels whatever the batch holds.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    B, mn = thetas.shape[0], problem.m * problem.n
-    Ks, A_cl, ok = _stable(problem, thetas)
-    all_ok = ok.all()
-    if not all_ok:
-        if not ok.any():
-            return ok, np.full(B, np.nan), np.full((B, mn), np.nan)
-        Ks, A_cl = Ks[ok], A_cl[ok]
-
-    stats = _matrix_stats if problem.scalars is None else _scalar_stats
-    stable_costs, stable_grads = stats(problem, Ks, A_cl)
-    if all_ok:
-        return ok, stable_costs, stable_grads
-    costs = np.full(B, np.nan)
-    grads = np.full((B, mn), np.nan)
-    costs[ok] = stable_costs
-    grads[ok] = stable_grads
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim < 2:
+        thetas = thetas.reshape(1, -1)
+    if problem.scalars is None:
+        Ks = thetas.reshape(len(thetas), problem.m, problem.n)
+        A_cl = _closed_loop(problem, Ks)
+        ok = hurwitz_mask(A_cl)
+        stats = _matrix_stats
+    else:
+        a, f = problem.scalars[:2]
+        Ks = thetas.reshape(len(thetas))
+        A_cl = a - f * Ks
+        ok = _scalar_hurwitz(A_cl)
+        stats = _scalar_stats
+    if _every(ok):
+        return (ok, *stats(problem, Ks, A_cl))
+    costs = np.full(ok.size, np.nan)
+    grads = np.full((ok.size, problem.m * problem.n), np.nan)
+    if ok.any():
+        costs[ok], grads[ok] = stats(problem, Ks[ok], A_cl[ok])
     return ok, costs, grads
 
 
@@ -379,10 +377,17 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
         _, costs, grads = batched_gain_stats(problem, thetas)
         return costs, grads
 
-    def domain_test(theta):
-        theta = np.asarray(theta, dtype=float)
-        lead = theta.shape[:-1]
-        return _stable(problem, theta.reshape(-1, m * n))[2].reshape(lead)
+    if problem.scalars is None:
+        def domain_test(theta):
+            theta = np.asarray(theta, dtype=float)
+            A_cl = _closed_loop(problem, theta.reshape(-1, m, n))
+            return hurwitz_mask(A_cl).reshape(theta.shape[:-1])
+    else:
+        a, f = problem.scalars[:2]
+
+        def domain_test(theta):
+            theta = np.asarray(theta, dtype=float)
+            return _scalar_hurwitz(a - f * theta.reshape(theta.shape[:-1]))
 
     env = PLEnvelope(mu=mu5_class_function(profile), kind="K",
                      construction="analytic b1, b2 from the Riccati solution")

@@ -41,6 +41,11 @@ def _stencil(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probe rows [z; z + h e_i; z - h e_i] of a (B, n) batch, and the
     per-row steps h = 1e-5 (1 + |z|)."""
     n = z.shape[1]
+    if n == 1:
+        # a one-element norm is sqrt(z z), one rounded multiply, so the
+        # column gives each row's norm
+        h = 1e-5 * (1.0 + np.sqrt(z * z))
+        return np.concatenate([z, z + h, z - h]), h[:, 0]
     # one norm per row: an axis=1 norm can round differently
     steps = np.array([1e-5 * (1.0 + float(np.linalg.norm(zi))) for zi in z])
     shift = steps[:, None, None] * np.eye(n)  # (B, i, n)
@@ -72,7 +77,9 @@ def _batch_derivatives(z, hessian: bool, value, gradient=None, hess=None,
     compute each row independently of the rest of the batch, as the LQR
     one does, the results equal the per-point formulas bit for bit.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
+    if z.ndim < 2:
+        z = z.reshape(1, -1)
     B = len(z)
     fd = hessian and hess is None
     rows, steps = _stencil(z) if fd else (z, None)
@@ -92,8 +99,8 @@ def _batch_derivatives(z, hessian: bool, value, gradient=None, hess=None,
     if not fd:
         return values, grads, np.asarray(hess(z), dtype=float)
     # H[b][:, i] is the difference quotient along e_i
-    H = np.swapaxes(_central(grads, steps), 1, 2)
-    return values, grads[:B], 0.5 * (H + np.swapaxes(H, 1, 2))
+    H = _central(grads, steps).swapaxes(1, 2)
+    return values, grads[:B], 0.5 * (H + H.swapaxes(1, 2))
 
 
 @dataclass(frozen=True)

@@ -375,6 +375,9 @@ class TestSchema:
         ("lqr-po-overdamped", "[problem]\na = 3.0\n", "problem", "a"),
         ("lqr-po-underdamped", "[problem]\na = 3.0\n[dynamics]\ntol = 1e-2"
          "\n[mc]\ndt = 1e-3\nT = 30\n", "problem", "a"),
+        # gain-sweep's chi-square oracle divides by sigma^2
+        ("gain-sweep", "[problem]\ndiag = 1\n[noise]\nsigmas = 0, 0.2\n",
+         "noise", "sigmas"),
         # T = 30 is on the dt grid, the quiet horizon min(T, 20) is not
         ("gain-sweep", "[problem]\ndiag = 1\n[mc]\ndt = 0.003\nT = 30\n",
          "mc", "T"),

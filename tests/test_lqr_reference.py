@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
-from nsslab.lqr import (ConditioningError, LqrProblem, StabilityError,
-                        _closed_loop, batched_gain_stats, hurwitz_mask,
-                        solve_riccati)
+from nsslab.lqr import (HURWITZ_MARGIN, ConditioningError, LqrProblem,
+                        StabilityError, _closed_loop, batched_gain_stats,
+                        hurwitz_mask, lqr_objective, solve_riccati)
+from nsslab.objectives import _stencil
 
 
 # ---------------------------------------------------------------- reference
@@ -208,3 +209,132 @@ def test_riccati_matches_reference(problem, K0):
     for got, want in zip((profile.Kstar, profile.Pstar, profile.Ystar),
                          reference_riccati(problem, K0)):
         assert np.array_equal(got, want)
+
+
+# ------------------------------------------------------- scalar oracles
+
+def reference_stencil(z):
+    """objectives._stencil before its n = 1 column form: one norm per row
+    and probe shifts from np.eye."""
+    n = z.shape[1]
+    steps = np.array([1e-5 * (1.0 + float(np.linalg.norm(zi))) for zi in z])
+    shift = steps[:, None, None] * np.eye(n)
+    return np.concatenate([z, (z[:, None] + shift).reshape(-1, n),
+                           (z[:, None] - shift).reshape(-1, n)]), steps
+
+
+def reference_evaluate(problem, z):
+    """(values, gradients, Hessians) of the central-difference Hessian of
+    the matrix-path gain statistics, as Objective.evaluate forms it."""
+    B = len(z)
+    rows, steps = reference_stencil(z)
+    _, values, grads = reference_batched_gain_stats(problem, rows)
+    plus = grads[B:2 * B].reshape(B, 1, 1)
+    minus = grads[2 * B:].reshape(B, 1, 1)
+    H = np.swapaxes((plus - minus) / (2.0 * steps).reshape(B, 1, 1), 1, 2)
+    return values[:B], grads[:B], 0.5 * (H + np.swapaxes(H, 1, 2))
+
+
+def assert_bitwise(got, want):
+    got = np.asarray(got)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def boundary_gains(a, f):
+    """Gains around a - f k = -HURWITZ_MARGIN: the boundary gain and its
+    neighbours up to 3 ulps away, a spread on both sides, and k = 0."""
+    k0 = (a + HURWITZ_MARGIN) / f
+    near = [k0]
+    for direction in (np.inf, -np.inf):
+        k = k0
+        for _ in range(3):
+            k = np.nextafter(k, direction)
+            near.append(k)
+    spread = k0 + np.sign(f) * np.array([-10.0, -1.0, -1e-6, 1e-6, 1.0,
+                                         10.0, 1e3])
+    return np.concatenate([near, spread, [0.0]])[:, None]
+
+
+# a = 0 puts a - f k = -1e-10 exactly at k = 1e-10 / f for f = 1 and -2
+ORACLE_PROBLEMS = SCALAR_PROBLEMS + [(0.0, 1.0, 1.0, 1.0),
+                                     (0.0, -2.0, 2.0, 0.5),
+                                     (1.0, 1.0, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("a, f, q, r", ORACLE_PROBLEMS)
+def test_scalar_oracles_match_matrix_reference(a, f, q, r):
+    problem = LqrProblem(A=[[a]], F=[[f]], Q=[[q]], R=[[r]])
+    profile = solve_riccati(problem, K0=stabilizing_start(problem) + 0.1)
+    obj = lqr_objective(problem, profile)
+    thetas = boundary_gains(a, f)
+    ok, costs, grads = reference_batched_gain_stats(problem, thetas)
+    assert 0 < ok.sum() < ok.size
+    a_cl = a - f * thetas[:, 0]
+    if a == 0.0:  # the margin itself is not stabilizing, one ulp past it is
+        assert -HURWITZ_MARGIN in a_cl
+        assert not ok[a_cl == -HURWITZ_MARGIN].any()
+        assert ok[a_cl == np.nextafter(-HURWITZ_MARGIN, -np.inf)].all()
+        assert not ok[a_cl == np.nextafter(-HURWITZ_MARGIN, np.inf)].any()
+
+    assert_bitwise(obj.domain_test(thetas), ok)
+    assert_bitwise(obj.value(thetas), costs)
+    assert_bitwise(obj.gradient(thetas), grads)
+    got_c, got_g = obj.value_and_gradient(thetas)
+    assert_bitwise(got_c, costs)
+    assert_bitwise(got_g, grads)
+    for got, want in zip(obj.evaluate(thetas, hessian=True),
+                         reference_evaluate(problem, thetas)):
+        assert_bitwise(got, want)
+    for k, row_ok, cost in zip(thetas, ok, costs):  # one-point views
+        assert_bitwise(obj.domain_test(k), np.asarray(row_ok))
+        assert_bitwise(obj.value(k), np.asarray(cost))
+
+
+def test_scalar_symmetrization_overflows_like_matrix_path():
+    # next to the boundary P = q / (2 |a_cl|) = 1.5e308 is finite, and the
+    # 0.5 (P + P^T) of the matrix path turns it into inf
+    problem = LqrProblem(A=[[0.0]], F=[[1.0]], Q=[[3e298]], R=[[1.0]])
+    thetas = boundary_gains(0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = assert_same_bits(problem, thetas)
+        costs = batched_gain_stats(problem, thetas)[1]
+    assert np.isinf(costs[ok]).sum() >= 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gain_raises_in_every_scalar_oracle(bad):
+    problem = scalar_problem()
+    obj = lqr_objective(problem, solve_riccati(problem, K0=np.array([[2.0]])))
+    thetas = np.array([[2.0], [bad], [3.0]])
+    calls = [obj.domain_test, obj.value, obj.gradient, obj.value_and_gradient,
+             lambda z: obj.evaluate(z, hessian=True)]
+    with np.errstate(invalid="ignore"):  # inf - inf in the stencil
+        for call in calls:
+            with pytest.raises(np.linalg.LinAlgError):
+                call(thetas)
+        with pytest.raises(np.linalg.LinAlgError):
+            reference_evaluate(problem, thetas)
+
+
+def test_scalar_oracles_reject_two_column_gains():
+    # a (B, 2) batch is not B scalar gains
+    problem = scalar_problem()
+    obj = lqr_objective(problem, solve_riccati(problem, K0=np.array([[2.0]])))
+    thetas = np.full((3, 2), 2.0)
+    for call in (obj.domain_test, obj.value, obj.gradient,
+                 obj.value_and_gradient):
+        with pytest.raises(ValueError):
+            call(thetas)
+
+
+def test_scalar_stencil_matches_per_row_norms():
+    tiny = np.finfo(float).smallest_subnormal
+    col = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -3e-320, 1e-160,
+                    -1e-160, 1e160, -1e160, 2.5, -7.0])
+    for z in (col[:, None], col[:1, None], col[-3:, None]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _stencil(z), reference_stencil(z)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)

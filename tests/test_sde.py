@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from nsslab import sde
-from nsslab.langevin import half_norm_squared
+from nsslab import lqr, sde
+from nsslab.langevin import (OverdampedConfig, build_overdamped,
+                             half_norm_squared)
 from nsslab.lyapcert import generator_apply
 from nsslab.nssmc import Exceedance, WindowValues
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
@@ -58,6 +59,29 @@ class TestCovarianceSchedule:
     def test_nonsquare_sigma_rejected(self):
         with pytest.raises(ValueError):
             CovarianceSchedule.constant(np.ones((2, 3)), horizon=1.0)
+
+    def test_large_rank_deficient_sigma_accepted(self):
+        # Sigma Sigma^T is PSD for every real Sigma, though rounding gives
+        # these rank-1 covariances eigenvalues slightly below zero
+        rng = np.random.default_rng(3)
+        for scale in 10.0 ** np.arange(8):
+            for _ in range(20):
+                u, v = rng.standard_normal((2, 3)) * scale
+                S = np.outer(u, v)
+                CovarianceSchedule.constant(S, horizon=1.0)
+                CovarianceSchedule(sigma=lambda t, S=S: (1.0 + t) * S,
+                                   horizon=2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        S = np.eye(2)
+        S[0, 1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            CovarianceSchedule.constant(S, horizon=1.0)
+        # a time-varying schedule that turns non-finite inside the horizon
+        with pytest.raises(ValueError, match="not finite"):
+            CovarianceSchedule(sigma=lambda t: S if t > 0.5 else np.eye(2),
+                               horizon=1.0)
 
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ValueError):
@@ -382,6 +406,26 @@ def _case_zero_blowup():
     return model, CovarianceSchedule.constant([[0.0]], 1.0), None
 
 
+def _case_lqr_domain_exit():
+    # the overdamped policy-gradient flow of the scalar unit regulator:
+    # noise carries gains across the stability boundary k = 1, where the
+    # domain test a - f k < -HURWITZ_MARGIN fails
+    problem = lqr.LqrProblem(A=[[1.0]], F=[[1.0]], Q=[[1.0]], R=[[1.0]])
+    profile = lqr.solve_riccati(problem, K0=np.array([[2.0]]))
+    model = build_overdamped(OverdampedConfig(
+        objective=lqr.lqr_objective(problem, profile)))
+    return model, CovarianceSchedule.constant([[3.0]], 1.0), [1.2]
+
+
+def _case_exit_and_blowup():
+    # large starts blow up upwards, small ones leave z > -0.5 downwards;
+    # at B = 300 both happen on some of the same steps
+    model = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: z**3,
+                           domain_test=lambda z: z[..., 0] > -0.5,
+                           label="cubic-floor")
+    return model, CovarianceSchedule.constant([[2.0]], 1.0), None
+
+
 REFERENCE_CASES = {"scalar": _case_scalar, "diagonal": _case_diagonal,
                    "full": _case_full, "zero": _case_zero,
                    "time-varying": _case_time_varying,
@@ -390,7 +434,9 @@ REFERENCE_CASES = {"scalar": _case_scalar, "diagonal": _case_diagonal,
                    "noise-blowup": _case_noise_blowup,
                    "zero-underdamped": _case_zero_underdamped,
                    "zero-domain-exit": _case_zero_domain_exit,
-                   "zero-blowup": _case_zero_blowup}
+                   "zero-blowup": _case_zero_blowup,
+                   "lqr-domain-exit": _case_lqr_domain_exit,
+                   "exit-and-blowup": _case_exit_and_blowup}
 
 
 class TestReferenceIntegrator:
@@ -427,7 +473,8 @@ class TestReferenceIntegrator:
                 assert np.array_equal(np.signbit(a), np.signbit(b))
 
     @pytest.mark.parametrize("case", ["domain-exit", "blowup", "noise-blowup",
-                                      "zero-domain-exit", "zero-blowup"])
+                                      "zero-domain-exit", "zero-blowup",
+                                      "lqr-domain-exit", "exit-and-blowup"])
     def test_exits_fall_inside_chunks(self, case, monkeypatch):
         (_, _, valid, exited, blowup, steps), _ = self._run(
             case, 300, True, monkeypatch)
@@ -436,6 +483,14 @@ class TestReferenceIntegrator:
         assert np.any(steps[exited] % 64 != 0)
         assert np.unique(steps[exited] // 64).size >= 2
         assert np.any(valid < valid.max())
+
+    @pytest.mark.parametrize("small_chunks", [False, True])
+    def test_domain_exit_and_blowup_on_one_step(self, small_chunks,
+                                                monkeypatch):
+        (_, _, _, exited, blowup, steps), _ = self._run(
+            "exit-and-blowup", 300, small_chunks, monkeypatch)
+        both = np.intersect1d(steps[blowup], steps[exited & ~blowup])
+        assert both.size >= 2
 
     def test_zero_sigma_draws_no_noise(self, monkeypatch):
         model, schedule, _ = REFERENCE_CASES["zero-underdamped"]()
