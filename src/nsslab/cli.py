@@ -217,7 +217,10 @@ def _experiment(name, description, keys, *rules):
 @_experiment("ou-sanity", "scalar linear diffusion against the "
              "stationary-variance closed form",
              {"sigma": "0.5", "N": "10000", "dt": "1e-3", "T": "50",
-              "store_every": "25"})
+              "store_every": "25"},
+             ("noise", "sigma", "the check divides by the stationary second "
+              "moment sigma^2/2, so sigma must be non-zero",
+              lambda v: v.sigma != 0))
 def _exp_ou_sanity(v, out, seed, workers):
     obj = objectives.quadratic_objective(np.array([[1.0]]), np.zeros(1))
     model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
@@ -412,7 +415,7 @@ def _exp_lqr_po_overdamped(v, out, seed, workers):
                       f"(err {err:.2e})"))
     obj = lqr.lqr_objective(problem, profile)
     model = langevin.build_overdamped(langevin.OverdampedConfig(
-        objective=obj, K_G=1.0))
+        objective=obj))
     V = langevin.objective_size_function(obj)
     schedules = [lqr.gain_noise_schedule(np.array([[s]]), problem.n, v.T)
                  for s in v.sigmas]
@@ -442,8 +445,7 @@ def _exp_lqr_po_underdamped(v, out, seed, workers):
     obj = lqr.lqr_objective(problem, profile)
     ladder = langevin.ladder_from_profile(profile, problem, v.h_max)
     model = langevin.build_underdamped(langevin.UnderdampedConfig(
-        objective=obj, mode="scheduled", phi=langevin.phi_functions(ladder),
-        K_G=1.0))
+        objective=obj, mode="scheduled", phi=langevin.phi_functions(ladder)))
     x0 = np.append(lqr.vec_gain(profile.Kstar) + 0.3, 0.0)  # scalar gain
     final = _noiseless_path(model, x0, v, seed, out)
     dist = float(np.linalg.norm(final - model.equilibrium))

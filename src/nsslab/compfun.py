@@ -74,7 +74,6 @@ class ScalarClassFunction:
 @dataclass
 class ClassEvidenceReport:
     declared_class: str
-    grid: np.ndarray
     values: np.ndarray
     monotonicity_violations: list = field(default_factory=list)
     sign_violations: list = field(default_factory=list)
@@ -100,7 +99,7 @@ def classify_evidence(f: ScalarClassFunction, grid: Sequence[float],
         raise DomainViolation(f"grid point >= domain cap d={f.d}")
 
     values = np.array([float(f.eval(r)) for r in grid])
-    report = ClassEvidenceReport(f.declared_class, grid, values)
+    report = ClassEvidenceReport(f.declared_class, values)
 
     if abs(values[0]) > 1e-12:
         report.sign_violations.append((0.0, values[0]))

@@ -5,6 +5,8 @@ and the underdamped dynamics dz = v dt, dv = -eta grad J dt - c v dt
 + Sigma dB (noise on the velocity block only), in two flavors each:
 constant coefficients (needs a global gradient Lipschitz constant) and
 state-scheduled coefficients built from a sampled smoothness ladder.
+Each model carries its noise map as data: the identity, or the [0; I]
+block that puts the noise on the velocity.
 
 Also houses the Lyapunov candidates V2 (mixed quadratic) and V3
 (smoothed-potential form), the phi ladder that upper-bounds the squared
@@ -29,20 +31,16 @@ from .sde import DiffusionModel
 class OverdampedConfig:
     """Overdamped dynamics configuration.
 
-    The diffusion field is the identity; ``K_G`` bounds it in the
-    certificates and defaults to sqrt(n).  ``eta=None`` means the constant
-    learning rate 1, otherwise a callable of suboptimality, vectorized
-    over a batch.
+    The noise map is the identity, so the certificates' K_G = |G|_F is
+    sqrt(n).  ``eta=None`` means the constant learning rate 1, otherwise a
+    callable of suboptimality, vectorized over a batch.
     """
 
     objective: Objective
-    K_G: float | None = None
     eta: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def k_g(self) -> float:
-        if self.K_G is not None:
-            return float(self.K_G)
         return float(np.sqrt(self.objective.dim))
 
 
@@ -72,13 +70,14 @@ class UnderdampedConfig:
     lambda2 = (1 - lambda1 c)/eta, which need the global Lipschitz
     constant L.  Scheduled mode sets c(z) = |hess J(z)|/2 + 1/2 and
     eta(z) = (phi2'(J(z) - J*) - c(z))/2 >= 1 and needs a PhiLadder.
+    The noise map is the [0; I] block on the velocity, so K_G = |G|_F is
+    sqrt(n).
     """
 
     objective: Objective
     mode: str = "constant_coeff"
     eta: float = 1.0
     c: float = 1.0
-    K_G: float | None = None
     phi: "PhiLadder | None" = None
 
     def __post_init__(self):
@@ -97,8 +96,6 @@ class UnderdampedConfig:
 
     @property
     def k_g(self) -> float:
-        if self.K_G is not None:
-            return float(self.K_G)
         return float(np.sqrt(self.objective.dim))
 
     @property
@@ -149,11 +146,6 @@ def build_underdamped(config: UnderdampedConfig) -> DiffusionModel:
             dv = -eta[:, None] * g - c[:, None] * v
             return np.concatenate([v, dv], axis=-1)
 
-    block = np.vstack([np.zeros((n, n)), np.eye(n)])
-
-    def diffusion(x):
-        return np.broadcast_to(block, (x.shape[0], 2 * n, n))
-
     domain = None
     if obj.domain_test is not None:
         domain = lambda x: np.asarray(obj.domain_test(x[..., :n]), dtype=bool)
@@ -162,8 +154,8 @@ def build_underdamped(config: UnderdampedConfig) -> DiffusionModel:
     if obj.minimizer is not None:
         eq = np.concatenate([obj.minimizer, np.zeros(n)])
     return DiffusionModel(state_dim=2 * n, noise_dim=n, drift=drift,
-                          diffusion=diffusion, domain_test=domain,
-                          equilibrium=eq,
+                          noise_map=np.vstack([np.zeros((n, n)), np.eye(n)]),
+                          domain_test=domain, equilibrium=eq,
                           label=f"underdamped[{obj.label},{config.mode}]")
 
 
@@ -174,8 +166,8 @@ class SmoothnessLadder:
     Lbar2(h) bounds the Hessian norm over the suboptimality-h sublevel
     set, tabulated by radial sampling (an under-estimate, so downstream
     inequalities are re-verified by certificate falsification).  With a
-    diffusion-field bound K_G, the generator's second-order term is at
-    most Lbar2(h) * K_G^2 / 2.
+    noise map of Frobenius norm K_G, the generator's second-order term is
+    at most Lbar2(h) * K_G^2 / 2.
     """
 
     h_table: np.ndarray

@@ -389,8 +389,7 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
             theta = np.asarray(theta, dtype=float)
             return _scalar_hurwitz(a - f * theta.reshape(theta.shape[:-1]))
 
-    env = PLEnvelope(mu=mu5_class_function(profile), kind="K",
-                     construction="analytic b1, b2 from the Riccati solution")
+    env = PLEnvelope(mu=mu5_class_function(profile), kind="K")
     return Objective(value=value, gradient=gradient, dim=m * n,
                      optimum_value=profile.J2star,
                      minimizer=vec_gain(profile.Kstar),

@@ -1,11 +1,14 @@
 """Infinitesimal-generator evaluation and sampling-based Lyapunov
 dissipation certificates.
 
-The generator of a diffusion dx = f(x) dt + g(x) Theta dB acting on a size
-function V is
+The generator of a diffusion dx = f(x) dt + G Theta dB, with the model's
+constant noise map G, acting on a size function V is
 
     L[V](xi, Theta) = <grad V(xi), f(xi)>
-                      + 1/2 trace(Theta^T g(xi)^T hess V(xi) g(xi) Theta).
+                      + 1/2 trace(Theta^T G^T hess V(xi) G Theta).
+
+The certificates bound the second term through K_G = |G|_F, which is
+sqrt(n) for the identity and for the underdamped [0; I] block alike.
 
 Certification is falsification on samples, never proof: check_dissipation
 searches for (state, Theta) pairs violating
@@ -73,10 +76,6 @@ class SizeFunction:
         return self.evaluate(np.asarray(xi, dtype=float)[None],
                              hessian=True)[2][0]
 
-    def without_derivatives(self) -> "SizeFunction":
-        """Finite-difference-only copy, for derivative cross-checks."""
-        return SizeFunction(value=self.value, label=self.label + " (fd)")
-
 
 _KIND_CLASSES = {
     # kind -> (required alpha class set, required gamma class set)
@@ -128,10 +127,9 @@ def generator_apply(V: SizeFunction, model: DiffusionModel, states,
     drift_term = np.einsum("si,si->s", grads, np.asarray(model.drift(x)))
     if not noisy:
         return drift_term
-    g = (np.broadcast_to(np.eye(model.state_dim), H.shape)
-         if model.diffusion is None else np.asarray(model.diffusion(x)))
-    gt = g @ Theta  # (S, n, m)
-    return drift_term + 0.5 * np.einsum("sim,sij,sjm->s", gt, H, gt)
+    G = np.eye(model.state_dim) if model.noise_map is None else model.noise_map
+    gt = G @ Theta  # (n, m), shared by every state
+    return drift_term + 0.5 * np.einsum("im,sij,jm->s", gt, H, gt)
 
 
 def default_state_samples(equilibrium, count: int = 1000,
@@ -276,14 +274,11 @@ class SupermartingaleReport:
     """Mean-drift diagnostic of V along ensemble segments outside the
     recurrence set.  ``flags`` lists recorded-step indices where the mean
     of V over outside paths increased by more than two Monte Carlo
-    standard errors; ``low_power`` lists steps with too few outside paths
-    to test."""
+    standard errors; steps with fewer than ``min_population`` outside
+    paths are not tested."""
 
     times: np.ndarray
-    outside_counts: np.ndarray
-    mean_outside: np.ndarray
     flags: list
-    low_power: list
 
     @property
     def clean(self) -> bool:
@@ -299,26 +294,17 @@ def supermartingale_diagnostic(ensemble: TrajectoryEnsemble, V: SizeFunction,
     R = vals.shape[1]
     # mask out recorded entries at or past each path's exit
     alive = np.arange(R)[None, :] < ensemble.valid_counts[:, None]
-    flags, low_power = [], []
-    counts = np.zeros(R - 1, dtype=int)
-    means = np.full(R - 1, np.nan)
+    flags = []
     for i in range(R - 1):
         mask = alive[:, i] & alive[:, i + 1] & (vals[:, i] > threshold)
-        counts[i] = mask.sum()
-        if counts[i] == 0:
-            low_power.append(i)
+        count = int(mask.sum())
+        if count < max(min_population, 1):
             continue
         d = vals[mask, i + 1] - vals[mask, i]
-        means[i] = vals[mask, i].mean()
-        if counts[i] < min_population:
-            low_power.append(i)
-            continue
-        se = d.std(ddof=1) / np.sqrt(counts[i]) if counts[i] > 1 else np.inf
+        se = d.std(ddof=1) / np.sqrt(count) if count > 1 else np.inf
         if d.mean() > 2.0 * se:
             flags.append(i)
-    return SupermartingaleReport(times=ensemble.times[:-1],
-                                 outside_counts=counts, mean_outside=means,
-                                 flags=flags, low_power=low_power)
+    return SupermartingaleReport(times=ensemble.times[:-1], flags=flags)
 
 
 def certificate_summary(cert: DissipationCertificate) -> str:

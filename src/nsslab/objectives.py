@@ -30,7 +30,6 @@ class PLEnvelope:
 
     mu: ScalarClassFunction
     kind: str  # classic_PL, Kinf, K, or PD
-    construction: str = ""
 
     def __post_init__(self):
         if self.kind not in ("classic_PL", "Kinf", "K", "PD"):
@@ -174,8 +173,7 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray) -> Objective:
 
     mu = ScalarClassFunction(lambda h: np.sqrt(c_pl * np.asarray(h, dtype=float)),
                              KINF, description=f"sqrt({c_pl:g} h)")
-    env = PLEnvelope(mu=mu, kind="classic_PL",
-                     construction=f"analytic, c = 2 lambda_min = {c_pl:g}")
+    env = PLEnvelope(mu=mu, kind="classic_PL")
     return Objective(value=value, gradient=gradient, dim=A.shape[0],
                      optimum_value=0.0, minimizer=zstar,
                      hessian=lambda z: np.repeat(A[None], len(z), axis=0),
@@ -295,7 +293,6 @@ def logistic_objective(model: LogisticModel,
 @dataclass(frozen=True)
 class SeparabilityReport:
     separable: bool
-    witness: np.ndarray | None
     margin: float
 
 
@@ -323,7 +320,7 @@ def check_nonseparable(model: LogisticModel,
         raise RuntimeError(f"margin LP failed: {res.message}")
     margin = -res.fun
     if margin > margin_tol:
-        return SeparabilityReport(True, res.x[:n], margin)
+        return SeparabilityReport(True, margin)
 
     # boundary: look for nonzero theta in the cone {M theta >= 0}
     for j in range(n):
@@ -333,8 +330,8 @@ def check_nonseparable(model: LogisticModel,
             cone = linprog(c=c, A_ub=-M, b_ub=np.zeros(N),
                            bounds=[(-1, 1)] * n, method="highs")
             if cone.success and -cone.fun > margin_tol:
-                return SeparabilityReport(True, cone.x, 0.0)
-    return SeparabilityReport(False, None, margin)
+                return SeparabilityReport(True, 0.0)
+    return SeparabilityReport(False, margin)
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -398,8 +395,7 @@ def estimate_kpl_envelope(obj: Objective, theta_star, n_dirs: int,
     mu_vals[0] = 0.0
     mu = from_table(h_grid, mu_vals, declared_class=K,
                     description=f"empirical envelope ({n_dirs} directions)")
-    return PLEnvelope(mu=mu, kind="K",
-                      construction=f"empirical, {n_dirs} directions, seed {seed}")
+    return PLEnvelope(mu=mu, kind="K")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""Euler-Maruyama integration of diffusions with time-varying noise covariance.
+"""Euler-Maruyama integration of diffusions with additive, time-varying noise.
 
-All model callables (drift, diffusion, domain test) take arrays with a
-leading batch axis: drift maps (B, n) -> (B, n), diffusion maps
-(B, n) -> (B, n, m), domain tests map (B, n) -> (B,) booleans.  Single
-trajectories are batches of one, so the serial and ensemble code paths are
-identical and bit-for-bit reproducible.
+A model is dz = drift(z) dt + G Sigma(t) dB: a drift, a constant (n, m)
+noise map G and an m x m noise transform Sigma(t).  With additive noise
+Euler-Maruyama coincides with Milstein (Kloeden & Platen 1992, 10.3).
+Model callables (drift, domain test) take arrays with a leading batch
+axis: drift maps (B, n) -> (B, n), domain tests map (B, n) -> (B,)
+booleans.  Single trajectories are batches of one, so the serial and
+ensemble code paths are identical and bit-for-bit reproducible.
 
 Randomness is counter-based: each path owns a Philox generator keyed by a
 64-bit seed derived from (master_seed, path index), so a path's increments
@@ -47,18 +49,16 @@ copies each tile, transposed, into one (steps, B, m) slab of at most
 block.  A 1x1 or diagonal Sigma multiplies elementwise: ``x * s + 0.0``
 equals the matmul ``x @ S.T`` bit for bit on finite x, because each
 entry of the product is one rounded multiply, and the ``+ 0.0`` is the
-matmul's +0.0 accumulator, which turns a -0.0 product into +0.0.
+matmul's +0.0 accumulator, which turns a -0.0 product into +0.0.  A
+noise map other than the identity then applies as
+``einsum("nm,bm->bn", G, w)``, which is the per-path product of G with
+each row w bit for bit (``w @ G.T`` is not, for m > 1).
 
 A constant Sigma whose entries are all zero (after the sqrt(dt) scaling)
-adds no noise: the integrator builds no generator, draws nothing and
-never evaluates the diffusion, and each step is ``z + drift(z) dt``
-followed by the ``+ 0.0`` that the zero increment added.  That is the
-noisy step bit for bit for the identity diffusion and for any diffusion
-whose entries are finite and non-negative, such as the underdamped
-[0; I] block.  Bits could differ only where a diffusion returns inf or
-NaN (its zero increment was NaN, so the path blew up) or where a
-negative diffusion entry meets a state component of exactly -0.0; no
-shipped model reaches either.
+adds no noise: the integrator builds no generator and draws nothing, and
+each step is ``z + drift(z) dt`` followed by the ``+ 0.0`` that the zero
+increment added.  That is the noisy step bit for bit for every finite
+noise map, because G times a +0.0 increment sums to +0.0.
 """
 
 from __future__ import annotations
@@ -83,9 +83,10 @@ _POOL_SIZE = 4
 
 @dataclass(frozen=True)
 class DiffusionModel:
-    """Drift/diffusion pair with state domain and equilibrium.
+    """Drift and constant noise map, with state domain and equilibrium.
 
-    ``diffusion=None`` means the identity field (requires n == m), which
+    ``noise_map`` is the (state_dim, noise_dim) matrix G that carries the
+    noise into the state; None means the identity (requires n == m), which
     enables a fast path in the integrator.  ``domain_test=None`` means the
     whole space; blow-up detection (component magnitude > 1e12 or
     non-finite) applies regardless.
@@ -94,27 +95,33 @@ class DiffusionModel:
     state_dim: int
     noise_dim: int
     drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray] | None = None
+    noise_map: np.ndarray | None = None
     domain_test: Callable[[np.ndarray], np.ndarray] | None = None
     equilibrium: np.ndarray | None = None
     label: str = ""
 
     def __post_init__(self):
-        if self.diffusion is None and self.state_dim != self.noise_dim:
-            raise ValueError("identity diffusion requires state_dim == noise_dim")
+        n, m = self.state_dim, self.noise_dim
+        if self.noise_map is None:
+            if n != m:
+                raise ValueError("identity noise map requires state_dim == "
+                                 "noise_dim")
+        else:
+            G = np.array(self.noise_map, dtype=float)
+            if G.shape != (n, m):
+                raise ValueError(f"noise map shape {G.shape} != ({n}, {m})")
+            if not np.isfinite(G).all():
+                raise ValueError("noise map is not finite")
+            G.flags.writeable = False
+            object.__setattr__(self, "noise_map", G)
         if self.equilibrium is not None:
             eq = np.asarray(self.equilibrium, dtype=float).reshape(1, -1)
-            if eq.shape[1] != self.state_dim:
+            if eq.shape[1] != n:
                 raise ValueError("equilibrium dimension mismatch")
             f_eq = np.asarray(self.drift(eq))
             if not np.all(np.abs(f_eq) <= 1e-9):
                 raise ValueError(
                     f"drift at equilibrium is not zero: |f| max {np.abs(f_eq).max():g}")
-            if self.diffusion is not None:
-                g_eq = np.asarray(self.diffusion(eq))
-                if g_eq.shape != (1, self.state_dim, self.noise_dim):
-                    raise ValueError(f"diffusion output shape {g_eq.shape} != "
-                                     f"(1, {self.state_dim}, {self.noise_dim})")
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,7 @@ class TrajectoryPath:
     """One sampled path on a recorded time grid.
 
     ``exited_domain`` covers both boundary exits and blow-ups; ``blowup``
-    distinguishes the two.  ``exit_step`` is the full-resolution step index
-    of the first invalid state (recorded states are all valid).
+    distinguishes the two.  Recorded states are all valid.
     """
 
     times: np.ndarray
@@ -180,7 +186,6 @@ class TrajectoryPath:
     seed: int
     exited_domain: bool = False
     blowup: bool = False
-    exit_step: int | None = None
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,6 @@ class TrajectoryEnsemble:
     exit_steps: np.ndarray
     master_seed: int
     dt: float
-    model_label: str = ""
 
     @property
     def n_paths(self) -> int:
@@ -364,9 +368,7 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
     # a constant zero Sigma adds +0.0 and draws nothing (module docstring)
     quiet = constant and not sig.any()
 
-    drift, diffusion, domain_test = (model.drift, model.diffusion,
-                                     model.domain_test)
-    identity_g = diffusion is None
+    drift, G, domain_test = model.drift, model.noise_map, model.domain_test
     next_record = rec_lookup.get
     # Noise is step-major: slab[j] is the contiguous (B, m) block of step j.
     # Each path's chunk is drawn into a path tile (at most _TILE_ELEMS, so
@@ -399,12 +401,9 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
             if quiet:
                 noise = 0.0
             else:
-                w = _times_transpose(slab[j], sig, diag)
-                if identity_g:
-                    noise = w
-                else:
-                    g = np.asarray(diffusion(z))
-                    noise = np.einsum("bnm,bm->bn", g, w)
+                noise = _times_transpose(slab[j], sig, diag)
+                if G is not None:
+                    noise = np.einsum("nm,bm->bn", G, noise)
             z_new = z + drift(z) * dt + noise
             step += 1
 
@@ -446,13 +445,12 @@ def simulate_path(model: DiffusionModel, schedule: CovarianceSchedule,
                   store_every: int = 1) -> TrajectoryPath:
     """Integrate one path; a pure function of its arguments."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _validate_sim_args(model, x0[None], dt, T, store_every)
-    times, states, valid, exited, blowup, exit_steps = _simulate_batch(
+    _validate_sim_args(model, schedule, x0[None], dt, T, store_every)
+    times, states, valid, exited, blowup, _ = _simulate_batch(
         model, schedule, x0[None], dt, T, [seed], store_every)
     c = int(valid[0])
     return TrajectoryPath(times=times[:c], states=states[0, :c], seed=int(seed),
-                          exited_domain=bool(exited[0]), blowup=bool(blowup[0]),
-                          exit_step=int(exit_steps[0]) if exited[0] else None)
+                          exited_domain=bool(exited[0]), blowup=bool(blowup[0]))
 
 
 def simulate_ensemble(model: DiffusionModel, schedule: CovarianceSchedule,
@@ -474,18 +472,23 @@ def simulate_ensemble(model: DiffusionModel, schedule: CovarianceSchedule,
                    if x0.ndim == 1 else x0, dtype=float)
     if x0s.shape != (N, model.state_dim):
         raise ValueError("x0 must be (n,) or (N, n)")
-    _validate_sim_args(model, x0s, dt, T, store_every)
+    _validate_sim_args(model, schedule, x0s, dt, T, store_every)
     seeds = derive_path_seeds(master_seed, first_path, first_path + N)
     times, states, valid, exited, blowup, exit_steps = _simulate_batch(
         model, schedule, x0s, dt, T, seeds, store_every, reducers)
     return TrajectoryEnsemble(times=times, states=states, seeds=seeds,
                               valid_counts=valid, exited=exited, blowup=blowup,
                               exit_steps=exit_steps, master_seed=int(master_seed),
-                              dt=dt, model_label=model.label)
+                              dt=dt)
 
 
-def _validate_sim_args(model, x0s, dt, T, store_every):
+def _validate_sim_args(model, schedule, x0s, dt, T, store_every):
     check_time_grid(dt, T, store_every)
+    m = model.noise_dim
+    shape = np.shape(schedule.sigma(0.0))
+    if shape != (m, m):
+        raise ValueError(f"Sigma shape {shape} != ({m}, {m}), the model's "
+                         "noise_dim x noise_dim")
     if model.domain_test is not None:
         ok = np.asarray(model.domain_test(x0s), dtype=bool)
         if not ok.all():

@@ -20,9 +20,9 @@ from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
                              overdamped_certificate, phi_functions,
                              v2_certificate, v2_size_function, v3_certificate,
                              v3_size_function)
-from nsslab.lyapcert import (check_dissipation, default_state_samples,
-                             default_theta_samples, generator_apply,
-                             self_values)
+from nsslab.lyapcert import (SizeFunction, check_dissipation,
+                             default_state_samples, default_theta_samples,
+                             generator_apply, self_values)
 from nsslab.nssmc import (NssExperiment, PathMeans, fit_decay_envelope,
                           run_experiment, scnss_threshold_scan)
 from nsslab.objectives import (check_nonseparable, estimate_kpl_envelope,
@@ -123,7 +123,7 @@ def test_generator_exact_on_quadratic_and_matches_finite_differences():
     ]
     worst_fd = 0.0
     for V, model, dim in cases:
-        fd = V.without_derivatives()
+        fd = SizeFunction(value=V.value)
         for k in range(20):
             x = rng.standard_normal(dim)
             s = rng.uniform(0.1, 1.0)
@@ -383,7 +383,7 @@ def test_gain_curve_tail_quantiles_and_exceedance():
 def test_blowup_onset_separates_bounded_and_unbounded_gain():
     problem, profile = _scalar_lqr()
     obj = lqr.lqr_objective(problem, profile)
-    model = build_overdamped(OverdampedConfig(objective=obj, K_G=1.0))
+    model = build_overdamped(OverdampedConfig(objective=obj))
     V = objective_size_function(obj)
     sigmas = [0.05, 0.16, 0.5, 1.6, 5.0]  # two decades
     T = 10.0

@@ -378,6 +378,8 @@ class TestSchema:
         # gain-sweep's chi-square oracle divides by sigma^2
         ("gain-sweep", "[problem]\ndiag = 1\n[noise]\nsigmas = 0, 0.2\n",
          "noise", "sigmas"),
+        # ou-sanity's relative error divides by sigma^2 / 2
+        ("ou-sanity", "[noise]\nsigma = 0\n", "noise", "sigma"),
         # T = 30 is on the dt grid, the quiet horizon min(T, 20) is not
         ("gain-sweep", "[problem]\ndiag = 1\n[mc]\ndt = 0.003\nT = 30\n",
          "mc", "T"),
@@ -398,6 +400,14 @@ class TestSchema:
             assert key is None or key in lines[0], lines
             assert captured.out == ""
             assert not out.exists()
+
+    def test_logistic_overdamped_accepts_zero_sigma(self, tmp_path):
+        # its tail check needs no division by sigma
+        cfg = write_config(tmp_path, "logistic-overdamped",
+                           f"[problem]\ndataset = {DEMO_CSV}\n"
+                           "[noise]\nsigma = 0\n[mc]\nN = 10\nT = 1\n")
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 class TestMain:

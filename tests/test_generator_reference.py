@@ -6,8 +6,8 @@ verbatim: the ``SizeFunction`` with one-point derivative callables and its
 finite differences, ``generator_apply`` and the inner loop of
 ``check_dissipation``, and the per-point derivative formulas of the four
 shipped size functions.  Only the deleted ``DiffusionModel.drift_at`` and
-``diffusion_at`` views became the module functions of the same names, and
-V3's phi2 slope and curvature are 0 past the ladder's h_max, where its
+``diffusion_at`` views became the module functions of the same names
+(``diffusion_at`` now reads the model's constant noise map), and V3's phi2 slope and curvature are 0 past the ladder's h_max, where its
 value is flat (the earlier formula kept the slope at the clamped h).
 """
 
@@ -104,9 +104,9 @@ def drift_at(model, x):
 
 
 def diffusion_at(model, x):
-    if model.diffusion is None:
+    if model.noise_map is None:
         return np.eye(model.state_dim)
-    return np.asarray(model.diffusion(np.asarray(x, dtype=float)[None]))[0]
+    return model.noise_map
 
 
 def reference_generator_apply(V, model, xi, Theta) -> float:
@@ -302,7 +302,7 @@ def test_fd_gradient_is_the_reference_fd_gradient(cases):
     for name, V, _, _ in cases:
         dim = 4 if name in ("V2", "V3") else 2
         states = default_state_samples(np.zeros(dim), count=30, seed=6)
-        fd = V.without_derivatives()
+        fd = SizeFunction(value=V.value)
         ref = ReferenceSizeFunction(value=V.value)
         grads = fd.evaluate(states)[1]
         for xi, g in zip(states, grads):
@@ -315,7 +315,7 @@ def test_fd_hessian_near_reference_and_analytic(cases):
     for name, V, _, _ in cases:
         dim = 4 if name in ("V2", "V3") else 2
         states = np.random.default_rng(7).standard_normal((30, dim))
-        H = V.without_derivatives().evaluate(states, hessian=True)[2]
+        H = SizeFunction(value=V.value).evaluate(states, hessian=True)[2]
         H_an = V.evaluate(states, hessian=True)[2]
         ref = ReferenceSizeFunction(value=V.value)
         H_ref = np.array([ref.hessian_at(xi) for xi in states])

@@ -1,12 +1,14 @@
 """Every name a module of the package imports is used in that module,
-every public top-level function and class is used by the package or is
-on an allow-list that says why it stays, and scipy is imported only by
-the runs that call it."""
+every public top-level function and class, and every public method,
+property and class field, is used by the package or is on an allow-list
+that says why it stays, and scipy is imported only by the runs that call
+it."""
 
 import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,34 @@ UNREFERENCED_ALLOWED = {
     "gradient_bound_check": "shared test reference",
 }
 
+# public methods, properties and class fields that no code in the package
+# reads, each with the claim it reports or the code outside the package
+# that reads it
+UNREAD_MEMBERS_ALLOWED = {
+    "ClassEvidenceReport.consistent": "claims (a)-(c): the verdict of "
+                                      "classify_evidence",
+    "AccumulationReport.passed": "claim (c): the verdict of "
+                                 "inss_accumulation_check",
+    "AccumulationReport.integral_gain_final": "claim (c): the integral of "
+                                              "gamma over the horizon",
+    "SetDLevel.level": "claim (e): the level of the recurrence set",
+    "SetDLevel.d1": "claim (e): the scNSS bound on the noise intensity",
+    "PhiLadder.phi1": "the bound |grad J|^2 <= phi1(J - J*) that the "
+                      "acceptance tests check",
+    "LqrPlProfile.Pstar": "P at K*, checked by the LQR tests",
+    "LqrPlProfile.Ystar": "Y at K*, checked by the LQR tests",
+    "GradientBoundReport.holds": "shared test reference",
+    "GradientBoundReport.max_ratio": "shared test reference",
+    "TrajectoryEnsemble.seeds": "the shard and reference tests compare "
+                                "ensembles field by field",
+    "TrajectoryEnsemble.exit_steps": "the shard and reference tests compare "
+                                     "ensembles field by field",
+    "TrajectoryEnsemble.blowup": "read by perfbench",
+    "TrajectoryPath.blowup": "read by perfbench",
+    "TrajectoryPath.exited_domain": "read by perfbench",
+    "TrajectoryPath.seed": "read by perfbench",
+}
+
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by import statements that no expression reads."""
@@ -48,29 +78,59 @@ def unused_imports(source: str) -> list[str]:
     return sorted(bound - read)
 
 
+def _reads(node, name_of) -> Counter:
+    """How often ``name_of`` (ast node -> name or None) names each name
+    in the tree under ``node``."""
+    return Counter(filter(None, map(name_of, ast.walk(node))))
+
+
+def _name_or_attribute(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _attribute_load(node):
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    return None
+
+
 def unreferenced_definitions(sources: list[str]) -> list[str]:
     """Public top-level functions and classes whose name no code reads
     outside their own definition, as a bare name or as an attribute."""
     trees = [ast.parse(s) for s in sources]
-    defs = [node for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    total = sum((_reads(t, _name_or_attribute) for t in trees), Counter())
+    return sorted(d.name for tree in trees for d in tree.body
+                  if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                  and not d.name.startswith("_")
+                  and total[d.name] == _reads(d, _name_or_attribute)[d.name])
 
-    def names_read(tree, skip):
-        out, stack = set(), [tree]
-        while stack:
-            node = stack.pop()
-            if node is skip:
+
+def unread_members(sources: list[str]) -> list[str]:
+    """Public methods, properties and annotated class fields, as
+    ``Class.name``, whose name no code reads as an attribute outside
+    their own definition.  Setting a field, by keyword or assignment, is
+    not a read."""
+    trees = [ast.parse(s) for s in sources]
+    total = sum((_reads(t, _attribute_load) for t in trees), Counter())
+    found = []
+    for cls in (c for t in trees for c in ast.walk(t)
+                if isinstance(c, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif (isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)):
+                name = node.target.id
+            else:
                 continue
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            stack.extend(ast.iter_child_nodes(node))
-        return out
-
-    return sorted(d.name for d in defs
-                  if not any(d.name in names_read(t, d) for t in trees))
+            if (not name.startswith("_")
+                    and total[name] == _reads(node, _attribute_load)[name]):
+                found.append(f"{cls.name}.{name}")
+    return sorted(found)
 
 
 def test_scan_sees_unused_and_used_names():
@@ -89,6 +149,15 @@ def test_definition_scan_sees_reads_across_modules_only():
     assert unreferenced_definitions([a, b]) == ["caller", "recursive"]
 
 
+def test_member_scan_sees_attribute_reads_only():
+    a = ("class Report:\n    read: int\n    stored: int\n    _own: int\n"
+         "    def again(self):\n        return self.again()\n"
+         "    @property\n    def shown(self):\n        return self.read\n")
+    b = ("def caller(r):\n    r.stored = 1\n"
+         "    return Report(read=1, stored=2).shown\n")
+    assert unread_members([a, b]) == ["Report.again", "Report.stored"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
@@ -101,6 +170,13 @@ def test_public_api_is_used_or_allowed():
     assert sorted(set(found) - set(UNREFERENCED_ALLOWED)) == []
     # an entry whose function is gone or now used has no reason to stay
     assert sorted(set(UNREFERENCED_ALLOWED) - set(found)) == []
+
+
+def test_public_members_are_read_or_allowed():
+    found = unread_members(
+        [p.read_text() for p in sorted(PACKAGE.glob("*.py"))])
+    assert sorted(set(found) - set(UNREAD_MEMBERS_ALLOWED)) == []
+    assert sorted(set(UNREAD_MEMBERS_ALLOWED) - set(found)) == []
 
 
 def modules_after(statements: str, package: str = "scipy"

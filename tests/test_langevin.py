@@ -15,8 +15,9 @@ from nsslab.langevin import (OverdampedConfig, SmoothnessLadder,
                              overdamped_certificate, phi_functions,
                              v2_certificate, v2_size_function, v3_certificate,
                              v3_size_function)
-from nsslab.lyapcert import (check_dissipation, default_state_samples,
-                             default_theta_samples, generator_apply)
+from nsslab.lyapcert import (SizeFunction, check_dissipation,
+                             default_state_samples, default_theta_samples,
+                             generator_apply)
 from nsslab.objectives import quadratic_objective
 from nsslab.sde import CovarianceSchedule, simulate_path
 
@@ -104,9 +105,8 @@ class TestBuilders:
         drift = model.drift(x[None])[0]
         assert np.allclose(drift[:2], x[2:])
         assert np.allclose(drift[2:], -2.0 * x[:2] - 3.0 * x[2:])
-        g = model.diffusion(x[None])[0]
-        assert np.allclose(g[:2], 0.0)
-        assert np.allclose(g[2:], np.eye(2))
+        assert np.array_equal(model.noise_map,
+                              np.vstack([np.zeros((2, 2)), np.eye(2)]))
 
     def test_constant_mode_needs_lipschitz(self):
         obj = replace(quad(), global_lipschitz=None)
@@ -244,7 +244,7 @@ def scalar_lqr_scheduled():
     obj = lqr.lqr_objective(problem, profile)
     ladder = ladder_from_profile(profile, problem, 20.0)
     cfg = UnderdampedConfig(objective=obj, mode="scheduled",
-                            phi=phi_functions(ladder), K_G=1.0)
+                            phi=phi_functions(ladder))
     return cfg, build_underdamped(cfg)
 
 
@@ -324,7 +324,7 @@ class TestSizeFunctions:
     def test_v2_derivatives_match_fd(self):
         cfg = UnderdampedConfig(objective=quad(), eta=1.0, c=1.0)
         V = v2_size_function(cfg)
-        fd = V.without_derivatives()
+        fd = SizeFunction(value=V.value)
         x = np.array([0.7, -0.4, 0.2, 0.1])
         assert np.max(np.abs(V.gradient_at(x) - fd.gradient_at(x))) <= 1e-4
         assert np.max(np.abs(V.hessian_at(x) - fd.hessian_at(x))) <= 1e-3
@@ -336,7 +336,7 @@ class TestSizeFunctions:
         phi = phi_functions(build_smoothness_ladder(obj, h_max=1000.0))
         V = v3_size_function(UnderdampedConfig(objective=obj,
                                                mode="scheduled", phi=phi))
-        fd = V.without_derivatives()
+        fd = SizeFunction(value=V.value)
         for x in ([0.7, -0.4, 0.2, 0.1], [20.0, 30.0, 0.5, -0.5],
                   [40.0, 30.0, 0.5, -0.5], [-35.0, 38.0, -1.0, 2.0]):
             x = np.array(x)
@@ -362,11 +362,28 @@ class TestCertificates:
         obj = lqr.lqr_objective(problem, profile)
         obj = replace(obj, global_lipschitz=float(
             lqr.smoothness_profile_L3(profile, problem, 10.0)))
-        cfg = OverdampedConfig(objective=obj, K_G=1.0)
+        cfg = OverdampedConfig(objective=obj)
         with pytest.raises(ValueError):
             overdamped_certificate(cfg)
         cert = overdamped_certificate(cfg, cap=2.0)
         assert cert.kind == "scNSS" and cert.d == 2.0
+
+    # gamma(1.0) of the overdamped, V2 and V3 certificates on diag(A), as
+    # K_G = sqrt(n) gave them when K_G was a config field
+    GAMMA_AT_1 = {(2.0,): ("0x1.0000000000000p+0", "0x1.b333333333333p-2",
+                           "0x1.0000000000000p+0"),
+                  (1.0, 3.0): ("0x1.8000000000002p+1", "0x1.c666666666668p-1",
+                               "0x1.0000000000001p+1")}
+
+    @pytest.mark.parametrize("diag", list(GAMMA_AT_1), ids=len)
+    def test_gamma_pinned(self, diag):
+        obj = quadratic_objective(np.diag(diag), np.zeros(len(diag)))
+        ucfg = UnderdampedConfig(objective=obj, eta=1.0, c=1.0)
+        phi = phi_functions(build_smoothness_ladder(obj, h_max=10.0))
+        certs = (overdamped_certificate(OverdampedConfig(objective=obj)),
+                 v2_certificate(ucfg), v3_certificate(ucfg, phi))
+        got = tuple(float(c.gamma(1.0)).hex() for c in certs)
+        assert got == self.GAMMA_AT_1[diag]
 
     def test_v2_quadratic_clean(self):
         cfg = UnderdampedConfig(objective=quad(), eta=1.0, c=1.0)

@@ -193,7 +193,7 @@ class TestThresholdScan:
                              R=np.eye(1))
         profile = solve_riccati(problem, K0=np.array([[2.0]]))
         obj = lqr_objective(problem, profile)
-        model = build_overdamped(OverdampedConfig(objective=obj, K_G=1.0))
+        model = build_overdamped(OverdampedConfig(objective=obj))
         V = objective_size_function(obj)
         schedules = [gain_noise_schedule(np.array([[s]]), 1, T)
                      for s in sigmas]

@@ -79,7 +79,7 @@ def reference_simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule
         sig = np.asarray(schedule.sigma(0.0), dtype=float) * sqdt
         diag = _diagonal(sig)
 
-    identity_g = model.diffusion is None
+    identity_g = model.noise_map is None
     # Noise is step-major: slab[j] is the contiguous (B, m) block of step j.
     # Each path's chunk is drawn into a path tile (at most _TILE_ELEMS, so
     # one path's chunk always fits) and copied transposed into the slab (at
@@ -108,7 +108,7 @@ def reference_simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule
             if identity_g:
                 noise = w
             else:
-                g = np.asarray(model.diffusion(z))
+                g = np.broadcast_to(model.noise_map, (B, n, m))
                 noise = np.einsum("bnm,bm->bn", g, w)
             z_new = z + model.drift(z) * dt + noise
             step += 1
@@ -172,7 +172,7 @@ def reference_simulate_ensemble(model: DiffusionModel, schedule: CovarianceSched
     return TrajectoryEnsemble(times=times, states=states, seeds=seeds,
                               valid_counts=valid, exited=exited, blowup=blowup,
                               exit_steps=exit_steps, master_seed=int(master_seed),
-                              dt=dt, model_label=model.label)
+                              dt=dt)
 
 
 def reference_validate_sim_args(model, x0s, dt, T, store_every):
@@ -296,7 +296,7 @@ def lqr_case(sigmas=(0.05, 0.5, 1.6, 5.0, 50.0), N=131, T=2.0):
     problem = LqrProblem(A=np.eye(1), F=np.eye(1), Q=np.eye(1), R=np.eye(1))
     profile = solve_riccati(problem, K0=np.array([[2.0]]))
     obj = lqr_objective(problem, profile)
-    model = build_overdamped(OverdampedConfig(objective=obj, K_G=1.0))
+    model = build_overdamped(OverdampedConfig(objective=obj))
     V = objective_size_function(obj)
     schedules = [gain_noise_schedule(np.array([[s]]), 1, T) for s in sigmas]
     exp = NssExperiment(dynamics=model, V=V, schedule_family=schedules,

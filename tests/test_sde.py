@@ -1,6 +1,5 @@
 """Unit tests for the diffusion simulator."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -49,6 +48,26 @@ class TestDiffusionModel:
         assert np.allclose(out, -np.sum(x * x, axis=1)
                            + 0.5 * np.sum(skew * skew), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n, m, G, error", [
+        (3, 1, np.ones((2, 1)), r"noise map shape \(2, 1\) != \(3, 1\)"),
+        (3, 1, np.ones(3), r"noise map shape \(3,\) != \(3, 1\)"),
+        (2, 1, [[1.0], [np.nan]], "not finite"),
+        (2, 1, [[np.inf], [0.0]], "not finite"),
+        (2, 1, None, "identity noise map requires")])
+    def test_bad_noise_map_rejected(self, n, m, G, error):
+        with pytest.raises(ValueError, match=error):
+            DiffusionModel(state_dim=n, noise_dim=m, drift=lambda z: -z,
+                           noise_map=G)
+
+    def test_noise_map_is_a_constant_copy(self):
+        G = np.array([[0.0], [1.0]])
+        m = DiffusionModel(state_dim=2, noise_dim=1, drift=lambda z: -z,
+                           noise_map=G)
+        G[1, 0] = 5.0
+        assert m.noise_map.tolist() == [[0.0], [1.0]]
+        with pytest.raises(ValueError):
+            m.noise_map[0, 0] = 1.0
+
 
 class TestCovarianceSchedule:
     def test_constant_factory(self):
@@ -86,6 +105,19 @@ class TestCovarianceSchedule:
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ValueError):
             CovarianceSchedule.constant(np.eye(1), horizon=0.0)
+
+    @pytest.mark.parametrize("n, S", [(2, [[0.5]]), (1, np.eye(2))])
+    def test_sigma_of_the_wrong_shape_rejected(self, n, S):
+        # a 1x1 Sigma would broadcast over a 2-D model as sigma I
+        m = linear_model(n=n)
+        shapes = rf"Sigma shape \({len(S)}, {len(S)}\) != \({n}, {n}\)"
+        for schedule in (CovarianceSchedule.constant(S, 1.0),
+                         CovarianceSchedule(lambda t: (1.0 + t) * np.array(S),
+                                            1.0)):
+            with pytest.raises(ValueError, match=shapes):
+                simulate_path(m, schedule, np.zeros(n), 0.1, 1.0, 0)
+            with pytest.raises(ValueError, match=shapes):
+                simulate_ensemble(m, schedule, np.zeros(n), 0.1, 1.0, 4, 0)
 
     def test_sup_intensity_time_varying(self):
         s = CovarianceSchedule(sigma=lambda t: np.array([[np.sin(t) ** 2]]),
@@ -266,7 +298,7 @@ def reference_simulate_batch(model, schedule, x0s, dt, T, seeds, store_every):
     if schedule.is_constant:
         sig_const = np.asarray(schedule.sigma(0.0), dtype=float) * sqdt
 
-    identity_g = model.diffusion is None
+    identity_g = model.noise_map is None
     chunk = max(64, min(nsteps, (1 << 24) // max(B * m, 1)))
     buf = np.empty((B, chunk, m))
 
@@ -285,7 +317,7 @@ def reference_simulate_batch(model, schedule, x0s, dt, T, seeds, store_every):
             if identity_g:
                 noise = w
             else:
-                g = np.asarray(model.diffusion(z))
+                g = np.broadcast_to(model.noise_map, (B, n, m))
                 noise = np.einsum("bnm,bm->bn", g, w)
             z_new = z + model.drift(z) * dt + noise
             step += 1
@@ -352,14 +384,25 @@ def _case_time_varying():
 
 
 def _case_diffusion_field():
+    # a constant 3x2 noise map under a full 2x2 Sigma
+    G = np.array([[1.0, 0.5], [0.0, -0.3], [0.7, 1.0]])
+    model = DiffusionModel(state_dim=3, noise_dim=2, drift=lambda z: -z,
+                           noise_map=G, equilibrium=np.zeros(3), label="map")
+    S = np.array([[0.5, 0.2], [-0.1, 0.4]])
+    return model, CovarianceSchedule.constant(S, 1.0), [0.3, -0.2, 0.1]
+
+
+def _momentum(noise):
+    # the underdamped shape: noise enters the velocity through a [0; 1] block
     model = DiffusionModel(
-        state_dim=2, noise_dim=2, drift=lambda z: -z,
-        diffusion=lambda z: np.stack(
-            [np.stack([1.0 + 0.5 * np.tanh(z[:, 1]), 0.3 * z[:, 0]], -1),
-             np.stack([np.zeros(len(z)), 1.0 + 0.0 * z[:, 0]], -1)], 1),
-        equilibrium=np.zeros(2), label="field")
-    return model, CovarianceSchedule.constant(np.diag([0.4, 0.6]), 1.0), \
-        [0.3, -0.2]
+        state_dim=2, noise_dim=1,
+        drift=lambda z: np.stack([z[:, 1], -z[:, 0] - z[:, 1]], -1),
+        noise_map=[[0.0], [1.0]], equilibrium=np.zeros(2), label="momentum")
+    return model, CovarianceSchedule.constant([[noise]], 1.0), [0.3, -0.2]
+
+
+def _case_underdamped():
+    return _momentum(0.5)
 
 
 def _case_domain_exit():
@@ -383,14 +426,7 @@ def _case_noise_blowup():
 
 
 def _case_zero_underdamped():
-    # the underdamped shape: noise enters the velocity through a [0; 1] block
-    model = DiffusionModel(
-        state_dim=2, noise_dim=1,
-        drift=lambda z: np.stack([z[:, 1], -z[:, 0] - z[:, 1]], -1),
-        diffusion=lambda z: np.broadcast_to([[0.0], [1.0]], (len(z), 2, 1)),
-        equilibrium=np.zeros(2), label="momentum")
-    return model, CovarianceSchedule.constant(np.zeros((1, 1)), 1.0), \
-        [0.3, -0.2]
+    return _momentum(0.0)
 
 
 def _case_zero_domain_exit():
@@ -432,6 +468,7 @@ REFERENCE_CASES = {"scalar": _case_scalar, "diagonal": _case_diagonal,
                    "diffusion-field": _case_diffusion_field,
                    "domain-exit": _case_domain_exit, "blowup": _case_blowup,
                    "noise-blowup": _case_noise_blowup,
+                   "underdamped": _case_underdamped,
                    "zero-underdamped": _case_zero_underdamped,
                    "zero-domain-exit": _case_zero_domain_exit,
                    "zero-blowup": _case_zero_blowup,
@@ -506,8 +543,8 @@ class TestReferenceIntegrator:
             raise AssertionError("a zero-Sigma run drew noise")
 
         monkeypatch.setattr(np.random, "Philox", refuse)
-        quiet = dataclasses.replace(model, diffusion=refuse, equilibrium=None)
-        got = sde._simulate_batch(quiet, schedule, *args)
+        monkeypatch.setattr(np, "einsum", refuse)
+        got = sde._simulate_batch(model, schedule, *args)
         assert_bitwise(got[1], ref[1])
         assert not np.signbit(got[1][1, 1:]).any()
         for a, b in zip(got, ref):
