@@ -325,23 +325,6 @@ def objective_size_function(obj: Objective) -> SizeFunction:
         label=f"suboptimality[{obj.label}]")
 
 
-def half_norm_squared(center=None) -> SizeFunction:
-    """V(x) = 1/2 |x - center|^2."""
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return x if center is None else x - np.asarray(center, dtype=float)
-
-    def value(x):
-        d = gradient(x)
-        return 0.5 * np.sum(d * d, axis=-1)
-
-    def hessian(x):
-        return np.repeat(np.eye(x.shape[1])[None], len(x), axis=0)
-
-    return SizeFunction(value=value, gradient=gradient, hessian=hessian,
-                        label="half-norm-squared")
-
-
 def _third_derivative_contraction(obj: Objective, z: np.ndarray,
                                   v: np.ndarray) -> np.ndarray:
     """d/dz of (hess J(z) v) per row of (B, n) batches, by central

@@ -412,23 +412,3 @@ def gain_noise_schedule(sigma1, n: int, horizon: float,
             horizon=horizon, is_constant=False)
     mat = np.kron(np.atleast_2d(np.asarray(sigma1, dtype=float)), eye)
     return CovarianceSchedule.constant(mat, horizon)
-
-
-def random_stabilizing_gains(problem: LqrProblem, profile: LqrPlProfile,
-                             count: int, seed: int,
-                             spread: float = 1.0) -> np.ndarray:
-    """Stabilizing gains sampled by Gaussian perturbation of the optimum.
-
-    Rejection-samples until ``count`` gains pass the Hurwitz test.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    out = []
-    tries = 0
-    while len(out) < count:
-        tries += 1
-        if tries > 1000 * count:
-            raise RuntimeError("rejection sampling stalled; lower spread")
-        K = profile.Kstar + spread * rng.standard_normal(profile.Kstar.shape)
-        if hurwitz_mask(_closed_loop(problem, K[None]))[0]:
-            out.append(K)
-    return np.array(out)

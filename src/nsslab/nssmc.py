@@ -28,16 +28,24 @@ ensembles; :func:`fit_decay_envelope` reads a :class:`PathMeans` of V.
 
 A sweep places its work by one rule (:func:`_rounds`).  Each ensemble
 has S = max(1, N // 4096) shards, contiguous path ranges
-[N*i//S, N*(i+1)//S) that depend on N alone.  On K = min(workers, usable
-CPUs, ensembles * S) processes, a round is max(1, K // S) consecutive
-ensembles, whose shards, in (ensemble, shard) order, split into
-min(K, shards in the round) contiguous runs.  The parent runs the first
-run and forked workers the others; each worker sends back its shards'
-exit flags, valid counts and reducer buffers, received in place.  A
-round is dropped once it is reduced, before the next one is built.
-Each shard runs through :func:`sde.simulate_ensemble` with its own path
-range of the ensemble's seed, so the curve is bit-identical for any
-``workers``, even for a drift that is not row-independent.
+[N*i//S, N*(i+1)//S) that depend on N alone.  When S = 1 and every
+schedule of the sweep is constant with a diagonal Sigma
+(:func:`sde.stackable`), E = max(1, 4096 // N) consecutive ensembles form
+a stack, integrated as one batch of E * N rows by one
+:func:`sde.simulate_ensemble` call, so the per-step overhead is paid once
+per stack; otherwise each ensemble is a stack of one.  E depends on N and
+the ensemble count alone.  On K = min(workers, usable CPUs, stacks * S)
+processes, a round is max(1, K // S) consecutive stacks, whose shards, in
+(stack, shard) order, split into min(K, shards in the round) contiguous
+runs.  The parent runs the first run and forked workers the others; each
+worker sends back its shards' exit flags, valid counts and reducer
+buffers, received in place.  A round is dropped once it is reduced,
+before the next one is built.  Each shard runs with its own path range
+of its ensembles' seeds, and each ensemble's reducers read its own rows
+``z[a:b]`` and ``active[a:b]`` of a stack, so the curve is bit-identical
+for any ``workers``, even for a drift that is not row-independent; with
+a row-independent drift and domain test it is also bit-identical to
+running each ensemble alone.
 
 All statistics are pure functions of (experiment, master seed): paths use
 counter-based per-path generators and reductions are deterministic.
@@ -57,11 +65,14 @@ import numpy as np
 from .compfun import ScalarClassFunction
 from .lyapcert import SizeFunction, self_values
 from .sde import (CovarianceSchedule, DiffusionModel, TrajectoryEnsemble,
-                  record_times, simulate_ensemble, sup_noise_intensity)
+                  record_times, simulate_ensemble, stackable,
+                  sup_noise_intensity)
 
 
 MIN_PATHS = 100  # the fewest paths a sweep's probabilistic claims use
-_SHARD_PATHS = 4096  # an ensemble has max(1, N // _SHARD_PATHS) shards
+# an ensemble has max(1, N // _SHARD_PATHS) shards; a stack has up to
+# max(1, _SHARD_PATHS // N) one-shard ensembles
+_SHARD_PATHS = 4096
 
 
 @dataclass(frozen=True)
@@ -236,22 +247,9 @@ class _SweepEnsemble:
         self.valid_counts = np.empty(exp.N, dtype=np.int64)
         self.exited = np.empty(exp.N, dtype=bool)
 
-    def run(self, lo: int, hi: int) -> None:
-        """Integrate paths [lo, hi) into their part of the buffers."""
-        exp = self.exp
-        x0s = np.broadcast_to(exp.x0, (exp.N, exp.dynamics.state_dim))
-        ens = simulate_ensemble(exp.dynamics, exp.schedule_family[self.j],
-                                x0s[lo:hi], exp.dt, exp.T, hi - lo,
-                                exp.master_seed + self.j,
-                                store_every=exp.store_every,
-                                reducers=[r.shard(lo, hi)
-                                          for r in self.reducers],
-                                first_path=lo)
-        self.valid_counts[lo:hi] = ens.valid_counts
-        self.exited[lo:hi] = ens.exited
-
     def buffers(self, lo: int, hi: int) -> list[np.ndarray]:
-        """Every array that ``run(lo, hi)`` fills, in a fixed order."""
+        """Every array that a run of paths [lo, hi) fills, in a fixed
+        order."""
         return [self.valid_counts[lo:hi], self.exited[lo:hi]] + [
             b for r in self.reducers for b in r.shard(lo, hi).buffers()]
 
@@ -267,10 +265,43 @@ class _SweepEnsemble:
                 None if self.exceed is None else self.exceed.fraction())
 
 
+def _run_stack(stack: list[_SweepEnsemble], lo: int, hi: int) -> None:
+    """Integrate paths [lo, hi) of every ensemble of ``stack`` as one
+    batch, ensemble e in rows [e (hi - lo), (e + 1) (hi - lo)), into their
+    part of the ensembles' buffers."""
+    exp, n = stack[0].exp, hi - lo
+    x0s = np.broadcast_to(exp.x0, (exp.N, exp.dynamics.state_dim))
+    ens = simulate_ensemble(
+        exp.dynamics, [exp.schedule_family[e.j] for e in stack], x0s[lo:hi],
+        exp.dt, exp.T, n, [exp.master_seed + e.j for e in stack],
+        store_every=exp.store_every,
+        reducers=[_rows(r.shard(lo, hi), k * n, (k + 1) * n)
+                  for k, e in enumerate(stack) for r in e.reducers],
+        first_path=lo)
+    for k, e in enumerate(stack):
+        e.valid_counts[lo:hi] = ens.valid_counts[k * n:(k + 1) * n]
+        e.exited[lo:hi] = ens.exited[k * n:(k + 1) * n]
+
+
+def _rows(reduce, a: int, b: int):
+    """``reduce`` fed rows [a, b) of every record."""
+    return lambda i, t, z, active: reduce(i, t, z[a:b], active[a:b])
+
+
 def _shard_bounds(N: int) -> list[tuple[int, int]]:
     """The path ranges [lo, hi) of an N-path ensemble's shards."""
     S = max(1, N // _SHARD_PATHS)
     return [(N * i // S, N * (i + 1) // S) for i in range(S)]
+
+
+def _stacks(N: int, n_ensembles: int, can_stack: bool) -> list[range]:
+    """The ensemble indices of each stack: E = max(1, _SHARD_PATHS // N)
+    consecutive ensembles when they have one shard and ``can_stack``,
+    else one ensemble each."""
+    E = (max(1, _SHARD_PATHS // N)
+         if can_stack and len(_shard_bounds(N)) == 1 else 1)
+    return [range(j, min(j + E, n_ensembles))
+            for j in range(0, n_ensembles, E)]
 
 
 def _usable_cpus() -> int:
@@ -278,32 +309,33 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _rounds(n_ensembles: int, shards: list[tuple[int, int]], workers: int):
-    """Where a sweep's shards run: per round, its ensemble indices and its
-    runs, each a list of (ensemble index, lo, hi) that one process
+def _rounds(n_stacks: int, shards: list[tuple[int, int]], workers: int):
+    """Where a sweep's shards run: per round, its stack indices and its
+    runs, each a list of (stack index, lo, hi) that one process
     integrates; the parent takes the first run, forked workers the others.
 
-    With S shards per ensemble and K = min(workers, usable CPUs, ensembles
-    * S) processes, a round is max(1, K // S) consecutive ensembles, and
-    its shards, in (ensemble, shard) order, split into min(K, shards in
-    the round) contiguous runs.
+    With S shards per stack and K = min(workers, usable CPUs, stacks * S)
+    processes, a round is max(1, K // S) consecutive stacks, and its
+    shards, in (stack, shard) order, split into min(K, shards in the
+    round) contiguous runs.
     """
     S = len(shards)
-    K = min(workers, _usable_cpus(), n_ensembles * S)
+    K = min(workers, _usable_cpus(), n_stacks * S)
     size = max(1, K // S)
-    for first in range(0, n_ensembles, size):
-        js = range(first, min(first + size, n_ensembles))
-        tasks = [(j, lo, hi) for j in js for lo, hi in shards]
+    for first in range(0, n_stacks, size):
+        ss = range(first, min(first + size, n_stacks))
+        tasks = [(s, lo, hi) for s in ss for lo, hi in shards]
         P = min(K, len(tasks))
-        yield js, [tasks[len(tasks) * k // P:len(tasks) * (k + 1) // P]
+        yield ss, [tasks[len(tasks) * k // P:len(tasks) * (k + 1) // P]
                    for k in range(P)]
 
 
 def run_experiment(exp: NssExperiment,
                    bounds: Sequence[Callable] | None = None,
                    workers: int = 1) -> GainCurve:
-    """The gain curve of the sweep on up to ``workers`` processes, placed
-    by :func:`_rounds` (the curve does not depend on ``workers``).
+    """The gain curve of the sweep on up to ``workers`` processes, in the
+    stacks of :func:`_stacks`, placed by :func:`_rounds` (the curve does
+    not depend on ``workers``).
 
     Each ensemble keeps only V on the tail window [T/2, T] and its exit
     flags, and is dropped once its round is reduced, before the next
@@ -315,16 +347,19 @@ def run_experiment(exp: NssExperiment,
         raise ValueError("workers must be >= 1")
     if bounds is not None and len(bounds) != len(exp.schedule_family):
         raise ValueError("need one bound per schedule")
+    stacks = _stacks(exp.N, len(exp.schedule_family),
+                     stackable(exp.schedule_family))
     stats = []
-    for js, runs in _rounds(len(exp.schedule_family), _shard_bounds(exp.N),
-                            workers):
-        round_ = {j: _SweepEnsemble(exp, j, None if bounds is None
-                                    else bounds[j]) for j in js}
-        _run_forked(lambda run: [round_[j].run(lo, hi) for j, lo, hi in run],
-                    lambda run: [b for j, lo, hi in run
-                                 for b in round_[j].buffers(lo, hi)],
+    for ss, runs in _rounds(len(stacks), _shard_bounds(exp.N), workers):
+        round_ = {s: [_SweepEnsemble(exp, j, None if bounds is None
+                                     else bounds[j]) for j in stacks[s]]
+                  for s in ss}
+        _run_forked(lambda run: [_run_stack(round_[s], lo, hi)
+                                 for s, lo, hi in run],
+                    lambda run: [b for s, lo, hi in run for e in round_[s]
+                                 for b in e.buffers(lo, hi)],
                     runs)
-        stats += [e.stats() for e in round_.values()]
+        stats += [e.stats() for s in ss for e in round_[s]]
         del round_  # free this round's buffers before the next is built
     quants, blowups, fracs = zip(*stats)
     return GainCurve(intensities=exp.intensities(),

@@ -249,11 +249,6 @@ def logistic_lipschitz_constant(model: LogisticModel) -> float:
     return float(np.linalg.eigvalsh(gram).max()) / (4.0 * model.n_samples)
 
 
-def logistic_gradient_norm_bound(model: LogisticModel) -> float:
-    """Global bound |grad J| <= |X| / sqrt(N); rules out unbounded PL moduli."""
-    return float(np.linalg.norm(model.X, 2)) / np.sqrt(model.n_samples)
-
-
 def fit_theta_star(model: LogisticModel, tol: float = 1e-10,
                    max_iter: int = 2_000_000) -> np.ndarray:
     """Minimizer by explicit-Euler gradient flow with step 1/L.
@@ -421,27 +416,6 @@ def verify_pl(obj: Objective, envelope: PLEnvelope, points,
         if gn < mu_h - tol:
             violations.append((z.copy(), float(gn), mu_h))
     return PLViolationReport(violations=violations, checked=len(points))
-
-
-@dataclass(frozen=True)
-class GradientBoundReport:
-    bound: float
-    max_norm: float
-    max_ratio: float
-
-    @property
-    def holds(self) -> bool:
-        return self.max_norm <= self.bound + 1e-12
-
-
-def gradient_bound_check(model: LogisticModel, thetas) -> GradientBoundReport:
-    """Check the global gradient bound |grad J| <= |X|/sqrt(N) on samples."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    bound = logistic_gradient_norm_bound(model)
-    norms = np.linalg.norm(logistic_gradient(model, thetas), axis=1)
-    max_norm = float(norms.max()) if norms.size else 0.0
-    ratio = max_norm / bound if bound > 0 else (np.inf if max_norm > 0 else 0.0)
-    return GradientBoundReport(bound=bound, max_norm=max_norm, max_ratio=ratio)
 
 
 def load_logistic_csv(path: str) -> LogisticModel:

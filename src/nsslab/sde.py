@@ -16,9 +16,19 @@ chunking, or parallelism.
 An ensemble's paths can run in any contiguous ranges: a call for
 ``first_path = lo`` and N = hi - lo paths integrates paths [lo, hi) of
 the master seed's ensemble, bit for bit as one batch of all paths would
-when the drift is row-independent.  This module runs every call in one
-batch in this process; :mod:`nssmc` splits a sweep's ensembles into
-such ranges and places them on processes.
+when the drift is row-independent.  One call can also integrate a stack:
+E ensembles, given as E schedules and E master seeds, in one batch of
+E * N rows, where block e (rows [e N, (e + 1) N)) is paths [lo, hi) of
+the e-th seed's ensemble under the e-th schedule.  Every schedule of a
+stack must be constant with a diagonal Sigma (:func:`stackable`); their
+diagonals fold into one (E N, m) per-row diagonal, so each noise entry
+is the same single rounded multiply as in a run of its block alone.  A
+block then equals its own run bit for bit when the drift and the domain
+test are row-independent (f of a batch equals f of each row: the
+diagonal quadratic and the scalar LQR drifts are, a dense ``z @ M.T``
+is not).  This module runs every call in one batch in this process;
+:mod:`nssmc` splits a sweep's ensembles into ranges and stacks and
+places them on processes.
 
 The integrator keeps no states of its own.  At every recorded step
 (every ``store_every``-th step and the last, see :func:`record_times`) it
@@ -42,23 +52,28 @@ has left keeps its last valid state.  The domain test sees the whole
 ``z_new`` on every step, so an error it raises, such as the LQR test's
 on a non-finite gain, does not depend on which paths are still active.
 
-Noise is laid out step-major.  The integrator draws a chunk of steps per
-path into a path tile of at most ``_TILE_ELEMS`` doubles (1 MiB) and
-copies each tile, transposed, into one (steps, B, m) slab of at most
-``_SLAB_ELEMS`` doubles (32 MiB), so every step reads a contiguous (B, m)
-block.  A 1x1 or diagonal Sigma multiplies elementwise: ``x * s + 0.0``
-equals the matmul ``x @ S.T`` bit for bit on finite x, because each
-entry of the product is one rounded multiply, and the ``+ 0.0`` is the
-matmul's +0.0 accumulator, which turns a -0.0 product into +0.0.  A
-noise map other than the identity then applies as
-``einsum("nm,bm->bn", G, w)``, which is the per-path product of G with
-each row w bit for bit (``w @ G.T`` is not, for m > 1).
+Noise is laid out step-major.  The integrator draws a chunk of at most
+``_CHUNK_STEPS`` steps per path into a path tile of at most
+``_TILE_ELEMS`` doubles (1 MiB) and copies each tile, transposed, into
+one (steps, B, m) slab of at most ``_SLAB_ELEMS`` doubles (32 MiB), so
+every step reads a contiguous (B, m) block.  A path's stream does not
+depend on how its steps split into chunks.  A 1x1 or diagonal Sigma
+multiplies elementwise: ``x * s + 0.0`` equals the matmul ``x @ S.T``
+bit for bit on finite x, because each entry of the product is one
+rounded multiply, and the ``+ 0.0`` is the matmul's +0.0 accumulator,
+which turns a -0.0 product into +0.0.  A noise map other than the
+identity then applies as ``einsum("nm,bm->bn", G, w)``, which is the
+per-path product of G with each row w bit for bit (``w @ G.T`` is not,
+for m > 1).
 
 A constant Sigma whose entries are all zero (after the sqrt(dt) scaling)
 adds no noise: the integrator builds no generator and draws nothing, and
 each step is ``z + drift(z) dt`` followed by the ``+ 0.0`` that the zero
 increment added.  That is the noisy step bit for bit for every finite
-noise map, because G times a +0.0 increment sums to +0.0.
+noise map, because G times a +0.0 increment sums to +0.0.  A stack
+skips the draws only when every block's Sigma is zero; a zero block
+among noisy ones draws, and its zero diagonal turns each finite draw
+into the same +0.0 increment.
 """
 
 from __future__ import annotations
@@ -72,6 +87,7 @@ import numpy as np
 BLOWUP_LIMIT = 1e12
 _SLAB_ELEMS = 1 << 22  # step-major noise slab, doubles
 _TILE_ELEMS = 1 << 17  # per-chunk path tile, doubles
+_CHUNK_STEPS = 2048  # most steps per chunk; binds only when B * m < 2048
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -130,7 +146,8 @@ class CovarianceSchedule:
 
     Any finite square Sigma is accepted: the covariance Sigma Sigma^T is
     positive semi-definite for every real Sigma.  A time-varying schedule
-    is probed at five times of [0, horizon].
+    is probed at five times of [0, horizon], and every probe must have
+    Sigma(0)'s shape.
     """
 
     sigma: Callable[[float], np.ndarray]
@@ -145,6 +162,11 @@ class CovarianceSchedule:
             s = np.asarray(self.sigma(t), dtype=float)
             if s.ndim != 2 or s.shape[0] != s.shape[1]:
                 raise ValueError(f"sigma({t}) is not square")
+            if t == 0.0:
+                shape = s.shape
+            elif s.shape != shape:
+                raise ValueError(f"sigma({t}) has shape {s.shape}, not "
+                                 f"sigma(0)'s {shape}")
             if not np.isfinite(s).all():
                 raise ValueError(f"sigma({t}) is not finite")
 
@@ -206,7 +228,6 @@ class TrajectoryEnsemble:
     exited: np.ndarray
     blowup: np.ndarray
     exit_steps: np.ndarray
-    master_seed: int
     dt: float
 
     @property
@@ -309,9 +330,24 @@ def _diagonal(S: np.ndarray) -> np.ndarray | None:
     return d.copy() if np.count_nonzero(S) == np.count_nonzero(d) else None
 
 
+def stackable(schedules: Sequence[CovarianceSchedule]) -> bool:
+    """Whether the schedules can share one batch as a stack: each is
+    constant with a diagonal Sigma."""
+    return all(s.is_constant
+               and _diagonal(np.asarray(s.sigma(0.0), dtype=float)) is not None
+               for s in schedules)
+
+
+def _blocks(schedule) -> list[CovarianceSchedule]:
+    """A schedule, or a stack's sequence of them, as a list."""
+    return [schedule] if isinstance(schedule, CovarianceSchedule) \
+        else list(schedule)
+
+
 def _times_transpose(x: np.ndarray, S: np.ndarray,
                      diag: np.ndarray | None) -> np.ndarray:
-    """x @ S.T, with ``diag = _diagonal(S)``.
+    """x @ S.T, with ``diag = _diagonal(S)``; for a stack, ``diag`` holds
+    each row's diagonal, and row k is x[k] @ S_k.T for its block's S_k.
 
     For diagonal S each entry of the matmul is one rounded multiply, so
     ``x * diag + 0.0`` equals it bit for bit on finite x (on any x when S
@@ -331,14 +367,16 @@ def _every(mask: np.ndarray) -> bool:
     return np.count_nonzero(mask) == mask.size
 
 
-def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
-                    x0s: np.ndarray, dt: float, T: float,
-                    seeds: Sequence[int], store_every: int, reducers=None):
+def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
+                    dt: float, T: float, seeds: Sequence[int],
+                    store_every: int, reducers=None):
     """Integrate a batch, feeding ``reducers`` at every recorded step.
 
-    Returns (times, states, valid_counts, exited, blowup, exit_steps);
-    ``states`` is the dense (B, R, n) record when ``reducers`` is None and
-    an empty (B, 0, n) array otherwise.
+    ``schedule`` is one schedule for every row, or a stack's E stackable
+    schedules, the e-th for the e-th of E equal blocks of rows.  Returns
+    (times, states, valid_counts, exited, blowup, exit_steps); ``states``
+    is the dense (B, R, n) record when ``reducers`` is None and an empty
+    (B, 0, n) array otherwise.
     """
     n, m = model.state_dim, model.noise_dim
     B = x0s.shape[0]
@@ -361,8 +399,15 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
         reduce(0, times[0], z, active)
 
     sqdt = math.sqrt(dt)
+    blocks = _blocks(schedule)
+    schedule = blocks[0]
     constant = schedule.is_constant
-    if constant:
+    if len(blocks) > 1:
+        # a stack: each row carries its block's diagonal
+        diag = sig = np.repeat(
+            [_diagonal(np.asarray(s.sigma(0.0), dtype=float) * sqdt)
+             for s in blocks], B // len(blocks), axis=0)
+    elif constant:
         sig = np.asarray(schedule.sigma(0.0), dtype=float) * sqdt
         diag = _diagonal(sig)
     # a constant zero Sigma adds +0.0 and draws nothing (module docstring)
@@ -374,7 +419,7 @@ def _simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule,
     # Each path's chunk is drawn into a path tile (at most _TILE_ELEMS, so
     # one path's chunk always fits) and copied transposed into the slab (at
     # most _SLAB_ELEMS); the tile keeps that copy in cache.
-    chunk = max(64, min(nsteps, _SLAB_ELEMS // max(B * m, 1),
+    chunk = max(64, min(nsteps, _CHUNK_STEPS, _SLAB_ELEMS // max(B * m, 1),
                         _TILE_ELEMS // max(m, 1)))
     P = min(B, max(1, _TILE_ELEMS // max(chunk * m, 1)))
     gens = []
@@ -445,7 +490,7 @@ def simulate_path(model: DiffusionModel, schedule: CovarianceSchedule,
                   store_every: int = 1) -> TrajectoryPath:
     """Integrate one path; a pure function of its arguments."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _validate_sim_args(model, schedule, x0[None], dt, T, store_every)
+    _validate_sim_args(model, [schedule], x0[None], dt, T, store_every)
     times, states, valid, exited, blowup, _ = _simulate_batch(
         model, schedule, x0[None], dt, T, [seed], store_every)
     c = int(valid[0])
@@ -453,42 +498,55 @@ def simulate_path(model: DiffusionModel, schedule: CovarianceSchedule,
                           exited_domain=bool(exited[0]), blowup=bool(blowup[0]))
 
 
-def simulate_ensemble(model: DiffusionModel, schedule: CovarianceSchedule,
-                      x0, dt: float, T: float, N: int, master_seed: int,
-                      store_every: int = 1, reducers=None,
-                      first_path: int = 0) -> TrajectoryEnsemble:
+def simulate_ensemble(model: DiffusionModel, schedule, x0, dt: float,
+                      T: float, N: int, master_seed, store_every: int = 1,
+                      reducers=None, first_path: int = 0
+                      ) -> TrajectoryEnsemble:
     """Integrate paths first_path, ..., first_path + N - 1 of the master
     seed's ensemble in one batch, each with its derived path seed.
 
-    A failed path (domain exit or blow-up) is retained with its exit flag.
-    Without ``reducers`` every recorded state is kept; with them (see the
-    module docstring) the states go only to the reducers, and the
-    ensemble's ``states`` is an empty (N, 0, n) array.
+    With a sequence of E schedules and one of E master seeds the call
+    integrates a stack (see the module docstring): E blocks of those N
+    paths, each from ``x0``, as one batch of E * N rows.  A failed path
+    (domain exit or blow-up) is retained with its exit flag.  Without
+    ``reducers`` every recorded state is kept; with them (see the module
+    docstring) the states go only to the reducers, which see all E * N
+    rows, and the ensemble's ``states`` is an empty (E * N, 0, n) array.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    blocks = _blocks(schedule)
+    masters = [master_seed] if np.ndim(master_seed) == 0 else list(master_seed)
+    if len(masters) != len(blocks):
+        raise ValueError(f"{len(blocks)} schedules but {len(masters)} "
+                         "master seeds")
     x0 = np.asarray(x0, dtype=float)
     x0s = np.array(np.broadcast_to(x0, (N, model.state_dim))
                    if x0.ndim == 1 else x0, dtype=float)
     if x0s.shape != (N, model.state_dim):
         raise ValueError("x0 must be (n,) or (N, n)")
-    _validate_sim_args(model, schedule, x0s, dt, T, store_every)
-    seeds = derive_path_seeds(master_seed, first_path, first_path + N)
+    _validate_sim_args(model, blocks, x0s, dt, T, store_every)
+    seeds = np.concatenate([derive_path_seeds(s, first_path, first_path + N)
+                            for s in masters])
     times, states, valid, exited, blowup, exit_steps = _simulate_batch(
-        model, schedule, x0s, dt, T, seeds, store_every, reducers)
+        model, schedule, np.tile(x0s, (len(blocks), 1)), dt, T, seeds,
+        store_every, reducers)
     return TrajectoryEnsemble(times=times, states=states, seeds=seeds,
                               valid_counts=valid, exited=exited, blowup=blowup,
-                              exit_steps=exit_steps, master_seed=int(master_seed),
-                              dt=dt)
+                              exit_steps=exit_steps, dt=dt)
 
 
-def _validate_sim_args(model, schedule, x0s, dt, T, store_every):
+def _validate_sim_args(model, schedules, x0s, dt, T, store_every):
     check_time_grid(dt, T, store_every)
     m = model.noise_dim
-    shape = np.shape(schedule.sigma(0.0))
-    if shape != (m, m):
-        raise ValueError(f"Sigma shape {shape} != ({m}, {m}), the model's "
-                         "noise_dim x noise_dim")
+    for schedule in schedules:
+        shape = np.shape(schedule.sigma(0.0))
+        if shape != (m, m):
+            raise ValueError(f"Sigma shape {shape} != ({m}, {m}), the "
+                             "model's noise_dim x noise_dim")
+    if len(schedules) > 1 and not stackable(schedules):
+        raise ValueError("a stack needs constant schedules with diagonal "
+                         "Sigma")
     if model.domain_test is not None:
         ok = np.asarray(model.domain_test(x0s), dtype=bool)
         if not ok.all():

@@ -1,0 +1,72 @@
+"""Helpers that several test modules share and no run of the package
+needs: a size function, a sampler of stabilising LQR gains and a check
+of the logistic gradient bound."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from nsslab.lqr import LqrPlProfile, LqrProblem, hurwitz_mask
+from nsslab.lyapcert import SizeFunction
+from nsslab.objectives import LogisticModel, logistic_gradient
+
+
+def half_norm_squared(center=None) -> SizeFunction:
+    """V(x) = 1/2 |x - center|^2."""
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return x if center is None else x - np.asarray(center, dtype=float)
+
+    def value(x):
+        d = gradient(x)
+        return 0.5 * np.sum(d * d, axis=-1)
+
+    def hessian(x):
+        return np.repeat(np.eye(x.shape[1])[None], len(x), axis=0)
+
+    return SizeFunction(value=value, gradient=gradient, hessian=hessian,
+                        label="half-norm-squared")
+
+
+def random_stabilizing_gains(problem: LqrProblem, profile: LqrPlProfile,
+                             count: int, seed: int,
+                             spread: float = 1.0) -> np.ndarray:
+    """Stabilizing gains sampled by Gaussian perturbation of the optimum.
+
+    Rejection-samples until ``count`` gains pass the Hurwitz test.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    out = []
+    tries = 0
+    while len(out) < count:
+        tries += 1
+        if tries > 1000 * count:
+            raise RuntimeError("rejection sampling stalled; lower spread")
+        K = profile.Kstar + spread * rng.standard_normal(profile.Kstar.shape)
+        closed_loop = problem.A[None] - np.einsum("nm,bmk->bnk", problem.F,
+                                                  K[None])
+        if hurwitz_mask(closed_loop)[0]:
+            out.append(K)
+    return np.array(out)
+
+
+@dataclass(frozen=True)
+class GradientBoundReport:
+    bound: float
+    max_norm: float
+    max_ratio: float
+
+    @property
+    def holds(self) -> bool:
+        return self.max_norm <= self.bound + 1e-12
+
+
+def gradient_bound_check(model: LogisticModel, thetas) -> GradientBoundReport:
+    """Check the global gradient bound |grad J| <= |X|/sqrt(N) on samples;
+    the bound rules out unbounded PL moduli."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    bound = float(np.linalg.norm(model.X, 2)) / np.sqrt(model.n_samples)
+    norms = np.linalg.norm(logistic_gradient(model, thetas), axis=1)
+    max_norm = float(norms.max()) if norms.size else 0.0
+    ratio = max_norm / bound if bound > 0 else (np.inf if max_norm > 0 else 0.0)
+    return GradientBoundReport(bound=bound, max_norm=max_norm, max_ratio=ratio)

@@ -15,8 +15,8 @@ from scipy.linalg import expm, solve_continuous_are
 from nsslab import cli, lqr
 from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
                              build_overdamped, build_smoothness_ladder,
-                             build_underdamped, half_norm_squared,
-                             ladder_from_profile, objective_size_function,
+                             build_underdamped, ladder_from_profile,
+                             objective_size_function,
                              overdamped_certificate, phi_functions,
                              v2_certificate, v2_size_function, v3_certificate,
                              v3_size_function)
@@ -26,12 +26,15 @@ from nsslab.lyapcert import (SizeFunction, check_dissipation,
 from nsslab.nssmc import (NssExperiment, PathMeans, fit_decay_envelope,
                           run_experiment, scnss_threshold_scan)
 from nsslab.objectives import (check_nonseparable, estimate_kpl_envelope,
-                               gradient_bound_check, load_logistic_csv,
-                               logistic_hessian, logistic_lipschitz_constant,
+                               load_logistic_csv, logistic_hessian,
+                               logistic_lipschitz_constant,
                                logistic_objective, quadratic_objective,
                                verify_pl, LogisticModel)
 from nsslab.sde import (CovarianceSchedule, record_times, simulate_ensemble,
                         simulate_path)
+
+from helpers import (gradient_bound_check, half_norm_squared,
+                     random_stabilizing_gains)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEMO_CSV = CONFIG_DIR / "logistic_demo.csv"
@@ -222,7 +225,7 @@ def test_lqr_closed_forms_and_gradient():
     for n, m, seed in [(2, 1, 30), (3, 2, 31)]:
         prob = _random_problem(n, m, seed)
         prof = lqr.solve_riccati(prob, K0=_stabilizing_start(prob))
-        gains = lqr.random_stabilizing_gains(prob, prof, 10, seed, spread=0.3)
+        gains = random_stabilizing_gains(prob, prof, 10, seed, spread=0.3)
         ok, _, grads = lqr.batched_gain_stats(prob, gains.reshape(10, -1))
         assert ok.all()
         E = 1e-6 * np.eye(m * n)
@@ -248,7 +251,7 @@ def test_lqr_gradient_dominance_modulus_never_violated():
         problem = _random_problem(n, m, seed)
         profile = lqr.solve_riccati(problem, K0=_stabilizing_start(problem))
         mu5 = lqr.mu5_class_function(profile)
-        gains = lqr.random_stabilizing_gains(problem, profile, 100, seed,
+        gains = random_stabilizing_gains(problem, profile, 100, seed,
                                              spread=0.5)
         ok, costs, grads = lqr.batched_gain_stats(problem,
                                                   gains.reshape(100, -1))
@@ -329,7 +332,7 @@ def test_gradient_growth_ladder_bounds_hold():
         counts[label] = _phi_ladder_violations(phi, ladder, hs, gnorms)
 
     problem, profile = _scalar_lqr()
-    gains = lqr.random_stabilizing_gains(problem, profile, 300, 8, spread=1.0)
+    gains = random_stabilizing_gains(problem, profile, 300, 8, spread=1.0)
     ok, costs, grads = lqr.batched_gain_stats(problem,
                                               gains.reshape(len(gains), -1))
     hs = costs[ok] - profile.J2star
@@ -535,8 +538,9 @@ store_every = 10
 """
 
 
-# 100 paths per ensemble, one shard each: at 2 or more threads whole
-# ensembles run side by side, and the top sigma makes paths exit
+# 100 paths per ensemble, one shard each: the three ensembles form one
+# stack of 300 rows, run in the parent at every thread count, and the
+# top sigma makes paths exit
 LQR_SWEEP_THREADS = """
 [noise]
 sigmas = 0.05, 0.5, 5.0
@@ -576,7 +580,7 @@ def test_thread_count_never_affects_artifacts(tmp_path):
     _report("determinism",
             f"{compared} CSV artifacts byte-identical at 1 and 8 threads "
             f"across all {len(TINY_CONFIGS)} experiments, and at 1, 2 and "
-            f"8 threads for a two-shard gain sweep and a sweep of one-shard "
+            f"8 threads for a two-shard gain sweep and a stack of one-shard "
             f"LQR ensembles")
 
 

@@ -25,6 +25,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DIGESTS = Path(__file__).resolve().with_name("reduced_digests.json")
 # shipped config -> shortened horizon T
 REDUCED = {"lqr_po_overdamped": "1", "lqr_po_underdamped": "3",
+           "quadratic_overdamped": "1",
            "quadratic_underdamped": "5"}
 
 

@@ -22,8 +22,8 @@ from nsslab import lyapcert
 from nsslab.compfun import K, KINF, ScalarClassFunction
 from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
                              build_overdamped, build_smoothness_ladder,
-                             build_underdamped, half_norm_squared,
-                             objective_size_function, phi_functions,
+                             build_underdamped, objective_size_function,
+                             phi_functions,
                              v2_size_function, v3_size_function)
 from nsslab.lyapcert import (DissipationCertificate, NumericalError,
                              SizeFunction, check_dissipation,
@@ -32,6 +32,8 @@ from nsslab.lyapcert import (DissipationCertificate, NumericalError,
 from nsslab.objectives import (load_logistic_csv, logistic_objective,
                                quadratic_objective)
 from nsslab.sde import DiffusionModel
+
+from helpers import half_norm_squared
 
 
 DATASET = Path(__file__).resolve().parent.parent / "configs" / "logistic_demo.csv"

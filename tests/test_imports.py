@@ -19,8 +19,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nsslab"
 CONFIGS = PACKAGE.parent.parent / "configs"
 
 # public API that no other code in the package reads, each with the claim
-# of the paper it implements or "shared test reference"; claim letters
-# follow the README's claims table
+# of the paper it implements; claim letters follow the README's claims
+# table
 UNREFERENCED_ALLOWED = {
     "classify_evidence": "claims (a)-(c): falsifies the declared class of a "
                          "PL modulus, which decides scNSS, NSS or iNSS",
@@ -30,9 +30,6 @@ UNREFERENCED_ALLOWED = {
     "set_D_threshold": "claim (e): the level of the recurrence set",
     "supermartingale_diagnostic": "claim (e): V decreases outside the level",
     "entry_exit_times": "claim (e): entry into and exit from the level",
-    "half_norm_squared": "shared test reference",
-    "random_stabilizing_gains": "shared test reference",
-    "gradient_bound_check": "shared test reference",
 }
 
 # public methods, properties and class fields that no code in the package
@@ -51,8 +48,6 @@ UNREAD_MEMBERS_ALLOWED = {
                       "acceptance tests check",
     "LqrPlProfile.Pstar": "P at K*, checked by the LQR tests",
     "LqrPlProfile.Ystar": "Y at K*, checked by the LQR tests",
-    "GradientBoundReport.holds": "shared test reference",
-    "GradientBoundReport.max_ratio": "shared test reference",
     "TrajectoryEnsemble.seeds": "the shard and reference tests compare "
                                 "ensembles field by field",
     "TrajectoryEnsemble.exit_steps": "the shard and reference tests compare "

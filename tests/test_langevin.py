@@ -10,8 +10,8 @@ from nsslab import lqr
 from nsslab.langevin import (OverdampedConfig, SmoothnessLadder,
                              UnderdampedConfig, _scheduled_terms,
                              build_overdamped, build_smoothness_ladder,
-                             build_underdamped, half_norm_squared,
-                             ladder_from_profile, objective_size_function,
+                             build_underdamped, ladder_from_profile,
+                             objective_size_function,
                              overdamped_certificate, phi_functions,
                              v2_certificate, v2_size_function, v3_certificate,
                              v3_size_function)
@@ -20,6 +20,8 @@ from nsslab.lyapcert import (SizeFunction, check_dissipation,
                              generator_apply)
 from nsslab.objectives import quadratic_objective
 from nsslab.sde import CovarianceSchedule, simulate_path
+
+from helpers import half_norm_squared
 
 
 def quad(n=2, lam=1.0):

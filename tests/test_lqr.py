@@ -9,8 +9,10 @@ from nsslab.lqr import (HURWITZ_MARGIN, ConditioningError, LqrPlProfile,
                         LqrProblem, StabilityError, batched_gain_stats,
                         eta_schedule_lqr, gain_noise_schedule, hurwitz_mask,
                         lqr_objective, mu5_class_function,
-                        random_stabilizing_gains, smoothness_profile_L3,
-                        solve_lyapunov, solve_riccati, vec_gain)
+                        smoothness_profile_L3, solve_lyapunov, solve_riccati,
+                        vec_gain)
+
+from helpers import random_stabilizing_gains
 
 
 def mu5(profile: LqrPlProfile, h) -> float | np.ndarray:

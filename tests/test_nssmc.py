@@ -10,7 +10,7 @@ import pytest
 
 from nsslab import nssmc
 from nsslab.langevin import (OverdampedConfig, build_overdamped,
-                             half_norm_squared, objective_size_function)
+                             objective_size_function)
 from nsslab.lqr import (LqrProblem, gain_noise_schedule, lqr_objective,
                         solve_riccati, vec_gain)
 from nsslab.lyapcert import self_values
@@ -23,6 +23,7 @@ from nsslab.compfun import K, ScalarClassFunction
 from nsslab.sde import (CovarianceSchedule, DiffusionModel, record_times,
                         simulate_ensemble)
 
+from helpers import half_norm_squared
 from test_nssmc_reference import (lqr_case, quadratic_case,
                                   reference_exceedance_fraction,
                                   reference_run_experiment)
@@ -233,16 +234,19 @@ def forked_rounds(monkeypatch, cpus=8):
     return calls
 
 
-def placement(N, n_ensembles, workers):
+def placement(N, n_ensembles, workers, can_stack=True):
     """The shard count of each run of each round, after checking that the
-    rounds take every (ensemble, shard) once, in order."""
+    stacks take every ensemble once, in order, and the rounds every
+    (stack, shard) once, in order."""
+    stacks = nssmc._stacks(N, n_ensembles, can_stack)
+    assert [j for stack in stacks for j in stack] == list(range(n_ensembles))
     shards = nssmc._shard_bounds(N)
-    rounds = list(nssmc._rounds(n_ensembles, shards, workers))
+    rounds = list(nssmc._rounds(len(stacks), shards, workers))
     assert [t for _, runs in rounds for run in runs for t in run] == [
-        (j, lo, hi) for j in range(n_ensembles) for lo, hi in shards]
-    for js, runs in rounds:
-        assert [j for run in runs for j, _, _ in run] == [
-            j for j in js for _ in shards]
+        (s, lo, hi) for s in range(len(stacks)) for lo, hi in shards]
+    for ss, runs in rounds:
+        assert [s for run in runs for s, _, _ in run] == [
+            s for s in ss for _ in shards]
     return [[len(run) for run in runs] for _, runs in rounds]
 
 
@@ -261,6 +265,20 @@ def boxed_case(N=2 * 4096 + 3, T=1.0):
     return exp, [lambda v0, t: v0 * np.exp(-t) + 0.3] * 2
 
 
+def dense_case(N=100, T=1.0):
+    # z @ M.T is a matrix product over the whole batch, which need not be
+    # row-independent
+    M = np.array([[1.0, 0.3, 0.0], [0.2, 1.5, 0.1], [0.0, 0.4, 0.8]])
+    exp = NssExperiment(
+        dynamics=DiffusionModel(state_dim=3, noise_dim=3,
+                                drift=lambda z: -(z @ M.T), label="dense"),
+        V=half_norm_squared(),
+        schedule_family=[CovarianceSchedule.constant(s * np.eye(3), T)
+                         for s in (0.1, 0.2, 0.4, 0.8, 1.6)],
+        x0=np.ones(3), N=N, dt=1e-2, T=T, master_seed=4, store_every=5)
+    return exp, [lambda v0, t: v0 * np.exp(-t) + 0.5] * 5
+
+
 class TestShards:
     """Path shards: N = 2 * 4096 + 3 paths run as [0, 4097) and
     [4097, 8195)."""
@@ -277,6 +295,21 @@ class TestShards:
             assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
             sizes = [hi - lo for lo, hi in bounds]
             assert len(bounds) == 1 or min(sizes) >= 4096
+
+    def test_stack_layout_depends_on_n_and_count_alone(self):
+        assert nssmc._stacks(100, 5, True) == [range(5)]
+        assert nssmc._stacks(2_000, 3, True) == [range(2), range(2, 3)]
+        # two shards, or schedules that cannot stack: one ensemble each
+        for N, J, can_stack in ((10_000, 3, True), (100, 5, False)):
+            assert nssmc._stacks(N, J, can_stack) == [
+                range(j, j + 1) for j in range(J)]
+        for N in (100, 131, 1_000, 2_048, 2_049, 4_095, 4_096, 8_192):
+            for J in (1, 3, 50):
+                stacks = nssmc._stacks(N, J, True)
+                E = 1 if N >= 8_192 else max(1, 4096 // N)
+                assert [len(s) for s in stacks] == [
+                    min(E, J - j) for j in range(0, J, E)]
+                assert E == 1 or E * N <= 4096
 
     def test_process_count_capped_by_cpus_and_shards(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
@@ -315,44 +348,83 @@ class TestShards:
 
 class TestSweepRounds:
     def test_round_size_rule(self, monkeypatch):
-        # (N, ensembles, workers, CPUs) -> the shard count of each run of
-        # each round, with S shards per ensemble on K processes
+        # (N, ensembles, workers, CPUs) -> the ensemble count of each
+        # stack, and the shard count of each run of each round, with S
+        # shards per stack on K processes
         table = {
             # S >= K: one ensemble per round, its shards split K ways
-            (10_000, 3, 2, 2): [[1, 1]] * 3,  # gain_sweep
-            (12_288, 2, 2, 8): [[1, 2]] * 2,
-            (12_288, 4, 3, 8): [[1, 1, 1]] * 4,
-            # S = 1: K whole ensembles per round
-            (100, 5, 2, 2): [[1, 1], [1, 1], [1]],  # lqr_po_overdamped
-            (2_000, 3, 8, 2): [[1, 1], [1]],  # quadratic_overdamped
+            (10_000, 3, 2, 2): ([1, 1, 1], [[1, 1]] * 3),  # gain_sweep
+            (12_288, 2, 2, 8): ([1, 1], [[1, 2]] * 2),
+            (12_288, 4, 3, 8): ([1] * 4, [[1, 1, 1]] * 4),
+            # S = 1: stacks of 4096 // N ensembles, K stacks per round
+            (100, 5, 2, 2): ([5], [[1]]),  # lqr_po_overdamped
+            (2_000, 3, 8, 2): ([2, 1], [[1, 1]]),  # quadratic_overdamped
+            (2_000, 3, 1, 2): ([2, 1], [[1], [1]]),
+            (1_000, 9, 2, 8): ([4, 4, 1], [[1, 1], [1]]),
+            (1_000, 9, 3, 8): ([4, 4, 1], [[1, 1, 1]]),
+            (1_000, 9, 8, 1): ([4, 4, 1], [[1]] * 3),  # K capped by CPUs
+            (4_096, 5, 3, 8): ([1] * 5, [[1, 1, 1], [1, 1]]),
+            (100, 1, 2, 2): ([1], [[1]]),  # K capped by stacks * S
+            # 1 < S < K: K // S stacks of one per round, a shard each
+            (8_192, 4, 3, 8): ([1] * 4, [[1, 1]] * 4),
+            (8_192, 4, 5, 8): ([1] * 4, [[1, 1, 1, 1]] * 2),
+            (8_192, 3, 8, 8): ([1] * 3, [[1] * 6]),  # K capped by stacks * S
+            (12_288, 3, 7, 8): ([1] * 3, [[1] * 6, [1] * 3]),
+        }
+        for (N, J, workers, cpus), (sizes, want) in table.items():
+            monkeypatch.setattr(nssmc, "_usable_cpus", lambda: cpus)
+            assert [len(s) for s in nssmc._stacks(N, J, True)] == sizes
+            assert placement(N, J, workers) == want, (N, J, workers, cpus)
+        # schedules that cannot stack: K whole ensembles per round
+        unstacked = {
+            (100, 5, 2, 2): [[1, 1], [1, 1], [1]],
+            (2_000, 3, 8, 2): [[1, 1], [1]],
             (100, 5, 3, 8): [[1, 1, 1], [1, 1]],
             (100, 5, 1, 8): [[1]] * 5,
             (100, 5, 8, 1): [[1]] * 5,  # K capped by the CPUs
             (100, 1, 2, 2): [[1]],  # K capped by ensembles * S
-            # 1 < S < K: K // S ensembles per round, a shard per process
-            (8_192, 4, 3, 8): [[1, 1]] * 4,
-            (8_192, 4, 5, 8): [[1, 1, 1, 1]] * 2,
-            (8_192, 3, 8, 8): [[1] * 6],  # K capped by ensembles * S
-            (12_288, 3, 7, 8): [[1] * 6, [1] * 3],
         }
-        for (N, J, workers, cpus), want in table.items():
+        for (N, J, workers, cpus), want in unstacked.items():
             monkeypatch.setattr(nssmc, "_usable_cpus", lambda: cpus)
-            assert placement(N, J, workers) == want, (N, J, workers, cpus)
+            assert placement(N, J, workers, False) == want, (N, J, workers,
+                                                             cpus)
 
-    @pytest.mark.parametrize("case", ["lqr", "quadratic", "boxed"])
-    def test_curve_does_not_depend_on_workers(self, case, monkeypatch):
+    @pytest.mark.parametrize("case, stack_paths, rounds", [
+        # one stack of all five ensembles, run in the parent
+        pytest.param("lqr", None, {1: [1], 2: [1], 3: [1], 8: [1]},
+                     id="lqr"),
+        # stacks of 2, 2 and 1 ensembles
+        pytest.param("lqr", 262,
+                     {1: [1, 1, 1], 2: [2, 1], 3: [3], 8: [3]},
+                     id="lqr-stacks-of-2"),
+        # E = 1: a stack per ensemble
+        pytest.param("lqr", 131,
+                     {1: [1] * 5, 2: [2, 2, 1], 3: [3, 2], 8: [5]},
+                     id="lqr-unstacked"),
+        pytest.param("quadratic", None, {1: [1], 2: [1], 3: [1], 8: [1]},
+                     id="quadratic"),
+        pytest.param("quadratic", 700, {1: [1, 1], 2: [2], 3: [2], 8: [2]},
+                     id="quadratic-stacks-of-2"),
+        pytest.param("boxed", None, {1: [1, 1], 2: [2, 2], 3: [2, 2],
+                                     8: [4]}, id="boxed"),
+        pytest.param("dense", 200, {1: [1, 1, 1], 2: [2, 1], 3: [3], 8: [3]},
+                     id="dense-stacks-of-2"),
+    ])
+    def test_curve_does_not_depend_on_workers(self, case, stack_paths,
+                                              rounds, monkeypatch):
         # the LQR sweep's top intensities make paths exit; the boxed sweep
-        # has two shards per ensemble, with exits in both; all three carry
-        # exceedance bounds
+        # has two shards per ensemble, with exits in both; the dense
+        # drift is not row-independent; all carry exceedance bounds
+        if stack_paths is not None:
+            monkeypatch.setattr(nssmc, "_SHARD_PATHS", stack_paths)
         if case == "lqr":
             exp, bounds = lqr_case()
-            rounds = {1: [1] * 5, 2: [2, 2, 1], 3: [3, 2], 8: [5]}
         elif case == "quadratic":
             exp, bounds = quadratic_case([1.0], sigmas=(0.1, 0.2, 0.4, 0.8))
-            rounds = {1: [1] * 4, 2: [2, 2], 3: [3, 1], 8: [4]}
-        else:
+        elif case == "boxed":
             exp, bounds = boxed_case()
-            rounds = {1: [1, 1], 2: [2, 2], 3: [2, 2], 8: [4]}
+        else:
+            exp, bounds = dense_case()
         want = run_experiment(exp, bounds)
         if case == "lqr":
             assert want.blowup_fractions[0] == 0.0
@@ -380,7 +452,34 @@ class TestSweepRounds:
                 assert np.array_equal(a, b, equal_nan=True), (name, workers)
             assert multiprocessing.active_children() == []
 
-    def test_failure_in_a_later_ensemble_raises_in_parent(self, monkeypatch):
+    @pytest.mark.parametrize("family", ["diagonal", "full", "time-varying"])
+    def test_only_constant_diagonal_families_stack(self, family,
+                                                   monkeypatch):
+        T = 0.5
+        shape = np.eye(2) if family != "full" else np.array([[1.0, 0.5],
+                                                              [0.0, 1.0]])
+        schedules = [CovarianceSchedule(lambda t, S=s * shape: S, T)
+                     if family == "time-varying"
+                     else CovarianceSchedule.constant(s * shape, T)
+                     for s in (0.1, 0.2, 0.4)]
+        exp = NssExperiment(
+            dynamics=DiffusionModel(state_dim=2, noise_dim=2,
+                                    drift=lambda z: -z),
+            V=half_norm_squared(), schedule_family=schedules,
+            x0=np.ones(2), N=100, dt=1e-2, T=T, master_seed=2,
+            store_every=5)
+        calls = []
+
+        def spy(model, schedule, *args, **kwargs):
+            calls.append(len(schedule))
+            return simulate_ensemble(model, schedule, *args, **kwargs)
+
+        monkeypatch.setattr(nssmc, "simulate_ensemble", spy)
+        run_experiment(exp)
+        assert calls == ([3] if family == "diagonal" else [1, 1, 1])
+
+    def test_failure_in_a_later_ensemble_raises_in_parent(self,
+                                                          monkeypatch):
         def drift(z):
             if (np.abs(z) > 50.0).any():
                 raise FloatingPointError("drift saw a state beyond 50")
@@ -395,18 +494,28 @@ class TestSweepRounds:
             x0=np.zeros(1), N=100, dt=1e-2, T=T, master_seed=3,
             store_every=5)
         calls = forked_rounds(monkeypatch)
-        # the raising fourth ensemble runs in the parent at 1 and 3
-        # workers (rounds [3, 1]), in a forked worker at 2 and 8
-        for workers, rounds in ((1, [1] * 4), (2, [2, 2]), (3, [3, 1]),
-                                (8, [4])):
-            calls.clear()
-            with pytest.raises(FloatingPointError,
-                               match="beyond 50") as info:
-                run_experiment(exp, workers=workers)
-            assert calls == rounds
-            forked = isinstance(info.value.__cause__, RuntimeError)
-            assert forked == (workers in (2, 8))
-            assert multiprocessing.active_children() == []
+        # _SHARD_PATHS -> (rounds per worker count, the worker counts at
+        # which the raising fourth ensemble runs in a forked worker)
+        cases = {
+            # one stack of all four ensembles, run in the parent
+            4096: ({1: [1], 2: [1], 3: [1], 8: [1]}, ()),
+            # stacks of two: the raising stack is the second
+            200: ({1: [1, 1], 2: [2], 3: [2], 8: [2]}, (2, 3, 8)),
+            # E = 1: the raising ensemble runs in the parent at 1 and 3
+            # workers (rounds [3, 1]), in a forked worker at 2 and 8
+            100: ({1: [1] * 4, 2: [2, 2], 3: [3, 1], 8: [4]}, (2, 8)),
+        }
+        for stack_paths, (rounds, forked) in cases.items():
+            monkeypatch.setattr(nssmc, "_SHARD_PATHS", stack_paths)
+            for workers in (1, 2, 3, 8):
+                calls.clear()
+                with pytest.raises(FloatingPointError,
+                                   match="beyond 50") as info:
+                    run_experiment(exp, workers=workers)
+                assert calls == rounds[workers], (stack_paths, workers)
+                in_worker = isinstance(info.value.__cause__, RuntimeError)
+                assert in_worker == (workers in forked)
+                assert multiprocessing.active_children() == []
 
     def test_round_freed_before_next_is_built(self, monkeypatch):
         exp, bounds = quadratic_case([1.0], sigmas=(0.1, 0.2, 0.4, 0.8))
@@ -420,14 +529,18 @@ class TestSweepRounds:
 
         monkeypatch.setattr(nssmc, "_SweepEnsemble", Tracked)
         forked_rounds(monkeypatch)
-        for workers in (1, 2, 3):
-            refs.clear()
-            alive.clear()
-            run_experiment(exp, bounds, workers=workers)
-            # only this round's earlier ensembles are alive
-            assert alive == [list(range(j - j % workers, j))
-                             for j in range(4)]
-            assert all(r() is None for r in refs)
+        for E in (1, 2, 4):  # N = 350: stacks of E ensembles
+            monkeypatch.setattr(nssmc, "_SHARD_PATHS", 350 * E)
+            for workers in (1, 2, 3):
+                refs.clear()
+                alive.clear()
+                run_experiment(exp, bounds, workers=workers)
+                # only this round's earlier ensembles are alive; a round
+                # is min(workers, 4 // E) stacks
+                size = E * min(workers, 4 // E)
+                assert alive == [list(range(j - j % size, j))
+                                 for j in range(4)]
+                assert all(r() is None for r in refs)
 
     def test_workers_below_one_rejected(self):
         exp = make_experiment([0.1, 0.2], T=1.0)

@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from nsslab import cli, sde
+from nsslab import cli, nssmc, sde
 from nsslab.langevin import (OverdampedConfig, build_overdamped,
-                             half_norm_squared, objective_size_function)
+                             objective_size_function)
 from nsslab.lqr import (LqrProblem, gain_noise_schedule, lqr_objective,
                         solve_riccati, vec_gain)
 from nsslab.lyapcert import SizeFunction, self_values
@@ -35,6 +35,7 @@ from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
                         record_times, simulate_ensemble,
                         sup_noise_intensity)
 
+from helpers import half_norm_squared
 from test_sde import reference_path_seed
 
 _SLAB_ELEMS = 1 << 22
@@ -171,8 +172,7 @@ def reference_simulate_ensemble(model: DiffusionModel, schedule: CovarianceSched
         model, schedule, x0s, dt, T, seeds, store_every)
     return TrajectoryEnsemble(times=times, states=states, seeds=seeds,
                               valid_counts=valid, exited=exited, blowup=blowup,
-                              exit_steps=exit_steps, master_seed=int(master_seed),
-                              dt=dt)
+                              exit_steps=exit_steps, dt=dt)
 
 
 def reference_validate_sim_args(model, x0s, dt, T, store_every):
@@ -348,6 +348,11 @@ def dense_pair(exp, j):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_gain_curve_matches_dense_route(case, tiles):
     exp, bounds = CASES[case]()
+    # every case runs as one stack, so its blocks meet the reference's
+    # separate ensembles here
+    family = exp.schedule_family
+    assert nssmc._stacks(exp.N, len(family), sde.stackable(family)) == [
+        range(len(family))]
     ref, ensembles = reference_run_experiment(exp)
     ref_fracs = [reference_exceedance_fraction(e, exp.V, b)
                  for e, b in zip(ensembles, bounds)]

@@ -8,11 +8,12 @@ from scipy.linalg import solve_continuous_are
 from nsslab import lqr, objectives
 from nsslab.objectives import (LogisticModel, check_nonseparable,
                                estimate_kpl_envelope, fit_theta_star,
-                               gradient_bound_check, load_logistic_csv,
-                               logistic_gradient, logistic_hessian,
-                               logistic_lipschitz_constant, logistic_loss,
-                               logistic_objective, quadratic_objective,
-                               verify_pl)
+                               load_logistic_csv, logistic_gradient,
+                               logistic_hessian, logistic_lipschitz_constant,
+                               logistic_loss, logistic_objective,
+                               quadratic_objective, verify_pl)
+
+from helpers import gradient_bound_check, random_stabilizing_gains
 
 
 def demo_model(n=2, N=200, seed=42):
@@ -302,7 +303,7 @@ class TestBatchedOracle:
                                  Q=np.eye(2), R=np.eye(1))
         P = solve_continuous_are(problem.A, problem.F, problem.Q, problem.R)
         profile = lqr.solve_riccati(problem, K0=problem.F.T @ P)
-        gains = lqr.random_stabilizing_gains(problem, profile, 6, 1,
+        gains = random_stabilizing_gains(problem, profile, 6, 1,
                                              spread=0.5)
         obj = lqr.lqr_objective(problem, profile)
         self.assert_matches_per_point(obj, gains.reshape(6, 2))

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from nsslab import lqr, sde
-from nsslab.langevin import (OverdampedConfig, build_overdamped,
-                             half_norm_squared)
+from nsslab.langevin import OverdampedConfig, build_overdamped
 from nsslab.lyapcert import generator_apply
 from nsslab.nssmc import Exceedance, WindowValues
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
                         derive_path_seeds, simulate_ensemble, simulate_path, sup_noise_intensity)
+
+from helpers import half_norm_squared
 
 
 def reference_path_seed(master_seed, k):
@@ -118,6 +119,17 @@ class TestCovarianceSchedule:
                 simulate_path(m, schedule, np.zeros(n), 0.1, 1.0, 0)
             with pytest.raises(ValueError, match=shapes):
                 simulate_ensemble(m, schedule, np.zeros(n), 0.1, 1.0, 4, 0)
+
+    @pytest.mark.parametrize("later", [0.3 * np.eye(2),
+                                       0.3 * np.ones((2, 2))])
+    def test_sigma_that_changes_shape_rejected(self, later):
+        # I_1 before t = 0.5 and a 2x2 Sigma after: on a 1-D model it
+        # would pass the check of Sigma(0) and fail inside numpy mid-run
+        with pytest.raises(ValueError, match=r"sigma\(0\.5\) has shape "
+                                             r"\(2, 2\), not sigma\(0\)'s "
+                                             r"\(1, 1\)"):
+            CovarianceSchedule(lambda t: later if t >= 0.5 else np.eye(1),
+                               horizon=1.0)
 
     def test_sup_intensity_time_varying(self):
         s = CovarianceSchedule(sigma=lambda t: np.array([[np.sin(t) ** 2]]),
@@ -653,3 +665,97 @@ class TestShards:
                               tail.valid_values(valid))
         assert got_exceed.fraction() == exceed.fraction()
 
+
+class TestStacks:
+    """A stack integrates several ensembles as one batch; each block
+    equals its ensemble's own run bit for bit."""
+
+    DT, T, STORE, N = 1e-3, 0.2, 7, 40
+    SIGMAS = (0.0, 0.3, 3.0)
+
+    def _model(self):
+        # the underdamped shape with a velocity box: only the noisiest
+        # block reaches it
+        model, _, _ = _momentum(0.0)
+        return DiffusionModel(state_dim=2, noise_dim=1, drift=model.drift,
+                              noise_map=model.noise_map,
+                              domain_test=lambda z: np.abs(z[:, 1]) < 1.0,
+                              label="boxed-momentum")
+
+    def _x0s(self):
+        # from (-0.0, -0.0) the first step's z + drift(z) dt is -0.0, and
+        # only the + 0.0 of the noise increment makes it +0.0
+        x0s = np.tile([0.3, -0.2], (self.N, 1))
+        x0s[::3] = -0.0
+        return x0s
+
+    @pytest.mark.parametrize("small_chunks", [False, True])
+    def test_blocks_match_separate_runs(self, small_chunks, monkeypatch):
+        if small_chunks:
+            monkeypatch.setattr(sde, "_SLAB_ELEMS", 1)
+            monkeypatch.setattr(sde, "_TILE_ELEMS", 1100)
+        model, x0s = self._model(), self._x0s()
+        schedules = [CovarianceSchedule.constant([[s]], self.T)
+                     for s in self.SIGMAS]
+        seeds = [11, 12, 13]
+        args = (x0s, self.DT, self.T, self.N)
+        stack = simulate_ensemble(model, schedules, *args, seeds,
+                                  store_every=self.STORE, first_path=5)
+        alone = [simulate_ensemble(model, s, *args, seed,
+                                   store_every=self.STORE, first_path=5)
+                 for s, seed in zip(schedules, seeds)]
+        assert stack.states.shape == (3 * self.N, 30, 2)
+        assert np.array_equal(stack.times, alone[0].times)
+        for name in ("states", "seeds", "valid_counts", "exited", "blowup",
+                     "exit_steps"):
+            got = getattr(stack, name)
+            want = np.concatenate([getattr(e, name) for e in alone])
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+            if got.dtype == float:
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the quiet block keeps the +0.0 that its zero increment added
+        assert not np.signbit(stack.states[:self.N:3, 1:]).any()
+        exits = [e.exited.sum() for e in alone]
+        assert exits[0] == exits[1] == 0 and 0 < exits[2] < self.N
+
+    def test_one_block_is_a_plain_call(self):
+        model, x0s = self._model(), self._x0s()
+        s = CovarianceSchedule.constant([[3.0]], self.T)
+        args = (x0s, self.DT, self.T, self.N)
+        a = simulate_ensemble(model, [s], *args, [4], store_every=self.STORE)
+        b = simulate_ensemble(model, s, *args, 4, store_every=self.STORE)
+        for name in ("states", "seeds", "valid_counts", "exited"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_reducers_see_every_row(self):
+        model = linear_model()
+        seen = []
+        schedules = [CovarianceSchedule.constant([[s]], 0.1)
+                     for s in (0.1, 0.2)]
+        ens = simulate_ensemble(model, schedules, np.ones(1), 0.01, 0.1, 6,
+                                [1, 2], reducers=[
+                                    lambda i, t, z, active: seen.append(
+                                        (z.shape, active.shape))])
+        assert ens.states.shape == (12, 0, 1)
+        assert set(seen) == {((12, 1), (12,))}
+
+    @pytest.mark.parametrize("sigmas", [
+        [np.eye(2), [[1.0, 0.1], [0.0, 1.0]]],
+        [np.eye(2), lambda t: (1.0 + t) * np.eye(2)]])
+    def test_stack_needs_constant_diagonal_sigma(self, sigmas):
+        schedules = [CovarianceSchedule(s, 1.0) if callable(s)
+                     else CovarianceSchedule.constant(s, 1.0) for s in sigmas]
+        assert not sde.stackable(schedules)
+        assert sde.stackable(schedules[:1]) == (not callable(sigmas[0]))
+        with pytest.raises(ValueError, match="constant schedules with "
+                                             "diagonal Sigma"):
+            simulate_ensemble(linear_model(n=2), schedules, np.zeros(2), 0.1,
+                              1.0, 4, [0, 1])
+
+    def test_one_seed_per_schedule(self):
+        schedules = [CovarianceSchedule.constant([[s]], 1.0)
+                     for s in (0.1, 0.2)]
+        with pytest.raises(ValueError, match="2 schedules but 1 master"):
+            simulate_ensemble(linear_model(), schedules, np.zeros(1), 0.1,
+                              1.0, 4, 0)
