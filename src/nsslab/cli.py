@@ -371,10 +371,13 @@ def _exp_logistic_overdamped(v, out, seed, workers):
     model = langevin.build_overdamped(langevin.OverdampedConfig(objective=obj))
     V = langevin.objective_size_function(obj)
     schedule = sde.CovarianceSchedule.constant(v.sigma * np.eye(obj.dim), v.T)
+    times = sde.record_times(v.dt, v.T, v.store_every)
+    tail = nssmc.WindowValues(lambda z: lyapcert.self_values(V, z), times,
+                              v.N, v.T / 2.0, v.T)
     ens = sde.simulate_ensemble(model, schedule, obj.minimizer, v.dt, v.T,
-                                v.N, seed, store_every=v.store_every)
-    pooled = nssmc.tail_window_values(ens, V, v.T / 2.0, v.T)
-    q = float(np.quantile(pooled, 0.95))
+                                v.N, seed, store_every=v.store_every,
+                                reducers=[tail])
+    q = float(np.quantile(tail.valid_values(ens.valid_counts), 0.95))
     _csv_table(out / "tail.csv", ["tail_quantile_95"], [[q]])
     lines.append(("noisy-tail-bounded", q < 10.0 * v.sigma**2 + 1e-3,
                   f"0.95 tail quantile of suboptimality {q:.3e}"))
@@ -524,7 +527,12 @@ def run(config_path: str, out_dir: str | None = None,
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(out_dir) if out_dir is not None else Path(v.output) / v.name
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        where = "--out" if out_dir is not None else "[experiment] output"
+        print(f"error: {where} {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     lines = fn(v, out, v.master_seed if seed_override is None
                else seed_override, threads)
     ok = _write_summary(out, lines)

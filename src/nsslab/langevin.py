@@ -317,11 +317,13 @@ def phi_functions(ladder: SmoothnessLadder,
 
 
 def objective_size_function(obj: Objective) -> SizeFunction:
-    """V = J - J* with the objective's own derivatives."""
+    """V = J - J* with the objective's own gradient and Hessian oracles; a
+    missing Hessian is the central difference of :meth:`Objective.evaluate`."""
     return SizeFunction(
         value=lambda z: np.asarray(obj.value(z), dtype=float) - obj.optimum_value,
-        gradient=lambda z: obj.evaluate(z)[1],
-        hessian=lambda z: obj.evaluate(z, hessian=True)[2],
+        gradient=obj.gradient,
+        hessian=obj.hessian if obj.hessian is not None
+        else lambda z: obj.evaluate(z, hessian=True)[2],
         label=f"suboptimality[{obj.label}]")
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .compfun import (K, K_ON_0_D, KINF, PD, BracketError, DomainViolation,
                       ScalarClassFunction, invert, invert_auto)
 from .objectives import _batch_derivatives
-from .sde import DiffusionModel, TrajectoryEnsemble, TrajectoryPath
+from .sde import DiffusionModel, TrajectoryPath
 
 
 class NumericalError(RuntimeError):
@@ -249,62 +249,9 @@ def entry_exit_times(path: TrajectoryPath, V: SizeFunction,
     return intervals
 
 
-_VALUE_BLOCK = 1 << 10  # states per V call in self_values
-
-
 def self_values(V: SizeFunction, states: np.ndarray) -> np.ndarray:
-    """V over an array of states with any leading shape.
-
-    A (paths, records, ..., n) array goes to V in blocks of whole paths,
-    at most ``_VALUE_BLOCK`` states (or one path) per call, so V's
-    temporaries stay bounded however long the paths are.  Blocks never
-    split a path, so a matmul inside V sees the same (records, n)
-    operands as on the whole array and the values are the same bits.
-    """
-    x = np.asarray(states, dtype=float)
-    if x.ndim < 3 or x[..., 0].size <= _VALUE_BLOCK:
-        return np.asarray(V.value(x), dtype=float)
-    per = max(1, _VALUE_BLOCK // x[0, ..., 0].size)
-    return np.concatenate([np.asarray(V.value(x[k:k + per]), dtype=float)
-                           for k in range(0, len(x), per)])
-
-
-@dataclass(frozen=True)
-class SupermartingaleReport:
-    """Mean-drift diagnostic of V along ensemble segments outside the
-    recurrence set.  ``flags`` lists recorded-step indices where the mean
-    of V over outside paths increased by more than two Monte Carlo
-    standard errors; steps with fewer than ``min_population`` outside
-    paths are not tested."""
-
-    times: np.ndarray
-    flags: list
-
-    @property
-    def clean(self) -> bool:
-        return not self.flags
-
-
-def supermartingale_diagnostic(ensemble: TrajectoryEnsemble, V: SizeFunction,
-                               threshold: float,
-                               min_population: int = 10) -> SupermartingaleReport:
-    if ensemble.n_paths < 1:
-        raise ValueError("empty ensemble")
-    vals = self_values(V, ensemble.states)  # (N, R)
-    R = vals.shape[1]
-    # mask out recorded entries at or past each path's exit
-    alive = np.arange(R)[None, :] < ensemble.valid_counts[:, None]
-    flags = []
-    for i in range(R - 1):
-        mask = alive[:, i] & alive[:, i + 1] & (vals[:, i] > threshold)
-        count = int(mask.sum())
-        if count < max(min_population, 1):
-            continue
-        d = vals[mask, i + 1] - vals[mask, i]
-        se = d.std(ddof=1) / np.sqrt(count) if count > 1 else np.inf
-        if d.mean() > 2.0 * se:
-            flags.append(i)
-    return SupermartingaleReport(times=ensemble.times[:-1], flags=flags)
+    """V over an array of states with any leading shape."""
+    return np.asarray(V.value(np.asarray(states, dtype=float)), dtype=float)
 
 
 def certificate_summary(cert: DissipationCertificate) -> str:

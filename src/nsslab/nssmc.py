@@ -6,16 +6,18 @@ exceedance of decay-plus-gain bounds with per-path suprema, brackets the
 practical blow-up onset of small-covariance-stable dynamics, and tests
 integral-gain accumulation bounds.
 
-Every statistic is a reduction over paths, so a sweep keeps no states.
-It declares reducers (:class:`WindowValues`, :class:`PathMeans`,
-:class:`Exceedance`), which :func:`sde.simulate_ensemble` feeds with
-``(record index, t, z, active)`` at every recorded step, and drops each
-ensemble once its round is reduced: memory grows with N times the tail
-window, not with the recorded horizon.  The reducers repeat the dense
-reductions bit for bit.  Their per-record f(z) equals f of the dense
-(N, R, n) array whenever f is row-independent (f of a batch equals f of
-each row, as for the quadratic and LQR size functions, not the logistic
-loss's BLAS matmul); path means are summed path by path, as
+Every statistic is a reduction over paths, so no statistic keeps states.
+A caller declares reducers (:class:`WindowValues`, :class:`PathMeans`,
+:class:`Exceedance`, :class:`Supermartingale`), which
+:func:`sde.simulate_ensemble` feeds with ``(record index, t, z, active)``
+at every recorded step, and a sweep drops each ensemble once its round is
+reduced: memory grows with N times the tail window, not with the
+recorded horizon.  The reducers repeat the reductions of a recorded
+(N, R, n) ensemble, kept in the tests as references, bit for bit.  Their
+per-record f(z) equals f of the dense array whenever f is
+row-independent (f of a batch equals f of each row, as for the quadratic
+and LQR size functions; the logistic loss is a BLAS matmul, whose bits
+the shipped digests pin); path means are summed path by path, as
 ``np.mean(..., axis=0)`` of an (N, R) array is; window values are kept in
 the memory order of the dense window array, so a sum over them adds in
 the same order (quantiles do not depend on the order).
@@ -23,8 +25,8 @@ the same order (quantiles do not depend on the order).
 per path, so they can shard: ``shard(lo, hi)`` is a copy for paths
 [lo, hi) that writes into a view of the original's buffer, and
 ``buffers()`` lists the arrays such a copy fills.
-:func:`exceedance_fraction` and :func:`tail_window_values` take recorded
-ensembles; :func:`fit_decay_envelope` reads a :class:`PathMeans` of V.
+:func:`fit_decay_envelope` reads a :class:`PathMeans` of V and
+:func:`inss_accumulation_check` the :class:`Exceedance` of its sweep.
 
 A sweep places its work by one rule (:func:`_rounds`).  Each ensemble
 has S = max(1, N // 4096) shards, contiguous path ranges
@@ -64,9 +66,8 @@ import numpy as np
 
 from .compfun import ScalarClassFunction
 from .lyapcert import SizeFunction, self_values
-from .sde import (CovarianceSchedule, DiffusionModel, TrajectoryEnsemble,
-                  record_times, simulate_ensemble, stackable,
-                  sup_noise_intensity)
+from .sde import (CovarianceSchedule, DiffusionModel, record_times,
+                  simulate_ensemble, stackable, sup_noise_intensity)
 
 
 MIN_PATHS = 100  # the fewest paths a sweep's probabilistic claims use
@@ -218,16 +219,35 @@ class Exceedance:
         return float(self.exceeded.mean())
 
 
-def tail_window_values(ensemble: TrajectoryEnsemble, V: SizeFunction,
-                       t_lo: float, t_hi: float) -> np.ndarray:
-    """Pooled V values over valid (path, time) pairs in [t_lo, t_hi] of a
-    recorded ensemble, path by path."""
-    idx = np.flatnonzero((ensemble.times >= t_lo) & (ensemble.times <= t_hi))
-    if idx.size == 0:
-        return np.array([])
-    vals = self_values(V, ensemble.states[:, idx])  # (N, W)
-    alive = idx[None, :] < ensemble.valid_counts[:, None]
-    return vals[alive]
+class Supermartingale:
+    """Reducer: the mean-drift test of V outside the recurrence set
+    {V <= threshold} (claim (e)).
+
+    ``flags`` lists each record i at which the mean increment of V to
+    record i + 1, over the paths valid at both records with V above the
+    threshold at i, exceeds two Monte Carlo standard errors; a record with
+    fewer than ``min_population`` such paths is not tested.  It keeps V
+    of the previous record, one entry per path; a path active at i + 1 was
+    active at i, because a path that has left never returns.
+    """
+
+    def __init__(self, V: SizeFunction, threshold: float,
+                 min_population: int = 10):
+        self.V, self.threshold = V, threshold
+        self.min_population = max(min_population, 1)
+        self.flags = []
+
+    def __call__(self, i, t, z, active):
+        v = self_values(self.V, z)
+        if i:
+            mask = active & (self.v > self.threshold)
+            count = int(mask.sum())
+            if count >= self.min_population:
+                d = v[mask] - self.v[mask]
+                se = d.std(ddof=1) / np.sqrt(count) if count > 1 else np.inf
+                if d.mean() > 2.0 * se:
+                    self.flags.append(i - 1)
+        self.v = v
 
 
 class _SweepEnsemble:
@@ -435,25 +455,6 @@ def _byte_pieces(arrays):
             yield from _byte_pieces(list(a))
 
 
-def replay(ensemble: TrajectoryEnsemble, reducers) -> None:
-    """Feed a recorded ensemble's states to reducers, record by record, as
-    the integrator would have."""
-    for i, t in enumerate(ensemble.times):
-        z = np.ascontiguousarray(ensemble.states[:, i])
-        active = i < ensemble.valid_counts
-        for reduce in reducers:
-            reduce(i, t, z, active)
-
-
-def exceedance_fraction(ensemble: TrajectoryEnsemble, V: SizeFunction,
-                        bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                        window: tuple[float, float] | None = None) -> float:
-    """:class:`Exceedance` fraction of a recorded ensemble."""
-    red = Exceedance(V, bound, ensemble.times, ensemble.n_paths, window)
-    replay(ensemble, [red])
-    return red.fraction()
-
-
 @dataclass(frozen=True)
 class DecayFit:
     """Empirical decay surrogate beta(V0, t) = headroom * V0 * exp(-rate*t),
@@ -532,18 +533,21 @@ class AccumulationReport:
         return self.violation_fraction <= self.epsilon
 
 
-def inss_accumulation_check(ensemble: TrajectoryEnsemble, V: SizeFunction,
-                            gamma: ScalarClassFunction,
-                            schedule: CovarianceSchedule,
+def inss_accumulation_check(exp: NssExperiment, gamma: ScalarClassFunction,
                             beta_hat: Callable[[np.ndarray, np.ndarray],
-                                               np.ndarray],
-                            epsilon: float = 0.05) -> AccumulationReport:
-    """Check V(t) <= beta_hat(V0, t) + integral of gamma(intensity) ds.
+                                               np.ndarray]
+                            ) -> AccumulationReport:
+    """Check V(t) <= beta_hat(V0, t) + integral of gamma(intensity) ds on
+    the paths of a one-schedule sweep.
 
     The integral gain is accumulated on the recorded grid by trapezoid;
-    violation is per-path supremum over the whole horizon.
+    violation is the sweep's :class:`Exceedance` fraction, a per-path
+    supremum over the whole horizon, and passes at most ``exp.epsilon``.
     """
-    times = ensemble.times
+    if len(exp.schedule_family) != 1:
+        raise ValueError("the accumulation check takes one schedule")
+    schedule = exp.schedule_family[0]
+    times = record_times(exp.dt, exp.T, exp.store_every)
     inten = np.array([schedule.instantaneous_intensity(t) for t in times])
     g = np.asarray(gamma(inten), dtype=float)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1])
@@ -552,6 +556,7 @@ def inss_accumulation_check(ensemble: TrajectoryEnsemble, V: SizeFunction,
     def bound(v0, t):
         return np.asarray(beta_hat(v0, t)) + np.interp(t, times, integral)
 
-    frac = exceedance_fraction(ensemble, V, bound)
-    return AccumulationReport(violation_fraction=frac, epsilon=epsilon,
+    frac = run_experiment(exp, [bound]).exceedance_fractions[0]
+    return AccumulationReport(violation_fraction=float(frac),
+                              epsilon=exp.epsilon,
                               integral_gain_final=float(integral[-1]))

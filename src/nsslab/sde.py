@@ -37,10 +37,11 @@ declares: callables that read the (B, n) states ``z`` and the (B,)
 ``active`` mask (False once a path has left the domain or blown up; its
 row of ``z`` then holds its last valid state) and must not modify or keep
 them.  :class:`StateRecorder` is the reducer that keeps every state;
-without reducers the ensemble functions use it, so single paths and
-small ensembles still come back as dense arrays, while Monte Carlo
-statistics over large ensembles run in memory that does not grow with
-the horizon.
+without reducers the ensemble functions use it, so a single path comes
+back as a dense array, as does an ensemble that a caller records whole.
+Every Monte Carlo statistic of the package is a reducer of
+:mod:`nssmc` instead, and runs in memory that does not grow with the
+horizon.
 
 Each step proposes ``z_new = z + drift(z) dt + noise`` for every path,
 exited or not, and tests all of it once for magnitude (every component
@@ -229,10 +230,6 @@ class TrajectoryEnsemble:
     blowup: np.ndarray
     exit_steps: np.ndarray
     dt: float
-
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
 
 
 def derive_path_seeds(master_seed: int, lo: int, hi: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Helpers that several test modules share and no run of the package
-needs: a size function, a sampler of stabilising LQR gains and a check
-of the logistic gradient bound."""
+needs: a size function, a sampler of stabilising LQR gains, a check of
+the logistic gradient bound, and a replay of recorded ensembles into
+reducers."""
 
 from dataclasses import dataclass
 
@@ -8,7 +9,9 @@ import numpy as np
 
 from nsslab.lqr import LqrPlProfile, LqrProblem, hurwitz_mask
 from nsslab.lyapcert import SizeFunction
+from nsslab.nssmc import Exceedance
 from nsslab.objectives import LogisticModel, logistic_gradient
+from nsslab.sde import TrajectoryEnsemble
 
 
 def half_norm_squared(center=None) -> SizeFunction:
@@ -70,3 +73,22 @@ def gradient_bound_check(model: LogisticModel, thetas) -> GradientBoundReport:
     max_norm = float(norms.max()) if norms.size else 0.0
     ratio = max_norm / bound if bound > 0 else (np.inf if max_norm > 0 else 0.0)
     return GradientBoundReport(bound=bound, max_norm=max_norm, max_ratio=ratio)
+
+
+def replay(ensemble: TrajectoryEnsemble, reducers) -> None:
+    """Feed a recorded ensemble's states to reducers, record by record, as
+    the integrator would have."""
+    for i, t in enumerate(ensemble.times):
+        z = np.ascontiguousarray(ensemble.states[:, i])
+        active = i < ensemble.valid_counts
+        for reduce in reducers:
+            reduce(i, t, z, active)
+
+
+def replayed_exceedance(ensemble: TrajectoryEnsemble, V: SizeFunction, bound,
+                        window=None) -> float:
+    """The :class:`Exceedance` fraction of a recorded ensemble, its reducer
+    fed by :func:`replay`."""
+    red = Exceedance(V, bound, ensemble.times, len(ensemble.states), window)
+    replay(ensemble, [red])
+    return red.fraction()

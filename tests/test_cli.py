@@ -125,6 +125,18 @@ class TestRun:
         assert err.count("\n") == 1 and "--seed-override" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target, reason", [
+        ("file", "File exists"), ("file/sub", "Not a directory")])
+    def test_unusable_out_exits_2_with_one_line(self, tmp_path, capsys,
+                                                target, reason):
+        cfg = write_config(tmp_path, "quadratic-underdamped", FAST_CONFIG)
+        (tmp_path / "file").write_text("kept\n")
+        out = tmp_path / target
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: {reason}\n", err
+        assert (tmp_path / "file").read_text() == "kept\n"
+
     def test_seed_override_changes_noise_draws(self, tmp_path):
         extra = """
 [noise]

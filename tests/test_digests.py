@@ -24,8 +24,8 @@ from nsslab.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DIGESTS = Path(__file__).resolve().with_name("reduced_digests.json")
 # shipped config -> shortened horizon T
-REDUCED = {"lqr_po_overdamped": "1", "lqr_po_underdamped": "3",
-           "quadratic_overdamped": "1",
+REDUCED = {"logistic_overdamped": "10", "lqr_po_overdamped": "1",
+           "lqr_po_underdamped": "3", "quadratic_overdamped": "1",
            "quadratic_underdamped": "5"}
 
 
@@ -35,6 +35,8 @@ def run_reduced(stem: str, work: Path) -> dict:
     cfg.optionxform = str
     cfg.read(CONFIGS / f"{stem}.ini")
     cfg["mc"]["T"] = REDUCED[stem]
+    if cfg.has_option("problem", "dataset"):  # relative to the config
+        cfg["problem"]["dataset"] = str(CONFIGS / cfg["problem"]["dataset"])
     path = work / f"{stem}.ini"
     with open(path, "w") as fh:
         cfg.write(fh)

@@ -299,6 +299,26 @@ class TestSizeFunctions:
         V = objective_size_function(quad())
         assert abs(V.value_at(np.array([1.0, 1.0])) - 1.0) <= 1e-12
 
+    def test_objective_size_function_calls_each_oracle_once(self):
+        # the gradient and Hessian go straight to the objective's oracles
+        obj = quadratic_objective(np.diag([1.0, 3.0]), np.array([0.5, -1.0]))
+        calls = dict.fromkeys(("value", "gradient", "hessian"), 0)
+
+        def counted(kind, fn):
+            def oracle(z):
+                calls[kind] += 1
+                return fn(z)
+            return oracle
+
+        V = objective_size_function(replace(
+            obj, **{k: counted(k, getattr(obj, k)) for k in calls}))
+        z = np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, 0.0]])
+        values, grads, H = V.evaluate(z, hessian=True)
+        assert calls == {"value": 1, "gradient": 1, "hessian": 1}
+        want = obj.evaluate(z, hessian=True)
+        assert np.array_equal(values, want[0] - obj.optimum_value)
+        assert np.array_equal(grads, want[1]) and np.array_equal(H, want[2])
+
     def test_half_norm_squared_center(self):
         V = half_norm_squared(center=np.array([1.0, 0.0]))
         assert abs(V.value_at(np.array([2.0, 0.0])) - 0.5) <= 1e-12

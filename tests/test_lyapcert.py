@@ -1,24 +1,19 @@
 """Unit tests for generator evaluation and dissipation certificates."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from nsslab import lyapcert
 from nsslab.compfun import (K, K_ON_0_D, KINF, DomainViolation,
                             ScalarClassFunction)
 from nsslab.lyapcert import (AdmissibilityError, DissipationCertificate,
                              SizeFunction, check_dissipation,
                              default_state_samples, default_theta_samples,
                              entry_exit_times, generator_apply,
-                             self_values, set_D_threshold,
-                             supermartingale_diagnostic)
-from nsslab.langevin import objective_size_function
-from nsslab.objectives import load_logistic_csv, logistic_objective
+                             self_values, set_D_threshold)
+from nsslab.nssmc import Supermartingale
 from nsslab.sde import CovarianceSchedule, DiffusionModel, simulate_ensemble
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from test_nssmc_reference import reference_supermartingale_diagnostic
 
 
 def half_square():
@@ -202,22 +197,27 @@ class TestEntryExit:
 
 
 class TestSupermartingale:
-    def test_contracting_ensemble_clean(self):
-        m = linear_model()
+    """The live reducer, checked against the dense diagnostic it replaced
+    on the same recorded paths."""
+
+    def flags(self, m):
         s = CovarianceSchedule.constant(np.array([[0.1]]), horizon=5.0)
-        ens = simulate_ensemble(m, s, np.full(1, 3.0), 1e-2, 5.0, 400, 0,
-                                store_every=10)
-        rep = supermartingale_diagnostic(ens, half_square(), threshold=0.5)
-        assert rep.clean
+        args = (m, s, np.full(1, 3.0), 1e-2, 5.0, 400, 0)
+        red = Supermartingale(half_square(), threshold=0.5)
+        simulate_ensemble(*args, store_every=10, reducers=[red])
+        ens = simulate_ensemble(*args, store_every=10)
+        rep = reference_supermartingale_diagnostic(ens, half_square(),
+                                                   threshold=0.5)
+        assert red.flags == rep.flags
+        return rep
+
+    def test_contracting_ensemble_clean(self):
+        assert self.flags(linear_model()).clean
 
     def test_expanding_drift_flagged(self):
         m = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: 0.5 * z,
                            equilibrium=np.zeros(1), label="unstable")
-        s = CovarianceSchedule.constant(np.array([[0.1]]), horizon=5.0)
-        ens = simulate_ensemble(m, s, np.full(1, 3.0), 1e-2, 5.0, 400, 0,
-                                store_every=10)
-        rep = supermartingale_diagnostic(ens, half_square(), threshold=0.5)
-        assert not rep.clean
+        assert not self.flags(m).clean
 
 
 class TestSamplers:
@@ -236,21 +236,3 @@ class TestSamplers:
         V = half_square()
         states = np.ones((3, 4, 2))
         assert self_values(V, states).shape == (3, 4)
-
-    @pytest.mark.parametrize("shape", [(200, 25, 2), (7, 3, 2), (1000, 2),
-                                       (5, 2), (2,)])
-    def test_self_values_blocks_match_whole_call(self, shape, monkeypatch):
-        # blocks of whole paths, never of time: the logistic loss's matmul
-        # sees each path's (R, n) block as on the whole array; a 2-D
-        # batch, whose one-row blocks would change the matmul, is one call
-        data = load_logistic_csv(str(CONFIG_DIR / "logistic_demo.csv"))
-        obj = logistic_objective(data)
-        V = objective_size_function(obj)
-        x = obj.minimizer + 0.3 * np.random.default_rng(1).standard_normal(
-            shape)
-        whole = np.asarray(V.value(x), dtype=float)
-        for block in (1, 7, 64, 1 << 10):
-            monkeypatch.setattr(lyapcert, "_VALUE_BLOCK", block)
-            got = self_values(V, x)
-            assert got.shape == whole.shape
-            assert np.array_equal(got, whole)

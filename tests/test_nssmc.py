@@ -14,18 +14,18 @@ from nsslab.langevin import (OverdampedConfig, build_overdamped,
 from nsslab.lqr import (LqrProblem, gain_noise_schedule, lqr_objective,
                         solve_riccati, vec_gain)
 from nsslab.lyapcert import self_values
-from nsslab.nssmc import (DecayFit, NssExperiment, PathMeans,
-                          exceedance_fraction, fit_decay_envelope,
-                          inss_accumulation_check, run_experiment,
-                          scnss_threshold_scan, tail_window_values)
+from nsslab.nssmc import (DecayFit, NssExperiment, PathMeans, WindowValues,
+                          fit_decay_envelope, inss_accumulation_check,
+                          run_experiment, scnss_threshold_scan)
 from nsslab.objectives import quadratic_objective
 from nsslab.compfun import K, ScalarClassFunction
 from nsslab.sde import (CovarianceSchedule, DiffusionModel, record_times,
                         simulate_ensemble)
 
-from helpers import half_norm_squared
+from helpers import half_norm_squared, replayed_exceedance
 from test_nssmc_reference import (lqr_case, quadratic_case,
                                   reference_exceedance_fraction,
+                                  reference_inss_accumulation_check,
                                   reference_run_experiment)
 
 
@@ -90,9 +90,11 @@ class TestGainCurve:
     def test_tail_window_pooling(self):
         model, V = scalar_setup()
         s = CovarianceSchedule.constant(np.array([[0.2]]), 10.0)
+        tail = WindowValues(lambda z: self_values(V, z),
+                            record_times(1e-2, 10.0, 5), 100, 5.0, 10.0)
         ens = simulate_ensemble(model, s, np.ones(1), 1e-2, 10.0, 100, 0,
-                                store_every=5)
-        pooled = tail_window_values(ens, V, 5.0, 10.0)
+                                store_every=5, reducers=[tail])
+        pooled = tail.valid_values(ens.valid_counts)
         idx = (ens.times >= 5.0) & (ens.times <= 10.0)
         assert pooled.size == 100 * idx.sum()
 
@@ -124,7 +126,7 @@ class TestExceedance:
         ens = simulate_ensemble(
             model, CovarianceSchedule.constant(np.array([[0.1]]), 5.0),
             np.ones(1), 1e-2, 5.0, 100, 0, store_every=5)
-        frac = exceedance_fraction(ens, V, lambda v0, t: v0 * 0.0 + 100.0)
+        frac = replayed_exceedance(ens, V, lambda v0, t: v0 * 0.0 + 100.0)
         assert frac == 0.0
 
     def test_zero_bound_always_exceeded(self):
@@ -132,7 +134,7 @@ class TestExceedance:
         ens = simulate_ensemble(
             model, CovarianceSchedule.constant(np.array([[0.1]]), 5.0),
             np.ones(1), 1e-2, 5.0, 100, 0, store_every=5)
-        frac = exceedance_fraction(ens, V, lambda v0, t: v0 * 0.0)
+        frac = replayed_exceedance(ens, V, lambda v0, t: v0 * 0.0)
         assert frac == 1.0
 
     @pytest.mark.parametrize("scalar, vector", [
@@ -147,7 +149,7 @@ class TestExceedance:
         ens = simulate_ensemble(
             model, CovarianceSchedule.constant(np.array([[0.3]]), 2.0),
             np.ones(1), 1e-2, 2.0, 60, 0, store_every=5)
-        frac = exceedance_fraction(ens, V, vector)
+        frac = replayed_exceedance(ens, V, vector)
         assert frac == reference_exceedance_fraction(ens, V, scalar)
         assert 0.0 < frac < 1.0
 
@@ -158,7 +160,7 @@ class TestExceedance:
             model, CovarianceSchedule.constant(np.array([[0.3]]), 2.0),
             np.ones(1), 1e-2, 2.0, 60, 0, store_every=5)
         with pytest.raises(TypeError):
-            exceedance_fraction(ens, V,
+            replayed_exceedance(ens, V,
                                 lambda v0, t: v0 * math.exp(-t) + 0.02)
 
     def test_bound_error_propagates(self):
@@ -173,7 +175,7 @@ class TestExceedance:
             return v0 + 1.0
 
         with pytest.raises(ZeroDivisionError):
-            exceedance_fraction(ens, V, broken_on_arrays)
+            replayed_exceedance(ens, V, broken_on_arrays)
 
     def test_calibrated_envelope_small_fraction(self):
         model, V = scalar_setup()
@@ -183,7 +185,7 @@ class TestExceedance:
         ens = simulate_ensemble(
             model, CovarianceSchedule.constant(np.array([[sigma]]), T),
             np.ones(1), 1e-3, T, 500, 0, store_every=10)
-        frac = exceedance_fraction(
+        frac = replayed_exceedance(
             ens, V, lambda v0, t: beta(v0, t) + 10.0 * sigma**2)
         assert frac <= 0.05
 
@@ -556,8 +558,9 @@ class TestAccumulation:
         ramp = CovarianceSchedule(
             sigma=lambda t: np.array([[0.1 * min(t / T, 1.0)]]),
             horizon=T, is_constant=False)
-        ens = simulate_ensemble(model, ramp, np.ones(1), 1e-3, T, 200, 0,
-                                store_every=10)
+        exp = NssExperiment(dynamics=model, V=V, schedule_family=[ramp],
+                            x0=np.ones(1), N=200, dt=1e-3, T=T,
+                            master_seed=0, store_every=10)
         quiet = quiet_mean_v(model, V, np.ones(1), 1e-3, 15.0, 100, 1,
                              store_every=10)
         # extra headroom absorbs transient fluctuations around the decay
@@ -565,6 +568,17 @@ class TestAccumulation:
         gamma = ScalarClassFunction(
             lambda s: 10.0 * np.asarray(s, dtype=float), K,
             description="10 s")
-        rep = inss_accumulation_check(ens, V, gamma, ramp, beta)
+        rep = inss_accumulation_check(exp, gamma, beta)
         assert rep.passed
         assert rep.integral_gain_final > 0.0
+        # the dense route on the same seed: a recorded ensemble's bound
+        ens = simulate_ensemble(model, ramp, np.ones(1), 1e-3, T, 200, 0,
+                                store_every=10)
+        assert rep == reference_inss_accumulation_check(ens, V, gamma, ramp,
+                                                         beta)
+
+    def test_one_schedule_only(self):
+        exp = make_experiment([0.1, 0.2], T=1.0)
+        gamma = ScalarClassFunction(lambda s: np.asarray(s, dtype=float), K)
+        with pytest.raises(ValueError, match="one schedule"):
+            inss_accumulation_check(exp, gamma, lambda v0, t: v0)

@@ -7,12 +7,15 @@ array and returned a transposed (B, R, n) copy, ``simulate_ensemble`` on
 top of it, and the reductions over those dense arrays --
 ``tail_window_values``, ``run_experiment`` (which returned every
 ensemble), ``exceedance_fraction`` (an (N, R) array of V and of the
-bound), ``fit_decay_envelope`` and the ou-sanity moments.  The reducers
-must give the same statistics bit for bit.
+bound), ``fit_decay_envelope``, the ou-sanity moments,
+``inss_accumulation_check`` on a recorded ensemble and the
+``supermartingale_diagnostic`` of claim (e).  The reducers must give the
+same statistics bit for bit.
 """
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -20,22 +23,23 @@ import numpy as np
 import pytest
 
 from nsslab import cli, nssmc, sde
+from nsslab.compfun import ScalarClassFunction
 from nsslab.langevin import (OverdampedConfig, build_overdamped,
                              objective_size_function)
 from nsslab.lqr import (LqrProblem, gain_noise_schedule, lqr_objective,
                         solve_riccati, vec_gain)
 from nsslab.lyapcert import SizeFunction, self_values
-from nsslab.nssmc import (DecayFit, Exceedance, GainCurve, NssExperiment,
-                          PathMeans, WindowValues, exceedance_fraction,
-                          fit_decay_envelope, replay, run_experiment,
-                          tail_window_values)
+from nsslab.nssmc import (AccumulationReport, DecayFit, Exceedance,
+                          GainCurve, NssExperiment, PathMeans,
+                          Supermartingale, WindowValues, fit_decay_envelope,
+                          run_experiment)
 from nsslab.objectives import quadratic_objective
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
                         TrajectoryEnsemble, _diagonal, _times_transpose,
                         record_times, simulate_ensemble,
                         sup_noise_intensity)
 
-from helpers import half_norm_squared
+from helpers import half_norm_squared, replay, replayed_exceedance
 from test_sde import reference_path_seed
 
 _SLAB_ELEMS = 1 << 22
@@ -235,7 +239,7 @@ def reference_exceedance_fraction(ensemble: TrajectoryEnsemble, V: SizeFunction,
     try:
         bmat = np.asarray(bound(v0[:, None], ensemble.times[None, idx]),
                           dtype=float)
-        bmat = np.broadcast_to(bmat, (ensemble.n_paths, idx.size))
+        bmat = np.broadcast_to(bmat, (len(ensemble.states), idx.size))
     except (TypeError, ValueError):  # a scalar-only bound, e.g. math.exp
         bmat = np.array([[bound(float(a), float(ensemble.times[i]))
                           for i in idx] for a in v0])
@@ -259,6 +263,73 @@ def reference_fit_decay_envelope(noiseless: TrajectoryEnsemble, V: SizeFunction,
         raise ValueError(f"no decay detected: fitted rate {rate:g}")
     return DecayFit(rate=float(rate), headroom=headroom)
 
+
+
+def reference_inss_accumulation_check(ensemble: TrajectoryEnsemble,
+                                      V: SizeFunction,
+                                      gamma: ScalarClassFunction,
+                                      schedule: CovarianceSchedule,
+                                      beta_hat: Callable[[np.ndarray,
+                                                          np.ndarray],
+                                                         np.ndarray],
+                                      epsilon: float = 0.05
+                                      ) -> AccumulationReport:
+    """Check V(t) <= beta_hat(V0, t) + integral of gamma(intensity) ds.
+
+    The integral gain is accumulated on the recorded grid by trapezoid;
+    violation is per-path supremum over the whole horizon.
+    """
+    times = ensemble.times
+    inten = np.array([schedule.instantaneous_intensity(t) for t in times])
+    g = np.asarray(gamma(inten), dtype=float)
+    integral = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1])
+                                                * np.diff(times))])
+
+    def bound(v0, t):
+        return np.asarray(beta_hat(v0, t)) + np.interp(t, times, integral)
+
+    frac = reference_exceedance_fraction(ensemble, V, bound)
+    return AccumulationReport(violation_fraction=frac, epsilon=epsilon,
+                              integral_gain_final=float(integral[-1]))
+
+
+@dataclass(frozen=True)
+class ReferenceSupermartingaleReport:
+    """Mean-drift diagnostic of V along ensemble segments outside the
+    recurrence set.  ``flags`` lists recorded-step indices where the mean
+    of V over outside paths increased by more than two Monte Carlo
+    standard errors; steps with fewer than ``min_population`` outside
+    paths are not tested."""
+
+    times: np.ndarray
+    flags: list
+
+    @property
+    def clean(self) -> bool:
+        return not self.flags
+
+
+def reference_supermartingale_diagnostic(
+        ensemble: TrajectoryEnsemble, V: SizeFunction, threshold: float,
+        min_population: int = 10) -> ReferenceSupermartingaleReport:
+    if len(ensemble.states) < 1:
+        raise ValueError("empty ensemble")
+    vals = reference_self_values(V, ensemble.states)  # (N, R)
+    R = vals.shape[1]
+    # mask out recorded entries at or past each path's exit
+    alive = np.arange(R)[None, :] < ensemble.valid_counts[:, None]
+    flags = []
+    for i in range(R - 1):
+        mask = alive[:, i] & alive[:, i + 1] & (vals[:, i] > threshold)
+        count = int(mask.sum())
+        if count < max(min_population, 1):
+            continue
+        d = vals[mask, i + 1] - vals[mask, i]
+        se = d.std(ddof=1) / np.sqrt(count) if count > 1 else np.inf
+        if d.mean() > 2.0 * se:
+            flags.append(i)
+    return ReferenceSupermartingaleReport(times=ensemble.times[:-1],
+                                          flags=flags)
 
 
 def reference_ou_moments(ens, T):
@@ -413,7 +484,7 @@ def test_exceedance_matches_dense_route(case, tiles):
         for (bound, window), red in zip(pairs, live):
             want = reference_exceedance_fraction(ref_ens, exp.V, bound,
                                                  window)
-            assert exceedance_fraction(ens, exp.V, bound, window) == want
+            assert replayed_exceedance(ens, exp.V, bound, window) == want
             assert red.fraction() == want
 
 
@@ -423,20 +494,57 @@ def test_tail_window_values_match_dense_route():
     windows = [(1.0, 2.0), (0.3, 0.9), (5.0, 6.0)]
     for j in range(2):
         ref_ens, ens = dense_pair(exp, j)
-        live = [WindowValues(lambda z: self_values(exp.V, z), times, exp.N,
-                             lo, hi) for lo, hi in windows]
+        live, replayed = [[WindowValues(lambda z: self_values(exp.V, z),
+                                        times, exp.N, lo, hi)
+                           for lo, hi in windows] for _ in range(2)]
         red = simulate_ensemble(exp.dynamics, exp.schedule_family[j],
                                 exp.x0, exp.dt, exp.T, exp.N,
                                 exp.master_seed + j,
                                 store_every=exp.store_every, reducers=live)
-        for (lo, hi), reducer in zip(windows, live):
+        replay(ens, replayed)
+        for (lo, hi), reducer, again in zip(windows, live, replayed):
             want = reference_tail_window_values(ref_ens, exp.V, lo, hi)
-            got = tail_window_values(ens, exp.V, lo, hi)
+            # the replayed window read path by path, as the dense route was
+            alive = again.index[None, :] < ens.valid_counts[:, None]
+            got = again.values.T[alive]
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+            assert np.array_equal(reducer.values, again.values)
             # the same values, record by record instead of path by path
             pooled = reducer.valid_values(red.valid_counts)
             assert np.array_equal(np.sort(pooled), np.sort(want))
+
+
+def expanding_case(N=150, T=3.0):
+    # V grows until paths leave the box |z| < 2: flagged records, and
+    # exits that shrink the outside population over time
+    model = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: 0.5 * z,
+                           domain_test=lambda z: np.abs(z[:, 0]) < 2.0,
+                           label="expanding")
+    return (model, CovarianceSchedule.constant(np.array([[0.3]]), T),
+            np.linspace(-1.0, 1.0, N)[:, None].copy(), 1e-2, T, N, 11)
+
+
+@pytest.mark.parametrize("case", ["lqr", "expanding"])
+def test_supermartingale_matches_dense_route(case):
+    if case == "lqr":
+        exp, _ = lqr_case(sigmas=(5.0,))
+        args = (exp.dynamics, exp.schedule_family[0], exp.x0, exp.dt, exp.T,
+                exp.N, exp.master_seed)
+        V, store = exp.V, exp.store_every
+    else:
+        args, V, store = expanding_case(), half_norm_squared(), 5
+    ens = simulate_ensemble(*args, store_every=store)
+    assert ens.exited.any() and not ens.exited.all()
+    settings = [(th, pop) for th in (0.0, 0.05, 0.5) for pop in (1, 10, 100)]
+    live = [Supermartingale(V, th, pop) for th, pop in settings]
+    simulate_ensemble(*args, store_every=store, reducers=live)
+    flagged = 0
+    for (th, pop), red in zip(settings, live):
+        want = reference_supermartingale_diagnostic(ens, V, th, pop)
+        assert red.flags == want.flags, (th, pop)
+        flagged += len(want.flags)
+    assert flagged > 0
 
 
 def ou_config(N, T, dt, store):
