@@ -11,7 +11,7 @@ ensemble code paths are identical and bit-for-bit reproducible.
 Randomness is counter-based: each path owns a Philox generator keyed by a
 64-bit seed derived from (master_seed, path index), so a path's increments
 are a pure function of its seed and step index, independent of batch size,
-chunking, or parallelism.
+chunking, or parallelism.  A seed outside [0, 2**64) is taken mod 2**64.
 
 An ensemble's paths can run in any contiguous ranges: a call for
 ``first_path = lo`` and N = hi - lo paths integrates paths [lo, hi) of
@@ -54,18 +54,21 @@ has left keeps its last valid state.  The domain test sees the whole
 on a non-finite gain, does not depend on which paths are still active.
 
 Noise is laid out step-major.  The integrator draws a chunk of at most
-``_CHUNK_STEPS`` steps per path into a path tile of at most
+``_CHUNK_STEPS`` (400) steps per path into a path tile of at most
 ``_TILE_ELEMS`` doubles (1 MiB) and copies each tile, transposed, into
 one (steps, B, m) slab of at most ``_SLAB_ELEMS`` doubles (32 MiB), so
 every step reads a contiguous (B, m) block.  A path's stream does not
-depend on how its steps split into chunks.  A 1x1 or diagonal Sigma
-multiplies elementwise: ``x * s + 0.0`` equals the matmul ``x @ S.T``
-bit for bit on finite x, because each entry of the product is one
-rounded multiply, and the ``+ 0.0`` is the matmul's +0.0 accumulator,
-which turns a -0.0 product into +0.0.  A noise map other than the
-identity then applies as ``einsum("nm,bm->bn", G, w)``, which is the
-per-path product of G with each row w bit for bit (``w @ G.T`` is not,
-for m > 1).
+depend on how its steps split into chunks, so the chunk length is a
+free choice: 400 steps keep a 5,000-path slab at 16 MB.  A 1x1 or
+diagonal Sigma multiplies elementwise: ``x * s + 0.0`` equals the
+matmul ``x @ S.T`` bit for bit on finite x, because each entry of the
+product is one rounded multiply, and the ``+ 0.0`` is the matmul's
++0.0 accumulator, which turns a -0.0 product into +0.0.  A constant
+diagonal Sigma, which covers every stack, scales each chunk's slab once
+that way; a time-varying or non-diagonal Sigma multiplies each step's
+block.  A noise map other than the identity then applies as
+``einsum("nm,bm->bn", G, w)``, which is the per-path product of G with
+each row w bit for bit (``w @ G.T`` is not, for m > 1).
 
 A constant Sigma whose entries are all zero (after the sqrt(dt) scaling)
 adds no noise: the integrator builds no generator and draws nothing, and
@@ -88,7 +91,8 @@ import numpy as np
 BLOWUP_LIMIT = 1e12
 _SLAB_ELEMS = 1 << 22  # step-major noise slab, doubles
 _TILE_ELEMS = 1 << 17  # per-chunk path tile, doubles
-_CHUNK_STEPS = 2048  # most steps per chunk; binds only when B * m < 2048
+_CHUNK_STEPS = 400  # most steps per chunk; binds when B * m <= 10,485
+_FLOAT64 = np.dtype(np.float64)  # standard_normal's dtype argument
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -296,6 +300,35 @@ class StateRecorder:
         self.states[:, i] = z
 
 
+class _PathKey:
+    """The seed sequence of a path's Philox: its key is the 64-bit path
+    seed, so ``Philox(_PathKey(s))`` has the state of ``Philox(key=s mod
+    2**64)`` without the OS-entropy ``SeedSequence`` that Philox builds
+    and then discards when it is given a key.  :func:`_normal_draws`
+    registers it as a numpy ``ISeedSequence``."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, seed):
+        self.key = int(seed) & (2**64 - 1)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # Philox asks for its two 64-bit key words
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
+def _normal_draws(seeds) -> list:
+    """The bound ``standard_normal`` of each path's Philox generator.
+
+    numpy.random is imported here, at the first draw, so that
+    ``validate`` and runs that draw nothing do not load it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_PathKey)
+    return [np.random.Generator(np.random.Philox(_PathKey(s))).standard_normal
+            for s in seeds]
+
+
 def check_time_grid(dt: float, T: float, store_every: int = 1) -> None:
     """The integrator's time grid rule: 0 < dt <= T, T a whole number of
     dt steps and store_every >= 1; ValueError naming the value otherwise."""
@@ -343,8 +376,7 @@ def _blocks(schedule) -> list[CovarianceSchedule]:
 
 def _times_transpose(x: np.ndarray, S: np.ndarray,
                      diag: np.ndarray | None) -> np.ndarray:
-    """x @ S.T, with ``diag = _diagonal(S)``; for a stack, ``diag`` holds
-    each row's diagonal, and row k is x[k] @ S_k.T for its block's S_k.
+    """x @ S.T, with ``diag = _diagonal(S)``.
 
     For diagonal S each entry of the matmul is one rounded multiply, so
     ``x * diag + 0.0`` equals it bit for bit on finite x (on any x when S
@@ -419,23 +451,33 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
     chunk = max(64, min(nsteps, _CHUNK_STEPS, _SLAB_ELEMS // max(B * m, 1),
                         _TILE_ELEMS // max(m, 1)))
     P = min(B, max(1, _TILE_ELEMS // max(chunk * m, 1)))
-    gens = []
     if not quiet:
-        gens = [np.random.Generator(np.random.Philox(key=int(s) & (2**64 - 1)))
-                for s in seeds]
+        draws = _normal_draws(seeds)
         slab = np.empty((chunk, B, m))
         tile = np.empty((P, chunk, m))
+    # a constant diagonal Sigma scales each chunk's slab once, with the
+    # x * diag + 0.0 of _times_transpose; any other Sigma scales each step.
+    # The factors are a contiguous (B, m) array, so that each step's block
+    # is one run of B * m products, also for m > 1
+    scaled = constant and diag is not None
+    if scaled:
+        row_diag = np.broadcast_to(diag, (B, m)).copy()
 
     step = 0
     while step < nsteps:
         c = min(chunk, nsteps - step)
         # every path draws, exited or not, so streams stay aligned with
         # per-path runs
-        for k0 in range(0, len(gens), P):
-            k1 = min(B, k0 + P)
-            for k in range(k0, k1):
-                gens[k].standard_normal(out=tile[k - k0, :c])
-            slab[:c, k0:k1] = tile[:k1 - k0, :c].transpose(1, 0, 2)
+        if not quiet:
+            rows = list(tile[:, :c])  # one view per tile row, for every group
+            for k0 in range(0, B, P):
+                k1 = min(B, k0 + P)
+                for draw, row in zip(draws[k0:k1], rows):
+                    draw(None, _FLOAT64, row)  # positional: the cheapest call
+                slab[:c, k0:k1] = tile[:k1 - k0, :c].transpose(1, 0, 2)
+            if scaled:
+                slab[:c] *= row_diag
+                slab[:c] += 0.0
         for j in range(c):
             if not constant:
                 sig = np.asarray(schedule.sigma(step * dt), dtype=float) * sqdt
@@ -443,7 +485,8 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
             if quiet:
                 noise = 0.0
             else:
-                noise = _times_transpose(slab[j], sig, diag)
+                noise = slab[j] if scaled else _times_transpose(
+                    slab[j], sig, diag)
                 if G is not None:
                     noise = np.einsum("nm,bm->bn", G, noise)
             z_new = z + drift(z) * dt + noise

@@ -56,6 +56,8 @@ UNREAD_MEMBERS_ALLOWED = {
     "TrajectoryPath.blowup": "read by perfbench",
     "TrajectoryPath.exited_domain": "read by perfbench",
     "TrajectoryPath.seed": "read by perfbench",
+    "_PathKey.generate_state": "read by numpy's Philox, which takes its key "
+                               "from its seed sequence",
 }
 
 
@@ -205,6 +207,11 @@ def test_probe_sees_scipy():
 def test_integrator_loads_no_multiprocessing():
     # only the sweep in nssmc forks; sde integrates in one process
     assert modules_after("import nsslab.sde", "multiprocessing") == []
+
+
+def test_cli_import_loads_no_numpy_random():
+    # the integrator imports numpy.random at its first draw
+    assert "numpy.random" not in modules_after("import nsslab.cli", "numpy")
 
 
 def test_cli_import_loads_no_scipy():

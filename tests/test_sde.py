@@ -1,6 +1,7 @@
 """Unit tests for the diffusion simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,13 @@ def reference_path_seed(master_seed, k):
     """Path k's seed, straight from numpy's SeedSequence."""
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(k),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _plain(state):
+    """A bit generator's state dict with its arrays as lists."""
+    return {k: _plain(v) if isinstance(v, dict)
+            else v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in state.items()}
 
 
 def linear_model(rate=1.0, n=1):
@@ -172,6 +180,24 @@ class TestDeterminism:
             derive_path_seeds(-1, 0, 4)
         with pytest.raises(ValueError):
             derive_path_seeds(0, 2**32 - 1, 2**32 + 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_path_key_gives_the_keyed_philox(self, seed):
+        got = sde._normal_draws([seed])[0].__self__.bit_generator
+        want = np.random.Philox(key=seed)
+        assert _plain(got.state) == _plain(want.state)
+        assert np.array_equal(np.random.Generator(got).standard_normal(1000),
+                              np.random.Generator(want).standard_normal(1000))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+    def test_path_seed_wraps_to_64_bits(self, seed):
+        m = linear_model()
+        s = CovarianceSchedule.constant(np.array([[0.5]]), horizon=1.0)
+        path = simulate_path(m, s, np.ones(1), 1e-2, 1.0, seed)
+        # the reference keys Philox with seed & (2**64 - 1)
+        ref = reference_simulate_batch(m, s, np.ones((1, 1)), 1e-2, 1.0,
+                                       [seed], 1)
+        assert np.array_equal(path.states, ref[1][0])
 
     def test_single_path_matches_ensemble_member(self):
         m = linear_model()
@@ -612,6 +638,23 @@ class TestDiagonalProduct:
         S[2, 0] = 1e-300
         assert sde._diagonal(S) is None
         assert sde._diagonal(np.zeros((2, 2))) is not None
+
+
+class TestMemory:
+    def test_noise_slab_is_capped_at_400_steps(self):
+        # B = 5,000 paths, m = 1, 1,000 noisy steps: 400-step chunks keep
+        # the step-major slab at 16 MB, where the 32 MiB slab cap alone
+        # allows 838-step chunks (33.5 MB)
+        model = linear_model()
+        s = CovarianceSchedule.constant(np.array([[0.5]]), horizon=1.0)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(model, s, np.zeros(1), 1e-3, 1.0, 5000, 1,
+                              reducers=[lambda i, t, z, active: None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
 
 class TestShards:
