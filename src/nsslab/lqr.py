@@ -398,17 +398,12 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
                      value_and_gradient=value_and_gradient)
 
 
-def gain_noise_schedule(sigma1, n: int, horizon: float,
-                        is_constant: bool = True) -> CovarianceSchedule:
-    """Covariance schedule for matrix Brownian noise Sigma1(t) dW on gains.
+def gain_noise_schedule(sigma1, n: int, horizon: float) -> CovarianceSchedule:
+    """Constant covariance schedule for matrix Brownian noise Sigma1 dW on
+    gains.
 
     Row-major vectorization turns the matrix product Sigma1 W into
     kron(Sigma1, I_n) acting on the mn-dimensional state.
     """
-    eye = np.eye(n)
-    if callable(sigma1):
-        return CovarianceSchedule(
-            sigma=lambda t: np.kron(np.atleast_2d(sigma1(t)), eye),
-            horizon=horizon, is_constant=False)
-    mat = np.kron(np.atleast_2d(np.asarray(sigma1, dtype=float)), eye)
+    mat = np.kron(np.atleast_2d(np.asarray(sigma1, dtype=float)), np.eye(n))
     return CovarianceSchedule.constant(mat, horizon)

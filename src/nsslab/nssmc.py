@@ -26,12 +26,12 @@ per path, so they can shard: ``shard(lo, hi)`` is a copy for paths
 [lo, hi) that writes into a view of the original's buffer, and
 ``buffers()`` lists the arrays such a copy fills.
 :func:`fit_decay_envelope` reads a :class:`PathMeans` of V and
-:func:`inss_accumulation_check` the :class:`Exceedance` of its sweep.
+:func:`inss_accumulation_check` the :class:`Exceedance` of its ensemble.
 
 A sweep places its work by one rule (:func:`_rounds`).  Each ensemble
 has S = max(1, N // 4096) shards, contiguous path ranges
-[N*i//S, N*(i+1)//S) that depend on N alone.  When S = 1 and every
-schedule of the sweep is constant with a diagonal Sigma
+[N*i//S, N*(i+1)//S) that depend on N alone.  When S = 1 and the
+schedules of the sweep share their piece starts, with diagonal pieces
 (:func:`sde.stackable`), E = max(1, 4096 // N) consecutive ensembles form
 a stack, integrated as one batch of E * N rows by one
 :func:`sde.simulate_ensemble` call, so the per-step overhead is paid once
@@ -538,25 +538,30 @@ def inss_accumulation_check(exp: NssExperiment, gamma: ScalarClassFunction,
                                                np.ndarray]
                             ) -> AccumulationReport:
     """Check V(t) <= beta_hat(V0, t) + integral of gamma(intensity) ds on
-    the paths of a one-schedule sweep.
-
-    The integral gain is accumulated on the recorded grid by trapezoid;
-    violation is the sweep's :class:`Exceedance` fraction, a per-path
-    supremum over the whole horizon, and passes at most ``exp.epsilon``.
+    the paths of a one-schedule experiment: at each record time the
+    integral is an exact sum over the schedule's pieces, and violation is
+    the ensemble's :class:`Exceedance` fraction (a per-path supremum over
+    the horizon, its only reducer), which passes at most ``exp.epsilon``.
     """
     if len(exp.schedule_family) != 1:
         raise ValueError("the accumulation check takes one schedule")
     schedule = exp.schedule_family[0]
     times = record_times(exp.dt, exp.T, exp.store_every)
-    inten = np.array([schedule.instantaneous_intensity(t) for t in times])
-    g = np.asarray(gamma(inten), dtype=float)
-    integral = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1])
-                                                * np.diff(times))])
+    g = np.asarray(gamma(schedule.intensities()), dtype=float)
+    # in steps of dt: piece p starts on step s[p], record i is step r[i]
+    s = np.rint(schedule.starts / exp.dt)
+    r = np.rint(times / exp.dt)
+    whole = np.concatenate([[0.0], np.cumsum(g[:-1] * (np.diff(s) * exp.dt))])
+    p = np.searchsorted(s, r, "right") - 1
+    integral = whole[p] + g[p] * ((r - s[p]) * exp.dt)
 
     def bound(v0, t):
         return np.asarray(beta_hat(v0, t)) + np.interp(t, times, integral)
 
-    frac = run_experiment(exp, [bound]).exceedance_fractions[0]
-    return AccumulationReport(violation_fraction=float(frac),
+    exceed = Exceedance(exp.V, bound, times, exp.N)
+    simulate_ensemble(exp.dynamics, schedule, exp.x0, exp.dt, exp.T, exp.N,
+                      exp.master_seed, store_every=exp.store_every,
+                      reducers=[exceed])
+    return AccumulationReport(violation_fraction=exceed.fraction(),
                               epsilon=exp.epsilon,
                               integral_gain_final=float(integral[-1]))

@@ -1,32 +1,35 @@
 """Euler-Maruyama integration of diffusions with additive, time-varying noise.
 
 A model is dz = drift(z) dt + G Sigma(t) dB: a drift, a constant (n, m)
-noise map G and an m x m noise transform Sigma(t).  With additive noise
-Euler-Maruyama coincides with Milstein (Kloeden & Platen 1992, 10.3).
-Model callables (drift, domain test) take arrays with a leading batch
-axis: drift maps (B, n) -> (B, n), domain tests map (B, n) -> (B,)
-booleans.  Single trajectories are batches of one, so the serial and
-ensemble code paths are identical and bit-for-bit reproducible.
+noise map G and an m x m noise transform Sigma(t), held as data that is
+piecewise constant with every piece start on the dt grid
+(:class:`CovarianceSchedule`).  Euler-Maruyama reads Sigma only at the
+step starts k dt and holds it for the step, so that is every Sigma a run
+can see.  With additive noise Euler-Maruyama coincides with Milstein
+(Kloeden & Platen 1992, 10.3).  Model callables (drift, domain test) take
+arrays with a leading batch axis: drift maps (B, n) -> (B, n), domain
+tests map (B, n) -> (B,) booleans.  Single trajectories are batches of
+one, so the serial and ensemble code paths are identical and bit-for-bit
+reproducible.
 
 Randomness is counter-based: each path owns a Philox generator keyed by a
 64-bit seed derived from (master_seed, path index), so a path's increments
 are a pure function of its seed and step index, independent of batch size,
 chunking, or parallelism.  A seed outside [0, 2**64) is taken mod 2**64.
 
-An ensemble's paths can run in any contiguous ranges: a call for
-``first_path = lo`` and N = hi - lo paths integrates paths [lo, hi) of
-the master seed's ensemble, bit for bit as one batch of all paths would
-when the drift is row-independent.  One call can also integrate a stack:
-E ensembles, given as E schedules and E master seeds, in one batch of
-E * N rows, where block e (rows [e N, (e + 1) N)) is paths [lo, hi) of
-the e-th seed's ensemble under the e-th schedule.  Every schedule of a
-stack must be constant with a diagonal Sigma (:func:`stackable`); their
-diagonals fold into one (E N, m) per-row diagonal, so each noise entry
-is the same single rounded multiply as in a run of its block alone.  A
-block then equals its own run bit for bit when the drift and the domain
-test are row-independent (f of a batch equals f of each row: the
-diagonal quadratic and the scalar LQR drifts are, a dense ``z @ M.T``
-is not).  This module runs every call in one batch in this process;
+A call for ``first_path = lo`` and N = hi - lo paths integrates paths
+[lo, hi) of the master seed's ensemble, bit for bit as one batch of all
+paths would when the drift is row-independent (f of a batch equals f of
+each row: the diagonal quadratic and the scalar LQR drifts are, a dense
+``z @ M.T`` is not).  A call with E schedules and E master seeds
+integrates a stack: one batch of E * N rows, block e (rows [e N,
+(e + 1) N)) being paths [lo, hi) of the e-th seed's ensemble under the
+e-th schedule; a single schedule is a stack of one.  The schedules of a
+stack share their piece starts, with diagonal pieces
+(:func:`stackable`), so on each piece their diagonals fold into one
+(E N, m) per-row factor and each noise entry is the same single rounded
+multiply as in a run of its block alone, which a block then equals bit
+for bit when the drift and the domain test are row-independent.
 :mod:`nssmc` splits a sweep's ensembles into ranges and stacks and
 places them on processes.
 
@@ -36,12 +39,9 @@ hands ``(record index, t, z, active)`` to the reducers its caller
 declares: callables that read the (B, n) states ``z`` and the (B,)
 ``active`` mask (False once a path has left the domain or blown up; its
 row of ``z`` then holds its last valid state) and must not modify or keep
-them.  :class:`StateRecorder` is the reducer that keeps every state;
-without reducers the ensemble functions use it, so a single path comes
-back as a dense array, as does an ensemble that a caller records whole.
-Every Monte Carlo statistic of the package is a reducer of
-:mod:`nssmc` instead, and runs in memory that does not grow with the
-horizon.
+them.  :class:`StateRecorder`, which keeps every state, is the default,
+so a single path comes back as a dense array; every Monte Carlo
+statistic of :mod:`nssmc` is a reducer instead.
 
 Each step proposes ``z_new = z + drift(z) dt + noise`` for every path,
 exited or not, and tests all of it once for magnitude (every component
@@ -57,31 +57,28 @@ Noise is laid out step-major.  The integrator draws a chunk of at most
 ``_CHUNK_STEPS`` (400) steps per path into a path tile of at most
 ``_TILE_ELEMS`` doubles (1 MiB) and copies each tile, transposed, into
 one (steps, B, m) slab of at most ``_SLAB_ELEMS`` doubles (32 MiB), so
-every step reads a contiguous (B, m) block.  A path's stream does not
-depend on how its steps split into chunks, so the chunk length is a
-free choice: 400 steps keep a 5,000-path slab at 16 MB.  A 1x1 or
-diagonal Sigma multiplies elementwise: ``x * s + 0.0`` equals the
-matmul ``x @ S.T`` bit for bit on finite x, because each entry of the
-product is one rounded multiply, and the ``+ 0.0`` is the matmul's
-+0.0 accumulator, which turns a -0.0 product into +0.0.  A constant
-diagonal Sigma, which covers every stack, scales each chunk's slab once
-that way; a time-varying or non-diagonal Sigma multiplies each step's
-block.  A noise map other than the identity then applies as
-``einsum("nm,bm->bn", G, w)``, which is the per-path product of G with
-each row w bit for bit (``w @ G.T`` is not, for m > 1).
+every step reads a contiguous (B, m) block; 400 steps keep a 5,000-path
+slab at 16 MB.  The part of a chunk in each piece is then scaled by the
+piece's Sigma.  A diagonal piece scales it at once, with a contiguous
+(B, m) row factor, as ``x * s + 0.0``: that equals the matmul ``x @ S.T``
+bit for bit on finite x, because each entry of the product is one
+rounded multiply, and the ``+ 0.0`` is the matmul's +0.0 accumulator,
+which turns a -0.0 product into +0.0.  Any other piece multiplies each
+step's block.  A noise map other than the identity then applies as
+``einsum("nm,bm->bn", G, w)``, the per-path product of G with each row w
+bit for bit (``w @ G.T`` is not, for m > 1).
 
-A constant Sigma whose entries are all zero (after the sqrt(dt) scaling)
-adds no noise: the integrator builds no generator and draws nothing, and
-each step is ``z + drift(z) dt`` followed by the ``+ 0.0`` that the zero
-increment added.  That is the noisy step bit for bit for every finite
-noise map, because G times a +0.0 increment sums to +0.0.  A stack
-skips the draws only when every block's Sigma is zero; a zero block
-among noisy ones draws, and its zero diagonal turns each finite draw
+A run whose Sigma is zero (after the sqrt(dt) scaling) on every piece it
+reaches draws nothing, and each step is ``z + drift(z) dt`` followed by
+the ``+ 0.0`` that the zero increment added: the noisy step bit for bit
+for every finite noise map, because G times a +0.0 increment sums to
++0.0.  In a run that draws, a zero piece or block turns each finite draw
 into the same +0.0 increment.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -147,57 +144,58 @@ class DiffusionModel:
 
 @dataclass(frozen=True)
 class CovarianceSchedule:
-    """Time-varying noise transform Sigma(t), an m x m matrix per time.
+    """A piecewise-constant noise transform Sigma(t) on [0, horizon).
 
-    Any finite square Sigma is accepted: the covariance Sigma Sigma^T is
-    positive semi-definite for every real Sigma.  A time-varying schedule
-    is probed at five times of [0, horizon], and every probe must have
-    Sigma(0)'s shape.
+    Piece p holds the m x m matrix ``sigmas[p]`` on [starts[p],
+    starts[p + 1]), the last up to ``horizon``; ``starts`` ascends from 0,
+    and a run needs each to be a whole number of its dt steps.  Any finite
+    square Sigma is accepted: Sigma Sigma^T is PSD for every real Sigma.
     """
 
-    sigma: Callable[[float], np.ndarray]
+    starts: np.ndarray
+    sigmas: np.ndarray
     horizon: float
-    is_constant: bool = False
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        probes = [0.0] if self.is_constant else list(np.linspace(0.0, self.horizon, 5))
-        for t in probes:
-            s = np.asarray(self.sigma(t), dtype=float)
-            if s.ndim != 2 or s.shape[0] != s.shape[1]:
-                raise ValueError(f"sigma({t}) is not square")
-            if t == 0.0:
-                shape = s.shape
-            elif s.shape != shape:
-                raise ValueError(f"sigma({t}) has shape {s.shape}, not "
-                                 f"sigma(0)'s {shape}")
-            if not np.isfinite(s).all():
-                raise ValueError(f"sigma({t}) is not finite")
+        starts = np.array(self.starts, dtype=float).reshape(-1)
+        sigmas = np.array(self.sigmas, dtype=float)
+        if sigmas.ndim != 3 or sigmas.shape[1] != sigmas.shape[2] \
+                or len(sigmas) != starts.size or not starts.size:
+            raise ValueError(f"sigmas of shape {sigmas.shape} are not one "
+                             f"square Sigma for each of {starts.size} starts")
+        if starts[0] != 0.0 or not (np.diff(starts) > 0).all() \
+                or not starts[-1] < self.horizon:
+            raise ValueError("piece starts must ascend from 0 and stay below "
+                             f"the horizon {self.horizon:g}")
+        bad = ~np.isfinite(sigmas).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"Sigma of the piece at t = "
+                             f"{starts[bad.argmax()]:g} is not finite")
+        for name, a in (("starts", starts), ("sigmas", sigmas)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def constant(cls, mat, horizon: float) -> "CovarianceSchedule":
-        mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        return cls(sigma=lambda t: mat, horizon=horizon, is_constant=True)
+        return cls([0.0], np.atleast_2d(np.asarray(mat, dtype=float))[None],
+                   horizon)
 
-    def instantaneous_intensity(self, t: float) -> float:
-        s = np.asarray(self.sigma(t), dtype=float)
-        return float(np.linalg.norm(s @ s.T, 2))
+    def intensities(self) -> np.ndarray:
+        """The spectral norm of Sigma Sigma^T on each piece."""
+        S = self.sigmas
+        return np.linalg.norm(S @ np.swapaxes(S, 1, 2), 2, axis=(1, 2))
 
 
 def sup_noise_intensity(schedule: CovarianceSchedule, t_lo: float,
                         t_hi: float) -> float:
-    """Max spectral norm of Sigma(t) Sigma(t)^T over 1000 uniform times.
-
-    A lower bound of the true essential supremum; exact for constant and
-    adequate for piecewise-continuous schedules.
-    """
+    """Max spectral norm of Sigma Sigma^T over [t_lo, t_hi): the exact
+    maximum over the pieces that overlap it (the piece holding t_lo when
+    t_lo == t_hi)."""
     if t_lo > t_hi:
         raise ValueError("t_lo must be <= t_hi")
-    if schedule.is_constant:
-        return schedule.instantaneous_intensity(t_lo)
-    return max(schedule.instantaneous_intensity(t)
-               for t in np.linspace(t_lo, t_hi, 1000))
+    first = max(int(np.searchsorted(schedule.starts, t_lo, "right")) - 1, 0)
+    last = max(first, int(np.searchsorted(schedule.starts, t_hi)) - 1)
+    return float(schedule.intensities()[first:last + 1].max())
 
 
 @dataclass(frozen=True)
@@ -361,10 +359,11 @@ def _diagonal(S: np.ndarray) -> np.ndarray | None:
 
 
 def stackable(schedules: Sequence[CovarianceSchedule]) -> bool:
-    """Whether the schedules can share one batch as a stack: each is
-    constant with a diagonal Sigma."""
-    return all(s.is_constant
-               and _diagonal(np.asarray(s.sigma(0.0), dtype=float)) is not None
+    """Whether the schedules can share one batch as a stack: they share
+    their piece starts, and every piece is diagonal."""
+    return all(np.array_equal(s.starts, schedules[0].starts)
+               and np.count_nonzero(s.sigmas) == np.count_nonzero(
+                   np.diagonal(s.sigmas, axis1=1, axis2=2))
                for s in schedules)
 
 
@@ -376,13 +375,9 @@ def _blocks(schedule) -> list[CovarianceSchedule]:
 
 def _times_transpose(x: np.ndarray, S: np.ndarray,
                      diag: np.ndarray | None) -> np.ndarray:
-    """x @ S.T, with ``diag = _diagonal(S)``.
-
-    For diagonal S each entry of the matmul is one rounded multiply, so
-    ``x * diag + 0.0`` equals it bit for bit on finite x (on any x when S
-    is 1x1); the + 0.0 is the matmul's +0.0 accumulator, so a -0.0
-    product gives +0.0 there too.
-    """
+    """x @ S.T, with ``diag = _diagonal(S)``: for diagonal S the
+    ``x * diag + 0.0`` of the module docstring, which equals the matmul bit
+    for bit on finite x, and on any x when S is 1x1."""
     if diag is None:
         return x @ S.T
     w = x * diag
@@ -427,20 +422,14 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
     for reduce in reducers:
         reduce(0, times[0], z, active)
 
-    sqdt = math.sqrt(dt)
+    # the pieces the run reaches: piece p holds on steps [starts[p], ends[p])
     blocks = _blocks(schedule)
-    schedule = blocks[0]
-    constant = schedule.is_constant
-    if len(blocks) > 1:
-        # a stack: each row carries its block's diagonal
-        diag = sig = np.repeat(
-            [_diagonal(np.asarray(s.sigma(0.0), dtype=float) * sqdt)
-             for s in blocks], B // len(blocks), axis=0)
-    elif constant:
-        sig = np.asarray(schedule.sigma(0.0), dtype=float) * sqdt
-        diag = _diagonal(sig)
-    # a constant zero Sigma adds +0.0 and draws nothing (module docstring)
-    quiet = constant and not sig.any()
+    starts = np.rint(blocks[0].starts / dt).astype(np.int64)
+    starts = starts[:np.searchsorted(starts, nsteps)].tolist()
+    ends = starts[1:] + [nsteps]
+    sigmas = [blk.sigmas[:len(starts)] * math.sqrt(dt) for blk in blocks]
+    # zero Sigma everywhere adds +0.0 and draws nothing (module docstring)
+    quiet = not any(s.any() for s in sigmas)
 
     drift, G, domain_test = model.drift, model.noise_map, model.domain_test
     next_record = rec_lookup.get
@@ -455,15 +444,10 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
         draws = _normal_draws(seeds)
         slab = np.empty((chunk, B, m))
         tile = np.empty((P, chunk, m))
-    # a constant diagonal Sigma scales each chunk's slab once, with the
-    # x * diag + 0.0 of _times_transpose; any other Sigma scales each step.
-    # The factors are a contiguous (B, m) array, so that each step's block
-    # is one run of B * m products, also for m > 1
-    scaled = constant and diag is not None
-    if scaled:
-        row_diag = np.broadcast_to(diag, (B, m)).copy()
+        row = np.empty((B, m))  # a diagonal piece's factor, row by row
+    mapped = G is not None and not quiet
 
-    step = 0
+    step = piece_end = 0
     while step < nsteps:
         c = min(chunk, nsteps - step)
         # every path draws, exited or not, so streams stay aligned with
@@ -472,23 +456,32 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
             rows = list(tile[:, :c])  # one view per tile row, for every group
             for k0 in range(0, B, P):
                 k1 = min(B, k0 + P)
-                for draw, row in zip(draws[k0:k1], rows):
-                    draw(None, _FLOAT64, row)  # positional: the cheapest call
+                for draw, row_k in zip(draws[k0:k1], rows):
+                    draw(None, _FLOAT64, row_k)  # positional: the cheapest call
                 slab[:c, k0:k1] = tile[:k1 - k0, :c].transpose(1, 0, 2)
-            if scaled:
-                slab[:c] *= row_diag
-                slab[:c] += 0.0
+            # scale each part of the chunk that lies in one piece
+            a = step
+            while a < step + c:
+                if a == piece_end:  # a piece begins
+                    p = bisect.bisect_right(starts, a) - 1
+                    piece_end, full = ends[p], sigmas[0][p]
+                    diags = [_diagonal(s[p]) for s in sigmas]
+                    if all(d is not None for d in diags):  # so for stacks
+                        full = None
+                        row[:] = np.repeat(diags, B // len(blocks), axis=0)
+                b = min(step + c, piece_end)
+                if full is None:  # x * diag + 0.0 of _times_transpose
+                    part = slab[a - step:b - step]
+                    part *= row
+                    part += 0.0
+                else:
+                    for j in range(a - step, b - step):
+                        slab[j] = slab[j] @ full.T
+                a = b
         for j in range(c):
-            if not constant:
-                sig = np.asarray(schedule.sigma(step * dt), dtype=float) * sqdt
-                diag = _diagonal(sig)
-            if quiet:
-                noise = 0.0
-            else:
-                noise = slab[j] if scaled else _times_transpose(
-                    slab[j], sig, diag)
-                if G is not None:
-                    noise = np.einsum("nm,bm->bn", G, noise)
+            noise = 0.0 if quiet else slab[j]
+            if mapped:
+                noise = np.einsum("nm,bm->bn", G, noise)
             z_new = z + drift(z) * dt + noise
             step += 1
 
@@ -580,13 +573,18 @@ def _validate_sim_args(model, schedules, x0s, dt, T, store_every):
     check_time_grid(dt, T, store_every)
     m = model.noise_dim
     for schedule in schedules:
-        shape = np.shape(schedule.sigma(0.0))
+        shape = schedule.sigmas.shape[1:]
         if shape != (m, m):
             raise ValueError(f"Sigma shape {shape} != ({m}, {m}), the "
                              "model's noise_dim x noise_dim")
+        t = schedule.starts  # the rule of check_time_grid, for each start
+        off = np.abs(np.rint(t / dt) * dt - t) > 1e-9 * (1.0 + t)
+        if off.any():
+            raise ValueError(f"piece start {t[off.argmax()]:g} is not a "
+                             f"whole number of dt = {dt:g} steps")
     if len(schedules) > 1 and not stackable(schedules):
-        raise ValueError("a stack needs constant schedules with diagonal "
-                         "Sigma")
+        raise ValueError("a stack needs schedules with shared piece starts "
+                         "and diagonal Sigma")
     if model.domain_test is not None:
         ok = np.asarray(model.domain_test(x0s), dtype=bool)
         if not ok.all():

@@ -1,7 +1,7 @@
 """Helpers that several test modules share and no run of the package
 needs: a size function, a sampler of stabilising LQR gains, a check of
-the logistic gradient bound, and a replay of recorded ensembles into
-reducers."""
+the logistic gradient bound, a replay of recorded ensembles into
+reducers, and the schedule a run sees of a function of time."""
 
 from dataclasses import dataclass
 
@@ -11,7 +11,7 @@ from nsslab.lqr import LqrPlProfile, LqrProblem, hurwitz_mask
 from nsslab.lyapcert import SizeFunction
 from nsslab.nssmc import Exceedance
 from nsslab.objectives import LogisticModel, logistic_gradient
-from nsslab.sde import TrajectoryEnsemble
+from nsslab.sde import CovarianceSchedule, TrajectoryEnsemble
 
 
 def half_norm_squared(center=None) -> SizeFunction:
@@ -92,3 +92,16 @@ def replayed_exceedance(ensemble: TrajectoryEnsemble, V: SizeFunction, bound,
     red = Exceedance(V, bound, ensemble.times, len(ensemble.states), window)
     replay(ensemble, [red])
     return red.fraction()
+
+
+def piecewise(fn, dt: float, T: float) -> CovarianceSchedule:
+    """The schedule that a run on the dt grid sees of Sigma(t) = fn(t):
+    fn(k dt) held on step [k dt, (k + 1) dt) of [0, T), at the floats
+    k dt of the integrator's steps, with runs of equal matrices merged
+    into one piece."""
+    starts = np.arange(int(round(T / dt))) * dt
+    sigmas = np.array([np.atleast_2d(np.asarray(fn(t), dtype=float))
+                       for t in starts])
+    new = np.ones(starts.size, dtype=bool)
+    new[1:] = (sigmas[1:] != sigmas[:-1]).any(axis=(1, 2))
+    return CovarianceSchedule(starts[new], sigmas[new], T)

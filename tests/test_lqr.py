@@ -463,9 +463,9 @@ class TestObjectiveWrapper:
 class TestNoiseSchedule:
     def test_kron_structure(self):
         sched = gain_noise_schedule(np.array([[0.3]]), 2, horizon=1.0)
-        assert np.allclose(sched.sigma(0.0), 0.3 * np.eye(2))
+        assert np.allclose(sched.sigmas, 0.3 * np.eye(2))
 
     def test_matrix_sigma1(self):
         S1 = np.array([[0.2, 0.1], [0.0, 0.3]])
         sched = gain_noise_schedule(S1, 3, horizon=1.0)
-        assert np.allclose(sched.sigma(0.0), np.kron(S1, np.eye(3)))
+        assert np.allclose(sched.sigmas, np.kron(S1, np.eye(3)))

@@ -22,7 +22,7 @@ from nsslab.compfun import K, ScalarClassFunction
 from nsslab.sde import (CovarianceSchedule, DiffusionModel, record_times,
                         simulate_ensemble)
 
-from helpers import half_norm_squared, replayed_exceedance
+from helpers import half_norm_squared, piecewise, replayed_exceedance
 from test_nssmc_reference import (lqr_case, quadratic_case,
                                   reference_exceedance_fraction,
                                   reference_inss_accumulation_check,
@@ -454,16 +454,20 @@ class TestSweepRounds:
                 assert np.array_equal(a, b, equal_nan=True), (name, workers)
             assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("family", ["diagonal", "full", "time-varying"])
+    @pytest.mark.parametrize("family", ["diagonal", "full", "time-varying",
+                                        "differing-starts"])
     def test_only_constant_diagonal_families_stack(self, family,
                                                    monkeypatch):
+        # diagonal families stack when they share their piece starts
         T = 0.5
         shape = np.eye(2) if family != "full" else np.array([[1.0, 0.5],
                                                               [0.0, 1.0]])
-        schedules = [CovarianceSchedule(lambda t, S=s * shape: S, T)
-                     if family == "time-varying"
-                     else CovarianceSchedule.constant(s * shape, T)
-                     for s in (0.1, 0.2, 0.4)]
+        drop = {"time-varying": [0.3] * 3,
+                "differing-starts": [0.1, 0.2, 0.3]}.get(family)
+        schedules = [CovarianceSchedule.constant(s * shape, T) if drop is None
+                     else piecewise(lambda t, S=s * shape, u=u:
+                                    S * (1.0 - 0.5 * (t >= u)), 1e-2, T)
+                     for s, u in zip((0.1, 0.2, 0.4), drop or [None] * 3)]
         exp = NssExperiment(
             dynamics=DiffusionModel(state_dim=2, noise_dim=2,
                                     drift=lambda z: -z),
@@ -478,7 +482,8 @@ class TestSweepRounds:
 
         monkeypatch.setattr(nssmc, "simulate_ensemble", spy)
         run_experiment(exp)
-        assert calls == ([3] if family == "diagonal" else [1, 1, 1])
+        assert calls == ([3] if family in ("diagonal", "time-varying")
+                         else [1, 1, 1])
 
     def test_failure_in_a_later_ensemble_raises_in_parent(self,
                                                           monkeypatch):
@@ -555,9 +560,8 @@ class TestAccumulation:
     def test_integral_gain_bound_holds(self):
         model, V = scalar_setup()
         T = 20.0
-        ramp = CovarianceSchedule(
-            sigma=lambda t: np.array([[0.1 * min(t / T, 1.0)]]),
-            horizon=T, is_constant=False)
+        ramp = piecewise(lambda t: np.array([[0.1 * min(t / T, 1.0)]]),
+                         1e-3, T)
         exp = NssExperiment(dynamics=model, V=V, schedule_family=[ramp],
                             x0=np.ones(1), N=200, dt=1e-3, T=T,
                             master_seed=0, store_every=10)
@@ -576,6 +580,19 @@ class TestAccumulation:
                                 store_every=10)
         assert rep == reference_inss_accumulation_check(ens, V, gamma, ramp,
                                                          beta)
+
+    def test_integral_is_exact_over_pieces(self):
+        # sigma = 1 on [0, 0.5) and 2 on [0.5, 1) with gamma(s) = s: the
+        # integral to T = 1 is 0.5 * 1 + 0.5 * 4 = 2.5 exactly, where a
+        # trapezoid on the records 0, 0.3, 0.6, 0.9, 1 would give 2.65
+        model, V = scalar_setup()
+        s = CovarianceSchedule([0.0, 0.5], [[[1.0]], [[2.0]]], horizon=1.0)
+        exp = NssExperiment(dynamics=model, V=V, schedule_family=[s],
+                            x0=np.ones(1), N=100, dt=0.1, T=1.0,
+                            master_seed=0, store_every=3)
+        gamma = ScalarClassFunction(lambda s: np.asarray(s, dtype=float), K)
+        rep = inss_accumulation_check(exp, gamma, lambda v0, t: v0)
+        assert abs(rep.integral_gain_final - 2.5) <= 1e-15
 
     def test_one_schedule_only(self):
         exp = make_experiment([0.1, 0.2], T=1.0)

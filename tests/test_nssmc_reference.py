@@ -79,9 +79,14 @@ def reference_simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule
     exit_steps = np.full(B, -1, dtype=np.int64)
     valid_counts = np.ones(B, dtype=np.int64)
 
+    def sigma(t):  # Sigma of the piece that holds t
+        return schedule.sigmas[np.searchsorted(schedule.starts, t,
+                                               "right") - 1]
+
     sqdt = math.sqrt(dt)
-    if schedule.is_constant:
-        sig = np.asarray(schedule.sigma(0.0), dtype=float) * sqdt
+    constant = len(schedule.starts) == 1
+    if constant:
+        sig = np.asarray(sigma(0.0), dtype=float) * sqdt
         diag = _diagonal(sig)
 
     identity_g = model.noise_map is None
@@ -106,8 +111,8 @@ def reference_simulate_batch(model: DiffusionModel, schedule: CovarianceSchedule
                 gens[k].standard_normal(out=tile[k - k0, :c])
             slab[:c, k0:k1] = tile[:k1 - k0, :c].transpose(1, 0, 2)
         for j in range(c):
-            if not schedule.is_constant:
-                sig = np.asarray(schedule.sigma(step * dt), dtype=float) * sqdt
+            if not constant:
+                sig = np.asarray(sigma(step * dt), dtype=float) * sqdt
                 diag = _diagonal(sig)
             w = _times_transpose(slab[j], sig, diag)
             if identity_g:
@@ -276,14 +281,18 @@ def reference_inss_accumulation_check(ensemble: TrajectoryEnsemble,
                                       ) -> AccumulationReport:
     """Check V(t) <= beta_hat(V0, t) + integral of gamma(intensity) ds.
 
-    The integral gain is accumulated on the recorded grid by trapezoid;
-    violation is per-path supremum over the whole horizon.
+    The integral gain is a left Riemann sum on the dt grid, step by step:
+    the sum over steps k before t of gamma(|Sigma(t_k) Sigma(t_k)^T|) dt,
+    with Sigma(t_k) read from the schedule's pieces; violation is
+    per-path supremum over the whole horizon.
     """
-    times = ensemble.times
-    inten = np.array([schedule.instantaneous_intensity(t) for t in times])
+    times, dt = ensemble.times, ensemble.dt
+    t = np.arange(int(round(times[-1] / dt))) * dt
+    sigmas = schedule.sigmas[np.searchsorted(schedule.starts, t, "right") - 1]
+    inten = np.array([np.linalg.norm(s @ s.T, 2) for s in sigmas])
     g = np.asarray(gamma(inten), dtype=float)
-    integral = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1])
-                                                * np.diff(times))])
+    integral = np.concatenate([[0.0], np.cumsum(g * dt)])[
+        np.rint(times / dt).astype(int)]
 
     def bound(v0, t):
         return np.asarray(beta_hat(v0, t)) + np.interp(t, times, integral)

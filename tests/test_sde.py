@@ -9,11 +9,11 @@ import pytest
 from nsslab import lqr, sde
 from nsslab.langevin import OverdampedConfig, build_overdamped
 from nsslab.lyapcert import generator_apply
-from nsslab.nssmc import Exceedance, WindowValues
+from nsslab.nssmc import Exceedance, NssExperiment, WindowValues
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
                         derive_path_seeds, simulate_ensemble, simulate_path, sup_noise_intensity)
 
-from helpers import half_norm_squared
+from helpers import half_norm_squared, piecewise
 
 
 def reference_path_seed(master_seed, k):
@@ -81,12 +81,25 @@ class TestDiffusionModel:
 class TestCovarianceSchedule:
     def test_constant_factory(self):
         s = CovarianceSchedule.constant(0.3 * np.eye(2), horizon=10.0)
-        assert s.is_constant
-        assert np.allclose(s.sigma(7.2), 0.3 * np.eye(2))
+        assert s.starts.tolist() == [0.0]
+        assert s.sigmas.shape == (1, 2, 2)
+        assert np.array_equal(s.sigmas[0], 0.3 * np.eye(2))
+        with pytest.raises(ValueError):
+            s.sigmas[0, 0, 0] = 1.0
 
     def test_nonsquare_sigma_rejected(self):
         with pytest.raises(ValueError):
             CovarianceSchedule.constant(np.ones((2, 3)), horizon=1.0)
+
+    @pytest.mark.parametrize("starts", [[0.1], [0.0, 0.5, 0.5],
+                                        [0.0, 0.6, 0.3], [0.0, 1.0]])
+    def test_starts_must_ascend_from_zero_below_horizon(self, starts):
+        with pytest.raises(ValueError, match="ascend from 0"):
+            CovarianceSchedule(starts, [np.eye(1)] * len(starts), 1.0)
+
+    def test_one_sigma_per_start(self):
+        with pytest.raises(ValueError, match="for each of 2 starts"):
+            CovarianceSchedule([0.0, 0.5], [np.eye(1)] * 3, 1.0)
 
     def test_large_rank_deficient_sigma_accepted(self):
         # Sigma Sigma^T is PSD for every real Sigma, though rounding gives
@@ -97,8 +110,7 @@ class TestCovarianceSchedule:
                 u, v = rng.standard_normal((2, 3)) * scale
                 S = np.outer(u, v)
                 CovarianceSchedule.constant(S, horizon=1.0)
-                CovarianceSchedule(sigma=lambda t, S=S: (1.0 + t) * S,
-                                   horizon=2.0)
+                CovarianceSchedule([0.0, 1.0], [S, 2.0 * S], horizon=2.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sigma_rejected(self, bad):
@@ -106,9 +118,16 @@ class TestCovarianceSchedule:
         S[0, 1] = bad
         with pytest.raises(ValueError, match="not finite"):
             CovarianceSchedule.constant(S, horizon=1.0)
-        # a time-varying schedule that turns non-finite inside the horizon
-        with pytest.raises(ValueError, match="not finite"):
-            CovarianceSchedule(sigma=lambda t: S if t > 0.5 else np.eye(2),
+        # a schedule that turns non-finite inside the horizon
+        with pytest.raises(ValueError, match="at t = 0.75 is not finite"):
+            piecewise(lambda t: S if t > 0.5 else np.eye(2), 0.25, 1.0)
+
+    def test_sigma_non_finite_between_probe_times_rejected(self):
+        # non-finite on [0.3, 0.4) only: finite at 0, 0.25, 0.5, 0.75 and
+        # 1, where a schedule used to be probed
+        S = np.full((1, 1), np.nan)
+        with pytest.raises(ValueError, match="at t = 0.3 is not finite"):
+            CovarianceSchedule([0.0, 0.3, 0.4], [np.eye(1), S, np.eye(1)],
                                horizon=1.0)
 
     def test_nonpositive_horizon_rejected(self):
@@ -121,8 +140,8 @@ class TestCovarianceSchedule:
         m = linear_model(n=n)
         shapes = rf"Sigma shape \({len(S)}, {len(S)}\) != \({n}, {n}\)"
         for schedule in (CovarianceSchedule.constant(S, 1.0),
-                         CovarianceSchedule(lambda t: (1.0 + t) * np.array(S),
-                                            1.0)):
+                         piecewise(lambda t: (1.0 + t) * np.array(S), 0.1,
+                                   1.0)):
             with pytest.raises(ValueError, match=shapes):
                 simulate_path(m, schedule, np.zeros(n), 0.1, 1.0, 0)
             with pytest.raises(ValueError, match=shapes):
@@ -131,19 +150,52 @@ class TestCovarianceSchedule:
     @pytest.mark.parametrize("later", [0.3 * np.eye(2),
                                        0.3 * np.ones((2, 2))])
     def test_sigma_that_changes_shape_rejected(self, later):
-        # I_1 before t = 0.5 and a 2x2 Sigma after: on a 1-D model it
-        # would pass the check of Sigma(0) and fail inside numpy mid-run
-        with pytest.raises(ValueError, match=r"sigma\(0\.5\) has shape "
-                                             r"\(2, 2\), not sigma\(0\)'s "
-                                             r"\(1, 1\)"):
-            CovarianceSchedule(lambda t: later if t >= 0.5 else np.eye(1),
+        # I_1 before t = 0.5 and a 2x2 Sigma after are no (P, m, m) array
+        with pytest.raises(ValueError):
+            piecewise(lambda t: later if t >= 0.5 else np.eye(1), 0.1, 1.0)
+
+    def test_piece_start_off_the_dt_grid_rejected(self):
+        s = CovarianceSchedule([0.0, 0.25], [np.eye(1), 2.0 * np.eye(1)],
                                horizon=1.0)
+        for run in (lambda: simulate_path(linear_model(), s, np.zeros(1),
+                                          0.1, 1.0, 0),
+                    lambda: simulate_ensemble(linear_model(), [s, s],
+                                              np.zeros(1), 0.1, 1.0, 4,
+                                              [0, 1])):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == ("piece start 0.25 is not a whole "
+                                       "number of dt = 0.1 steps")
+        # on a grid where 0.25 is a step it runs
+        simulate_path(linear_model(), s, np.zeros(1), 0.05, 1.0, 0)
 
     def test_sup_intensity_time_varying(self):
-        s = CovarianceSchedule(sigma=lambda t: np.array([[np.sin(t) ** 2]]),
-                               horizon=10.0, is_constant=False)
-        sup = sup_noise_intensity(s, 0.0, 10.0)
-        assert abs(sup - 1.0) <= 1e-3
+        # Sigma = sin(t)^2 held on each step: Sigma Sigma^T = sin(k dt)^4,
+        # and the supremum is the largest of them, exactly
+        dt = 1e-2
+        s = piecewise(lambda t: np.array([[np.sin(t) ** 2]]), dt, 10.0)
+        square = np.array([np.sin(t) ** 2 for t in np.arange(1000) * dt])
+        quartic = square * square
+        assert sup_noise_intensity(s, 0.0, 10.0) == quartic.max()
+        # [t_lo, t_hi) meets the pieces from the one holding t_lo up to
+        # the last one starting before t_hi
+        assert sup_noise_intensity(s, 2.005, 3.0) == quartic[200:300].max()
+        assert sup_noise_intensity(s, 4.0, 4.0) == quartic[400]
+
+    def test_single_step_spike_reported_exactly(self):
+        # a 5.0 spike on [0.3005, 0.3006), one step of dt = 1e-4, between
+        # the points k / 999 of a 1,000-point grid on [0, 1]
+        s = CovarianceSchedule([0.0, 0.3005, 0.3006],
+                               [[[0.1]], [[5.0]], [[0.1]]], horizon=1.0)
+        assert sup_noise_intensity(s, 0.0, 1.0) == 25.0
+        assert sup_noise_intensity(s, 0.0, 0.3005) == 0.1 * 0.1
+        assert sup_noise_intensity(s, 0.3006, 1.0) == 0.1 * 0.1
+        exp = NssExperiment(dynamics=linear_model(), V=half_norm_squared(),
+                            schedule_family=[
+                                CovarianceSchedule.constant([[0.2]], 1.0), s],
+                            x0=np.zeros(1), N=100, dt=1e-4, T=1.0,
+                            master_seed=0)
+        assert exp.intensities().tolist() == [0.2 * 0.2, 25.0]
 
 
 class TestDeterminism:
@@ -227,6 +279,28 @@ class TestAccuracy:
         idx = ens.times >= 25.0
         var = float(np.mean(ens.states[:, idx, 0] ** 2))
         assert abs(var - sigma**2 / 2.0) / (sigma**2 / 2.0) <= 0.1
+
+    def test_forgets_noise_after_a_drop(self):
+        # dz = -z dt + sigma(t) dW with sigma = 1 on [0, 5) and 0.2 on
+        # [5, 10), from z = 0: the chain is Gaussian with the exact
+        # Euler-Maruyama variance v_{k+1} = (1 - dt)^2 v_k + sigma_k^2 dt.
+        # The mean of z^2 over N paths has standard error sqrt(2 / N) v_k,
+        # and is close to normal (skewness sqrt(8 / N) = 0.045), so a
+        # record misses by over 4.5 of them with probability 6.8e-6, and
+        # one of the 20 records with probability at most 1.4e-4
+        dt, T, N, every = 1e-2, 10.0, 4000, 50
+        s = CovarianceSchedule([0.0, 5.0], [[[1.0]], [[0.2]]], horizon=T)
+        ens = simulate_ensemble(linear_model(), s, np.zeros(1), dt, T, N, 0,
+                                store_every=every)
+        v = np.zeros(int(round(T / dt)) + 1)
+        for k in range(v.size - 1):
+            v[k + 1] = (1 - dt) ** 2 * v[k] + (1.0 if k < 500 else 0.04) * dt
+        v = v[::every][1:]
+        m2 = np.mean(ens.states[:, 1:, 0] ** 2, axis=0)
+        z = (m2 - v) / (np.sqrt(2.0 / N) * v)
+        assert np.abs(z).max() <= 4.5
+        # the state forgets: the last variance is the low noise's level
+        assert m2[-1] < 0.05 < 0.4 < m2[9]
 
 
 class TestBlowupAndDomain:
@@ -331,10 +405,14 @@ def reference_simulate_batch(model, schedule, x0s, dt, T, seeds, store_every):
     exit_steps = np.full(B, -1, dtype=np.int64)
     valid_counts = np.ones(B, dtype=np.int64)
 
+    def sigma(t):  # Sigma of the piece that holds t
+        return schedule.sigmas[np.searchsorted(schedule.starts, t,
+                                               "right") - 1]
+
     sqdt = math.sqrt(dt)
     sig_const = None
-    if schedule.is_constant:
-        sig_const = np.asarray(schedule.sigma(0.0), dtype=float) * sqdt
+    if len(schedule.starts) == 1:
+        sig_const = np.asarray(sigma(0.0), dtype=float) * sqdt
 
     identity_g = model.noise_map is None
     chunk = max(64, min(nsteps, (1 << 24) // max(B * m, 1)))
@@ -350,7 +428,7 @@ def reference_simulate_batch(model, schedule, x0s, dt, T, seeds, store_every):
         for j in range(c):
             t = step * dt
             sig = sig_const if sig_const is not None else \
-                np.asarray(schedule.sigma(t), dtype=float) * sqdt
+                np.asarray(sigma(t), dtype=float) * sqdt
             w = buf[:, j, :] @ sig.T
             if identity_g:
                 noise = w
@@ -417,8 +495,26 @@ def _case_time_varying():
     def sigma(t):
         return np.array([[0.4 + 0.1 * math.sin(t), 0.2 * (t >= 0.1)],
                          [0.0, 0.3]])
-    return (_linear(2), CovarianceSchedule(sigma, 1.0, is_constant=False),
-            [0.3, -0.2])
+    return _linear(2), piecewise(sigma, 1e-3, 1.0), [0.3, -0.2]
+
+
+def _piecewise_diagonal(scale=1.0):
+    # three diagonal pieces, from steps 0, 37 and 150 of dt = 1e-3: both
+    # breakpoints fall inside the 64-step chunks of small_chunks
+    return CovarianceSchedule(
+        np.array([0, 37, 150]) * 1e-3,
+        scale * np.array([np.diag([0.3, -0.7]), np.diag([1.1, 0.0]),
+                          np.diag([-0.2, 0.5])]), 1.0)
+
+
+def _case_piecewise_diagonal():
+    return _linear(2), _piecewise_diagonal(), [0.3, -0.2]
+
+
+def _case_zero_then_noisy():
+    # a zero first piece does not make the run quiet
+    return _linear(1), CovarianceSchedule(np.array([0, 37]) * 1e-3,
+                                          [[[0.0]], [[0.5]]], 1.0), [0.3]
 
 
 def _case_diffusion_field():
@@ -503,6 +599,8 @@ def _case_exit_and_blowup():
 REFERENCE_CASES = {"scalar": _case_scalar, "diagonal": _case_diagonal,
                    "full": _case_full, "zero": _case_zero,
                    "time-varying": _case_time_varying,
+                   "piecewise-diagonal": _case_piecewise_diagonal,
+                   "zero-then-noisy": _case_zero_then_noisy,
                    "diffusion-field": _case_diffusion_field,
                    "domain-exit": _case_domain_exit, "blowup": _case_blowup,
                    "noise-blowup": _case_noise_blowup,
@@ -784,17 +882,38 @@ class TestStacks:
         assert set(seen) == {((12, 1), (12,))}
 
     @pytest.mark.parametrize("sigmas", [
-        [np.eye(2), [[1.0, 0.1], [0.0, 1.0]]],
-        [np.eye(2), lambda t: (1.0 + t) * np.eye(2)]])
+        # a full Sigma
+        lambda t: [[1.0, 0.1], [0.0, 1.0]],
+        # diagonal, but with a piece from t = 0.5 that the first lacks
+        lambda t: (1.0 + (t >= 0.5)) * np.eye(2)],
+        ids=["sigmas0", "sigmas1"])
     def test_stack_needs_constant_diagonal_sigma(self, sigmas):
-        schedules = [CovarianceSchedule(s, 1.0) if callable(s)
-                     else CovarianceSchedule.constant(s, 1.0) for s in sigmas]
+        # the second schedule's Sigma(t) against a constant identity
+        schedules = [CovarianceSchedule.constant(np.eye(2), 1.0),
+                     piecewise(sigmas, 0.1, 1.0)]
         assert not sde.stackable(schedules)
-        assert sde.stackable(schedules[:1]) == (not callable(sigmas[0]))
-        with pytest.raises(ValueError, match="constant schedules with "
+        assert sde.stackable(schedules[:1])
+        with pytest.raises(ValueError, match="shared piece starts and "
                                              "diagonal Sigma"):
             simulate_ensemble(linear_model(n=2), schedules, np.zeros(2), 0.1,
                               1.0, 4, [0, 1])
+
+    @pytest.mark.parametrize("small_chunks", [False, True])
+    def test_piecewise_blocks_match_separate_runs(self, small_chunks,
+                                                  monkeypatch):
+        # two blocks on the starts of the piecewise-diagonal reference case
+        if small_chunks:
+            monkeypatch.setattr(sde, "_SLAB_ELEMS", 1)
+            monkeypatch.setattr(sde, "_TILE_ELEMS", 1100)
+        schedules = [_piecewise_diagonal(), _piecewise_diagonal(-2.0)]
+        assert sde.stackable(schedules)
+        args = (_linear(2), schedules, [0.3, -0.2], self.DT, self.T, self.N)
+        stack = simulate_ensemble(*args, [11, 12], store_every=self.STORE)
+        for e, (schedule, seed) in enumerate(zip(schedules, [11, 12])):
+            alone = simulate_ensemble(_linear(2), schedule, *args[2:], seed,
+                                      store_every=self.STORE)
+            rows = slice(e * self.N, (e + 1) * self.N)
+            assert_bitwise(stack.states[rows], alone.states)
 
     def test_one_seed_per_schedule(self):
         schedules = [CovarianceSchedule.constant([[s]], 1.0)
