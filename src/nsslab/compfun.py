@@ -81,14 +81,14 @@ class ClassEvidenceReport:
     consistent: bool = True
 
 
-def classify_evidence(f: ScalarClassFunction, grid: Sequence[float],
-                      kinf_threshold: float | None = None) -> ClassEvidenceReport:
+def classify_evidence(f: ScalarClassFunction,
+                      grid: Sequence[float]) -> ClassEvidenceReport:
     """Collect falsification evidence for the declared class of ``f`` on a grid.
 
     The grid must be sorted ascending, start at 0, and stay below the domain
     cap.  For a declared Kinf function, an unboundedness heuristic flags the
-    function when f(max grid) fails to exceed ``kinf_threshold`` (default
-    1e-3 * max grid).  The report is evidence, never a proof.
+    function when f(max grid) falls below 1e-3 * max grid.  The report is
+    evidence, never a proof.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
@@ -111,10 +111,9 @@ def classify_evidence(f: ScalarClassFunction, grid: Sequence[float],
         for r, v in zip(grid[1:], values[1:]):
             if not v > 0:
                 report.sign_violations.append((r, v))
-    if f.declared_class == KINF and len(grid) > 1:
-        threshold = 1e-3 * grid[-1] if kinf_threshold is None else kinf_threshold
-        if values[-1] < threshold:
-            report.unbounded_flag = True
+    if (f.declared_class == KINF and len(grid) > 1
+            and values[-1] < 1e-3 * grid[-1]):
+        report.unbounded_flag = True
 
     report.consistent = not (report.monotonicity_violations
                              or report.sign_violations
@@ -122,12 +121,12 @@ def classify_evidence(f: ScalarClassFunction, grid: Sequence[float],
     return report
 
 
-def invert(f: ScalarClassFunction, y: float, bracket_hi: float,
-           tol: float = 1e-10, max_iter: int = 200) -> float:
+def invert(f: ScalarClassFunction, y: float, bracket_hi: float) -> float:
     """Invert a strictly increasing scalar function by bisection.
 
-    Returns r with ``|f(r) - y| <= tol * max(1, y)``.  The caller supplies
-    the bracket; ``f`` must be strictly increasing on [0, bracket_hi].
+    Returns r with ``|f(r) - y| <= 1e-10 * max(1, |y|)``, within 200
+    halvings.  The caller supplies the bracket; ``f`` must be strictly
+    increasing on [0, bracket_hi].
     """
     if bracket_hi <= 0:
         raise ValueError("bracket_hi must be positive")
@@ -137,9 +136,9 @@ def invert(f: ScalarClassFunction, y: float, bracket_hi: float,
     if not (f_lo <= y <= f_hi):
         raise BracketError(f"y={y} outside [f(0), f(hi)]=[{f_lo}, {f_hi}]")
     lo, hi = 0.0, float(bracket_hi)
-    goal = tol * max(1.0, abs(y))
+    goal = 1e-10 * max(1.0, abs(y))
     mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = float(f.eval(mid))
         if abs(fm - y) <= goal:
@@ -153,10 +152,9 @@ def invert(f: ScalarClassFunction, y: float, bracket_hi: float,
     return mid
 
 
-def _auto_bracket(f: ScalarClassFunction, y: float, start: float = 1.0,
-                  max_doublings: int = 200) -> float:
-    hi = start
-    for _ in range(max_doublings):
+def _auto_bracket(f: ScalarClassFunction, y: float) -> float:
+    hi = 1.0
+    for _ in range(200):
         if hi >= f.d:
             hi = f.d * (1 - 1e-12)
         if float(f.eval(hi)) >= y:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .compfun import K, KINF, ScalarClassFunction
+from .compfun import K, K_ON_0_D, KINF, ScalarClassFunction
 from .lyapcert import DissipationCertificate, SizeFunction
 from .objectives import Objective, _cumulative_trapezoid
 from .sde import DiffusionModel
@@ -57,8 +57,7 @@ def build_overdamped(config: OverdampedConfig) -> DiffusionModel:
 
     return DiffusionModel(state_dim=obj.dim, noise_dim=obj.dim, drift=drift,
                           domain_test=obj.domain_test,
-                          equilibrium=obj.minimizer,
-                          label=f"overdamped[{obj.label}]")
+                          equilibrium=obj.minimizer)
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,7 @@ def build_underdamped(config: UnderdampedConfig) -> DiffusionModel:
         eq = np.concatenate([obj.minimizer, np.zeros(n)])
     return DiffusionModel(state_dim=2 * n, noise_dim=n, drift=drift,
                           noise_map=np.vstack([np.zeros((n, n)), np.eye(n)]),
-                          domain_test=domain, equilibrium=eq,
-                          label=f"underdamped[{obj.label},{config.mode}]")
+                          domain_test=domain, equilibrium=eq)
 
 
 @dataclass(frozen=True)
@@ -251,7 +249,6 @@ class PhiLadder:
     h_fine: np.ndarray = field(repr=False)
     phi1_vals: np.ndarray = field(repr=False)
     phi2_vals: np.ndarray = field(repr=False)
-    phi2p_vals: np.ndarray = field(repr=False)
     avg_fn: Callable = field(repr=False)
     h_max: float = 0.0
 
@@ -309,11 +306,9 @@ def phi_functions(ladder: SmoothnessLadder,
     phi1_fn = ScalarClassFunction(
         eval=lambda h: np.interp(np.asarray(h, dtype=float), h_fine, phi1_vals),
         declared_class=KINF, description="2 Lbar2(h) h + 5/2 h")
-    phi2p_vals = (np.interp(np.minimum(h_fine, h_max) + delta, h_fine, phi1_vals)
-                  - np.interp(np.minimum(h_fine, h_max), h_fine, phi1_vals)) / delta
     return PhiLadder(phi1=phi1_fn, delta=delta, h_fine=h_fine,
-                     phi1_vals=phi1_vals, phi2_vals=phi2_vals,
-                     phi2p_vals=phi2p_vals, avg_fn=avg, h_max=h_max)
+                     phi1_vals=phi1_vals, phi2_vals=phi2_vals, avg_fn=avg,
+                     h_max=h_max)
 
 
 def objective_size_function(obj: Objective) -> SizeFunction:
@@ -380,16 +375,12 @@ def v2_size_function(config: UnderdampedConfig) -> SizeFunction:
                         label=f"V2[{obj.label}]")
 
 
-def v3_size_function(config: UnderdampedConfig,
-                     phi: PhiLadder | None = None) -> SizeFunction:
-    obj = config.objective
-    phi = phi if phi is not None else config.phi
-    if phi is None:
-        raise ValueError("v3 needs a PhiLadder")
+def v3_size_function(config: UnderdampedConfig) -> SizeFunction:
+    obj, phi = config.objective, config.phi
     n = obj.dim
     # tabulated second derivative of phi2 for the zz Hessian block; the
     # noise block of the generator never touches it
-    p2pp = np.gradient(phi.phi2p_vals, phi.h_fine)
+    p2pp = np.gradient(phi.phi2_prime(phi.h_fine), phi.h_fine)
 
     def value(x):
         h, cross, vv = _mixed_terms(obj, x)
@@ -421,6 +412,32 @@ def v3_size_function(config: UnderdampedConfig,
                         label=f"V3[{obj.label}]")
 
 
+def _pl_modulus(obj: Objective) -> ScalarClassFunction:
+    """The modulus mu of the objective's PL envelope, which every
+    certificate's alpha is built from."""
+    if obj.envelope is None:
+        raise ValueError("objective has no PL envelope")
+    return obj.envelope.mu
+
+
+def _linear_gamma(coef: float, cap: float = np.inf) -> ScalarClassFunction:
+    """gamma(s) = coef s: class K, or K on [0, cap) for a finite cap."""
+    bounded = bool(np.isfinite(cap))
+    return ScalarClassFunction(
+        lambda s: coef * np.asarray(s, dtype=float),
+        K_ON_0_D if bounded else K, d=cap,
+        description=f"{coef:g} s" + (f" on [0, {cap:g})" if bounded else ""))
+
+
+def _momentum_certificate(alpha: ScalarClassFunction,
+                          coef: float) -> DissipationCertificate:
+    """The V2 and V3 triple: NSS for a K-infinity alpha, else iNSS, with
+    gamma(s) = coef s."""
+    return DissipationCertificate(
+        alpha=alpha, gamma=_linear_gamma(coef),
+        kind="NSS" if alpha.declared_class == KINF else "iNSS")
+
+
 def _square_envelope(mu: ScalarClassFunction) -> ScalarClassFunction:
     return ScalarClassFunction(
         eval=lambda r: np.square(np.asarray(mu.eval(r), dtype=float)),
@@ -436,38 +453,27 @@ def overdamped_certificate(config: OverdampedConfig,
     modulus downgrades it to scNSS with covariance cap ``cap``.
     """
     obj = config.objective
-    if obj.envelope is None:
-        raise ValueError("objective has no PL envelope")
+    mu = _pl_modulus(obj)
     if obj.global_lipschitz is None:
         raise ValueError("certificate needs the global Lipschitz constant")
-    mu = obj.envelope.mu
     alpha = _square_envelope(mu)
     coef = 0.5 * obj.global_lipschitz * config.k_g**2
     if alpha.declared_class == KINF:
-        gamma = ScalarClassFunction(
-            lambda s: coef * np.asarray(s, dtype=float), K,
-            description=f"{coef:g} s")
-        return DissipationCertificate(alpha=alpha, gamma=gamma, kind="NSS")
+        return DissipationCertificate(alpha=alpha, gamma=_linear_gamma(coef),
+                                      kind="NSS")
     if not np.isfinite(cap):
         raise ValueError("bounded PL modulus: supply a finite covariance cap")
-    from .compfun import K_ON_0_D
-    gamma = ScalarClassFunction(
-        lambda s: coef * np.asarray(s, dtype=float), K_ON_0_D, d=cap,
-        description=f"{coef:g} s on [0, {cap:g})")
-    return DissipationCertificate(alpha=alpha, gamma=gamma, kind="scNSS",
-                                  d=cap)
+    return DissipationCertificate(alpha=alpha, gamma=_linear_gamma(coef, cap),
+                                  kind="scNSS", d=cap)
 
 
 def v2_certificate(config: UnderdampedConfig) -> DissipationCertificate:
     """Triple for V2: alpha(r) = lambda1 eta mu1(r / (2 lambda3)) with
     mu1(h) = min{mu(h)^2, c h / (2 lambda1 eta^2)}, and
     gamma(s) = lambda2 K_G^2 s / 2."""
-    obj = config.objective
-    if obj.envelope is None:
-        raise ValueError("objective has no PL envelope")
+    mu = _pl_modulus(config.objective)
     lam1, lam2, lam3 = config.lambdas
     eta, c = config.eta, config.c
-    mu = obj.envelope.mu
     slope = c / (2.0 * lam1 * eta * eta)
 
     def alpha_eval(r):
@@ -478,15 +484,10 @@ def v2_certificate(config: UnderdampedConfig) -> DissipationCertificate:
 
     alpha = ScalarClassFunction(alpha_eval, mu.declared_class,
                                 description="lam1 eta mu1(r / (2 lam3))")
-    coef = 0.5 * lam2 * config.k_g**2
-    gamma = ScalarClassFunction(lambda s: coef * np.asarray(s, dtype=float), K,
-                                description=f"{coef:g} s")
-    kind = "NSS" if mu.declared_class == KINF else "iNSS"
-    return DissipationCertificate(alpha=alpha, gamma=gamma, kind=kind)
+    return _momentum_certificate(alpha, 0.5 * lam2 * config.k_g**2)
 
 
-def v3_certificate(config: UnderdampedConfig,
-                   phi: PhiLadder | None = None) -> DissipationCertificate:
+def v3_certificate(config: UnderdampedConfig) -> DissipationCertificate:
     """Triple for V3: alpha(r) = mu3(r/3) with
     mu3(h) = min{mu(phi2^-1(h))^2, h}, gamma(s) = K_G^2 s.
 
@@ -494,13 +495,10 @@ def v3_certificate(config: UnderdampedConfig,
     below phi2(0)/2, and shrinking alpha only weakens the certified decay,
     so the flat segment is conservative.
     """
-    obj = config.objective
-    if obj.envelope is None:
-        raise ValueError("objective has no PL envelope")
-    phi = phi if phi is not None else config.phi
+    mu = _pl_modulus(config.objective)
+    phi = config.phi
     if phi is None:
         raise ValueError("v3 certificate needs a PhiLadder")
-    mu = obj.envelope.mu
 
     def alpha_eval(r):
         h = np.asarray(r, dtype=float) / 3.0
@@ -510,8 +508,4 @@ def v3_certificate(config: UnderdampedConfig,
 
     alpha = ScalarClassFunction(alpha_eval, mu.declared_class,
                                 description="mu3(r/3)")
-    coef = config.k_g**2
-    gamma = ScalarClassFunction(lambda s: coef * np.asarray(s, dtype=float), K,
-                                description=f"{coef:g} s")
-    kind = "NSS" if mu.declared_class == KINF else "iNSS"
-    return DissipationCertificate(alpha=alpha, gamma=gamma, kind=kind)
+    return _momentum_certificate(alpha, config.k_g**2)

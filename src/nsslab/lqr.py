@@ -248,7 +248,7 @@ ETA_SCHEDULE_INFO = {
 }
 
 
-def eta_schedule_lqr(profile: LqrPlProfile, mode: str, h) -> float | np.ndarray:
+def eta_schedule_lqr(mode: str, h) -> float | np.ndarray:
     if mode not in ETA_SCHEDULE_INFO:
         raise ValueError(f"unknown mode {mode!r}; choose from "
                          f"{sorted(ETA_SCHEDULE_INFO)}")

@@ -249,9 +249,9 @@ def logistic_lipschitz_constant(model: LogisticModel) -> float:
     return float(np.linalg.eigvalsh(gram).max()) / (4.0 * model.n_samples)
 
 
-def fit_theta_star(model: LogisticModel, tol: float = 1e-10,
-                   max_iter: int = 2_000_000) -> np.ndarray:
-    """Minimizer by explicit-Euler gradient flow with step 1/L.
+def fit_theta_star(model: LogisticModel) -> np.ndarray:
+    """Minimizer by explicit-Euler gradient flow with step 1/L, run until
+    |grad| <= 1e-10 (at most 2,000,000 steps).
 
     Nonseparability makes the loss coercive and strict convexity (full row
     rank) makes the minimizer unique; descent from zero converges.
@@ -261,25 +261,23 @@ def fit_theta_star(model: LogisticModel, tol: float = 1e-10,
         return np.zeros(model.n_features)
     step = 1.0 / L
     theta = np.zeros(model.n_features)
-    for _ in range(max_iter):
+    for _ in range(2_000_000):
         g = logistic_gradient(model, theta)
-        if np.linalg.norm(g) <= tol:
+        if np.linalg.norm(g) <= 1e-10:
             return theta
         theta = theta - step * g
-    raise RuntimeError(f"gradient flow did not reach |grad| <= {tol:g}; "
+    raise RuntimeError("gradient flow did not reach |grad| <= 1e-10; "
                        f"last norm {np.linalg.norm(g):g} (separable data?)")
 
 
-def logistic_objective(model: LogisticModel,
-                       theta_star: np.ndarray | None = None) -> Objective:
-    """Objective wrapper; computes the minimizer if not supplied."""
-    if theta_star is None:
-        theta_star = fit_theta_star(model)
+def logistic_objective(model: LogisticModel) -> Objective:
+    """Objective wrapper around the minimizer of :func:`fit_theta_star`."""
+    theta_star = fit_theta_star(model)
     jstar = logistic_loss(model, theta_star)
     return Objective(value=lambda th: logistic_loss(model, th),
                      gradient=lambda th: logistic_gradient(model, th),
                      dim=model.n_features, optimum_value=float(jstar),
-                     minimizer=np.asarray(theta_star, dtype=float),
+                     minimizer=theta_star,
                      hessian=lambda th: logistic_hessian(model, th),
                      global_lipschitz=logistic_lipschitz_constant(model),
                      label="logistic")
@@ -291,15 +289,14 @@ class SeparabilityReport:
     margin: float
 
 
-def check_nonseparable(model: LogisticModel,
-                       margin_tol: float = 1e-9) -> SeparabilityReport:
+def check_nonseparable(model: LogisticModel) -> SeparabilityReport:
     """Decide whether some nonzero direction sign-separates the labels.
 
     Separable means a nonzero theta with theta.x_i >= 0 for y_i = 1 and
     theta.x_i <= 0 for y_i = 0.  Decided by maximizing the minimum signed
-    margin t over the box |theta|_inf <= 1 (strictly separable iff t > 0),
-    then probing the boundary cone for nonzero weakly separating
-    directions when t = 0.
+    margin t over the box |theta|_inf <= 1 (strictly separable iff t > 0,
+    with margins up to 1e-9 read as 0), then probing the boundary cone for
+    nonzero weakly separating directions when t = 0.
     """
     from scipy.optimize import linprog
 
@@ -314,7 +311,7 @@ def check_nonseparable(model: LogisticModel,
     if not res.success:
         raise RuntimeError(f"margin LP failed: {res.message}")
     margin = -res.fun
-    if margin > margin_tol:
+    if margin > 1e-9:
         return SeparabilityReport(True, margin)
 
     # boundary: look for nonzero theta in the cone {M theta >= 0}
@@ -324,7 +321,7 @@ def check_nonseparable(model: LogisticModel,
             c[j] = -sign
             cone = linprog(c=c, A_ub=-M, b_ub=np.zeros(N),
                            bounds=[(-1, 1)] * n, method="highs")
-            if cone.success and -cone.fun > margin_tol:
+            if cone.success and -cone.fun > 1e-9:
                 return SeparabilityReport(True, 0.0)
     return SeparabilityReport(False, margin)
 
@@ -337,26 +334,25 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
                            np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def default_r_grid() -> np.ndarray:
-    # geometric grid resolving both the linear regime and the saturation tail
-    return np.r_[0.0, np.geomspace(1e-4, 1e2, 200)]
+# radii of the slope profiles: a geometric grid from 0 resolving both the
+# linear regime and the saturation tail
+_R_GRID = np.r_[0.0, np.geomspace(1e-4, 1e2, 200)]
 
 
 def estimate_kpl_envelope(obj: Objective, theta_star, n_dirs: int,
-                          r_grid: np.ndarray | None = None,
-                          seed: int = 0, h_points: int = 400,
-                          shrink: float = 0.99) -> PLEnvelope:
+                          seed: int = 0) -> PLEnvelope:
     """Direction-uniform K-PL envelope from radial slope profiles.
 
     For each sampled unit direction: tabulate the radial slope zeta(r) of
-    the objective from theta_star, integrate to the suboptimality profile
-    psi(r), and read the slope as a function of suboptimality.  The
-    pointwise minimum over directions, made nondecreasing by running
-    maximum, is returned as a piecewise-linear class-K envelope.
+    the objective from theta_star on ``_R_GRID``, integrate to the
+    suboptimality profile psi(r), and read the slope as a function of
+    suboptimality on 400 geometric points.  The pointwise minimum over
+    directions, made nondecreasing by running maximum, is returned as a
+    piecewise-linear class-K envelope.
 
     The minimum over finitely many directions over-estimates the true
-    sphere minimum; ``shrink`` deflates the table to absorb that
-    discretization optimism, and verify_pl on held-out points is the
+    sphere minimum; the table is deflated by the factor 0.99 to absorb
+    that discretization optimism, and verify_pl on held-out points is the
     mandatory companion check.
     """
     theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
@@ -365,9 +361,6 @@ def estimate_kpl_envelope(obj: Objective, theta_star, n_dirs: int,
         raise ValueError(f"theta_star not stationary: |grad| = {gnorm:g}")
     if n_dirs < 1:
         raise ValueError("n_dirs must be >= 1")
-    r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    if r_grid[0] != 0.0:
-        r_grid = np.r_[0.0, r_grid]
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     dirs = rng.standard_normal((n_dirs, theta_star.size))
@@ -376,17 +369,17 @@ def estimate_kpl_envelope(obj: Objective, theta_star, n_dirs: int,
     profiles = []  # (psi table, zeta table) per direction
     h_max = np.inf
     for d in dirs:
-        pts = theta_star[None] + r_grid[:, None] * d[None]
+        pts = theta_star[None] + _R_GRID[:, None] * d[None]
         zeta = np.asarray(obj.gradient(pts)) @ d
         zeta[0] = 0.0
-        psi = _cumulative_trapezoid(zeta, r_grid)
+        psi = _cumulative_trapezoid(zeta, _R_GRID)
         profiles.append((psi, zeta))
         h_max = min(h_max, psi[-1])
 
-    h_grid = np.r_[0.0, np.geomspace(max(h_max * 1e-8, 1e-300), h_max, h_points)]
+    h_grid = np.r_[0.0, np.geomspace(max(h_max * 1e-8, 1e-300), h_max, 400)]
     mu_vals = np.min([np.interp(h_grid, psi, zeta) for psi, zeta in profiles],
                      axis=0)
-    mu_vals = shrink * np.maximum.accumulate(np.maximum(mu_vals, 0.0))
+    mu_vals = 0.99 * np.maximum.accumulate(np.maximum(mu_vals, 0.0))
     mu_vals[0] = 0.0
     mu = from_table(h_grid, mu_vals, declared_class=K,
                     description=f"empirical envelope ({n_dirs} directions)")
@@ -403,9 +396,10 @@ class PLViolationReport:
         return not self.violations
 
 
-def verify_pl(obj: Objective, envelope: PLEnvelope, points,
-              tol: float = 1e-9) -> PLViolationReport:
-    """List points where the gradient norm undercuts the envelope."""
+def verify_pl(obj: Objective, envelope: PLEnvelope,
+              points) -> PLViolationReport:
+    """List points where the gradient norm undercuts the envelope by more
+    than 1e-9."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     grads = np.asarray(obj.gradient(points))
     gnorms = np.linalg.norm(grads, axis=1)
@@ -413,7 +407,7 @@ def verify_pl(obj: Objective, envelope: PLEnvelope, points,
     violations = []
     for z, gn, h in zip(points, gnorms, hs):
         mu_h = float(envelope.mu(max(h, 0.0)))
-        if gn < mu_h - tol:
+        if gn < mu_h - 1e-9:
             violations.append((z.copy(), float(gn), mu_h))
     return PLViolationReport(violations=violations, checked=len(points))
 

@@ -3,14 +3,14 @@
 A model is dz = drift(z) dt + G Sigma(t) dB: a drift, a constant (n, m)
 noise map G and an m x m noise transform Sigma(t), held as data that is
 piecewise constant with every piece start on the dt grid
-(:class:`CovarianceSchedule`).  Euler-Maruyama reads Sigma only at the
-step starts k dt and holds it for the step, so that is every Sigma a run
-can see.  With additive noise Euler-Maruyama coincides with Milstein
-(Kloeden & Platen 1992, 10.3).  Model callables (drift, domain test) take
-arrays with a leading batch axis: drift maps (B, n) -> (B, n), domain
-tests map (B, n) -> (B,) booleans.  Single trajectories are batches of
-one, so the serial and ensemble code paths are identical and bit-for-bit
-reproducible.
+(:class:`CovarianceSchedule`) up to a horizon that a run's T may not
+pass.  Euler-Maruyama reads Sigma only at the step starts k dt and holds
+it for the step, so that is every Sigma a run can see.  With additive
+noise Euler-Maruyama coincides with Milstein (Kloeden & Platen 1992,
+10.3).  Model callables (drift, domain test) take arrays with a leading
+batch axis: drift maps (B, n) -> (B, n), domain tests map (B, n) -> (B,)
+booleans.  Single trajectories are batches of one, so the serial and
+ensemble code paths are identical and bit-for-bit reproducible.
 
 Randomness is counter-based: each path owns a Philox generator keyed by a
 64-bit seed derived from (master_seed, path index), so a path's increments
@@ -116,7 +116,6 @@ class DiffusionModel:
     noise_map: np.ndarray | None = None
     domain_test: Callable[[np.ndarray], np.ndarray] | None = None
     equilibrium: np.ndarray | None = None
-    label: str = ""
 
     def __post_init__(self):
         n, m = self.state_dim, self.noise_dim
@@ -147,9 +146,11 @@ class CovarianceSchedule:
     """A piecewise-constant noise transform Sigma(t) on [0, horizon).
 
     Piece p holds the m x m matrix ``sigmas[p]`` on [starts[p],
-    starts[p + 1]), the last up to ``horizon``; ``starts`` ascends from 0,
-    and a run needs each to be a whole number of its dt steps.  Any finite
-    square Sigma is accepted: Sigma Sigma^T is PSD for every real Sigma.
+    starts[p + 1]), the last up to ``horizon``; ``starts`` ascends from 0.
+    A run needs each start to be a whole number of its dt steps, and its T
+    and a :func:`sup_noise_intensity` query's t_hi may not pass the
+    horizon (:func:`_check_horizon`).  Any finite square Sigma is accepted:
+    Sigma Sigma^T is PSD for every real Sigma.
     """
 
     starts: np.ndarray
@@ -190,9 +191,10 @@ def sup_noise_intensity(schedule: CovarianceSchedule, t_lo: float,
                         t_hi: float) -> float:
     """Max spectral norm of Sigma Sigma^T over [t_lo, t_hi): the exact
     maximum over the pieces that overlap it (the piece holding t_lo when
-    t_lo == t_hi)."""
+    t_lo == t_hi).  t_hi may not pass the horizon."""
     if t_lo > t_hi:
         raise ValueError("t_lo must be <= t_hi")
+    _check_horizon(schedule, t_hi)
     first = max(int(np.searchsorted(schedule.starts, t_lo, "right")) - 1, 0)
     last = max(first, int(np.searchsorted(schedule.starts, t_hi)) - 1)
     return float(schedule.intensities()[first:last + 1].max())
@@ -569,10 +571,19 @@ def simulate_ensemble(model: DiffusionModel, schedule, x0, dt: float,
                               exit_steps=exit_steps, dt=dt)
 
 
+def _check_horizon(schedule: CovarianceSchedule, t: float) -> None:
+    """A schedule covers t up to its horizon, with the 1e-9 (1 + t) slack
+    of :func:`check_time_grid`; ValueError past it."""
+    if t - schedule.horizon > 1e-9 * (1.0 + t):
+        raise ValueError(f"t = {t:.12g} is past the schedule's horizon "
+                         f"{schedule.horizon:.12g}")
+
+
 def _validate_sim_args(model, schedules, x0s, dt, T, store_every):
     check_time_grid(dt, T, store_every)
     m = model.noise_dim
     for schedule in schedules:
+        _check_horizon(schedule, T)
         shape = schedule.sigmas.shape[1:]
         if shape != (m, m):
             raise ValueError(f"Sigma shape {shape} != ({m}, {m}), the "

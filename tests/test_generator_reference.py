@@ -194,7 +194,7 @@ def reference_v3_size_function(config, V):
     obj = config.objective
     phi = config.phi
     n = obj.dim
-    p2pp = np.gradient(phi.phi2p_vals, phi.h_fine)
+    p2pp = np.gradient(phi.phi2_prime(phi.h_fine), phi.h_fine)
 
     def gradient(x):
         z, v = x[:n], x[n:]
@@ -335,7 +335,7 @@ def half_square_reference():
 
 def linear_model(n=1):
     return DiffusionModel(state_dim=n, noise_dim=n, drift=lambda z: -z,
-                          equilibrium=np.zeros(n), label="linear")
+                          equilibrium=np.zeros(n))
 
 
 def too_strong_certificate():

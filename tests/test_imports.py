@@ -1,14 +1,14 @@
 """Every name a module of the package imports is used in that module,
-every public top-level function and class, and every public method,
-property and class field, is used by the package or is on an allow-list
-that says why it stays, and scipy is imported only by the runs that call
-it."""
+every public top-level function and class, every public method, property
+and class field, and every defaulted parameter of a public function or
+method is used by the package or is on an allow-list that says why it
+stays, and scipy is imported only by the runs that call it."""
 
 import ast
 import json
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -58,6 +58,34 @@ UNREAD_MEMBERS_ALLOWED = {
     "TrajectoryPath.seed": "read by perfbench",
     "_PathKey.generate_state": "read by numpy's Philox, which takes its key "
                                "from its seed sequence",
+}
+
+# defaulted parameters that no call in the package passes, each with the
+# claim its tests set it for
+UNSET_PARAMETERS_ALLOWED = {
+    "phi_functions.delta": "claim (d): the tests shrink delta to check "
+                           "that phi2 tracks phi1, the bound behind V3",
+    "overdamped_certificate.cap": "claim (a): the scNSS certificate of a "
+                                  "bounded PL modulus, which the "
+                                  "acceptance tests falsify",
+    "default_theta_samples.cap": "claim (a): keeps the sampled "
+                                 "intensities below that scNSS cap",
+    "set_D_threshold.bracket": "claim (e): the range of a bounded alpha "
+                               "in the admissibility test",
+    "set_D_threshold.small_covariance": "claim (e): the tests reject an "
+                                        "intensity at or above d1",
+    "Exceedance.window": "claim (e): the tests check the exceedance of "
+                         "sub-windows against the recorded reference",
+    "Supermartingale.min_population": "claim (e): the tests check floors "
+                                      "of 1, 10 and 100 against the "
+                                      "recorded reference",
+    "fit_decay_envelope.headroom": "claim (c): the iNSS test widens the "
+                                   "decay envelope",
+    "default_state_samples.count": "claims (b) and (d): the tests compare "
+                                   "certificates with the per-point "
+                                   "reference at several sample sizes",
+    "main.argv": "the tests run the CLI in-process; the console script "
+                 "passes none",
 }
 
 
@@ -130,6 +158,59 @@ def unread_members(sources: list[str]) -> list[str]:
     return sorted(found)
 
 
+def _defaulted(fn: ast.FunctionDef, method: bool):
+    """(name, positional index or None) of each defaulted parameter, the
+    index counted as a call passes it (after ``self`` for a method)."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    return ([(p.arg, i - method)
+             for i, p in enumerate(positional[first:], first)]
+            + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+               if d is not None])
+
+
+def unset_parameters(sources: list[str]) -> list[str]:
+    """Defaulted parameters of public top-level functions, of public
+    methods of public classes and of every ``__init__``, as
+    ``function.parameter`` (``Class.parameter`` for an ``__init__``), that
+    no call of a function of that name passes, by keyword or by position.
+    A call with ``*args`` passes every position, one with ``**kwargs``
+    every keyword."""
+    trees = [ast.parse(s) for s in sources]
+    keywords, positions = defaultdict(set), Counter()
+    for call in (n for t in trees for n in ast.walk(t)
+                 if isinstance(n, ast.Call)):
+        name = _name_or_attribute(call.func)  # f of f(...) and x.f(...)
+        star = any(isinstance(a, ast.Starred) for a in call.args)
+        positions[name] = max(positions[name],
+                              float("inf") if star else len(call.args))
+        keywords[name].update(k.arg for k in call.keywords)  # None: **
+    found = []
+
+    def check(fn, callee, owner, method):
+        for param, pos in _defaulted(fn, method):
+            if not ({param, None} & keywords[callee]
+                    or pos is not None and positions[callee] > pos):
+                found.append(f"{owner}.{param}")
+
+    for node in (n for t in trees for n in t.body):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            check(node, node.name, node.name, False)
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    check(fn, node.name, node.name, True)
+                elif not (fn.name.startswith("_")
+                          or node.name.startswith("_")):
+                    check(fn, fn.name, f"{node.name}.{fn.name}", not static)
+    return sorted(found)
+
+
 def test_scan_sees_unused_and_used_names():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport numpy as np\n"
@@ -155,6 +236,23 @@ def test_member_scan_sees_attribute_reads_only():
     assert unread_members([a, b]) == ["Report.again", "Report.stored"]
 
 
+def test_parameter_scan_sees_passed_values_only():
+    a = ("def f(x, y=1, z=2, *, k=3):\n    pass\n"
+         "def g(u=0, v=0):\n    pass\n"
+         "def _private(w=0):\n    pass\n"
+         "class Box:\n"
+         "    def __init__(self, p, q=1):\n        pass\n"
+         "    def put(self, r, s=0, t=0):\n        pass\n"
+         "    @staticmethod\n    def make(e=0):\n        pass\n")
+    b = ("def caller(box, args):\n"
+         "    f(1, 2)\n    g(*args)\n    Box(0, 1)\n"
+         "    box.put(0, t=1)\n    Box.make(0)\n")
+    assert unset_parameters([a, b]) == ["Box.put.s", "f.k", "f.z"]
+    # **kwargs passes every keyword, a keyword any position
+    assert unset_parameters([a, b + "    f(0, **kw)\n    box.put(0, s=1)\n"
+                             ]) == []
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
@@ -174,6 +272,13 @@ def test_public_members_are_read_or_allowed():
         [p.read_text() for p in sorted(PACKAGE.glob("*.py"))])
     assert sorted(set(found) - set(UNREAD_MEMBERS_ALLOWED)) == []
     assert sorted(set(UNREAD_MEMBERS_ALLOWED) - set(found)) == []
+
+
+def test_defaulted_parameters_are_passed_or_allowed():
+    found = unset_parameters(
+        [p.read_text() for p in sorted(PACKAGE.glob("*.py"))])
+    assert sorted(set(found) - set(UNSET_PARAMETERS_ALLOWED)) == []
+    assert sorted(set(UNSET_PARAMETERS_ALLOWED) - set(found)) == []
 
 
 def test_only_the_integrator_names_recorded_ensembles():

@@ -161,6 +161,22 @@ class TestPhiLadder:
         rel = np.abs(phi.phi2(hs) - phi.phi1(hs)) / phi.phi1(hs)
         assert np.max(rel) <= 1e-5
 
+    @pytest.mark.parametrize("h_max", [1000.0, 20.0, 3.7])
+    @pytest.mark.parametrize("delta", [None, 1e-6])
+    def test_phi2_prime_on_the_grid_is_the_difference_quotient(self, h_max,
+                                                                delta):
+        # the slope table V3 differentiates: phi2' on h_fine equals the
+        # difference quotient of the phi1 table, clamped at h_max, bit for
+        # bit and sign bits included
+        phi = phi_functions(build_smoothness_ladder(quad(), h_max=h_max),
+                            delta=delta)
+        h = np.minimum(phi.h_fine, phi.h_max)
+        want = (np.interp(h + phi.delta, phi.h_fine, phi.phi1_vals)
+                - np.interp(h, phi.h_fine, phi.phi1_vals)) / phi.delta
+        got = phi.phi2_prime(phi.h_fine)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_phi2_prime_dominates_hessian_bound(self):
         ladder = build_smoothness_ladder(quad(), h_max=10.0)
         phi = phi_functions(ladder)
@@ -403,7 +419,7 @@ class TestCertificates:
         ucfg = UnderdampedConfig(objective=obj, eta=1.0, c=1.0)
         phi = phi_functions(build_smoothness_ladder(obj, h_max=10.0))
         certs = (overdamped_certificate(OverdampedConfig(objective=obj)),
-                 v2_certificate(ucfg), v3_certificate(ucfg, phi))
+                 v2_certificate(ucfg), v3_certificate(replace(ucfg, phi=phi)))
         got = tuple(float(c.gamma(1.0)).hex() for c in certs)
         assert got == self.GAMMA_AT_1[diag]
 

@@ -349,11 +349,10 @@ class TestPlProfile:
         assert np.all(np.diff(Ls) > 0)
 
     def test_eta_schedules(self):
-        profile = solve_riccati(scalar_problem(), K0=np.array([[2.0]]))
-        assert eta_schedule_lqr(profile, "nss", 1.0) == 16.0
-        assert eta_schedule_lqr(profile, "scnss", 1.0) == 8.0
+        assert eta_schedule_lqr("nss", 1.0) == 16.0
+        assert eta_schedule_lqr("scnss", 1.0) == 8.0
         with pytest.raises(ValueError):
-            eta_schedule_lqr(profile, "bogus", 1.0)
+            eta_schedule_lqr("bogus", 1.0)
 
 
 class TestBatchedStats:

@@ -26,7 +26,7 @@ def half_square():
 
 def linear_model(n=1):
     return DiffusionModel(state_dim=n, noise_dim=n, drift=lambda z: -z,
-                          equilibrium=np.zeros(n), label="linear")
+                          equilibrium=np.zeros(n))
 
 
 class TestSizeFunction:
@@ -216,7 +216,7 @@ class TestSupermartingale:
 
     def test_expanding_drift_flagged(self):
         m = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: 0.5 * z,
-                           equilibrium=np.zeros(1), label="unstable")
+                           equilibrium=np.zeros(1))
         assert not self.flags(m).clean
 
 

@@ -256,8 +256,7 @@ def boxed_case(N=2 * 4096 + 3, T=1.0):
     # two shards per ensemble, [0, 4097) and [4097, 8195); the box makes
     # paths exit in both
     model = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: -z,
-                           domain_test=lambda z: np.abs(z[:, 0]) < 1.2,
-                           label="boxed")
+                           domain_test=lambda z: np.abs(z[:, 0]) < 1.2)
     exp = NssExperiment(
         dynamics=model, V=half_norm_squared(),
         schedule_family=[CovarianceSchedule.constant([[s]], T)
@@ -273,7 +272,7 @@ def dense_case(N=100, T=1.0):
     M = np.array([[1.0, 0.3, 0.0], [0.2, 1.5, 0.1], [0.0, 0.4, 0.8]])
     exp = NssExperiment(
         dynamics=DiffusionModel(state_dim=3, noise_dim=3,
-                                drift=lambda z: -(z @ M.T), label="dense"),
+                                drift=lambda z: -(z @ M.T)),
         V=half_norm_squared(),
         schedule_family=[CovarianceSchedule.constant(s * np.eye(3), T)
                          for s in (0.1, 0.2, 0.4, 0.8, 1.6)],

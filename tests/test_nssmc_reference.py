@@ -390,8 +390,7 @@ def escaper_case(N=120, T=2.0):
     # every path leaves the domain before the tail window: NaN quantiles
     model = DiffusionModel(state_dim=1, noise_dim=1,
                            drift=lambda z: np.ones_like(z),
-                           domain_test=lambda z: z[..., 0] < 0.5,
-                           label="escaper")
+                           domain_test=lambda z: z[..., 0] < 0.5)
     exp = NssExperiment(
         dynamics=model, V=half_norm_squared(),
         schedule_family=[CovarianceSchedule.constant([[s]], T)
@@ -528,8 +527,7 @@ def expanding_case(N=150, T=3.0):
     # V grows until paths leave the box |z| < 2: flagged records, and
     # exits that shrink the outside population over time
     model = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: 0.5 * z,
-                           domain_test=lambda z: np.abs(z[:, 0]) < 2.0,
-                           label="expanding")
+                           domain_test=lambda z: np.abs(z[:, 0]) < 2.0)
     return (model, CovarianceSchedule.constant(np.array([[0.3]]), T),
             np.linspace(-1.0, 1.0, N)[:, None].copy(), 1e-2, T, N, 11)
 

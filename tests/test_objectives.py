@@ -201,7 +201,7 @@ def _trapezoid_inputs():
     # the h_fine grids of langevin.phi_functions (h_max + delta, 2000
     # points) and the r grid of estimate_kpl_envelope
     grids = [np.linspace(0.0, top, 2000) for top in (1.01, 3.7, 52.3)]
-    grids.append(objectives.default_r_grid())
+    grids.append(objectives._R_GRID)
     grids += [np.cumsum(rng.exponential(scale, size))
               for scale, size in ((1.0, 50), (1e-3, 777), (10.0, 3))]
     cases = [(rng.standard_normal(x.size) * 10.0 ** rng.integers(-5, 5), x)

@@ -32,7 +32,7 @@ def _plain(state):
 def linear_model(rate=1.0, n=1):
     return DiffusionModel(state_dim=n, noise_dim=n,
                           drift=lambda z: -rate * z,
-                          equilibrium=np.zeros(n), label="linear")
+                          equilibrium=np.zeros(n))
 
 
 class TestDiffusionModel:
@@ -40,7 +40,7 @@ class TestDiffusionModel:
         with pytest.raises(ValueError):
             DiffusionModel(state_dim=1, noise_dim=1,
                            drift=lambda z: -z + 1.0,
-                           equilibrium=np.zeros(1), label="shifted")
+                           equilibrium=np.zeros(1))
 
     def test_identity_diffusion_default(self):
         # with V = |x|^2/2 the noise term 1/2 tr(Theta^T g^T g Theta) is
@@ -198,6 +198,60 @@ class TestCovarianceSchedule:
         assert exp.intensities().tolist() == [0.2 * 0.2, 25.0]
 
 
+class TestHorizon:
+    """A run and a sup-intensity query stay within the schedule's horizon,
+    with the 1e-9 (1 + T) slack of the time grid rule."""
+
+    def test_past_the_horizon_rejected(self):
+        s = CovarianceSchedule.constant(np.array([[0.5]]), horizon=1.0)
+        long = CovarianceSchedule.constant(np.array([[0.7]]), horizon=5.0)
+        for T, run in [
+                (5.0, lambda: simulate_path(linear_model(), s, np.zeros(1),
+                                            0.1, 5.0, 0)),
+                (1.1, lambda: simulate_ensemble(linear_model(), s,
+                                                np.zeros(1), 0.1, 1.1, 4, 0)),
+                # one short schedule in a stack is enough
+                (5.0, lambda: simulate_ensemble(linear_model(), [long, s],
+                                                np.zeros(1), 0.1, 5.0, 4,
+                                                [0, 1])),
+                (5.0, lambda: sup_noise_intensity(s, 0.0, 5.0)),
+                (1.0 + 3e-9, lambda: sup_noise_intensity(s, 0.5, 1.0 + 3e-9)),
+                (5.0, lambda: NssExperiment(
+                    dynamics=linear_model(), V=half_norm_squared(),
+                    schedule_family=[s], x0=np.zeros(1), N=100, dt=0.1,
+                    T=5.0, master_seed=0))]:
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == (f"t = {T:.12g} is past the "
+                                       "schedule's horizon 1")
+
+    def test_up_to_the_horizon_runs(self):
+        s = CovarianceSchedule.constant(np.array([[0.5]]), horizon=1.0)
+        assert sup_noise_intensity(s, 0.0, 1.0) == 0.25
+        # within the slack of the time grid rule
+        assert sup_noise_intensity(s, 0.0, 1.0 + 1e-9) == 0.25
+        path = simulate_path(linear_model(), s, np.zeros(1), 0.1, 1.0, 0)
+        assert path.times[-1] == 1.0
+        # a shorter run, as gain-sweep's quiet envelope is
+        ens = simulate_ensemble(linear_model(), s, np.zeros(1), 0.1, 0.5, 4,
+                                0)
+        assert ens.times[-1] == 0.5
+        exp = NssExperiment(dynamics=linear_model(), V=half_norm_squared(),
+                            schedule_family=[s], x0=np.zeros(1), N=100,
+                            dt=0.1, T=1.0, master_seed=0)
+        assert exp.intensities().tolist() == [0.25]
+
+    @pytest.mark.parametrize("n", [1, 7, 400, 1001])
+    def test_horizon_of_n_steps(self, n):
+        # a schedule built for T = n dt, as the benchmark's step probe
+        # builds it, runs to that T
+        dt = 1e-3
+        s = CovarianceSchedule.constant(np.array([[0.5]]), n * dt)
+        ens = simulate_ensemble(linear_model(), s, np.zeros(1), dt, n * dt,
+                                2, 7, store_every=25)
+        assert ens.times[-1] == n * dt
+
+
 class TestDeterminism:
     def test_same_seed_same_paths(self):
         m = linear_model()
@@ -307,7 +361,7 @@ class TestBlowupAndDomain:
     def test_blowup_flagged_and_frozen(self):
         m = DiffusionModel(state_dim=1, noise_dim=1,
                            drift=lambda z: z**3,
-                           equilibrium=np.zeros(1), label="cubic")
+                           equilibrium=np.zeros(1))
         s = CovarianceSchedule.constant(np.zeros((1, 1)), horizon=10.0)
         ens = simulate_ensemble(m, s, np.full(1, 5.0), 1e-2, 10.0, 2, 0)
         assert ens.blowup.all()
@@ -320,8 +374,7 @@ class TestBlowupAndDomain:
     def test_domain_exit_recorded(self):
         m = DiffusionModel(state_dim=1, noise_dim=1,
                            drift=lambda z: np.ones_like(z),
-                           domain_test=lambda z: z[..., 0] < 1.5,
-                           label="escaper")
+                           domain_test=lambda z: z[..., 0] < 1.5)
         s = CovarianceSchedule.constant(np.zeros((1, 1)), horizon=5.0)
         ens = simulate_ensemble(m, s, np.zeros(1), 1e-2, 5.0, 1, 0)
         assert ens.exited[0] and not ens.blowup[0]
@@ -468,7 +521,7 @@ def reference_simulate_batch(model, schedule, x0s, dt, T, seeds, store_every):
 
 def _linear(n):
     return DiffusionModel(state_dim=n, noise_dim=n, drift=lambda z: -z,
-                          equilibrium=np.zeros(n), label="linear")
+                          equilibrium=np.zeros(n))
 
 
 def _case_scalar():
@@ -521,7 +574,7 @@ def _case_diffusion_field():
     # a constant 3x2 noise map under a full 2x2 Sigma
     G = np.array([[1.0, 0.5], [0.0, -0.3], [0.7, 1.0]])
     model = DiffusionModel(state_dim=3, noise_dim=2, drift=lambda z: -z,
-                           noise_map=G, equilibrium=np.zeros(3), label="map")
+                           noise_map=G, equilibrium=np.zeros(3))
     S = np.array([[0.5, 0.2], [-0.1, 0.4]])
     return model, CovarianceSchedule.constant(S, 1.0), [0.3, -0.2, 0.1]
 
@@ -531,7 +584,7 @@ def _momentum(noise):
     model = DiffusionModel(
         state_dim=2, noise_dim=1,
         drift=lambda z: np.stack([z[:, 1], -z[:, 0] - z[:, 1]], -1),
-        noise_map=[[0.0], [1.0]], equilibrium=np.zeros(2), label="momentum")
+        noise_map=[[0.0], [1.0]], equilibrium=np.zeros(2))
     return model, CovarianceSchedule.constant([[noise]], 1.0), [0.3, -0.2]
 
 
@@ -542,14 +595,13 @@ def _case_underdamped():
 def _case_domain_exit():
     model = DiffusionModel(state_dim=1, noise_dim=1,
                            drift=lambda z: np.ones_like(z),
-                           domain_test=lambda z: z[..., 0] < 0.12,
-                           label="escaper")
+                           domain_test=lambda z: z[..., 0] < 0.12)
     return model, CovarianceSchedule.constant([[0.5]], 1.0), [0.0]
 
 
 def _case_blowup():
     model = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: z**3,
-                           equilibrium=np.zeros(1), label="cubic")
+                           equilibrium=np.zeros(1))
     return model, CovarianceSchedule.constant([[0.5]], 1.0), None
 
 
@@ -566,8 +618,7 @@ def _case_zero_underdamped():
 def _case_zero_domain_exit():
     model = DiffusionModel(state_dim=1, noise_dim=1,
                            drift=lambda z: np.ones_like(z),
-                           domain_test=lambda z: z[..., 0] < 3.05,
-                           label="escaper")
+                           domain_test=lambda z: z[..., 0] < 3.05)
     return model, CovarianceSchedule.constant([[0.0]], 1.0), None
 
 
@@ -591,8 +642,7 @@ def _case_exit_and_blowup():
     # large starts blow up upwards, small ones leave z > -0.5 downwards;
     # at B = 300 both happen on some of the same steps
     model = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: z**3,
-                           domain_test=lambda z: z[..., 0] > -0.5,
-                           label="cubic-floor")
+                           domain_test=lambda z: z[..., 0] > -0.5)
     return model, CovarianceSchedule.constant([[2.0]], 1.0), None
 
 
@@ -772,8 +822,7 @@ class TestShards:
     def test_shards_match_one_batch(self):
         # a box domain: paths exit in both shards
         model = DiffusionModel(state_dim=1, noise_dim=1, drift=lambda z: -z,
-                               domain_test=lambda z: np.abs(z[:, 0]) < 1.2,
-                               label="boxed")
+                               domain_test=lambda z: np.abs(z[:, 0]) < 1.2)
         schedule = CovarianceSchedule.constant(np.array([[1.0]]), self.T)
         x0s = np.linspace(-1.0, 1.0, self.N)[::-1, None].copy()
         times = sde.record_times(self.DT, self.T, self.STORE)
@@ -820,8 +869,7 @@ class TestStacks:
         model, _, _ = _momentum(0.0)
         return DiffusionModel(state_dim=2, noise_dim=1, drift=model.drift,
                               noise_map=model.noise_map,
-                              domain_test=lambda z: np.abs(z[:, 1]) < 1.0,
-                              label="boxed-momentum")
+                              domain_test=lambda z: np.abs(z[:, 1]) < 1.0)
 
     def _x0s(self):
         # from (-0.0, -0.0) the first step's z + drift(z) dt is -0.0, and
