@@ -122,9 +122,13 @@ def _parse(path: str):
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
     if "dataset" in keys:
-        v.dataset = Path(path).parent / v.dataset
-        if not v.dataset.is_file():
-            raise ConfigError(f"[problem] dataset: no such file {v.dataset}")
+        dataset = Path(path).parent / v.dataset
+        if not dataset.is_file():
+            raise ConfigError(f"[problem] dataset: no such file {dataset}")
+        try:
+            v.dataset = objectives.load_logistic_csv(str(dataset))
+        except ValueError as exc:
+            raise ConfigError(f"[problem] dataset {dataset}: {exc}") from exc
     try:
         if "dt" in keys:
             sde.check_time_grid(v.dt, v.T, v.store_every)
@@ -338,7 +342,7 @@ def _exp_quadratic_underdamped(v, out, seed, workers):
 
     obj = _quadratic(v)
     model = langevin.build_underdamped(langevin.UnderdampedConfig(
-        objective=obj, mode="constant_coeff", eta=v.eta, c=v.c))
+        objective=obj, eta=v.eta, c=v.c))
     n = obj.dim
     x0 = np.concatenate([np.asarray(obj.minimizer) + 1.0, np.zeros(n)])
     final = _noiseless_path(model, x0, v, seed, out)
@@ -360,11 +364,10 @@ def _exp_quadratic_underdamped(v, out, seed, workers):
              {"dataset": None, "sigma": "0.05", "N": "200", "dt": "1e-2",
               "T": "50", "store_every": "10"})
 def _exp_logistic_overdamped(v, out, seed, workers):
-    data = objectives.load_logistic_csv(str(v.dataset))
-    sep = objectives.check_nonseparable(data)
+    sep = objectives.check_nonseparable(v.dataset)
     lines = [("dataset-nonseparable", not sep.separable,
               f"margin {sep.margin:.3e}")]
-    obj = objectives.logistic_objective(data)
+    obj = objectives.logistic_objective(v.dataset)
     gstar = float(np.linalg.norm(obj.gradient_at(obj.minimizer)))
     lines.append(("optimizer-stationary", gstar <= 1e-8,
                   f"|grad| at theta* = {gstar:.3e}"))
@@ -389,10 +392,9 @@ def _exp_logistic_overdamped(v, out, seed, workers):
              {"dataset": None, "tol": "1e-4", "dt": "1e-2", "T": "200",
               "store_every": "100"})
 def _exp_logistic_underdamped(v, out, seed, workers):
-    obj = objectives.logistic_objective(
-        objectives.load_logistic_csv(str(v.dataset)))
+    obj = objectives.logistic_objective(v.dataset)
     model = langevin.build_underdamped(langevin.UnderdampedConfig(
-        objective=obj, mode="constant_coeff", eta=1.0, c=1.0))
+        objective=obj, eta=1.0, c=1.0))
     x0 = np.concatenate([obj.minimizer + 0.5, np.zeros(obj.dim)])
     final = _noiseless_path(model, x0, v, seed, out)
     dist = float(np.linalg.norm(final - model.equilibrium))
@@ -448,7 +450,7 @@ def _exp_lqr_po_underdamped(v, out, seed, workers):
     obj = lqr.lqr_objective(problem, profile)
     ladder = langevin.ladder_from_profile(profile, problem, v.h_max)
     model = langevin.build_underdamped(langevin.UnderdampedConfig(
-        objective=obj, mode="scheduled", phi=langevin.phi_functions(ladder)))
+        objective=obj, phi=langevin.phi_functions(ladder)))
     x0 = np.append(lqr.vec_gain(profile.Kstar) + 0.3, 0.0)  # scalar gain
     final = _noiseless_path(model, x0, v, seed, out)
     dist = float(np.linalg.norm(final - model.equilibrium))
@@ -461,10 +463,10 @@ def _exp_lqr_po_underdamped(v, out, seed, workers):
 def _exp_certify_dissipation(v, out, seed, workers):
     obj = _quadratic(v)
     ocfg = langevin.OverdampedConfig(objective=obj)
-    ucfg = langevin.UnderdampedConfig(objective=obj, mode="constant_coeff")
+    ucfg = langevin.UnderdampedConfig(objective=obj)
     umodel = langevin.build_underdamped(ucfg)
     ladder = langevin.build_smoothness_ladder(obj, h_max=1000.0, seed=seed)
-    scfg = langevin.UnderdampedConfig(objective=obj, mode="scheduled",
+    scfg = langevin.UnderdampedConfig(objective=obj,
                                       phi=langevin.phi_functions(ladder))
     states2 = default_state_samples(umodel.equilibrium, seed=seed + 1)
     lines = []
@@ -492,17 +494,16 @@ def _exp_certify_dissipation(v, out, seed, workers):
 @_experiment("pl-envelope", "empirical direction-uniform PL envelope with "
              "held-out verification", {"dataset": None, "n_dirs": "256"})
 def _exp_pl_envelope(v, out, seed, workers):
-    obj = objectives.logistic_objective(
-        objectives.load_logistic_csv(str(v.dataset)))
-    env = objectives.estimate_kpl_envelope(obj, obj.minimizer, v.n_dirs,
-                                           seed=seed)
+    obj = objectives.logistic_objective(v.dataset)
+    mu = objectives.estimate_kpl_envelope(obj, obj.minimizer, v.n_dirs,
+                                          seed=seed)
     _csv_table(out / "envelope.csv", ["h", "mu"],
-               ((h, float(env.mu(h))) for h in np.geomspace(1e-6, 10.0, 200)))
+               ((h, float(mu(h))) for h in np.geomspace(1e-6, 10.0, 200)))
     rng = np.random.Generator(np.random.Philox(key=seed + 1))
     held_out = obj.minimizer + np.concatenate([
         scale * rng.standard_normal((334, obj.dim))
         for scale in (0.1, 1.0, 10.0)])
-    report = objectives.verify_pl(obj, env, held_out)
+    report = objectives.verify_pl(obj, mu, held_out)
     return [("envelope-no-violations", report.clean,
              f"{len(report.violations)} violations over "
              f"{report.checked} held-out points")]

@@ -64,34 +64,28 @@ def build_overdamped(config: OverdampedConfig) -> DiffusionModel:
 class UnderdampedConfig:
     """Underdamped dynamics configuration on the (z, v) product space.
 
-    Constant mode derives the Lyapunov weights
+    Without a PhiLadder ``phi`` the coefficients are the constants eta
+    and c, and the Lyapunov weights are
     lambda1 = 0.9 * min{1/(2 eta + c), 1/(2L), c/(2(eta L + c^2))} and
     lambda2 = (1 - lambda1 c)/eta, which need the global Lipschitz
-    constant L.  Scheduled mode sets c(z) = |hess J(z)|/2 + 1/2 and
-    eta(z) = (phi2'(J(z) - J*) - c(z))/2 >= 1 and needs a PhiLadder.
-    The noise map is the [0; I] block on the velocity, so K_G = |G|_F is
-    sqrt(n).
+    constant L.  With ``phi`` they are scheduled: c(z) = |hess J(z)|/2 +
+    1/2 and eta(z) = (phi2'(J(z) - J*) - c(z))/2 >= 1.  The noise map is
+    the [0; I] block on the velocity, so K_G = |G|_F is sqrt(n).
     """
 
     objective: Objective
-    mode: str = "constant_coeff"
     eta: float = 1.0
     c: float = 1.0
     phi: "PhiLadder | None" = None
 
     def __post_init__(self):
-        if self.mode not in ("constant_coeff", "scheduled"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "constant_coeff":
+        if self.phi is None:
             if self.objective.global_lipschitz is None:
-                raise ValueError("constant mode needs a global gradient "
-                                 "Lipschitz constant; use scheduled mode")
+                raise ValueError("constant coefficients need a global "
+                                 "gradient Lipschitz constant; pass a "
+                                 "PhiLadder to schedule them")
             if self.eta <= 0 or self.c <= 0:
                 raise ValueError("eta and c must be positive")
-        else:
-            if self.phi is None:
-                raise ValueError("scheduled mode needs a PhiLadder "
-                                 "(see phi_functions)")
 
     @property
     def k_g(self) -> float:
@@ -100,8 +94,9 @@ class UnderdampedConfig:
     @property
     def lambdas(self) -> tuple[float, float, float]:
         """(lambda1, lambda2, lambda3) of the V2 construction."""
-        if self.mode != "constant_coeff":
-            raise ValueError("lambda weights exist only in constant mode")
+        if self.phi is not None:
+            raise ValueError("lambda weights exist only for constant "
+                             "coefficients")
         L = self.objective.global_lipschitz
         eta, c = self.eta, self.c
         cap = min(1.0 / (2.0 * eta + c), 1.0 / (2.0 * L),
@@ -131,7 +126,7 @@ def build_underdamped(config: UnderdampedConfig) -> DiffusionModel:
     obj = config.objective
     n = obj.dim
 
-    if config.mode == "constant_coeff":
+    if config.phi is None:
         eta_c, c_c = config.eta, config.c
 
         def drift(x):
@@ -312,14 +307,14 @@ def phi_functions(ladder: SmoothnessLadder,
 
 
 def objective_size_function(obj: Objective) -> SizeFunction:
-    """V = J - J* with the objective's own gradient and Hessian oracles; a
-    missing Hessian is the central difference of :meth:`Objective.evaluate`."""
+    """V = J - J*: :meth:`Objective.evaluate` shifted by the optimum."""
+    def evaluate(z, hessian=False):
+        values, grads, H = obj.evaluate(z, hessian)
+        return values - obj.optimum_value, grads, H
+
     return SizeFunction(
         value=lambda z: np.asarray(obj.value(z), dtype=float) - obj.optimum_value,
-        gradient=obj.gradient,
-        hessian=obj.hessian if obj.hessian is not None
-        else lambda z: obj.evaluate(z, hessian=True)[2],
-        label=f"suboptimality[{obj.label}]")
+        evaluate=evaluate)
 
 
 def _third_derivative_contraction(obj: Objective, z: np.ndarray,
@@ -345,6 +340,17 @@ def _mixed_terms(obj: Objective, x):
     return h, cross.reshape(np.shape(h)), np.sum(v * v, axis=-1)
 
 
+def _mixed_pass(obj: Objective, x):
+    """(z, v, the :func:`_mixed_terms`, grad J(z), hess J(z)) of a (B, 2n)
+    batch from one joint oracle call."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    z, v = x[:, :obj.dim], x[:, obj.dim:]
+    values, g, H = obj.evaluate(z, hessian=True)
+    terms = (values - obj.optimum_value, np.sum(v * g, axis=-1),
+             np.sum(v * v, axis=-1))
+    return z, v, terms, g, H
+
+
 def _mixed_blocks(zz, zv, vv):
     """The (B, 2n, 2n) Hessians [[zz, zv], [zv, vv]] of the (z, v) blocks."""
     return np.block([[zz, zv], [zv, np.broadcast_to(vv, zz.shape)]])
@@ -355,24 +361,21 @@ def v2_size_function(config: UnderdampedConfig) -> SizeFunction:
     lam1, lam2, _ = config.lambdas
     n = obj.dim
 
-    def value(x):
-        h, cross, vv = _mixed_terms(obj, x)
+    def combine(h, cross, vv):
         return h + lam1 * cross + lam2 * (0.5 * vv)
 
-    def gradient(x):
-        z, v = x[:, :n], x[:, n:]
-        _, g, H = obj.evaluate(z, hessian=True)
+    def evaluate(x, hessian=False):
+        z, v, terms, g, H = _mixed_pass(obj, x)
         Hv = np.einsum("bij,bj->bi", H, v)
-        return np.concatenate([g + lam1 * Hv, lam1 * g + lam2 * v], axis=1)
-
-    def hessian(x):
-        z, v = x[:, :n], x[:, n:]
-        H = obj.evaluate(z, hessian=True)[2]
+        grads = np.concatenate([g + lam1 * Hv, lam1 * g + lam2 * v], axis=1)
+        if not hessian:
+            return combine(*terms), grads, None
         zz = H + lam1 * _third_derivative_contraction(obj, z, v)
-        return _mixed_blocks(zz, lam1 * H, lam2 * np.eye(n))
+        return (combine(*terms), grads,
+                _mixed_blocks(zz, lam1 * H, lam2 * np.eye(n)))
 
-    return SizeFunction(value=value, gradient=gradient, hessian=hessian,
-                        label=f"V2[{obj.label}]")
+    return SizeFunction(value=lambda x: combine(*_mixed_terms(obj, x)),
+                        evaluate=evaluate)
 
 
 def v3_size_function(config: UnderdampedConfig) -> SizeFunction:
@@ -382,42 +385,34 @@ def v3_size_function(config: UnderdampedConfig) -> SizeFunction:
     # noise block of the generator never touches it
     p2pp = np.gradient(phi.phi2_prime(phi.h_fine), phi.h_fine)
 
-    def value(x):
-        h, cross, vv = _mixed_terms(obj, x)
+    def combine(h, cross, vv):
         return phi.phi2(h) + cross + vv
 
-    def phi2_slope(h):
+    def evaluate(x, hessian=False):
+        z, v, terms, g, H = _mixed_pass(obj, x)
+        h = terms[0]
         # value clamps h at h_max, so phi2 is flat past it
-        return np.where(h > phi.h_max, 0.0, phi.phi2_prime(h))
-
-    def gradient(x):
-        z, v = x[:, :n], x[:, n:]
-        values, g, H = obj.evaluate(z, hessian=True)
-        p2p = phi2_slope(values - obj.optimum_value)
+        flat = h > phi.h_max
+        p2p = np.where(flat, 0.0, phi.phi2_prime(h))
         Hv = np.einsum("bij,bj->bi", H, v)
-        return np.concatenate([p2p[:, None] * g + Hv, g + 2.0 * v], axis=1)
+        grads = np.concatenate([p2p[:, None] * g + Hv, g + 2.0 * v], axis=1)
+        if not hessian:
+            return combine(*terms), grads, None
+        p2dd = np.where(flat, 0.0, np.interp(h, phi.h_fine, p2pp))
+        zz = p2dd[:, None, None] * g[:, :, None] * g[:, None, :] \
+            + p2p[:, None, None] * H + _third_derivative_contraction(obj, z, v)
+        return combine(*terms), grads, _mixed_blocks(zz, H, 2.0 * np.eye(n))
 
-    def hessian(x):
-        z, v = x[:, :n], x[:, n:]
-        values, g, H = obj.evaluate(z, hessian=True)
-        h = values - obj.optimum_value
-        p2p = phi2_slope(h)[:, None, None]
-        p2dd = np.where(h > phi.h_max, 0.0,
-                        np.interp(h, phi.h_fine, p2pp))[:, None, None]
-        zz = p2dd * g[:, :, None] * g[:, None, :] + p2p * H \
-            + _third_derivative_contraction(obj, z, v)
-        return _mixed_blocks(zz, H, 2.0 * np.eye(n))
-
-    return SizeFunction(value=value, gradient=gradient, hessian=hessian,
-                        label=f"V3[{obj.label}]")
+    return SizeFunction(value=lambda x: combine(*_mixed_terms(obj, x)),
+                        evaluate=evaluate)
 
 
 def _pl_modulus(obj: Objective) -> ScalarClassFunction:
-    """The modulus mu of the objective's PL envelope, which every
-    certificate's alpha is built from."""
+    """The objective's PL modulus mu, which every certificate's alpha is
+    built from."""
     if obj.envelope is None:
         raise ValueError("objective has no PL envelope")
-    return obj.envelope.mu
+    return obj.envelope
 
 
 def _linear_gamma(coef: float, cap: float = np.inf) -> ScalarClassFunction:

@@ -357,8 +357,6 @@ def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
 def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
     """J2 as an objective over vectorized gains, with Hurwitz domain test
     and the analytic mu5 K-PL envelope."""
-    from .objectives import PLEnvelope
-
     m, n = problem.m, problem.n
 
     def value(theta):
@@ -389,12 +387,12 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
             theta = np.asarray(theta, dtype=float)
             return _scalar_hurwitz(a - f * theta.reshape(theta.shape[:-1]))
 
-    env = PLEnvelope(mu=mu5_class_function(profile), kind="K")
     return Objective(value=value, gradient=gradient, dim=m * n,
                      optimum_value=profile.J2star,
                      minimizer=vec_gain(profile.Kstar),
                      hessian=None, domain_test=domain_test,
-                     global_lipschitz=None, envelope=env, label="lqr",
+                     global_lipschitz=None,
+                     envelope=mu5_class_function(profile), label="lqr",
                      value_and_gradient=value_and_gradient)
 
 

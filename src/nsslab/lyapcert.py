@@ -7,8 +7,10 @@ constant noise map G, acting on a size function V is
     L[V](xi, Theta) = <grad V(xi), f(xi)>
                       + 1/2 trace(Theta^T G^T hess V(xi) G Theta).
 
-The certificates bound the second term through K_G = |G|_F, which is
-sqrt(n) for the identity and for the underdamped [0; I] block alike.
+A size function gives grad V and hess V of a batch in one ``evaluate``
+pass, as :class:`objectives.Objective` does.  The certificates bound the
+second term through K_G = |G|_F, which is sqrt(n) for the identity and
+for the underdamped [0; I] block alike.
 
 Certification is falsification on samples, never proof: check_dissipation
 searches for (state, Theta) pairs violating
@@ -28,12 +30,7 @@ import numpy as np
 
 from .compfun import (K, K_ON_0_D, KINF, PD, BracketError, DomainViolation,
                       ScalarClassFunction, invert, invert_auto)
-from .objectives import _batch_derivatives
 from .sde import DiffusionModel, TrajectoryPath
-
-
-class NumericalError(RuntimeError):
-    """Non-finite result of a finite-difference probe."""
 
 
 class AdmissibilityError(ValueError):
@@ -44,30 +41,16 @@ class AdmissibilityError(ValueError):
 class SizeFunction:
     """Positive definite coercive scalar of the state with derivatives.
 
-    Batch-first like :class:`objectives.Objective`: ``value``,
-    ``gradient`` and ``hessian`` map a (B, n) batch to (B,), (B, n) and
-    (B, n, n), and ``value`` is also vectorized over other leading axes.
-    A missing derivative is filled in by :meth:`evaluate` with central
-    differences of the next-lower oracle; a non-finite difference raises
-    :class:`NumericalError`.  The ``*_at`` methods are one-point views.
+    The contract of :class:`objectives.Objective`: ``value`` maps states
+    with any leading shape to V, the cheap path that every reducer reads,
+    and ``evaluate(x, hessian=False)`` returns (values (B,), gradients
+    (B, n), Hessians (B, n, n) or None) for a (B, n) batch in one pass
+    over the oracles V is built on.  The ``*_at`` methods are one-point
+    views.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
-    label: str = ""
-
-    def evaluate(self, x, hessian: bool = False):
-        """(values, gradients, Hessians or None) for a (B, n) batch."""
-        out = _batch_derivatives(x, hessian, self.value, self.gradient,
-                                 self.hessian)
-        for own, d in zip((self.gradient, self.hessian), out[1:]):
-            if own is None and d is not None and not np.isfinite(d).all():
-                raise NumericalError(f"non-finite probe of {self.label!r}")
-        return out
-
-    def value_at(self, xi) -> float:
-        return float(np.asarray(self.value(np.asarray(xi, dtype=float))))
+    evaluate: Callable[..., tuple]
 
     def gradient_at(self, xi) -> np.ndarray:
         return self.evaluate(np.asarray(xi, dtype=float)[None])[1][0]

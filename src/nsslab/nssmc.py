@@ -122,7 +122,6 @@ class GainCurve:
     intensities: np.ndarray
     tail_quantiles: np.ndarray
     blowup_fractions: np.ndarray
-    epsilon: float
     exceedance_fractions: np.ndarray | None = None
 
 
@@ -385,7 +384,6 @@ def run_experiment(exp: NssExperiment,
     return GainCurve(intensities=exp.intensities(),
                      tail_quantiles=np.array(quants),
                      blowup_fractions=np.array(blowups),
-                     epsilon=exp.epsilon,
                      exceedance_fractions=None if bounds is None
                      else np.array(fracs))
 

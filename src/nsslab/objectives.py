@@ -7,9 +7,9 @@ constants, and an empirical direction-uniform K-PL envelope.
 
 Conventions: every oracle is batch-first.  Values map a (B, n) batch to
 (B,) (and are vectorized over any leading axes), gradients to (B, n) and
-Hessians to (B, n, n).  :func:`_batch_derivatives` is the one routine
-behind :meth:`Objective.evaluate` and :meth:`lyapcert.SizeFunction.evaluate`;
-it fills in any missing derivative by central differences.
+Hessians to (B, n, n).  :meth:`Objective.evaluate` returns all three in
+one pass and fills in a missing Hessian by central differences of the
+gradients; :class:`lyapcert.SizeFunction` keeps the same contract.
 """
 
 from __future__ import annotations
@@ -22,18 +22,6 @@ import numpy as np
 
 from .compfun import K, KINF, ScalarClassFunction, from_table
 from .sde import _diagonal, _times_transpose
-
-
-@dataclass(frozen=True)
-class PLEnvelope:
-    """A gradient-norm lower bound |grad J(z)| >= mu(J(z) - J*)."""
-
-    mu: ScalarClassFunction
-    kind: str  # classic_PL, Kinf, K, or PD
-
-    def __post_init__(self):
-        if self.kind not in ("classic_PL", "Kinf", "K", "PD"):
-            raise ValueError(f"unknown envelope kind {self.kind!r}")
 
 
 def _stencil(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,46 +50,6 @@ def _central(f: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return (plus - minus) / (2.0 * steps).reshape(B, *[1] * f.ndim)
 
 
-def _batch_derivatives(z, hessian: bool, value, gradient=None, hess=None,
-                       value_and_gradient=None):
-    """(values (B,), gradients (B, n), Hessians (B, n, n) or None) of a
-    (B, n) batch from whichever oracles exist.
-
-    A missing gradient is the central difference of the values and a
-    missing Hessian the symmetrized central difference of the gradients,
-    both with the per-row step of :func:`_stencil`; the probe rows of the
-    whole batch go through one call of the next-lower oracle (one joint
-    call when ``value_and_gradient`` is given).  With both derivatives
-    missing the stencil nests, still in one value call.  When the oracles
-    compute each row independently of the rest of the batch, as the LQR
-    one does, the results equal the per-point formulas bit for bit.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim < 2:
-        z = z.reshape(1, -1)
-    B = len(z)
-    fd = hessian and hess is None
-    rows, steps = _stencil(z) if fd else (z, None)
-    if value_and_gradient is not None:
-        values, grads = value_and_gradient(rows)
-        values = np.asarray(values, dtype=float)[:B]
-    elif gradient is not None:
-        values = np.asarray(value(z), dtype=float)
-        grads = gradient(rows)
-    else:
-        probes, h = _stencil(rows)
-        vals = np.asarray(value(probes), dtype=float)
-        values, grads = vals[:B], _central(vals, h)
-    grads = np.asarray(grads, dtype=float)
-    if not hessian:
-        return values, grads, None
-    if not fd:
-        return values, grads, np.asarray(hess(z), dtype=float)
-    # H[b][:, i] is the difference quotient along e_i
-    H = _central(grads, steps).swapaxes(1, 2)
-    return values, grads[:B], 0.5 * (H + H.swapaxes(1, 2))
-
-
 @dataclass(frozen=True)
 class Objective:
     """Value/gradient/Hessian oracle with known or estimated optimum.
@@ -110,9 +58,9 @@ class Objective:
     (B, n) and (B, n, n); ``value`` is also vectorized over other leading
     axes.  ``value_and_gradient`` optionally computes both in one joint
     call.  ``global_lipschitz`` is the gradient Lipschitz constant when
-    known.  :meth:`evaluate` returns all three for a batch; with
-    ``hessian=None`` its Hessians are the central differences of
-    :func:`_batch_derivatives`.  The ``*_at`` methods are one-point views.
+    known, and ``envelope`` the PL modulus mu of |grad J(z)| >=
+    mu(J(z) - J*).  :meth:`evaluate` returns all three for a batch.  The
+    ``*_at`` methods are one-point views.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -123,15 +71,43 @@ class Objective:
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
     domain_test: Callable[[np.ndarray], np.ndarray] | None = None
     global_lipschitz: float | None = None
-    envelope: PLEnvelope | None = None
+    envelope: ScalarClassFunction | None = None
     label: str = ""
     value_and_gradient: Callable[[np.ndarray],
                                  tuple[np.ndarray, np.ndarray]] | None = None
 
     def evaluate(self, z, hessian: bool = False):
-        """(values, gradients, Hessians or None) for a (B, dim) batch."""
-        return _batch_derivatives(z, hessian, self.value, self.gradient,
-                                  self.hessian, self.value_and_gradient)
+        """(values (B,), gradients (B, n), Hessians (B, n, n) or None) of a
+        (B, dim) batch.
+
+        Without a Hessian oracle the Hessians are the symmetrized central
+        differences of the gradients, with the per-row step of
+        :func:`_stencil`; the probe rows of the whole batch go through one
+        gradient call (one joint call when ``value_and_gradient`` is
+        given).  When the oracles compute each row independently of the
+        rest of the batch, as the LQR one does, the results equal the
+        per-point formulas bit for bit.
+        """
+        z = np.asarray(z, dtype=float)
+        if z.ndim < 2:
+            z = z.reshape(1, -1)
+        B = len(z)
+        fd = hessian and self.hessian is None
+        rows, steps = _stencil(z) if fd else (z, None)
+        if self.value_and_gradient is not None:
+            values, grads = self.value_and_gradient(rows)
+            values = np.asarray(values, dtype=float)[:B]
+        else:
+            values = np.asarray(self.value(z), dtype=float)
+            grads = self.gradient(rows)
+        grads = np.asarray(grads, dtype=float)
+        if not hessian:
+            return values, grads, None
+        if not fd:
+            return values, grads, np.asarray(self.hessian(z), dtype=float)
+        # H[b][:, i] is the difference quotient along e_i
+        H = _central(grads, steps).swapaxes(1, 2)
+        return values, grads[:B], 0.5 * (H + H.swapaxes(1, 2))
 
     def value_at(self, z) -> float:
         return float(np.asarray(self.value(np.asarray(z, dtype=float))))
@@ -173,11 +149,10 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray) -> Objective:
 
     mu = ScalarClassFunction(lambda h: np.sqrt(c_pl * np.asarray(h, dtype=float)),
                              KINF, description=f"sqrt({c_pl:g} h)")
-    env = PLEnvelope(mu=mu, kind="classic_PL")
     return Objective(value=value, gradient=gradient, dim=A.shape[0],
                      optimum_value=0.0, minimizer=zstar,
                      hessian=lambda z: np.repeat(A[None], len(z), axis=0),
-                     global_lipschitz=float(w.max()), envelope=env,
+                     global_lipschitz=float(w.max()), envelope=mu,
                      label="quadratic")
 
 
@@ -340,7 +315,7 @@ _R_GRID = np.r_[0.0, np.geomspace(1e-4, 1e2, 200)]
 
 
 def estimate_kpl_envelope(obj: Objective, theta_star, n_dirs: int,
-                          seed: int = 0) -> PLEnvelope:
+                          seed: int = 0) -> ScalarClassFunction:
     """Direction-uniform K-PL envelope from radial slope profiles.
 
     For each sampled unit direction: tabulate the radial slope zeta(r) of
@@ -381,9 +356,8 @@ def estimate_kpl_envelope(obj: Objective, theta_star, n_dirs: int,
                      axis=0)
     mu_vals = 0.99 * np.maximum.accumulate(np.maximum(mu_vals, 0.0))
     mu_vals[0] = 0.0
-    mu = from_table(h_grid, mu_vals, declared_class=K,
-                    description=f"empirical envelope ({n_dirs} directions)")
-    return PLEnvelope(mu=mu, kind="K")
+    return from_table(h_grid, mu_vals, declared_class=K,
+                      description=f"empirical envelope ({n_dirs} directions)")
 
 
 @dataclass(frozen=True)
@@ -396,29 +370,33 @@ class PLViolationReport:
         return not self.violations
 
 
-def verify_pl(obj: Objective, envelope: PLEnvelope,
+def verify_pl(obj: Objective, envelope: ScalarClassFunction,
               points) -> PLViolationReport:
-    """List points where the gradient norm undercuts the envelope by more
-    than 1e-9."""
+    """List points where the gradient norm undercuts the PL modulus
+    ``envelope`` by more than 1e-9."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     grads = np.asarray(obj.gradient(points))
     gnorms = np.linalg.norm(grads, axis=1)
     hs = np.asarray(obj.value(points), dtype=float) - obj.optimum_value
     violations = []
     for z, gn, h in zip(points, gnorms, hs):
-        mu_h = float(envelope.mu(max(h, 0.0)))
+        mu_h = float(envelope(max(h, 0.0)))
         if gn < mu_h - 1e-9:
             violations.append((z.copy(), float(gn), mu_h))
     return PLViolationReport(violations=violations, checked=len(points))
 
 
 def load_logistic_csv(path: str) -> LogisticModel:
-    """Dataset CSV: feature columns then one 0/1 label column, with header."""
+    """Dataset CSV: feature columns then one 0/1 label column, with header.
+
+    A file that holds no such table raises a one-line ValueError.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        if next(reader, None) is None:
+            raise ValueError("empty file")
         rows = [[float(v) for v in row] for row in reader if row]
     data = np.array(rows)
     if data.ndim != 2 or data.shape[1] < 2:
-        raise ValueError(f"{path}: need at least one feature and a label column")
+        raise ValueError("need at least one feature and a label column")
     return LogisticModel(X=data[:, :-1].T, y=data[:, -1])

@@ -1,9 +1,11 @@
 """Helpers that several test modules share and no run of the package
-needs: a size function, a sampler of stabilising LQR gains, a check of
+needs: a size function, the per-point finite-difference reference of
+size-function derivatives, a sampler of stabilising LQR gains, a check of
 the logistic gradient bound, a replay of recorded ensembles into
 reducers, and the schedule a run sees of a function of time."""
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,11 +26,76 @@ def half_norm_squared(center=None) -> SizeFunction:
         d = gradient(x)
         return 0.5 * np.sum(d * d, axis=-1)
 
-    def hessian(x):
-        return np.repeat(np.eye(x.shape[1])[None], len(x), axis=0)
+    def evaluate(x, hessian=False):
+        x = np.asarray(x, dtype=float)
+        H = np.repeat(np.eye(x.shape[1])[None], len(x), axis=0)
+        return value(x), gradient(x), H if hessian else None
 
-    return SizeFunction(value=value, gradient=gradient, hessian=hessian,
-                        label="half-norm-squared")
+    return SizeFunction(value=value, evaluate=evaluate)
+
+
+@dataclass(frozen=True)
+class ReferenceSizeFunction:
+    """Positive definite coercive scalar of the state with derivatives.
+
+    ``value`` must be vectorized over leading axes; ``gradient`` and
+    ``hessian`` take one state and default to central differences with
+    step 1e-5 * (1 + |xi|).
+
+    The one-state size function the package's batched one replaced, kept
+    verbatim as the finite-difference reference of the derivatives; a
+    non-finite probe raises FloatingPointError.
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None
+    label: str = ""
+
+    def value_at(self, xi) -> float:
+        return float(np.asarray(self.value(np.asarray(xi, dtype=float))))
+
+    def _fd_step(self, xi: np.ndarray) -> float:
+        return 1e-5 * (1.0 + float(np.linalg.norm(xi)))
+
+    def gradient_at(self, xi) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        if self.gradient is not None:
+            return np.asarray(self.gradient(xi), dtype=float)
+        h = self._fd_step(xi)
+        n = xi.size
+        probes = np.repeat(xi[None], 2 * n, axis=0)
+        probes[:n] += h * np.eye(n)
+        probes[n:] -= h * np.eye(n)
+        vals = np.asarray(self.value(probes), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise FloatingPointError(f"non-finite probe near {xi!r}")
+        return (vals[:n] - vals[n:]) / (2.0 * h)
+
+    def hessian_at(self, xi) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        if self.hessian is not None:
+            return np.asarray(self.hessian(xi), dtype=float)
+        h = self._fd_step(xi)
+        n = xi.size
+        eye = np.eye(n)
+        H = np.empty((n, n))
+        v0 = self.value_at(xi)
+        for i in range(n):
+            for j in range(i, n):
+                if i == j:
+                    vp = self.value_at(xi + h * eye[i])
+                    vm = self.value_at(xi - h * eye[i])
+                    H[i, i] = (vp - 2.0 * v0 + vm) / h**2
+                else:
+                    vpp = self.value_at(xi + h * (eye[i] + eye[j]))
+                    vpm = self.value_at(xi + h * (eye[i] - eye[j]))
+                    vmp = self.value_at(xi - h * (eye[i] - eye[j]))
+                    vmm = self.value_at(xi - h * (eye[i] + eye[j]))
+                    H[i, j] = H[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * h**2)
+        if not np.all(np.isfinite(H)):
+            raise FloatingPointError(f"non-finite Hessian probe near {xi!r}")
+        return H
 
 
 def random_stabilizing_gains(problem: LqrProblem, profile: LqrPlProfile,

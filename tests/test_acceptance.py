@@ -20,9 +20,9 @@ from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
                              overdamped_certificate, phi_functions,
                              v2_certificate, v2_size_function, v3_certificate,
                              v3_size_function)
-from nsslab.lyapcert import (SizeFunction, check_dissipation,
-                             default_state_samples, default_theta_samples,
-                             generator_apply, self_values)
+from nsslab.lyapcert import (check_dissipation, default_state_samples,
+                             default_theta_samples, generator_apply,
+                             self_values)
 from nsslab.nssmc import (NssExperiment, PathMeans, fit_decay_envelope,
                           run_experiment, scnss_threshold_scan)
 from nsslab.objectives import (check_nonseparable, estimate_kpl_envelope,
@@ -33,8 +33,9 @@ from nsslab.objectives import (check_nonseparable, estimate_kpl_envelope,
 from nsslab.sde import (CovarianceSchedule, record_times, simulate_ensemble,
                         simulate_path)
 
-from helpers import (gradient_bound_check, half_norm_squared,
-                     random_stabilizing_gains)
+from helpers import (ReferenceSizeFunction, gradient_bound_check,
+                     half_norm_squared, random_stabilizing_gains)
+from test_generator_reference import reference_generator_apply
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEMO_CSV = CONFIG_DIR / "logistic_demo.csv"
@@ -114,8 +115,7 @@ def test_generator_exact_on_quadratic_and_matches_finite_differences():
     # analytic derivatives against central differences, every shipped V
     ucfg = UnderdampedConfig(objective=obj, eta=1.0, c=1.0)
     ladder = build_smoothness_ladder(obj, h_max=100.0)
-    scfg = UnderdampedConfig(objective=obj, mode="scheduled",
-                             phi=phi_functions(ladder))
+    scfg = UnderdampedConfig(objective=obj, phi=phi_functions(ladder))
     cases = [
         (objective_size_function(obj), build_overdamped(
             OverdampedConfig(objective=obj)), n),
@@ -126,13 +126,13 @@ def test_generator_exact_on_quadratic_and_matches_finite_differences():
     ]
     worst_fd = 0.0
     for V, model, dim in cases:
-        fd = SizeFunction(value=V.value)
+        fd = ReferenceSizeFunction(value=V.value)
         for k in range(20):
             x = rng.standard_normal(dim)
             s = rng.uniform(0.1, 1.0)
             Theta = s * np.eye(model.noise_dim)
             a = generator_apply(V, model, x, Theta)[0]
-            b = generator_apply(fd, model, x, Theta)[0]
+            b = reference_generator_apply(fd, model, x, Theta)
             worst_fd = max(worst_fd, abs(a - b) / (1.0 + abs(a)))
     assert worst_fd <= 1e-4
     _report("generator-exactness",
@@ -178,8 +178,7 @@ def test_dissipation_certificates_have_zero_violations():
 
     # scheduled-coefficient momentum triple
     ladder = build_smoothness_ladder(quad, h_max=1000.0)
-    scfg = UnderdampedConfig(objective=quad, mode="scheduled",
-                             phi=phi_functions(ladder))
+    scfg = UnderdampedConfig(objective=quad, phi=phi_functions(ladder))
     smodel = build_underdamped(scfg)
     out = check_dissipation(v3_size_function(scfg), smodel,
                             v3_certificate(scfg),

@@ -413,6 +413,28 @@ class TestSchema:
             assert captured.out == ""
             assert not out.exists()
 
+    # dataset files with no logistic table: empty, a cell that is no
+    # number, a label that is neither 0 nor 1
+    BAD_DATASETS = {"empty": "", "not-a-number": "x1,label\n0.5,1\nabc,0\n",
+                    "label-2": "x1,label\n0.5,1\n-0.5,2\n"}
+
+    @pytest.mark.parametrize("body", list(BAD_DATASETS.values()),
+                             ids=list(BAD_DATASETS))
+    def test_malformed_dataset_exits_2_before_any_output(self, tmp_path,
+                                                         capsys, body):
+        (tmp_path / "data.csv").write_text(body)
+        cfg = write_config(tmp_path, "pl-envelope",
+                           "[problem]\ndataset = data.csv\n")
+        out = tmp_path / "o"
+        for argv in (["validate", cfg], ["run", cfg, "--out", str(out)]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, lines
+            assert lines[0].startswith("error: [problem] dataset "), lines
+            assert captured.out == ""
+            assert not out.exists()
+
     def test_logistic_overdamped_accepts_zero_sigma(self, tmp_path):
         # its tail check needs no division by sigma
         cfg = write_config(tmp_path, "logistic-overdamped",

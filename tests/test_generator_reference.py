@@ -2,18 +2,16 @@
 against the per-point code they replaced.
 
 The reference below is the earlier one-state implementation, kept
-verbatim: the ``SizeFunction`` with one-point derivative callables and its
-finite differences, ``generator_apply`` and the inner loop of
-``check_dissipation``, and the per-point derivative formulas of the four
-shipped size functions.  Only the deleted ``DiffusionModel.drift_at`` and
+verbatim: ``generator_apply`` and the inner loop of ``check_dissipation``
+over the one-point ``helpers.ReferenceSizeFunction``, and the per-point
+derivative formulas of the four shipped size functions.  Only the deleted ``DiffusionModel.drift_at`` and
 ``diffusion_at`` views became the module functions of the same names
 (``diffusion_at`` now reads the model's constant noise map), and V3's phi2 slope and curvature are 0 past the ladder's h_max, where its
 value is flat (the earlier formula kept the slope at the clamped h).
 """
 
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 import pytest
@@ -25,81 +23,20 @@ from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
                              build_underdamped, objective_size_function,
                              phi_functions,
                              v2_size_function, v3_size_function)
-from nsslab.lyapcert import (DissipationCertificate, NumericalError,
-                             SizeFunction, check_dissipation,
+from nsslab.lyapcert import (DissipationCertificate, check_dissipation,
                              default_state_samples, default_theta_samples,
                              generator_apply)
 from nsslab.objectives import (load_logistic_csv, logistic_objective,
                                quadratic_objective)
 from nsslab.sde import DiffusionModel
 
-from helpers import half_norm_squared
+from helpers import ReferenceSizeFunction, half_norm_squared
 
 
 DATASET = Path(__file__).resolve().parent.parent / "configs" / "logistic_demo.csv"
 
 
 # ---------------------------------------------------------------- reference
-
-@dataclass(frozen=True)
-class ReferenceSizeFunction:
-    """Positive definite coercive scalar of the state with derivatives.
-
-    ``value`` must be vectorized over leading axes; ``gradient`` and
-    ``hessian`` take one state and default to central differences with
-    step 1e-5 * (1 + |xi|).
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
-    label: str = ""
-
-    def value_at(self, xi) -> float:
-        return float(np.asarray(self.value(np.asarray(xi, dtype=float))))
-
-    def _fd_step(self, xi: np.ndarray) -> float:
-        return 1e-5 * (1.0 + float(np.linalg.norm(xi)))
-
-    def gradient_at(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if self.gradient is not None:
-            return np.asarray(self.gradient(xi), dtype=float)
-        h = self._fd_step(xi)
-        n = xi.size
-        probes = np.repeat(xi[None], 2 * n, axis=0)
-        probes[:n] += h * np.eye(n)
-        probes[n:] -= h * np.eye(n)
-        vals = np.asarray(self.value(probes), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError(f"non-finite probe near {xi!r}")
-        return (vals[:n] - vals[n:]) / (2.0 * h)
-
-    def hessian_at(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if self.hessian is not None:
-            return np.asarray(self.hessian(xi), dtype=float)
-        h = self._fd_step(xi)
-        n = xi.size
-        eye = np.eye(n)
-        H = np.empty((n, n))
-        v0 = self.value_at(xi)
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    vp = self.value_at(xi + h * eye[i])
-                    vm = self.value_at(xi - h * eye[i])
-                    H[i, i] = (vp - 2.0 * v0 + vm) / h**2
-                else:
-                    vpp = self.value_at(xi + h * (eye[i] + eye[j]))
-                    vpm = self.value_at(xi + h * (eye[i] - eye[j]))
-                    vmp = self.value_at(xi - h * (eye[i] - eye[j]))
-                    vmm = self.value_at(xi - h * (eye[i] + eye[j]))
-                    H[i, j] = H[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * h**2)
-        if not np.all(np.isfinite(H)):
-            raise NumericalError(f"non-finite Hessian probe near {xi!r}")
-        return H
-
 
 def drift_at(model, x):
     return np.asarray(model.drift(np.asarray(x, dtype=float)[None]))[0]
@@ -238,8 +175,7 @@ def shipped_cases(obj):
     ocfg = OverdampedConfig(objective=obj)
     ucfg = UnderdampedConfig(objective=obj, eta=1.0, c=1.0)
     ladder = build_smoothness_ladder(obj, h_max=100.0)
-    scfg = UnderdampedConfig(objective=obj, mode="scheduled",
-                             phi=phi_functions(ladder))
+    scfg = UnderdampedConfig(objective=obj, phi=phi_functions(ladder))
     sub = objective_size_function(obj)
     half = half_norm_squared(center=obj.minimizer)
     v2 = v2_size_function(ucfg)
@@ -299,33 +235,6 @@ def test_zero_theta_skips_the_noise_term(cases):
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_fd_gradient_is_the_reference_fd_gradient(cases):
-    # the value-only stencil is the reference one, row for row
-    for name, V, _, _ in cases:
-        dim = 4 if name in ("V2", "V3") else 2
-        states = default_state_samples(np.zeros(dim), count=30, seed=6)
-        fd = SizeFunction(value=V.value)
-        ref = ReferenceSizeFunction(value=V.value)
-        grads = fd.evaluate(states)[1]
-        for xi, g in zip(states, grads):
-            assert np.array_equal(g, ref.gradient_at(xi)), name
-
-
-def test_fd_hessian_near_reference_and_analytic(cases):
-    # nested central differences of the values, one value call per batch;
-    # unit-scale states, as past the ladder's h_max phi2 is flat
-    for name, V, _, _ in cases:
-        dim = 4 if name in ("V2", "V3") else 2
-        states = np.random.default_rng(7).standard_normal((30, dim))
-        H = SizeFunction(value=V.value).evaluate(states, hessian=True)[2]
-        H_an = V.evaluate(states, hessian=True)[2]
-        ref = ReferenceSizeFunction(value=V.value)
-        H_ref = np.array([ref.hessian_at(xi) for xi in states])
-        assert np.allclose(H, np.swapaxes(H, 1, 2), rtol=0.0, atol=0.0)
-        assert np.max(np.abs(H - H_an)) <= 1e-3, name
-        assert np.max(np.abs(H - H_ref)) <= 1e-3, name
-
-
 def half_square_reference():
     return ReferenceSizeFunction(
         value=lambda z: 0.5 * np.sum(np.square(z), axis=-1),
@@ -365,36 +274,6 @@ def test_witnesses_match_reference_loop():
 
 # ------------------------------------------------------------- call counts
 
-def test_value_only_hessian_is_one_value_call():
-    calls = []
-
-    def value(x):
-        calls.append(np.shape(x))
-        return 0.5 * np.sum(np.square(x), axis=-1)
-
-    V = SizeFunction(value=value)
-    B, n = 5, 3
-    x = np.random.default_rng(8).standard_normal((B, n))
-    values, grads, hess = V.evaluate(x, hessian=True)
-    assert len(calls) == 1
-    assert calls[0] == (B * (1 + 2 * n) ** 2, n)
-    assert values.shape == (B,) and grads.shape == (B, n)
-    assert hess.shape == (B, n, n)
-    assert np.allclose(values, value(x))
-    assert np.allclose(grads, x, atol=1e-8)
-    assert np.allclose(hess, np.eye(n), atol=1e-4)
-
-
-def test_non_finite_probe_raises():
-    # V is NaN for x_0 < 0, so the probes at x - h e_0 are NaN
-    V = SizeFunction(value=lambda x: np.where(
-        x[..., 0] >= 0.0, np.sum(np.square(x), axis=-1), np.nan))
-    with pytest.raises(NumericalError):
-        V.evaluate(np.zeros((1, 2)))
-    with pytest.raises(NumericalError):
-        V.hessian_at(np.zeros(2))
-
-
 def test_one_generator_call_per_theta(monkeypatch):
     batches = []
     inner = lyapcert.generator_apply
@@ -410,3 +289,32 @@ def test_one_generator_call_per_theta(monkeypatch):
                             too_strong_certificate(), states, thetas)
     assert out.violations
     assert batches == [states.shape] * len(thetas)
+
+
+@pytest.mark.parametrize("make", [quadratic, logistic],
+                         ids=["quadratic", "logistic"])
+def test_momentum_size_functions_make_one_joint_pass(make):
+    # one objective pass for the values and first derivatives and one
+    # for the third-derivative stencil, each a value, gradient and
+    # Hessian call; the values are V.value's bit for bit
+    obj = make()
+    calls = dict.fromkeys(("value", "gradient", "hessian"), 0)
+
+    def counted(kind, fn):
+        def oracle(z):
+            calls[kind] += 1
+            return fn(z)
+        return oracle
+
+    counting = replace(obj, **{k: counted(k, getattr(obj, k))
+                               for k in calls})
+    ucfg = UnderdampedConfig(objective=counting, eta=1.0, c=1.0)
+    scfg = replace(ucfg, phi=phi_functions(build_smoothness_ladder(
+        obj, h_max=100.0)))
+    x = default_state_samples(np.zeros(2 * obj.dim), count=99, seed=9)
+    for V in (v2_size_function(ucfg), v3_size_function(scfg)):
+        calls.update(dict.fromkeys(calls, 0))
+        values = V.evaluate(x, hessian=True)[0]
+        assert calls == {"value": 2, "gradient": 2, "hessian": 2}
+        assert np.array_equal(values, V.value(x))
+        assert np.array_equal(np.signbit(values), np.signbit(V.value(x)))

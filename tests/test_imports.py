@@ -2,7 +2,8 @@
 every public top-level function and class, every public method, property
 and class field, and every defaulted parameter of a public function or
 method is used by the package or is on an allow-list that says why it
-stays, and scipy is imported only by the runs that call it."""
+stays, every member name that two classes share says where each is read,
+and scipy is imported only by the runs that call it."""
 
 import ast
 import json
@@ -58,6 +59,63 @@ UNREAD_MEMBERS_ALLOWED = {
     "TrajectoryPath.seed": "read by perfbench",
     "_PathKey.generate_state": "read by numpy's Philox, which takes its key "
                                "from its seed sequence",
+    "Objective.label": "read by perfbench's per-layer metric names",
+}
+
+# public members whose name another class of the package also defines, so
+# that a read of one counts for all in unread_members; each says where
+# that class's member is read
+SHARED_MEMBER_NAMES = {
+    "AccumulationReport.epsilon": "AccumulationReport.passed",
+    "NssExperiment.epsilon": "_SweepEnsemble.stats, inss_accumulation_check",
+    "ClassEvidenceReport.declared_class": "no code: claims (a)-(c), the "
+                                          "class the evidence is about",
+    "ScalarClassFunction.declared_class": "DissipationCertificate, the "
+                                          "certificate builders",
+    "CovarianceSchedule.intensities": "sup_noise_intensity, "
+                                      "inss_accumulation_check",
+    "GainCurve.intensities": "scnss_threshold_scan, the gain-curve writer",
+    "NssExperiment.intensities": "run_experiment, NssExperiment's check",
+    "DiffusionModel.domain_test": "_simulate_batch, _validate_sim_args",
+    "Objective.domain_test": "build_overdamped, build_underdamped",
+    "DissipationCertificate.d": "check_dissipation, certificate_summary",
+    "ScalarClassFunction.d": "ScalarClassFunction.__call__, "
+                             "classify_evidence",
+    "DissipationCertificate.violations": "certificate_summary, the "
+                                         "certificate writer",
+    "PLViolationReport.violations": "PLViolationReport.clean, pl-envelope",
+    "Exceedance.buffers": "_SweepEnsemble.buffers",
+    "WindowValues.buffers": "_SweepEnsemble.buffers",
+    "_SweepEnsemble.buffers": "run_experiment",
+    "Exceedance.shard": "_run_stack, _SweepEnsemble.buffers",
+    "WindowValues.shard": "_run_stack, _SweepEnsemble.buffers",
+    "NssExperiment.dt": "_run_stack, inss_accumulation_check",
+    "TrajectoryEnsemble.dt": "perfbench's path-step count",
+    "TrajectoryEnsemble.times": "perfbench's path-step count",
+    "TrajectoryEnsemble.states": "perfbench's state-byte count",
+    "TrajectoryEnsemble.blowup": "perfbench (unread in the package)",
+    "TrajectoryPath.blowup": "perfbench (unread in the package)",
+    "TrajectoryPath.times": "the trajectory writer",
+    "TrajectoryPath.states": "the trajectory writer, entry_exit_times",
+    "Objective.value": "verify_pl, the drifts, the size functions",
+    "SizeFunction.value": "self_values, check_dissipation",
+    "Objective.evaluate": "the size functions, _scheduled_terms",
+    "SizeFunction.evaluate": "generator_apply",
+    "Objective.gradient_at": "estimate_kpl_envelope, logistic-overdamped",
+    "SizeFunction.gradient_at": "perfbench's tracer, which binds it",
+    "Objective.hessian_at": "build_smoothness_ladder, "
+                            "quadratic-underdamped",
+    "SizeFunction.hessian_at": "perfbench's tracer, which binds it",
+    "OverdampedConfig.eta": "build_overdamped",
+    "UnderdampedConfig.eta": "lambdas, build_underdamped, v2_certificate",
+    "OverdampedConfig.k_g": "overdamped_certificate",
+    "UnderdampedConfig.k_g": "v2_certificate, v3_certificate",
+    "OverdampedConfig.objective": "build_overdamped, "
+                                  "overdamped_certificate",
+    "UnderdampedConfig.objective": "build_underdamped, the V2 and V3 "
+                                   "builders",
+    "PhiLadder.h_max": "v3_size_function, the PhiLadder methods",
+    "SmoothnessLadder.h_max": "phi_functions",
 }
 
 # defaulted parameters that no call in the package passes, each with the
@@ -134,14 +192,9 @@ def unreferenced_definitions(sources: list[str]) -> list[str]:
                   and total[d.name] == _reads(d, _name_or_attribute)[d.name])
 
 
-def unread_members(sources: list[str]) -> list[str]:
-    """Public methods, properties and annotated class fields, as
-    ``Class.name``, whose name no code reads as an attribute outside
-    their own definition.  Setting a field, by keyword or assignment, is
-    not a read."""
-    trees = [ast.parse(s) for s in sources]
-    total = sum((_reads(t, _attribute_load) for t in trees), Counter())
-    found = []
+def _members(trees):
+    """(class name, node, member name) of each public method, property
+    and annotated class field."""
     for cls in (c for t in trees for c in ast.walk(t)
                 if isinstance(c, ast.ClassDef)):
         for node in cls.body:
@@ -152,10 +205,29 @@ def unread_members(sources: list[str]) -> list[str]:
                 name = node.target.id
             else:
                 continue
-            if (not name.startswith("_")
-                    and total[name] == _reads(node, _attribute_load)[name]):
-                found.append(f"{cls.name}.{name}")
-    return sorted(found)
+            if not name.startswith("_"):
+                yield cls.name, node, name
+
+
+def unread_members(sources: list[str]) -> list[str]:
+    """Public methods, properties and annotated class fields, as
+    ``Class.name``, whose name no code reads as an attribute outside
+    their own definition.  Setting a field, by keyword or assignment, is
+    not a read."""
+    trees = [ast.parse(s) for s in sources]
+    total = sum((_reads(t, _attribute_load) for t in trees), Counter())
+    return sorted(f"{cls}.{name}" for cls, node, name in _members(trees)
+                  if total[name] == _reads(node, _attribute_load)[name])
+
+
+def shared_members(sources: list[str]) -> list[str]:
+    """Public members, as ``Class.name``, whose name two or more classes
+    define.  :func:`unread_members` counts reads by name, so a read of one
+    such member also counts for its namesakes."""
+    members = list(_members([ast.parse(s) for s in sources]))
+    classes = Counter(name for _, _, name in members)
+    return sorted(f"{cls}.{name}" for cls, _, name in members
+                  if classes[name] > 1)
 
 
 def _defaulted(fn: ast.FunctionDef, method: bool):
@@ -236,6 +308,20 @@ def test_member_scan_sees_attribute_reads_only():
     assert unread_members([a, b]) == ["Report.again", "Report.stored"]
 
 
+def test_shared_member_scan_sees_names_of_two_classes():
+    a = ("class Report:\n    value: int\n    _own: int\n"
+         "    def show(self):\n        pass\n")
+    b = ("class Probe:\n    value: int\n    _own: int\n"
+         "    @property\n    def show(self):\n        return 0\n"
+         "class Alone:\n    count: int\n"
+         "def caller(r):\n    return r.value\n")
+    assert shared_members([a, b]) == ["Probe.show", "Probe.value",
+                                      "Report.show", "Report.value"]
+    # the read of r.value counts for both classes, so neither is unread
+    assert unread_members([a, b]) == ["Alone.count", "Probe.show",
+                                      "Report.show"]
+
+
 def test_parameter_scan_sees_passed_values_only():
     a = ("def f(x, y=1, z=2, *, k=3):\n    pass\n"
          "def g(u=0, v=0):\n    pass\n"
@@ -272,6 +358,14 @@ def test_public_members_are_read_or_allowed():
         [p.read_text() for p in sorted(PACKAGE.glob("*.py"))])
     assert sorted(set(found) - set(UNREAD_MEMBERS_ALLOWED)) == []
     assert sorted(set(UNREAD_MEMBERS_ALLOWED) - set(found)) == []
+
+
+def test_shared_member_names_say_where_each_is_read():
+    found = shared_members(
+        [p.read_text() for p in sorted(PACKAGE.glob("*.py"))])
+    assert sorted(set(found) - set(SHARED_MEMBER_NAMES)) == []
+    # an entry whose namesake is gone has no reason to stay
+    assert sorted(set(SHARED_MEMBER_NAMES) - set(found)) == []
 
 
 def test_defaulted_parameters_are_passed_or_allowed():

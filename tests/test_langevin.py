@@ -15,13 +15,12 @@ from nsslab.langevin import (OverdampedConfig, SmoothnessLadder,
                              overdamped_certificate, phi_functions,
                              v2_certificate, v2_size_function, v3_certificate,
                              v3_size_function)
-from nsslab.lyapcert import (SizeFunction, check_dissipation,
-                             default_state_samples, default_theta_samples,
-                             generator_apply)
+from nsslab.lyapcert import (check_dissipation, default_state_samples,
+                             default_theta_samples, generator_apply)
 from nsslab.objectives import quadratic_objective
 from nsslab.sde import CovarianceSchedule, simulate_path
 
-from helpers import half_norm_squared
+from helpers import ReferenceSizeFunction, half_norm_squared
 
 
 def quad(n=2, lam=1.0):
@@ -59,7 +58,7 @@ def generator_bound_overdamped(config: OverdampedConfig, z, sigma_mat,
     lhs = (-eta_h * float(g @ g)
            + 0.5 * float(np.trace(sigma_mat.T @ H @ sigma_mat)))
     s = float(np.linalg.norm(sigma_mat @ sigma_mat.T, 2))
-    mu_h = float(obj.envelope.mu(h))
+    mu_h = float(obj.envelope(h))
     if config.eta is None:
         if obj.global_lipschitz is None:
             raise ValueError("constant-rate bound needs the Lipschitz constant")
@@ -202,7 +201,7 @@ class TestScheduledMode:
         obj = quad()
         ladder = build_smoothness_ladder(obj, h_max=100.0)
         phi = phi_functions(ladder)
-        return UnderdampedConfig(objective=obj, mode="scheduled", phi=phi)
+        return UnderdampedConfig(objective=obj, phi=phi)
 
     def test_coefficients(self):
         cfg = self.make_config()
@@ -221,7 +220,7 @@ class TestScheduledMode:
         H = S + np.swapaxes(S, 1, 2)
         phi = phi_functions(build_smoothness_ladder(quad(n), h_max=100.0))
         obj = replace(quad(n), hessian=lambda z: H)
-        cfg = UnderdampedConfig(objective=obj, mode="scheduled", phi=phi)
+        cfg = UnderdampedConfig(objective=obj, phi=phi)
         c, _ = _scheduled_terms(cfg, rng.standard_normal((50, n)))[:2]
         want = 0.5 * np.linalg.norm(H, 2, axis=(1, 2)) + 0.5
         assert np.array_equal(c, want)
@@ -238,13 +237,9 @@ class TestScheduledMode:
         assert np.array_equal(np.abs(h), svd)
         phi = phi_functions(build_smoothness_ladder(quad(1), h_max=100.0))
         obj = replace(quad(1), hessian=lambda z: H)
-        cfg = UnderdampedConfig(objective=obj, mode="scheduled", phi=phi)
+        cfg = UnderdampedConfig(objective=obj, phi=phi)
         c, _ = _scheduled_terms(cfg, rng.standard_normal((5000, 1)))[:2]
         assert np.array_equal(c, 0.5 * svd + 0.5)
-
-    def test_scheduled_needs_phi(self):
-        with pytest.raises(ValueError):
-            UnderdampedConfig(objective=quad(), mode="scheduled")
 
     def test_noiseless_flow_converges(self):
         cfg = self.make_config()
@@ -261,8 +256,7 @@ def scalar_lqr_scheduled():
     profile = lqr.solve_riccati(problem, K0=2.0 * one)
     obj = lqr.lqr_objective(problem, profile)
     ladder = ladder_from_profile(profile, problem, 20.0)
-    cfg = UnderdampedConfig(objective=obj, mode="scheduled",
-                            phi=phi_functions(ladder))
+    cfg = UnderdampedConfig(objective=obj, phi=phi_functions(ladder))
     return cfg, build_underdamped(cfg)
 
 
@@ -313,7 +307,7 @@ class TestScheduledLqr:
 class TestSizeFunctions:
     def test_objective_size_function_values(self):
         V = objective_size_function(quad())
-        assert abs(V.value_at(np.array([1.0, 1.0])) - 1.0) <= 1e-12
+        assert abs(V.value(np.array([1.0, 1.0])) - 1.0) <= 1e-12
 
     def test_objective_size_function_calls_each_oracle_once(self):
         # the gradient and Hessian go straight to the objective's oracles
@@ -337,7 +331,7 @@ class TestSizeFunctions:
 
     def test_half_norm_squared_center(self):
         V = half_norm_squared(center=np.array([1.0, 0.0]))
-        assert abs(V.value_at(np.array([2.0, 0.0])) - 0.5) <= 1e-12
+        assert abs(V.value(np.array([2.0, 0.0])) - 0.5) <= 1e-12
         assert np.allclose(V.gradient_at(np.array([2.0, 0.0])), [1.0, 0.0])
 
     def test_v2_matches_scalar_form(self):
@@ -345,24 +339,24 @@ class TestSizeFunctions:
         V = v2_size_function(cfg)
         z = np.array([0.7, -0.4])
         v = np.array([0.2, 0.1])
-        assert abs(V.value_at(np.concatenate([z, v]))
+        assert abs(V.value(np.concatenate([z, v]))
                    - v2_scalar(cfg, z, v)) <= 1e-12
 
     def test_v3_matches_scalar_form(self):
         obj = quad()
         ladder = build_smoothness_ladder(obj, h_max=100.0)
         phi = phi_functions(ladder)
-        cfg = UnderdampedConfig(objective=obj, mode="scheduled", phi=phi)
+        cfg = UnderdampedConfig(objective=obj, phi=phi)
         V = v3_size_function(cfg)
         z = np.array([0.7, -0.4])
         v = np.array([0.2, 0.1])
-        assert abs(V.value_at(np.concatenate([z, v]))
+        assert abs(V.value(np.concatenate([z, v]))
                    - v3_scalar(cfg, phi, z, v)) <= 1e-12
 
     def test_v2_derivatives_match_fd(self):
         cfg = UnderdampedConfig(objective=quad(), eta=1.0, c=1.0)
         V = v2_size_function(cfg)
-        fd = SizeFunction(value=V.value)
+        fd = ReferenceSizeFunction(value=V.value)
         x = np.array([0.7, -0.4, 0.2, 0.1])
         assert np.max(np.abs(V.gradient_at(x) - fd.gradient_at(x))) <= 1e-4
         assert np.max(np.abs(V.hessian_at(x) - fd.hessian_at(x))) <= 1e-3
@@ -372,9 +366,8 @@ class TestSizeFunctions:
         # derivatives must drop its slope and curvature there too
         obj = quad()
         phi = phi_functions(build_smoothness_ladder(obj, h_max=1000.0))
-        V = v3_size_function(UnderdampedConfig(objective=obj,
-                                               mode="scheduled", phi=phi))
-        fd = SizeFunction(value=V.value)
+        V = v3_size_function(UnderdampedConfig(objective=obj, phi=phi))
+        fd = ReferenceSizeFunction(value=V.value)
         for x in ([0.7, -0.4, 0.2, 0.1], [20.0, 30.0, 0.5, -0.5],
                   [40.0, 30.0, 0.5, -0.5], [-35.0, 38.0, -1.0, 2.0]):
             x = np.array(x)
@@ -437,7 +430,7 @@ class TestCertificates:
         obj = quad()
         ladder = build_smoothness_ladder(obj, h_max=1000.0)
         phi = phi_functions(ladder)
-        cfg = UnderdampedConfig(objective=obj, mode="scheduled", phi=phi)
+        cfg = UnderdampedConfig(objective=obj, phi=phi)
         model = build_underdamped(cfg)
         out = check_dissipation(v3_size_function(cfg), model,
                                 v3_certificate(cfg),

@@ -13,15 +13,18 @@ from nsslab.lyapcert import (AdmissibilityError, DissipationCertificate,
 from nsslab.nssmc import Supermartingale
 from nsslab.sde import CovarianceSchedule, DiffusionModel, simulate_ensemble
 
+from helpers import ReferenceSizeFunction
 from test_nssmc_reference import reference_supermartingale_diagnostic
 
 
 def half_square():
+    def evaluate(z, hessian=False):
+        z = np.asarray(z, dtype=float)
+        H = np.repeat(np.eye(z.shape[1])[None], len(z), axis=0)
+        return 0.5 * np.sum(np.square(z), axis=-1), z, H if hessian else None
+
     return SizeFunction(value=lambda z: 0.5 * np.sum(np.square(z), axis=-1),
-                        gradient=lambda z: np.asarray(z, dtype=float),
-                        hessian=lambda z: np.repeat(
-                            np.eye(z.shape[1])[None], len(z), axis=0),
-                        label="|z|^2/2")
+                        evaluate=evaluate)
 
 
 def linear_model(n=1):
@@ -32,7 +35,7 @@ def linear_model(n=1):
 class TestSizeFunction:
     def test_fd_gradient_matches_analytic(self):
         V = half_square()
-        fd = SizeFunction(value=V.value)
+        fd = ReferenceSizeFunction(value=V.value)
         for xi in (np.array([0.3, -1.2]), np.array([5.0, 0.0])):
             g = V.gradient_at(xi)
             gf = fd.gradient_at(xi)
@@ -40,9 +43,9 @@ class TestSizeFunction:
 
     def test_fd_hessian_matches_analytic(self):
         V = half_square()
-        fd = SizeFunction(value=V.value)
-        H = fd.hessian_at(np.array([0.7, -0.4]))
-        assert np.max(np.abs(H - np.eye(2))) <= 1e-4
+        fd = ReferenceSizeFunction(value=V.value)
+        xi = np.array([0.7, -0.4])
+        assert np.max(np.abs(V.hessian_at(xi) - fd.hessian_at(xi))) <= 1e-4
 
 
 class TestGeneratorApply:

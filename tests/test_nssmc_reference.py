@@ -221,8 +221,7 @@ def reference_run_experiment(exp: NssExperiment
         blowups.append(float(np.mean(ens.exited)))
     curve = GainCurve(intensities=np.array(intensities),
                       tail_quantiles=np.array(quants),
-                      blowup_fractions=np.array(blowups),
-                      epsilon=exp.epsilon)
+                      blowup_fractions=np.array(blowups))
     return curve, ensembles
 
 

@@ -39,7 +39,7 @@ class TestQuadratic:
         obj = quadratic_objective(2.0 * np.eye(3), np.zeros(3))
         z = np.array([1.0, -2.0, 0.5])
         h = obj.value_at(z) - obj.optimum_value
-        mu = float(obj.envelope.mu(h))
+        mu = float(obj.envelope(h))
         assert abs(np.linalg.norm(obj.gradient_at(z)) - mu) <= 1e-9
 
     def test_batched_value_and_gradient(self):
@@ -170,7 +170,7 @@ class TestEnvelope:
         obj = quadratic_objective(np.eye(3), np.zeros(3))
         env = estimate_kpl_envelope(obj, np.zeros(3), n_dirs=32, seed=2)
         hs = np.geomspace(1e-3, 10.0, 60)
-        ratio = np.asarray(env.mu(hs)) / np.sqrt(2.0 * hs)
+        ratio = np.asarray(env(hs)) / np.sqrt(2.0 * hs)
         assert np.all(ratio >= 0.98)
         assert np.all(ratio <= 1.02)
 
