@@ -252,8 +252,10 @@ class PhiLadder:
 
     def phi2_prime(self, h) -> np.ndarray:
         h = np.minimum(np.asarray(h, dtype=float), self.h_max)
-        return (np.interp(h + self.delta, self.h_fine, self.phi1_vals)
-                - np.interp(h, self.h_fine, self.phi1_vals)) / self.delta
+        # one interpolation of both ends; it works element by element
+        ends = np.interp(np.array([h + self.delta, h]), self.h_fine,
+                         self.phi1_vals)
+        return (ends[0] - ends[1]) / self.delta
 
     def phi2_inverse(self, y) -> np.ndarray:
         # restrict to the strictly increasing portion (h <= h_max); the

@@ -7,16 +7,18 @@ statistics and by the Kleinman-Newton iteration to the Riccati solution.
 A gain batch builds its operator L = kron(A_cl^T, I) + kron(I, A_cl^T)
 once; the Y_K system's operator is L^T, so P_K and Y_K come from one
 stacked solve of [L; L^T].  A scalar problem (n = m = 1) takes the same
-arithmetic elementwise on the (B,) gain column: L = a_cl + a_cl and the
-stacked solve is the division -M / L, which LAPACK's 1x1 solve equals
-bit for bit, so its statistics match the matrix path exactly.  Its
-oracles build no 1x1 matrices: the Hurwitz test of a 1x1 closed loop,
-whose eigenvalue is its entry, is the comparison a - f k <
--HURWITZ_MARGIN on the column, with the LinAlgError that ``eigvals``
-raises on a non-finite entry.  The module also ships the analytic K-PL
-modulus mu5(h) = h/(b1 h + b2), the sublevel smoothness profile L3(h),
-and learning-rate schedules whose growth class decides NSS versus scNSS
-of the policy-gradient diffusion.
+arithmetic elementwise, with no 1x1 matrices: L = a_cl + a_cl, the
+stacked solve is the division -M / L, which LAPACK's 1x1 solve equals bit
+for bit, and the Hurwitz test is a - f k < -HURWITZ_MARGIN (a 1x1 closed
+loop is its own eigenvalue), with the LinAlgError that ``eigvals`` raises
+on a non-finite entry.  A one-row batch runs on Python floats, whose
++ - * / and ``math.sqrt`` are numpy's IEEE-754 double operations, so each
+row matches the matrix path bit for bit.  The scalar Hessian oracle is
+the symmetrized central quotient of the gradient, one-sided on the
+stabilizing side where a probe leaves the set.  The module also ships the
+analytic K-PL modulus mu5(h) = h/(b1 h + b2), the sublevel smoothness
+profile L3(h), and learning-rate schedules whose growth class decides NSS
+versus scNSS of the policy-gradient diffusion.
 
 Gain matrices are vectorized row-major into mn-dimensional states so the
 generic diffusion simulator can drive policy-gradient flow directly; the
@@ -25,11 +27,13 @@ Frobenius inner product matches the vectorized Euclidean one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import Objective, _stencil, _step
 from .sde import CovarianceSchedule, _every
 
 HURWITZ_MARGIN = 1e-10
@@ -282,10 +286,11 @@ def hurwitz_mask(A_cl: np.ndarray) -> np.ndarray:
     return _scalar_hurwitz(A_cl[:, 0, 0])
 
 
-def _scalar_hurwitz(a_cl: np.ndarray) -> np.ndarray:
-    """a_cl < -HURWITZ_MARGIN for closed-loop scalars of any shape;
+def _scalar_hurwitz(a_cl):
+    """a_cl < -HURWITZ_MARGIN for closed-loop scalars (a float or an array);
     LinAlgError, as ``eigvals`` raises, if any is inf or NaN."""
-    if not _every(np.isfinite(a_cl)):
+    if not (math.isfinite(a_cl) if isinstance(a_cl, float)
+            else _every(np.isfinite(a_cl))):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     return a_cl < -HURWITZ_MARGIN
 
@@ -295,11 +300,12 @@ def _cost_weight(problem: LqrProblem, Ks: np.ndarray) -> np.ndarray:
     return problem.Q[None] + np.einsum("bmi,mk,bkj->bij", Ks, problem.R, Ks)
 
 
-def _scalar_stats(problem: LqrProblem, k: np.ndarray, a_cl: np.ndarray):
+def _scalar_stats(problem: LqrProblem, k, a_cl):
     """Costs and gradients of stabilizing scalar gains: the operations of
     the matrix path below on 1x1 blocks, in its order.  The operator is
     L = a_cl + a_cl, P and Y solve L X = -(q + (k r) k) and L X = -1, and
-    each keeps the 0.5 (X + X^T) symmetrization."""
+    each keeps the 0.5 (X + X^T) symmetrization.  Operators only, so k and
+    a_cl are (B,) columns or floats alike."""
     _, f, q, r = problem.scalars
     L = a_cl + a_cl
     kr = k * r  # also r k: a product rounds the same in either order
@@ -307,18 +313,61 @@ def _scalar_stats(problem: LqrProblem, k: np.ndarray, a_cl: np.ndarray):
     P = 0.5 * (P + P)
     Y = -1.0 / L
     Y = 0.5 * (Y + Y)
-    return P, (2.0 * ((kr - f * P) * Y))[:, None]
+    return P, 2.0 * ((kr - f * P) * Y)
+
+
+def _scalar_point(problem: LqrProblem, k: float):
+    """(stabilizing, cost, gradient) of one scalar gain on Python floats:
+    its row of batched_gain_stats, bit for bit."""
+    a, f = problem.scalars[:2]
+    a_cl = a - f * k
+    if _scalar_hurwitz(a_cl):
+        return (True, *_scalar_stats(problem, k, a_cl))
+    return False, math.nan, math.nan
+
+
+def _scalar_hessian(problem: LqrProblem, k: float) -> float:
+    """0.5 (H + H^T) of H = (g(k+h) - g(k-h)) / (2h) at one scalar gain on
+    Python floats, h the step of ``objectives._stencil``; one-sided on the
+    stabilizing side if a probe is not, so a stabilizing gain within h of
+    the boundary keeps a finite Hessian."""
+    h = _step(math.sqrt(k * k))
+    ok_p, _, g_p = _scalar_point(problem, k + h)
+    ok_m, _, g_m = _scalar_point(problem, k - h)
+    if ok_p and ok_m:
+        H = (g_p - g_m) / (2.0 * h)
+    else:
+        g = _scalar_point(problem, k)[2]
+        H = (g_p - g) / h if ok_p else (g - g_m) / h
+    return 0.5 * (H + H)
+
+
+def _scalar_hessians(problem: LqrProblem, z: np.ndarray) -> np.ndarray:
+    """(B, 1, 1) :func:`_scalar_hessian` of a (B, 1) batch: one
+    batched_gain_stats call on its 2B probes, and floats for a row with a
+    probe outside and for a one-row batch."""
+    z = np.asarray(z, dtype=float)
+    if z.size == 1:
+        return np.array([[[_scalar_hessian(problem, z.item())]]])
+    B = len(z)
+    rows, h = _stencil(z)
+    ok, _, g = batched_gain_stats(problem, rows[B:])
+    H = (g[:B, 0] - g[B:, 0]) / (2.0 * h)
+    H = 0.5 * (H + H)
+    for i in np.flatnonzero(ok[:B] != ok[B:]):
+        H[i] = _scalar_hessian(problem, float(z[i, 0]))
+    return H[:, None, None]
 
 
 def _matrix_stats(problem: LqrProblem, Ks: np.ndarray, A_cl: np.ndarray):
-    """Costs and vectorized gradients of a stabilizing (B, m, n) gain stack
+    """Costs and (B, m, n) gradients of a stabilizing (B, m, n) gain stack
     from one stacked solve_lyapunov call."""
     P, Y = solve_lyapunov(A_cl, _cost_weight(problem, Ks), np.eye(problem.n))
     G = 2.0 * np.einsum("bmi,bij->bmj",
                         np.einsum("mk,bki->bmi", problem.R, Ks)
                         - np.einsum("nm,bni->bmi", problem.F, P),
                         Y)
-    return np.trace(P, axis1=1, axis2=2), G.reshape(-1, problem.m * problem.n)
+    return np.trace(P, axis1=1, axis2=2), G
 
 
 def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
@@ -346,11 +395,13 @@ def batched_gain_stats(problem: LqrProblem, thetas: np.ndarray):
         ok = _scalar_hurwitz(A_cl)
         stats = _scalar_stats
     if _every(ok):
-        return (ok, *stats(problem, Ks, A_cl))
+        costs, G = stats(problem, Ks, A_cl)
+        return ok, costs, G.reshape(len(ok), -1)
     costs = np.full(ok.size, np.nan)
     grads = np.full((ok.size, problem.m * problem.n), np.nan)
     if ok.any():
-        costs[ok], grads[ok] = stats(problem, Ks[ok], A_cl[ok])
+        costs[ok], G = stats(problem, Ks[ok], A_cl[ok])
+        grads[ok] = G.reshape(len(G), -1)
     return ok, costs, grads
 
 
@@ -359,39 +410,40 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
     and the analytic mu5 K-PL envelope."""
     m, n = problem.m, problem.n
 
+    def value_and_gradient(thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        if problem.scalars is None or thetas.size != 1:
+            return batched_gain_stats(problem, thetas)[1:]
+        # a one-row batch of a scalar problem runs on Python floats
+        _, cost, grad = _scalar_point(problem, thetas.item())
+        return np.array([cost]), np.array([[grad]])
+
     def value(theta):
         theta = np.asarray(theta, dtype=float)
-        lead = theta.shape[:-1]
-        _, costs, _ = batched_gain_stats(problem, theta.reshape(-1, m * n))
-        return costs[0] if theta.ndim == 1 else costs.reshape(lead)
+        costs = value_and_gradient(theta.reshape(-1, m * n))[0]
+        return costs[0] if theta.ndim == 1 else costs.reshape(theta.shape[:-1])
 
     def gradient(theta):
         theta = np.asarray(theta, dtype=float)
+        grads = value_and_gradient(theta.reshape(-1, m * n))[1]
+        return grads.reshape(theta.shape[:-1] + (m * n,))
+
+    def domain_test(theta):
+        theta = np.asarray(theta, dtype=float)
         lead = theta.shape[:-1]
-        _, _, grads = batched_gain_stats(problem, theta.reshape(-1, m * n))
-        return grads.reshape(lead + (m * n,))
-
-    def value_and_gradient(thetas):
-        _, costs, grads = batched_gain_stats(problem, thetas)
-        return costs, grads
-
-    if problem.scalars is None:
-        def domain_test(theta):
-            theta = np.asarray(theta, dtype=float)
+        if problem.scalars is None:
             A_cl = _closed_loop(problem, theta.reshape(-1, m, n))
-            return hurwitz_mask(A_cl).reshape(theta.shape[:-1])
-    else:
+            return hurwitz_mask(A_cl).reshape(lead)
         a, f = problem.scalars[:2]
-
-        def domain_test(theta):
-            theta = np.asarray(theta, dtype=float)
-            return _scalar_hurwitz(a - f * theta.reshape(theta.shape[:-1]))
+        k = theta.item() if theta.size == 1 else theta.reshape(lead)
+        return np.asarray(_scalar_hurwitz(a - f * k)).reshape(lead)
 
     return Objective(value=value, gradient=gradient, dim=m * n,
                      optimum_value=profile.J2star,
                      minimizer=vec_gain(profile.Kstar),
-                     hessian=None, domain_test=domain_test,
-                     global_lipschitz=None,
+                     hessian=None if problem.scalars is None else
+                     partial(_scalar_hessians, problem),
+                     domain_test=domain_test, global_lipschitz=None,
                      envelope=mu5_class_function(profile), label="lqr",
                      value_and_gradient=value_and_gradient)
 

@@ -24,17 +24,22 @@ from .compfun import K, KINF, ScalarClassFunction, from_table
 from .sde import _diagonal, _times_transpose
 
 
+def _step(norm):
+    """The step h = 1e-5 (1 + |z|) from |z|, a float or an array."""
+    return 1e-5 * (1.0 + norm)
+
+
 def _stencil(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probe rows [z; z + h e_i; z - h e_i] of a (B, n) batch, and the
-    per-row steps h = 1e-5 (1 + |z|)."""
+    per-row steps h of :func:`_step`."""
     n = z.shape[1]
     if n == 1:
         # a one-element norm is sqrt(z z), one rounded multiply, so the
         # column gives each row's norm
-        h = 1e-5 * (1.0 + np.sqrt(z * z))
+        h = _step(np.sqrt(z * z))
         return np.concatenate([z, z + h, z - h]), h[:, 0]
     # one norm per row: an axis=1 norm can round differently
-    steps = np.array([1e-5 * (1.0 + float(np.linalg.norm(zi))) for zi in z])
+    steps = np.array([_step(float(np.linalg.norm(zi))) for zi in z])
     shift = steps[:, None, None] * np.eye(n)  # (B, i, n)
     return np.concatenate([z, (z[:, None] + shift).reshape(-1, n),
                            (z[:, None] - shift).reshape(-1, n)]), steps
@@ -56,11 +61,12 @@ class Objective:
 
     ``value``, ``gradient`` and ``hessian`` map a (B, n) batch to (B,),
     (B, n) and (B, n, n); ``value`` is also vectorized over other leading
-    axes.  ``value_and_gradient`` optionally computes both in one joint
-    call.  ``global_lipschitz`` is the gradient Lipschitz constant when
-    known, and ``envelope`` the PL modulus mu of |grad J(z)| >=
-    mu(J(z) - J*).  :meth:`evaluate` returns all three for a batch.  The
-    ``*_at`` methods are one-point views.
+    axes.  A ``hessian`` oracle may be exact or form a stencil itself, as
+    the scalar LQR one does.  ``value_and_gradient`` optionally computes
+    both in one joint call.  ``global_lipschitz`` is the gradient
+    Lipschitz constant when known, and ``envelope`` the PL modulus mu of
+    |grad J(z)| >= mu(J(z) - J*).  :meth:`evaluate` returns all three for
+    a batch.  The ``*_at`` methods are one-point views.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -85,7 +91,7 @@ class Objective:
         :func:`_stencil`; the probe rows of the whole batch go through one
         gradient call (one joint call when ``value_and_gradient`` is
         given).  When the oracles compute each row independently of the
-        rest of the batch, as the LQR one does, the results equal the
+        rest of the batch, as the LQR ones do, the results equal the
         per-point formulas bit for bit.
         """
         z = np.asarray(z, dtype=float)

@@ -18,7 +18,7 @@ from nsslab.langevin import (OverdampedConfig, SmoothnessLadder,
 from nsslab.lyapcert import (check_dissipation, default_state_samples,
                              default_theta_samples, generator_apply)
 from nsslab.objectives import quadratic_objective
-from nsslab.sde import CovarianceSchedule, simulate_path
+from nsslab.sde import BLOWUP_LIMIT, CovarianceSchedule, simulate_path
 
 from helpers import ReferenceSizeFunction, half_norm_squared
 
@@ -263,6 +263,9 @@ def scalar_lqr_scheduled():
 class TestScheduledLqr:
     def test_drift_makes_one_oracle_call_and_domain_test_none(
             self, monkeypatch):
+        # a one-row drift runs on Python floats and makes no batched call;
+        # a wider one makes one value-and-gradient call on its rows and one
+        # Hessian call on their two FD neighbours each
         cfg, model = scalar_lqr_scheduled()
         calls = []
         orig = lqr.batched_gain_stats
@@ -273,13 +276,37 @@ class TestScheduledLqr:
 
         monkeypatch.setattr(lqr, "batched_gain_stats", counted)
         k = cfg.objective.minimizer[0]
-        x = np.array([[k + 0.3, 0.0]])
-        model.drift(x)
-        assert calls == [(3, 1)]  # z and its two FD neighbours, one call
-        assert model.domain_test(x).tolist() == [True]
-        assert len(calls) == 1
-        model.drift(np.array([[k + 0.3, 0.1], [k - 0.2, -0.4]]))
-        assert calls[1:] == [(6, 1)]
+        x = np.array([[k + 0.3, 0.1], [k - 0.2, -0.4]])
+        one = model.drift(x[:1])
+        assert calls == []
+        assert model.domain_test(x[:1]).tolist() == [True]
+        assert calls == []
+        both = model.drift(x)
+        assert calls == [(2, 1), (4, 1)]
+        assert np.array_equal(both[:1], one)
+
+    def test_drift_is_finite_next_to_the_stability_boundary(self):
+        # k = 1 + 5e-6 stabilizes (a - f k = -5e-6), but the Hessian probe
+        # k - h, h = 2e-5, does not; the one-sided quotient on the inside
+        # keeps c(z), eta(z) and the drift finite on both routes
+        cfg, model = scalar_lqr_scheduled()
+        x = np.array([[1.0 + 5e-6, 0.0]])
+        assert model.domain_test(x).all()
+        H = cfg.objective.evaluate(x[:, :1], hessian=True)[2]
+        c, eta, _ = _scheduled_terms(cfg, x[:, :1])
+        drift = model.drift(x)
+        assert H[0, 0, 0] > 0
+        assert np.isfinite(np.concatenate([c, eta, drift[0]])).all()
+        assert np.array_equal(model.drift(np.vstack([x, [[2.0, 0.1]]]))[:1],
+                              drift)
+        # J'' = 2 / (k - 1)^3 makes the drift of order 1e25 here, so the
+        # explicit step stays under BLOWUP_LIMIT only for dt below about
+        # 5e-14
+        dt = 1e-14
+        assert (np.abs(drift) * dt < BLOWUP_LIMIT).all()
+        sched = CovarianceSchedule.constant(np.zeros((1, 1)), dt)
+        path = simulate_path(model, sched, x[0], dt, dt, 0)
+        assert not path.exited_domain and len(path.times) == 2
 
     def test_drift_equals_per_point_formula(self):
         # the formula the fused drift replaced: c from the per-point FD

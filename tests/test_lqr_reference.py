@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
+from nsslab import lqr
 from nsslab.lqr import (HURWITZ_MARGIN, ConditioningError, LqrProblem,
                         StabilityError, _closed_loop, batched_gain_stats,
                         hurwitz_mask, lqr_objective, solve_riccati)
@@ -225,13 +226,21 @@ def reference_stencil(z):
 
 def reference_evaluate(problem, z):
     """(values, gradients, Hessians) of the central-difference Hessian of
-    the matrix-path gain statistics, as Objective.evaluate forms it."""
+    the matrix-path gain statistics, as Objective.evaluate forms it, with
+    the one-sided quotient on the inside where a probe is not
+    stabilizing."""
     B = len(z)
     rows, steps = reference_stencil(z)
-    _, values, grads = reference_batched_gain_stats(problem, rows)
-    plus = grads[B:2 * B].reshape(B, 1, 1)
-    minus = grads[2 * B:].reshape(B, 1, 1)
-    H = np.swapaxes((plus - minus) / (2.0 * steps).reshape(B, 1, 1), 1, 2)
+    ok, values, grads = reference_batched_gain_stats(problem, rows)
+    center, plus, minus = (grads[i * B:(i + 1) * B].reshape(B, 1, 1)
+                           for i in range(3))
+    ok_p, ok_m = (ok[i * B:(i + 1) * B].reshape(B, 1, 1) for i in (1, 2))
+    h = steps.reshape(B, 1, 1)
+    with np.errstate(invalid="ignore"):
+        H = np.where(ok_p & ok_m, (plus - minus) / (2.0 * h),
+                     np.where(ok_p, (plus - center) / h,
+                              (center - minus) / h))
+    H = np.swapaxes(H, 1, 2)
     return values[:B], grads[:B], 0.5 * (H + np.swapaxes(H, 1, 2))
 
 
@@ -240,6 +249,34 @@ def assert_bitwise(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_float_route(monkeypatch, obj, thetas, ok, costs, grads, hessians):
+    """Every one-row view of the gains runs on Python floats, with no
+    batched_gain_stats call, and equals its row of the references bit for
+    bit; the (1,) views are the one-point views of the oracles."""
+    def batched(*args):
+        raise AssertionError("a one-row batch made a batched call")
+
+    monkeypatch.setattr(lqr, "batched_gain_stats", batched)
+    for i, k in enumerate(thetas):
+        row, want = thetas[i:i + 1], (costs[i:i + 1], grads[i:i + 1])
+        assert_bitwise(obj.domain_test(row), ok[i:i + 1])
+        assert_bitwise(obj.domain_test(k), np.asarray(ok[i]))
+        assert_bitwise(obj.value(row), costs[i:i + 1])
+        got = obj.value(k)
+        assert type(got) is np.float64 and type(costs[i]) is np.float64
+        assert_bitwise(got, np.asarray(costs[i]))
+        assert_bitwise(obj.gradient(row), grads[i:i + 1])
+        assert_bitwise(obj.gradient(k), grads[i])
+        for got, w in zip(obj.value_and_gradient(row), want):
+            assert_bitwise(got, w)
+        assert_bitwise(obj.hessian(row), hessians[i:i + 1])
+        assert_bitwise(obj.hessian_at(k), hessians[i])
+        for got, w in zip(obj.evaluate(row, hessian=True),
+                          want + (hessians[i:i + 1],)):
+            assert_bitwise(got, w)
+    monkeypatch.undo()
 
 
 def boundary_gains(a, f):
@@ -264,7 +301,7 @@ ORACLE_PROBLEMS = SCALAR_PROBLEMS + [(0.0, 1.0, 1.0, 1.0),
 
 
 @pytest.mark.parametrize("a, f, q, r", ORACLE_PROBLEMS)
-def test_scalar_oracles_match_matrix_reference(a, f, q, r):
+def test_scalar_oracles_match_matrix_reference(a, f, q, r, monkeypatch):
     problem = LqrProblem(A=[[a]], F=[[f]], Q=[[q]], R=[[r]])
     profile = solve_riccati(problem, K0=stabilizing_start(problem) + 0.1)
     obj = lqr_objective(problem, profile)
@@ -284,22 +321,31 @@ def test_scalar_oracles_match_matrix_reference(a, f, q, r):
     got_c, got_g = obj.value_and_gradient(thetas)
     assert_bitwise(got_c, costs)
     assert_bitwise(got_g, grads)
-    for got, want in zip(obj.evaluate(thetas, hessian=True),
-                         reference_evaluate(problem, thetas)):
-        assert_bitwise(got, want)
-    for k, row_ok, cost in zip(thetas, ok, costs):  # one-point views
-        assert_bitwise(obj.domain_test(k), np.asarray(row_ok))
-        assert_bitwise(obj.value(k), np.asarray(cost))
+    want = reference_evaluate(problem, thetas)
+    for got, w in zip(obj.evaluate(thetas, hessian=True), want):
+        assert_bitwise(got, w)
+    assert_bitwise(obj.hessian(thetas), want[2])
+    # a stabilizing gain next to the boundary keeps a finite Hessian
+    assert (want[2][ok] > 0).all()
+    assert_float_route(monkeypatch, obj, thetas, ok, costs, grads, want[2])
 
 
-def test_scalar_symmetrization_overflows_like_matrix_path():
+def test_scalar_symmetrization_overflows_like_matrix_path(monkeypatch):
     # next to the boundary P = q / (2 |a_cl|) = 1.5e308 is finite, and the
-    # 0.5 (P + P^T) of the matrix path turns it into inf
+    # 0.5 (P + P^T) of the matrix path turns it into inf; Python floats
+    # overflow to the same inf
     problem = LqrProblem(A=[[0.0]], F=[[1.0]], Q=[[3e298]], R=[[1.0]])
     thetas = boundary_gains(0.0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         ok = assert_same_bits(problem, thetas)
         costs = batched_gain_stats(problem, thetas)[1]
+        want = reference_evaluate(problem, thetas)
+        # the oracles read only the problem; this one's Riccati iteration
+        # overflows, so the profile is the unit problem's
+        obj = lqr_objective(problem, solve_riccati(scalar_problem(),
+                                                   K0=np.array([[2.0]])))
+        assert_bitwise(obj.hessian(thetas), want[2])
+        assert_float_route(monkeypatch, obj, thetas, ok, *want)
     assert np.isinf(costs[ok]).sum() >= 3
 
 
@@ -309,11 +355,13 @@ def test_non_finite_gain_raises_in_every_scalar_oracle(bad):
     obj = lqr_objective(problem, solve_riccati(problem, K0=np.array([[2.0]])))
     thetas = np.array([[2.0], [bad], [3.0]])
     calls = [obj.domain_test, obj.value, obj.gradient, obj.value_and_gradient,
-             lambda z: obj.evaluate(z, hessian=True)]
+             obj.hessian, lambda z: obj.evaluate(z, hessian=True)]
     with np.errstate(invalid="ignore"):  # inf - inf in the stencil
         for call in calls:
-            with pytest.raises(np.linalg.LinAlgError):
-                call(thetas)
+            # the batch, and the one-row views that run on Python floats
+            for z in (thetas, thetas[1:2], thetas[1]):
+                with pytest.raises(np.linalg.LinAlgError):
+                    call(z)
         with pytest.raises(np.linalg.LinAlgError):
             reference_evaluate(problem, thetas)
 
