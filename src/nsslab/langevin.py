@@ -16,7 +16,9 @@ triples the two candidate families satisfy.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -69,8 +71,10 @@ class UnderdampedConfig:
     lambda1 = 0.9 * min{1/(2 eta + c), 1/(2L), c/(2(eta L + c^2))} and
     lambda2 = (1 - lambda1 c)/eta, which need the global Lipschitz
     constant L.  With ``phi`` they are scheduled: c(z) = |hess J(z)|/2 +
-    1/2 and eta(z) = (phi2'(J(z) - J*) - c(z))/2 >= 1.  The noise map is
-    the [0; I] block on the velocity, so K_G = |G|_F is sqrt(n).
+    1/2 and eta(z) = (phi2'(J(z) - J*) - c(z))/2, >= 1 only where J - J*
+    <= h_max and the ladder bounds |hess J|: past h_max, phi2' is clamped
+    while c grows (unit LQR, h_max = 20, k = 1 + 5e-6: eta = -4.8e14).
+    The noise map is the [0; I] block on the velocity, so K_G = sqrt(n).
     """
 
     objective: Objective
@@ -108,7 +112,8 @@ class UnderdampedConfig:
 
 
 def _scheduled_terms(config: UnderdampedConfig, z: np.ndarray):
-    """(c(z), eta(z), grad J(z)) from one batched oracle evaluation."""
+    """(c(z), eta(z), grad J(z)) from one batched oracle evaluation; eta
+    can be negative past the ladder (:class:`UnderdampedConfig`)."""
     obj = config.objective
     values, grads, hessians = obj.evaluate(z, hessian=True)
     # the spectral norm of each Hessian: what norm(H, 2, axis=(1, 2))
@@ -133,12 +138,23 @@ def build_underdamped(config: UnderdampedConfig) -> DiffusionModel:
             z, v = x[..., :n], x[..., n:]
             dv = -eta_c * np.asarray(obj.gradient(z)) - c_c * v
             return np.concatenate([v, dv], axis=-1)
+
+        def point_drift(x):
+            inside, _, g, _ = obj.point(x[:n])
+            return x[n:] + tuple([-eta_c * gi - c_c * vi for gi, vi
+                                  in zip(g, x[n:])]) if inside else None
     else:
         def drift(x):
             z, v = x[..., :n], x[..., n:]
             c, eta, g = _scheduled_terms(config, z)
             dv = -eta[:, None] * g - c[:, None] * v
             return np.concatenate([v, dv], axis=-1)
+
+        def point_drift(x):  # n = 1: |H| is the spectral norm
+            inside, value, g, H = obj.point(x[:1])
+            c = 0.5 * abs(H[0][0]) + 0.5
+            eta = 0.5 * (config.phi.phi2_prime(value - obj.optimum_value) - c)
+            return (x[1], -eta * g[0] - c * x[1]) if inside else None
 
     domain = None
     if obj.domain_test is not None:
@@ -147,9 +163,11 @@ def build_underdamped(config: UnderdampedConfig) -> DiffusionModel:
     eq = None
     if obj.minimizer is not None:
         eq = np.concatenate([obj.minimizer, np.zeros(n)])
+    pointwise = obj.point is not None and (config.phi is None or n == 1)
     return DiffusionModel(state_dim=2 * n, noise_dim=n, drift=drift,
                           noise_map=np.vstack([np.zeros((n, n)), np.eye(n)]),
-                          domain_test=domain, equilibrium=eq)
+                          domain_test=domain, equilibrium=eq,
+                          point_drift=point_drift if pointwise else None)
 
 
 @dataclass(frozen=True)
@@ -251,11 +269,17 @@ class PhiLadder:
         return self.avg_fn(np.minimum(np.asarray(h, dtype=float), self.h_max))
 
     def phi2_prime(self, h) -> np.ndarray:
+        if isinstance(h, float):  # min keeps a NaN, as np.minimum does
+            h, (xp, fp) = min(h, self.h_max), self._tables
+            return (_interp(h + self.delta, xp, fp)
+                    - _interp(h, xp, fp)) / self.delta
         h = np.minimum(np.asarray(h, dtype=float), self.h_max)
-        # one interpolation of both ends; it works element by element
-        ends = np.interp(np.array([h + self.delta, h]), self.h_fine,
-                         self.phi1_vals)
-        return (ends[0] - ends[1]) / self.delta
+        return (np.interp(h + self.delta, self.h_fine, self.phi1_vals)
+                - np.interp(h, self.h_fine, self.phi1_vals)) / self.delta
+
+    @cached_property
+    def _tables(self) -> tuple[list, list]:  # for phi2_prime of a float
+        return self.h_fine.tolist(), self.phi1_vals.tolist()
 
     def phi2_inverse(self, y) -> np.ndarray:
         # restrict to the strictly increasing portion (h <= h_max); the
@@ -263,6 +287,15 @@ class PhiLadder:
         cut = np.searchsorted(self.h_fine, self.h_max, side="right")
         return np.interp(np.asarray(y, dtype=float), self.phi2_vals[:cut],
                          self.h_fine[:cut])
+
+
+def _interp(x: float, xp: list, fp: list) -> float:
+    """``np.interp(x, xp, fp)`` of one float on a finite table, in numpy's
+    arithmetic (which retries a NaN result only on a non-finite table)."""
+    j = bisect.bisect_right(xp, x) - 1  # len(xp) - 1 for a NaN
+    if x != x or j < 0 or j == len(xp) - 1 or xp[j] == x:
+        return x if x != x else fp[max(j, 0)]  # NaN, the ends, grid points
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
 def phi_functions(ladder: SmoothnessLadder,

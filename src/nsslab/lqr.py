@@ -11,11 +11,12 @@ arithmetic elementwise, with no 1x1 matrices: L = a_cl + a_cl, the
 stacked solve is the division -M / L, which LAPACK's 1x1 solve equals bit
 for bit, and the Hurwitz test is a - f k < -HURWITZ_MARGIN (a 1x1 closed
 loop is its own eigenvalue), with the LinAlgError that ``eigvals`` raises
-on a non-finite entry.  A one-row batch runs on Python floats, whose
-+ - * / and ``math.sqrt`` are numpy's IEEE-754 double operations, so each
-row matches the matrix path bit for bit.  The scalar Hessian oracle is
-the symmetrized central quotient of the gradient, one-sided on the
-stabilizing side where a probe leaves the set.  The module also ships the
+on a non-finite entry.  The scalar Hessian oracle is the symmetrized
+central quotient of the gradient, one-sided on the stabilizing side where
+a probe leaves the set.  The ``point`` oracle of one gain runs the same
+formulas on Python floats, whose + - * / and ``math.sqrt`` are numpy's
+IEEE-754 operations, so it matches the matrix path bit for bit.  The
+module also ships the
 analytic K-PL modulus mu5(h) = h/(b1 h + b2), the sublevel smoothness
 profile L3(h), and learning-rate schedules whose growth class decides NSS
 versus scNSS of the policy-gradient diffusion.
@@ -342,13 +343,17 @@ def _scalar_hessian(problem: LqrProblem, k: float) -> float:
     return 0.5 * (H + H)
 
 
+def _scalar_point_oracle(problem: LqrProblem, z):
+    """``Objective.point`` of a scalar problem at the gain z[0]."""
+    ok, cost, grad = _scalar_point(problem, z[0])
+    return ok, cost, (grad,), ((_scalar_hessian(problem, z[0]),),)
+
+
 def _scalar_hessians(problem: LqrProblem, z: np.ndarray) -> np.ndarray:
     """(B, 1, 1) :func:`_scalar_hessian` of a (B, 1) batch: one
     batched_gain_stats call on its 2B probes, and floats for a row with a
-    probe outside and for a one-row batch."""
-    z = np.asarray(z, dtype=float)
-    if z.size == 1:
-        return np.array([[[_scalar_hessian(problem, z.item())]]])
+    probe outside."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
     B = len(z)
     rows, h = _stencil(z)
     ok, _, g = batched_gain_stats(problem, rows[B:])
@@ -411,12 +416,7 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
     m, n = problem.m, problem.n
 
     def value_and_gradient(thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        if problem.scalars is None or thetas.size != 1:
-            return batched_gain_stats(problem, thetas)[1:]
-        # a one-row batch of a scalar problem runs on Python floats
-        _, cost, grad = _scalar_point(problem, thetas.item())
-        return np.array([cost]), np.array([[grad]])
+        return batched_gain_stats(problem, thetas)[1:]
 
     def value(theta):
         theta = np.asarray(theta, dtype=float)
@@ -435,17 +435,18 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
             A_cl = _closed_loop(problem, theta.reshape(-1, m, n))
             return hurwitz_mask(A_cl).reshape(lead)
         a, f = problem.scalars[:2]
-        k = theta.item() if theta.size == 1 else theta.reshape(lead)
-        return np.asarray(_scalar_hurwitz(a - f * k)).reshape(lead)
+        return np.asarray(_scalar_hurwitz(a - f * theta.reshape(lead))
+                          ).reshape(lead)
 
+    scalar_oracles = {} if problem.scalars is None else {
+        "hessian": partial(_scalar_hessians, problem),
+        "point": partial(_scalar_point_oracle, problem)}
     return Objective(value=value, gradient=gradient, dim=m * n,
                      optimum_value=profile.J2star,
                      minimizer=vec_gain(profile.Kstar),
-                     hessian=None if problem.scalars is None else
-                     partial(_scalar_hessians, problem),
                      domain_test=domain_test, global_lipschitz=None,
                      envelope=mu5_class_function(profile), label="lqr",
-                     value_and_gradient=value_and_gradient)
+                     value_and_gradient=value_and_gradient, **scalar_oracles)
 
 
 def gain_noise_schedule(sigma1, n: int, horizon: float) -> CovarianceSchedule:

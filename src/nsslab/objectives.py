@@ -66,7 +66,9 @@ class Objective:
     both in one joint call.  ``global_lipschitz`` is the gradient
     Lipschitz constant when known, and ``envelope`` the PL modulus mu of
     |grad J(z)| >= mu(J(z) - J*).  :meth:`evaluate` returns all three for
-    a batch.  The ``*_at`` methods are one-point views.
+    a batch.  The ``*_at`` methods are one-point views; ``point``, set by
+    builders, maps n floats to (inside, value, gradient, Hessian rows) on
+    floats, each its row of :meth:`evaluate` and ``domain_test`` exactly.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -81,6 +83,7 @@ class Objective:
     label: str = ""
     value_and_gradient: Callable[[np.ndarray],
                                  tuple[np.ndarray, np.ndarray]] | None = None
+    point: Callable[[tuple], tuple] | None = None
 
     def evaluate(self, z, hessian: bool = False):
         """(values (B,), gradients (B, n), Hessians (B, n, n) or None) of a
@@ -132,7 +135,8 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray) -> Objective:
     """J(z) = 1/2 (z - z*)^T A (z - z*) with z* = A^-1 b.
 
     Carries the classic PL envelope mu(h) = sqrt(2 lambda_min(A) h) and
-    gradient Lipschitz constant lambda_max(A).
+    gradient Lipschitz constant lambda_max(A), and for a diagonal A a point
+    oracle (bit for bit at finite points).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -153,13 +157,24 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray) -> Objective:
     def gradient(z):
         return _times_transpose(np.asarray(z, dtype=float) - zstar, A, diag)
 
+    point = None
+    if diag is not None:  # einsum's sum in order, _times_transpose's + 0.0
+        a, zs = diag.tolist(), zstar.tolist()
+        rows = tuple(map(tuple, A.tolist()))
+        def point(z):
+            d, value = [zi - si for zi, si in zip(z, zs)], 0.0
+            for di, ai in zip(d, a):
+                value += di * ai * di
+            return (True, 0.5 * value,
+                    tuple([di * ai + 0.0 for di, ai in zip(d, a)]), rows)
+
     mu = ScalarClassFunction(lambda h: np.sqrt(c_pl * np.asarray(h, dtype=float)),
                              KINF, description=f"sqrt({c_pl:g} h)")
     return Objective(value=value, gradient=gradient, dim=A.shape[0],
                      optimum_value=0.0, minimizer=zstar,
                      hessian=lambda z: np.repeat(A[None], len(z), axis=0),
                      global_lipschitz=float(w.max()), envelope=mu,
-                     label="quadratic")
+                     label="quadratic", point=point)
 
 
 @dataclass(frozen=True)

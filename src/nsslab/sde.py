@@ -10,7 +10,7 @@ noise Euler-Maruyama coincides with Milstein (Kloeden & Platen 1992,
 10.3).  Model callables (drift, domain test) take arrays with a leading
 batch axis: drift maps (B, n) -> (B, n), domain tests map (B, n) -> (B,)
 booleans.  Single trajectories are batches of one, so the serial and
-ensemble code paths are identical and bit-for-bit reproducible.
+ensemble paths agree bit for bit (a quiet one may step on floats, below).
 
 Randomness is counter-based: each path owns a Philox generator keyed by a
 64-bit seed derived from (master_seed, path index), so a path's increments
@@ -74,6 +74,10 @@ the ``+ 0.0`` that the zero increment added: the noisy step bit for bit
 for every finite noise map, because G times a +0.0 increment sums to
 +0.0.  In a run that draws, a zero piece or block turns each finite draw
 into the same +0.0 increment.
+
+A quiet one-path run of a model with a ``point_drift`` (its row of the
+drift and domain test) steps on Python floats by the same rules, bit for
+bit: each entry of ``x + d dt + 0.0`` is numpy's IEEE-754 operation.
 """
 
 from __future__ import annotations
@@ -107,7 +111,9 @@ class DiffusionModel:
     noise into the state; None means the identity (requires n == m), which
     enables a fast path in the integrator.  ``domain_test=None`` means the
     whole space; blow-up detection (component magnitude > 1e12 or
-    non-finite) applies regardless.
+    non-finite) applies regardless.  ``point_drift``, set by builders, maps
+    a state tuple of floats to its row of ``drift``, bit for bit, or to
+    None where ``domain_test`` fails.
     """
 
     state_dim: int
@@ -116,6 +122,7 @@ class DiffusionModel:
     noise_map: np.ndarray | None = None
     domain_test: Callable[[np.ndarray], np.ndarray] | None = None
     equilibrium: np.ndarray | None = None
+    point_drift: Callable[[tuple], tuple | None] | None = None
 
     def __post_init__(self):
         n, m = self.state_dim, self.noise_dim
@@ -450,6 +457,10 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
     mapped = G is not None and not quiet
 
     step = piece_end = 0
+    if quiet and B == 1 and model.point_drift is not None:
+        _point_steps(model.point_drift, z[0], dt, nsteps, rec_lookup, times,
+                     reducers, exited, blowup, exit_steps)
+        step = nsteps  # the float loop took every step
     while step < nsteps:
         c = min(chunk, nsteps - step)
         # every path draws, exited or not, so streams stay aligned with
@@ -518,6 +529,29 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
                             rec_steps.size)
     states = np.empty((B, 0, n)) if recorder is None else recorder.states
     return times, states, valid_counts, exited, blowup, exit_steps
+
+
+def _point_steps(point_drift, x0, dt, nsteps, records, times, reducers,
+                 exited, blowup, exit_steps) -> None:
+    """The float loop of a quiet one-path run (module docstring), feeding
+    the reducers at ``records`` (step -> index); exits as the array loop."""
+    x, active = tuple(x0.tolist()), True
+    d = point_drift(x)
+    for step in range(1, nsteps + 1):
+        if active:  # a path that has left keeps its last valid state
+            u = tuple([xi + di * dt + 0.0 for xi, di in zip(x, d)])
+            within = all([abs(ui) <= BLOWUP_LIMIT for ui in u])  # NaN fails
+            d_new = point_drift(u)
+            if within and d_new is not None:
+                x, d = u, d_new
+            else:
+                active = False
+                exited[0], blowup[0], exit_steps[0] = True, not within, step
+        i = records.get(step)
+        if i is not None:
+            z, alive = np.array([x]), np.array([active])
+            for reduce in reducers:
+                reduce(i, times[i], z, alive)
 
 
 def simulate_path(model: DiffusionModel, schedule: CovarianceSchedule,

@@ -8,9 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nsslab.cli import (REGISTRY, _csv_table, _parse, _write_certificate,
-                        _write_gain_curve, list_experiments, main, run,
-                        validate)
+from nsslab.cli import (REGISTRY, _csv_table, _damped_flow, _parse,
+                        _write_certificate, _write_gain_curve,
+                        list_experiments, main, run, validate)
 from nsslab.langevin import (OverdampedConfig, build_overdamped,
                              objective_size_function)
 from nsslab.nssmc import NssExperiment, run_experiment
@@ -453,3 +453,25 @@ class TestMain:
     def test_validate_command(self, tmp_path):
         cfg = write_config(tmp_path, "ou-sanity")
         assert main(["validate", cfg]) == 0
+
+
+
+def assert_flow_is_expm(a, eta, c):
+    from scipy.linalg import expm
+
+    M = np.array([[0.0, 1.0], [-eta * a, -c]])
+    for t in (0.0, 1e-3, 0.7, 5.0, 100.0):
+        want = expm(M * t)
+        # expm itself is about 1e-11 off at t = 100
+        err = np.abs(_damped_flow(a, eta, c, t) - want).max()
+        assert err <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("a", [0.25, 1.0, 2.0, 37.0])
+@pytest.mark.parametrize("eta", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("c", [0.1, 1.0, 2.0, 4.0])
+def test_damped_flow_is_the_matrix_exponential(a, eta, c):
+    # under- and overdamped blocks, and critical damping (eta a = c^2 / 4
+    # exactly) at (1, 1, 2), (0.25, 1, 1) and (2, 0.5, 2)
+    assert_flow_is_expm(a, eta, c)
+

@@ -19,14 +19,15 @@ from pathlib import Path
 
 import pytest
 
+from nsslab import langevin
 from nsslab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DIGESTS = Path(__file__).resolve().with_name("reduced_digests.json")
 # shipped config -> shortened horizon T
-REDUCED = {"logistic_overdamped": "10", "lqr_po_overdamped": "1",
-           "lqr_po_underdamped": "3", "quadratic_overdamped": "1",
-           "quadratic_underdamped": "5"}
+REDUCED = {"logistic_overdamped": "10", "logistic_underdamped": "20",
+           "lqr_po_overdamped": "1", "lqr_po_underdamped": "3",
+           "quadratic_overdamped": "1", "quadratic_underdamped": "5"}
 
 
 def run_reduced(stem: str, work: Path) -> dict:
@@ -51,6 +52,32 @@ def run_reduced(stem: str, work: Path) -> dict:
 def test_reduced_run_matches_recorded_digests(stem, tmp_path, capsys):
     want = json.loads(DIGESTS.read_text())[stem]
     assert run_reduced(stem, tmp_path) == want
+
+
+def test_one_path_runs_split_between_the_two_loops(tmp_path, monkeypatch,
+                                                   capsys):
+    # the noiseless LQR and quadratic paths step on Python floats, so
+    # their recorded digests come out with the batch drift refusing every
+    # call; the logistic objective has no point oracle, so its path keeps
+    # the array loop and calls the batch drift
+    built, build = [], langevin.build_underdamped
+
+    def refusing(config):
+        model = build(config)
+        built.append(model)
+        if model.point_drift is not None:
+            object.__setattr__(model, "drift", refuse)
+        return model
+
+    def refuse(x):
+        raise AssertionError("a one-path run called the batch drift")
+
+    monkeypatch.setattr(langevin, "build_underdamped", refusing)
+    table = json.loads(DIGESTS.read_text())
+    for stem in ("lqr_po_underdamped", "quadratic_underdamped",
+                 "logistic_underdamped"):
+        assert run_reduced(stem, tmp_path) == table[stem]
+    assert [m.point_drift is None for m in built] == [False, False, True]
 
 
 if __name__ == "__main__":

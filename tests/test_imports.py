@@ -427,11 +427,13 @@ def test_validate_loads_no_scipy():
 
 
 def test_scipy_free_run_loads_no_scipy(tmp_path):
-    config = CONFIGS / "certify_dissipation.ini"
-    assert modules_after(
-        "from nsslab.cli import main\n"
-        f"assert main(['run', {str(config)!r}, '--out', "
-        f"{str(tmp_path / 'out')!r}]) == 0") == []
+    # quadratic-underdamped's flow oracle has a closed form
+    for stem in ("certify_dissipation", "quadratic_underdamped"):
+        config = CONFIGS / f"{stem}.ini"
+        assert modules_after(
+            "from nsslab.cli import main\n"
+            f"assert main(['run', {str(config)!r}, '--out', "
+            f"{str(tmp_path / stem)!r}]) == 0") == []
 
 
 @pytest.mark.parametrize("name", ["lqr-po-overdamped", "lqr-po-underdamped"])

@@ -8,7 +8,7 @@ import pytest
 
 from nsslab import lqr
 from nsslab.langevin import (OverdampedConfig, SmoothnessLadder,
-                             UnderdampedConfig, _scheduled_terms,
+                             UnderdampedConfig, _interp, _scheduled_terms,
                              build_overdamped, build_smoothness_ladder,
                              build_underdamped, ladder_from_profile,
                              objective_size_function,
@@ -21,6 +21,7 @@ from nsslab.objectives import quadratic_objective
 from nsslab.sde import BLOWUP_LIMIT, CovarianceSchedule, simulate_path
 
 from helpers import ReferenceSizeFunction, half_norm_squared
+from test_lqr_reference import assert_bitwise
 
 
 def quad(n=2, lam=1.0):
@@ -176,6 +177,38 @@ class TestPhiLadder:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("make", [
+        lambda: phi_functions(build_smoothness_ladder(quad(), h_max=20.0)),
+        lambda: scalar_lqr_scheduled()[0].phi], ids=["quadratic", "lqr"])
+    def test_phi2_prime_of_a_float_is_the_array_path(self, make):
+        # the float path repeats np.interp's arithmetic: at grid points and
+        # one ulp either side, at both ends of the table, past h_max (where
+        # h + delta runs off the table) and at NaN
+        phi = make()
+        grid = phi.h_fine[::37]
+        hs = np.concatenate([
+            grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+            phi.h_fine[-3:] - phi.delta, [phi.h_max], phi.h_max + grid[1:4],
+            [0.0, -0.0, -1.0, -np.inf, 1e300, np.inf, np.nan]])
+        want = phi.phi2_prime(hs)
+        got = [phi.phi2_prime(h) for h in hs.tolist()]
+        assert {type(g) for g in got} == {float}
+        assert_bitwise(np.array(got), want)
+        assert np.isnan(got[-1])
+
+    def test_float_interp_is_numpys(self):
+        # finite tables with signed zeros, flat pieces and slopes that
+        # overflow, at both ends, grid points, one ulp off them and NaN
+        xp = [0.0, 1.0, 2.0, 3.0, 4.0]
+        for fp in ([1.0, 1.0, -2.0, 1e308, -1e308], [0.0, -0.0, 0.0, 3.0, 3.0],
+                   [-0.0, 5e-324, -1e-300, 7.5, 7.5]):
+            xs = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.5,
+                           4.0, 9.0, np.nextafter(1.0, 0.0),
+                           np.nextafter(2.0, 3.0), np.nan]).tolist()
+            with np.errstate(over="ignore"):
+                want = np.interp(xs, xp, fp)
+            assert_bitwise(np.array([_interp(x, xp, fp) for x in xs]), want)
+
     def test_phi2_prime_dominates_hessian_bound(self):
         ladder = build_smoothness_ladder(quad(), h_max=10.0)
         phi = phi_functions(ladder)
@@ -263,9 +296,10 @@ def scalar_lqr_scheduled():
 class TestScheduledLqr:
     def test_drift_makes_one_oracle_call_and_domain_test_none(
             self, monkeypatch):
-        # a one-row drift runs on Python floats and makes no batched call;
-        # a wider one makes one value-and-gradient call on its rows and one
-        # Hessian call on their two FD neighbours each
+        # the point drift runs on Python floats and makes no batched call;
+        # a batch drift, of one row or more, makes one value-and-gradient
+        # call on its rows and one Hessian call on their two FD neighbours
+        # each, and the domain test none
         cfg, model = scalar_lqr_scheduled()
         calls = []
         orig = lqr.batched_gain_stats
@@ -277,12 +311,15 @@ class TestScheduledLqr:
         monkeypatch.setattr(lqr, "batched_gain_stats", counted)
         k = cfg.objective.minimizer[0]
         x = np.array([[k + 0.3, 0.1], [k - 0.2, -0.4]])
-        one = model.drift(x[:1])
+        point = model.point_drift(tuple(x[0].tolist()))
         assert calls == []
         assert model.domain_test(x[:1]).tolist() == [True]
         assert calls == []
+        one = model.drift(x[:1])
+        assert calls == [(1, 1), (2, 1)]
+        assert np.array_equal(np.array([point]), one)
         both = model.drift(x)
-        assert calls == [(2, 1), (4, 1)]
+        assert calls[2:] == [(2, 1), (4, 1)]
         assert np.array_equal(both[:1], one)
 
     def test_drift_is_finite_next_to_the_stability_boundary(self):
@@ -329,6 +366,33 @@ class TestScheduledLqr:
         assert np.array_equal(model.drift(x), want)
         got_c, got_eta = _scheduled_terms(cfg, z)[:2]
         assert np.array_equal(got_c, c) and np.array_equal(got_eta, eta)
+
+    def test_eta_is_negative_only_past_the_ladder(self):
+        # eta >= 1 at every state of the shipped lqr_po_underdamped path,
+        # where J - J* stays below h_max = 20; at k = 1 + 5e-6, J - J* is
+        # 2.0e5 and eta = -4.8e14.  The float route (the point oracle and
+        # phi2_prime of a float, as the point drift uses them) gives the
+        # array route's eta bit for bit.
+        cfg, model = scalar_lqr_scheduled()
+        obj, phi = cfg.objective, cfg.phi
+
+        def point_eta(k):
+            _, value, _, H = obj.point((k,))
+            c = 0.5 * abs(H[0][0]) + 0.5
+            return 0.5 * (phi.phi2_prime(value - obj.optimum_value) - c)
+
+        x0 = [obj.minimizer[0] + 0.3, 0.0]
+        path = simulate_path(model, CovarianceSchedule.constant(
+            np.zeros((1, 1)), 30.0), x0, 1e-3, 30.0, 16)
+        z = path.states[:, :1]
+        eta = _scheduled_terms(cfg, z)[1]
+        assert len(z) == 30_001 and eta.min() >= 1.0
+        assert_bitwise(np.array([point_eta(k) for k in z[:, 0].tolist()]),
+                       eta)
+        edge = 1.0 + 5e-6
+        eta = _scheduled_terms(cfg, np.array([[edge]]))[1]
+        assert_bitwise(np.array([point_eta(edge)]), eta)
+        assert -4.9e14 < eta[0] < -4.7e14
 
 
 class TestSizeFunctions:

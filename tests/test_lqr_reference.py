@@ -252,13 +252,21 @@ def assert_bitwise(got, want):
 
 
 def assert_float_route(monkeypatch, obj, thetas, ok, costs, grads, hessians):
-    """Every one-row view of the gains runs on Python floats, with no
+    """The point oracle of each gain runs on Python floats, with no
     batched_gain_stats call, and equals its row of the references bit for
-    bit; the (1,) views are the one-point views of the oracles."""
+    bit; so do the one-row views of the array oracles, which make batched
+    calls."""
     def batched(*args):
-        raise AssertionError("a one-row batch made a batched call")
+        raise AssertionError("the point oracle made a batched call")
 
     monkeypatch.setattr(lqr, "batched_gain_stats", batched)
+    for i, k in enumerate(thetas.tolist()):
+        inside, cost, grad, H = obj.point(k)
+        assert type(inside) is bool and inside == ok[i]
+        assert {type(cost), type(grad[0]), type(H[0][0])} == {float}
+        for got, w in ((cost, costs[i]), (grad, grads[i]), (H, hessians[i])):
+            assert_bitwise(np.array(got), w)
+    monkeypatch.undo()
     for i, k in enumerate(thetas):
         row, want = thetas[i:i + 1], (costs[i:i + 1], grads[i:i + 1])
         assert_bitwise(obj.domain_test(row), ok[i:i + 1])
@@ -276,7 +284,6 @@ def assert_float_route(monkeypatch, obj, thetas, ok, costs, grads, hessians):
         for got, w in zip(obj.evaluate(row, hessian=True),
                           want + (hessians[i:i + 1],)):
             assert_bitwise(got, w)
-    monkeypatch.undo()
 
 
 def boundary_gains(a, f):
@@ -358,10 +365,12 @@ def test_non_finite_gain_raises_in_every_scalar_oracle(bad):
              obj.hessian, lambda z: obj.evaluate(z, hessian=True)]
     with np.errstate(invalid="ignore"):  # inf - inf in the stencil
         for call in calls:
-            # the batch, and the one-row views that run on Python floats
+            # the batch and its one-row views
             for z in (thetas, thetas[1:2], thetas[1]):
                 with pytest.raises(np.linalg.LinAlgError):
                     call(z)
+        with pytest.raises(np.linalg.LinAlgError):  # the point oracle
+            obj.point((bad,))
         with pytest.raises(np.linalg.LinAlgError):
             reference_evaluate(problem, thetas)
 

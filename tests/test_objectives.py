@@ -84,6 +84,32 @@ class TestQuadratic:
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_point_oracle_is_its_row_of_evaluate(self, n):
+        # on finite points, signed zeros and overflowing squares included;
+        # a non-diagonal A, or the logistic objective, has no point oracle
+        rng = np.random.default_rng(10 + n)
+        A = np.diag(10.0 ** rng.uniform(-3, 3, n))
+        b = rng.standard_normal(n)
+        b[::2] = 0.0
+        obj = quadratic_objective(A, b)
+        scale = 10.0 ** rng.uniform(-5, 5, (500, 1))
+        z = rng.standard_normal((500, n)) * scale
+        mask = rng.random(z.shape) < 0.2
+        z[mask] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e200, -1e300],
+                             size=mask.sum())
+        with np.errstate(over="ignore"):
+            values, grads, H = obj.evaluate(z, hessian=True)
+            got = [obj.point(zi) for zi in z.tolist()]
+        assert {p[0] for p in got} == {True}
+        for want, col in ((values, 1), (grads, 2), (H, 3)):
+            floats = np.array([p[col] for p in got])
+            assert np.array_equal(floats, want)
+            assert np.array_equal(np.signbit(floats), np.signbit(want))
+        full = A + 1e-3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        assert n == 1 or quadratic_objective(full, b).point is None
+        assert logistic_objective(demo_model()).point is None
+
 
 class TestLogisticBasics:
     def test_loss_symmetry_at_zero(self):

@@ -2,18 +2,23 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nsslab import lqr, sde
-from nsslab.langevin import OverdampedConfig, build_overdamped
+from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
+                             build_overdamped, build_underdamped)
 from nsslab.lyapcert import generator_apply
 from nsslab.nssmc import Exceedance, NssExperiment, WindowValues
+from nsslab.objectives import quadratic_objective
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
                         derive_path_seeds, simulate_ensemble, simulate_path, sup_noise_intensity)
 
 from helpers import half_norm_squared, piecewise
+from test_langevin import scalar_lqr_scheduled
+from test_lqr_reference import boundary_gains
 
 
 def reference_path_seed(master_seed, k):
@@ -969,3 +974,100 @@ class TestStacks:
         with pytest.raises(ValueError, match="2 schedules but 1 master"):
             simulate_ensemble(linear_model(), schedules, np.zeros(1), 0.1,
                               1.0, 4, 0)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the point drift was called")
+
+
+def quiet_schedule(model, T):
+    return CovarianceSchedule.constant(np.zeros((model.noise_dim,) * 2), T)
+
+
+class TestPointRoute:
+    """A quiet one-path run of a model with a point drift steps on Python
+    floats and equals the array loop bit for bit: times, every record,
+    valid counts, exit and blow-up flags and exit steps, and every call of
+    a reducer."""
+
+    def assert_routes_agree(self, model, x0, dt, T, store_every):
+        """The point route's outcome, checked against the array route's
+        through StateRecorder and through a reducer that keeps no states
+        of the run, only a log of each call."""
+        assert model.point_drift is not None
+        runs = []
+        for m in (model, replace(model, point_drift=None)):
+            log = []
+
+            def logged(i, t, z, active, log=log):
+                log.append((i, t, z.tolist(), np.signbit(z).tolist(),
+                            active.tolist()))
+
+            args = (m, quiet_schedule(m, T), np.array([x0], dtype=float), dt,
+                    T, [0], store_every)
+            recorded = sde._simulate_batch(*args)
+            reduced = sde._simulate_batch(*args, [logged])
+            assert reduced[1].shape == (1, 0, m.state_dim)
+            runs.append((recorded, reduced, log))
+        (recorded, reduced, log), want = runs
+        for got, ref in zip(recorded + reduced, want[0] + want[1]):
+            assert got.dtype == ref.dtype
+            assert_bitwise(got, ref)
+        assert log == want[2] and len(log) == recorded[0].size
+        return recorded
+
+    def test_diagonal_quadratic_with_constant_coefficients(self):
+        # 2,000 steps recorded every 7th: the last record is off the stride
+        obj = quadratic_objective(np.diag([1.0, 2.0]), np.array([0.5, -1.0]))
+        model = build_underdamped(UnderdampedConfig(objective=obj))
+        x0 = np.concatenate([obj.minimizer + 1.0, [0.3, -0.2]])
+        times, states, valid, exited, _, _ = self.assert_routes_agree(
+            model, x0, 1e-3, 2.0, 7)
+        assert times.size == 287 and times[-1] == 2.0 and not exited[0]
+        assert np.abs(states[0, -1] - x0).max() > 0.1
+
+    def test_scalar_lqr_with_scheduled_coefficients(self):
+        # starts at every stabilizing gain of boundary_gains, at rest and
+        # thrown toward the boundary k = 1: paths that stay, blow up on the
+        # first step next to the boundary, and leave the domain later
+        cfg, model = scalar_lqr_scheduled()
+        ks = boundary_gains(1.0, 1.0)[:, 0]
+        ks = ks[cfg.objective.domain_test(ks[:, None])]
+        outcomes = set()
+        for k in ks:
+            for v in (0.0, -100.0, -1000.0):
+                *_, exited, blowup, steps = self.assert_routes_agree(
+                    model, [k, v], 1e-3, 0.05, 3)
+                outcomes.add((bool(exited[0]), bool(blowup[0]),
+                              int(steps[0]) > 1))
+        assert outcomes >= {(False, False, False), (True, True, False),
+                            (True, False, True)}
+        # J'' = 2 / (k - 1)^3 puts the first proposal past BLOWUP_LIMIT
+        *_, exited, blowup, steps = self.assert_routes_agree(
+            model, [1.0 + 5e-6, 0.0], 1e-3, 0.05, 3)
+        assert exited[0] and blowup[0] and steps[0] == 1
+
+    def test_non_finite_proposal_raises_on_both_routes(self):
+        # an infinite velocity proposes an infinite gain, on which the LQR
+        # domain test raises: the point route tests the failed proposal
+        cfg, model = scalar_lqr_scheduled()
+        for m in (model, replace(model, point_drift=None)):
+            with pytest.raises(np.linalg.LinAlgError), \
+                    np.errstate(invalid="ignore"):
+                simulate_path(m, quiet_schedule(m, 0.01), [2.0, np.inf],
+                              1e-3, 0.01, 0)
+
+    def test_other_runs_keep_the_array_loop(self):
+        # a noisy path and two quiet ones never call the point drift
+        cfg, model = scalar_lqr_scheduled()
+        arrays = replace(model, point_drift=None)
+        refusing = replace(model, point_drift=refuse)
+        x0 = [cfg.objective.minimizer[0] + 0.3, 0.0]
+        noisy = CovarianceSchedule.constant([[0.1]], 0.02)
+        a, b = (simulate_path(m, noisy, x0, 1e-3, 0.02, 5, store_every=3)
+                for m in (refusing, arrays))
+        assert_bitwise(a.states, b.states)
+        a, b = (simulate_ensemble(m, quiet_schedule(m, 0.02), x0, 1e-3, 0.02,
+                                  2, 5, store_every=3)
+                for m in (refusing, arrays))
+        assert_bitwise(a.states, b.states)
