@@ -25,8 +25,9 @@ from nsslab.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DIGESTS = Path(__file__).resolve().with_name("reduced_digests.json")
 # shipped config -> shortened horizon T
-REDUCED = {"logistic_overdamped": "10", "logistic_underdamped": "20",
-           "lqr_po_overdamped": "1", "lqr_po_underdamped": "3",
+REDUCED = {"gain_sweep": "2", "logistic_overdamped": "10",
+           "logistic_underdamped": "20", "lqr_po_overdamped": "1",
+           "lqr_po_underdamped": "3", "ou_sanity": "2",
            "quadratic_overdamped": "1", "quadratic_underdamped": "5"}
 
 
