@@ -73,8 +73,6 @@ class ScalarClassFunction:
 
 @dataclass
 class ClassEvidenceReport:
-    declared_class: str
-    values: np.ndarray
     monotonicity_violations: list = field(default_factory=list)
     sign_violations: list = field(default_factory=list)
     unbounded_flag: bool = False
@@ -99,7 +97,7 @@ def classify_evidence(f: ScalarClassFunction,
         raise DomainViolation(f"grid point >= domain cap d={f.d}")
 
     values = np.array([float(f.eval(r)) for r in grid])
-    report = ClassEvidenceReport(f.declared_class, values)
+    report = ClassEvidenceReport()
 
     if abs(values[0]) > 1e-12:
         report.sign_violations.append((0.0, values[0]))

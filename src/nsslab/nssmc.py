@@ -25,8 +25,8 @@ the same order (quantiles do not depend on the order).
 per path, so they can shard: ``shard(lo, hi)`` is a copy for paths
 [lo, hi) that writes into a view of the original's buffer, and
 ``buffers()`` lists the arrays such a copy fills.
-:func:`fit_decay_envelope` reads a :class:`PathMeans` of V and
-:func:`inss_accumulation_check` the :class:`Exceedance` of its ensemble.
+:func:`inss_accumulation_check` reads the :class:`Exceedance` of its
+ensemble.
 
 A sweep places its work by one rule (:func:`_rounds`).  Each ensemble
 has S = max(1, N // 4096) shards, contiguous path ranges
@@ -451,34 +451,6 @@ def _byte_pieces(arrays):
             yield a.reshape(-1).view(np.uint8)
         else:
             yield from _byte_pieces(list(a))
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Empirical decay surrogate beta(V0, t) = headroom * V0 * exp(-rate*t),
-    least-squares fit to the noiseless ensemble mean of V."""
-
-    rate: float
-    headroom: float
-
-    def __call__(self, v0, t):
-        return self.headroom * np.asarray(v0) * np.exp(-self.rate * np.asarray(t))
-
-
-def fit_decay_envelope(times: np.ndarray, mean_v: PathMeans,
-                       headroom: float = 1.1) -> DecayFit:
-    """Log-linear decay rate of the mean of V on a noiseless ensemble,
-    read from its :class:`PathMeans` of V at the record ``times``."""
-    mean = mean_v.means
-    keep = mean > 1e-12 * max(mean[0], 1.0)
-    if keep.sum() < 2:
-        raise ValueError("mean of V too flat or too short to fit a decay rate")
-    t = times[keep]
-    y = np.log(mean[keep])
-    rate = -np.polyfit(t, y, 1)[0]
-    if rate <= 0:
-        raise ValueError(f"no decay detected: fitted rate {rate:g}")
-    return DecayFit(rate=float(rate), headroom=headroom)
 
 
 @dataclass(frozen=True)

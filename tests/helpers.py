@@ -2,8 +2,10 @@
 needs: a size function, the per-point finite-difference reference of
 size-function derivatives, a sampler of stabilising LQR gains, a check of
 the logistic gradient bound, a replay of recorded ensembles into
-reducers, and the schedule a run sees of a function of time."""
+reducers, the schedule a run sees of a function of time, and the decay
+envelope of the noiseless scalar Euler chain."""
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -172,3 +174,11 @@ def piecewise(fn, dt: float, T: float) -> CovarianceSchedule:
     new = np.ones(starts.size, dtype=bool)
     new[1:] = (sigmas[1:] != sigmas[:-1]).any(axis=(1, 2))
     return CovarianceSchedule(starts[new], sigmas[new], T)
+
+
+def euler_decay(dt: float, headroom: float):
+    """beta(V0, t) = headroom V0 exp(-rate t) of V = z^2/2 under the Euler
+    chain of dz = -z dt, whose V_k = V0 (1 - dt)^(2k): rate =
+    -2 log1p(-dt) / dt, as gain-sweep builds it."""
+    rate = -2.0 * math.log1p(-dt) / dt
+    return lambda v0, t: headroom * v0 * np.exp(-rate * t)

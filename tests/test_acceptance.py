@@ -21,20 +21,18 @@ from nsslab.langevin import (OverdampedConfig, UnderdampedConfig,
                              v2_certificate, v2_size_function, v3_certificate,
                              v3_size_function)
 from nsslab.lyapcert import (check_dissipation, default_state_samples,
-                             default_theta_samples, generator_apply,
-                             self_values)
-from nsslab.nssmc import (NssExperiment, PathMeans, fit_decay_envelope,
-                          run_experiment, scnss_threshold_scan)
+                             default_theta_samples, generator_apply)
+from nsslab.nssmc import NssExperiment, run_experiment, scnss_threshold_scan
 from nsslab.objectives import (check_nonseparable, estimate_kpl_envelope,
                                load_logistic_csv, logistic_hessian,
                                logistic_lipschitz_constant,
                                logistic_objective, quadratic_objective,
                                verify_pl, LogisticModel)
-from nsslab.sde import (CovarianceSchedule, record_times, simulate_ensemble,
-                        simulate_path)
+from nsslab.sde import CovarianceSchedule, simulate_ensemble, simulate_path
 
-from helpers import (ReferenceSizeFunction, gradient_bound_check,
-                     half_norm_squared, random_stabilizing_gains)
+from helpers import (ReferenceSizeFunction, euler_decay,
+                     gradient_bound_check, half_norm_squared,
+                     random_stabilizing_gains)
 from test_generator_reference import reference_generator_apply
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -357,15 +355,7 @@ def test_gain_curve_tail_quantiles_and_exceedance():
     exp = NssExperiment(dynamics=model, V=V, schedule_family=schedules,
                         x0=np.ones(1), N=N, dt=dt, T=T, master_seed=seed,
                         store_every=25)
-    # the quiet envelope first, so each noisy ensemble reduces its
-    # exceedance while it runs
-    times = record_times(dt, 20.0, 25)
-    mean_v = PathMeans(lambda z: self_values(V, z), times.size)
-    simulate_ensemble(
-        model, CovarianceSchedule.constant(np.zeros((1, 1)), T),
-        exp.x0, dt, 20.0, 200, seed + 1000, store_every=25,
-        reducers=[mean_v])
-    beta = fit_decay_envelope(times, mean_v)
+    beta = euler_decay(dt, 1.1)
     bounds = [lambda v0, t, g=cli.EXCEEDANCE_MARGIN * s**2: beta(v0, t) + g
               for s in sigmas]
     curve = run_experiment(exp, bounds, workers=2)

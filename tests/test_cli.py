@@ -392,9 +392,9 @@ class TestSchema:
          "noise", "sigmas"),
         # ou-sanity's relative error divides by sigma^2 / 2
         ("ou-sanity", "[noise]\nsigma = 0\n", "noise", "sigma"),
-        # T = 30 is on the dt grid, the quiet horizon min(T, 20) is not
-        ("gain-sweep", "[problem]\ndiag = 1\n[mc]\ndt = 0.003\nT = 30\n",
-         "mc", "T"),
+        # gain-sweep's decay envelope V0 (1 - dt)^(2k) needs dt < 1
+        ("gain-sweep", "[problem]\ndiag = 1\n[mc]\ndt = 1\nT = 50\n",
+         "mc", "dt"),
     ]
 
     @pytest.mark.parametrize("experiment,body,section,key", BAD)
@@ -442,6 +442,15 @@ class TestSchema:
                            "[noise]\nsigma = 0\n[mc]\nN = 10\nT = 1\n")
         assert main(["validate", cfg]) == 0
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_gain_sweep_accepts_a_horizon_on_the_dt_grid(self, tmp_path,
+                                                          capsys):
+        # T = 30 is 10,000 steps of dt = 0.003, the one grid gain-sweep
+        # integrates on
+        cfg = write_config(tmp_path, "gain-sweep",
+                           "[problem]\ndiag = 1\n[mc]\ndt = 0.003\nT = 30\n")
+        assert main(["validate", cfg]) == 0
+        assert capsys.readouterr().out.startswith("ok: ")
 
 
 class TestMain:

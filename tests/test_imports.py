@@ -68,10 +68,6 @@ UNREAD_MEMBERS_ALLOWED = {
 SHARED_MEMBER_NAMES = {
     "AccumulationReport.epsilon": "AccumulationReport.passed",
     "NssExperiment.epsilon": "_SweepEnsemble.stats, inss_accumulation_check",
-    "ClassEvidenceReport.declared_class": "no code: claims (a)-(c), the "
-                                          "class the evidence is about",
-    "ScalarClassFunction.declared_class": "DissipationCertificate, the "
-                                          "certificate builders",
     "CovarianceSchedule.intensities": "sup_noise_intensity, "
                                       "inss_accumulation_check",
     "GainCurve.intensities": "scnss_threshold_scan, the gain-curve writer",
@@ -137,8 +133,6 @@ UNSET_PARAMETERS_ALLOWED = {
     "Supermartingale.min_population": "claim (e): the tests check floors "
                                       "of 1, 10 and 100 against the "
                                       "recorded reference",
-    "fit_decay_envelope.headroom": "claim (c): the iNSS test widens the "
-                                   "decay envelope",
     "default_state_samples.count": "claims (b) and (d): the tests compare "
                                    "certificates with the per-point "
                                    "reference at several sample sizes",

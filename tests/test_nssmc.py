@@ -14,15 +14,16 @@ from nsslab.langevin import (OverdampedConfig, build_overdamped,
 from nsslab.lqr import (LqrProblem, gain_noise_schedule, lqr_objective,
                         solve_riccati, vec_gain)
 from nsslab.lyapcert import self_values
-from nsslab.nssmc import (DecayFit, NssExperiment, PathMeans, WindowValues,
-                          fit_decay_envelope, inss_accumulation_check,
-                          run_experiment, scnss_threshold_scan)
+from nsslab.nssmc import (NssExperiment, PathMeans, WindowValues,
+                          inss_accumulation_check, run_experiment,
+                          scnss_threshold_scan)
 from nsslab.objectives import quadratic_objective
 from nsslab.compfun import K, ScalarClassFunction
 from nsslab.sde import (CovarianceSchedule, DiffusionModel, record_times,
                         simulate_ensemble)
 
-from helpers import half_norm_squared, piecewise, replayed_exceedance
+from helpers import (euler_decay, half_norm_squared, piecewise,
+                     replayed_exceedance)
 from test_nssmc_reference import (lqr_case, quadratic_case,
                                   reference_exceedance_fraction,
                                   reference_inss_accumulation_check,
@@ -43,16 +44,6 @@ def make_experiment(sigmas, N=200, T=10.0, dt=1e-2, seed=0, x0=1.0):
     return NssExperiment(dynamics=model, V=V, schedule_family=schedules,
                          x0=np.full(1, x0), N=N, dt=dt, T=T, master_seed=seed,
                          store_every=5)
-
-
-def quiet_mean_v(model, V, x0, dt, T, N, seed, store_every=1):
-    """(record times, PathMeans of V) of a noiseless ensemble."""
-    times = record_times(dt, T, store_every)
-    mean_v = PathMeans(lambda z: self_values(V, z), times.size)
-    simulate_ensemble(model, CovarianceSchedule.constant(np.zeros((1, 1)), T),
-                      x0, dt, T, N, seed, store_every=store_every,
-                      reducers=[mean_v])
-    return times, mean_v
 
 
 class TestExperimentValidation:
@@ -99,25 +90,22 @@ class TestGainCurve:
         assert pooled.size == 100 * idx.sum()
 
 
-class TestDecayFit:
-    def test_rate_recovered_on_noiseless_quadratic(self):
-        # V = z^2/2 decays at rate 2 under dz = -z dt
+class TestDecayEnvelope:
+    def test_quiet_means_are_the_euler_closed_form(self):
+        # the quiet ensemble is the oracle of gain-sweep's envelope: its
+        # mean of V = z^2/2 is V0 (1 - dt)^(2k) = V0 exp(-rate t) at every
+        # record, down to V ~ 1e-18 at T = 20
         model, V = scalar_setup()
-        fit = fit_decay_envelope(*quiet_mean_v(model, V, np.ones(1), 1e-3,
-                                               10.0, 50, 0, store_every=10))
-        assert abs(fit.rate - 2.0) <= 0.01
-        assert fit.headroom == 1.1
-
-    def test_flat_signal_rejected(self):
-        model, V = scalar_setup()
-        quiet = quiet_mean_v(model, V, np.zeros(1), 1e-2, 1.0, 50, 0)
-        with pytest.raises(ValueError):
-            fit_decay_envelope(*quiet)
-
-    def test_callable_vectorizes(self):
-        fit = DecayFit(rate=1.0, headroom=1.0)
-        out = fit(np.array([[1.0], [2.0]]), np.array([[0.0, 1.0]]))
-        assert out.shape == (2, 2)
+        dt, T = 1e-3, 20.0
+        times = record_times(dt, T, 25)
+        mean_v = PathMeans(lambda z: self_values(V, z), times.size)
+        simulate_ensemble(model,
+                          CovarianceSchedule.constant(np.zeros((1, 1)), T),
+                          np.ones(1), dt, T, 200, 0, store_every=25,
+                          reducers=[mean_v])
+        assert times.size == 801
+        want = euler_decay(dt, 1.0)(0.5, times)
+        np.testing.assert_allclose(mean_v.means, want, rtol=1e-12, atol=0)
 
 
 class TestExceedance:
@@ -180,8 +168,7 @@ class TestExceedance:
     def test_calibrated_envelope_small_fraction(self):
         model, V = scalar_setup()
         sigma, T = 0.2, 30.0
-        beta = fit_decay_envelope(*quiet_mean_v(model, V, np.ones(1), 1e-3,
-                                                15.0, 100, 1, store_every=10))
+        beta = euler_decay(1e-3, 1.1)
         ens = simulate_ensemble(
             model, CovarianceSchedule.constant(np.array([[sigma]]), T),
             np.ones(1), 1e-3, T, 500, 0, store_every=10)
@@ -564,10 +551,8 @@ class TestAccumulation:
         exp = NssExperiment(dynamics=model, V=V, schedule_family=[ramp],
                             x0=np.ones(1), N=200, dt=1e-3, T=T,
                             master_seed=0, store_every=10)
-        quiet = quiet_mean_v(model, V, np.ones(1), 1e-3, 15.0, 100, 1,
-                             store_every=10)
         # extra headroom absorbs transient fluctuations around the decay
-        beta = fit_decay_envelope(*quiet, headroom=1.5)
+        beta = euler_decay(1e-3, 1.5)
         gamma = ScalarClassFunction(
             lambda s: 10.0 * np.asarray(s, dtype=float), K,
             description="10 s")

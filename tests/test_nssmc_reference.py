@@ -7,7 +7,7 @@ array and returned a transposed (B, R, n) copy, ``simulate_ensemble`` on
 top of it, and the reductions over those dense arrays --
 ``tail_window_values``, ``run_experiment`` (which returned every
 ensemble), ``exceedance_fraction`` (an (N, R) array of V and of the
-bound), ``fit_decay_envelope``, the ou-sanity moments,
+bound), the mean of V over a quiet ensemble, the ou-sanity moments,
 ``inss_accumulation_check`` on a recorded ensemble and the
 ``supermartingale_diagnostic`` of claim (e).  The reducers must give the
 same statistics bit for bit.
@@ -29,10 +29,9 @@ from nsslab.langevin import (OverdampedConfig, build_overdamped,
 from nsslab.lqr import (LqrProblem, gain_noise_schedule, lqr_objective,
                         solve_riccati, vec_gain)
 from nsslab.lyapcert import SizeFunction, self_values
-from nsslab.nssmc import (AccumulationReport, DecayFit, Exceedance,
-                          GainCurve, NssExperiment, PathMeans,
-                          Supermartingale, WindowValues, fit_decay_envelope,
-                          run_experiment)
+from nsslab.nssmc import (AccumulationReport, Exceedance, GainCurve,
+                          NssExperiment, PathMeans, Supermartingale,
+                          WindowValues, run_experiment)
 from nsslab.objectives import quadratic_objective
 from nsslab.sde import (BLOWUP_LIMIT, CovarianceSchedule, DiffusionModel,
                         TrajectoryEnsemble, _diagonal, _times_transpose,
@@ -252,21 +251,6 @@ def reference_exceedance_fraction(ensemble: TrajectoryEnsemble, V: SizeFunction,
     dead_in_window = ensemble.exited & ~alive.all(axis=1)
     exceed = over.any(axis=1) | dead_in_window
     return float(exceed.mean())
-def reference_fit_decay_envelope(noiseless: TrajectoryEnsemble, V: SizeFunction,
-                       headroom: float = 1.1, floor: float = 1e-12) -> DecayFit:
-    """Log-linear decay rate of the mean of V on a noiseless ensemble."""
-    vals = reference_self_values(V, noiseless.states)
-    mean = vals.mean(axis=0)
-    keep = mean > floor * max(mean[0], 1.0)
-    if keep.sum() < 2:
-        raise ValueError("mean of V too flat or too short to fit a decay rate")
-    t = noiseless.times[keep]
-    y = np.log(mean[keep])
-    rate = -np.polyfit(t, y, 1)[0]
-    if rate <= 0:
-        raise ValueError(f"no decay detected: fitted rate {rate:g}")
-    return DecayFit(rate=float(rate), headroom=headroom)
-
 
 
 def reference_inss_accumulation_check(ensemble: TrajectoryEnsemble,
@@ -600,7 +584,7 @@ def test_decay_fit_means_match_dense_route(tiles):
     ref_ens = reference_simulate_ensemble(*args, store_every=25)
     ens = simulate_ensemble(*args, store_every=25)
 
-    # the mean of V per record, replayed or live, as the fit reads it
+    # the mean of V per record of a quiet ensemble, replayed or live
     ref_mean = reference_self_values(V, ref_ens.states).mean(axis=0)
     replayed = PathMeans(lambda z: self_values(V, z), ens.times.size)
     replay(ens, [replayed])
@@ -608,11 +592,6 @@ def test_decay_fit_means_match_dense_route(tiles):
     simulate_ensemble(*args, store_every=25, reducers=[live])
     assert np.array_equal(replayed.means, ref_mean)
     assert np.array_equal(live.means, ref_mean)
-
-    want = reference_fit_decay_envelope(ref_ens, V)
-    got = fit_decay_envelope(ens.times, live)
-    assert isinstance(got, DecayFit)
-    assert (got.rate, got.headroom) == (want.rate, want.headroom)
 
 
 def test_run_experiment_memory_below_one_dense_ensemble():

@@ -237,7 +237,7 @@ class TestHorizon:
         assert sup_noise_intensity(s, 0.0, 1.0 + 1e-9) == 0.25
         path = simulate_path(linear_model(), s, np.zeros(1), 0.1, 1.0, 0)
         assert path.times[-1] == 1.0
-        # a shorter run, as gain-sweep's quiet envelope is
+        # a run shorter than the schedule's horizon
         ens = simulate_ensemble(linear_model(), s, np.zeros(1), 0.1, 0.5, 4,
                                 0)
         assert ens.times[-1] == 0.5
