@@ -6,8 +6,8 @@ cast and range, and each registered experiment the keys it reads, so
 ``validate`` rejects every config that ``run`` would.  Every run is a
 pure function of (config, master seed) and re-running writes
 byte-identical CSV artifacts.  ``--threads K`` caps the processes that a
-sweep's Monte Carlo path shards run on, placed by one rule
-(``nssmc._rounds``); it never changes a bit of the output.
+sweep's Monte Carlo batches (``nssmc._batches``) run on; it never changes
+a bit of the output.
 """
 
 from __future__ import annotations
@@ -560,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="processes a sweep's Monte Carlo shards run on "
+                       help="processes a sweep's Monte Carlo batches run on "
                             "(default 1); output never depends on it")
     p_run.add_argument("--seed-override", type=int, default=None)
     sub.add_parser("list", help="list registered experiments")

@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .objectives import Objective, _stencil, _step
+from .objectives import Objective, _step
 from .sde import CovarianceSchedule, _every
 
 HURWITZ_MARGIN = 1e-10
@@ -329,7 +329,7 @@ def _scalar_point(problem: LqrProblem, k: float):
 
 def _scalar_hessian(problem: LqrProblem, k: float) -> float:
     """0.5 (H + H^T) of H = (g(k+h) - g(k-h)) / (2h) at one scalar gain on
-    Python floats, h the step of ``objectives._stencil``; one-sided on the
+    Python floats, h the step of ``objectives._step``; one-sided on the
     stabilizing side if a probe is not, so a stabilizing gain within h of
     the boundary keeps a finite Hessian."""
     h = _step(math.sqrt(k * k))
@@ -350,18 +350,10 @@ def _scalar_point_oracle(problem: LqrProblem, z):
 
 
 def _scalar_hessians(problem: LqrProblem, z: np.ndarray) -> np.ndarray:
-    """(B, 1, 1) :func:`_scalar_hessian` of a (B, 1) batch: one
-    batched_gain_stats call on its 2B probes, and floats for a row with a
-    probe outside."""
+    """(B, 1, 1) :func:`_scalar_hessian` of each row of a (B, 1) batch."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    B = len(z)
-    rows, h = _stencil(z)
-    ok, _, g = batched_gain_stats(problem, rows[B:])
-    H = (g[:B, 0] - g[B:, 0]) / (2.0 * h)
-    H = 0.5 * (H + H)
-    for i in np.flatnonzero(ok[:B] != ok[B:]):
-        H[i] = _scalar_hessian(problem, float(z[i, 0]))
-    return H[:, None, None]
+    return np.array([_scalar_hessian(problem, k)
+                     for k in z[:, 0].tolist()]).reshape(-1, 1, 1)
 
 
 def _matrix_stats(problem: LqrProblem, Ks: np.ndarray, A_cl: np.ndarray):

@@ -10,8 +10,8 @@ Every statistic is a reduction over paths, so no statistic keeps states.
 A caller declares reducers (:class:`WindowValues`, :class:`PathMeans`,
 :class:`Exceedance`, :class:`Supermartingale`), which
 :func:`sde.simulate_ensemble` feeds with ``(record index, t, z, active)``
-at every recorded step, and a sweep drops each ensemble once its round is
-reduced: memory grows with N times the tail window, not with the
+at every recorded step, and a sweep drops each ensemble once its last
+batch has run: memory grows with N times the tail window, not with the
 recorded horizon.  The reducers repeat the reductions of a recorded
 (N, R, n) ensemble, kept in the tests as references, bit for bit.  Their
 per-record f(z) equals f of the dense array whenever f is
@@ -22,32 +22,29 @@ the shipped digests pin); path means are summed path by path, as
 the memory order of the dense window array, so a sum over them adds in
 the same order (quantiles do not depend on the order).
 :class:`WindowValues` and :class:`Exceedance` keep one column or entry
-per path, so they can shard: ``shard(lo, hi)`` is a copy for paths
-[lo, hi) that writes into a view of the original's buffer, and
+per path, so a batch can hold part of them: ``shard(lo, hi)`` is a copy
+for paths [lo, hi) that writes into a view of the original's buffer, and
 ``buffers()`` lists the arrays such a copy fills.
 :func:`inss_accumulation_check` reads the :class:`Exceedance` of its
 ensemble.
 
-A sweep places its work by one rule (:func:`_rounds`).  Each ensemble
-has S = max(1, N // 4096) shards, contiguous path ranges
-[N*i//S, N*(i+1)//S) that depend on N alone.  When S = 1 and the
-schedules of the sweep share their piece starts, with diagonal pieces
-(:func:`sde.stackable`), E = max(1, 4096 // N) consecutive ensembles form
-a stack, integrated as one batch of E * N rows by one
-:func:`sde.simulate_ensemble` call, so the per-step overhead is paid once
-per stack; otherwise each ensemble is a stack of one.  E depends on N and
-the ensemble count alone.  On K = min(workers, usable CPUs, stacks * S)
-processes, a round is max(1, K // S) consecutive stacks, whose shards, in
-(stack, shard) order, split into min(K, shards in the round) contiguous
-runs.  The parent runs the first run and forked workers the others; each
-worker sends back its shards' exit flags, valid counts and reducer
-buffers, received in place.  A round is dropped once it is reduced,
-before the next one is built.  Each shard runs with its own path range
-of its ensembles' seeds, and each ensemble's reducers read its own rows
-``z[a:b]`` and ``active[a:b]`` of a stack, so the curve is bit-identical
-for any ``workers``, even for a drift that is not row-independent; with
-a row-independent drift and domain test it is also bit-identical to
-running each ensemble alone.
+A sweep places its work by one plan (:func:`_batches`).  Its n
+ensembles of N paths are R = n N rows, row j N + k being path k of
+ensemble j, cut into S batches [R i // S, R (i + 1) // S):
+S = ceil(R / 4096) when N < 4096 and the schedules can stack
+(:func:`sde.stackable`), else n max(1, N // 4096), which cuts each
+ensemble alone.  A batch is one
+:func:`sde.simulate_ensemble` stack of its ensembles' path ranges.  On
+K = min(workers, usable CPUs, S) processes, a round is K consecutive
+batches, the first run in the parent and the others in forked workers,
+whose blocks' exit flags, valid counts and reducer buffers are received
+in place.  An ensemble is allocated when its first batch enters a round
+and reduced and dropped after the round of its last.  The batches depend
+on the sweep alone, each path draws from its own generator, and each
+ensemble's reducers read only its rows of a batch, so the curve is
+bit-identical for any ``workers``, whatever the drift; with a
+row-independent drift and domain test it also equals each ensemble run
+alone.
 
 All statistics are pure functions of (experiment, master seed): paths use
 counter-based per-path generators and reductions are deterministic.
@@ -71,9 +68,7 @@ from .sde import (CovarianceSchedule, DiffusionModel, record_times,
 
 
 MIN_PATHS = 100  # the fewest paths a sweep's probabilistic claims use
-# an ensemble has max(1, N // _SHARD_PATHS) shards; a stack has up to
-# max(1, _SHARD_PATHS // N) one-shard ensembles
-_SHARD_PATHS = 4096
+_BATCH_ROWS = 4096  # the rows of a batch of small ensembles, at most
 
 
 @dataclass(frozen=True)
@@ -252,7 +247,7 @@ class Supermartingale:
 class _SweepEnsemble:
     """The j-th ensemble of a sweep: its reducers and the per-path outputs
     that its statistics read, all allocated before it runs, so that a
-    forked worker can fill a shard of them and send back its buffers."""
+    forked worker can fill part of them and send back its buffers."""
 
     def __init__(self, exp: NssExperiment, j: int, bound):
         self.exp, self.j = exp, j
@@ -284,43 +279,43 @@ class _SweepEnsemble:
                 None if self.exceed is None else self.exceed.fraction())
 
 
-def _run_stack(stack: list[_SweepEnsemble], lo: int, hi: int) -> None:
-    """Integrate paths [lo, hi) of every ensemble of ``stack`` as one
-    batch, ensemble e in rows [e (hi - lo), (e + 1) (hi - lo)), into their
-    part of the ensembles' buffers."""
-    exp, n = stack[0].exp, hi - lo
-    x0s = np.broadcast_to(exp.x0, (exp.N, exp.dynamics.state_dim))
+def _batches(N: int, n_ensembles: int, can_stack: bool
+             ) -> list[tuple[int, int]]:
+    """The row ranges [a, b) of a sweep's batches (module docstring)."""
+    R = N * n_ensembles
+    S = (-(-R // _BATCH_ROWS) if can_stack and N < _BATCH_ROWS
+         else n_ensembles * max(1, N // _BATCH_ROWS))
+    return [(R * i // S, R * (i + 1) // S) for i in range(S)]
+
+
+def _blocks(N: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """(ensemble j, lo, hi) of each ensemble's paths in rows [a, b)."""
+    return [(j, max(a - j * N, 0), min(b - j * N, N))
+            for j in range(a // N, (b - 1) // N + 1)]
+
+
+def _run_batch(exp: NssExperiment, ensembles: dict, a: int, b: int) -> None:
+    """Integrate rows [a, b) of the sweep as one stack, into their part of
+    the ensembles' buffers."""
+    blocks = _blocks(exp.N, a, b)
+    rows = [slice(j * exp.N + lo - a, j * exp.N + hi - a)
+            for j, lo, hi in blocks]  # each block's rows of the batch
     ens = simulate_ensemble(
-        exp.dynamics, [exp.schedule_family[e.j] for e in stack], x0s[lo:hi],
-        exp.dt, exp.T, n, [exp.master_seed + e.j for e in stack],
+        exp.dynamics, [exp.schedule_family[j] for j, _, _ in blocks],
+        exp.x0, exp.dt, exp.T, [range(lo, hi) for _, lo, hi in blocks],
+        [exp.master_seed + j for j, _, _ in blocks],
         store_every=exp.store_every,
-        reducers=[_rows(r.shard(lo, hi), k * n, (k + 1) * n)
-                  for k, e in enumerate(stack) for r in e.reducers],
-        first_path=lo)
-    for k, e in enumerate(stack):
-        e.valid_counts[lo:hi] = ens.valid_counts[k * n:(k + 1) * n]
-        e.exited[lo:hi] = ens.exited[k * n:(k + 1) * n]
+        reducers=[_rows(r.shard(lo, hi), s)
+                  for (j, lo, hi), s in zip(blocks, rows)
+                  for r in ensembles[j].reducers])
+    for (j, lo, hi), s in zip(blocks, rows):
+        ensembles[j].valid_counts[lo:hi] = ens.valid_counts[s]
+        ensembles[j].exited[lo:hi] = ens.exited[s]
 
 
-def _rows(reduce, a: int, b: int):
-    """``reduce`` fed rows [a, b) of every record."""
-    return lambda i, t, z, active: reduce(i, t, z[a:b], active[a:b])
-
-
-def _shard_bounds(N: int) -> list[tuple[int, int]]:
-    """The path ranges [lo, hi) of an N-path ensemble's shards."""
-    S = max(1, N // _SHARD_PATHS)
-    return [(N * i // S, N * (i + 1) // S) for i in range(S)]
-
-
-def _stacks(N: int, n_ensembles: int, can_stack: bool) -> list[range]:
-    """The ensemble indices of each stack: E = max(1, _SHARD_PATHS // N)
-    consecutive ensembles when they have one shard and ``can_stack``,
-    else one ensemble each."""
-    E = (max(1, _SHARD_PATHS // N)
-         if can_stack and len(_shard_bounds(N)) == 1 else 1)
-    return [range(j, min(j + E, n_ensembles))
-            for j in range(0, n_ensembles, E)]
+def _rows(reduce, rows: slice):
+    """``reduce`` fed ``rows`` of every record."""
+    return lambda i, t, z, active: reduce(i, t, z[rows], active[rows])
 
 
 def _usable_cpus() -> int:
@@ -328,58 +323,40 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _rounds(n_stacks: int, shards: list[tuple[int, int]], workers: int):
-    """Where a sweep's shards run: per round, its stack indices and its
-    runs, each a list of (stack index, lo, hi) that one process
-    integrates; the parent takes the first run, forked workers the others.
-
-    With S shards per stack and K = min(workers, usable CPUs, stacks * S)
-    processes, a round is max(1, K // S) consecutive stacks, and its
-    shards, in (stack, shard) order, split into min(K, shards in the
-    round) contiguous runs.
-    """
-    S = len(shards)
-    K = min(workers, _usable_cpus(), n_stacks * S)
-    size = max(1, K // S)
-    for first in range(0, n_stacks, size):
-        ss = range(first, min(first + size, n_stacks))
-        tasks = [(s, lo, hi) for s in ss for lo, hi in shards]
-        P = min(K, len(tasks))
-        yield ss, [tasks[len(tasks) * k // P:len(tasks) * (k + 1) // P]
-                   for k in range(P)]
-
-
 def run_experiment(exp: NssExperiment,
                    bounds: Sequence[Callable] | None = None,
                    workers: int = 1) -> GainCurve:
-    """The gain curve of the sweep on up to ``workers`` processes, in the
-    stacks of :func:`_stacks`, placed by :func:`_rounds` (the curve does
-    not depend on ``workers``).
+    """The gain curve of the sweep, its batches placed on up to
+    ``workers`` processes (module docstring); the curve does not depend
+    on ``workers``.
 
-    Each ensemble keeps only V on the tail window [T/2, T] and its exit
-    flags, and is dropped once its round is reduced, before the next
-    round is built.  With ``bounds`` (one bound(V0, t) per schedule) it
-    also keeps each path's running exceedance flag, and the curve carries
-    the exceedance fractions.
+    Each ensemble keeps only V on the tail window [T/2, T], its exit
+    flags and, with ``bounds`` (one bound(V0, t) per schedule), each
+    path's running exceedance flag, whose fractions the curve carries.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if bounds is not None and len(bounds) != len(exp.schedule_family):
         raise ValueError("need one bound per schedule")
-    stacks = _stacks(exp.N, len(exp.schedule_family),
-                     stackable(exp.schedule_family))
-    stats = []
-    for ss, runs in _rounds(len(stacks), _shard_bounds(exp.N), workers):
-        round_ = {s: [_SweepEnsemble(exp, j, None if bounds is None
-                                     else bounds[j]) for j in stacks[s]]
-                  for s in ss}
-        _run_forked(lambda run: [_run_stack(round_[s], lo, hi)
-                                 for s, lo, hi in run],
-                    lambda run: [b for s, lo, hi in run for e in round_[s]
-                                 for b in e.buffers(lo, hi)],
-                    runs)
-        stats += [e.stats() for s in ss for e in round_[s]]
-        del round_  # free this round's buffers before the next is built
+    N = exp.N
+    batches = _batches(N, len(exp.schedule_family),
+                       stackable(exp.schedule_family))
+    K = min(workers, _usable_cpus(), len(batches))
+    live, stats = {}, []
+    for first in range(0, len(batches), K):
+        round_ = batches[first:first + K]
+        end = round_[-1][1]
+        for j in range(round_[0][0] // N, (end - 1) // N + 1):
+            if j not in live:
+                live[j] = _SweepEnsemble(exp, j, None if bounds is None
+                                         else bounds[j])
+        _run_forked(lambda ab: _run_batch(exp, live, *ab),
+                    lambda ab: [buf for j, lo, hi in _blocks(N, *ab)
+                                for buf in live[j].buffers(lo, hi)],
+                    round_)
+        # reduce and drop each ensemble whose last batch has run
+        while live and (min(live) + 1) * N <= end:
+            stats.append(live.pop(min(live)).stats())
     quants, blowups, fracs = zip(*stats)
     return GainCurve(intensities=exp.intensities(),
                      tail_quantiles=np.array(quants),
@@ -401,7 +378,7 @@ def _run_forked(run, views, parts):
     try:
         for part in parts[1:]:
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_shard_worker,
+            proc = ctx.Process(target=_forked_worker,
                                args=(send, run, views, part), daemon=True)
             proc.start()
             send.close()
@@ -430,7 +407,7 @@ def _run_forked(run, views, parts):
             proc.join()
 
 
-def _shard_worker(send, run, views, part):
+def _forked_worker(send, run, views, part):
     """A forked worker: ``run(part)``, then send None and every view, or
     the exception and its traceback."""
     with send:

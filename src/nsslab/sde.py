@@ -17,21 +17,19 @@ Randomness is counter-based: each path owns a Philox generator keyed by a
 are a pure function of its seed and step index, independent of batch size,
 chunking, or parallelism.  A seed outside [0, 2**64) is taken mod 2**64.
 
-A call for ``first_path = lo`` and N = hi - lo paths integrates paths
-[lo, hi) of the master seed's ensemble, bit for bit as one batch of all
-paths would when the drift is row-independent (f of a batch equals f of
-each row: the diagonal quadratic and the scalar LQR drifts are, a dense
-``z @ M.T`` is not).  A call with E schedules and E master seeds
-integrates a stack: one batch of E * N rows, block e (rows [e N,
-(e + 1) N)) being paths [lo, hi) of the e-th seed's ensemble under the
-e-th schedule; a single schedule is a stack of one.  The schedules of a
+A call with E schedules, E master seeds and E ranges of path indices
+integrates a stack: one batch whose e-th block of rows is the e-th
+range's paths of the e-th seed's ensemble under the e-th schedule; a
+single schedule is a stack of one, over paths [0, N).  The schedules of a
 stack share their piece starts, with diagonal pieces
 (:func:`stackable`), so on each piece their diagonals fold into one
-(E N, m) per-row factor and each noise entry is the same single rounded
-multiply as in a run of its block alone, which a block then equals bit
-for bit when the drift and the domain test are row-independent.
-:mod:`nssmc` splits a sweep's ensembles into ranges and stacks and
-places them on processes.
+(B, m) per-row factor, each block's repeated over its own rows, and each
+noise entry is the same single rounded multiply as in a run of its block
+alone.  A block then equals the paths of its range in a batch of its
+whole ensemble, bit for bit, when the drift and the domain test are
+row-independent (f of a batch equals f of each row: the diagonal
+quadratic and the scalar LQR drifts are, a dense ``z @ M.T`` is not).
+:mod:`nssmc` cuts a sweep's rows into such stacks.
 
 The integrator keeps no states of its own.  At every recorded step
 (every ``store_every``-th step and the last, see :func:`record_times`) it
@@ -376,12 +374,6 @@ def stackable(schedules: Sequence[CovarianceSchedule]) -> bool:
                for s in schedules)
 
 
-def _blocks(schedule) -> list[CovarianceSchedule]:
-    """A schedule, or a stack's sequence of them, as a list."""
-    return [schedule] if isinstance(schedule, CovarianceSchedule) \
-        else list(schedule)
-
-
 def _times_transpose(x: np.ndarray, S: np.ndarray,
                      diag: np.ndarray | None) -> np.ndarray:
     """x @ S.T, with ``diag = _diagonal(S)``: for diagonal S the
@@ -405,8 +397,8 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
                     store_every: int, reducers=None):
     """Integrate a batch, feeding ``reducers`` at every recorded step.
 
-    ``schedule`` is one schedule for every row, or a stack's E stackable
-    schedules, the e-th for the e-th of E equal blocks of rows.  Returns
+    ``schedule`` is one schedule for every row, or a stack's list of
+    (schedule, rows) blocks of stackable schedules, in row order.  Returns
     (times, states, valid_counts, exited, blowup, exit_steps); ``states``
     is the dense (B, R, n) record when ``reducers`` is None and an empty
     (B, 0, n) array otherwise.
@@ -432,11 +424,13 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
         reduce(0, times[0], z, active)
 
     # the pieces the run reaches: piece p holds on steps [starts[p], ends[p])
-    blocks = _blocks(schedule)
-    starts = np.rint(blocks[0].starts / dt).astype(np.int64)
+    blocks = ([(schedule, B)] if isinstance(schedule, CovarianceSchedule)
+              else schedule)
+    starts = np.rint(blocks[0][0].starts / dt).astype(np.int64)
     starts = starts[:np.searchsorted(starts, nsteps)].tolist()
     ends = starts[1:] + [nsteps]
-    sigmas = [blk.sigmas[:len(starts)] * math.sqrt(dt) for blk in blocks]
+    sigmas = [s.sigmas[:len(starts)] * math.sqrt(dt) for s, _ in blocks]
+    block_rows = [rows for _, rows in blocks]
     # zero Sigma everywhere adds +0.0 and draws nothing (module docstring)
     quiet = not any(s.any() for s in sigmas)
 
@@ -481,7 +475,7 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
                     diags = [_diagonal(s[p]) for s in sigmas]
                     if all(d is not None for d in diags):  # so for stacks
                         full = None
-                        row[:] = np.repeat(diags, B // len(blocks), axis=0)
+                        row[:] = np.repeat(diags, block_rows, axis=0)
                 b = min(step + c, piece_end)
                 if full is None:  # x * diag + 0.0 of _times_transpose
                     part = slab[a - step:b - step]
@@ -568,38 +562,45 @@ def simulate_path(model: DiffusionModel, schedule: CovarianceSchedule,
 
 
 def simulate_ensemble(model: DiffusionModel, schedule, x0, dt: float,
-                      T: float, N: int, master_seed, store_every: int = 1,
-                      reducers=None, first_path: int = 0
-                      ) -> TrajectoryEnsemble:
-    """Integrate paths first_path, ..., first_path + N - 1 of the master
-    seed's ensemble in one batch, each with its derived path seed.
+                      T: float, N, master_seed, store_every: int = 1,
+                      reducers=None) -> TrajectoryEnsemble:
+    """Integrate paths 0, ..., N - 1 of the master seed's ensemble in one
+    batch, each with its derived path seed, from ``x0``: (n,), or (N, n)
+    with row k for path k.
 
     With a sequence of E schedules and one of E master seeds the call
-    integrates a stack (see the module docstring): E blocks of those N
-    paths, each from ``x0``, as one batch of E * N rows.  A failed path
-    (domain exit or blow-up) is retained with its exit flag.  Without
-    ``reducers`` every recorded state is kept; with them (see the module
-    docstring) the states go only to the reducers, which see all E * N
-    rows, and the ensemble's ``states`` is an empty (E * N, 0, n) array.
+    integrates a stack (see the module docstring), one block per
+    schedule, in one batch: N is then the path count of every block, or a
+    sequence of E ranges of consecutive path indices, block e running the
+    paths of ``N[e]`` from their rows of ``x0``.  A failed path (domain exit or blow-up) is retained
+    with its exit flag.  Without ``reducers`` every recorded state is
+    kept; with them (see the module docstring) the states go only to the
+    reducers, which see every row of the batch, and the ensemble's
+    ``states`` is an empty (B, 0, n) array.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    blocks = _blocks(schedule)
+    blocks = ([schedule] if isinstance(schedule, CovarianceSchedule)
+              else list(schedule))
     masters = [master_seed] if np.ndim(master_seed) == 0 else list(master_seed)
-    if len(masters) != len(blocks):
+    ranged = isinstance(N, Sequence)
+    paths = list(N) if ranged else [range(N)] * len(blocks)
+    if not len(masters) == len(paths) == len(blocks):
         raise ValueError(f"{len(blocks)} schedules but {len(masters)} "
-                         "master seeds")
+                         f"master seeds and {len(paths)} path ranges")
+    if not all(paths):
+        raise ValueError("N must be >= 1")
     x0 = np.asarray(x0, dtype=float)
-    x0s = np.array(np.broadcast_to(x0, (N, model.state_dim))
-                   if x0.ndim == 1 else x0, dtype=float)
-    if x0s.shape != (N, model.state_dim):
-        raise ValueError("x0 must be (n,) or (N, n)")
+    P = max(p.stop for p in paths)
+    x0s = np.broadcast_to(x0, (P, model.state_dim)) if x0.ndim == 1 else x0
+    if x0s.shape[1:] != (model.state_dim,) or not (
+            len(x0s) >= P if ranged else len(x0s) == P):
+        raise ValueError("x0 must be (n,) or (N, n), one row per path")
+    x0s = np.concatenate([x0s[p.start:p.stop] for p in paths])
     _validate_sim_args(model, blocks, x0s, dt, T, store_every)
-    seeds = np.concatenate([derive_path_seeds(s, first_path, first_path + N)
-                            for s in masters])
+    seeds = np.concatenate([derive_path_seeds(s, p.start, p.stop)
+                            for s, p in zip(masters, paths)])
     times, states, valid, exited, blowup, exit_steps = _simulate_batch(
-        model, schedule, np.tile(x0s, (len(blocks), 1)), dt, T, seeds,
-        store_every, reducers)
+        model, [(s, len(p)) for s, p in zip(blocks, paths)], x0s, dt, T,
+        seeds, store_every, reducers)
     return TrajectoryEnsemble(times=times, states=states, seeds=seeds,
                               valid_counts=valid, exited=exited, blowup=blowup,
                               exit_steps=exit_steps, dt=dt)

@@ -511,7 +511,7 @@ master_seed = 5
 }
 
 
-# 8,192 paths: two shards of 4,096, run on up to --threads processes
+# 8,192 paths: two batches of 4,096, run on up to --threads processes
 SHARDED_GAIN_SWEEP = """
 [problem]
 diag = 1
@@ -527,9 +527,9 @@ store_every = 10
 """
 
 
-# 100 paths per ensemble, one shard each: the three ensembles form one
-# stack of 300 rows, run in the parent at every thread count, and the
-# top sigma makes paths exit
+# 100 paths per ensemble: the three ensembles form one batch of 300
+# rows, run in the parent at every thread count, and the top sigma makes
+# paths exit
 LQR_SWEEP_THREADS = """
 [noise]
 sigmas = 0.05, 0.5, 5.0
@@ -542,6 +542,22 @@ store_every = 20
 """
 
 
+# two batches of 2,250 rows: ensemble 0 and paths [0, 750) of ensemble 1,
+# then the rest of ensemble 1 and ensemble 2
+QUADRATIC_SWEEP_BATCHES = """
+[problem]
+diag = 1
+[noise]
+sigmas = 0.1, 0.2, 0.4
+[mc]
+N = 1500
+dt = 1e-2
+T = 1
+master_seed = 5
+store_every = 10
+"""
+
+
 def test_thread_count_never_affects_artifacts(tmp_path):
     compared = 0
     cases = [(name, name, body, ("1", "8"))
@@ -550,6 +566,8 @@ def test_thread_count_never_affects_artifacts(tmp_path):
                   ("1", "2", "8")))
     cases.append(("lqr-po-overdamped-threads", "lqr-po-overdamped",
                   LQR_SWEEP_THREADS, ("1", "2", "8")))
+    cases.append(("quadratic-overdamped-batches", "quadratic-overdamped",
+                  QUADRATIC_SWEEP_BATCHES, ("1", "2", "8")))
     for case, name, body, threads in cases:
         cfg = tmp_path / f"{case}.ini"
         cfg.write_text(f"[experiment]\nname = {name}\noutput = out\n"
@@ -569,8 +587,9 @@ def test_thread_count_never_affects_artifacts(tmp_path):
     _report("determinism",
             f"{compared} CSV artifacts byte-identical at 1 and 8 threads "
             f"across all {len(TINY_CONFIGS)} experiments, and at 1, 2 and "
-            f"8 threads for a two-shard gain sweep and a stack of one-shard "
-            f"LQR ensembles")
+            f"8 threads for a gain sweep of two batches per ensemble, one "
+            f"batch of three LQR ensembles and two batches that cut a "
+            f"quadratic ensemble")
 
 
 def test_underdamped_flow_matches_matrix_exponential():

@@ -83,9 +83,9 @@ SHARED_MEMBER_NAMES = {
     "Exceedance.buffers": "_SweepEnsemble.buffers",
     "WindowValues.buffers": "_SweepEnsemble.buffers",
     "_SweepEnsemble.buffers": "run_experiment",
-    "Exceedance.shard": "_run_stack, _SweepEnsemble.buffers",
-    "WindowValues.shard": "_run_stack, _SweepEnsemble.buffers",
-    "NssExperiment.dt": "_run_stack, inss_accumulation_check",
+    "Exceedance.shard": "_run_batch, _SweepEnsemble.buffers",
+    "WindowValues.shard": "_run_batch, _SweepEnsemble.buffers",
+    "NssExperiment.dt": "_run_batch, inss_accumulation_check",
     "TrajectoryEnsemble.dt": "perfbench's path-step count",
     "TrajectoryEnsemble.times": "perfbench's path-step count",
     "TrajectoryEnsemble.states": "perfbench's state-byte count",

@@ -1,9 +1,12 @@
 """Unit tests for the Monte Carlo verification layer."""
 
+import configparser
 import math
 import multiprocessing
 import os
 import weakref
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,20 +226,42 @@ def forked_rounds(monkeypatch, cpus=8):
     return calls
 
 
-def placement(N, n_ensembles, workers, can_stack=True):
-    """The shard count of each run of each round, after checking that the
-    stacks take every ensemble once, in order, and the rounds every
-    (stack, shard) once, in order."""
-    stacks = nssmc._stacks(N, n_ensembles, can_stack)
-    assert [j for stack in stacks for j in stack] == list(range(n_ensembles))
-    shards = nssmc._shard_bounds(N)
-    rounds = list(nssmc._rounds(len(stacks), shards, workers))
-    assert [t for _, runs in rounds for run in runs for t in run] == [
-        (s, lo, hi) for s in range(len(stacks)) for lo, hi in shards]
-    for ss, runs in rounds:
-        assert [s for run in runs for s, _, _ in run] == [
-            s for s in ss for _ in shards]
-    return [[len(run) for run in runs] for _, runs in rounds]
+def planned_rounds(monkeypatch, N, n_ensembles, workers, can_stack=True,
+                   cpus=None):
+    """The row count of each batch of each round that ``run_experiment``
+    places, with nothing integrated, after checking that the batches cover
+    the sweep's rows once, in order; ``cpus`` (default: the real count) is
+    the number of usable CPUs the sweep sees."""
+    batches = nssmc._batches(N, n_ensembles, can_stack)
+    assert batches[0][0] == 0 and batches[-1][1] == N * n_ensembles
+    assert all(x[1] == y[0] and x[0] < x[1]
+               for x, y in zip(batches, batches[1:]))
+    rounds = []
+    if cpus is not None:
+        monkeypatch.setattr(nssmc, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(nssmc, "stackable", lambda family: can_stack)
+    monkeypatch.setattr(nssmc, "_run_forked", lambda run, views, parts:
+                        rounds.append([b - a for a, b in parts]))
+    monkeypatch.setattr(nssmc, "_SweepEnsemble", lambda exp, j, bound:
+                        SimpleNamespace(stats=lambda: (0.0, 0.0, None)))
+    run_experiment(make_experiment(np.arange(1, n_ensembles + 1), N=N,
+                                   T=1.0), workers=workers)
+    assert [n for r in rounds for n in r] == [b - a for a, b in batches]
+    return rounds
+
+
+def shard_bounds(N):
+    """The cuts of one ensemble alone: max(1, N // 4096) path ranges."""
+    S = max(1, N // 4096)
+    return [(N * i // S, N * (i + 1) // S) for i in range(S)]
+
+
+def shipped_sweep(stem):
+    """(N, ensemble count) of a shipped sweep config."""
+    cfg = configparser.ConfigParser()
+    cfg.read(Path(__file__).resolve().parent.parent / "configs"
+             / f"{stem}.ini")
+    return cfg.getint("mc", "N"), len(cfg.get("noise", "sigmas").split(","))
 
 
 def boxed_case(N=2 * 4096 + 3, T=1.0):
@@ -268,46 +293,62 @@ def dense_case(N=100, T=1.0):
 
 
 class TestShards:
-    """Path shards: N = 2 * 4096 + 3 paths run as [0, 4097) and
-    [4097, 8195)."""
+    """Batches: the sweep's rows, row j N + k being path k of ensemble j,
+    cut by one rule of (N, ensemble count, stackable) alone."""
 
     N = 2 * 4096 + 3
 
     def test_shard_layout_depends_on_n_alone(self):
-        assert nssmc._shard_bounds(8191) == [(0, 8191)]
-        assert nssmc._shard_bounds(self.N) == [(0, 4097), (4097, 8195)]
-        assert nssmc._shard_bounds(10_000) == [(0, 5000), (5000, 10_000)]
-        for N in (1, 4095, 8192, 12_289, 100_003):
-            bounds = nssmc._shard_bounds(N)
-            assert bounds[0][0] == 0 and bounds[-1][1] == N
-            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-            sizes = [hi - lo for lo, hi in bounds]
-            assert len(bounds) == 1 or min(sizes) >= 4096
+        # a large or unstackable ensemble is cut alone, into
+        # max(1, N // 4096) path ranges of at least 4096 rows
+        assert nssmc._batches(8191, 1, True) == [(0, 8191)]
+        assert nssmc._batches(self.N, 1, True) == [(0, 4097), (4097, 8195)]
+        for N in (100, 4095, 4096, 8191, self.N, 10_000, 12_289, 100_003):
+            for J in (1, 3):
+                for can_stack in (False, True) if N >= 4096 else (False,):
+                    assert nssmc._batches(N, J, can_stack) == [
+                        (j * N + lo, j * N + hi) for j in range(J)
+                        for lo, hi in shard_bounds(N)]
+            sizes = [b - a for a, b in nssmc._batches(N, 1, False)]
+            assert len(sizes) == 1 or min(sizes) >= 4096
+        # gain_sweep keeps two batches of 5,000 paths per ensemble
+        N, J = shipped_sweep("gain_sweep")
+        assert nssmc._batches(N, J, True) == [
+            (j * N + lo, j * N + hi) for j in range(J)
+            for lo, hi in [(0, 5000), (5000, 10_000)]]
 
     def test_stack_layout_depends_on_n_and_count_alone(self):
-        assert nssmc._stacks(100, 5, True) == [range(5)]
-        assert nssmc._stacks(2_000, 3, True) == [range(2), range(2, 3)]
-        # two shards, or schedules that cannot stack: one ensemble each
-        for N, J, can_stack in ((10_000, 3, True), (100, 5, False)):
-            assert nssmc._stacks(N, J, can_stack) == [
-                range(j, j + 1) for j in range(J)]
-        for N in (100, 131, 1_000, 2_048, 2_049, 4_095, 4_096, 8_192):
+        # small ensembles that stack: ceil(N J / 4096) batches, balanced
+        for N in (100, 131, 1_000, 2_000, 2_048, 2_049, 4_095):
             for J in (1, 3, 50):
-                stacks = nssmc._stacks(N, J, True)
-                E = 1 if N >= 8_192 else max(1, 4096 // N)
-                assert [len(s) for s in stacks] == [
-                    min(E, J - j) for j in range(0, J, E)]
-                assert E == 1 or E * N <= 4096
+                batches = nssmc._batches(N, J, True)
+                sizes = [b - a for a, b in batches]
+                assert len(batches) == -(-N * J // 4096)
+                assert max(sizes) <= 4096 and max(sizes) - min(sizes) <= 1
+        # lqr_po_overdamped: one batch of its five ensembles
+        N, J = shipped_sweep("lqr_po_overdamped")
+        assert nssmc._batches(N, J, True) == [(0, 500)]
+        assert nssmc._blocks(N, 0, 500) == [(j, 0, 100) for j in range(5)]
+        # quadratic_overdamped: two batches of 3,000 rows, the first
+        # ensemble 0 and paths [0, 1000) of ensemble 1
+        N, J = shipped_sweep("quadratic_overdamped")
+        assert nssmc._batches(N, J, True) == [(0, 3000), (3000, 6000)]
+        assert nssmc._blocks(N, 0, 3000) == [(0, 0, 2000), (1, 0, 1000)]
+        assert nssmc._blocks(N, 3000, 6000) == [(1, 1000, 2000),
+                                                (2, 0, 2000)]
 
     def test_process_count_capped_by_cpus_and_shards(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
         assert nssmc._usable_cpus() == cpus
-        assert placement(10_000, 1, 10**6) == [[1] * min(2, cpus)]
-        monkeypatch.setattr(nssmc, "_usable_cpus", lambda: 3)
-        assert [len(r) for r in placement(64 * 4096, 1, 10**6)] == [3]
-        monkeypatch.setattr(nssmc, "_usable_cpus", lambda: 64)
-        assert placement(10_000, 1, 10**6) == [[1, 1]]
-        assert placement(64 * 4096, 1, 1) == [[64]]
+        K = min(2, cpus)
+        assert planned_rounds(monkeypatch, 10_000, 1, 10**6) == [
+            [5000] * K] * (2 // K)
+        assert [len(r) for r in planned_rounds(
+            monkeypatch, 64 * 4096, 1, 10**6, cpus=3)] == [3] * 21 + [1]
+        assert planned_rounds(monkeypatch, 10_000, 1, 10**6,
+                              cpus=64) == [[5000, 5000]]
+        assert planned_rounds(monkeypatch, 64 * 4096, 1, 1,
+                              cpus=64) == [[4096]] * 64
 
     def test_worker_failure_raises_in_parent(self, monkeypatch):
         def drift(z):
@@ -323,12 +364,13 @@ class TestShards:
             schedule_family=[CovarianceSchedule.constant([[0.0]], 1.0)],
             x0=x0, N=self.N, dt=1e-2, T=1.0, master_seed=0, store_every=5)
         calls = forked_rounds(monkeypatch)
-        for workers in (1, 2):
+        # one process runs the two batches in turn, or two side by side
+        for workers, rounds in ((1, [1, 1]), (2, [2])):
             calls.clear()
             with pytest.raises(FloatingPointError,
                                match="shard-1 state") as info:
                 run_experiment(exp, workers=workers)
-            assert calls == [workers]
+            assert calls == rounds
             forked = isinstance(info.value.__cause__, RuntimeError)
             assert forked == (workers == 2)
             assert multiprocessing.active_children() == []
@@ -336,56 +378,50 @@ class TestShards:
 
 class TestSweepRounds:
     def test_round_size_rule(self, monkeypatch):
-        # (N, ensembles, workers, CPUs) -> the ensemble count of each
-        # stack, and the shard count of each run of each round, with S
-        # shards per stack on K processes
+        # (N, ensembles, workers, CPUs) -> the row count of each batch of
+        # each round: K = min(workers, CPUs, batches) batches per round
         table = {
-            # S >= K: one ensemble per round, its shards split K ways
-            (10_000, 3, 2, 2): ([1, 1, 1], [[1, 1]] * 3),  # gain_sweep
-            (12_288, 2, 2, 8): ([1, 1], [[1, 2]] * 2),
-            (12_288, 4, 3, 8): ([1] * 4, [[1, 1, 1]] * 4),
-            # S = 1: stacks of 4096 // N ensembles, K stacks per round
-            (100, 5, 2, 2): ([5], [[1]]),  # lqr_po_overdamped
-            (2_000, 3, 8, 2): ([2, 1], [[1, 1]]),  # quadratic_overdamped
-            (2_000, 3, 1, 2): ([2, 1], [[1], [1]]),
-            (1_000, 9, 2, 8): ([4, 4, 1], [[1, 1], [1]]),
-            (1_000, 9, 3, 8): ([4, 4, 1], [[1, 1, 1]]),
-            (1_000, 9, 8, 1): ([4, 4, 1], [[1]] * 3),  # K capped by CPUs
-            (4_096, 5, 3, 8): ([1] * 5, [[1, 1, 1], [1, 1]]),
-            (100, 1, 2, 2): ([1], [[1]]),  # K capped by stacks * S
-            # 1 < S < K: K // S stacks of one per round, a shard each
-            (8_192, 4, 3, 8): ([1] * 4, [[1, 1]] * 4),
-            (8_192, 4, 5, 8): ([1] * 4, [[1, 1, 1, 1]] * 2),
-            (8_192, 3, 8, 8): ([1] * 3, [[1] * 6]),  # K capped by stacks * S
-            (12_288, 3, 7, 8): ([1] * 3, [[1] * 6, [1] * 3]),
+            (10_000, 3, 2, 2): [[5000, 5000]] * 3,  # gain_sweep
+            (12_288, 2, 2, 8): [[4096, 4096]] * 3,
+            (12_288, 4, 3, 8): [[4096] * 3] * 4,
+            (100, 5, 2, 2): [[500]],  # lqr_po_overdamped
+            (2_000, 3, 8, 2): [[3000, 3000]],  # quadratic_overdamped
+            (2_000, 3, 1, 2): [[3000], [3000]],
+            (1_000, 9, 2, 8): [[3000, 3000], [3000]],
+            (1_000, 9, 3, 8): [[3000] * 3],
+            (1_000, 9, 8, 1): [[3000]] * 3,  # K capped by CPUs
+            (131, 100, 2, 2): [[3275, 3275]] * 2,
+            (4_095, 2, 2, 8): [[4095, 4095]],
+            (4_096, 5, 3, 8): [[4096] * 3, [4096] * 2],
+            (100, 1, 2, 2): [[100]],  # K capped by the batches
+            (8_192, 4, 3, 8): [[4096] * 3, [4096] * 3, [4096] * 2],
+            (8_192, 3, 8, 8): [[4096] * 6],
         }
-        for (N, J, workers, cpus), (sizes, want) in table.items():
-            monkeypatch.setattr(nssmc, "_usable_cpus", lambda: cpus)
-            assert [len(s) for s in nssmc._stacks(N, J, True)] == sizes
-            assert placement(N, J, workers) == want, (N, J, workers, cpus)
-        # schedules that cannot stack: K whole ensembles per round
+        for (N, J, workers, cpus), want in table.items():
+            assert planned_rounds(monkeypatch, N, J, workers,
+                                  cpus=cpus) == want, (N, J, workers, cpus)
+        # schedules that cannot stack: one batch per ensemble
         unstacked = {
-            (100, 5, 2, 2): [[1, 1], [1, 1], [1]],
-            (2_000, 3, 8, 2): [[1, 1], [1]],
-            (100, 5, 3, 8): [[1, 1, 1], [1, 1]],
-            (100, 5, 1, 8): [[1]] * 5,
-            (100, 5, 8, 1): [[1]] * 5,  # K capped by the CPUs
-            (100, 1, 2, 2): [[1]],  # K capped by ensembles * S
+            (100, 5, 2, 2): [[100, 100], [100, 100], [100]],
+            (2_000, 3, 8, 2): [[2000, 2000], [2000]],
+            (100, 5, 3, 8): [[100] * 3, [100] * 2],
+            (100, 5, 1, 8): [[100]] * 5,
+            (100, 5, 8, 1): [[100]] * 5,  # K capped by the CPUs
+            (100, 1, 2, 2): [[100]],  # K capped by the batches
         }
         for (N, J, workers, cpus), want in unstacked.items():
-            monkeypatch.setattr(nssmc, "_usable_cpus", lambda: cpus)
-            assert placement(N, J, workers, False) == want, (N, J, workers,
-                                                             cpus)
+            assert planned_rounds(monkeypatch, N, J, workers, False,
+                                  cpus) == want, (N, J, workers, cpus)
 
-    @pytest.mark.parametrize("case, stack_paths, rounds", [
-        # one stack of all five ensembles, run in the parent
+    @pytest.mark.parametrize("case, batch_rows, rounds", [
+        # one batch of all five ensembles, run in the parent
         pytest.param("lqr", None, {1: [1], 2: [1], 3: [1], 8: [1]},
                      id="lqr"),
-        # stacks of 2, 2 and 1 ensembles
+        # three batches of 218 or 219 rows, cut inside ensembles 1 and 3
         pytest.param("lqr", 262,
                      {1: [1, 1, 1], 2: [2, 1], 3: [3], 8: [3]},
-                     id="lqr-stacks-of-2"),
-        # E = 1: a stack per ensemble
+                     id="lqr-3-batches"),
+        # a batch per ensemble
         pytest.param("lqr", 131,
                      {1: [1] * 5, 2: [2, 2, 1], 3: [3, 2], 8: [5]},
                      id="lqr-unstacked"),
@@ -393,18 +429,20 @@ class TestSweepRounds:
                      id="quadratic"),
         pytest.param("quadratic", 700, {1: [1, 1], 2: [2], 3: [2], 8: [2]},
                      id="quadratic-stacks-of-2"),
-        pytest.param("boxed", None, {1: [1, 1], 2: [2, 2], 3: [2, 2],
+        # two batches per ensemble; at 3 workers ensemble 1 spans rounds
+        pytest.param("boxed", None, {1: [1] * 4, 2: [2, 2], 3: [3, 1],
                                      8: [4]}, id="boxed"),
+        # three batches, cut inside ensembles 1 and 3
         pytest.param("dense", 200, {1: [1, 1, 1], 2: [2, 1], 3: [3], 8: [3]},
-                     id="dense-stacks-of-2"),
+                     id="dense-3-batches"),
     ])
-    def test_curve_does_not_depend_on_workers(self, case, stack_paths,
+    def test_curve_does_not_depend_on_workers(self, case, batch_rows,
                                               rounds, monkeypatch):
         # the LQR sweep's top intensities make paths exit; the boxed sweep
-        # has two shards per ensemble, with exits in both; the dense
+        # has two batches per ensemble, with exits in both; the dense
         # drift is not row-independent; all carry exceedance bounds
-        if stack_paths is not None:
-            monkeypatch.setattr(nssmc, "_SHARD_PATHS", stack_paths)
+        if batch_rows is not None:
+            monkeypatch.setattr(nssmc, "_BATCH_ROWS", batch_rows)
         if case == "lqr":
             exp, bounds = lqr_case()
         elif case == "quadratic":
@@ -418,7 +456,7 @@ class TestSweepRounds:
             assert want.blowup_fractions[0] == 0.0
             assert want.blowup_fractions[-1] > 0.9
         if case == "boxed":
-            # the shards, run in turn, match one batch of the dense route
+            # the batches, run in turn, match one batch of the dense route
             ref, ensembles = reference_run_experiment(exp)
             for ens in ensembles:
                 assert ens.exited[:4097].any() and ens.exited[4097:].any()
@@ -487,52 +525,74 @@ class TestSweepRounds:
             x0=np.zeros(1), N=100, dt=1e-2, T=T, master_seed=3,
             store_every=5)
         calls = forked_rounds(monkeypatch)
-        # _SHARD_PATHS -> (rounds per worker count, the worker counts at
+        # _BATCH_ROWS -> (rounds per worker count, the worker counts at
         # which the raising fourth ensemble runs in a forked worker)
         cases = {
-            # one stack of all four ensembles, run in the parent
+            # one batch of all four ensembles, run in the parent
             4096: ({1: [1], 2: [1], 3: [1], 8: [1]}, ()),
-            # stacks of two: the raising stack is the second
+            # batches of two ensembles: the raising batch is the second
             200: ({1: [1, 1], 2: [2], 3: [2], 8: [2]}, (2, 3, 8)),
-            # E = 1: the raising ensemble runs in the parent at 1 and 3
-            # workers (rounds [3, 1]), in a forked worker at 2 and 8
+            # a batch per ensemble: the raising one runs in the parent at
+            # 1 and 3 workers (rounds [3, 1]), in a forked worker at 2 and 8
             100: ({1: [1] * 4, 2: [2, 2], 3: [3, 1], 8: [4]}, (2, 8)),
         }
-        for stack_paths, (rounds, forked) in cases.items():
-            monkeypatch.setattr(nssmc, "_SHARD_PATHS", stack_paths)
+        for batch_rows, (rounds, forked) in cases.items():
+            monkeypatch.setattr(nssmc, "_BATCH_ROWS", batch_rows)
             for workers in (1, 2, 3, 8):
                 calls.clear()
                 with pytest.raises(FloatingPointError,
                                    match="beyond 50") as info:
                     run_experiment(exp, workers=workers)
-                assert calls == rounds[workers], (stack_paths, workers)
+                assert calls == rounds[workers], (batch_rows, workers)
                 in_worker = isinstance(info.value.__cause__, RuntimeError)
                 assert in_worker == (workers in forked)
                 assert multiprocessing.active_children() == []
 
-    def test_round_freed_before_next_is_built(self, monkeypatch):
+    def test_ensemble_lives_from_first_to_last_batch_round(self,
+                                                           monkeypatch):
         exp, bounds = quadratic_case([1.0], sigmas=(0.1, 0.2, 0.4, 0.8))
+        N = exp.N
         refs, alive = [], []
 
         class Tracked(nssmc._SweepEnsemble):
             def __init__(self, *args):
-                alive.append([r().j for r in refs if r() is not None])
                 super().__init__(*args)
                 refs.append(weakref.ref(self))
 
+        calls = forked_rounds(monkeypatch)
+        run_forked = nssmc._run_forked
+
+        def spy(run, views, parts):
+            alive.append([r().j for r in refs if r() is not None])
+            return run_forked(run, views, parts)
+
         monkeypatch.setattr(nssmc, "_SweepEnsemble", Tracked)
-        forked_rounds(monkeypatch)
-        for E in (1, 2, 4):  # N = 350: stacks of E ensembles
-            monkeypatch.setattr(nssmc, "_SHARD_PATHS", 350 * E)
+        monkeypatch.setattr(nssmc, "_run_forked", spy)
+        want = run_experiment(exp, bounds)
+        # four ensembles of N = 350; 500 rows a batch cuts inside
+        # ensembles 1 and 2, so each spans two batches
+        for batch_rows in (350, 500, 700, 1400):
+            monkeypatch.setattr(nssmc, "_BATCH_ROWS", batch_rows)
+            batches = nssmc._batches(N, 4, True)
             for workers in (1, 2, 3):
                 refs.clear()
                 alive.clear()
-                run_experiment(exp, bounds, workers=workers)
-                # only this round's earlier ensembles are alive; a round
-                # is min(workers, 4 // E) stacks
-                size = E * min(workers, 4 // E)
-                assert alive == [list(range(j - j % size, j))
-                                 for j in range(4)]
+                calls.clear()
+                got = run_experiment(exp, bounds, workers=workers)
+                assert np.array_equal(got.tail_quantiles,
+                                      want.tail_quantiles)
+                # batch i runs in round i // K; ensemble j is alive from
+                # the round of the batch with row j N to that of row
+                # (j + 1) N - 1
+                K = min(workers, len(batches))
+                round_of = [next(i for i, (a, b) in enumerate(batches)
+                                 if a <= row < b) // K
+                            for row in range(4 * N)]
+                assert alive == [[j for j in range(4)
+                                  if round_of[j * N] <= r
+                                  <= round_of[(j + 1) * N - 1]]
+                                 for r in range(len(calls))], (batch_rows,
+                                                                workers)
                 assert all(r() is None for r in refs)
 
     def test_workers_below_one_rejected(self):

@@ -410,11 +410,11 @@ def dense_pair(exp, j):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_gain_curve_matches_dense_route(case, tiles):
     exp, bounds = CASES[case]()
-    # every case runs as one stack, so its blocks meet the reference's
+    # every case runs as one batch, so its blocks meet the reference's
     # separate ensembles here
     family = exp.schedule_family
-    assert nssmc._stacks(exp.N, len(family), sde.stackable(family)) == [
-        range(len(family))]
+    assert nssmc._batches(exp.N, len(family), sde.stackable(family)) == [
+        (0, exp.N * len(family))]
     ref, ensembles = reference_run_experiment(exp)
     ref_fracs = [reference_exceedance_fraction(e, exp.V, b)
                  for e, b in zip(ensembles, bounds)]
@@ -449,6 +449,38 @@ def test_gain_curve_needs_one_bound_per_schedule():
     exp, bounds = quadratic_case([1.0])
     with pytest.raises(ValueError):
         run_experiment(exp, bounds[:2])
+
+
+def test_batch_across_ensembles_matches_dense_route(tiles, monkeypatch):
+    # 525 rows a batch: the first holds ensemble 0 and paths [0, 175) of
+    # ensemble 1, the second the rest of ensemble 1 and ensemble 2
+    exp, bounds = quadratic_case([1.0, 2.0])
+    monkeypatch.setattr(nssmc, "_BATCH_ROWS", 525)
+    family = exp.schedule_family
+    assert nssmc._batches(exp.N, len(family), sde.stackable(family)) == [
+        (0, 525), (525, 1050)]
+    ref, ensembles = reference_run_experiment(exp)
+    curve = run_experiment(exp, bounds)
+    ref_fracs = [reference_exceedance_fraction(e, exp.V, b)
+                 for e, b in zip(ensembles, bounds)]
+    for got, want in ((curve.tail_quantiles, ref.tail_quantiles),
+                      (curve.blowup_fractions, ref.blowup_fractions),
+                      (curve.exceedance_fractions, np.array(ref_fracs))):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # each block of the first batch is its rows of its ensemble run alone
+    paths = [range(0, 350), range(0, 175)]
+    stack = simulate_ensemble(exp.dynamics, family[:2], exp.x0, exp.dt,
+                              exp.T, paths, [exp.master_seed,
+                                             exp.master_seed + 1],
+                              store_every=exp.store_every)
+    rows = 0
+    for ens, p in zip(ensembles, paths):
+        block = slice(rows, rows + len(p))
+        for name in ("states", "seeds", "valid_counts", "exited"):
+            assert np.array_equal(getattr(stack, name)[block],
+                                  getattr(ens, name)[p.start:p.stop])
+        rows += len(p)
 
 
 @pytest.mark.parametrize("case", ["scalar", "lqr"])

@@ -812,7 +812,7 @@ class TestMemory:
 
 class TestShards:
     """An ensemble run in path ranges: N = 2 * 4096 + 3 paths as [0, 4097)
-    and [4097, 8195), the shards of a sweep's ensemble."""
+    and [4097, 8195), the batches of a sweep's large ensemble."""
 
     N = 2 * 4096 + 3
     DT, T, STORE = 1e-2, 1.0, 5
@@ -842,12 +842,11 @@ class TestShards:
         got_tail, got_exceed = self._reducers(times)
         parts = []
         for lo, hi in ((0, 4097), (4097, self.N)):
-            ens = simulate_ensemble(model, schedule, x0s[lo:hi], self.DT,
-                                    self.T, hi - lo, 7,
+            ens = simulate_ensemble(model, [schedule], x0s, self.DT, self.T,
+                                    [range(lo, hi)], [7],
                                     store_every=self.STORE,
                                     reducers=[got_tail.shard(lo, hi),
-                                              got_exceed.shard(lo, hi)],
-                                    first_path=lo)
+                                              got_exceed.shard(lo, hi)])
             assert ens.states.shape == (hi - lo, 0, 1)
             assert np.array_equal(ens.times, times)
             parts.append(ens)
@@ -885,6 +884,8 @@ class TestStacks:
 
     @pytest.mark.parametrize("small_chunks", [False, True])
     def test_blocks_match_separate_runs(self, small_chunks, monkeypatch):
+        # blocks of unequal length: paths [5, 40), [0, 12) and [3, 40) of
+        # their ensembles, each equal to those rows of its ensemble's run
         if small_chunks:
             monkeypatch.setattr(sde, "_SLAB_ELEMS", 1)
             monkeypatch.setattr(sde, "_TILE_ELEMS", 1100)
@@ -892,26 +893,29 @@ class TestStacks:
         schedules = [CovarianceSchedule.constant([[s]], self.T)
                      for s in self.SIGMAS]
         seeds = [11, 12, 13]
-        args = (x0s, self.DT, self.T, self.N)
-        stack = simulate_ensemble(model, schedules, *args, seeds,
-                                  store_every=self.STORE, first_path=5)
-        alone = [simulate_ensemble(model, s, *args, seed,
-                                   store_every=self.STORE, first_path=5)
+        paths = [range(5, 40), range(0, 12), range(3, 40)]
+        stack = simulate_ensemble(model, schedules, x0s, self.DT, self.T,
+                                  paths, seeds, store_every=self.STORE)
+        alone = [simulate_ensemble(model, s, x0s, self.DT, self.T, self.N,
+                                   seed, store_every=self.STORE)
                  for s, seed in zip(schedules, seeds)]
-        assert stack.states.shape == (3 * self.N, 30, 2)
+        assert stack.states.shape == (35 + 12 + 37, 30, 2)
         assert np.array_equal(stack.times, alone[0].times)
         for name in ("states", "seeds", "valid_counts", "exited", "blowup",
                      "exit_steps"):
             got = getattr(stack, name)
-            want = np.concatenate([getattr(e, name) for e in alone])
+            want = np.concatenate([getattr(e, name)[p.start:p.stop]
+                                   for e, p in zip(alone, paths)])
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
             if got.dtype == float:
                 assert np.array_equal(np.signbit(got), np.signbit(want))
-        # the quiet block keeps the +0.0 that its zero increment added
-        assert not np.signbit(stack.states[:self.N:3, 1:]).any()
-        exits = [e.exited.sum() for e in alone]
-        assert exits[0] == exits[1] == 0 and 0 < exits[2] < self.N
+        # the quiet block keeps the +0.0 that its zero increment added to
+        # the -0.0 starts of paths 6, 9, ..., 39
+        assert not np.signbit(stack.states[1:35:3, 1:]).any()
+        exits = [e.exited[p.start:p.stop].sum()
+                 for e, p in zip(alone, paths)]
+        assert exits[0] == exits[1] == 0 and 0 < exits[2] < 37
 
     def test_one_block_is_a_plain_call(self):
         model, x0s = self._model(), self._x0s()
