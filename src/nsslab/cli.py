@@ -126,6 +126,7 @@ def _parse(path: str):
             raise ConfigError(f"[problem] dataset: no such file {dataset}")
         try:
             v.dataset = objectives.load_logistic_csv(str(dataset))
+            v.dataset_path = dataset
         except ValueError as exc:
             raise ConfigError(f"[problem] dataset {dataset}: {exc}") from exc
     try:
@@ -141,6 +142,20 @@ def _parse(path: str):
             text = f"{text}: {exc}"
         raise ConfigError(f"[{section}] {key} = {getattr(v, key)}: {text}")
     return fn, v
+
+
+def _check_nonseparable(v) -> None:
+    """A ConfigError when some direction separates the labels of the
+    config's dataset, which leaves the logistic loss without a minimizer.
+    The linear programs that decide it load scipy, so ``run`` makes this
+    check and ``validate`` does not."""
+    if hasattr(v, "dataset"):
+        sep = objectives.check_nonseparable(v.dataset)
+        if sep.separable:
+            raise ConfigError(f"[problem] dataset {v.dataset_path}: the "
+                              f"labels are separable (margin "
+                              f"{sep.margin:.3e}), so the logistic loss has "
+                              "no minimizer")
 
 
 def _write_summary(out: Path, lines: list[tuple[str, bool, str]]) -> bool:
@@ -262,6 +277,8 @@ LQR_K0 = np.array([[2.0]])  # Kleinman-Newton start of both LQR experiments
 LQR_K0_RULE = ("problem", "a", "the Kleinman-Newton start K0 = 2 must make "
                "a - f K0 Hurwitz",
                lambda v: lqr.hurwitz_mask(v.a - v.f * LQR_K0[None])[0])
+LQR_F_RULE = ("problem", "f", "the input gain must be non-zero: the K-PL "
+              "modulus h/(b1 h + b2) divides by |F|", lambda v: v.f != 0)
 # per-path supremum margin (in units of sigma^2) added to the decay
 # envelope; calibrated on the scalar linear-diffusion oracle so that the
 # worst-case violation fraction over the default sigma grid stays below
@@ -405,7 +422,7 @@ def _exp_logistic_underdamped(v, out, seed, workers):
              {**LQR, "sigmas": "0.05,0.16,0.5,1.6,5.0", "N": "100",
               "dt": "1e-3", "T": "10", "store_every": "20"}, SWEEP_N,
              ("noise", "sigmas", "onset bracketing needs two or more",
-              lambda v: len(v.sigmas) >= 2), LQR_K0_RULE)
+              lambda v: len(v.sigmas) >= 2), LQR_F_RULE, LQR_K0_RULE)
 def _exp_lqr_po_overdamped(v, out, seed, workers):
     problem = lqr.LqrProblem(A=[[v.a]], F=[[v.f]], Q=[[v.q]], R=[[v.r]])
     profile = lqr.solve_riccati(problem, K0=LQR_K0)
@@ -441,7 +458,7 @@ def _exp_lqr_po_overdamped(v, out, seed, workers):
 @_experiment("lqr-po-underdamped", "scheduled-coefficient momentum flow on "
              "the regulator cost",
              {**LQR, "h_max": "20", "tol": None, "dt": None, "T": None,
-              "store_every": "100"}, LQR_K0_RULE)
+              "store_every": "100"}, LQR_F_RULE, LQR_K0_RULE)
 def _exp_lqr_po_underdamped(v, out, seed, workers):
     problem = lqr.LqrProblem(A=[[v.a]], F=[[v.f]], Q=[[v.q]], R=[[v.r]])
     profile = lqr.solve_riccati(problem, K0=LQR_K0)
@@ -522,6 +539,7 @@ def run(config_path: str, out_dir: str | None = None,
             raise ConfigError(f"--seed-override must be >= 0, got "
                               f"{seed_override}")
         fn, v = _parse(config_path)
+        _check_nonseparable(v)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

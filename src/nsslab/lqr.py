@@ -430,15 +430,17 @@ def lqr_objective(problem: LqrProblem, profile: LqrPlProfile) -> Objective:
         return np.asarray(_scalar_hurwitz(a - f * theta.reshape(lead))
                           ).reshape(lead)
 
-    scalar_oracles = {} if problem.scalars is None else {
-        "hessian": partial(_scalar_hessians, problem),
-        "point": partial(_scalar_point_oracle, problem)}
-    return Objective(value=value, gradient=gradient, dim=m * n,
-                     optimum_value=profile.J2star,
-                     minimizer=vec_gain(profile.Kstar),
-                     domain_test=domain_test, global_lipschitz=None,
-                     envelope=mu5_class_function(profile), label="lqr",
-                     value_and_gradient=value_and_gradient, **scalar_oracles)
+    scalar = problem.scalars is not None
+    obj = Objective(value=value, gradient=gradient, dim=m * n,
+                    optimum_value=profile.J2star,
+                    minimizer=vec_gain(profile.Kstar),
+                    hessian=partial(_scalar_hessians, problem) if scalar
+                    else None,
+                    domain_test=domain_test, global_lipschitz=None,
+                    envelope=mu5_class_function(profile), label="lqr",
+                    value_and_gradient=value_and_gradient)
+    return (obj._with_point(partial(_scalar_point_oracle, problem))
+            if scalar else obj)
 
 
 def gain_noise_schedule(sigma1, n: int, horizon: float) -> CovarianceSchedule:

@@ -22,9 +22,9 @@ the shipped digests pin); path means are summed path by path, as
 the memory order of the dense window array, so a sum over them adds in
 the same order (quantiles do not depend on the order).
 :class:`WindowValues` and :class:`Exceedance` keep one column or entry
-per path, so a batch can hold part of them: ``shard(lo, hi)`` is a copy
-for paths [lo, hi) that writes into a view of the original's buffer, and
-``buffers()`` lists the arrays such a copy fills.
+per path in shared pages (:func:`_shared`), so a batch can hold part of
+them: ``shard(lo, hi)`` is a copy for paths [lo, hi) that writes into a
+view of the original's array.
 :func:`inss_accumulation_check` reads the :class:`Exceedance` of its
 ensemble.
 
@@ -36,10 +36,12 @@ S = ceil(R / 4096) when N < 4096 and the schedules can stack
 ensemble alone.  A batch is one
 :func:`sde.simulate_ensemble` stack of its ensembles' path ranges.  On
 K = min(workers, usable CPUs, S) processes, a round is K consecutive
-batches, the first run in the parent and the others in forked workers,
-whose blocks' exit flags, valid counts and reducer buffers are received
-in place.  An ensemble is allocated when its first batch enters a round
-and reduced and dropped after the round of its last.  The batches depend
+batches, the first run in the parent and the others in forked workers.
+An ensemble's per-path outputs (valid counts, exit flags and reducer
+arrays) live in shared pages, allocated in the parent before the fork of
+the round that first runs it, so each worker writes its rows where the
+parent reads them and sends back only its report.  An ensemble is
+reduced and dropped after the round of its last batch.  The batches depend
 on the sweep alone, each path draws from its own generator, and each
 ensemble's reducers read only its rows of a batch, so the curve is
 bit-identical for any ``workers``, whatever the drift; with a
@@ -53,6 +55,7 @@ counter-based per-path generators and reductions are deterministic.
 from __future__ import annotations
 
 import copy
+import mmap
 import multiprocessing
 import os
 import traceback
@@ -133,7 +136,7 @@ class WindowValues:
                  times: np.ndarray, n_paths: int, t_lo: float, t_hi: float):
         self.f = f
         self.index = np.flatnonzero((times >= t_lo) & (times <= t_hi))
-        self.values = np.empty((self.index.size, n_paths))
+        self.values = _shared((self.index.size, n_paths), float)
 
     def __call__(self, i, t, z, active):
         w = i - self.index[0] if self.index.size else -1
@@ -144,9 +147,6 @@ class WindowValues:
         part = copy.copy(self)
         part.values = self.values[:, lo:hi]
         return part
-
-    def buffers(self) -> list[np.ndarray]:
-        return [self.values]
 
     def valid_values(self, valid_counts: np.ndarray) -> np.ndarray:
         """The values of valid (record, path) pairs, record by record."""
@@ -187,7 +187,7 @@ class Exceedance:
         t_lo, t_hi = window if window is not None else (0.0, times[-1])
         self.V, self.bound = V, bound
         self.in_window = (times >= t_lo) & (times <= t_hi)
-        self.exceeded = np.zeros(n_paths, dtype=bool)
+        self.exceeded = _shared(n_paths, bool)
 
     def __call__(self, i, t, z, active):
         if i and not self.in_window[i]:
@@ -205,9 +205,6 @@ class Exceedance:
         part = copy.copy(self)
         part.exceeded = self.exceeded[lo:hi]
         return part
-
-    def buffers(self) -> list[np.ndarray]:
-        return [self.exceeded]
 
     def fraction(self) -> float:
         return float(self.exceeded.mean())
@@ -246,8 +243,8 @@ class Supermartingale:
 
 class _SweepEnsemble:
     """The j-th ensemble of a sweep: its reducers and the per-path outputs
-    that its statistics read, all allocated before it runs, so that a
-    forked worker can fill part of them and send back its buffers."""
+    that its statistics read, all in shared pages allocated before it
+    runs, so that a forked worker can fill part of them."""
 
     def __init__(self, exp: NssExperiment, j: int, bound):
         self.exp, self.j = exp, j
@@ -258,20 +255,14 @@ class _SweepEnsemble:
                                                             times, exp.N)
         self.reducers = [self.tail] + ([] if bound is None
                                        else [self.exceed])
-        self.valid_counts = np.empty(exp.N, dtype=np.int64)
-        self.exited = np.empty(exp.N, dtype=bool)
-
-    def buffers(self, lo: int, hi: int) -> list[np.ndarray]:
-        """Every array that a run of paths [lo, hi) fills, in a fixed
-        order."""
-        return [self.valid_counts[lo:hi], self.exited[lo:hi]] + [
-            b for r in self.reducers for b in r.shard(lo, hi).buffers()]
+        self.valid_counts = _shared(exp.N, np.int64)
+        self.exited = _shared(exp.N, bool)
 
     def stats(self):
         """(tail quantile, blow-up fraction, exceedance fraction or None)."""
         pooled = self.tail.valid_values(self.valid_counts)
         # the quantile does not depend on the order of the pooled values,
-        # and they are a private buffer, so partition them in place
+        # and they are this ensemble's own array, so partition them in place
         quant = (float(np.quantile(pooled, 1.0 - self.exp.epsilon,
                                    overwrite_input=True))
                  if pooled.size else np.nan)
@@ -296,7 +287,7 @@ def _blocks(N: int, a: int, b: int) -> list[tuple[int, int, int]]:
 
 def _run_batch(exp: NssExperiment, ensembles: dict, a: int, b: int) -> None:
     """Integrate rows [a, b) of the sweep as one stack, into their part of
-    the ensembles' buffers."""
+    the ensembles' arrays."""
     blocks = _blocks(exp.N, a, b)
     rows = [slice(j * exp.N + lo - a, j * exp.N + hi - a)
             for j, lo, hi in blocks]  # each block's rows of the batch
@@ -316,6 +307,15 @@ def _run_batch(exp: NssExperiment, ensembles: dict, a: int, b: int) -> None:
 def _rows(reduce, rows: slice):
     """``reduce`` fed ``rows`` of every record."""
     return lambda i, t, z, active: reduce(i, t, z[rows], active[rows])
+
+
+def _shared(shape, dtype) -> np.ndarray:
+    """A zero-filled array in anonymous shared pages, which a forked
+    process writes for its parent to read."""
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape))
+    pages = mmap.mmap(-1, max(size * dtype.itemsize, 1))  # not 0 bytes
+    return np.frombuffer(pages, dtype, count=size).reshape(shape)
 
 
 def _usable_cpus() -> int:
@@ -350,10 +350,7 @@ def run_experiment(exp: NssExperiment,
             if j not in live:
                 live[j] = _SweepEnsemble(exp, j, None if bounds is None
                                          else bounds[j])
-        _run_forked(lambda ab: _run_batch(exp, live, *ab),
-                    lambda ab: [buf for j, lo, hi in _blocks(N, *ab)
-                                for buf in live[j].buffers(lo, hi)],
-                    round_)
+        _run_forked(lambda ab: _run_batch(exp, live, *ab), round_)
         # reduce and drop each ensemble whose last batch has run
         while live and (min(live) + 1) * N <= end:
             stats.append(live.pop(min(live)).stats())
@@ -365,9 +362,10 @@ def run_experiment(exp: NssExperiment,
                      else np.array(fracs))
 
 
-def _run_forked(run, views, parts):
+def _run_forked(run, parts):
     """``run(parts[0])`` in this process and each later part in a forked
-    worker, whose ``views(part)`` are then received in place.
+    worker, whose results are what it wrote into shared pages
+    (:func:`_shared`) allocated before the fork.
 
     A worker's exception is raised here with its type and message, and
     its traceback as the cause.  Every worker is reaped before this returns
@@ -379,12 +377,12 @@ def _run_forked(run, views, parts):
         for part in parts[1:]:
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_forked_worker,
-                               args=(send, run, views, part), daemon=True)
+                               args=(send, run, part), daemon=True)
             proc.start()
             send.close()
             procs.append((proc, recv))
         run(parts[0])
-        for (proc, recv), part in zip(procs, parts[1:]):
+        for proc, recv in procs:
             try:
                 failure = recv.recv()
             except EOFError:
@@ -395,9 +393,6 @@ def _run_forked(run, views, parts):
             if failure is not None:
                 exc, tb = failure
                 raise exc from RuntimeError(f"in a forked worker:\n{tb}")
-            for piece in _byte_pieces(views(part)):
-                if recv.recv_bytes_into(piece) != piece.nbytes:
-                    raise RuntimeError("forked worker sent a short buffer")
             proc.join()
     finally:
         for proc, recv in procs:
@@ -407,9 +402,9 @@ def _run_forked(run, views, parts):
             proc.join()
 
 
-def _forked_worker(send, run, views, part):
-    """A forked worker: ``run(part)``, then send None and every view, or
-    the exception and its traceback."""
+def _forked_worker(send, run, part):
+    """A forked worker: ``run(part)``, then send None, or the exception and
+    its traceback."""
     with send:
         try:
             run(part)
@@ -417,17 +412,6 @@ def _forked_worker(send, run, views, part):
             send.send((exc, traceback.format_exc()))
             raise
         send.send(None)
-        for piece in _byte_pieces(views(part)):
-            send.send_bytes(piece)
-
-
-def _byte_pieces(arrays):
-    """Contiguous byte views that together cover ``arrays``, in order."""
-    for a in arrays:
-        if a.flags.c_contiguous:
-            yield a.reshape(-1).view(np.uint8)
-        else:
-            yield from _byte_pieces(list(a))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ gradients; :class:`lyapcert.SizeFunction` keeps the same contract.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,11 +33,6 @@ def _stencil(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probe rows [z; z + h e_i; z - h e_i] of a (B, n) batch, and the
     per-row steps h of :func:`_step`."""
     n = z.shape[1]
-    if n == 1:
-        # a one-element norm is sqrt(z z), one rounded multiply, so the
-        # column gives each row's norm
-        h = _step(np.sqrt(z * z))
-        return np.concatenate([z, z + h, z - h]), h[:, 0]
     # one norm per row: an axis=1 norm can round differently
     steps = np.array([_step(float(np.linalg.norm(zi))) for zi in z])
     shift = steps[:, None, None] * np.eye(n)  # (B, i, n)
@@ -69,6 +64,8 @@ class Objective:
     a batch.  The ``*_at`` methods are one-point views; ``point``, set by
     builders, maps n floats to (inside, value, gradient, Hessian rows) on
     floats, each its row of :meth:`evaluate` and ``domain_test`` exactly.
+    It is no init field, so ``dataclasses.replace`` drops it: a point
+    oracle never outlives the oracles it mirrors.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -83,7 +80,7 @@ class Objective:
     label: str = ""
     value_and_gradient: Callable[[np.ndarray],
                                  tuple[np.ndarray, np.ndarray]] | None = None
-    point: Callable[[tuple], tuple] | None = None
+    point: Callable[[tuple], tuple] | None = field(default=None, init=False)
 
     def evaluate(self, z, hessian: bool = False):
         """(values (B,), gradients (B, n), Hessians (B, n, n) or None) of a
@@ -117,6 +114,11 @@ class Objective:
         # H[b][:, i] is the difference quotient along e_i
         H = _central(grads, steps).swapaxes(1, 2)
         return values, grads[:B], 0.5 * (H + H.swapaxes(1, 2))
+
+    def _with_point(self, point) -> "Objective":
+        """This objective, given the point oracle ``point``."""
+        object.__setattr__(self, "point", point)
+        return self
 
     def value_at(self, z) -> float:
         return float(np.asarray(self.value(np.asarray(z, dtype=float))))
@@ -174,7 +176,7 @@ def quadratic_objective(A: np.ndarray, b: np.ndarray) -> Objective:
                      optimum_value=0.0, minimizer=zstar,
                      hessian=lambda z: np.repeat(A[None], len(z), axis=0),
                      global_lipschitz=float(w.max()), envelope=mu,
-                     label="quadratic", point=point)
+                     label="quadratic")._with_point(point)
 
 
 @dataclass(frozen=True)

@@ -387,6 +387,11 @@ class TestSchema:
         ("lqr-po-overdamped", "[problem]\na = 3.0\n", "problem", "a"),
         ("lqr-po-underdamped", "[problem]\na = 3.0\n[dynamics]\ntol = 1e-2"
          "\n[mc]\ndt = 1e-3\nT = 30\n", "problem", "a"),
+        # f = 0 passes the K0 rule when a < 0, but the K-PL modulus
+        # divides by |F|
+        ("lqr-po-overdamped", "[problem]\nf = 0\na = -1\n", "problem", "f"),
+        ("lqr-po-underdamped", "[problem]\nf = 0\na = -1\n[dynamics]\n"
+         "tol = 1e-2\n[mc]\ndt = 1e-3\nT = 30\n", "problem", "f"),
         # gain-sweep's chi-square oracle divides by sigma^2
         ("gain-sweep", "[problem]\ndiag = 1\n[noise]\nsigmas = 0, 0.2\n",
          "noise", "sigmas"),
@@ -434,6 +439,30 @@ class TestSchema:
             assert lines[0].startswith("error: [problem] dataset "), lines
             assert captured.out == ""
             assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["logistic-overdamped",
+                                            "logistic-underdamped",
+                                            "pl-envelope"])
+    def test_separable_dataset_exits_2_before_any_output(self, tmp_path,
+                                                         capsys,
+                                                         experiment):
+        # x1 separates the labels, so the loss has no minimizer; the LP
+        # that decides it loads scipy, which validate does not
+        (tmp_path / "data.csv").write_text(
+            "x1,x2,label\n1,0,1\n2,1,1\n-1,0,0\n-2,-1,0\n")
+        cfg = write_config(tmp_path, experiment,
+                           "[problem]\ndataset = data.csv\n")
+        out = tmp_path / "o"
+        assert main(["validate", cfg]) == 0
+        capsys.readouterr()
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: [problem] dataset "), lines
+        assert "separable" in lines[0], lines
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_logistic_overdamped_accepts_zero_sigma(self, tmp_path):
         # its tail check needs no division by sigma

@@ -80,11 +80,8 @@ SHARED_MEMBER_NAMES = {
     "DissipationCertificate.violations": "certificate_summary, the "
                                          "certificate writer",
     "PLViolationReport.violations": "PLViolationReport.clean, pl-envelope",
-    "Exceedance.buffers": "_SweepEnsemble.buffers",
-    "WindowValues.buffers": "_SweepEnsemble.buffers",
-    "_SweepEnsemble.buffers": "run_experiment",
-    "Exceedance.shard": "_run_batch, _SweepEnsemble.buffers",
-    "WindowValues.shard": "_run_batch, _SweepEnsemble.buffers",
+    "Exceedance.shard": "_run_batch",
+    "WindowValues.shard": "_run_batch",
     "NssExperiment.dt": "_run_batch, inss_accumulation_check",
     "TrajectoryEnsemble.dt": "perfbench's path-step count",
     "TrajectoryEnsemble.times": "perfbench's path-step count",

@@ -215,8 +215,8 @@ def test_riccati_matches_reference(problem, K0):
 # ------------------------------------------------------- scalar oracles
 
 def reference_stencil(z):
-    """objectives._stencil before its n = 1 column form: one norm per row
-    and probe shifts from np.eye."""
+    """objectives._stencil: one norm per row and probe shifts from
+    np.eye."""
     n = z.shape[1]
     steps = np.array([1e-5 * (1.0 + float(np.linalg.norm(zi))) for zi in z])
     shift = steps[:, None, None] * np.eye(n)
@@ -386,12 +386,27 @@ def test_scalar_oracles_reject_two_column_gains():
             call(thetas)
 
 
+def column_stencil(z):
+    """The probe rows of a (B, 1) batch from its column: a one-element
+    norm is sqrt(z z), one rounded multiply."""
+    h = 1e-5 * (1.0 + np.sqrt(z * z))
+    return np.concatenate([z, z + h, z - h]), h[:, 0]
+
+
 def test_scalar_stencil_matches_per_row_norms():
+    # the per-row norms of _stencil give a scalar batch the steps of its
+    # column, bit for bit, at signed zeros, subnormals, the overflow of
+    # z z, infinities and a log-uniform sweep of magnitudes
     tiny = np.finfo(float).smallest_subnormal
+    huge = np.finfo(float).max
     col = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -3e-320, 1e-160,
-                    -1e-160, 1e160, -1e160, 2.5, -7.0])
-    for z in (col[:, None], col[:1, None], col[-3:, None]):
+                    -1e-160, 1e160, -1e160, 1.7e308, -1.7e308, huge, -huge,
+                    np.inf, -np.inf, 2.5, -7.0])
+    rng = np.random.default_rng(8)
+    sweep = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(
+        -320, 308, 20_000)
+    for z in (col[:, None], col[:1, None], col[-3:, None], sweep[:, None]):
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = _stencil(z), reference_stencil(z)
+            got, want = _stencil(z), column_stencil(z)
         for g, w in zip(got, want):
             assert_bitwise(g, w)

@@ -218,9 +218,9 @@ def forked_rounds(monkeypatch, cpus=8):
     monkeypatch.setattr(nssmc, "_usable_cpus", lambda: cpus)
     calls, run_forked = [], nssmc._run_forked
 
-    def spy(run, views, parts):
+    def spy(run, parts):
         calls.append(len(parts))
-        return run_forked(run, views, parts)
+        return run_forked(run, parts)
 
     monkeypatch.setattr(nssmc, "_run_forked", spy)
     return calls
@@ -240,7 +240,7 @@ def planned_rounds(monkeypatch, N, n_ensembles, workers, can_stack=True,
     if cpus is not None:
         monkeypatch.setattr(nssmc, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(nssmc, "stackable", lambda family: can_stack)
-    monkeypatch.setattr(nssmc, "_run_forked", lambda run, views, parts:
+    monkeypatch.setattr(nssmc, "_run_forked", lambda run, parts:
                         rounds.append([b - a for a, b in parts]))
     monkeypatch.setattr(nssmc, "_SweepEnsemble", lambda exp, j, bound:
                         SimpleNamespace(stats=lambda: (0.0, 0.0, None)))
@@ -562,9 +562,9 @@ class TestSweepRounds:
         calls = forked_rounds(monkeypatch)
         run_forked = nssmc._run_forked
 
-        def spy(run, views, parts):
+        def spy(run, parts):
             alive.append([r().j for r in refs if r() is not None])
-            return run_forked(run, views, parts)
+            return run_forked(run, parts)
 
         monkeypatch.setattr(nssmc, "_SweepEnsemble", Tracked)
         monkeypatch.setattr(nssmc, "_run_forked", spy)
@@ -600,6 +600,37 @@ class TestSweepRounds:
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers"):
                 run_experiment(exp, workers=workers)
+
+
+class TestSharedPages:
+    """A sweep's per-path outputs live in anonymous shared pages, which a
+    forked worker writes for the parent to read."""
+
+    @pytest.mark.parametrize("shape", [0, (0,), (0, 5), (3, 0), 5, (4, 3)])
+    def test_zero_filled_and_writable_at_any_size(self, shape):
+        # size 0 maps one byte: mmap refuses a zero-length mapping
+        for dtype in (float, bool, np.int64):
+            a = nssmc._shared(shape, dtype)
+            assert a.shape == np.empty(shape).shape and a.dtype == dtype
+            assert not a.any() and a.flags.writeable
+            a[...] = 1
+            assert a.size == 0 or a.all()
+
+    def test_forked_writes_reach_the_parent(self):
+        # more processes than CPUs, each writing its own row; a private
+        # array shows that only the shared pages carry a worker's writes
+        parts = range(2 * nssmc._usable_cpus() + 2)
+        shared = nssmc._shared((len(parts), 1000), np.int64)
+        private = np.zeros(shared.shape, dtype=np.int64)
+
+        def run(k):
+            shared[k] = private[k] = k + 1
+
+        # part 0 runs in this process, the others in forked workers
+        nssmc._run_forked(run, parts)
+        assert (shared == np.arange(1, len(parts) + 1)[:, None]).all()
+        assert (private[0] == 1).all() and not private[1:].any()
+        assert multiprocessing.active_children() == []
 
 
 class TestAccumulation:

@@ -1051,6 +1051,28 @@ class TestPointRoute:
             model, [1.0 + 5e-6, 0.0], 1e-3, 0.05, 3)
         assert exited[0] and blowup[0] and steps[0] == 1
 
+    def test_replaced_hessian_drops_the_point_oracle(self):
+        # the point oracle mirrors the oracles it was built with, so a
+        # replaced Hessian drops it: the quiet one-path run of the model
+        # built from the new objective steps on the new Hessian
+        cfg, model = scalar_lqr_scheduled()
+        obj, calls = cfg.objective, []
+
+        def doubled(z):
+            calls.append(len(z))
+            return 2.0 * obj.hessian(z)
+
+        twice = replace(obj, hessian=doubled)
+        assert obj.point is not None and twice.point is None
+        stepped = build_underdamped(replace(cfg, objective=twice))
+        assert stepped.point_drift is None
+        x0, T = [obj.minimizer[0] + 0.3, 0.0], 0.05
+        got = simulate_path(stepped, quiet_schedule(stepped, T), x0, 1e-3,
+                            T, 0)
+        assert len(calls) >= 50  # at least one call a step
+        old = simulate_path(model, quiet_schedule(model, T), x0, 1e-3, T, 0)
+        assert not np.array_equal(got.states[1:, 1], old.states[1:, 1])
+
     def test_non_finite_proposal_raises_on_both_routes(self):
         # an infinite velocity proposes an infinite gain, on which the LQR
         # domain test raises: the point route tests the failed proposal
