@@ -38,7 +38,7 @@ def _load_config(path: str) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
     try:
         cfg.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return cfg
 
@@ -148,9 +148,10 @@ def _check_nonseparable(v) -> None:
     """A ConfigError when some direction separates the labels of the
     config's dataset, which leaves the logistic loss without a minimizer.
     The linear programs that decide it load scipy, so ``run`` makes this
-    check and ``validate`` does not."""
+    check and ``validate`` does not; the report stays in
+    ``v.separability`` for the experiment."""
     if hasattr(v, "dataset"):
-        sep = objectives.check_nonseparable(v.dataset)
+        v.separability = sep = objectives.check_nonseparable(v.dataset)
         if sep.separable:
             raise ConfigError(f"[problem] dataset {v.dataset_path}: the "
                               f"labels are separable (margin "
@@ -379,7 +380,7 @@ def _exp_quadratic_underdamped(v, out, seed, workers):
              {"dataset": None, "sigma": "0.05", "N": "200", "dt": "1e-2",
               "T": "50", "store_every": "10"})
 def _exp_logistic_overdamped(v, out, seed, workers):
-    sep = objectives.check_nonseparable(v.dataset)
+    sep = v.separability
     lines = [("dataset-nonseparable", not sep.separable,
               f"margin {sep.margin:.3e}")]
     obj = objectives.logistic_objective(v.dataset)

@@ -9,9 +9,9 @@ Each model carries its noise map as data: the identity, or the [0; I]
 block that puts the noise on the velocity.
 
 Also houses the Lyapunov candidates V2 (mixed quadratic) and V3
-(smoothed-potential form), the phi ladder that upper-bounds the squared
-gradient by a function of suboptimality, and the dissipation-certificate
-triples the two candidate families satisfy.
+(smoothed-potential form), both f(J - J*) + a <v, grad J> + c |v|^2 / 2,
+the phi ladder that upper-bounds the squared gradient by a function of
+suboptimality, and the dissipation-certificate triples of both.
 """
 
 from __future__ import annotations
@@ -364,26 +364,13 @@ def _third_derivative_contraction(obj: Objective, z: np.ndarray,
     return np.where((vn > 0)[:, None, None], D, 0.0)
 
 
-def _mixed_terms(obj: Objective, x):
-    """(J(z) - J*, <v, grad J(z)>, <v, v>) of (z, v) states with any
-    leading shape."""
-    x = np.asarray(x, dtype=float)
-    z, v = x[..., :obj.dim], x[..., obj.dim:]
-    h = np.asarray(obj.value(z), dtype=float) - obj.optimum_value
-    grads = np.asarray(obj.gradient(np.atleast_2d(z)))
-    cross = np.sum(np.atleast_2d(v) * grads, axis=-1)
-    return h, cross.reshape(np.shape(h)), np.sum(v * v, axis=-1)
-
-
-def _mixed_pass(obj: Objective, x):
-    """(z, v, the :func:`_mixed_terms`, grad J(z), hess J(z)) of a (B, 2n)
-    batch from one joint oracle call."""
+def _mixed_pass(obj: Objective, x, hessian: bool):
+    """(z, v, J(z) - J*, grad J(z), hess J(z) or None) of a (B, 2n) batch
+    from one joint oracle call."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z, v = x[:, :obj.dim], x[:, obj.dim:]
-    values, g, H = obj.evaluate(z, hessian=True)
-    terms = (values - obj.optimum_value, np.sum(v * g, axis=-1),
-             np.sum(v * v, axis=-1))
-    return z, v, terms, g, H
+    values, g, H = obj.evaluate(z, hessian=hessian)
+    return z, v, values - obj.optimum_value, g, H
 
 
 def _mixed_blocks(zz, zv, vv):
@@ -391,55 +378,56 @@ def _mixed_blocks(zz, zv, vv):
     return np.block([[zz, zv], [zv, np.broadcast_to(vv, zz.shape)]])
 
 
-def v2_size_function(config: UnderdampedConfig) -> SizeFunction:
-    obj = config.objective
-    lam1, lam2, _ = config.lambdas
+def _momentum_size_function(obj: Objective, f, slopes, a: float,
+                            c: float) -> SizeFunction:
+    """V = f(h) + a <v, grad J> + c |v|^2 / 2 with h = J - J*; ``slopes(h)``
+    gives f'(h) and f''(h), or None for f'' = 0."""
     n = obj.dim
 
-    def combine(h, cross, vv):
-        return h + lam1 * cross + lam2 * (0.5 * vv)
+    def combine(h, v, g):
+        return (f(h) + a * np.sum(v * g, axis=-1)
+                + c * (0.5 * np.sum(v * v, axis=-1)))
+
+    def value(x):  # any leading shape (a float for one state), no Hessians
+        x = np.asarray(x, dtype=float)
+        _, v, h, g, _ = _mixed_pass(obj, x.reshape(-1, x.shape[-1]), False)
+        return combine(h, v, g).reshape(x.shape[:-1])[()]
 
     def evaluate(x, hessian=False):
-        z, v, terms, g, H = _mixed_pass(obj, x)
-        Hv = np.einsum("bij,bj->bi", H, v)
-        grads = np.concatenate([g + lam1 * Hv, lam1 * g + lam2 * v], axis=1)
+        z, v, h, g, H = _mixed_pass(obj, x, True)
+        fp, fpp = slopes(h)
+        grads = np.hstack([fp[:, None] * g + a * np.einsum("bij,bj->bi", H, v),
+                           a * g + c * v])
         if not hessian:
-            return combine(*terms), grads, None
-        zz = H + lam1 * _third_derivative_contraction(obj, z, v)
-        return (combine(*terms), grads,
-                _mixed_blocks(zz, lam1 * H, lam2 * np.eye(n)))
+            return combine(h, v, g), grads, None
+        zz = fp[:, None, None] * H
+        if fpp is not None:
+            zz = fpp[:, None, None] * g[:, :, None] * g[:, None, :] + zz
+        zz = zz + a * _third_derivative_contraction(obj, z, v)
+        return (combine(h, v, g), grads,
+                _mixed_blocks(zz, a * H, c * np.eye(n)))
 
-    return SizeFunction(value=lambda x: combine(*_mixed_terms(obj, x)),
-                        evaluate=evaluate)
+    return SizeFunction(value=value, evaluate=evaluate)
+
+
+def v2_size_function(config: UnderdampedConfig) -> SizeFunction:
+    return _momentum_size_function(config.objective, lambda h: h,
+                                   lambda h: (np.ones_like(h), None),
+                                   *config.lambdas[:2])
 
 
 def v3_size_function(config: UnderdampedConfig) -> SizeFunction:
-    obj, phi = config.objective, config.phi
-    n = obj.dim
-    # tabulated second derivative of phi2 for the zz Hessian block; the
-    # noise block of the generator never touches it
+    phi = config.phi
+    # tabulated phi2'' for the zz Hessian block, which the noise never reads
     p2pp = np.gradient(phi.phi2_prime(phi.h_fine), phi.h_fine)
 
-    def combine(h, cross, vv):
-        return phi.phi2(h) + cross + vv
-
-    def evaluate(x, hessian=False):
-        z, v, terms, g, H = _mixed_pass(obj, x)
-        h = terms[0]
-        # value clamps h at h_max, so phi2 is flat past it
+    def slopes(h):  # phi2 clamps h at h_max, so it is flat past it
         flat = h > phi.h_max
-        p2p = np.where(flat, 0.0, phi.phi2_prime(h))
-        Hv = np.einsum("bij,bj->bi", H, v)
-        grads = np.concatenate([p2p[:, None] * g + Hv, g + 2.0 * v], axis=1)
-        if not hessian:
-            return combine(*terms), grads, None
-        p2dd = np.where(flat, 0.0, np.interp(h, phi.h_fine, p2pp))
-        zz = p2dd[:, None, None] * g[:, :, None] * g[:, None, :] \
-            + p2p[:, None, None] * H + _third_derivative_contraction(obj, z, v)
-        return combine(*terms), grads, _mixed_blocks(zz, H, 2.0 * np.eye(n))
+        return (np.where(flat, 0.0, phi.phi2_prime(h)),
+                np.where(flat, 0.0, np.interp(h, phi.h_fine, p2pp)))
 
-    return SizeFunction(value=lambda x: combine(*_mixed_terms(obj, x)),
-                        evaluate=evaluate)
+    return _momentum_size_function(config.objective, phi.phi2, slopes,
+                                   1.0, 2.0)
 
 
 def _pl_modulus(obj: Objective) -> ScalarClassFunction:

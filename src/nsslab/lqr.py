@@ -274,17 +274,9 @@ def _closed_loop(problem: LqrProblem, Ks: np.ndarray) -> np.ndarray:
 
 def hurwitz_mask(A_cl: np.ndarray) -> np.ndarray:
     """Which matrices of a (B, n, n) stack have spectral abscissa below
-    -HURWITZ_MARGIN.
-
-    A 1x1 matrix is its own eigenvalue (LAPACK returns the element
-    exactly), so n = 1 is :func:`_scalar_hurwitz` of the entries;
-    non-finite input raises LinAlgError on both paths, as ``eigvals``
-    does.
-    """
-    if A_cl.shape[1] != 1:
-        abscissa = np.max(np.real(np.linalg.eigvals(A_cl)), axis=1)
-        return abscissa < -HURWITZ_MARGIN
-    return _scalar_hurwitz(A_cl[:, 0, 0])
+    -HURWITZ_MARGIN; non-finite input raises LinAlgError."""
+    abscissa = np.max(np.real(np.linalg.eigvals(A_cl)), axis=1)
+    return abscissa < -HURWITZ_MARGIN
 
 
 def _scalar_hurwitz(a_cl):

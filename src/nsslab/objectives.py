@@ -191,6 +191,8 @@ class LogisticModel:
         y = np.asarray(self.y)
         if X.ndim != 2:
             raise ValueError("X must be n x N")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("features must be finite")
         if y.ndim != 1 or y.size != X.shape[1] or y.size < 1:
             raise ValueError("y must hold one label per column of X")
         if not np.all(np.isin(y, (0, 1))):

@@ -14,7 +14,7 @@ from nsslab.cli import (REGISTRY, _csv_table, _damped_flow, _parse,
 from nsslab.langevin import (OverdampedConfig, build_overdamped,
                              objective_size_function)
 from nsslab.nssmc import NssExperiment, run_experiment
-from nsslab.objectives import quadratic_objective
+from nsslab.objectives import check_nonseparable, quadratic_objective
 from nsslab.sde import CovarianceSchedule
 
 EXPECTED = {"ou-sanity", "quadratic-overdamped", "quadratic-underdamped",
@@ -25,6 +25,8 @@ EXPECTED = {"ou-sanity", "quadratic-overdamped", "quadratic-underdamped",
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DEMO_CSV = CONFIGS / "logistic_demo.csv"
+DATASET_EXPERIMENTS = ["logistic-overdamped", "logistic-underdamped",
+                       "pl-envelope"]
 
 
 def write_config(tmp_path, name, extra=""):
@@ -47,6 +49,18 @@ T = 100
 master_seed = 7
 store_every = 100
 """
+
+
+def exits_2_with_one_line(capsys, argv, out) -> str:
+    """The one stderr line of a command that exits 2 before ``out``
+    exists."""
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert captured.out == ""
+    assert not out.exists()
+    return lines[0]
 
 
 class TestRegistry:
@@ -440,9 +454,7 @@ class TestSchema:
             assert captured.out == ""
             assert not out.exists()
 
-    @pytest.mark.parametrize("experiment", ["logistic-overdamped",
-                                            "logistic-underdamped",
-                                            "pl-envelope"])
+    @pytest.mark.parametrize("experiment", DATASET_EXPERIMENTS)
     def test_separable_dataset_exits_2_before_any_output(self, tmp_path,
                                                          capsys,
                                                          experiment):
@@ -463,6 +475,52 @@ class TestSchema:
         assert "separable" in lines[0], lines
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("experiment", DATASET_EXPERIMENTS)
+    def test_non_finite_feature_exits_2_before_any_output(self, tmp_path,
+                                                          capsys, experiment,
+                                                          cell):
+        (tmp_path / "data.csv").write_text(
+            f"x1,x2,label\n0.5,{cell},1\n-0.5,1,0\n1,-1,1\n")
+        cfg = write_config(tmp_path, experiment,
+                           "[problem]\ndataset = data.csv\n")
+        out = tmp_path / "o"
+        for argv in (["validate", cfg], ["run", cfg, "--out", str(out)]):
+            line = exits_2_with_one_line(capsys, argv, out)
+            assert line.startswith("error: [problem] dataset "), line
+            assert "finite" in line, line
+
+    def test_undecodable_config_exits_2_before_any_output(self, tmp_path,
+                                                          capsys):
+        # a UTF-16 byte-order mark, which UTF-8 cannot decode
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes(b"\xff\xfe[experiment]\nname = ou-sanity\n")
+        out = tmp_path / "o"
+        for argv in (["validate", str(cfg)],
+                     ["run", str(cfg), "--out", str(out)]):
+            line = exits_2_with_one_line(capsys, argv, out)
+            assert line.startswith(f"error: {cfg}: "), line
+
+    @pytest.mark.parametrize("experiment", DATASET_EXPERIMENTS)
+    def test_run_decides_separability_once(self, tmp_path, monkeypatch,
+                                           experiment):
+        # the margin LPs of run's check also give logistic-overdamped's
+        # dataset-nonseparable line
+        body = {"logistic-overdamped": "[mc]\nN = 10\nT = 1\n",
+                "logistic-underdamped": "[mc]\nT = 1\n",
+                "pl-envelope": "[dynamics]\nn_dirs = 8\n"}[experiment]
+        reports = []
+
+        def counted(model):
+            reports.append(check_nonseparable(model))
+            return reports[-1]
+
+        monkeypatch.setattr("nsslab.objectives.check_nonseparable", counted)
+        cfg = write_config(tmp_path, experiment,
+                           f"[problem]\ndataset = {DEMO_CSV}\n{body}")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
+        assert len(reports) == 1
 
     def test_logistic_overdamped_accepts_zero_sigma(self, tmp_path):
         # its tail check needs no division by sigma

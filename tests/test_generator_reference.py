@@ -31,6 +31,7 @@ from nsslab.objectives import (load_logistic_csv, logistic_objective,
 from nsslab.sde import DiffusionModel
 
 from helpers import ReferenceSizeFunction, half_norm_squared
+from test_lqr_reference import assert_bitwise
 
 
 DATASET = Path(__file__).resolve().parent.parent / "configs" / "logistic_demo.csv"
@@ -318,3 +319,22 @@ def test_momentum_size_functions_make_one_joint_pass(make):
         assert calls == {"value": 2, "gradient": 2, "hessian": 2}
         assert np.array_equal(values, V.value(x))
         assert np.array_equal(np.signbit(values), np.signbit(V.value(x)))
+
+
+@pytest.mark.parametrize("make", [quadratic, logistic],
+                         ids=["quadratic", "logistic"])
+def test_momentum_values_equal_evaluate_for_any_leading_shape(make):
+    # value takes one state, an (S, 2n) batch or an (R, S, 2n) stack, and
+    # each row is the value evaluate gives it, bit for bit
+    obj = make()
+    ucfg = UnderdampedConfig(objective=obj, eta=1.0, c=1.0)
+    scfg = replace(ucfg, phi=phi_functions(build_smoothness_ladder(
+        obj, h_max=100.0)))
+    x = default_state_samples(np.zeros(2 * obj.dim), count=99, seed=4)
+    for V in (v2_size_function(ucfg), v3_size_function(scfg)):
+        want = V.evaluate(x)[0]
+        one = V.value(x[5])
+        assert isinstance(one, float)
+        assert_bitwise(np.array([one]), want[5:6])
+        assert_bitwise(V.value(x), want)
+        assert_bitwise(V.value(x.reshape(3, 33, -1)), want.reshape(3, 33))
