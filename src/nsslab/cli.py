@@ -141,7 +141,25 @@ def _parse(path: str):
         except ValueError as exc:
             text = f"{text}: {exc}"
         raise ConfigError(f"[{section}] {key} = {getattr(v, key)}: {text}")
+    if LQR.keys() <= keys.keys():
+        _solve_lqr(v)
     return fn, v
+
+
+def _solve_lqr(v) -> None:
+    """The scalar regulator of an LQR config and its Riccati solution from
+    LQR_K0, in ``v.problem`` and ``v.profile``: a ConfigError when the
+    Kleinman-Newton iteration fails, as it does when q / r overflows.  The
+    scalar problem loads no scipy, so ``validate`` makes this check too."""
+    v.problem = lqr.LqrProblem(A=[[v.a]], F=[[v.f]], Q=[[v.q]], R=[[v.r]])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v.profile = lqr.solve_riccati(v.problem, K0=LQR_K0)
+    except (lqr.StabilityError, lqr.ConditioningError,
+            np.linalg.LinAlgError) as exc:
+        raise ConfigError(f"[problem] a = {v.a:g}, f = {v.f:g}, q = "
+                          f"{v.q:g}, r = {v.r:g}: the Riccati iteration "
+                          f"from K0 = 2 fails: {exc}") from exc
 
 
 def _check_nonseparable(v) -> None:
@@ -392,11 +410,10 @@ def _exp_logistic_overdamped(v, out, seed, workers):
     schedule = sde.CovarianceSchedule.constant(v.sigma * np.eye(obj.dim), v.T)
     times = sde.record_times(v.dt, v.T, v.store_every)
     tail = nssmc.WindowValues(lambda z: lyapcert.self_values(V, z), times,
-                              v.N, v.T / 2.0, v.T)
-    ens = sde.simulate_ensemble(model, schedule, obj.minimizer, v.dt, v.T,
-                                v.N, seed, store_every=v.store_every,
-                                reducers=[tail])
-    q = float(np.quantile(tail.valid_values(ens.valid_counts), 0.95))
+                              v.N, v.T / 2.0, times[-1])
+    sde.simulate_ensemble(model, schedule, obj.minimizer, v.dt, v.T, v.N,
+                          seed, store_every=v.store_every, reducers=[tail])
+    q = tail.quantile(0.95)
     _csv_table(out / "tail.csv", ["tail_quantile_95"], [[q]])
     lines.append(("noisy-tail-bounded", q < 10.0 * v.sigma**2 + 1e-3,
                   f"0.95 tail quantile of suboptimality {q:.3e}"))
@@ -425,8 +442,7 @@ def _exp_logistic_underdamped(v, out, seed, workers):
              ("noise", "sigmas", "onset bracketing needs two or more",
               lambda v: len(v.sigmas) >= 2), LQR_F_RULE, LQR_K0_RULE)
 def _exp_lqr_po_overdamped(v, out, seed, workers):
-    problem = lqr.LqrProblem(A=[[v.a]], F=[[v.f]], Q=[[v.q]], R=[[v.r]])
-    profile = lqr.solve_riccati(problem, K0=LQR_K0)
+    problem, profile = v.problem, v.profile
     lines = []
     if np.allclose([v.a, v.f, v.q, v.r], 1.0):
         ref = 1.0 + np.sqrt(2.0)
@@ -461,8 +477,7 @@ def _exp_lqr_po_overdamped(v, out, seed, workers):
              {**LQR, "h_max": "20", "tol": None, "dt": None, "T": None,
               "store_every": "100"}, LQR_F_RULE, LQR_K0_RULE)
 def _exp_lqr_po_underdamped(v, out, seed, workers):
-    problem = lqr.LqrProblem(A=[[v.a]], F=[[v.f]], Q=[[v.q]], R=[[v.r]])
-    profile = lqr.solve_riccati(problem, K0=LQR_K0)
+    problem, profile = v.problem, v.profile
     obj = lqr.lqr_objective(problem, profile)
     ladder = langevin.ladder_from_profile(profile, problem, v.h_max)
     model = langevin.build_underdamped(langevin.UnderdampedConfig(

@@ -378,10 +378,11 @@ def _mixed_blocks(zz, zv, vv):
     return np.block([[zz, zv], [zv, np.broadcast_to(vv, zz.shape)]])
 
 
-def _momentum_size_function(obj: Objective, f, slopes, a: float,
+def _momentum_size_function(obj: Objective, f, df, d2f, a: float,
                             c: float) -> SizeFunction:
-    """V = f(h) + a <v, grad J> + c |v|^2 / 2 with h = J - J*; ``slopes(h)``
-    gives f'(h) and f''(h), or None for f'' = 0."""
+    """V = f(h) + a <v, grad J> + c |v|^2 / 2 with h = J - J*; ``df(h)``
+    and ``d2f(h)`` give f'(h) and f''(h), d2f only for Hessians and None
+    for f'' = 0."""
     n = obj.dim
 
     def combine(h, v, g):
@@ -395,14 +396,14 @@ def _momentum_size_function(obj: Objective, f, slopes, a: float,
 
     def evaluate(x, hessian=False):
         z, v, h, g, H = _mixed_pass(obj, x, True)
-        fp, fpp = slopes(h)
+        fp = df(h)
         grads = np.hstack([fp[:, None] * g + a * np.einsum("bij,bj->bi", H, v),
                            a * g + c * v])
         if not hessian:
             return combine(h, v, g), grads, None
         zz = fp[:, None, None] * H
-        if fpp is not None:
-            zz = fpp[:, None, None] * g[:, :, None] * g[:, None, :] + zz
+        if d2f is not None:
+            zz = d2f(h)[:, None, None] * g[:, :, None] * g[:, None, :] + zz
         zz = zz + a * _third_derivative_contraction(obj, z, v)
         return (combine(h, v, g), grads,
                 _mixed_blocks(zz, a * H, c * np.eye(n)))
@@ -412,8 +413,7 @@ def _momentum_size_function(obj: Objective, f, slopes, a: float,
 
 def v2_size_function(config: UnderdampedConfig) -> SizeFunction:
     return _momentum_size_function(config.objective, lambda h: h,
-                                   lambda h: (np.ones_like(h), None),
-                                   *config.lambdas[:2])
+                                   np.ones_like, None, *config.lambdas[:2])
 
 
 def v3_size_function(config: UnderdampedConfig) -> SizeFunction:
@@ -421,13 +421,12 @@ def v3_size_function(config: UnderdampedConfig) -> SizeFunction:
     # tabulated phi2'' for the zz Hessian block, which the noise never reads
     p2pp = np.gradient(phi.phi2_prime(phi.h_fine), phi.h_fine)
 
-    def slopes(h):  # phi2 clamps h at h_max, so it is flat past it
-        flat = h > phi.h_max
-        return (np.where(flat, 0.0, phi.phi2_prime(h)),
-                np.where(flat, 0.0, np.interp(h, phi.h_fine, p2pp)))
-
-    return _momentum_size_function(config.objective, phi.phi2, slopes,
-                                   1.0, 2.0)
+    # phi2 clamps h at h_max, so it is flat past it
+    return _momentum_size_function(
+        config.objective, phi.phi2,
+        lambda h: np.where(h > phi.h_max, 0.0, phi.phi2_prime(h)),
+        lambda h: np.where(h > phi.h_max, 0.0,
+                           np.interp(h, phi.h_fine, p2pp)), 1.0, 2.0)
 
 
 def _pl_modulus(obj: Objective) -> ScalarClassFunction:

@@ -21,10 +21,10 @@ the shipped digests pin); path means are summed path by path, as
 ``np.mean(..., axis=0)`` of an (N, R) array is; window values are kept in
 the memory order of the dense window array, so a sum over them adds in
 the same order (quantiles do not depend on the order).
-:class:`WindowValues` and :class:`Exceedance` keep one column or entry
-per path in shared pages (:func:`_shared`), so a batch can hold part of
-them: ``shard(lo, hi)`` is a copy for paths [lo, hi) that writes into a
-view of the original's array.
+:class:`WindowValues` and :class:`Exceedance` keep their per-path arrays
+in shared pages (:func:`_shared`), so a batch can hold part of them:
+``shard(lo, hi)`` is a copy for paths [lo, hi) that writes into views of
+the original's arrays.
 :func:`inss_accumulation_check` reads the :class:`Exceedance` of its
 ensemble.
 
@@ -37,16 +37,15 @@ ensemble alone.  A batch is one
 :func:`sde.simulate_ensemble` stack of its ensembles' path ranges.  On
 K = min(workers, usable CPUs, S) processes, a round is K consecutive
 batches, the first run in the parent and the others in forked workers.
-An ensemble's per-path outputs (valid counts, exit flags and reducer
-arrays) live in shared pages, allocated in the parent before the fork of
-the round that first runs it, so each worker writes its rows where the
-parent reads them and sends back only its report.  An ensemble is
-reduced and dropped after the round of its last batch.  The batches depend
-on the sweep alone, each path draws from its own generator, and each
-ensemble's reducers read only its rows of a batch, so the curve is
-bit-identical for any ``workers``, whatever the drift; with a
-row-independent drift and domain test it also equals each ensemble run
-alone.
+An ensemble's reducers keep their arrays in shared pages, allocated in
+the parent before the fork of the round that first runs it, so each
+worker writes its rows where the parent reads them and sends back only
+its report.  An ensemble is reduced and dropped after the round of its
+last batch.  The batches depend on the sweep alone, each path draws from
+its own generator, and each ensemble's reducers read only its rows of a
+batch, so the curve is bit-identical for any ``workers``, whatever the
+drift; with a row-independent drift and domain test it also equals each
+ensemble run alone.
 
 All statistics are pure functions of (experiment, master seed): paths use
 counter-based per-path generators and reductions are deterministic.
@@ -125,7 +124,9 @@ class GainCurve:
 
 class WindowValues:
     """Reducer: ``f(z)`` of every path at the records with
-    t_lo <= t <= t_hi, kept time-major in the (W, N) array ``values``.
+    t_lo <= t <= t_hi, kept time-major in the (W, N) array ``values``,
+    and in ``valid`` the count of those at which each path was active; a
+    path that has left never returns, so they are its first records.
 
     That is the memory order of the dense route's window array
     ``states[:, window, 0]`` (its advanced indexing returns an
@@ -137,22 +138,31 @@ class WindowValues:
         self.f = f
         self.index = np.flatnonzero((times >= t_lo) & (times <= t_hi))
         self.values = _shared((self.index.size, n_paths), float)
+        self.valid = _shared(n_paths, np.int64)
 
     def __call__(self, i, t, z, active):
         w = i - self.index[0] if self.index.size else -1
         if 0 <= w < self.index.size:  # the window's records are contiguous
             self.values[w] = self.f(z)
+            self.valid += active
 
     def shard(self, lo: int, hi: int) -> "WindowValues":
         part = copy.copy(self)
-        part.values = self.values[:, lo:hi]
+        part.values, part.valid = self.values[:, lo:hi], self.valid[lo:hi]
         return part
 
-    def valid_values(self, valid_counts: np.ndarray) -> np.ndarray:
+    def valid_values(self) -> np.ndarray:
         """The values of valid (record, path) pairs, record by record."""
-        if self.index.size == 0 or (valid_counts > self.index[-1]).all():
+        if (self.valid == self.index.size).all():
             return self.values.reshape(-1)
-        return self.values[self.index[:, None] < valid_counts[None, :]]
+        return self.values[np.arange(self.index.size)[:, None] < self.valid]
+
+    def quantile(self, q: float) -> float:
+        """The q-quantile of the valid values, NaN when there is none; as
+        it does not depend on their order, it partitions ``values``."""
+        pooled = self.valid_values()
+        return (float(np.quantile(pooled, q, overwrite_input=True))
+                if pooled.size else np.nan)
 
 
 class PathMeans:
@@ -242,31 +252,24 @@ class Supermartingale:
 
 
 class _SweepEnsemble:
-    """The j-th ensemble of a sweep: its reducers and the per-path outputs
-    that its statistics read, all in shared pages allocated before it
-    runs, so that a forked worker can fill part of them."""
+    """The j-th ensemble of a sweep: its reducers, whose arrays sit in
+    shared pages allocated before it runs, so that a forked worker can
+    fill part of them."""
 
     def __init__(self, exp: NssExperiment, j: int, bound):
         self.exp, self.j = exp, j
         times = record_times(exp.dt, exp.T, exp.store_every)
+        # the window ends at T's record, so a path has left iff valid < W
         self.tail = WindowValues(lambda z: self_values(exp.V, z), times,
-                                 exp.N, exp.T / 2.0, exp.T)
+                                 exp.N, exp.T / 2.0, times[-1])
         self.exceed = None if bound is None else Exceedance(exp.V, bound,
                                                             times, exp.N)
-        self.reducers = [self.tail] + ([] if bound is None
-                                       else [self.exceed])
-        self.valid_counts = _shared(exp.N, np.int64)
-        self.exited = _shared(exp.N, bool)
+        self.reducers = [r for r in (self.tail, self.exceed) if r is not None]
 
     def stats(self):
         """(tail quantile, blow-up fraction, exceedance fraction or None)."""
-        pooled = self.tail.valid_values(self.valid_counts)
-        # the quantile does not depend on the order of the pooled values,
-        # and they are this ensemble's own array, so partition them in place
-        quant = (float(np.quantile(pooled, 1.0 - self.exp.epsilon,
-                                   overwrite_input=True))
-                 if pooled.size else np.nan)
-        return (quant, float(np.mean(self.exited)),
+        return (self.tail.quantile(1.0 - self.exp.epsilon),
+                float(np.mean(self.tail.valid < self.tail.index.size)),
                 None if self.exceed is None else self.exceed.fraction())
 
 
@@ -287,11 +290,11 @@ def _blocks(N: int, a: int, b: int) -> list[tuple[int, int, int]]:
 
 def _run_batch(exp: NssExperiment, ensembles: dict, a: int, b: int) -> None:
     """Integrate rows [a, b) of the sweep as one stack, into their part of
-    the ensembles' arrays."""
+    the ensembles' reducers."""
     blocks = _blocks(exp.N, a, b)
     rows = [slice(j * exp.N + lo - a, j * exp.N + hi - a)
             for j, lo, hi in blocks]  # each block's rows of the batch
-    ens = simulate_ensemble(
+    simulate_ensemble(
         exp.dynamics, [exp.schedule_family[j] for j, _, _ in blocks],
         exp.x0, exp.dt, exp.T, [range(lo, hi) for _, lo, hi in blocks],
         [exp.master_seed + j for j, _, _ in blocks],
@@ -299,9 +302,6 @@ def _run_batch(exp: NssExperiment, ensembles: dict, a: int, b: int) -> None:
         reducers=[_rows(r.shard(lo, hi), s)
                   for (j, lo, hi), s in zip(blocks, rows)
                   for r in ensembles[j].reducers])
-    for (j, lo, hi), s in zip(blocks, rows):
-        ensembles[j].valid_counts[lo:hi] = ens.valid_counts[s]
-        ensembles[j].exited[lo:hi] = ens.exited[s]
 
 
 def _rows(reduce, rows: slice):
@@ -330,9 +330,9 @@ def run_experiment(exp: NssExperiment,
     ``workers`` processes (module docstring); the curve does not depend
     on ``workers``.
 
-    Each ensemble keeps only V on the tail window [T/2, T], its exit
-    flags and, with ``bounds`` (one bound(V0, t) per schedule), each
-    path's running exceedance flag, whose fractions the curve carries.
+    Each ensemble keeps only V and valid counts on the tail window [T/2,
+    T] and, with ``bounds`` (one bound(V0, t) per schedule), each path's
+    running exceedance flag, whose fractions the curve carries.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -414,6 +414,12 @@ class TestSchema:
         # gain-sweep's decay envelope V0 (1 - dt)^(2k) needs dt < 1
         ("gain-sweep", "[problem]\ndiag = 1\n[mc]\ndt = 1\nT = 50\n",
          "mc", "dt"),
+        # q / r overflows the Riccati iteration's cost from K0 = 2
+        ("lqr-po-overdamped", "[problem]\nq = 1e300\nr = 1e-300\n",
+         "problem", "q"),
+        ("lqr-po-underdamped", "[problem]\nq = 1e300\nr = 1e-300\n"
+         "[dynamics]\ntol = 1e-2\n[mc]\ndt = 1e-3\nT = 30\n", "problem",
+         "q"),
     ]
 
     @pytest.mark.parametrize("experiment,body,section,key", BAD)
@@ -529,6 +535,22 @@ class TestSchema:
                            "[noise]\nsigma = 0\n[mc]\nN = 10\nT = 1\n")
         assert main(["validate", cfg]) == 0
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_logistic_overdamped_without_valid_tail_pair_fails(self,
+                                                               tmp_path,
+                                                               capsys):
+        # sigma = 1e13 leaves no path valid in the tail window: the tail
+        # quantile is NaN, which fails the tail line instead of crashing
+        cfg = write_config(tmp_path, "logistic-overdamped",
+                           f"[problem]\ndataset = {DEMO_CSV}\n"
+                           "[noise]\nsigma = 1e13\n[mc]\nN = 100\nT = 1\n")
+        out = tmp_path / "o"
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL noisy-tail-bounded: " in captured.out
+        assert "Traceback" not in captured.err
+        assert read_rows(out / "tail.csv") == [["tail_quantile_95"], ["nan"]]
 
     def test_gain_sweep_accepts_a_horizon_on_the_dt_grid(self, tmp_path,
                                                           capsys):

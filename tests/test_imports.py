@@ -53,6 +53,11 @@ UNREAD_MEMBERS_ALLOWED = {
                                 "ensembles field by field",
     "TrajectoryEnsemble.exit_steps": "the shard and reference tests compare "
                                      "ensembles field by field",
+    "TrajectoryEnsemble.valid_counts": "the shard and reference tests "
+                                       "compare ensembles field by field",
+    "TrajectoryEnsemble.exited": "the shard and reference tests compare "
+                                 "ensembles field by field; perfbench's "
+                                 "tracer counts exits from it",
     "TrajectoryEnsemble.blowup": "read by perfbench",
     "TrajectoryPath.blowup": "read by perfbench",
     "TrajectoryPath.exited_domain": "read by perfbench",

@@ -88,9 +88,10 @@ class TestGainCurve:
                             record_times(1e-2, 10.0, 5), 100, 5.0, 10.0)
         ens = simulate_ensemble(model, s, np.ones(1), 1e-2, 10.0, 100, 0,
                                 store_every=5, reducers=[tail])
-        pooled = tail.valid_values(ens.valid_counts)
+        pooled = tail.valid_values()
         idx = (ens.times >= 5.0) & (ens.times <= 10.0)
         assert pooled.size == 100 * idx.sum()
+        assert (tail.valid == idx.sum()).all()
 
 
 class TestDecayEnvelope:
@@ -440,7 +441,8 @@ class TestSweepRounds:
                                               rounds, monkeypatch):
         # the LQR sweep's top intensities make paths exit; the boxed sweep
         # has two batches per ensemble, with exits in both; the dense
-        # drift is not row-independent; all carry exceedance bounds
+        # drift is not row-independent; all carry exceedance bounds; the
+        # LQR and boxed curves also equal the dense route's
         if batch_rows is not None:
             monkeypatch.setattr(nssmc, "_BATCH_ROWS", batch_rows)
         if case == "lqr":
@@ -452,17 +454,23 @@ class TestSweepRounds:
         else:
             exp, bounds = dense_case()
         want = run_experiment(exp, bounds)
+        if case in ("lqr", "boxed"):
+            # the batches, run in turn, match one batch of the dense route
+            ref, ensembles = reference_run_experiment(exp)
+            for name in ("tail_quantiles", "blowup_fractions"):
+                assert np.array_equal(getattr(want, name), getattr(ref, name))
         if case == "lqr":
             assert want.blowup_fractions[0] == 0.0
             assert want.blowup_fractions[-1] > 0.9
+            # at sigma = 5 paths exit both before and inside the window
+            times, counts = ensembles[3].times, ensembles[3].valid_counts
+            first = np.flatnonzero(times >= exp.T / 2.0)[0]
+            assert (counts <= first).any()
+            assert ((counts > first) & (counts < times.size)).any()
         if case == "boxed":
-            # the batches, run in turn, match one batch of the dense route
-            ref, ensembles = reference_run_experiment(exp)
             for ens in ensembles:
                 assert ens.exited[:4097].any() and ens.exited[4097:].any()
                 assert not ens.exited.all()
-            for name in ("tail_quantiles", "blowup_fractions"):
-                assert np.array_equal(getattr(want, name), getattr(ref, name))
             assert want.exceedance_fractions.tolist() == [
                 reference_exceedance_fraction(e, exp.V, b)
                 for e, b in zip(ensembles, bounds)]

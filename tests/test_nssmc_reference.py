@@ -214,7 +214,8 @@ def reference_run_experiment(exp: NssExperiment
                                 store_every=exp.store_every)
         ensembles.append(ens)
         intensities.append(sup_noise_intensity(schedule, 0.0, exp.T))
-        pooled = reference_tail_window_values(ens, exp.V, exp.T / 2.0, exp.T)
+        pooled = reference_tail_window_values(ens, exp.V, exp.T / 2.0,
+                                              ens.times[-1])  # T's record
         quants.append(float(np.quantile(pooled, 1.0 - exp.epsilon))
                       if pooled.size else np.nan)
         blowups.append(float(np.mean(ens.exited)))
@@ -382,9 +383,23 @@ def escaper_case(N=120, T=2.0):
     return exp, [lambda v0, t: v0 + 1.0] * 2
 
 
+def rounded_case(N=120, T=0.3):
+    # three steps of 0.1 end at 0.30000000000000004 > T, and paths drift
+    # out of the domain, most of them at that last record
+    model = DiffusionModel(state_dim=1, noise_dim=1,
+                           drift=lambda z: np.ones_like(z),
+                           domain_test=lambda z: z[..., 0] < 0.25)
+    exp = NssExperiment(
+        dynamics=model, V=half_norm_squared(),
+        schedule_family=[CovarianceSchedule.constant([[s]], T)
+                         for s in (0.05, 0.1)],
+        x0=np.zeros(1), N=N, dt=0.1, T=T, master_seed=2, store_every=1)
+    return exp, [lambda v0, t: v0 + 1.0] * 2
+
+
 CASES = {"scalar": lambda: quadratic_case([1.0]),
          "diagonal": lambda: quadratic_case([1.0, 2.0]),
-         "lqr": lqr_case, "escaper": escaper_case}
+         "lqr": lqr_case, "escaper": escaper_case, "rounded": rounded_case}
 
 
 @pytest.fixture(params=[False, True], ids=["default-tiles", "small-tiles"])
@@ -428,6 +443,14 @@ def test_gain_curve_matches_dense_route(case, tiles):
     if case == "escaper":
         assert np.isnan(ref.tail_quantiles[0])
         assert (ref.blowup_fractions == 1.0).all()
+    if case == "rounded":
+        # the window ends at T's record, which lies past T: some paths
+        # are valid there and some leave there
+        for ens in ensembles:
+            R = ens.times.size
+            assert ens.times[-1] > exp.T
+            assert (ens.valid_counts == R).any()
+            assert (ens.valid_counts == R - 1).any()
     if case != "lqr":  # the LQR sweep is the slow one
         plain = run_experiment(exp)
         assert plain.exceedance_fractions is None
@@ -520,10 +543,9 @@ def test_tail_window_values_match_dense_route():
         live, replayed = [[WindowValues(lambda z: self_values(exp.V, z),
                                         times, exp.N, lo, hi)
                            for lo, hi in windows] for _ in range(2)]
-        red = simulate_ensemble(exp.dynamics, exp.schedule_family[j],
-                                exp.x0, exp.dt, exp.T, exp.N,
-                                exp.master_seed + j,
-                                store_every=exp.store_every, reducers=live)
+        simulate_ensemble(exp.dynamics, exp.schedule_family[j], exp.x0,
+                          exp.dt, exp.T, exp.N, exp.master_seed + j,
+                          store_every=exp.store_every, reducers=live)
         replay(ens, replayed)
         for (lo, hi), reducer, again in zip(windows, live, replayed):
             want = reference_tail_window_values(ref_ens, exp.V, lo, hi)
@@ -533,9 +555,13 @@ def test_tail_window_values_match_dense_route():
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert np.array_equal(reducer.values, again.values)
+            # the reducer counts each path's valid records itself
+            assert np.array_equal(reducer.valid, alive.sum(axis=1))
             # the same values, record by record instead of path by path
-            pooled = reducer.valid_values(red.valid_counts)
+            pooled = reducer.valid_values()
             assert np.array_equal(np.sort(pooled), np.sort(want))
+            q = np.quantile(want, 0.95) if want.size else np.nan
+            assert np.array_equal(reducer.quantile(0.95), q, equal_nan=True)
 
 
 def expanding_case(N=150, T=3.0):

@@ -855,8 +855,8 @@ class TestShards:
                            ("exit_steps", exit_steps)):
             got = np.concatenate([getattr(e, name) for e in parts])
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.array_equal(got_tail.valid_values(valid),
-                              tail.valid_values(valid))
+        assert np.array_equal(got_tail.valid, tail.valid)
+        assert np.array_equal(got_tail.valid_values(), tail.valid_values())
         assert got_exceed.fraction() == exceed.fraction()
 
 
