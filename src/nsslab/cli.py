@@ -165,9 +165,11 @@ def _solve_lqr(v) -> None:
 def _check_nonseparable(v) -> None:
     """A ConfigError when some direction separates the labels of the
     config's dataset, which leaves the logistic loss without a minimizer.
-    The linear programs that decide it load scipy, so ``run`` makes this
-    check and ``validate`` does not; the report stays in
-    ``v.separability`` for the experiment."""
+    A scipy-free certificate settles most nonseparable datasets of full
+    rank, the shipped one among them; any other falls back to linear
+    programs that load ``scipy.optimize``, so ``run`` makes this check
+    and ``validate`` does not.  The report stays in ``v.separability``
+    for the experiment."""
     if hasattr(v, "dataset"):
         v.separability = sep = objectives.check_nonseparable(v.dataset)
         if sep.separable:

@@ -2,8 +2,9 @@
 
 Ships the abstract objective contract, the quadratic benchmark with its
 classic PL modulus, and logistic regression with a numerically stable
-loss, nonseparability decision by linear programming, smoothness
-constants, and an empirical direction-uniform K-PL envelope.
+loss, a nonseparability decision (a scipy-free certificate first, linear
+programming when it fails), smoothness constants, and an empirical
+direction-uniform K-PL envelope.
 
 Conventions: every oracle is batch-first.  Values map a (B, n) batch to
 (B,) (and are vectorized over any leading axes), gradients to (B, n) and
@@ -15,6 +16,7 @@ gradients; :class:`lyapcert.SizeFunction` keeps the same contract.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -293,16 +295,94 @@ def check_nonseparable(model: LogisticModel) -> SeparabilityReport:
     """Decide whether some nonzero direction sign-separates the labels.
 
     Separable means a nonzero theta with theta.x_i >= 0 for y_i = 1 and
-    theta.x_i <= 0 for y_i = 0.  Decided by maximizing the minimum signed
-    margin t over the box |theta|_inf <= 1 (strictly separable iff t > 0,
-    with margins up to 1e-9 read as 0), then probing the boundary cone for
-    nonzero weakly separating directions when t = 0.
+    theta.x_i <= 0 for y_i = 0, i.e. M theta >= 0 for the (N, n) matrix M
+    of rows s_i x_i^T with s_i = 2 y_i - 1.  A scipy-free certificate
+    (:func:`_certify_nonseparable`) settles most nonseparable M of full
+    column rank, with margin -0.0: theta = 0 attains the margin 0, the
+    certificate rules out a larger one, and -0.0 is what the LP returns
+    there.  Any other M goes to the linear programs of
+    :func:`_separability_by_lp`, which import ``scipy.optimize``.
     """
+    M = ((2.0 * model.y - 1.0) * model.X).T  # (N, n), rows sign_i * x_i^T
+    if _certify_nonseparable(M):
+        return SeparabilityReport(False, -0.0)
+    return _separability_by_lp(M)
+
+
+# descent steps of the certificate; a separable M never certifies, so
+# this bounds the work done before the LP
+_CERTIFICATE_STEPS = 1000
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)).  It only weighs the certificate's rows, so it
+    need not give scipy.special.expit's bits."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _certify_nonseparable(M: np.ndarray) -> bool:
+    """True when a Gordan-Stiemke certificate shows that no theta != 0 has
+    M theta >= 0; False decides nothing.
+
+    If lambda > 0 has lambda_min sigma_min(M) > |M^T lambda|, such a theta
+    would give lambda^T M theta >= lambda_min sigma_min(M) |theta| >
+    |M^T lambda| |theta| >= lambda^T M theta.  The weights are
+    lambda_i = sigmoid(-(M theta)_i) along gradient descent on the
+    logistic loss J from theta = 0 with step 1/L, for which
+    M^T lambda = -N grad J(theta), so the test tightens as the descent
+    converges; it stops after ``_CERTIFICATE_STEPS`` steps.
+
+    M is first scaled by a power of two to a largest entry in [1/2, 1),
+    which changes no sign pattern of M theta; a scaling that is not exact
+    (entries spread past the float range) is refused.  Rounding: a
+    computed singular value lies within p(N, n) eps |M|_2 of the exact one
+    (LAPACK Users' Guide, sec. 4.9), taken here as
+    tol = 10 max(N, n) eps sigma_max; M is refused unless its computed
+    sigma_min exceeds 2 tol, and sigma_min - tol stands for sigma_min.
+    The computed M^T lambda lies within gamma_N |M|^T lambda of the exact
+    one, gamma_N = N u / (1 - N u) with u = eps / 2 (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, sec. 3.5); norms are
+    taken by ``math.hypot``, which does not underflow, and the test
+    doubles the bounded norm to absorb its own rounding.
+    """
+    N, n = M.shape
+    if N < n:
+        return False
+    exponent = np.frexp(np.abs(M).max())[1]
+    scaled = np.ldexp(M, -exponent)
+    if not np.array_equal(np.ldexp(scaled, exponent), M):
+        return False
+    M = scaled
+    sv = np.linalg.svd(M, compute_uv=False)
+    eps = np.finfo(float).eps
+    tol = 10.0 * max(N, n) * eps * sv[0]
+    if not sv[-1] > 2.0 * tol:
+        return False
+    sigma_min = sv[-1] - tol
+    u = N * eps / 2.0
+    gamma = u / (1.0 - u)
+    abs_M = np.abs(M)
+    step = 4.0 / sv[0] ** 2  # N / L with L = sigma_max^2 / (4N)
+    theta = np.zeros(n)
+    for _ in range(_CERTIFICATE_STEPS):
+        lam = _sigmoid(-(M @ theta))
+        g = M.T @ lam
+        bound = math.hypot(*g) + gamma * math.hypot(*(abs_M.T @ lam))
+        if lam.min() * sigma_min > 2.0 * bound:
+            return True
+        theta = theta + step * g
+    return False
+
+
+def _separability_by_lp(M: np.ndarray) -> SeparabilityReport:
+    """Decide separability of M by maximizing the minimum signed margin t
+    over the box |theta|_inf <= 1 (strictly separable iff t > 0, with
+    margins up to 1e-9 read as 0), then probing the boundary cone for
+    nonzero weakly separating directions when t = 0."""
     from scipy.optimize import linprog
 
-    n, N = model.n_features, model.n_samples
-    signs = 2.0 * model.y - 1.0
-    M = (signs * model.X).T  # (N, n), rows sign_i * x_i^T
+    N, n = M.shape
 
     # variables (theta, t): maximize t s.t. M theta >= t
     res = linprog(c=np.r_[np.zeros(n), -1.0],

@@ -432,6 +432,43 @@ def test_scipy_free_run_loads_no_scipy(tmp_path):
             f"{str(tmp_path / stem)!r}]) == 0") == []
 
 
+@pytest.mark.parametrize("name", ["logistic-overdamped",
+                                  "logistic-underdamped", "pl-envelope"])
+def test_dataset_run_loads_no_scipy_optimize(name, tmp_path):
+    # the certificate settles the shipped dataset (the logistic oracles
+    # may still load scipy.special)
+    config = tmp_path / f"{name}.ini"
+    config.write_text(f"[experiment]\nname = {name}\noutput = out\n"
+                      + TINY_CONFIGS[name].format(
+                          csv=CONFIGS / "logistic_demo.csv"))
+    loaded = modules_after(
+        "from nsslab.cli import main\n"
+        f"assert main(['run', {str(config)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}]) in (0, 1)")
+    assert [m for m in loaded if m.startswith("scipy.optimize")] == []
+
+
+# a separable dataset, and one whose M has rank 1
+UNCERTIFIED_DATASETS = {"separable": "1,0,1\n2,1,1\n-1,0,0\n-2,-1,0\n",
+                        "rank-deficient": "1,1,1\n-1,-1,1\n1,1,0\n-1,-1,0\n"}
+
+
+@pytest.mark.parametrize("rows", list(UNCERTIFIED_DATASETS.values()),
+                         ids=list(UNCERTIFIED_DATASETS))
+def test_uncertified_dataset_run_loads_scipy_optimize(rows, tmp_path):
+    # the linear programs decide what the certificate cannot; run then
+    # exits 2 before any output
+    (tmp_path / "data.csv").write_text("x1,x2,label\n" + rows)
+    config = tmp_path / "pl-envelope.ini"
+    config.write_text("[experiment]\nname = pl-envelope\noutput = out\n"
+                      "[problem]\ndataset = data.csv\n")
+    assert "scipy.optimize" in modules_after(
+        "from nsslab.cli import main\n"
+        f"assert main(['run', {str(config)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}]) == 2")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["lqr-po-overdamped", "lqr-po-underdamped"])
 def test_scalar_lqr_run_loads_no_scipy(name, tmp_path):
     # a scalar problem's stabilizability has a closed form

@@ -1,5 +1,7 @@
 """Unit tests for objective oracles, logistic regression, and PL envelopes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -15,6 +17,9 @@ from nsslab.objectives import (LogisticModel, check_nonseparable,
 
 from helpers import gradient_bound_check, random_stabilizing_gains
 
+DEMO_CSV = (Path(__file__).resolve().parent.parent / "configs"
+            / "logistic_demo.csv")
+
 
 def demo_model(n=2, N=200, seed=42):
     rng = np.random.default_rng(seed)
@@ -23,6 +28,40 @@ def demo_model(n=2, N=200, seed=42):
     X = np.vstack([X1, X0]).T
     y = np.r_[np.ones(N // 2), np.zeros(N // 2)]
     return LogisticModel(X=X, y=y)
+
+
+def _logistic(X, y) -> LogisticModel:
+    return LogisticModel(X=np.array(X, dtype=float).T,
+                         y=np.array(y, dtype=float))
+
+
+# separability cases, each with whether the scipy-free certificate settles
+# it (rows of X are samples here)
+ROUTE_CASES = {
+    "shipped-demo": (load_logistic_csv(str(DEMO_CSV)), True),
+    "separable-pair": (_logistic([[-1], [1]], [0, 1]), False),
+    "separable-4-rows": (_logistic([[1, 0], [2, 1], [-1, 0], [-2, -1]],
+                                   [1, 1, 0, 0]), False),
+    "duplicate-x": (_logistic([[0.5], [0.5]], [0, 1]), True),
+    "xor": (_logistic([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1, 1, 0, 0]),
+            True),
+    "xor-with-origin": (_logistic([[0, 0], [0, 1], [1, 0], [1, 1]],
+                                  [0, 1, 1, 0]), True),
+    # theta = (1, 1) separates the two axes strictly
+    "axes": (_logistic([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0]),
+             False),
+    # theta = (0, 1) separates weakly, and no direction strictly
+    "weakly-separable": (_logistic([[1, 0], [-1, 0], [0, 1]], [1, 1, 1]),
+                         False),
+    # M has rank 1, and theta = (1, -1) gives M theta = 0; its computed
+    # sigma_min is of order 1e-17, not 0
+    "rank-deficient": (_logistic([[1, 1], [-1, -1], [1, 1], [-1, -1]],
+                                 [1, 1, 0, 0]), False),
+    "opposite-labels": (_logistic([[1, 2], [1, 2], [-1, 1], [-1, 1]],
+                                  [1, 0, 1, 0]), True),
+    "fewer-samples-than-features": (_logistic([[1, 0, 3], [2, 1, 1]],
+                                              [1, 0]), False),
+}
 
 
 class TestQuadratic:
@@ -188,6 +227,49 @@ class TestSeparability:
 
     def test_demo_dataset_not_separable(self):
         assert not check_nonseparable(demo_model()).separable
+
+    @pytest.mark.parametrize("name", list(ROUTE_CASES))
+    def test_certificate_agrees_with_lp(self, name):
+        # the certificate only ever answers "nonseparable"; the LP is
+        # called directly as the reference
+        model, certified = ROUTE_CASES[name]
+        M = ((2.0 * model.y - 1.0) * model.X).T
+        lp = objectives._separability_by_lp(M)
+        assert objectives._certify_nonseparable(M) == certified
+        assert not (certified and lp.separable)
+        report = check_nonseparable(model)
+        assert report.separable == lp.separable
+        if certified:
+            # the margin the LP prints, sign bit included
+            assert report.margin == lp.margin == 0.0
+            assert np.signbit(report.margin) and np.signbit(lp.margin)
+        # a power-of-two scale moves no sign of M theta, nor the verdict
+        for scale in (2.0**-1000, 2.0**1000):
+            assert objectives._certify_nonseparable(scale * M) == certified
+
+    def test_separable_check_stops_the_descent_at_its_cap(self,
+                                                          monkeypatch):
+        # the 4-row separable set of the CLI tests: the descent never
+        # certifies it, so it runs to the cap and then hands over to the LP
+        import scipy.optimize
+
+        model, _ = ROUTE_CASES["separable-4-rows"]
+        weighings, at_lp = [0], []
+        sigmoid, linprog = objectives._sigmoid, scipy.optimize.linprog
+
+        def counted_sigmoid(z):
+            weighings[0] += 1
+            return sigmoid(z)
+
+        def counted_linprog(*args, **kwargs):
+            at_lp.append(weighings[0])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(objectives, "_sigmoid", counted_sigmoid)
+        monkeypatch.setattr(scipy.optimize, "linprog", counted_linprog)
+        assert check_nonseparable(model).separable
+        assert at_lp and at_lp[0] == objectives._CERTIFICATE_STEPS
+        assert weighings[0] == objectives._CERTIFICATE_STEPS
 
 
 class TestEnvelope:
