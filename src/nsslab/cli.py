@@ -164,14 +164,19 @@ def _solve_lqr(v) -> None:
 
 def _check_nonseparable(v) -> None:
     """A ConfigError when some direction separates the labels of the
-    config's dataset, which leaves the logistic loss without a minimizer.
+    config's dataset, which leaves the logistic loss without a minimizer,
+    or when its features cannot be scaled exactly to decide that.
     A scipy-free certificate settles most nonseparable datasets of full
     rank, the shipped one among them; any other falls back to linear
     programs that load ``scipy.optimize``, so ``run`` makes this check
     and ``validate`` does not.  The report stays in ``v.separability``
     for the experiment."""
     if hasattr(v, "dataset"):
-        v.separability = sep = objectives.check_nonseparable(v.dataset)
+        try:
+            v.separability = sep = objectives.check_nonseparable(v.dataset)
+        except ValueError as exc:
+            raise ConfigError(f"[problem] dataset {v.dataset_path}: "
+                              f"{exc}") from exc
         if sep.separable:
             raise ConfigError(f"[problem] dataset {v.dataset_path}: the "
                               f"labels are separable (margin "

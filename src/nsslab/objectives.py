@@ -253,7 +253,8 @@ def logistic_lipschitz_constant(model: LogisticModel) -> float:
 
 def fit_theta_star(model: LogisticModel) -> np.ndarray:
     """Minimizer by explicit-Euler gradient flow with step 1/L, run until
-    |grad| <= 1e-10 (at most 2,000,000 steps).
+    |grad| <= 1e-10 or until a step leaves theta unchanged (at most
+    2,000,000 steps); a non-finite gradient raises RuntimeError.
 
     Nonseparability makes the loss coercive and strict convexity (full row
     rank) makes the minimizer unique; descent from zero converges.
@@ -267,7 +268,12 @@ def fit_theta_star(model: LogisticModel) -> np.ndarray:
         g = logistic_gradient(model, theta)
         if np.linalg.norm(g) <= 1e-10:
             return theta
-        theta = theta - step * g
+        if not np.isfinite(g).all():
+            raise RuntimeError("gradient flow met a non-finite gradient")
+        moved = theta - step * g
+        if np.array_equal(moved, theta):
+            return theta
+        theta = moved
     raise RuntimeError("gradient flow did not reach |grad| <= 1e-10; "
                        f"last norm {np.linalg.norm(g):g} (separable data?)")
 
@@ -302,11 +308,21 @@ def check_nonseparable(model: LogisticModel) -> SeparabilityReport:
     certificate rules out a larger one, and -0.0 is what the LP returns
     there.  Any other M goes to the linear programs of
     :func:`_separability_by_lp`, which import ``scipy.optimize``.
+    Both read M times a power of two, to a largest entry in [1/2, 1), so
+    the LP's tolerances are relative and its margin is scaled back; a
+    scaling that is not exact raises ValueError.
     """
     M = ((2.0 * model.y - 1.0) * model.X).T  # (N, n), rows sign_i * x_i^T
-    if _certify_nonseparable(M):
+    exponent = np.frexp(np.abs(M).max())[1]
+    scaled = np.ldexp(M, -exponent)
+    if not np.array_equal(np.ldexp(scaled, exponent), M):
+        raise ValueError("the features span too many orders of magnitude "
+                         "to scale by a power of two exactly")
+    if _certify_nonseparable(scaled):
         return SeparabilityReport(False, -0.0)
-    return _separability_by_lp(M)
+    lp = _separability_by_lp(scaled)
+    return SeparabilityReport(lp.separable,
+                              float(np.ldexp(lp.margin, exponent)))
 
 
 # descent steps of the certificate; a separable M never certifies, so
@@ -333,9 +349,7 @@ def _certify_nonseparable(M: np.ndarray) -> bool:
     M^T lambda = -N grad J(theta), so the test tightens as the descent
     converges; it stops after ``_CERTIFICATE_STEPS`` steps.
 
-    M is first scaled by a power of two to a largest entry in [1/2, 1),
-    which changes no sign pattern of M theta; a scaling that is not exact
-    (entries spread past the float range) is refused.  Rounding: a
+    M comes scaled as :func:`check_nonseparable` scales it.  Rounding: a
     computed singular value lies within p(N, n) eps |M|_2 of the exact one
     (LAPACK Users' Guide, sec. 4.9), taken here as
     tol = 10 max(N, n) eps sigma_max; M is refused unless its computed
@@ -349,11 +363,6 @@ def _certify_nonseparable(M: np.ndarray) -> bool:
     N, n = M.shape
     if N < n:
         return False
-    exponent = np.frexp(np.abs(M).max())[1]
-    scaled = np.ldexp(M, -exponent)
-    if not np.array_equal(np.ldexp(scaled, exponent), M):
-        return False
-    M = scaled
     sv = np.linalg.svd(M, compute_uv=False)
     eps = np.finfo(float).eps
     tol = 10.0 * max(N, n) * eps * sv[0]
@@ -494,7 +503,8 @@ def verify_pl(obj: Objective, envelope: ScalarClassFunction,
 def load_logistic_csv(path: str) -> LogisticModel:
     """Dataset CSV: feature columns then one 0/1 label column, with header.
 
-    A file that holds no such table raises a one-line ValueError.
+    A file that holds no such table, or features whose gradient Lipschitz
+    constant |X X^T| / (4N) is not finite, raises a one-line ValueError.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -504,4 +514,9 @@ def load_logistic_csv(path: str) -> LogisticModel:
     data = np.array(rows)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError("need at least one feature and a label column")
-    return LogisticModel(X=data[:, :-1].T, y=data[:, -1])
+    model = LogisticModel(X=data[:, :-1].T, y=data[:, -1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(logistic_lipschitz_constant(model)):
+            raise ValueError("the features overflow |X X^T| / (4N), the "
+                             "gradient's Lipschitz constant")
+    return model

@@ -215,7 +215,6 @@ class TrajectoryPath:
 
     times: np.ndarray
     states: np.ndarray
-    seed: int
     exited_domain: bool = False
     blowup: bool = False
 
@@ -226,18 +225,16 @@ class TrajectoryEnsemble:
 
     ``states`` has shape (N, R, n) when the states were recorded, and
     (N, 0, n) when the caller reduced them on the fly instead.  Entries
-    at or past a path's exit hold the last valid state; use
-    ``valid_counts`` (number of valid recorded entries per path) to mask
-    them.
+    at or past a path's exit hold the last valid state; ``valid_counts``
+    (each path's records while active) masks them, ``exited`` (~active at
+    the end) flags domain exits and blow-ups, and ``blowup`` the latter.
     """
 
     times: np.ndarray
     states: np.ndarray
-    seeds: np.ndarray
     valid_counts: np.ndarray
     exited: np.ndarray
     blowup: np.ndarray
-    exit_steps: np.ndarray
     dt: float
 
 
@@ -399,7 +396,7 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
 
     ``schedule`` is one schedule for every row, or a stack's list of
     (schedule, rows) blocks of stackable schedules, in row order.  Returns
-    (times, states, valid_counts, exited, blowup, exit_steps); ``states``
+    the ensemble's (times, states, valid_counts, exited, blowup); ``states``
     is the dense (B, R, n) record when ``reducers`` is None and an empty
     (B, 0, n) array otherwise.
     """
@@ -417,9 +414,10 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
     z = np.array(x0s, dtype=float)
     active = np.ones(B, dtype=bool)
     all_active = True
-    exited = np.zeros(B, dtype=bool)
     blowup = np.zeros(B, dtype=bool)
-    exit_steps = np.full(B, -1, dtype=np.int64)
+    valid = np.zeros(B, dtype=np.int64)  # records at which a path is active
+    reducers = [*reducers,
+                lambda i, t, z, alive: np.add(valid, alive, out=valid)]
     for reduce in reducers:
         reduce(0, times[0], z, active)
 
@@ -453,7 +451,7 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
     step = piece_end = 0
     if quiet and B == 1 and model.point_drift is not None:
         _point_steps(model.point_drift, z[0], dt, nsteps, rec_lookup, times,
-                     reducers, exited, blowup, exit_steps)
+                     reducers, active, blowup)
         step = nsteps  # the float loop took every step
     while step < nsteps:
         c = min(chunk, nsteps - step)
@@ -503,14 +501,9 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
                 # a row failed or a path has left: exit bookkeeping on the
                 # masks already computed; some path is inactive afterwards
                 row_within = np.logical_and.reduce(within, axis=1)
-                valid = row_within if inside is None else row_within & inside
-                newly_dead = active & ~valid
-                if np.count_nonzero(newly_dead):
-                    exited |= newly_dead
-                    blowup |= active & ~row_within
-                    exit_steps[newly_dead] = step
-                    active &= valid
-                    all_active = False
+                blowup |= active & ~row_within
+                active &= row_within if inside is None else row_within & inside
+                all_active = False
                 z = np.where(active[:, None], z_new, z)
 
             ri = next_record(step)
@@ -518,34 +511,31 @@ def _simulate_batch(model: DiffusionModel, schedule, x0s: np.ndarray,
                 for reduce in reducers:
                     reduce(ri, times[ri], z, active)
 
-    # a path is valid at the records before its exit step
-    valid_counts = np.where(exited, np.searchsorted(rec_steps, exit_steps),
-                            rec_steps.size)
     states = np.empty((B, 0, n)) if recorder is None else recorder.states
-    return times, states, valid_counts, exited, blowup, exit_steps
+    return times, states, valid, ~active, blowup
 
 
 def _point_steps(point_drift, x0, dt, nsteps, records, times, reducers,
-                 exited, blowup, exit_steps) -> None:
+                 active, blowup) -> None:
     """The float loop of a quiet one-path run (module docstring), feeding
     the reducers at ``records`` (step -> index); exits as the array loop."""
-    x, active = tuple(x0.tolist()), True
+    x, alive = tuple(x0.tolist()), True
     d = point_drift(x)
     for step in range(1, nsteps + 1):
-        if active:  # a path that has left keeps its last valid state
+        if alive:  # a path that has left keeps its last valid state
             u = tuple([xi + di * dt + 0.0 for xi, di in zip(x, d)])
             within = all([abs(ui) <= BLOWUP_LIMIT for ui in u])  # NaN fails
             d_new = point_drift(u)
             if within and d_new is not None:
                 x, d = u, d_new
             else:
-                active = False
-                exited[0], blowup[0], exit_steps[0] = True, not within, step
+                alive = active[0] = False
+                blowup[0] = not within
         i = records.get(step)
         if i is not None:
-            z, alive = np.array([x]), np.array([active])
+            z = np.array([x])
             for reduce in reducers:
-                reduce(i, times[i], z, alive)
+                reduce(i, times[i], z, active)
 
 
 def simulate_path(model: DiffusionModel, schedule: CovarianceSchedule,
@@ -554,10 +544,10 @@ def simulate_path(model: DiffusionModel, schedule: CovarianceSchedule,
     """Integrate one path; a pure function of its arguments."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     _validate_sim_args(model, [schedule], x0[None], dt, T, store_every)
-    times, states, valid, exited, blowup, _ = _simulate_batch(
+    times, states, valid, exited, blowup = _simulate_batch(
         model, schedule, x0[None], dt, T, [seed], store_every)
     c = int(valid[0])
-    return TrajectoryPath(times=times[:c], states=states[0, :c], seed=int(seed),
+    return TrajectoryPath(times=times[:c], states=states[0, :c],
                           exited_domain=bool(exited[0]), blowup=bool(blowup[0]))
 
 
@@ -572,11 +562,11 @@ def simulate_ensemble(model: DiffusionModel, schedule, x0, dt: float,
     integrates a stack (see the module docstring), one block per
     schedule, in one batch: N is then the path count of every block, or a
     sequence of E ranges of consecutive path indices, block e running the
-    paths of ``N[e]`` from their rows of ``x0``.  A failed path (domain exit or blow-up) is retained
-    with its exit flag.  Without ``reducers`` every recorded state is
-    kept; with them (see the module docstring) the states go only to the
-    reducers, which see every row of the batch, and the ensemble's
-    ``states`` is an empty (B, 0, n) array.
+    paths of ``N[e]`` from their rows of ``x0``.  A failed path (domain
+    exit or blow-up) is retained with its exit flags.  Without
+    ``reducers`` every recorded state is kept; with them (see the module
+    docstring) the states go only to the reducers, which see every row of
+    the batch, and the ensemble's ``states`` is an empty (B, 0, n) array.
     """
     blocks = ([schedule] if isinstance(schedule, CovarianceSchedule)
               else list(schedule))
@@ -598,12 +588,11 @@ def simulate_ensemble(model: DiffusionModel, schedule, x0, dt: float,
     _validate_sim_args(model, blocks, x0s, dt, T, store_every)
     seeds = np.concatenate([derive_path_seeds(s, p.start, p.stop)
                             for s, p in zip(masters, paths)])
-    times, states, valid, exited, blowup, exit_steps = _simulate_batch(
+    times, states, valid, exited, blowup = _simulate_batch(
         model, [(s, len(p)) for s, p in zip(blocks, paths)], x0s, dt, T,
         seeds, store_every, reducers)
-    return TrajectoryEnsemble(times=times, states=states, seeds=seeds,
-                              valid_counts=valid, exited=exited, blowup=blowup,
-                              exit_steps=exit_steps, dt=dt)
+    return TrajectoryEnsemble(times=times, states=states, valid_counts=valid,
+                              exited=exited, blowup=blowup, dt=dt)
 
 
 def _check_horizon(schedule: CovarianceSchedule, t: float) -> None:

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -49,6 +50,21 @@ T = 100
 master_seed = 7
 store_every = 100
 """
+
+
+def scaled_demo(scale) -> np.ndarray:
+    """The shipped dataset's rows with every feature times ``scale``."""
+    rows = np.loadtxt(DEMO_CSV, delimiter=",", skiprows=1)
+    rows[:, :-1] *= scale
+    return rows
+
+
+def write_dataset(path, rows) -> None:
+    """A two-feature dataset CSV whose cells read back bit for bit."""
+    with open(path, "w") as fh:
+        fh.write("x1,x2,label\n")
+        fh.writelines(f"{float(a)!r},{float(b)!r},{int(y)}\n"
+                      for a, b, y in rows)
 
 
 def exits_2_with_one_line(capsys, argv, out) -> str:
@@ -481,6 +497,48 @@ class TestSchema:
         assert "separable" in lines[0], lines
         assert captured.out == ""
         assert not out.exists()
+
+    # datasets at the ends of the float range, each with the commands that
+    # reject it and a word of the one line they print: a separable set whose
+    # unscaled margin LP failed (HiGHS "Model error"), features whose scaling
+    # by a power of two loses a subnormal entry, and the demo at 1e300,
+    # whose X X^T overflows
+    EXTREME_DATASETS = {
+        "separable-1e16": ([[1e16, 2e16, 1], [-1e16, 1e15, 0],
+                            [3e15, -1e16, 1]], ["run"], "separable"),
+        "inexact-scaling": ([[1e10, 5e-324, 1], [-1, 1, 0], [1, -1, 1]],
+                            ["run"], "power of two"),
+        "demo-1e300": (1e300, ["validate", "run"], "overflow")}
+
+    @pytest.mark.parametrize("case", list(EXTREME_DATASETS))
+    def test_extreme_scale_dataset_exits_2_before_any_output(self, tmp_path,
+                                                             capsys, case):
+        rows, commands, word = self.EXTREME_DATASETS[case]
+        if np.ndim(rows) == 0:
+            rows = scaled_demo(rows)
+        write_dataset(tmp_path / "data.csv", rows)
+        cfg = write_config(tmp_path, "pl-envelope",
+                           "[problem]\ndataset = data.csv\n")
+        out = tmp_path / "o"
+        assert main(["validate", cfg]) == (2 if "validate" in commands
+                                           else 0)
+        capsys.readouterr()
+        line = exits_2_with_one_line(capsys, ["run", cfg, "--out", str(out)],
+                                     out)
+        assert line.startswith("error: [problem] dataset "), line
+        assert word in line, line
+
+    def test_large_scale_demo_fits_at_once(self, tmp_path):
+        # the demo's features times 1e8: nonseparable and certified, but
+        # |grad| <= 1e-10 is out of reach at that scale; the fit stops at
+        # the step that leaves theta unchanged instead of running 2e6 steps
+        write_dataset(tmp_path / "data.csv", scaled_demo(1e8))
+        cfg = write_config(tmp_path, "pl-envelope",
+                           "[problem]\ndataset = data.csv\n"
+                           "[dynamics]\nn_dirs = 8\n")
+        start = time.perf_counter()
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     @pytest.mark.parametrize("experiment", DATASET_EXPERIMENTS)

@@ -49,10 +49,6 @@ UNREAD_MEMBERS_ALLOWED = {
                       "acceptance tests check",
     "LqrPlProfile.Pstar": "P at K*, checked by the LQR tests",
     "LqrPlProfile.Ystar": "Y at K*, checked by the LQR tests",
-    "TrajectoryEnsemble.seeds": "the shard and reference tests compare "
-                                "ensembles field by field",
-    "TrajectoryEnsemble.exit_steps": "the shard and reference tests compare "
-                                     "ensembles field by field",
     "TrajectoryEnsemble.valid_counts": "the shard and reference tests "
                                        "compare ensembles field by field",
     "TrajectoryEnsemble.exited": "the shard and reference tests compare "
@@ -61,7 +57,6 @@ UNREAD_MEMBERS_ALLOWED = {
     "TrajectoryEnsemble.blowup": "read by perfbench",
     "TrajectoryPath.blowup": "read by perfbench",
     "TrajectoryPath.exited_domain": "read by perfbench",
-    "TrajectoryPath.seed": "read by perfbench",
     "_PathKey.generate_state": "read by numpy's Philox, which takes its key "
                                "from its seed sequence",
     "Objective.label": "read by perfbench's per-layer metric names",

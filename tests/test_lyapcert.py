@@ -192,7 +192,7 @@ class TestEntryExit:
     def test_intervals_on_synthetic_path(self):
         from nsslab.sde import TrajectoryPath
         states = np.array([[2.0], [0.5], [0.3], [1.8], [0.2]])
-        path = TrajectoryPath(times=np.arange(5.0), states=states, seed=0)
+        path = TrajectoryPath(times=np.arange(5.0), states=states)
         V = half_square()
         # V = 2, 0.125, 0.045, 1.62, 0.02; threshold 0.5
         out = entry_exit_times(path, V, 0.5)

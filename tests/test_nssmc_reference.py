@@ -176,11 +176,10 @@ def reference_simulate_ensemble(model: DiffusionModel, schedule: CovarianceSched
     reference_validate_sim_args(model, x0s, dt, T, store_every)
     seeds = np.array([reference_path_seed(master_seed, k) for k in range(N)],
                      dtype=np.uint64)
-    times, states, valid, exited, blowup, exit_steps = reference_simulate_batch(
+    times, states, valid, exited, blowup, _ = reference_simulate_batch(
         model, schedule, x0s, dt, T, seeds, store_every)
-    return TrajectoryEnsemble(times=times, states=states, seeds=seeds,
-                              valid_counts=valid, exited=exited, blowup=blowup,
-                              exit_steps=exit_steps, dt=dt)
+    return TrajectoryEnsemble(times=times, states=states, valid_counts=valid,
+                              exited=exited, blowup=blowup, dt=dt)
 
 
 def reference_validate_sim_args(model, x0s, dt, T, store_every):
@@ -500,7 +499,7 @@ def test_batch_across_ensembles_matches_dense_route(tiles, monkeypatch):
     rows = 0
     for ens, p in zip(ensembles, paths):
         block = slice(rows, rows + len(p))
-        for name in ("states", "seeds", "valid_counts", "exited"):
+        for name in ("states", "valid_counts", "exited"):
             assert np.array_equal(getattr(stack, name)[block],
                                   getattr(ens, name)[p.start:p.stop])
         rows += len(p)
@@ -518,8 +517,7 @@ def test_exceedance_matches_dense_route(case, tiles):
     pairs = [(b, w) for b in bounds for w in windows]
     for j in range(len(exp.schedule_family)):
         ref_ens, ens = dense_pair(exp, j)
-        for name in ("times", "states", "valid_counts", "exited", "blowup",
-                     "exit_steps", "seeds"):
+        for name in ("times", "states", "valid_counts", "exited", "blowup"):
             assert np.array_equal(getattr(ens, name), getattr(ref_ens, name))
         live = [Exceedance(exp.V, b, times, exp.N, w) for b, w in pairs]
         reduced = simulate_ensemble(

@@ -202,6 +202,26 @@ class TestFitThetaStar:
         theta = fit_theta_star(model)
         assert np.linalg.norm(logistic_gradient(model, theta)) <= 1e-10
 
+    def test_stops_where_a_step_leaves_theta_unchanged(self):
+        # at features times 1e8 the gradient norm stalls near 2.5e-9, above
+        # the 1e-10 stop, while the steps stop moving theta
+        model = load_logistic_csv(str(DEMO_CSV))
+        big = LogisticModel(X=1e8 * model.X, y=model.y)
+        theta = fit_theta_star(big)
+        step = 1.0 / logistic_lipschitz_constant(big)
+        g = logistic_gradient(big, theta)
+        assert np.linalg.norm(g) > 1e-10
+        assert np.array_equal(theta - step * g, theta)
+        assert np.allclose(1e8 * theta, fit_theta_star(model), rtol=1e-6)
+
+    def test_non_finite_gradient_raises(self):
+        # X X^T overflows, so L and the first step are NaN
+        demo = load_logistic_csv(str(DEMO_CSV))
+        model = LogisticModel(X=1e300 * demo.X, y=demo.y)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError,
+                                                      match="non-finite"):
+            fit_theta_star(model)
+
     def test_objective_wiring(self):
         model = demo_model()
         obj = logistic_objective(model)
@@ -243,9 +263,35 @@ class TestSeparability:
             # the margin the LP prints, sign bit included
             assert report.margin == lp.margin == 0.0
             assert np.signbit(report.margin) and np.signbit(lp.margin)
-        # a power-of-two scale moves no sign of M theta, nor the verdict
+        # a power-of-two scale moves no sign of M theta, nor the verdict of
+        # either route, which both read M scaled, nor the margin's digits
         for scale in (2.0**-1000, 2.0**1000):
-            assert objectives._certify_nonseparable(scale * M) == certified
+            again = check_nonseparable(LogisticModel(X=scale * model.X,
+                                                     y=model.y))
+            assert again.separable == report.separable
+            assert again.margin == scale * report.margin
+
+    def test_lp_reads_the_scaled_m(self, monkeypatch):
+        # the LP's absolute tolerances, applied to the unscaled M, called
+        # XOR at 1e-300 separable and failed on the rows near 1e300
+        monkeypatch.setattr(objectives, "_certify_nonseparable",
+                            lambda M: False)
+        xor = _logistic([[1e-300, 1e-300], [-1e-300, -1e-300],
+                         [1e-300, -1e-300], [-1e-300, 1e-300]], [1, 1, 0, 0])
+        report = check_nonseparable(xor)
+        assert not report.separable
+        assert report.margin == 0.0 and np.signbit(report.margin)
+        # theta = (1, 0) gives the margin 3e299 on every row
+        near_max = _logistic([[1e300, 2e300], [-1e300, 1e299],
+                              [3e299, -1e300]], [1, 0, 1])
+        report = check_nonseparable(near_max)
+        assert report.separable and report.margin >= 3e299 * (1 - 1e-9)
+
+    def test_inexact_scaling_is_refused(self):
+        # 5e-324 times 2**-34 rounds to 0
+        with pytest.raises(ValueError, match="power of two"):
+            check_nonseparable(_logistic([[1e10, 5e-324], [-1, 1], [1, -1]],
+                                         [1, 0, 1]))
 
     def test_separable_check_stops_the_descent_at_its_cap(self,
                                                           monkeypatch):

@@ -672,7 +672,7 @@ class TestReferenceIntegrator:
 
     DT, T, STORE = 1e-3, 0.2, 7  # 200 steps
 
-    def _run(self, case, B, small_chunks, monkeypatch):
+    def _run(self, case, B, small_chunks, monkeypatch, store_every=STORE):
         if small_chunks:
             # 64-step chunks (the floor): 64 + 64 + 64 + 8 steps, and
             # path tiles of 17 (m = 1) or 8 (m = 2) paths with a partial
@@ -686,7 +686,7 @@ class TestReferenceIntegrator:
             x0s = np.tile(np.asarray(x0, dtype=float), (B, 1))
         seeds = np.array([reference_path_seed(11, k) for k in range(B)],
                          dtype=np.uint64)
-        args = (model, schedule, x0s, self.DT, self.T, seeds, self.STORE)
+        args = (model, schedule, x0s, self.DT, self.T, seeds, store_every)
         return sde._simulate_batch(*args), reference_simulate_batch(*args)
 
     @pytest.mark.parametrize("small_chunks", [False, True])
@@ -694,6 +694,9 @@ class TestReferenceIntegrator:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_matches_reference(self, case, B, small_chunks, monkeypatch):
         got, ref = self._run(case, B, small_chunks, monkeypatch)
+        # every field but the reference's exit steps, which the integrator
+        # does not keep
+        assert len(got) == len(ref) - 1
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
@@ -704,19 +707,23 @@ class TestReferenceIntegrator:
                                       "zero-domain-exit", "zero-blowup",
                                       "lqr-domain-exit", "exit-and-blowup"])
     def test_exits_fall_inside_chunks(self, case, monkeypatch):
-        (_, _, valid, exited, blowup, steps), _ = self._run(
-            case, 300, True, monkeypatch)
+        # recorded at every step, an exited path's valid count is its exit
+        # step
+        (_, _, steps, exited, blowup), ref = self._run(
+            case, 300, True, monkeypatch, store_every=1)
+        assert np.array_equal(steps[exited], ref[5][exited])
         assert exited.sum() >= 10
         assert blowup.any() == (not case.endswith("domain-exit"))
         assert np.any(steps[exited] % 64 != 0)
         assert np.unique(steps[exited] // 64).size >= 2
-        assert np.any(valid < valid.max())
+        assert np.any(steps < steps.max())
 
     @pytest.mark.parametrize("small_chunks", [False, True])
     def test_domain_exit_and_blowup_on_one_step(self, small_chunks,
                                                 monkeypatch):
-        (_, _, _, exited, blowup, steps), _ = self._run(
-            "exit-and-blowup", 300, small_chunks, monkeypatch)
+        (_, _, steps, exited, blowup), ref = self._run(
+            "exit-and-blowup", 300, small_chunks, monkeypatch, store_every=1)
+        assert np.array_equal(steps[exited], ref[5][exited])
         both = np.intersect1d(steps[blowup], steps[exited & ~blowup])
         assert both.size >= 2
 
@@ -738,7 +745,7 @@ class TestReferenceIntegrator:
         got = sde._simulate_batch(model, schedule, *args)
         assert_bitwise(got[1], ref[1])
         assert not np.signbit(got[1][1, 1:]).any()
-        for a, b in zip(got, ref):
+        for a, b in zip(got, ref[:5]):
             assert np.array_equal(a, b)
 
 
@@ -834,7 +841,7 @@ class TestShards:
         seeds = np.array([reference_path_seed(7, k) for k in range(self.N)],
                          dtype=np.uint64)
         tail, exceed = self._reducers(times)
-        _, _, valid, exited, blowup, exit_steps = sde._simulate_batch(
+        _, _, valid, exited, blowup = sde._simulate_batch(
             model, schedule, x0s, self.DT, self.T, seeds, self.STORE,
             [tail, exceed])
         assert exited[:4097].any() and exited[4097:].any()
@@ -850,9 +857,8 @@ class TestShards:
             assert ens.states.shape == (hi - lo, 0, 1)
             assert np.array_equal(ens.times, times)
             parts.append(ens)
-        for name, want in (("seeds", seeds), ("valid_counts", valid),
-                           ("exited", exited), ("blowup", blowup),
-                           ("exit_steps", exit_steps)):
+        for name, want in (("valid_counts", valid), ("exited", exited),
+                           ("blowup", blowup)):
             got = np.concatenate([getattr(e, name) for e in parts])
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(got_tail.valid, tail.valid)
@@ -901,8 +907,7 @@ class TestStacks:
                  for s, seed in zip(schedules, seeds)]
         assert stack.states.shape == (35 + 12 + 37, 30, 2)
         assert np.array_equal(stack.times, alone[0].times)
-        for name in ("states", "seeds", "valid_counts", "exited", "blowup",
-                     "exit_steps"):
+        for name in ("states", "valid_counts", "exited", "blowup"):
             got = getattr(stack, name)
             want = np.concatenate([getattr(e, name)[p.start:p.stop]
                                    for e, p in zip(alone, paths)])
@@ -923,7 +928,7 @@ class TestStacks:
         args = (x0s, self.DT, self.T, self.N)
         a = simulate_ensemble(model, [s], *args, [4], store_every=self.STORE)
         b = simulate_ensemble(model, s, *args, 4, store_every=self.STORE)
-        for name in ("states", "seeds", "valid_counts", "exited"):
+        for name in ("states", "valid_counts", "exited"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_reducers_see_every_row(self):
@@ -991,8 +996,7 @@ def quiet_schedule(model, T):
 class TestPointRoute:
     """A quiet one-path run of a model with a point drift steps on Python
     floats and equals the array loop bit for bit: times, every record,
-    valid counts, exit and blow-up flags and exit steps, and every call of
-    a reducer."""
+    valid counts, exit and blow-up flags, and every call of a reducer."""
 
     def assert_routes_agree(self, model, x0, dt, T, store_every):
         """The point route's outcome, checked against the array route's
@@ -1025,7 +1029,7 @@ class TestPointRoute:
         obj = quadratic_objective(np.diag([1.0, 2.0]), np.array([0.5, -1.0]))
         model = build_underdamped(UnderdampedConfig(objective=obj))
         x0 = np.concatenate([obj.minimizer + 1.0, [0.3, -0.2]])
-        times, states, valid, exited, _, _ = self.assert_routes_agree(
+        times, states, valid, exited, _ = self.assert_routes_agree(
             model, x0, 1e-3, 2.0, 7)
         assert times.size == 287 and times[-1] == 2.0 and not exited[0]
         assert np.abs(states[0, -1] - x0).max() > 0.1
@@ -1034,21 +1038,23 @@ class TestPointRoute:
         # starts at every stabilizing gain of boundary_gains, at rest and
         # thrown toward the boundary k = 1: paths that stay, blow up on the
         # first step next to the boundary, and leave the domain later
+        # recorded at every step, an exited path's valid count is its exit
+        # step, and a path that stays is valid at all 51 records
         cfg, model = scalar_lqr_scheduled()
         ks = boundary_gains(1.0, 1.0)[:, 0]
         ks = ks[cfg.objective.domain_test(ks[:, None])]
         outcomes = set()
         for k in ks:
             for v in (0.0, -100.0, -1000.0):
-                *_, exited, blowup, steps = self.assert_routes_agree(
-                    model, [k, v], 1e-3, 0.05, 3)
+                *_, steps, exited, blowup = self.assert_routes_agree(
+                    model, [k, v], 1e-3, 0.05, 1)
                 outcomes.add((bool(exited[0]), bool(blowup[0]),
                               int(steps[0]) > 1))
-        assert outcomes >= {(False, False, False), (True, True, False),
+        assert outcomes >= {(False, False, True), (True, True, False),
                             (True, False, True)}
         # J'' = 2 / (k - 1)^3 puts the first proposal past BLOWUP_LIMIT
-        *_, exited, blowup, steps = self.assert_routes_agree(
-            model, [1.0 + 5e-6, 0.0], 1e-3, 0.05, 3)
+        *_, steps, exited, blowup = self.assert_routes_agree(
+            model, [1.0 + 5e-6, 0.0], 1e-3, 0.05, 1)
         assert exited[0] and blowup[0] and steps[0] == 1
 
     def test_replaced_hessian_drops_the_point_oracle(self):
