@@ -10,7 +10,8 @@ block that puts the noise on the velocity.
 
 Also houses the Lyapunov candidates V2 (mixed quadratic) and V3
 (smoothed-potential form), both f(J - J*) + a <v, grad J> + c |v|^2 / 2,
-the phi ladder that upper-bounds the squared gradient by a function of
+whose noise Hessian (the velocity block of hess V) is c I, the phi
+ladder that upper-bounds the squared gradient by a function of
 suboptimality, and the dissipation-certificate triples of both.
 """
 
@@ -352,37 +353,20 @@ def objective_size_function(obj: Objective) -> SizeFunction:
         evaluate=evaluate)
 
 
-def _third_derivative_contraction(obj: Objective, z: np.ndarray,
-                                  v: np.ndarray) -> np.ndarray:
-    """d/dz of (hess J(z) v) per row of (B, n) batches, by central
-    differences along v; (B, n, n), zero where v = 0."""
-    vn = np.linalg.norm(v, axis=1)
-    eps = 1e-5 * (1.0 + np.linalg.norm(z, axis=1)) / np.where(vn > 0, vn, 1.0)
-    step = eps[:, None] * v
-    H = obj.evaluate(np.concatenate([z + step, z - step]), hessian=True)[2]
-    D = (H[:len(z)] - H[len(z):]) / (2.0 * eps)[:, None, None]
-    return np.where((vn > 0)[:, None, None], D, 0.0)
-
-
 def _mixed_pass(obj: Objective, x, hessian: bool):
-    """(z, v, J(z) - J*, grad J(z), hess J(z) or None) of a (B, 2n) batch
+    """(v, J(z) - J*, grad J(z), hess J(z) or None) of a (B, 2n) batch
     from one joint oracle call."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    z, v = x[:, :obj.dim], x[:, obj.dim:]
-    values, g, H = obj.evaluate(z, hessian=hessian)
-    return z, v, values - obj.optimum_value, g, H
+    v = x[:, obj.dim:]
+    values, g, H = obj.evaluate(x[:, :obj.dim], hessian=hessian)
+    return v, values - obj.optimum_value, g, H
 
 
-def _mixed_blocks(zz, zv, vv):
-    """The (B, 2n, 2n) Hessians [[zz, zv], [zv, vv]] of the (z, v) blocks."""
-    return np.block([[zz, zv], [zv, np.broadcast_to(vv, zz.shape)]])
-
-
-def _momentum_size_function(obj: Objective, f, df, d2f, a: float,
+def _momentum_size_function(obj: Objective, f, df, a: float,
                             c: float) -> SizeFunction:
-    """V = f(h) + a <v, grad J> + c |v|^2 / 2 with h = J - J*; ``df(h)``
-    and ``d2f(h)`` give f'(h) and f''(h), d2f only for Hessians and None
-    for f'' = 0."""
+    """V = f(h) + a <v, grad J> + c |v|^2 / 2 with h = J - J* and
+    ``df(h)`` = f'(h).  The noise drives the velocity alone (G = [0; I]),
+    so the noise Hessian G^T hess V G is c I."""
     n = obj.dim
 
     def combine(h, v, g):
@@ -391,42 +375,31 @@ def _momentum_size_function(obj: Objective, f, df, d2f, a: float,
 
     def value(x):  # any leading shape (a float for one state), no Hessians
         x = np.asarray(x, dtype=float)
-        _, v, h, g, _ = _mixed_pass(obj, x.reshape(-1, x.shape[-1]), False)
+        v, h, g, _ = _mixed_pass(obj, x.reshape(-1, x.shape[-1]), False)
         return combine(h, v, g).reshape(x.shape[:-1])[()]
 
     def evaluate(x, hessian=False):
-        z, v, h, g, H = _mixed_pass(obj, x, True)
-        fp = df(h)
-        grads = np.hstack([fp[:, None] * g + a * np.einsum("bij,bj->bi", H, v),
+        v, h, g, H = _mixed_pass(obj, x, True)
+        grads = np.hstack([df(h)[:, None] * g
+                           + a * np.einsum("bij,bj->bi", H, v),
                            a * g + c * v])
-        if not hessian:
-            return combine(h, v, g), grads, None
-        zz = fp[:, None, None] * H
-        if d2f is not None:
-            zz = d2f(h)[:, None, None] * g[:, :, None] * g[:, None, :] + zz
-        zz = zz + a * _third_derivative_contraction(obj, z, v)
-        return (combine(h, v, g), grads,
-                _mixed_blocks(zz, a * H, c * np.eye(n)))
+        noise = np.broadcast_to(c * np.eye(n), (len(v), n, n))
+        return combine(h, v, g), grads, noise if hessian else None
 
     return SizeFunction(value=value, evaluate=evaluate)
 
 
 def v2_size_function(config: UnderdampedConfig) -> SizeFunction:
     return _momentum_size_function(config.objective, lambda h: h,
-                                   np.ones_like, None, *config.lambdas[:2])
+                                   np.ones_like, *config.lambdas[:2])
 
 
 def v3_size_function(config: UnderdampedConfig) -> SizeFunction:
     phi = config.phi
-    # tabulated phi2'' for the zz Hessian block, which the noise never reads
-    p2pp = np.gradient(phi.phi2_prime(phi.h_fine), phi.h_fine)
-
     # phi2 clamps h at h_max, so it is flat past it
     return _momentum_size_function(
         config.objective, phi.phi2,
-        lambda h: np.where(h > phi.h_max, 0.0, phi.phi2_prime(h)),
-        lambda h: np.where(h > phi.h_max, 0.0,
-                           np.interp(h, phi.h_fine, p2pp)), 1.0, 2.0)
+        lambda h: np.where(h > phi.h_max, 0.0, phi.phi2_prime(h)), 1.0, 2.0)
 
 
 def _pl_modulus(obj: Objective) -> ScalarClassFunction:

@@ -7,10 +7,11 @@ constant noise map G, acting on a size function V is
     L[V](xi, Theta) = <grad V(xi), f(xi)>
                       + 1/2 trace(Theta^T G^T hess V(xi) G Theta).
 
-A size function gives grad V and hess V of a batch in one ``evaluate``
-pass, as :class:`objectives.Objective` does.  The certificates bound the
-second term through K_G = |G|_F, which is sqrt(n) for the identity and
-for the underdamped [0; I] block alike.
+A size function gives grad V and its noise Hessian G^T hess V G (hess V
+for G = I), the only part of hess V the generator reads, of a batch in
+one ``evaluate`` pass.  The certificates bound the second term through
+K_G = |G|_F, which is sqrt(n) for the identity and for the underdamped
+[0; I] block alike.
 
 Certification is falsification on samples, never proof: check_dissipation
 searches for (state, Theta) pairs violating
@@ -41,12 +42,13 @@ class AdmissibilityError(ValueError):
 class SizeFunction:
     """Positive definite coercive scalar of the state with derivatives.
 
-    The contract of :class:`objectives.Objective`: ``value`` maps states
-    with any leading shape to V, the cheap path that every reducer reads,
-    and ``evaluate(x, hessian=False)`` returns (values (B,), gradients
-    (B, n), Hessians (B, n, n) or None) for a (B, n) batch in one pass
-    over the oracles V is built on.  The ``*_at`` methods are one-point
-    views.
+    The contract of :class:`objectives.Objective`, but for the Hessian:
+    ``value`` maps states with any leading shape to V, the cheap path
+    that every reducer reads, and ``evaluate(x, hessian=False)`` returns
+    (values (B,), gradients (B, n), noise Hessians G^T hess V G (B, m, m)
+    or None) for a (B, n) batch in one pass over the oracles V is built
+    on, where G is the (n, m) noise map of the model V certifies.  The
+    ``*_at`` methods are one-point views.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -56,6 +58,7 @@ class SizeFunction:
         return self.evaluate(np.asarray(xi, dtype=float)[None])[1][0]
 
     def hessian_at(self, xi) -> np.ndarray:
+        """The noise Hessian G^T hess V G (m, m) of one state."""
         return self.evaluate(np.asarray(xi, dtype=float)[None],
                              hessian=True)[2][0]
 
@@ -100,19 +103,21 @@ class DissipationCertificate:
 def generator_apply(V: SizeFunction, model: DiffusionModel, states,
                     Theta: np.ndarray) -> np.ndarray:
     """Generator of the model's diffusion with noise transform Theta on an
-    (S, n) batch of states (one state may be passed as a vector); (S,)."""
+    (S, n) batch of states (one state may be passed as a vector); (S,).
+    The noise term contracts Theta with V's (S, m, m) noise Hessians."""
     x = np.asarray(states, dtype=float).reshape(-1, model.state_dim)
     Theta = np.atleast_2d(np.asarray(Theta, dtype=float))
     if Theta.shape != (model.noise_dim, model.noise_dim):
         raise ValueError(f"Theta must be {model.noise_dim}x{model.noise_dim}")
     noisy = bool(np.any(Theta))
-    _, grads, H = V.evaluate(x, hessian=noisy)
+    _, grads, M = V.evaluate(x, hessian=noisy)
     drift_term = np.einsum("si,si->s", grads, np.asarray(model.drift(x)))
     if not noisy:
         return drift_term
-    G = np.eye(model.state_dim) if model.noise_map is None else model.noise_map
-    gt = G @ Theta  # (n, m), shared by every state
-    return drift_term + 0.5 * np.einsum("im,sij,jm->s", gt, H, gt)
+    if M.shape != (len(x),) + Theta.shape:
+        raise ValueError(f"noise Hessians must be {(len(x),) + Theta.shape} "
+                         f"(G^T hess V G), got {M.shape}")
+    return drift_term + 0.5 * np.einsum("im,sij,jm->s", Theta, M, Theta)
 
 
 def default_state_samples(equilibrium, count: int = 1000,

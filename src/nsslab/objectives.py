@@ -10,7 +10,8 @@ Conventions: every oracle is batch-first.  Values map a (B, n) batch to
 (B,) (and are vectorized over any leading axes), gradients to (B, n) and
 Hessians to (B, n, n).  :meth:`Objective.evaluate` returns all three in
 one pass and fills in a missing Hessian by central differences of the
-gradients; :class:`lyapcert.SizeFunction` keeps the same contract.
+gradients; :class:`lyapcert.SizeFunction` keeps the same contract, with
+its Hessian taken along the noise map.
 """
 
 from __future__ import annotations
@@ -254,14 +255,15 @@ def logistic_lipschitz_constant(model: LogisticModel) -> float:
 def fit_theta_star(model: LogisticModel) -> np.ndarray:
     """Minimizer by explicit-Euler gradient flow with step 1/L, run until
     |grad| <= 1e-10 or until a step leaves theta unchanged (at most
-    2,000,000 steps); a non-finite gradient raises RuntimeError.
+    2,000,000 steps); L = 0 raises ValueError and a non-finite gradient
+    RuntimeError.
 
     Nonseparability makes the loss coercive and strict convexity (full row
     rank) makes the minimizer unique; descent from zero converges.
     """
     L = logistic_lipschitz_constant(model)
     if L == 0.0:
-        return np.zeros(model.n_features)
+        raise ValueError("|X X^T| / (4N) is 0, so the step 1/L is not finite")
     step = 1.0 / L
     theta = np.zeros(model.n_features)
     for _ in range(2_000_000):
@@ -504,7 +506,8 @@ def load_logistic_csv(path: str) -> LogisticModel:
     """Dataset CSV: feature columns then one 0/1 label column, with header.
 
     A file that holds no such table, or features whose gradient Lipschitz
-    constant |X X^T| / (4N) is not finite, raises a one-line ValueError.
+    constant L = |X X^T| / (4N) is not a positive normal float (so that
+    the fit's step 1/L is finite), raises a one-line ValueError.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -516,7 +519,8 @@ def load_logistic_csv(path: str) -> LogisticModel:
         raise ValueError("need at least one feature and a label column")
     model = LogisticModel(X=data[:, :-1].T, y=data[:, -1])
     with np.errstate(over="ignore", invalid="ignore"):
-        if not math.isfinite(logistic_lipschitz_constant(model)):
-            raise ValueError("the features overflow |X X^T| / (4N), the "
-                             "gradient's Lipschitz constant")
+        L = logistic_lipschitz_constant(model)
+    if not np.finfo(float).tiny <= L < math.inf:
+        raise ValueError(f"the features overflow or underflow |X X^T| / (4N) "
+                         f"= {L:g}, the gradient's Lipschitz constant")
     return model

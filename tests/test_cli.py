@@ -528,6 +528,23 @@ class TestSchema:
         assert line.startswith("error: [problem] dataset "), line
         assert word in line, line
 
+    @pytest.mark.parametrize("experiment", DATASET_EXPERIMENTS)
+    def test_tiny_scale_dataset_exits_2_before_any_output(self, tmp_path,
+                                                          capsys,
+                                                          experiment):
+        # XOR at 1e-300 is nonseparable, but |X X^T| / (4N) underflows to
+        # 0, so the fit would have no step 1/L
+        write_dataset(tmp_path / "data.csv",
+                      [[1e-300, 1e-300, 1], [-1e-300, -1e-300, 1],
+                       [1e-300, -1e-300, 0], [-1e-300, 1e-300, 0]])
+        cfg = write_config(tmp_path, experiment,
+                           "[problem]\ndataset = data.csv\n")
+        out = tmp_path / "o"
+        for argv in (["validate", cfg], ["run", cfg, "--out", str(out)]):
+            line = exits_2_with_one_line(capsys, argv, out)
+            assert line.startswith("error: [problem] dataset "), line
+            assert "underflow" in line, line
+
     def test_large_scale_demo_fits_at_once(self, tmp_path):
         # the demo's features times 1e8: nonseparable and certified, but
         # |grad| <= 1e-10 is out of reach at that scale; the fit stops at

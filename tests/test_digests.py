@@ -1,8 +1,8 @@
 """Artifact digests of shortened shipped configs.
 
-Each case runs a shipped config with a shorter horizon T and compares
-the SHA-256 digest of every file it writes, and its exit status, with
-``reduced_digests.json``.  A change that moves any bit of these runs
+Each case runs a shipped config with a shorter horizon T (or as shipped,
+for a config without T) and compares the SHA-256 digest of every file it
+writes, and its exit status, with ``reduced_digests.json``.  A change that moves any bit of these runs
 fails here, in seconds; ``perfbench/run.py --check`` stays the full
 check of every shipped config.
 
@@ -24,8 +24,8 @@ from nsslab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DIGESTS = Path(__file__).resolve().with_name("reduced_digests.json")
-# shipped config -> shortened horizon T
-REDUCED = {"gain_sweep": "2", "logistic_overdamped": "10",
+# shipped config -> shortened horizon T, None to run it as shipped
+REDUCED = {"certify_dissipation": None, "gain_sweep": "2", "logistic_overdamped": "10",
            "logistic_underdamped": "20", "lqr_po_overdamped": "1",
            "lqr_po_underdamped": "3", "ou_sanity": "2",
            "quadratic_overdamped": "1", "quadratic_underdamped": "5"}
@@ -36,7 +36,8 @@ def run_reduced(stem: str, work: Path) -> dict:
     cfg = configparser.ConfigParser()
     cfg.optionxform = str
     cfg.read(CONFIGS / f"{stem}.ini")
-    cfg["mc"]["T"] = REDUCED[stem]
+    if REDUCED[stem] is not None:
+        cfg["mc"]["T"] = REDUCED[stem]
     if cfg.has_option("problem", "dataset"):  # relative to the config
         cfg["problem"]["dataset"] = str(CONFIGS / cfg["problem"]["dataset"])
     path = work / f"{stem}.ini"

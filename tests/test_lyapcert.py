@@ -63,6 +63,15 @@ class TestGeneratorApply:
             generator_apply(half_square(), linear_model(), np.ones(1),
                             np.eye(2))
 
+    def test_noise_hessian_shape_checked(self):
+        # a full (2n, 2n) Hessian where G = [0; I] reads only (n, n)
+        model = DiffusionModel(state_dim=2, noise_dim=1,
+                               drift=lambda x: -x, noise_map=[[0.0], [1.0]])
+        with pytest.raises(ValueError,
+                           match=r"\(3, 1, 1\).*got \(3, 2, 2\)"):
+            generator_apply(half_square(), model, np.ones((3, 2)),
+                            np.eye(1))
+
 
 class TestCertificateKinds:
     def alpha_kinf(self):

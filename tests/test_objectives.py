@@ -222,6 +222,13 @@ class TestFitThetaStar:
                                                       match="non-finite"):
             fit_theta_star(model)
 
+    def test_zero_lipschitz_constant_raises(self):
+        # X X^T underflows to 0 at 1e-300, so there is no step 1/L
+        demo = load_logistic_csv(str(DEMO_CSV))
+        model = LogisticModel(X=1e-300 * demo.X, y=demo.y)
+        with pytest.raises(ValueError, match="not finite"):
+            fit_theta_star(model)
+
     def test_objective_wiring(self):
         model = demo_model()
         obj = logistic_objective(model)
