@@ -10,42 +10,35 @@ Every statistic is a reduction over paths, so no statistic keeps states.
 A caller declares reducers (:class:`WindowValues`, :class:`PathMeans`,
 :class:`Exceedance`, :class:`Supermartingale`), which
 :func:`sde.simulate_ensemble` feeds with ``(record index, t, z, active)``
-at every recorded step, and a sweep drops each ensemble once its last
-batch has run: memory grows with N times the tail window, not with the
-recorded horizon.  The reducers repeat the reductions of a recorded
-(N, R, n) ensemble, kept in the tests as references, bit for bit.  Their
-per-record f(z) equals f of the dense array whenever f is
-row-independent (f of a batch equals f of each row, as for the quadratic
-and LQR size functions; the logistic loss is a BLAS matmul, whose bits
-the shipped digests pin); path means are summed path by path, as
-``np.mean(..., axis=0)`` of an (N, R) array is; window values are kept in
-the memory order of the dense window array, so a sum over them adds in
-the same order (quantiles do not depend on the order).
-:class:`WindowValues` and :class:`Exceedance` keep their per-path arrays
-in shared pages (:func:`_shared`), so a batch can hold part of them:
-``shard(lo, hi)`` is a copy for paths [lo, hi) that writes into views of
-the original's arrays.
-:func:`inss_accumulation_check` reads the :class:`Exceedance` of its
-ensemble.
+at every recorded step.  They repeat the reductions of a recorded
+(N, R, n) ensemble, kept in the tests as references, bit for bit: f(z)
+per record equals f of the dense array whenever f is row-independent (as
+for the quadratic and LQR size functions; the logistic loss is a BLAS
+matmul, whose bits the shipped digests pin), and path means are summed
+path by path, as ``np.mean(..., axis=0)`` of an (N, R) array is.
+:class:`WindowValues` and :class:`Exceedance` keep their state in shared
+pages (:func:`_shared`); ``shard(lo, hi)`` is the part for paths [lo, hi).
 
 A sweep places its work by one plan (:func:`_batches`).  Its n
 ensembles of N paths are R = n N rows, row j N + k being path k of
 ensemble j, cut into S batches [R i // S, R (i + 1) // S):
 S = ceil(R / 4096) when N < 4096 and the schedules can stack
 (:func:`sde.stackable`), else n max(1, N // 4096), which cuts each
-ensemble alone.  A batch is one
-:func:`sde.simulate_ensemble` stack of its ensembles' path ranges.  On
-K = min(workers, usable CPUs, S) processes, a round is K consecutive
-batches, the first run in the parent and the others in forked workers.
-An ensemble's reducers keep their arrays in shared pages, allocated in
-the parent before the fork of the round that first runs it, so each
+ensemble alone.  A batch is one :func:`sde.simulate_ensemble` stack of
+its ensembles' path ranges.  On K = min(workers, usable CPUs, S)
+processes, a round is K consecutive batches, the first run in the parent
+and the others in forked workers.  The parent allocates every ensemble's
+reducers and every batch's parts of them before the first fork, so a
 worker writes its rows where the parent reads them and sends back only
-its report.  An ensemble is reduced and dropped after the round of its
-last batch.  The batches depend on the sweep alone, each path draws from
-its own generator, and each ensemble's reducers read only its rows of a
-batch, so the curve is bit-identical for any ``workers``, whatever the
-drift; with a row-independent drift and domain test it also equals each
-ensemble run alone.
+its report, and reduces each ensemble after the last round.  It so holds
+every tail buffer at once, 2k ~ 2 epsilon W N doubles per part: more
+than one dense (W, N) window once there are more than 1 / (2 epsilon)
+parts (about 10 intensities at epsilon = 0.05, or an ensemble cut in two
+at epsilon >= 0.25).  The batches depend on the sweep alone, each path
+draws from its own generator, and each ensemble's reducers read only its
+rows of a batch, so the curve is bit-identical for any ``workers``,
+whatever the drift; with a row-independent drift and domain test it also
+equals each ensemble run alone.
 
 All statistics are pure functions of (experiment, master seed): paths use
 counter-based per-path generators and reductions are deterministic.
@@ -54,6 +47,7 @@ counter-based per-path generators and reductions are deterministic.
 from __future__ import annotations
 
 import copy
+import math
 import mmap
 import multiprocessing
 import os
@@ -107,13 +101,14 @@ class GainCurve:
     """Per-intensity tail statistics of the size function.
 
     ``tail_quantiles`` are (1 - epsilon)-quantiles of V pooled over valid
-    (path, time) pairs in the window [T/2, T]; entries are NaN when every
-    path has left the domain before the window.  ``blowup_fractions``
-    counts diverged paths: magnitude overflow or exit from the model
-    domain (for gain dynamics, crossing the stability boundary), which
-    both end a path.  ``exceedance_fractions`` holds
-    :class:`Exceedance` fractions when the sweep was given bounds, else
-    None.
+    (path, time) pairs in the window [T/2, T], read from a bounded buffer
+    of the largest (:class:`WindowValues`) as ``np.quantile`` of all of
+    them, bit for bit; NaN when every path has left the domain before the
+    window.  ``blowup_fractions`` counts diverged paths: magnitude overflow
+    or exit from the model domain (for gain dynamics, crossing the
+    stability boundary), which both end a path.  ``exceedance_fractions``
+    holds :class:`Exceedance` fractions when the sweep was given bounds,
+    else None.
     """
 
     intensities: np.ndarray
@@ -123,46 +118,71 @@ class GainCurve:
 
 
 class WindowValues:
-    """Reducer: ``f(z)`` of every path at the records with
-    t_lo <= t <= t_hi, kept time-major in the (W, N) array ``values``,
-    and in ``valid`` the count of those at which each path was active; a
-    path that has left never returns, so they are its first records.
+    """Reducer: ``np.quantile`` at q of ``f(z)`` pooled over the records
+    with t_lo <= t <= t_hi and the paths active at each, and the count of
+    paths that have left by the window's last record.
 
-    That is the memory order of the dense route's window array
-    ``states[:, window, 0]`` (its advanced indexing returns an
-    F-ordered (N, W) array), so a sum over ``values`` adds in its order.
+    numpy's linear method (Hyndman & Fan 1996, type 7) reads the order
+    statistics j = floor(v) and j + 1 of n values, v = (n - 1) q, which
+    lie among the n - j largest; n - j grows with n, so the k = n_max -
+    floor((n_max - 1) q) + 1 largest of n <= n_max = W N values hold
+    both.  Paths [lo, hi) feed the part ``shard(lo, hi)``, which keeps its
+    k largest values in 2k slots of shared pages (``np.partition`` cuts a
+    full buffer back to k), and three counts: filled slots, (record,
+    active path) pairs and paths inactive at the window's last record (a
+    path that has left never returns).  :meth:`quantile` merges the parts
+    in any order.
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray],
-                 times: np.ndarray, n_paths: int, t_lo: float, t_hi: float):
-        self.f = f
+                 times: np.ndarray, n_paths: int, t_lo: float, t_hi: float,
+                 q: float):
+        self.f, self.q = f, q
         self.index = np.flatnonzero((times >= t_lo) & (times <= t_hi))
-        self.values = _shared((self.index.size, n_paths), float)
-        self.valid = _shared(n_paths, np.int64)
+        n_max = self.index.size * n_paths
+        self.k = n_max - math.floor((n_max - 1) * q) + 1
+        self.parts = []
+
+    def shard(self, lo: int, hi: int) -> "WindowValues":
+        """The part that paths [lo, hi) feed, its pages allocated now."""
+        part = copy.copy(self)
+        part.top = _shared(2 * self.k, float)
+        part.counts = _shared(3, np.int64)  # fill, pairs, paths left
+        self.parts.append(part)
+        return part
 
     def __call__(self, i, t, z, active):
         w = i - self.index[0] if self.index.size else -1
-        if 0 <= w < self.index.size:  # the window's records are contiguous
-            self.values[w] = self.f(z)
-            self.valid += active
+        if not 0 <= w < self.index.size:  # the window's records are contiguous
+            return
+        x, k, fill = self.f(z)[active], self.k, self.counts[0]
+        self.counts[1] += x.size
+        if w == self.index.size - 1:
+            self.counts[2] = active.size - x.size
+        if x.size > k:
+            x = np.partition(x, x.size - k)[-k:]
+        if fill + x.size > self.top.size:
+            self.top[:k] = np.partition(self.top[:fill], fill - k)[-k:]
+            fill = k
+        self.top[fill:fill + x.size] = x
+        self.counts[0] = fill + x.size
 
-    def shard(self, lo: int, hi: int) -> "WindowValues":
-        part = copy.copy(self)
-        part.values, part.valid = self.values[:, lo:hi], self.valid[lo:hi]
-        return part
+    def left(self) -> int:
+        """The count of paths inactive at the window's last record."""
+        return int(sum(p.counts[2] for p in self.parts))
 
-    def valid_values(self) -> np.ndarray:
-        """The values of valid (record, path) pairs, record by record."""
-        if (self.valid == self.index.size).all():
-            return self.values.reshape(-1)
-        return self.values[np.arange(self.index.size)[:, None] < self.valid]
-
-    def quantile(self, q: float) -> float:
-        """The q-quantile of the valid values, NaN when there is none; as
-        it does not depend on their order, it partitions ``values``."""
-        pooled = self.valid_values()
-        return (float(np.quantile(pooled, q, overwrite_input=True))
-                if pooled.size else np.nan)
+    def quantile(self) -> float:
+        """``np.quantile`` of the pooled values at q, NaN when there is
+        none or one is NaN."""
+        n = int(sum(p.counts[1] for p in self.parts))
+        if not n:
+            return np.nan
+        top = np.concatenate([p.top[:p.counts[0]] for p in self.parts])
+        v = (n - 1) * self.q
+        j = math.floor(v) - (n - top.size)  # pooled index floor(v) in top
+        top.partition([j, min(j + 1, top.size - 1), top.size - 1])
+        return (np.nan if np.isnan(top[-1])  # NaN sorts last
+                else float(np.quantile(top[j:j + 2], v - math.floor(v))))
 
 
 class PathMeans:
@@ -181,35 +201,29 @@ class PathMeans:
 
 class Exceedance:
     """Reducer: the fraction of paths whose V ever exceeds bound(V0, t) at
-    a record in the window (default: the whole horizon).
+    a record.
 
     The per-path supremum convention matches a for-all-time guarantee on
-    the grid.  Paths that left the domain at or before a window record
-    count as exceeding.  ``bound`` is called on arrays (V0 as a column,
-    t as a 1x1 row) and must broadcast over them; a scalar-only bound,
-    such as one built on ``math.exp``, raises.
+    the grid.  Paths that left the domain at or before a record count as
+    exceeding.  ``bound`` is called on arrays (V0 as a column, t as a 1x1
+    row) and must broadcast over them; a scalar-only bound, such as one
+    built on ``math.exp``, raises.
     """
 
     def __init__(self, V: SizeFunction,
                  bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 times: np.ndarray, n_paths: int,
-                 window: tuple[float, float] | None = None):
-        t_lo, t_hi = window if window is not None else (0.0, times[-1])
+                 n_paths: int):
         self.V, self.bound = V, bound
-        self.in_window = (times >= t_lo) & (times <= t_hi)
         self.exceeded = _shared(n_paths, bool)
 
     def __call__(self, i, t, z, active):
-        if i and not self.in_window[i]:
-            return
         v = self_values(self.V, z)
         if i == 0:
             self.v0 = v
-        if self.in_window[i]:
-            b = np.asarray(self.bound(self.v0[:, None], np.array([[t]])),
-                           dtype=float)
-            b = np.broadcast_to(b, (v.size, 1))[:, 0]
-            self.exceeded |= ~active | (v > b)
+        b = np.asarray(self.bound(self.v0[:, None], np.array([[t]])),
+                       dtype=float)
+        b = np.broadcast_to(b, (v.size, 1))[:, 0]
+        self.exceeded |= ~active | (v > b)
 
     def shard(self, lo: int, hi: int) -> "Exceedance":
         part = copy.copy(self)
@@ -251,28 +265,6 @@ class Supermartingale:
         self.v = v
 
 
-class _SweepEnsemble:
-    """The j-th ensemble of a sweep: its reducers, whose arrays sit in
-    shared pages allocated before it runs, so that a forked worker can
-    fill part of them."""
-
-    def __init__(self, exp: NssExperiment, j: int, bound):
-        self.exp, self.j = exp, j
-        times = record_times(exp.dt, exp.T, exp.store_every)
-        # the window ends at T's record, so a path has left iff valid < W
-        self.tail = WindowValues(lambda z: self_values(exp.V, z), times,
-                                 exp.N, exp.T / 2.0, times[-1])
-        self.exceed = None if bound is None else Exceedance(exp.V, bound,
-                                                            times, exp.N)
-        self.reducers = [r for r in (self.tail, self.exceed) if r is not None]
-
-    def stats(self):
-        """(tail quantile, blow-up fraction, exceedance fraction or None)."""
-        return (self.tail.quantile(1.0 - self.exp.epsilon),
-                float(np.mean(self.tail.valid < self.tail.index.size)),
-                None if self.exceed is None else self.exceed.fraction())
-
-
 def _batches(N: int, n_ensembles: int, can_stack: bool
              ) -> list[tuple[int, int]]:
     """The row ranges [a, b) of a sweep's batches (module docstring)."""
@@ -288,20 +280,20 @@ def _blocks(N: int, a: int, b: int) -> list[tuple[int, int, int]]:
             for j in range(a // N, (b - 1) // N + 1)]
 
 
-def _run_batch(exp: NssExperiment, ensembles: dict, a: int, b: int) -> None:
-    """Integrate rows [a, b) of the sweep as one stack, into their part of
-    the ensembles' reducers."""
+def _batch(exp: NssExperiment, ensembles: list, a: int, b: int):
+    """The run of rows [a, b) of the sweep as one stack, into parts of
+    each ensemble's reducers (``ensembles[j]``) that are made here."""
     blocks = _blocks(exp.N, a, b)
     rows = [slice(j * exp.N + lo - a, j * exp.N + hi - a)
             for j, lo, hi in blocks]  # each block's rows of the batch
-    simulate_ensemble(
+    reducers = [_rows(r.shard(lo, hi), s)
+                for (j, lo, hi), s in zip(blocks, rows)
+                for r in ensembles[j]]
+    return lambda: simulate_ensemble(
         exp.dynamics, [exp.schedule_family[j] for j, _, _ in blocks],
         exp.x0, exp.dt, exp.T, [range(lo, hi) for _, lo, hi in blocks],
         [exp.master_seed + j for j, _, _ in blocks],
-        store_every=exp.store_every,
-        reducers=[_rows(r.shard(lo, hi), s)
-                  for (j, lo, hi), s in zip(blocks, rows)
-                  for r in ensembles[j].reducers])
+        store_every=exp.store_every, reducers=reducers)
 
 
 def _rows(reduce, rows: slice):
@@ -330,36 +322,37 @@ def run_experiment(exp: NssExperiment,
     ``workers`` processes (module docstring); the curve does not depend
     on ``workers``.
 
-    Each ensemble keeps only V and valid counts on the tail window [T/2,
-    T] and, with ``bounds`` (one bound(V0, t) per schedule), each path's
-    running exceedance flag, whose fractions the curve carries.
+    Each ensemble keeps only the largest values of V on the tail window
+    [T/2, T] (:class:`WindowValues`, one bounded buffer per part) and,
+    with ``bounds`` (one bound(V0, t) per schedule), each path's running
+    exceedance flag, whose fractions the curve carries.  Every buffer is
+    allocated before the first batch runs and every ensemble reduced after
+    the last (module docstring).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if bounds is not None and len(bounds) != len(exp.schedule_family):
         raise ValueError("need one bound per schedule")
-    N = exp.N
-    batches = _batches(N, len(exp.schedule_family),
-                       stackable(exp.schedule_family))
+    family = exp.schedule_family
+    times = record_times(exp.dt, exp.T, exp.store_every)
+    # the window ends at T's record, so a path has left iff it is
+    # inactive there
+    tails = [WindowValues(lambda z: self_values(exp.V, z), times, exp.N,
+                          exp.T / 2.0, times[-1], 1.0 - exp.epsilon)
+             for _ in family]
+    exceeds = [Exceedance(exp.V, bound, exp.N) for bound in bounds or []]
+    ensembles = [[tail, *exceeds[j:j + 1]] for j, tail in enumerate(tails)]
+    batches = [_batch(exp, ensembles, a, b)
+               for a, b in _batches(exp.N, len(family), stackable(family))]
     K = min(workers, _usable_cpus(), len(batches))
-    live, stats = {}, []
     for first in range(0, len(batches), K):
-        round_ = batches[first:first + K]
-        end = round_[-1][1]
-        for j in range(round_[0][0] // N, (end - 1) // N + 1):
-            if j not in live:
-                live[j] = _SweepEnsemble(exp, j, None if bounds is None
-                                         else bounds[j])
-        _run_forked(lambda ab: _run_batch(exp, live, *ab), round_)
-        # reduce and drop each ensemble whose last batch has run
-        while live and (min(live) + 1) * N <= end:
-            stats.append(live.pop(min(live)).stats())
-    quants, blowups, fracs = zip(*stats)
-    return GainCurve(intensities=exp.intensities(),
-                     tail_quantiles=np.array(quants),
-                     blowup_fractions=np.array(blowups),
-                     exceedance_fractions=None if bounds is None
-                     else np.array(fracs))
+        _run_forked(lambda run: run(), batches[first:first + K])
+    return GainCurve(
+        intensities=exp.intensities(),
+        tail_quantiles=np.array([tail.quantile() for tail in tails]),
+        blowup_fractions=np.array([tail.left() / exp.N for tail in tails]),
+        exceedance_fractions=None if bounds is None
+        else np.array([e.fraction() for e in exceeds]))
 
 
 def _run_forked(run, parts):
@@ -489,7 +482,7 @@ def inss_accumulation_check(exp: NssExperiment, gamma: ScalarClassFunction,
     def bound(v0, t):
         return np.asarray(beta_hat(v0, t)) + np.interp(t, times, integral)
 
-    exceed = Exceedance(exp.V, bound, times, exp.N)
+    exceed = Exceedance(exp.V, bound, exp.N)
     simulate_ensemble(exp.dynamics, schedule, exp.x0, exp.dt, exp.T, exp.N,
                       exp.master_seed, store_every=exp.store_every,
                       reducers=[exceed])

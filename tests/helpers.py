@@ -154,11 +154,11 @@ def replay(ensemble: TrajectoryEnsemble, reducers) -> None:
             reduce(i, t, z, active)
 
 
-def replayed_exceedance(ensemble: TrajectoryEnsemble, V: SizeFunction, bound,
-                        window=None) -> float:
+def replayed_exceedance(ensemble: TrajectoryEnsemble, V: SizeFunction,
+                        bound) -> float:
     """The :class:`Exceedance` fraction of a recorded ensemble, its reducer
     fed by :func:`replay`."""
-    red = Exceedance(V, bound, ensemble.times, len(ensemble.states), window)
+    red = Exceedance(V, bound, len(ensemble.states))
     replay(ensemble, [red])
     return red.fraction()
 

@@ -67,7 +67,7 @@ UNREAD_MEMBERS_ALLOWED = {
 # that class's member is read
 SHARED_MEMBER_NAMES = {
     "AccumulationReport.epsilon": "AccumulationReport.passed",
-    "NssExperiment.epsilon": "_SweepEnsemble.stats, inss_accumulation_check",
+    "NssExperiment.epsilon": "run_experiment, inss_accumulation_check",
     "CovarianceSchedule.intensities": "sup_noise_intensity, "
                                       "inss_accumulation_check",
     "GainCurve.intensities": "scnss_threshold_scan, the gain-curve writer",
@@ -80,9 +80,10 @@ SHARED_MEMBER_NAMES = {
     "DissipationCertificate.violations": "certificate_summary, the "
                                          "certificate writer",
     "PLViolationReport.violations": "PLViolationReport.clean, pl-envelope",
-    "Exceedance.shard": "_run_batch",
-    "WindowValues.shard": "_run_batch",
-    "NssExperiment.dt": "_run_batch, inss_accumulation_check",
+    "Exceedance.shard": "_batch, in the parent before the first fork",
+    "WindowValues.shard": "_batch, in the parent before the first fork; "
+                          "logistic-overdamped",
+    "NssExperiment.dt": "_batch, inss_accumulation_check",
     "TrajectoryEnsemble.dt": "perfbench's path-step count",
     "TrajectoryEnsemble.times": "perfbench's path-step count",
     "TrajectoryEnsemble.states": "perfbench's state-byte count",
@@ -125,8 +126,6 @@ UNSET_PARAMETERS_ALLOWED = {
                                "in the admissibility test",
     "set_D_threshold.small_covariance": "claim (e): the tests reject an "
                                         "intensity at or above d1",
-    "Exceedance.window": "claim (e): the tests check the exceedance of "
-                         "sub-windows against the recorded reference",
     "Supermartingale.min_population": "claim (e): the tests check floors "
                                       "of 1, 10 and 100 against the "
                                       "recorded reference",

@@ -4,9 +4,7 @@ import configparser
 import math
 import multiprocessing
 import os
-import weakref
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,13 +83,86 @@ class TestGainCurve:
         model, V = scalar_setup()
         s = CovarianceSchedule.constant(np.array([[0.2]]), 10.0)
         tail = WindowValues(lambda z: self_values(V, z),
-                            record_times(1e-2, 10.0, 5), 100, 5.0, 10.0)
+                            record_times(1e-2, 10.0, 5), 100, 5.0, 10.0, 0.9)
+        simulate_ensemble(model, s, np.ones(1), 1e-2, 10.0, 100, 0,
+                          store_every=5, reducers=[tail.shard(0, 100)])
         ens = simulate_ensemble(model, s, np.ones(1), 1e-2, 10.0, 100, 0,
-                                store_every=5, reducers=[tail])
-        pooled = tail.valid_values()
+                                store_every=5)
         idx = (ens.times >= 5.0) & (ens.times <= 10.0)
-        assert pooled.size == 100 * idx.sum()
-        assert (tail.valid == idx.sum()).all()
+        pooled = self_values(V, ens.states[:, idx].reshape(-1, 1))
+        assert tail.parts[0].counts[1] == pooled.size == 100 * idx.sum()
+        assert tail.quantile() == np.quantile(pooled, 0.9)
+        assert tail.left() == 0
+
+
+def tail_case(rng):
+    """A random window, its values and active masks and a cut of its
+    paths into 1-3 parts: (q, times, (t_lo, t_hi), values, active, cuts).
+    """
+    q = [0.5, 0.9, 0.95, 0.99, rng.uniform()][rng.integers(5)]
+    N = int(rng.integers(1, 301))
+    W = int(rng.integers(0, 3000 // N + 1))  # n <= W N <= 3,000
+    lead = int(rng.integers(0, 3))  # records before the window
+    R = lead + W + int(rng.integers(0, 2))
+    kind = rng.integers(5)
+    if kind == 0:  # ties
+        values = rng.integers(0, 4, (R, N)).astype(float)
+    elif kind == 1:  # all equal
+        values = np.full((R, N), 1.5)
+    elif kind == 2:  # spread over 1e-300 to 1e300, both signs
+        values = (rng.choice([-1.0, 1.0], (R, N))
+                  * 10.0 ** rng.uniform(-300.0, 300.0, (R, N)))
+    else:
+        values = rng.standard_normal((R, N))
+    # a path is active before its exit record: none, anywhere, or early
+    # (then n < k)
+    top = [R, R + 1, lead + 2][rng.integers(3)]
+    exits = rng.integers(min(top - 1, R), top, N)
+    active = np.arange(R)[:, None] < exits[None, :]
+    if kind == 4 and W and active[lead:lead + W].any():  # one NaN
+        r, c = np.argwhere(active[lead:lead + W])[
+            rng.integers(active[lead:lead + W].sum())]
+        values[lead + r, c] = np.nan
+    window = (lead, lead + W - 1) if W else (R + 1.0, R + 2.0)
+    parts = int(rng.integers(1, min(3, N) + 1))
+    cuts = np.sort(rng.choice(np.arange(1, N), parts - 1, replace=False))
+    bounds = np.concatenate([[0], cuts, [N]])
+    return (q, np.arange(R, dtype=float), window, values, active,
+            list(zip(bounds[:-1], bounds[1:])))
+
+
+class TestBoundedTail:
+    """:class:`WindowValues` keeps the k largest values of each part and
+    reads np.quantile of the pooled values from them, bit for bit."""
+
+    def test_fuzz_matches_np_quantile(self):
+        rng = np.random.default_rng(20261022)
+        seen = dict(cut=0, small=0, nan=0, empty=0, left=0)
+        for case in range(10_000):
+            q, times, window, values, active, cuts = tail_case(rng)
+            tail = WindowValues(lambda z: z, times, values.shape[1],
+                                *window, q)
+            order = rng.permutation(len(cuts))  # parts made in any order
+            parts = {c: tail.shard(*cuts[c]) for c in order}
+            for i, t in enumerate(times):
+                for c in rng.permutation(len(cuts)):
+                    lo, hi = cuts[c]
+                    parts[c](i, t, values[i, lo:hi], active[i, lo:hi])
+            inside = (times >= window[0]) & (times <= window[1])
+            pooled = values[inside][active[inside]]
+            want = np.quantile(pooled, q) if pooled.size else np.nan
+            got = tail.quantile()
+            assert type(got) is float
+            assert np.array_equal(got, want, equal_nan=True), case
+            left = (~active[inside][-1]).sum() if inside.any() else 0
+            assert tail.left() == left, case
+            kept = sum(p.counts[0] for p in tail.parts)
+            seen["cut"] += int(kept < pooled.size)
+            seen["small"] += int(0 < pooled.size < tail.k)
+            seen["nan"] += int(np.isnan(want) and pooled.size > 0)
+            seen["empty"] += int(not inside.any())
+            seen["left"] += int(0 < left)
+        assert min(seen.values()) >= 100, seen
 
 
 class TestDecayEnvelope:
@@ -241,10 +312,10 @@ def planned_rounds(monkeypatch, N, n_ensembles, workers, can_stack=True,
     if cpus is not None:
         monkeypatch.setattr(nssmc, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(nssmc, "stackable", lambda family: can_stack)
+    # each batch stands for its row count, and no part is made
+    monkeypatch.setattr(nssmc, "_batch", lambda exp, ensembles, a, b: b - a)
     monkeypatch.setattr(nssmc, "_run_forked", lambda run, parts:
-                        rounds.append([b - a for a, b in parts]))
-    monkeypatch.setattr(nssmc, "_SweepEnsemble", lambda exp, j, bound:
-                        SimpleNamespace(stats=lambda: (0.0, 0.0, None)))
+                        rounds.append(list(parts)))
     run_experiment(make_experiment(np.arange(1, n_ensembles + 1), N=N,
                                    T=1.0), workers=workers)
     assert [n for r in rounds for n in r] == [b - a for a, b in batches]
@@ -556,52 +627,43 @@ class TestSweepRounds:
                 assert in_worker == (workers in forked)
                 assert multiprocessing.active_children() == []
 
-    def test_ensemble_lives_from_first_to_last_batch_round(self,
+    def test_every_page_is_allocated_before_the_first_fork(self,
                                                            monkeypatch):
         exp, bounds = quadratic_case([1.0], sigmas=(0.1, 0.2, 0.4, 0.8))
         N = exp.N
-        refs, alive = [], []
+        events = []
+        shared, run_forked = nssmc._shared, nssmc._run_forked
 
-        class Tracked(nssmc._SweepEnsemble):
-            def __init__(self, *args):
-                super().__init__(*args)
-                refs.append(weakref.ref(self))
-
-        calls = forked_rounds(monkeypatch)
-        run_forked = nssmc._run_forked
+        def counted(shape, dtype):
+            events.append("alloc")
+            return shared(shape, dtype)
 
         def spy(run, parts):
-            alive.append([r().j for r in refs if r() is not None])
+            events.append("fork")
             return run_forked(run, parts)
 
-        monkeypatch.setattr(nssmc, "_SweepEnsemble", Tracked)
-        monkeypatch.setattr(nssmc, "_run_forked", spy)
         want = run_experiment(exp, bounds)
+        monkeypatch.setattr(nssmc, "_shared", counted)
+        monkeypatch.setattr(nssmc, "_run_forked", spy)
         # four ensembles of N = 350; 500 rows a batch cuts inside
         # ensembles 1 and 2, so each spans two batches
         for batch_rows in (350, 500, 700, 1400):
             monkeypatch.setattr(nssmc, "_BATCH_ROWS", batch_rows)
             batches = nssmc._batches(N, 4, True)
+            blocks = sum(len(nssmc._blocks(N, a, b)) for a, b in batches)
             for workers in (1, 2, 3):
-                refs.clear()
-                alive.clear()
-                calls.clear()
+                events.clear()
                 got = run_experiment(exp, bounds, workers=workers)
-                assert np.array_equal(got.tail_quantiles,
-                                      want.tail_quantiles)
-                # batch i runs in round i // K; ensemble j is alive from
-                # the round of the batch with row j N to that of row
-                # (j + 1) N - 1
-                K = min(workers, len(batches))
-                round_of = [next(i for i, (a, b) in enumerate(batches)
-                                 if a <= row < b) // K
-                            for row in range(4 * N)]
-                assert alive == [[j for j in range(4)
-                                  if round_of[j * N] <= r
-                                  <= round_of[(j + 1) * N - 1]]
-                                 for r in range(len(calls))], (batch_rows,
-                                                                workers)
-                assert all(r() is None for r in refs)
+                for name in ("tail_quantiles", "blowup_fractions",
+                             "exceedance_fractions"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name)), name
+                # each ensemble's flags, then a buffer and its counts per
+                # block, all before the first of the rounds
+                K = min(workers, nssmc._usable_cpus(), len(batches))
+                rounds = -(-len(batches) // K)
+                assert events == ["alloc"] * (4 + 2 * blocks) + [
+                    "fork"] * rounds, (batch_rows, workers)
 
     def test_workers_below_one_rejected(self):
         exp = make_experiment([0.1, 0.2], T=1.0)

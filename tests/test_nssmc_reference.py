@@ -510,56 +510,52 @@ def test_exceedance_matches_dense_route(case, tiles):
     exp, _ = CASES[case]()
     exp = NssExperiment(**{**exp.__dict__, "T": 2.0, "schedule_family":
                            exp.schedule_family[-2:]})
-    times = record_times(exp.dt, exp.T, exp.store_every)
-    windows = [None, (0.5, 1.5), (1.0, 2.0), (3.0, 4.0)]
     bounds = [lambda v0, t: 0.8 * v0 * np.exp(-t) + 0.02,
               lambda v0, t: np.where(t < 1.0, v0 + 0.01, 0.05)]
-    pairs = [(b, w) for b in bounds for w in windows]
     for j in range(len(exp.schedule_family)):
         ref_ens, ens = dense_pair(exp, j)
         for name in ("times", "states", "valid_counts", "exited", "blowup"):
             assert np.array_equal(getattr(ens, name), getattr(ref_ens, name))
-        live = [Exceedance(exp.V, b, times, exp.N, w) for b, w in pairs]
+        live = [Exceedance(exp.V, b, exp.N) for b in bounds]
         reduced = simulate_ensemble(
             exp.dynamics, exp.schedule_family[j], exp.x0, exp.dt, exp.T,
             exp.N, exp.master_seed + j, store_every=exp.store_every,
             reducers=live)
         assert reduced.states.shape == (exp.N, 0, exp.dynamics.state_dim)
-        for (bound, window), red in zip(pairs, live):
-            want = reference_exceedance_fraction(ref_ens, exp.V, bound,
-                                                 window)
-            assert replayed_exceedance(ens, exp.V, bound, window) == want
+        for bound, red in zip(bounds, live):
+            want = reference_exceedance_fraction(ref_ens, exp.V, bound)
+            assert replayed_exceedance(ens, exp.V, bound) == want
             assert red.fraction() == want
 
 
 def test_tail_window_values_match_dense_route():
     exp, _ = lqr_case(sigmas=(0.5, 5.0))
     times = record_times(exp.dt, exp.T, exp.store_every)
+    # the last window is empty: NaN, and no path counted as left
     windows = [(1.0, 2.0), (0.3, 0.9), (5.0, 6.0)]
     for j in range(2):
         ref_ens, ens = dense_pair(exp, j)
         live, replayed = [[WindowValues(lambda z: self_values(exp.V, z),
-                                        times, exp.N, lo, hi)
+                                        times, exp.N, lo, hi, 0.95)
                            for lo, hi in windows] for _ in range(2)]
         simulate_ensemble(exp.dynamics, exp.schedule_family[j], exp.x0,
                           exp.dt, exp.T, exp.N, exp.master_seed + j,
-                          store_every=exp.store_every, reducers=live)
-        replay(ens, replayed)
+                          store_every=exp.store_every,
+                          reducers=[r.shard(0, exp.N) for r in live])
+        replay(ens, [r.shard(0, exp.N) for r in replayed])
         for (lo, hi), reducer, again in zip(windows, live, replayed):
             want = reference_tail_window_values(ref_ens, exp.V, lo, hi)
-            # the replayed window read path by path, as the dense route was
-            alive = again.index[None, :] < ens.valid_counts[:, None]
-            got = again.values.T[alive]
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-            assert np.array_equal(reducer.values, again.values)
-            # the reducer counts each path's valid records itself
-            assert np.array_equal(reducer.valid, alive.sum(axis=1))
-            # the same values, record by record instead of path by path
-            pooled = reducer.valid_values()
-            assert np.array_equal(np.sort(pooled), np.sort(want))
             q = np.quantile(want, 0.95) if want.size else np.nan
-            assert np.array_equal(reducer.quantile(0.95), q, equal_nan=True)
+            # a path has left by the window's last record iff its valid
+            # records end before it
+            idx = np.flatnonzero((ens.times >= lo) & (ens.times <= hi))
+            left = int((ens.valid_counts <= idx[-1]).sum()) if idx.size else 0
+            for got in (reducer, again):
+                assert np.array_equal(got.quantile(), q, equal_nan=True)
+                assert got.left() == left
+        assert np.isnan(live[2].quantile()) and live[2].left() == 0
+        assert live[0].left() == ens.exited.sum()
+    assert 0 < live[0].left() < exp.N  # at sigma = 5 some paths exit
 
 
 def expanding_case(N=150, T=3.0):
@@ -610,17 +606,9 @@ def test_ou_moments_match_dense_route(N, T, store, tiles, tmp_path):
     times = record_times(dt, T, store)
     square = lambda z: z[:, 0] ** 2
     means = PathMeans(square, times.size)
-    tail = WindowValues(square, times, N, max(0.0, T - 25.0), T)
     simulate_ensemble(model, schedule, np.zeros(1), dt, T, N, seed,
-                      store_every=store, reducers=[means, tail])
+                      store_every=store, reducers=[means])
     assert np.array_equal(means.means, want_means)
-    assert float(np.mean(tail.values)) == want_second
-    # the window keeps the dense array's memory order (advanced indexing
-    # makes it F-ordered), so any sum over it adds in the same order
-    idx = (ref_ens.times >= max(0.0, T - 25.0)) & (ref_ens.times <= T)
-    dense = ref_ens.states[:, idx, 0] ** 2
-    assert dense.T.flags.c_contiguous and tail.values.flags.c_contiguous
-    assert np.array_equal(tail.values, dense.T)
 
     # the shipped experiment writes the same bytes as the dense route
     lines = cli._exp_ou_sanity(ou_config(N, T, dt, store), tmp_path, seed, 1)
@@ -660,7 +648,12 @@ def test_run_experiment_memory_below_one_dense_ensemble(monkeypatch):
         schedule_family=[CovarianceSchedule.constant(np.array([[0.2]]), T)],
         x0=np.ones(1), N=N, dt=dt, T=T, master_seed=5, store_every=1)
     bounds = [lambda v0, t: 1.1 * v0 * np.exp(-2.0 * t) + 0.4]
-    dense_bytes = N * record_times(dt, T, 1).size * 1 * 8
+    times = record_times(dt, T, 1)
+    dense_bytes = N * times.size * 1 * 8
+    # the tail buffer keeps k = n_max - floor((n_max - 1) q) + 1 values
+    # of the n_max = W N in the window, in 2k slots
+    n_max = N * int((times >= T / 2.0).sum())
+    k = n_max - math.floor((n_max - 1) * 0.95) + 1
     # tracemalloc does not see the sweep's shared pages, so add up every
     # array allocated in them
     shared_bytes, shared = [], nssmc._shared
@@ -678,6 +671,8 @@ def test_run_experiment_memory_below_one_dense_ensemble(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.isfinite(curve.tail_quantiles).all()
-    assert sum(shared_bytes) >= N * 8 * (record_times(dt, T, 1).size // 2)
+    # one batch, so one part: its buffer and three counts, and the flags
+    assert nssmc._batches(N, 1, True) == [(0, N)]
+    assert sum(shared_bytes) <= 2 * k * 8 + 3 * 8 + N
     assert peak + sum(shared_bytes) < dense_bytes, (peak, shared_bytes,
                                                     dense_bytes)

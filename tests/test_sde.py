@@ -826,9 +826,9 @@ class TestShards:
 
     def _reducers(self, times):
         V = half_norm_squared()
-        tail = WindowValues(V.value, times, self.N, self.T / 2, self.T)
-        exceed = Exceedance(V, lambda v0, t: v0 * np.exp(-t) + 0.3, times,
-                            self.N)
+        tail = WindowValues(V.value, times, self.N, self.T / 2, self.T,
+                            0.95)
+        exceed = Exceedance(V, lambda v0, t: v0 * np.exp(-t) + 0.3, self.N)
         return tail, exceed
 
     def test_shards_match_one_batch(self):
@@ -843,7 +843,7 @@ class TestShards:
         tail, exceed = self._reducers(times)
         _, _, valid, exited, blowup = sde._simulate_batch(
             model, schedule, x0s, self.DT, self.T, seeds, self.STORE,
-            [tail, exceed])
+            [tail.shard(0, self.N), exceed])
         assert exited[:4097].any() and exited[4097:].any()
         assert not exited.all()
         got_tail, got_exceed = self._reducers(times)
@@ -861,8 +861,20 @@ class TestShards:
                            ("blowup", blowup)):
             got = np.concatenate([getattr(e, name) for e in parts])
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.array_equal(got_tail.valid, tail.valid)
-        assert np.array_equal(got_tail.valid_values(), tail.valid_values())
+        # the dense window of the recorded ensemble, pooled over the valid
+        # (path, record) pairs
+        dense = simulate_ensemble(model, schedule, x0s, self.DT, self.T,
+                                  self.N, 7, store_every=self.STORE)
+        assert np.array_equal(dense.valid_counts, valid)
+        idx = tail.index
+        alive = idx[None, :] < valid[:, None]
+        pooled = half_norm_squared().value(
+            dense.states[:, idx].reshape(-1, 1)).reshape(alive.shape)[alive]
+        left = int((valid <= idx[-1]).sum())
+        assert 0 < left < self.N
+        for reduced in (got_tail, tail):
+            assert reduced.quantile() == np.quantile(pooled, 0.95)
+            assert reduced.left() == left
         assert got_exceed.fraction() == exceed.fraction()
 
 
